@@ -28,12 +28,18 @@ fn bench_run_summaries(c: &mut Criterion) {
 }
 
 fn bench_exact_runs(c: &mut Criterion) {
-    let dims = [128i64, 128];
-    let tile = Region::new(vec![9, 17], vec![40, 48]);
-    let col = FileLayout::col_major(2);
-    c.bench_function("layout/exact_runs_32x32_tile/col_major", |b| {
-        b.iter(|| black_box(&col).region_runs(black_box(&dims), black_box(&tile)))
-    });
+    let dims = [4096i64, 4096];
+    let tile = Region::new(vec![129, 257], vec![384, 512]);
+    for (name, layout) in [
+        ("row_major", FileLayout::row_major(2)),
+        ("col_major", FileLayout::col_major(2)),
+        ("blocked_64", FileLayout::Blocked2D { br: 64, bc: 64 }),
+        ("diagonal", FileLayout::Hyperplane2D(1, -1)),
+    ] {
+        c.bench_function(&format!("layout/exact_runs_256x256_tile/{name}"), |b| {
+            b.iter(|| black_box(&layout).region_runs(black_box(&dims), black_box(&tile)))
+        });
+    }
 }
 
 criterion_group!(benches, bench_run_summaries, bench_exact_runs);

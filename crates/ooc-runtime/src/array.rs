@@ -8,7 +8,7 @@
 //! contiguous runs, split by the maximum transfer size — which is
 //! precisely the quantity the paper's optimizations minimize.
 
-use crate::layout::{FileLayout, Region, RunSummary};
+use crate::layout::{FileLayout, Region, RunSummary, Segment};
 use crate::store::{MemStore, Store, ELEM_BYTES};
 use std::io;
 use std::time::Duration;
@@ -244,7 +244,18 @@ pub struct OocArray<S: Store> {
     store: S,
     config: RuntimeConfig,
     stats: IoStats,
+    /// Staging buffer for runs that are not contiguous in the tile.
+    scratch: Vec<f64>,
 }
+
+/// Largest scratch buffer (in elements) an array keeps between tile
+/// transfers. A larger one — a whole-array sweep through a layout that
+/// is not the tile's — is freed when the transfer ends, or it would
+/// sit in peak RSS for the whole run; freeing the small ones too costs
+/// more than it saves, because every large block freed raises glibc's
+/// mmap threshold and keeps later freed tiles on the heap (measured in
+/// EXPERIMENTS.md).
+const SCRATCH_KEEP_ELEMS: usize = 128 * 1024;
 
 impl OocArray<MemStore> {
     /// Creates an in-memory-backed array (tests, functional runs).
@@ -287,6 +298,7 @@ impl<S: Store> OocArray<S> {
             store,
             config,
             stats: IoStats::default(),
+            scratch: Vec::new(),
         }
     }
 
@@ -363,72 +375,112 @@ impl<S: Store> OocArray<S> {
     /// against [`IoStats`] call totals. No data is moved.
     #[must_use]
     pub fn exact_tile_calls(&self, region: &Region) -> u64 {
-        let region = region.clamped(&self.dims);
         self.layout
-            .region_runs(&self.dims, &region)
+            .region_runs(&self.dims, region)
             .iter()
             .map(|run| run.len.div_ceil(self.config.max_call_elems))
             .sum()
     }
 
-    /// Reads a tile, counting calls.
+    /// The segments of `tile ∩ array`, ascending in the file.
+    fn segments(&self, tile: &Region) -> Vec<Segment> {
+        let mut segs = Vec::new();
+        self.layout
+            .for_each_segment(&self.dims, tile, |s| segs.push(s));
+        segs
+    }
+
+    /// Frees an oversized scratch buffer (see [`SCRATCH_KEEP_ELEMS`]).
+    fn trim_scratch(&mut self) {
+        if self.scratch.capacity() > SCRATCH_KEEP_ELEMS {
+            self.scratch = Vec::new();
+        }
+    }
+
+    /// Reads a tile, counting calls: one store call per maximal file
+    /// run, in ascending file order. A run that is also contiguous in
+    /// the tile lands directly in the tile's data; any other is read
+    /// into the scratch buffer and scattered segment by segment.
     ///
     /// # Errors
     /// Propagates store errors.
     pub fn read_tile(&mut self, region: &Region) -> io::Result<Tile> {
         let region = region.clamped(&self.dims);
-        let mut tile = Tile::zeroed(region.clone());
-        let runs = self.layout.region_runs(&self.dims, &region);
-        // Pull every run, then scatter into the tile by element lookup.
-        let mut run_data: Vec<(u64, Vec<f64>)> = Vec::with_capacity(runs.len());
+        let mut tile = Tile::zeroed(region);
+        let segs = self.segments(&tile.region);
         let mut calls = 0u64;
         let retry = self.config.retry;
-        for run in &runs {
-            let mut buf = vec![0.0; usize::try_from(run.len).expect("run len")];
-            let store = &self.store;
-            retry.run(&mut self.stats.retries, || {
-                store.read_run(run.start, &mut buf)
-            })?;
-            calls += run.len.div_ceil(self.config.max_call_elems);
-            run_data.push((run.start, buf));
+        let store = &self.store;
+        for run in segs.chunk_by(file_adjacent) {
+            let (start, len) = run_extent(run);
+            if let Some(at) = tile_range(run) {
+                let buf = &mut tile.data[at];
+                retry.run(&mut self.stats.retries, || store.read_run(start, buf))?;
+            } else {
+                if self.scratch.len() < len {
+                    self.scratch.resize(len, 0.0);
+                }
+                let buf = &mut self.scratch[..len];
+                retry.run(&mut self.stats.retries, || store.read_run(start, buf))?;
+                let mut rest = &*buf;
+                for seg in run {
+                    let (src, tail) = rest.split_at(seg.len as usize);
+                    let dst = tile.data[seg.tile_start..].iter_mut();
+                    for (d, &v) in dst.step_by(seg.tile_stride).zip(src) {
+                        *d = v;
+                    }
+                    rest = tail;
+                }
+            }
+            calls += (len as u64).div_ceil(self.config.max_call_elems);
         }
-        for_each_index(&region, |idx| {
-            let off = self.layout.offset_of(&self.dims, idx);
-            let v = lookup(&run_data, off);
-            tile.set(idx, v);
-        });
+        self.trim_scratch();
         self.stats.reads += 1;
         self.stats.read_calls += calls;
-        self.stats.read_elems += region.len() as u64;
+        self.stats.read_elems += tile.region.len() as u64;
         Ok(tile)
     }
 
-    /// Writes a tile back, counting calls.
+    /// Writes a tile back, counting calls: the part of the tile inside
+    /// the array, one store call per maximal file run as in
+    /// [`read_tile`](Self::read_tile), gathering through the scratch
+    /// buffer where the run is not contiguous in the tile.
     ///
     /// # Errors
     /// Propagates store errors.
     pub fn write_tile(&mut self, tile: &Tile) -> io::Result<()> {
-        let region = tile.region().clamped(&self.dims);
-        let runs = self.layout.region_runs(&self.dims, &region);
-        // Gather tile elements into per-run buffers.
-        let mut run_data: Vec<(u64, Vec<f64>)> = runs
-            .iter()
-            .map(|r| (r.start, vec![0.0; usize::try_from(r.len).expect("run len")]))
-            .collect();
-        for_each_index(&region, |idx| {
-            let off = self.layout.offset_of(&self.dims, idx);
-            store_into(&mut run_data, off, tile.get(idx));
-        });
+        let segs = self.segments(&tile.region);
         let mut calls = 0u64;
+        let mut elems = 0u64;
         let retry = self.config.retry;
-        for (start, buf) in &run_data {
-            let store = &mut self.store;
-            retry.run(&mut self.stats.retries, || store.write_run(*start, buf))?;
-            calls += (buf.len() as u64).div_ceil(self.config.max_call_elems);
+        let store = &mut self.store;
+        for run in segs.chunk_by(file_adjacent) {
+            let (start, len) = run_extent(run);
+            let buf = if let Some(at) = tile_range(run) {
+                &tile.data[at]
+            } else {
+                if self.scratch.len() < len {
+                    self.scratch.resize(len, 0.0);
+                }
+                let mut rest = &mut self.scratch[..len];
+                for seg in run {
+                    let (dst, tail) = rest.split_at_mut(seg.len as usize);
+                    let src = tile.data[seg.tile_start..].iter();
+                    for (d, &v) in dst.iter_mut().zip(src.step_by(seg.tile_stride)) {
+                        *d = v;
+                    }
+                    rest = tail;
+                }
+                &self.scratch[..len]
+            };
+            retry.run(&mut self.stats.retries, || store.write_run(start, buf))?;
+            calls += (len as u64).div_ceil(self.config.max_call_elems);
+            elems += len as u64;
         }
+        self.trim_scratch();
         self.stats.writes += 1;
         self.stats.write_calls += calls;
-        self.stats.write_elems += region.len() as u64;
+        self.stats.write_elems += elems;
         Ok(())
     }
 
@@ -447,9 +499,19 @@ impl<S: Store> OocArray<S> {
     /// # Errors
     /// Propagates store errors.
     pub fn initialize(&mut self, f: impl Fn(&[i64]) -> f64) -> io::Result<()> {
-        let region = Region::full(&self.dims);
-        let mut tile = Tile::zeroed(region.clone());
-        for_each_index(&region, |idx| tile.set(idx, f(idx)));
+        let mut tile = Tile::zeroed(Region::full(&self.dims));
+        // Fill in canonical order: the last dimension fastest.
+        let mut idx = vec![1i64; self.dims.len()];
+        for slot in tile.data_mut() {
+            *slot = f(&idx);
+            for d in (0..idx.len()).rev() {
+                if idx[d] < self.dims[d] {
+                    idx[d] += 1;
+                    break;
+                }
+                idx[d] = 1;
+            }
+        }
         self.write_tile(&tile)
     }
 }
@@ -481,47 +543,29 @@ pub fn summary_cost(s: RunSummary, max_call_elems: u64) -> IoCost {
     }
 }
 
-fn for_each_index(region: &Region, mut f: impl FnMut(&[i64])) {
-    if region.is_empty() {
-        return;
-    }
-    let mut idx = region.lo.clone();
-    loop {
-        f(&idx);
-        let mut d = region.rank();
-        loop {
-            if d == 0 {
-                return;
-            }
-            d -= 1;
-            idx[d] += 1;
-            if idx[d] <= region.hi[d] {
-                break;
-            }
-            idx[d] = region.lo[d];
-            if d == 0 {
-                return;
-            }
+/// Whether `b` continues `a`'s file run.
+fn file_adjacent(a: &Segment, b: &Segment) -> bool {
+    a.file_start + a.len == b.file_start
+}
+
+/// File start and length of a run of file-adjacent segments.
+fn run_extent(run: &[Segment]) -> (u64, usize) {
+    let (first, last) = (run[0], run[run.len() - 1]);
+    let len = last.file_start + last.len - first.file_start;
+    (first.file_start, usize::try_from(len).expect("run len"))
+}
+
+/// The tile positions of a run when they are one contiguous range in
+/// file order — then the store can move the run without staging.
+fn tile_range(run: &[Segment]) -> Option<std::ops::Range<usize>> {
+    let mut end = run[0].tile_start;
+    for seg in run {
+        if seg.tile_stride != 1 || seg.tile_start != end {
+            return None;
         }
+        end += seg.len as usize;
     }
-}
-
-fn lookup(runs: &[(u64, Vec<f64>)], off: u64) -> f64 {
-    let i = runs
-        .partition_point(|(start, _)| *start <= off)
-        .checked_sub(1)
-        .expect("offset before first run");
-    let (start, buf) = &runs[i];
-    buf[usize::try_from(off - start).expect("in-run offset")]
-}
-
-fn store_into(runs: &mut [(u64, Vec<f64>)], off: u64, v: f64) {
-    let i = runs
-        .partition_point(|(start, _)| *start <= off)
-        .checked_sub(1)
-        .expect("offset before first run");
-    let (start, buf) = &mut runs[i];
-    buf[usize::try_from(off - *start).expect("in-run offset")] = v;
+    Some(run[0].tile_start..end)
 }
 
 #[cfg(test)]
@@ -626,6 +670,38 @@ mod tests {
             .read_tile(&Region::new(vec![3, 3], vec![9, 9]))
             .expect("r");
         assert_eq!(tile.region().len(), 4);
+    }
+
+    #[test]
+    fn overhanging_tile_writes_its_in_bounds_part() {
+        // The tile's own extents index its data, not the clamped ones.
+        let tile_region = Region::new(vec![3, 0], vec![7, 6]);
+        for layout in [
+            FileLayout::row_major(2),
+            FileLayout::col_major(2),
+            FileLayout::Blocked2D { br: 2, bc: 3 },
+        ] {
+            let mut a = OocArray::in_memory("A", &[5, 4], layout.clone());
+            a.initialize(|idx| (idx[0] * 10 + idx[1]) as f64)
+                .expect("init");
+            let mut tile = Tile::zeroed(tile_region.clone());
+            for a1 in 3..=7 {
+                for a2 in 0..=6 {
+                    tile.set(&[a1, a2], -((a1 * 10 + a2) as f64));
+                }
+            }
+            a.reset_stats();
+            a.write_tile(&tile).expect("write");
+            assert_eq!(a.stats().write_elems, 12, "{layout:?}");
+            let all = a.read_tile(&Region::full(&[5, 4])).expect("read");
+            for a1 in 1..=5 {
+                for a2 in 1..=4 {
+                    let v = (a1 * 10 + a2) as f64;
+                    let expect = if a1 >= 3 { -v } else { v };
+                    assert_eq!(all.get(&[a1, a2]), expect, "{layout:?} ({a1},{a2})");
+                }
+            }
+        }
     }
 
     #[test]

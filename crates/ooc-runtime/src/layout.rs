@@ -17,9 +17,13 @@
 //!
 //! The central query is [`FileLayout::region_runs`]: the maximal
 //! contiguous file runs covering a rectangular region. Each run is the
-//! unit the PASSION-like runtime turns into I/O calls.
+//! unit the PASSION-like runtime turns into I/O calls. Runs are built
+//! from *segments* (`FileLayout::for_each_segment`): closed-form
+//! pieces that are contiguous in the file and a constant stride apart
+//! in the tile, which is also how [`OocArray`](crate::array::OocArray)
+//! moves the data.
 
-use ooc_linalg::gcd;
+use ooc_linalg::{extended_gcd, gcd};
 
 /// A rectangular region of an array: 1-based inclusive bounds per
 /// dimension.
@@ -116,6 +120,19 @@ pub struct Run {
     pub start: u64,
     /// Number of consecutive elements.
     pub len: u64,
+}
+
+/// A piece of a tile that is contiguous in the file and a constant
+/// stride apart in the tile's canonical row-major data: file element
+/// `file_start + k` is tile element `tile_start + k * tile_stride` for
+/// `k < len`. File-adjacent segments coalesce into [`Run`]s.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Segment {
+    pub file_start: u64,
+    pub len: u64,
+    pub tile_start: usize,
+    /// At least 1; 1 for single-element segments.
+    pub tile_stride: usize,
 }
 
 /// Aggregate I/O cost of accessing a region (without materializing
@@ -241,48 +258,141 @@ impl FileLayout {
         }
     }
 
-    /// The maximal contiguous runs of `region` (clamped to the array),
-    /// in ascending file order. Exact for every layout.
+    /// Calls `f` with the segments of `tile ∩ array` in ascending file
+    /// order; tile positions are relative to `tile` itself, which may
+    /// overhang the array. Work and allocation are per segment, never
+    /// per element:
     ///
-    /// Intended for functional execution and tests; for paper-scale
-    /// accounting use [`FileLayout::region_run_summary`].
+    /// * `DimOrder`: one segment per index of the non-innermost layout
+    ///   dimensions, from precomputed file and tile strides;
+    /// * `Blocked2D`: one per row of each block ∩ tile;
+    /// * `Hyperplane2D`: one per intersected hyperplane — a hyperplane
+    ///   ∩ rectangle is a contiguous sub-range of the hyperplane and
+    ///   steps by a fixed `(Δa₁, Δa₂)`.
+    pub(crate) fn for_each_segment(&self, dims: &[i64], tile: &Region, mut f: impl FnMut(Segment)) {
+        let r = tile.clamped(dims);
+        if r.is_empty() {
+            return;
+        }
+        let rank = dims.len();
+        // Canonical row-major strides of the tile's own extents.
+        let mut ts = vec![1i64; rank];
+        for d in (1..rank).rev() {
+            ts[d - 1] = ts[d] * tile.extent(d);
+        }
+        let tile_pos =
+            |idx: &[i64]| -> i64 { (0..rank).map(|d| (idx[d] - tile.lo[d]) * ts[d]).sum() };
+        let mut emit = |file_start: i64, len: i64, tile_start: i64, tile_stride: i64| {
+            let cast = |v: i64| usize::try_from(v).expect("segment inside the tile");
+            f(Segment {
+                file_start: file_start as u64,
+                len: len as u64,
+                tile_start: cast(tile_start),
+                // Positive whenever it matters: along a hyperplane a₁
+                // ascends, and a₂ moves by less than a tile row.
+                tile_stride: if len > 1 { cast(tile_stride) } else { 1 },
+            });
+        };
+        match self {
+            FileLayout::DimOrder(perm) => {
+                assert_eq!(perm.len(), rank);
+                let Some((&inner, outer)) = perm.split_last() else {
+                    return emit(0, 1, 0, 1);
+                };
+                let mut fs = vec![1i64; rank];
+                for k in (1..rank).rev() {
+                    fs[perm[k - 1]] = fs[perm[k]] * dims[perm[k]];
+                }
+                let mut idx = r.lo.clone();
+                loop {
+                    let file_start = (0..rank).map(|d| (idx[d] - 1) * fs[d]).sum();
+                    emit(file_start, r.extent(inner), tile_pos(&idx), ts[inner]);
+                    // Odometer over the outer layout dimensions, the
+                    // innermost of them fastest.
+                    let mut k = outer.len();
+                    loop {
+                        if k == 0 {
+                            return;
+                        }
+                        k -= 1;
+                        let d = outer[k];
+                        idx[d] += 1;
+                        if idx[d] <= r.hi[d] {
+                            break;
+                        }
+                        idx[d] = r.lo[d];
+                    }
+                }
+            }
+            FileLayout::Hyperplane2D(g1, g2) => {
+                let h = Hyperplanes::new(*g1, *g2, dims[0], dims[1]);
+                let (d1, d2) = h.step();
+                let (c_min, _) = h.c_range(1, dims[0], 1, dims[1]);
+                let (c_lo, c_hi) = h.c_range(r.lo[0], r.hi[0], r.lo[1], r.hi[1]);
+                let mut before = 0i64; // elements on hyperplanes < c
+                for c in c_min..=c_hi {
+                    let Some(full) = h.span(c, 1, dims[0], 1, dims[1]) else {
+                        continue;
+                    };
+                    let inside = if c < c_lo {
+                        None
+                    } else {
+                        h.span(c, r.lo[0], r.hi[0], r.lo[1], r.hi[1])
+                    };
+                    if let Some(s) = inside {
+                        let file_start = before + h.steps_between(&full, &s);
+                        emit(
+                            file_start,
+                            s.count,
+                            tile_pos(&[s.a1, s.a2]),
+                            d1 * ts[0] + d2,
+                        );
+                    }
+                    before += full.count;
+                }
+            }
+            FileLayout::Blocked2D { br, bc } => {
+                let (br, bc) = (*br, *bc);
+                for bi in (r.lo[0] - 1) / br..=(r.hi[0] - 1) / br {
+                    let block_h = ((bi + 1) * br).min(dims[0]) - bi * br;
+                    let (row_lo, row_hi) =
+                        ((bi * br + 1).max(r.lo[0]), (bi * br + block_h).min(r.hi[0]));
+                    for bj in (r.lo[1] - 1) / bc..=(r.hi[1] - 1) / bc {
+                        let block_w = ((bj + 1) * bc).min(dims[1]) - bj * bc;
+                        let (col_lo, col_hi) =
+                            ((bj * bc + 1).max(r.lo[1]), (bj * bc + block_w).min(r.hi[1]));
+                        // Full block rows above, then the (full-width)
+                        // blocks to the left in this block row.
+                        let block_start = bi * br * dims[1] + block_h * bj * bc;
+                        for row in row_lo..=row_hi {
+                            let in_block = (row - bi * br - 1) * block_w + (col_lo - bj * bc - 1);
+                            emit(
+                                block_start + in_block,
+                                col_hi - col_lo + 1,
+                                tile_pos(&[row, col_lo]),
+                                1,
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// The maximal contiguous runs of `region` (clamped to the array),
+    /// in ascending file order: file-adjacent segments coalesced.
+    /// Exact for every layout, O(segments).
     #[must_use]
     pub fn region_runs(&self, dims: &[i64], region: &Region) -> Vec<Run> {
-        let region = region.clamped(dims);
-        if region.is_empty() {
-            return Vec::new();
-        }
-        // Generic exact computation: enumerate the region's element
-        // offsets, sort, and coalesce. Region sizes in functional mode are
-        // small; the summary path below never calls this.
-        let mut offsets: Vec<u64> = Vec::with_capacity(usize::try_from(region.len()).unwrap());
-        let mut idx = region.lo.clone();
-        loop {
-            offsets.push(self.offset_of(dims, &idx));
-            // Odometer increment.
-            let mut d = idx.len();
-            loop {
-                if d == 0 {
-                    break;
-                }
-                d -= 1;
-                idx[d] += 1;
-                if idx[d] <= region.hi[d] {
-                    break;
-                }
-                idx[d] = region.lo[d];
-                if d == 0 {
-                    // Wrapped the outermost dimension: done.
-                    offsets.sort_unstable();
-                    return coalesce(&offsets);
-                }
-            }
-            if idx == region.lo {
-                break;
-            }
-        }
-        offsets.sort_unstable();
-        coalesce(&offsets)
+        let mut runs: Vec<Run> = Vec::new();
+        self.for_each_segment(dims, region, |s| match runs.last_mut() {
+            Some(run) if run.start + run.len == s.file_start => run.len += s.len,
+            _ => runs.push(Run {
+                start: s.file_start,
+                len: s.len,
+            }),
+        });
+        runs
     }
 
     /// Aggregate run statistics for a region without enumeration —
@@ -328,9 +438,18 @@ impl FileLayout {
                     max_end,
                 }
             }
-            FileLayout::Hyperplane2D(g1, g2) => {
-                let h = Hyperplanes::new(*g1, *g2, dims[0], dims[1]);
-                h.region_summary(&region)
+            FileLayout::Hyperplane2D(..) => {
+                // One run per intersected hyperplane, first to last.
+                let mut summary = RunSummary::default();
+                self.for_each_segment(dims, &region, |s| {
+                    if summary.runs == 0 {
+                        summary.min_start = s.file_start;
+                    }
+                    summary.runs += 1;
+                    summary.max_end = s.file_start + s.len;
+                });
+                summary.elements = elements;
+                summary
             }
             FileLayout::Blocked2D { br, bc } => {
                 let (r1, r2) = (region.lo[0], region.hi[0]);
@@ -373,112 +492,139 @@ impl FileLayout {
     }
 }
 
-/// Helper for general 2-D hyperplane layouts: enumerates realized
-/// hyperplane values and cumulative element counts.
+/// Helper for general 2-D hyperplane layouts: the points of one
+/// hyperplane inside a rectangle in closed form, and from those the
+/// cumulative element counts that turn into file offsets.
 struct Hyperplanes {
+    /// The hyperplane vector, made primitive: dividing `(g₁, g₂)` by
+    /// its gcd divides every realized `c` by the same positive number
+    /// and so keeps the file order.
     g1: i64,
     g2: i64,
     n1: i64,
     n2: i64,
+    /// `g₁⁻¹ mod |g₂|` when both components are nonzero.
+    g1_inv: i64,
+}
+
+/// The points of one hyperplane inside a rectangle: `count` of them,
+/// the first at `(a1, a2)` and each one [`Hyperplanes::step`] after
+/// the last — consecutive in the file.
+struct Span {
+    a1: i64,
+    a2: i64,
+    count: i64,
+}
+
+/// `⌊a / b⌋` for `b > 0`.
+fn floor_div(a: i64, b: i64) -> i64 {
+    a.div_euclid(b)
+}
+
+/// `⌈a / b⌉` for `b > 0`.
+fn ceil_div(a: i64, b: i64) -> i64 {
+    -(-a).div_euclid(b)
 }
 
 impl Hyperplanes {
     fn new(g1: i64, g2: i64, n1: i64, n2: i64) -> Self {
         assert!(g1 != 0 || g2 != 0, "zero hyperplane");
-        Hyperplanes { g1, g2, n1, n2 }
+        let d = gcd(g1, g2);
+        let (g1, g2) = (g1 / d, g2 / d);
+        let g1_inv = if g1 != 0 && g2 != 0 {
+            extended_gcd(g1, g2.abs()).1.rem_euclid(g2.abs())
+        } else {
+            0
+        };
+        Hyperplanes {
+            g1,
+            g2,
+            n1,
+            n2,
+            g1_inv,
+        }
+    }
+
+    /// `(Δa₁, Δa₂)` between consecutive points of a hyperplane, which
+    /// are ordered by `a₁`, then `a₂`.
+    fn step(&self) -> (i64, i64) {
+        match (self.g1, self.g2) {
+            (_, 0) => (0, 1),
+            (0, _) => (1, 0),
+            (g1, g2) => (g2.abs(), -g1 * g2.signum()),
+        }
+    }
+
+    /// The points of hyperplane `c` inside `[r1, r2] × [c1, c2]`, or
+    /// `None` when there are none.
+    #[allow(clippy::similar_names)]
+    fn span(&self, c: i64, r1: i64, r2: i64, c1: i64, c2: i64) -> Option<Span> {
+        let (g1, g2) = (self.g1, self.g2);
+        if r1 > r2 || c1 > c2 {
+            return None;
+        }
+        if g2 == 0 {
+            // g1 = ±1: the hyperplane is row a1 = c / g1.
+            let a1 = c * g1;
+            return (r1..=r2).contains(&a1).then_some(Span {
+                a1,
+                a2: c1,
+                count: c2 - c1 + 1,
+            });
+        }
+        if g1 == 0 {
+            let a2 = c * g2;
+            return (c1..=c2).contains(&a2).then_some(Span {
+                a1: r1,
+                a2,
+                count: r2 - r1 + 1,
+            });
+        }
+        // a2 = (c - g1·a1) / g2 lies in [c1, c2] exactly when g1·a1
+        // lies in [c - b2, c - b1], an interval of a1 ...
+        let (b1, b2) = if g2 > 0 {
+            (g2 * c1, g2 * c2)
+        } else {
+            (g2 * c2, g2 * c1)
+        };
+        let (lo, hi) = if g1 > 0 {
+            (ceil_div(c - b2, g1), floor_div(c - b1, g1))
+        } else {
+            (ceil_div(b1 - c, -g1), floor_div(b2 - c, -g1))
+        };
+        let (lo, hi) = (lo.max(r1), hi.min(r2));
+        // ... and is an integer exactly when g1·a1 ≡ c (mod |g2|).
+        let m = g2.abs();
+        let a1 = lo + (c.rem_euclid(m) * self.g1_inv - lo).rem_euclid(m);
+        (a1 <= hi).then(|| Span {
+            a1,
+            a2: (c - g1 * a1) / g2,
+            count: (hi - a1) / m + 1,
+        })
+    }
+
+    /// How many steps after the first point of `from` the first point
+    /// of `to` lies, both on one hyperplane.
+    fn steps_between(&self, from: &Span, to: &Span) -> i64 {
+        match self.step() {
+            (0, d2) => (to.a2 - from.a2) / d2,
+            (d1, _) => (to.a1 - from.a1) / d1,
+        }
     }
 
     /// Number of elements on hyperplane `c` (within the full array).
     fn count_on(&self, c: i64) -> i64 {
-        self.count_on_region(c, 1, self.n1, 1, self.n2)
+        self.span(c, 1, self.n1, 1, self.n2).map_or(0, |s| s.count)
     }
 
-    /// Number of elements on hyperplane `c` within the rectangle.
+    /// Range of hyperplane values realized over a rectangle.
     #[allow(clippy::similar_names)]
-    fn count_on_region(&self, c: i64, r1: i64, r2: i64, c1: i64, c2: i64) -> i64 {
-        let (g1, g2) = (self.g1, self.g2);
-        if g2 == 0 {
-            // a1 fixed: c = g1*a1.
-            if c % g1 != 0 {
-                return 0;
-            }
-            let a1 = c / g1;
-            if (r1..=r2).contains(&a1) {
-                return c2 - c1 + 1;
-            }
-            return 0;
-        }
-        // For each a1 in [r1, r2], a2 = (c - g1*a1) / g2 must be an
-        // integer in [c1, c2]. The integrality condition is a congruence
-        // g1*a1 ≡ c (mod g2); the range condition is an interval in a1.
-        let mut count = 0i64;
-        // Quick infeasibility screen: the congruence g1*a1 ≡ c (mod |g2|)
-        // is solvable only when gcd(g1, g2) divides c.
-        let m = g2.abs();
-        if c.rem_euclid(gcd(g1, m)) != 0 {
-            return 0;
-        }
-        // Interval of a1 with a2 in [c1, c2]:
-        //   a2 = (c - g1*a1)/g2 in [c1, c2].
-        // Work with rationals to get the a1 interval, then apply the
-        // congruence stepping (solutions are spaced m/gcd(g1,m) apart).
-        let (lo_f, hi_f) = {
-            // c - g1*a1 in [g2*c1, g2*c2] (order depends on sign of g2)
-            let (b1, b2) = if g2 > 0 {
-                (g2 * c1, g2 * c2)
-            } else {
-                (g2 * c2, g2 * c1)
-            };
-            // b1 <= c - g1*a1 <= b2  =>  (c - b2) <= g1*a1 <= (c - b1)
-            let (lo_num, hi_num) = (c - b2, c - b1);
-            if g1 > 0 {
-                (
-                    (lo_num as f64 / g1 as f64).ceil() as i64,
-                    (hi_num as f64 / g1 as f64).floor() as i64,
-                )
-            } else if g1 < 0 {
-                (
-                    (hi_num as f64 / g1 as f64).ceil() as i64,
-                    (lo_num as f64 / g1 as f64).floor() as i64,
-                )
-            } else {
-                // g1 == 0: a2 = c/g2 fixed; every a1 in [r1, r2] counts if
-                // a2 in range.
-                if c % g2 != 0 {
-                    return 0;
-                }
-                let a2 = c / g2;
-                if (c1..=c2).contains(&a2) {
-                    return r2 - r1 + 1;
-                }
-                return 0;
-            }
-        };
-        let lo = lo_f.max(r1);
-        let hi = hi_f.min(r2);
-        let mut a1 = lo;
-        while a1 <= hi {
-            let num = c - g1 * a1;
-            if num % g2 == 0 {
-                let a2 = num / g2;
-                if (c1..=c2).contains(&a2) {
-                    count += 1;
-                    // Solutions are spaced gcd-periodically; continue the
-                    // simple loop (n is bounded by the array extent).
-                }
-            }
-            a1 += 1;
-        }
-        count
-    }
-
-    /// Realized hyperplane value range over the full array.
-    fn c_range(&self) -> (i64, i64) {
+    fn c_range(&self, r1: i64, r2: i64, c1: i64, c2: i64) -> (i64, i64) {
         let corners = [
-            self.g1 + self.g2,
-            self.g1 + self.g2 * self.n2,
-            self.g1 * self.n1 + self.g2,
-            self.g1 * self.n1 + self.g2 * self.n2,
+            self.g1 * r1 + self.g2 * c1,
+            self.g1 * r1 + self.g2 * c2,
+            self.g1 * r2 + self.g2 * c1,
+            self.g1 * r2 + self.g2 * c2,
         ];
         (
             *corners.iter().min().expect("nonempty"),
@@ -490,82 +636,14 @@ impl Hyperplanes {
     /// the rank within this hyperplane (ordered by a1, then a2).
     fn offset_of(&self, a1: i64, a2: i64) -> u64 {
         let c = self.g1 * a1 + self.g2 * a2;
-        let (c_min, _) = self.c_range();
-        let mut before = 0i64;
-        for cc in c_min..c {
-            before += self.count_on(cc);
-        }
-        // Rank within hyperplane: elements with smaller a1 (a2 determined),
-        // or same a1 and smaller a2 (only when g2 == 0 can a1 repeat).
-        let rank = if self.g2 == 0 {
-            a2 - 1
-        } else {
-            self.count_on_region(c, 1, a1 - 1, 1, self.n2)
-        };
+        let (c_min, _) = self.c_range(1, self.n1, 1, self.n2);
+        let before: i64 = (c_min..c).map(|cc| self.count_on(cc)).sum();
+        let first = self
+            .span(c, 1, self.n1, 1, self.n2)
+            .expect("the element's own hyperplane is realized");
+        let rank = self.steps_between(&first, &Span { a1, a2, count: 1 });
         (before + rank) as u64
     }
-
-    /// Run summary for a rectangular region: one run per intersected
-    /// hyperplane (exact within-hyperplane contiguity; see module docs).
-    fn region_summary(&self, region: &Region) -> RunSummary {
-        let (r1, r2) = (region.lo[0], region.hi[0]);
-        let (c1, c2) = (region.lo[1], region.hi[1]);
-        let (c_min, c_max) = self.c_range();
-        let mut runs = 0u64;
-        let mut elements = 0u64;
-        let mut min_start = u64::MAX;
-        let mut max_end = 0u64;
-        let mut cum_before = 0i64; // elements on hyperplanes < cc
-        for cc in c_min..=c_max {
-            let total_on = self.count_on(cc);
-            if total_on == 0 {
-                continue;
-            }
-            let in_region = self.count_on_region(cc, r1, r2, c1, c2);
-            if in_region > 0 {
-                runs += 1;
-                elements += in_region as u64;
-                // Start of this hyperplane's region segment: the rank of
-                // the first region element, i.e. the number of hyperplane
-                // elements ordered before it.
-                let before_rows = if self.g2 == 0 {
-                    c1 - 1
-                } else {
-                    // Find the smallest a1 in [r1, r2] whose a2 lands in
-                    // [c1, c2]; everything with a smaller a1 precedes it.
-                    let mut a1_first = r1;
-                    while a1_first <= r2
-                        && self.count_on_region(cc, a1_first, a1_first, c1, c2) == 0
-                    {
-                        a1_first += 1;
-                    }
-                    self.count_on_region(cc, 1, a1_first - 1, 1, self.n2)
-                };
-                let seg_start = (cum_before + before_rows) as u64;
-                min_start = min_start.min(seg_start);
-                max_end = max_end.max(seg_start + in_region as u64);
-            }
-            cum_before += total_on;
-        }
-        RunSummary {
-            runs,
-            elements,
-            min_start: if runs == 0 { 0 } else { min_start },
-            max_end,
-        }
-    }
-}
-
-/// Coalesces sorted element offsets into maximal contiguous runs.
-fn coalesce(sorted: &[u64]) -> Vec<Run> {
-    let mut out: Vec<Run> = Vec::new();
-    for &off in sorted {
-        match out.last_mut() {
-            Some(run) if run.start + run.len == off => run.len += 1,
-            _ => out.push(Run { start: off, len: 1 }),
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -642,6 +720,100 @@ mod tests {
         // c = 0: (1,1), (2,2), (3,3).
         assert_eq!(l.offset_of(&dims, &[1, 1]), 3);
         assert_eq!(l.offset_of(&dims, &[3, 3]), 5);
+    }
+
+    #[test]
+    fn hyperplane_offsets_follow_the_definition() {
+        // Order by (g1·a1 + g2·a2, a1, a2), for skewed, axis-aligned,
+        // negated and non-primitive vectors alike.
+        let dims = [5i64, 7];
+        for (g1, g2) in [
+            (1, 1),
+            (1, -1),
+            (-1, 1),
+            (-1, -1),
+            (2, 1),
+            (3, -2),
+            (-2, 5),
+            (7, 4),
+            (1, 0),
+            (-1, 0),
+            (0, 1),
+            (0, -1),
+            (2, 2),
+            (2, -4),
+            (0, 3),
+        ] {
+            let mut points: Vec<(i64, i64)> = (1..=dims[0])
+                .flat_map(|a1| (1..=dims[1]).map(move |a2| (a1, a2)))
+                .collect();
+            points.sort_by_key(|&(a1, a2)| (g1 * a1 + g2 * a2, a1, a2));
+            let layout = FileLayout::Hyperplane2D(g1, g2);
+            for (off, &(a1, a2)) in points.iter().enumerate() {
+                assert_eq!(
+                    layout.offset_of(&dims, &[a1, a2]),
+                    off as u64,
+                    "({g1},{g2}) at ({a1},{a2})"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn segments_map_tile_positions_to_file_offsets() {
+        // Every element of tile ∩ array appears in exactly one segment,
+        // at its own tile position and its own file offset, and the
+        // segments ascend in the file — also for tiles that overhang.
+        let dims = [6i64, 7];
+        let layouts = [
+            FileLayout::row_major(2),
+            FileLayout::col_major(2),
+            FileLayout::Hyperplane2D(1, 1),
+            FileLayout::Hyperplane2D(1, -1),
+            FileLayout::Hyperplane2D(-2, 3),
+            FileLayout::Hyperplane2D(-1, 0),
+            FileLayout::Hyperplane2D(0, 1),
+            FileLayout::Blocked2D { br: 2, bc: 3 },
+            FileLayout::Blocked2D { br: 4, bc: 4 },
+        ];
+        let tiles = [
+            Region::full(&dims),
+            Region::new(vec![2, 3], vec![4, 5]),
+            Region::new(vec![5, 4], vec![9, 12]),
+            Region::new(vec![-1, 0], vec![3, 2]),
+            Region::new(vec![3, 3], vec![3, 3]),
+            Region::new(vec![4, 1], vec![3, 7]),
+        ];
+        for layout in &layouts {
+            for tile in &tiles {
+                let mut seen = vec![false; usize::try_from(tile.len()).unwrap()];
+                let mut file_end = 0u64;
+                layout.for_each_segment(&dims, tile, |s| {
+                    assert!(
+                        s.file_start >= file_end,
+                        "{layout:?} {tile:?} not ascending"
+                    );
+                    file_end = s.file_start + s.len;
+                    for k in 0..s.len {
+                        let pos = s.tile_start + k as usize * s.tile_stride;
+                        let width = tile.extent(1);
+                        let idx = [
+                            tile.lo[0] + pos as i64 / width,
+                            tile.lo[1] + pos as i64 % width,
+                        ];
+                        assert_eq!(
+                            layout.offset_of(&dims, &idx),
+                            s.file_start + k,
+                            "{layout:?} {tile:?} at {idx:?}"
+                        );
+                        assert!(!seen[pos], "{layout:?} {tile:?} repeats {idx:?}");
+                        seen[pos] = true;
+                    }
+                });
+                let covered = seen.iter().filter(|&&x| x).count() as i64;
+                assert_eq!(covered, tile.clamped(&dims).len(), "{layout:?} {tile:?}");
+            }
+        }
     }
 
     #[test]

@@ -175,6 +175,36 @@ impl FileStore {
             len: bytes / ELEM_BYTES,
         })
     }
+
+    /// The byte offset of element `offset`, if `len` elements from
+    /// there lie inside the store.
+    fn byte_offset(&self, offset: u64, len: usize) -> io::Result<u64> {
+        match offset.checked_add(len as u64) {
+            Some(end) if end <= self.len => Ok(offset * ELEM_BYTES),
+            _ => Err(range_err()),
+        }
+    }
+}
+
+/// Views `values` as the bytes they occupy in memory, which on a
+/// little-endian host is the file format. The workspace's only
+/// `unsafe`.
+#[cfg(target_endian = "little")]
+mod le_bytes {
+    pub(super) fn view(values: &[f64]) -> &[u8] {
+        // SAFETY: the pointer and the byte length (`size_of_val`) are
+        // those of `values`, so the view covers exactly its memory and
+        // borrows it for the same lifetime; `f64` has no padding, so
+        // every byte is initialized; `u8` has alignment 1.
+        unsafe { std::slice::from_raw_parts(values.as_ptr().cast(), size_of_val(values)) }
+    }
+
+    pub(super) fn view_mut(values: &mut [f64]) -> &mut [u8] {
+        // SAFETY: as in `view`, with the exclusive borrow carried over;
+        // and every bit pattern is a valid `f64`, so whatever is
+        // written through the view leaves `values` valid.
+        unsafe { std::slice::from_raw_parts_mut(values.as_mut_ptr().cast(), size_of_val(values)) }
+    }
 }
 
 impl Store for FileStore {
@@ -184,27 +214,30 @@ impl Store for FileStore {
 
     fn read_run(&self, offset: u64, buf: &mut [f64]) -> io::Result<()> {
         use std::os::unix::fs::FileExt;
-        if offset + buf.len() as u64 > self.len {
-            return Err(range_err());
-        }
-        let mut bytes = vec![0u8; buf.len() * ELEM_BYTES as usize];
-        self.file.read_exact_at(&mut bytes, offset * ELEM_BYTES)?;
-        for (i, chunk) in bytes.chunks_exact(8).enumerate() {
-            buf[i] = f64::from_le_bytes(chunk.try_into().expect("8-byte chunk"));
+        let at = self.byte_offset(offset, buf.len())?;
+        #[cfg(target_endian = "little")]
+        self.file.read_exact_at(le_bytes::view_mut(buf), at)?;
+        #[cfg(target_endian = "big")]
+        {
+            let mut bytes = vec![0u8; size_of_val(buf)];
+            self.file.read_exact_at(&mut bytes, at)?;
+            for (v, chunk) in buf.iter_mut().zip(bytes.chunks_exact(8)) {
+                *v = f64::from_le_bytes(chunk.try_into().expect("8-byte chunk"));
+            }
         }
         Ok(())
     }
 
     fn write_run(&mut self, offset: u64, buf: &[f64]) -> io::Result<()> {
         use std::os::unix::fs::FileExt;
-        if offset + buf.len() as u64 > self.len {
-            return Err(range_err());
+        let at = self.byte_offset(offset, buf.len())?;
+        #[cfg(target_endian = "little")]
+        self.file.write_all_at(le_bytes::view(buf), at)?;
+        #[cfg(target_endian = "big")]
+        {
+            let bytes: Vec<u8> = buf.iter().flat_map(|v| v.to_le_bytes()).collect();
+            self.file.write_all_at(&bytes, at)?;
         }
-        let mut bytes = Vec::with_capacity(buf.len() * ELEM_BYTES as usize);
-        for v in buf {
-            bytes.extend_from_slice(&v.to_le_bytes());
-        }
-        self.file.write_all_at(&bytes, offset * ELEM_BYTES)?;
         Ok(())
     }
 }
@@ -255,12 +288,42 @@ mod tests {
     }
 
     #[test]
+    fn filestore_preserves_every_bit_pattern() {
+        // NaN payloads, signed zero, subnormals and infinities cross
+        // the byte view unchanged, and land in the file little-endian.
+        let dir = crate::testing::TempDir::new("ooc-store-bits").expect("tmp");
+        let path = dir.path().join("arr.dat");
+        let bits = [
+            0x7FF8_0000_0000_0001u64,
+            0xFFF0_DEAD_BEEF_CAFE,
+            0x7FF0_0000_0000_0001,
+            0x8000_0000_0000_0000,
+            0x0000_0000_0000_0001,
+            0x7FF0_0000_0000_0000,
+            0x0102_0304_0506_0708,
+        ];
+        let vals: Vec<f64> = bits.iter().map(|&b| f64::from_bits(b)).collect();
+        let mut s = FileStore::create(&path, 9).expect("create");
+        s.write_run(1, &vals).expect("write");
+        let mut back = vec![0.0; vals.len()];
+        s.read_run(1, &mut back).expect("read");
+        let back_bits: Vec<u64> = back.iter().map(|v| v.to_bits()).collect();
+        assert_eq!(back_bits, bits);
+        let raw = std::fs::read(&path).expect("raw");
+        let expect: Vec<u8> = bits.iter().flat_map(|b| b.to_le_bytes()).collect();
+        assert_eq!(&raw[8..64], &expect[..]);
+    }
+
+    #[test]
     fn filestore_bounds_checked() {
         let dir = std::env::temp_dir().join(format!("ooc-store-test2-{}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("mkdir");
         let path = dir.join("arr.dat");
         let mut s = FileStore::create(&path, 4).expect("create");
         assert!(s.write_run(3, &[1.0, 2.0]).is_err());
+        // An offset whose end wraps around u64 is out of range too.
+        assert!(s.write_run(u64::MAX, &[1.0, 2.0]).is_err());
+        assert!(s.read_run(u64::MAX - 1, &mut [0.0; 4]).is_err());
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -2249,8 +2249,14 @@ mod tests {
         s.write_run(0, &data).expect("write");
         let shared = SharedStore::new(s);
         let scrubber = OnlineScrubber::start(shared.clone(), true, Duration::ZERO, 2);
-        // Foreground I/O interleaves with the walker.
-        for _ in 0..20 {
+        // Foreground I/O interleaves with the walker: at least 20
+        // reads, and on until the walker has booked its first group
+        // (it may be scheduled late) or has plainly failed to.
+        let scrubbed = || p.total_repair().get(IoCause::ScrubRead).read_calls > 0;
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        let mut reads = 0;
+        while reads < 20 || (!scrubbed() && std::time::Instant::now() < deadline) {
+            reads += 1;
             let mut buf = vec![0.0; 48];
             shared
                 .with_inner(|s| s.read_run(0, &mut buf))
@@ -2260,7 +2266,7 @@ mod tests {
         let rep = scrubber.stop().expect("scrubber result");
         assert!(rep.groups > 0, "walker visited groups");
         assert_eq!(rep.unrecoverable, 0);
-        assert!(p.total_repair().get(IoCause::ScrubRead).read_calls > 0);
+        assert!(scrubbed());
     }
 
     #[test]

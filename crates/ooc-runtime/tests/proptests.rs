@@ -1,8 +1,13 @@
 //! Property-based tests of the out-of-core runtime: layouts are
 //! bijections, run accounting matches brute force, and tile I/O is
-//! lossless under every layout.
+//! lossless under every layout. The run-wise staging path is pinned
+//! to an element-by-element oracle built on `offset_of` alone.
 
-use ooc_runtime::{FileLayout, MemStore, OocArray, Region, RuntimeConfig};
+use ooc_runtime::testing::{Backend, TempDir};
+use ooc_runtime::{
+    crc64, crc64_f64s, AccessRecord, FileLayout, MemStore, OocArray, ProfilingStore, Region, Run,
+    RuntimeConfig, Store, Tile,
+};
 use proptest::prelude::*;
 
 fn layout_strategy() -> impl Strategy<Value = FileLayout> {
@@ -21,14 +26,191 @@ fn dims_strategy() -> impl Strategy<Value = [i64; 2]> {
     (2i64..9, 2i64..9).prop_map(|(a, b)| [a, b])
 }
 
-fn region_in(dims: [i64; 2]) -> impl Strategy<Value = Region> {
-    (1..=dims[0], 1..=dims[1]).prop_flat_map(move |(l0, l1)| {
-        (l0..=dims[0], l1..=dims[1])
-            .prop_map(move |(h0, h1)| Region::new(vec![l0, l1], vec![h0, h1]))
+/// A layout with the extents of an array it can lay out: every 2-D
+/// layout of `layout_strategy`, and every dimension order of rank 3.
+fn array_strategy() -> impl Strategy<Value = (FileLayout, Vec<i64>)> {
+    const PERMS: [[usize; 3]; 6] = [
+        [0, 1, 2],
+        [0, 2, 1],
+        [1, 0, 2],
+        [1, 2, 0],
+        [2, 0, 1],
+        [2, 1, 0],
+    ];
+    prop_oneof![
+        (layout_strategy(), dims_strategy()).prop_map(|(l, d)| (l, d.to_vec())),
+        (0usize..6, 1i64..5, 1i64..5, 1i64..5)
+            .prop_map(|(p, a, b, c)| (FileLayout::DimOrder(PERMS[p].to_vec()), vec![a, b, c])),
+    ]
+}
+
+/// A tile region for an array of extents `dims`: the full array (runs
+/// merge across rows and hyperplanes), or arbitrary bounds that may
+/// overhang the array on either side or be empty.
+fn tile_region(dims: Vec<i64>) -> impl Strategy<Value = Region> {
+    let bounds: Vec<_> = dims.iter().map(|&n| (-1..=n + 1, 0..=n + 2)).collect();
+    prop_oneof![
+        Just(Region::full(&dims)),
+        bounds.prop_map(|b| {
+            let (lo, hi) = b.into_iter().unzip();
+            Region::new(lo, hi)
+        }),
+    ]
+}
+
+fn array_and_tile() -> impl Strategy<Value = (FileLayout, Vec<i64>, Region)> {
+    array_strategy().prop_flat_map(|(layout, dims)| {
+        tile_region(dims.clone()).prop_map(move |r| (layout.clone(), dims.clone(), r))
     })
 }
 
+/// Every index of `region ∩ array`.
+fn indices(dims: &[i64], region: &Region) -> Vec<Vec<i64>> {
+    let r = region.clamped(dims);
+    let mut out = Vec::new();
+    if r.is_empty() {
+        return out;
+    }
+    let mut idx = r.lo.clone();
+    loop {
+        out.push(idx.clone());
+        let mut d = idx.len();
+        loop {
+            if d == 0 {
+                return out;
+            }
+            d -= 1;
+            if idx[d] < r.hi[d] {
+                idx[d] += 1;
+                break;
+            }
+            idx[d] = r.lo[d];
+        }
+    }
+}
+
+/// The oracle for `region_runs`: enumerate every element's offset,
+/// sort, and coalesce neighbours.
+fn oracle_runs(layout: &FileLayout, dims: &[i64], region: &Region) -> Vec<Run> {
+    let mut offsets: Vec<u64> = indices(dims, region)
+        .iter()
+        .map(|idx| layout.offset_of(dims, idx))
+        .collect();
+    offsets.sort_unstable();
+    let mut runs: Vec<Run> = Vec::new();
+    for off in offsets {
+        match runs.last_mut() {
+            Some(run) if run.start + run.len == off => run.len += 1,
+            _ => runs.push(Run { start: off, len: 1 }),
+        }
+    }
+    runs
+}
+
+/// CRC-64/XZ one bit at a time.
+fn crc64_bitwise(bytes: &[u8]) -> u64 {
+    let mut crc = !0u64;
+    for &b in bytes {
+        crc ^= u64::from(b);
+        for _ in 0..8 {
+            crc = (crc >> 1) ^ (0xC96C_5795_D787_0F42 & (crc & 1).wrapping_neg());
+        }
+    }
+    !crc
+}
+
 proptest! {
+    /// The closed-form runs are exactly the maximal runs of the
+    /// enumerate-sort-coalesce oracle, for every layout, rank-3
+    /// dimension orders, and full, clamped and empty regions.
+    #[test]
+    fn region_runs_match_the_elementwise_oracle(case in array_and_tile()) {
+        let (layout, dims, region) = case;
+        prop_assert_eq!(
+            layout.region_runs(&dims, &region),
+            oracle_runs(&layout, &dims, &region),
+            "{:?} {:?} {:?}", layout, dims, region
+        );
+    }
+
+    /// A tile read and a tile write move exactly the elements the
+    /// `offset_of` oracle names, in one store call per oracle run in
+    /// ascending file order, and account them with the per-run
+    /// `div_ceil` arithmetic — on memory and on a real file.
+    #[test]
+    fn tile_transfers_match_the_elementwise_oracle(
+        case in array_and_tile(),
+        cap in 1u64..6,
+    ) {
+        let (layout, dims, region) = case;
+        let len = dims.iter().product::<i64>() as u64;
+        let runs = oracle_runs(&layout, &dims, &region);
+        let calls: u64 = runs.iter().map(|r| r.len.div_ceil(cap)).sum();
+        let elems: u64 = runs.iter().map(|r| r.len).sum();
+        let dir = TempDir::new("tile-oracle").expect("tmp");
+        for backend in Backend::ALL {
+            let mut model: Vec<f64> = (0..len).map(|off| off as f64 + 0.5).collect();
+            let mut store = backend.open(dir.path(), "arr", len).expect("store");
+            store.write_run(0, &model).expect("seed");
+            let mut arr = OocArray::new(
+                "T",
+                &dims,
+                layout.clone(),
+                ProfilingStore::new(store),
+                RuntimeConfig { max_call_elems: cap, ..RuntimeConfig::default() },
+            );
+            prop_assert_eq!(arr.exact_tile_calls(&region), calls);
+
+            let tile = arr.read_tile(&region).expect("read");
+            prop_assert_eq!(tile.region(), &region.clamped(&dims));
+            for idx in indices(&dims, &region) {
+                let off = layout.offset_of(&dims, &idx) as usize;
+                prop_assert_eq!(tile.get(&idx), model[off], "read {:?}", idx);
+            }
+
+            // Write a tile over the unclamped region: only its
+            // in-bounds part may land.
+            let mut tile = Tile::zeroed(region.clone());
+            for (k, v) in tile.data_mut().iter_mut().enumerate() {
+                *v = -(k as f64) - 1.0;
+            }
+            arr.write_tile(&tile).expect("write");
+            for idx in indices(&dims, &region) {
+                model[layout.offset_of(&dims, &idx) as usize] = tile.get(&idx);
+            }
+
+            let record = |write| move |r: &Run| AccessRecord { offset: r.start, len: r.len, write };
+            let expect: Vec<AccessRecord> =
+                runs.iter().map(record(false)).chain(runs.iter().map(record(true))).collect();
+            prop_assert_eq!(arr.access_log().expect("profiled"), expect);
+
+            let s = arr.stats();
+            prop_assert_eq!((s.reads, s.read_calls, s.read_elems), (1, calls, elems));
+            prop_assert_eq!((s.writes, s.write_calls, s.write_elems), (1, calls, elems));
+
+            let mut after = vec![0.0; model.len()];
+            arr.store().read_run(0, &mut after).expect("dump");
+            prop_assert_eq!(&after, &model, "{} contents after write", backend.label());
+        }
+    }
+
+    /// The slice-by-8 CRC equals the bit-at-a-time definition on any
+    /// length and any alignment, and the `f64` form equals the byte
+    /// form of the same values.
+    #[test]
+    fn crc64_matches_the_bitwise_definition(
+        bytes in proptest::collection::vec(any::<u8>(), 0..200),
+        skip in 0usize..9,
+    ) {
+        let bytes = &bytes[skip.min(bytes.len())..];
+        prop_assert_eq!(crc64(bytes), crc64_bitwise(bytes));
+        let values: Vec<f64> = bytes
+            .chunks_exact(8)
+            .map(|c| f64::from_le_bytes(c.try_into().expect("8 bytes")))
+            .collect();
+        prop_assert_eq!(crc64_f64s(&values), crc64_bitwise(&bytes[..values.len() * 8]));
+    }
+
     /// Every layout's offset function is a bijection onto 0..len.
     #[test]
     fn offsets_are_bijective(layout in layout_strategy(), dims in dims_strategy()) {
@@ -120,31 +302,5 @@ proptest! {
                 prop_assert_eq!(got, expect, "element ({}, {})", a1, a2);
             }
         }
-    }
-
-    /// Call accounting equals runs split by the transfer cap.
-    #[test]
-    fn read_calls_match_run_arithmetic(
-        layout in layout_strategy(),
-        dims in dims_strategy(),
-        cap in 1u64..6,
-        region in dims_strategy().prop_flat_map(region_in),
-    ) {
-        let region = region.clamped(&dims);
-        prop_assume!(!region.is_empty());
-        let mut arr = OocArray::new(
-            "T",
-            &dims,
-            layout.clone(),
-            MemStore::new((dims[0] * dims[1]) as u64),
-            RuntimeConfig { max_call_elems: cap, ..RuntimeConfig::default() },
-        );
-        let _ = arr.read_tile(&region).expect("read");
-        let expected: u64 = layout
-            .region_runs(&dims, &region)
-            .iter()
-            .map(|r| r.len.div_ceil(cap))
-            .sum();
-        prop_assert_eq!(arr.stats().read_calls, expected);
     }
 }

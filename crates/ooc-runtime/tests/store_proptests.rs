@@ -92,10 +92,14 @@ proptest! {
         let offset = (n + past + 1).saturating_sub(len as u64);
         let golden = contents(&mem, n);
         let mut buf = vec![0.0; len];
-        prop_assert!(mem.read_run(offset, &mut buf).is_err());
-        prop_assert!(file.read_run(offset, &mut buf).is_err());
-        prop_assert!(mem.write_run(offset, &buf).is_err());
-        prop_assert!(file.write_run(offset, &buf).is_err());
+        // ... and a hostile offset whose end (`offset + len`, or its
+        // byte form) wraps around u64.
+        for offset in [offset, u64::MAX - past, u64::MAX / 8 - past] {
+            prop_assert!(mem.read_run(offset, &mut buf).is_err());
+            prop_assert!(file.read_run(offset, &mut buf).is_err());
+            prop_assert!(mem.write_run(offset, &buf).is_err());
+            prop_assert!(file.write_run(offset, &buf).is_err());
+        }
         prop_assert_eq!(&contents(&mem, n), &golden);
         prop_assert_eq!(&contents(&file, n), &golden);
     }
