@@ -93,6 +93,9 @@ pub fn run_analyze_cell(
     workers: usize,
     nodes: usize,
 ) -> AnalyzeCell {
+    // Sessions are process-exclusive, so taking it first also keeps
+    // the compile below out of a concurrent cell's trace.
+    let session = Session::start();
     let cv = compile(kernel, version);
     let params = measured_params(kernel, scale);
     let pool = IoNodePool::new(StripeConfig {
@@ -103,7 +106,6 @@ pub fn run_analyze_cell(
         pipeline: crate::measured::pipeline_config(),
         shards: workers,
     };
-    let session = Session::start();
     let started = Instant::now();
     exec_parallel(&cv.tiled, &params, &measured_seed, &cfg, |_, _, len| {
         StripedStore::build(&pool, len, |_, part_len| Ok(MemStore::new(part_len)))

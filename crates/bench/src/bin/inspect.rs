@@ -43,12 +43,15 @@
 use ooc_bench::trace::{render_explain, TraceScope};
 use ooc_bench::{interval_summary, recovery_register, run_recovery_demo, MetricsScope};
 use ooc_core::{
-    exec_parallel, exec_pipelined, profile_functional, simulate, ExecConfig, FunctionalConfig,
+    exec_parallel, exec_pipelined, run_functional_on, simulate, ExecConfig, FunctionalConfig,
     IoComparison, ParallelConfig, PipelineConfig,
 };
 use ooc_ir::ArrayId;
 use ooc_kernels::{compile, kernel_by_name, Version};
-use ooc_runtime::{heatmap, sequential_stats, AccessRecord, SeekCdf, ELEM_BYTES};
+use ooc_runtime::{
+    heatmap, sequential_stats, AccessRecord, MemStore, ProfilingStore, SeekCdf, TracingStore,
+    ELEM_BYTES,
+};
 use pfs_sim::{price_sequence, render_timeline, DiskParams};
 
 fn seed(a: ArrayId, idx: &[i64]) -> f64 {
@@ -135,12 +138,14 @@ fn main() {
         // Measured: run the program for real at the functional-test
         // size over profiled+traced in-memory stores, and attach the
         // observation to the simulation report.
-        let run = profile_functional(
+        let run = run_functional_on(
             &cv.tiled,
             &k.small_params,
             &seed,
             &FunctionalConfig::with_fraction(16),
-        );
+            |_, _, len| Ok(ProfilingStore::new(TracingStore::new(MemStore::new(len)))),
+        )
+        .expect("in-memory profiled execution");
         let mut r = simulate(&cv.tiled, &cfg);
         if let Some(m) = run.total_measured() {
             r = r.with_measured(m);

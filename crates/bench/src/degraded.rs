@@ -402,6 +402,7 @@ mod tests {
 
     #[test]
     fn degraded_demo_survives_and_registers_deterministically() {
+        let _no_sessions = ooc_trace::exclude_sessions();
         let demo = run_degraded_demo("trans", None);
         assert_eq!(demo.cells.len(), DEGRADED_NODES);
         assert_eq!(demo.sampled_kills.len(), 2, "{:?}", demo.sampled_kills);
@@ -446,6 +447,7 @@ mod tests {
 
     #[test]
     fn healthy_vs_degraded_diff_names_the_repair_causes() {
+        let _no_sessions = ooc_trace::exclude_sessions();
         let diff = run_degraded_ledger_diff("trans", 1, &DiskParams::default());
         let text = diff.render();
         assert!(

@@ -144,6 +144,7 @@ mod tests {
 
     #[test]
     fn table2_row_has_six_cells() {
+        let _no_sessions = ooc_trace::exclude_sessions();
         let k = kernel_by_name("trans").expect("kernel");
         let row = table2_row(&k, 4, 32);
         assert_eq!(row.cells.len(), 6);
@@ -161,6 +162,7 @@ mod tests {
 
     #[test]
     fn table3_speedup_definition() {
+        let _no_sessions = ooc_trace::exclude_sessions();
         let k = kernel_by_name("trans").expect("kernel");
         let params = scaled_params(&k, 32);
         let cv = compile(&k, Version::DOpt);

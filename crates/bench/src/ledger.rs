@@ -101,6 +101,7 @@ mod tests {
 
     #[test]
     fn trans_cell_conserves_and_registers() {
+        let _no_sessions = ooc_trace::exclude_sessions();
         let k = kernel_by_name("trans").expect("kernel");
         let (ledger, _) = run_ledger_cell(&k, Version::Col);
         assert_eq!(ledger.kernel, "trans");
@@ -123,6 +124,7 @@ mod tests {
 
     #[test]
     fn diff_cell_prices_both_sides() {
+        let _no_sessions = ooc_trace::exclude_sessions();
         let k = kernel_by_name("trans").expect("kernel");
         let (from, to) = LEDGER_DIFF_PAIR;
         let diff = run_ledger_diff(&k, from, to, &DiskParams::default());

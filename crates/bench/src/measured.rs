@@ -312,6 +312,7 @@ mod tests {
 
     #[test]
     fn one_measured_cell_conserves_traffic_across_node_counts() {
+        let _no_sessions = ooc_trace::exclude_sessions();
         let k = kernel_by_name("trans").expect("kernel");
         let cv = compile(&k, Version::DOpt);
         let params = measured_params(&k, 4);
@@ -338,6 +339,7 @@ mod tests {
 
     #[test]
     fn registration_separates_counters_from_gauges() {
+        let _no_sessions = ooc_trace::exclude_sessions();
         let k = kernel_by_name("trans").expect("kernel");
         let cv = compile(&k, Version::COpt);
         let params = measured_params(&k, 8);

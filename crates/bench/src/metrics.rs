@@ -141,6 +141,7 @@ mod tests {
 
     #[test]
     fn table2_registration_is_deterministic() {
+        let _no_sessions = ooc_trace::exclude_sessions();
         let k = kernel_by_name("trans").expect("kernel");
         let row = table2_row(&k, 4, 32);
         let (a, b) = (Registry::new(), Registry::new());

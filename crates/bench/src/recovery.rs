@@ -301,6 +301,7 @@ mod tests {
 
     #[test]
     fn demo_cells_recover_and_register_deterministically() {
+        let _no_sessions = ooc_trace::exclude_sessions();
         let demo = run_recovery_demo("trans", 2);
         assert_eq!(demo.cells.len(), INTERVALS.len() * 2);
         assert!(demo.cells.iter().all(|c| c.report.resumed));
@@ -325,6 +326,7 @@ mod tests {
 
     #[test]
     fn tighter_intervals_replay_less() {
+        let _no_sessions = ooc_trace::exclude_sessions();
         let demo = run_recovery_demo("trans", 3);
         let summary = interval_summary(&demo);
         assert_eq!(summary.len(), INTERVALS.len());

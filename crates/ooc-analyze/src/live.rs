@@ -113,11 +113,19 @@ impl Drop for LiveServer {
 
 fn serve_one(mut stream: TcpStream, provider: &Provider) {
     let _ = stream.set_read_timeout(Some(Duration::from_millis(500)));
+    // A request may arrive in several segments: read until the
+    // request line is complete (or the buffer / timeout runs out).
     let mut buf = [0u8; 2048];
-    let n = match stream.read(&mut buf) {
-        Ok(n) if n > 0 => n,
-        _ => return,
-    };
+    let mut n = 0;
+    while n < buf.len() && !buf[..n].contains(&b'\n') {
+        match stream.read(&mut buf[n..]) {
+            Ok(more) if more > 0 => n += more,
+            _ => break,
+        }
+    }
+    if n == 0 {
+        return;
+    }
     let request = String::from_utf8_lossy(&buf[..n]);
     let path = request
         .lines()
@@ -191,7 +199,10 @@ pub fn registry_provider(
 pub fn fetch(addr: SocketAddr, path: &str) -> std::io::Result<(u16, String)> {
     let mut stream = TcpStream::connect(addr)?;
     stream.set_read_timeout(Some(Duration::from_secs(2)))?;
-    write!(stream, "GET {path} HTTP/1.0\r\nHost: live\r\n\r\n")?;
+    // One write: `write!` straight to the socket sends the request in
+    // fragments, and a server answering (and closing) after the first
+    // one breaks the pipe under the rest.
+    stream.write_all(format!("GET {path} HTTP/1.0\r\nHost: live\r\n\r\n").as_bytes())?;
     let mut raw = String::new();
     stream.read_to_string(&mut raw)?;
     let status = raw

@@ -19,14 +19,15 @@
 //! polyhedron restricted to the tile); for the affine kernels of the
 //! paper every transformed nest is rectangular, making the walk exact.
 
+use crate::recovery::DurableSession;
 use crate::tiling::{
     access_classes, array_region, class_region, plan_spans, IoWeights, TiledProgram,
 };
 use ooc_ir::{ArrayId, Expr, GuardAt, LoopNest, Statement};
 use ooc_runtime::{
-    AccessRecord, InterleavedGroup, IoStats, LedgerEvent, LedgerRecorder, MeasuredIo, MemStore,
-    MemoryBudget, OocArray, ProfilingStore, Region, RuntimeConfig, Store, Tile, TouchTracker,
-    TracingStore, ELEM_BYTES,
+    AccessRecord, InterleavedGroup, IoCause, IoStats, LedgerEvent, LedgerRecorder, MeasuredIo,
+    MemStore, MemoryBudget, OocArray, Region, RuntimeConfig, SharedJournal, Store, Tile,
+    TouchTracker, ELEM_BYTES,
 };
 use pfs_sim::{FileId, MachineConfig, Op, PfsSim, SimResult, Workload};
 use std::collections::BTreeMap;
@@ -94,7 +95,7 @@ impl SimReport {
 
 /// Per-level inclusive ranges of a nest at given parameters, taking
 /// the bounding box of the iteration polyhedron.
-pub(crate) fn level_ranges(nest: &LoopNest, params: &[i64]) -> Option<Vec<(i64, i64)>> {
+fn level_ranges(nest: &LoopNest, params: &[i64]) -> Option<Vec<(i64, i64)>> {
     let bounds = nest.bounds.loop_bounds();
     let mut out = Vec::with_capacity(nest.depth);
     let mut outer: Vec<i64> = Vec::new();
@@ -120,7 +121,7 @@ fn stmt_flops(s: &Statement) -> u64 {
 }
 
 /// Read/write classification of the arrays of a nest.
-pub(crate) fn rw_arrays(nest: &LoopNest) -> (Vec<ArrayId>, Vec<ArrayId>) {
+fn rw_arrays(nest: &LoopNest) -> (Vec<ArrayId>, Vec<ArrayId>) {
     let mut reads = Vec::new();
     let mut writes = Vec::new();
     for s in &nest.body {
@@ -138,17 +139,6 @@ pub(crate) fn rw_arrays(nest: &LoopNest) -> (Vec<ArrayId>, Vec<ArrayId>) {
 
 /// Walks the tile boxes of a nest restricted to `chunk` at
 /// `chunk_level`, invoking `f(box_lo, box_hi)`.
-pub(crate) fn walk_tiles(
-    ranges: &[(i64, i64)],
-    tiled: &[usize],
-    spans: &[i64],
-    chunk: (i64, i64),
-    f: &mut impl FnMut(&[i64], &[i64]),
-) {
-    walk_tiles_at(ranges, tiled, spans, 0, chunk, f);
-}
-
-/// [`walk_tiles`] with the partition applied at an arbitrary level.
 fn walk_tiles_at(
     ranges: &[(i64, i64)],
     tiled: &[usize],
@@ -553,11 +543,12 @@ pub struct ArrayProfile {
     /// model (runs split by `max_call_elems`).
     pub stats: IoStats,
     /// Measured store-level I/O, when the backing store is
-    /// instrumented (a [`TracingStore`] anywhere in the stack).
+    /// instrumented (a [`TracingStore`](ooc_runtime::TracingStore)
+    /// anywhere in the stack).
     pub measured: Option<MeasuredIo>,
     /// The full access-pattern call trace, when the backing store is a
-    /// [`ProfilingStore`] (e.g. via [`profile_functional`]). Like the
-    /// other fields, covers the compute phase only.
+    /// [`ProfilingStore`](ooc_runtime::ProfilingStore). Like the other
+    /// fields, covers the compute phase only.
     pub accesses: Option<Vec<AccessRecord>>,
 }
 
@@ -622,44 +613,6 @@ pub fn run_functional(
     .data
 }
 
-/// [`run_functional`] over traced in-memory stores, so the result
-/// carries measured I/O alongside the analytic accounting.
-///
-/// # Panics
-/// Panics on internal inconsistencies (see [`run_functional`]).
-#[must_use]
-pub fn measure_functional(
-    tp: &TiledProgram,
-    params: &[i64],
-    init: &dyn Fn(ArrayId, &[i64]) -> f64,
-    cfg: &FunctionalConfig,
-) -> FunctionalRun {
-    run_functional_on(tp, params, init, cfg, |_, _, len| {
-        Ok(TracingStore::new(MemStore::new(len)))
-    })
-    .expect("in-memory measured execution")
-}
-
-/// [`measure_functional`] over profiled *and* traced in-memory stores,
-/// so each [`ArrayProfile`] additionally carries the full
-/// access-pattern call trace (`accesses`) for seek/run analysis and
-/// heatmap rendering.
-///
-/// # Panics
-/// Panics on internal inconsistencies (see [`run_functional`]).
-#[must_use]
-pub fn profile_functional(
-    tp: &TiledProgram,
-    params: &[i64],
-    init: &dyn Fn(ArrayId, &[i64]) -> f64,
-    cfg: &FunctionalConfig,
-) -> FunctionalRun {
-    run_functional_on(tp, params, init, cfg, |_, _, len| {
-        Ok(ProfilingStore::new(TracingStore::new(MemStore::new(len))))
-    })
-    .expect("in-memory profiled execution")
-}
-
 /// Functionally executes a tiled program over caller-supplied stores:
 /// `make_store(array_index, name, len)` builds the backing store of
 /// each array — in-memory, file-backed, traced, fault-injecting, or
@@ -669,18 +622,18 @@ pub fn profile_functional(
 /// final dump).
 ///
 /// # Errors
-/// Propagates store construction and seeding errors.
+/// Propagates store construction and seeding errors, and tile-staging
+/// I/O errors the configured retry policy cannot recover.
 ///
 /// # Panics
 /// Panics on internal inconsistencies (regions outside arrays etc.) —
-/// these indicate compiler bugs and must surface in tests — and on
-/// tile-staging I/O errors the configured retry policy cannot recover.
+/// these indicate compiler bugs and must surface in tests.
 pub fn run_functional_on<S: Store>(
     tp: &TiledProgram,
     params: &[i64],
     init: &dyn Fn(ArrayId, &[i64]) -> f64,
     cfg: &FunctionalConfig,
-    mut make_store: impl FnMut(usize, &str, u64) -> io::Result<S>,
+    make_store: impl FnMut(usize, &str, u64) -> io::Result<S>,
 ) -> io::Result<FunctionalRun> {
     let _span = ooc_trace::span_with(
         "runtime",
@@ -690,17 +643,206 @@ pub fn run_functional_on<S: Store>(
             ("arrays", (tp.program.arrays.len() as u64).into()),
         ],
     );
+    walk_sync(tp, params, init, cfg, "sync", make_store, None)
+}
+
+/// One nest's tile walk, planned once for both walks: the staging
+/// layout plus the tile boxes `(lo, hi)` in execution order.
+pub(crate) struct NestWalk {
+    pub(crate) staging: Staging,
+    pub(crate) boxes: Vec<(Vec<i64>, Vec<i64>)>,
+}
+
+/// Plans nest `ni`: level ranges, tile spans under `budget`, and the
+/// staging plan — one tile per (array, access class); written arrays
+/// touched through several classes fall back to a single hull tile so
+/// every read sees the freshest values. `None` when the nest's bounds
+/// do not evaluate (nothing to run).
+pub(crate) fn plan_walk(
+    tp: &TiledProgram,
+    ni: usize,
+    params: &[i64],
+    budget: &MemoryBudget,
+    max_call_elems: u64,
+) -> Option<NestWalk> {
+    let tnest = &tp.nests[ni];
+    let nest = &tnest.nest;
+    let ranges = level_ranges(nest, params)?;
+    let spans = plan_spans(
+        nest,
+        tnest.strategy,
+        &tp.layouts,
+        &tp.program,
+        params,
+        &ranges,
+        budget,
+        IoWeights::default(),
+        max_call_elems,
+    );
+    let (mut touched, writes) = rw_arrays(nest);
+    for w in &writes {
+        if !touched.contains(w) {
+            touched.push(*w);
+        }
+    }
+    let mut boxes = Vec::new();
+    walk_tiles_at(
+        &ranges,
+        &tnest.tiled_levels,
+        &spans,
+        0,
+        ranges[0],
+        &mut |lo, hi| boxes.push((lo.to_vec(), hi.to_vec())),
+    );
+    Some(NestWalk {
+        staging: Staging::for_nest(nest, &writes, &touched),
+        boxes,
+    })
+}
+
+/// Books a main-thread staging read of `region` in the ledger,
+/// classified first-touch vs. re-read by the walk's tracker.
+pub(crate) fn record_read<S: Store>(
+    ledger: Option<&LedgerRecorder>,
+    tracker: &mut TouchTracker,
+    arr: &OocArray<S>,
+    array: u32,
+    region: &Region,
+    (nest, step): (u32, u64),
+) {
+    if let Some(rec) = ledger {
+        let (cause, evict) = tracker.classify_read(array, region);
+        rec.record(LedgerEvent {
+            array,
+            cause,
+            calls: arr.exact_tile_calls(region),
+            elems: region.len() as u64,
+            region: region.clone(),
+            nest,
+            step,
+            evict,
+        });
+    }
+}
+
+/// Books a tile write-back in the ledger with the exact per-run call
+/// arithmetic the write will incur. A journaled write-back
+/// additionally takes a pre-image read, booked as
+/// [`IoCause::ReplayRead`] (journal-protocol traffic, not a data
+/// reuse), and its intent record carries the new data plus the
+/// pre-image.
+pub(crate) fn record_write_back<S: Store>(
+    ledger: Option<&LedgerRecorder>,
+    tracker: &mut TouchTracker,
+    arr: &OocArray<S>,
+    array: u32,
+    region: &Region,
+    journaled: bool,
+    (nest, step): (u32, u64),
+) {
+    let Some(rec) = ledger else { return };
+    let elems = region.len() as u64;
+    let calls = arr.exact_tile_calls(region);
+    let event = |cause| LedgerEvent {
+        array,
+        cause,
+        calls,
+        elems,
+        region: region.clone(),
+        nest,
+        step,
+        evict: None,
+    };
+    if journaled {
+        rec.record(event(IoCause::ReplayRead));
+        rec.add_journal_bytes(2 * elems * ELEM_BYTES);
+    }
+    rec.record(event(tracker.classify_write(array, region)));
+}
+
+/// The data half of the journal protocol: pre-image read → intent →
+/// data write. Returns the intent's sequence; the caller commits it
+/// once the write counts as settled (at once on a synchronous path,
+/// from the durability fence behind a write-behind queue).
+pub(crate) fn journaled_write<S: Store>(
+    arr: &mut OocArray<S>,
+    journal: &SharedJournal,
+    array: u32,
+    tile: &Tile,
+) -> io::Result<u64> {
+    let pre = arr.read_tile(tile.region())?;
+    let seq = journal.intent(array, tile.region(), tile.data(), pre.data())?;
+    arr.write_tile(tile)?;
+    Ok(seq)
+}
+
+/// Writes `tile` back on the calling thread — through the journal
+/// protocol (intent → write → commit) when `journal` is set.
+pub(crate) fn write_tile_through<S: Store>(
+    arr: &mut OocArray<S>,
+    journal: Option<&SharedJournal>,
+    array: u32,
+    tile: &Tile,
+) -> io::Result<()> {
+    match journal {
+        Some(journal) => {
+            let seq = journaled_write(arr, journal, array, tile)?;
+            journal.commit(seq)
+        }
+        None => arr.write_tile(tile),
+    }
+}
+
+/// The synchronous reference walk: one tile per staging slot, staged
+/// and written back on the calling thread. Every differential suite
+/// uses it as the oracle, and its one-tile-per-slot residency defines
+/// the analytic call counts the counter baselines pin — which is why
+/// it stays a separate implementation from the step engine
+/// ([`NestRun::step`](crate::pipeline)).
+///
+/// With a durable `session` the same walk journals every write-back,
+/// checkpoints at tile-row, iteration and nest boundaries (after
+/// durably flushing all resident written tiles — a checkpoint carries
+/// no in-memory state), and starts from the session's boundary. Row
+/// accounting runs identically for skipped and executed steps, so a
+/// resumed run checkpoints at exactly the same `(nest, step)` points
+/// as an uninterrupted one.
+pub(crate) fn walk_sync<S: Store>(
+    tp: &TiledProgram,
+    params: &[i64],
+    init: &dyn Fn(ArrayId, &[i64]) -> f64,
+    cfg: &FunctionalConfig,
+    executor: &str,
+    mut make_store: impl FnMut(usize, &str, u64) -> io::Result<S>,
+    mut session: Option<&mut DurableSession>,
+) -> io::Result<FunctionalRun> {
+    let ledger = cfg.ledger.as_ref();
+    if let Some(rec) = ledger {
+        rec.set_executor(executor);
+    }
+    let resumed = session.as_ref().is_some_and(|s| s.resumed());
     let mut arrays: Vec<OocArray<S>> = Vec::with_capacity(tp.program.arrays.len());
     for (a, decl) in tp.program.arrays.iter().enumerate() {
         let dims: Vec<i64> = decl.dims.iter().map(|d| d.resolve(params)).collect();
         let len: i64 = dims.iter().product();
         let store = make_store(a, &decl.name, u64::try_from(len).expect("positive size"))?;
         let mut arr = OocArray::new(&decl.name, &dims, tp.layouts[a].clone(), store, cfg.runtime);
-        arr.initialize(|idx| init(ArrayId(a), idx))?;
+        // A resumed run's seeding is already durable in the medium.
+        if !resumed {
+            arr.initialize(|idx| init(ArrayId(a), idx))?;
+        }
         // Profile the compute phase only.
         arr.reset_all_metrics();
+        if let Some(rec) = ledger {
+            rec.set_array(a as u32, arr.name());
+        }
         arrays.push(arr);
     }
+    if let Some(s) = session.as_deref_mut() {
+        s.start(&mut arrays, ledger)?;
+    }
+    let journal = session.as_ref().map(|s| s.journal.clone());
+    let interval = session.as_ref().map_or(0, |s| s.cfg.checkpoint_rows);
 
     let total_elems = u64::try_from(tp.program.total_elements(params)).expect("size");
     let budget = MemoryBudget::paper_fraction(total_elems, cfg.memory_fraction);
@@ -708,47 +850,51 @@ pub fn run_functional_on<S: Store>(
     // Provenance: the sync walk is one locality — a single tracker
     // classifies first touches vs. re-reads across all nests, and a
     // global step counter stamps each event's schedule position.
-    let ledger = cfg.ledger.clone();
-    if let Some(rec) = &ledger {
-        rec.set_executor("sync");
-        for (a, arr) in arrays.iter().enumerate() {
-            rec.set_array(a as u32, arr.name());
-        }
-    }
     let mut tracker = TouchTracker::new();
     let mut step: u64 = 0;
 
     for (ni, tnest) in tp.nests.iter().enumerate() {
+        // Resume: nests the boundary already covers are durable.
+        if session.as_ref().is_some_and(|s| s.skip_nest(ni)) {
+            continue;
+        }
         let nest = &tnest.nest;
-        let Some(ranges) = level_ranges(nest, params) else {
+        let Some(NestWalk { staging, boxes }) =
+            plan_walk(tp, ni, params, &budget, cfg.runtime.max_call_elems)
+        else {
+            if let Some(s) = session.as_deref_mut() {
+                s.checkpoint(ni + 1, 0)?;
+            }
             continue;
         };
-        let spans = plan_spans(
-            nest,
-            tnest.strategy,
-            &tp.layouts,
-            &tp.program,
-            params,
-            &ranges,
-            &budget,
-            IoWeights::default(),
-            cfg.runtime.max_call_elems,
-        );
-        let (reads, writes) = rw_arrays(nest);
-        let touched: Vec<ArrayId> = {
-            let mut t = reads.clone();
-            for w in &writes {
-                if !t.contains(w) {
-                    t.push(*w);
-                }
-            }
-            t
-        };
-        // Staging plan: one tile per (array, access class); written
-        // arrays touched through several classes fall back to a single
-        // hull tile so every read sees the freshest values.
-        let staging = Staging::for_nest(nest, &writes, &touched);
         let bounds = nest.bounds.loop_bounds();
+        let start_g = session.as_ref().map_or(0, |s| s.start_step(ni));
+        let nest_base = step;
+        let mut rows_done: u64 = 0;
+
+        // Writes one tile back (journaled under a session) and books
+        // it; `note_evicted` marks the end of any staged copy's
+        // residency, read or written, so a later re-read classifies as
+        // a capacity miss.
+        let displace = |arrays: &mut [OocArray<S>],
+                        tracker: &mut TouchTracker,
+                        (a, slot): (ArrayId, usize),
+                        tile: &Tile,
+                        step: u64|
+         -> io::Result<()> {
+            let array = a.0 as u32;
+            if staging.slot_written(a, slot) {
+                let arr = &mut arrays[a.0];
+                let _s = ooc_trace::enabled()
+                    .then(|| ooc_trace::span("runtime", &format!("write-tile:{}", arr.name())));
+                let at = (ni as u32, step);
+                let journaled = journal.is_some();
+                record_write_back(ledger, tracker, arr, array, tile.region(), journaled, at);
+                write_tile_through(arr, journal.as_ref(), array, tile)?;
+            }
+            tracker.note_evicted(array, tile.region(), step, None);
+            Ok(())
+        };
 
         // Per-nest span; the per-tile spans below allocate names, so
         // they are built only when a trace session is live (the
@@ -757,114 +903,90 @@ pub fn run_functional_on<S: Store>(
         for _ in 0..nest.iterations {
             // Cached tiles (hoisting, mirroring the simulation): a tile
             // stays resident while consecutive tile steps touch the same
-            // region; written tiles flush when evicted and at nest end.
+            // region; written tiles flush when evicted, at checkpoints
+            // and at iteration end.
             let mut tiles: BTreeMap<(ArrayId, usize), Tile> = BTreeMap::new();
-            walk_tiles(
-                &ranges,
-                &tnest.tiled_levels,
-                &spans,
-                ranges[0],
-                &mut |lo, hi| {
-                    let traced = ooc_trace::enabled();
-                    let _tile_span = traced.then(|| {
-                        ooc_trace::span_with(
-                            "runtime",
-                            &format!("tile:{}", nest.name),
-                            vec![
-                                ("lo", format!("{lo:?}").into()),
-                                ("hi", format!("{hi:?}").into()),
-                            ],
-                        )
-                    });
-                    for ((a, slot), region) in staging.regions(nest, lo, hi) {
-                        let region = region.clamped(arrays[a.0].dims());
-                        let key = (a, slot);
-                        let stale = tiles.get(&key).is_none_or(|t| t.region() != &region);
-                        if stale {
-                            if let Some(old) = tiles.remove(&key) {
-                                if staging.slot_written(a, slot) {
-                                    let _s = traced.then(|| {
-                                        ooc_trace::span(
-                                            "runtime",
-                                            &format!("write-tile:{}", arrays[a.0].name()),
-                                        )
-                                    });
-                                    arrays[a.0].write_tile(&old).expect("evict tile");
-                                    if let Some(rec) = &ledger {
-                                        let cause =
-                                            tracker.classify_write(a.0 as u32, old.region());
-                                        rec.record(LedgerEvent {
-                                            array: a.0 as u32,
-                                            cause,
-                                            calls: arrays[a.0].exact_tile_calls(old.region()),
-                                            elems: old.region().len() as u64,
-                                            region: old.region().clone(),
-                                            nest: ni as u32,
-                                            step,
-                                            evict: None,
-                                        });
-                                    }
-                                }
-                                // Displacement = eviction of the
-                                // staged copy, read or written.
-                                tracker.note_evicted(a.0 as u32, old.region(), step, None);
+            let mut last_row_lo: Option<i64> = None;
+            for (lo, hi) in &boxes {
+                let g = step - nest_base;
+                // Row accounting first — identical for skipped and
+                // executed steps.
+                if last_row_lo != Some(lo[0]) {
+                    if last_row_lo.is_some() {
+                        rows_done += 1;
+                        if g > start_g && interval > 0 && rows_done % interval == 0 {
+                            for (key, tile) in std::mem::take(&mut tiles) {
+                                displace(&mut arrays, &mut tracker, key, &tile, step)?;
                             }
-                            let _s = traced.then(|| {
-                                ooc_trace::span_with(
-                                    "runtime",
-                                    &format!("read-tile:{}", arrays[a.0].name()),
-                                    vec![("region", format!("{region:?}").into())],
-                                )
-                            });
-                            tiles.insert(key, arrays[a.0].read_tile(&region).expect("read tile"));
-                            if let Some(rec) = &ledger {
-                                let (cause, evict) = tracker.classify_read(a.0 as u32, &region);
-                                rec.record(LedgerEvent {
-                                    array: a.0 as u32,
-                                    cause,
-                                    calls: arrays[a.0].exact_tile_calls(&region),
-                                    elems: region.len() as u64,
-                                    region: region.clone(),
-                                    nest: ni as u32,
-                                    step,
-                                    evict,
-                                });
+                            if let Some(s) = session.as_deref_mut() {
+                                s.checkpoint(ni, g)?;
                             }
                         }
                     }
-                    // Element loops: every polyhedron point inside the box.
-                    let _compute_span = traced.then(|| ooc_trace::span("runtime", "compute"));
-                    let mut iter: Vec<i64> = Vec::with_capacity(nest.depth);
-                    exec_box(
-                        nest, &bounds, params, lo, hi, &mut iter, &mut tiles, &staging,
-                    );
-                    step += 1;
-                },
-            );
-            // Flush written tiles.
-            for ((a, slot), tile) in tiles {
-                if staging.slot_written(a, slot) {
-                    let _s = ooc_trace::enabled().then(|| {
-                        ooc_trace::span("runtime", &format!("write-tile:{}", arrays[a.0].name()))
-                    });
-                    arrays[a.0].write_tile(&tile).expect("final flush");
-                    if let Some(rec) = &ledger {
-                        let cause = tracker.classify_write(a.0 as u32, tile.region());
-                        rec.record(LedgerEvent {
-                            array: a.0 as u32,
-                            cause,
-                            calls: arrays[a.0].exact_tile_calls(tile.region()),
-                            elems: tile.region().len() as u64,
-                            region: tile.region().clone(),
-                            nest: ni as u32,
-                            step,
-                            evict: None,
-                        });
-                    }
+                    last_row_lo = Some(lo[0]);
                 }
-                // The iteration barrier drops every staged tile.
-                tracker.note_evicted(a.0 as u32, tile.region(), step, None);
+                if g < start_g {
+                    if let Some(s) = session.as_deref_mut() {
+                        s.report.skipped_steps += 1;
+                    }
+                    step += 1;
+                    continue;
+                }
+                let traced = ooc_trace::enabled();
+                let _tile_span = traced.then(|| {
+                    ooc_trace::span_with(
+                        "runtime",
+                        &format!("tile:{}", nest.name),
+                        vec![
+                            ("lo", format!("{lo:?}").into()),
+                            ("hi", format!("{hi:?}").into()),
+                        ],
+                    )
+                });
+                for (key, region) in staging.regions(nest, lo, hi) {
+                    let a = key.0;
+                    let region = region.clamped(arrays[a.0].dims());
+                    if tiles.get(&key).is_some_and(|t| t.region() == &region) {
+                        continue;
+                    }
+                    if let Some(old) = tiles.remove(&key) {
+                        displace(&mut arrays, &mut tracker, key, &old, step)?;
+                    }
+                    let _s = traced.then(|| {
+                        ooc_trace::span_with(
+                            "runtime",
+                            &format!("read-tile:{}", arrays[a.0].name()),
+                            vec![("region", format!("{region:?}").into())],
+                        )
+                    });
+                    tiles.insert(key, arrays[a.0].read_tile(&region)?);
+                    let at = (ni as u32, step);
+                    record_read(ledger, &mut tracker, &arrays[a.0], a.0 as u32, &region, at);
+                }
+                // Element loops: every polyhedron point inside the box.
+                let _compute_span = traced.then(|| ooc_trace::span("runtime", "compute"));
+                let mut iter: Vec<i64> = Vec::with_capacity(nest.depth);
+                exec_box(
+                    nest, &bounds, params, lo, hi, &mut iter, &mut tiles, &staging,
+                );
+                if let Some(s) = session.as_deref_mut() {
+                    s.report.executed_steps += 1;
+                }
+                step += 1;
             }
+            // Iteration barrier: every staged tile is written back or
+            // dropped, then (if anything ran) checkpointed.
+            for (key, tile) in tiles {
+                displace(&mut arrays, &mut tracker, key, &tile, step)?;
+            }
+            if let Some(s) = session.as_deref_mut() {
+                if step - nest_base > start_g {
+                    s.checkpoint(ni, step - nest_base)?;
+                }
+            }
+        }
+        if let Some(s) = session.as_deref_mut() {
+            s.checkpoint(ni + 1, 0)?;
         }
     }
 
@@ -879,27 +1001,23 @@ pub fn run_functional_on<S: Store>(
             accesses: arr.access_log(),
         })
         .collect();
+    // Dump canonical contents.
+    let mut data = Vec::with_capacity(arrays.len());
+    for arr in &mut arrays {
+        let region = Region::full(arr.dims());
+        data.push(arr.read_tile(&region)?.data().to_vec());
+    }
+    let run = FunctionalRun { data, profiles };
     // Correlate the analytic run accounting with store-level
     // measurement in the trace's counter track.
     if ooc_trace::enabled() {
-        let mut stats = IoStats::default();
-        for p in &profiles {
-            stats.merge(&p.stats);
-        }
+        let stats = run.total_stats();
         ooc_trace::counter(
             "analytic-io-calls",
             (stats.read_calls + stats.write_calls) as f64,
         );
         ooc_trace::counter("io-retries", stats.retries as f64);
-        let mut measured = MeasuredIo::default();
-        let mut any = false;
-        for p in &profiles {
-            if let Some(m) = &p.measured {
-                measured.merge(m);
-                any = true;
-            }
-        }
-        if any {
+        if let Some(measured) = run.total_measured() {
             ooc_trace::counter(
                 "measured-io-calls",
                 (measured.read_calls + measured.write_calls) as f64,
@@ -907,16 +1025,7 @@ pub fn run_functional_on<S: Store>(
             ooc_trace::counter("io-faults", measured.failed_calls as f64);
         }
     }
-
-    // Dump canonical contents.
-    let data = arrays
-        .iter_mut()
-        .map(|arr| {
-            let region = Region::full(arr.dims());
-            arr.read_tile(&region).expect("final read").data().to_vec()
-        })
-        .collect();
-    Ok(FunctionalRun { data, profiles })
+    Ok(run)
 }
 
 /// The functional staging plan of one nest: which tile slot each
@@ -1129,45 +1238,9 @@ pub fn max_divergence_from_reference(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fixtures::{paper_example, seed};
     use crate::optimizer::{optimize, OptimizeOptions};
     use crate::tiling::{TiledProgram, TilingStrategy};
-    use ooc_ir::{ArrayRef, Expr, LoopNest, Program, Statement};
-
-    fn paper_example() -> Program {
-        let mut p = Program::new(&["N"]);
-        let u = p.declare_array("U", 2, 0);
-        let v = p.declare_array("V", 2, 0);
-        let w = p.declare_array("W", 2, 0);
-        let s1 = Statement::assign(
-            ArrayRef::new(u, &[vec![1, 0], vec![0, 1]], vec![0, 0]),
-            Expr::Add(
-                Box::new(Expr::Ref(ArrayRef::new(
-                    v,
-                    &[vec![0, 1], vec![1, 0]],
-                    vec![0, 0],
-                ))),
-                Box::new(Expr::Const(1.0)),
-            ),
-        );
-        p.add_nest(LoopNest::rectangular("nest1", 2, 1, 0, vec![s1]));
-        let s2 = Statement::assign(
-            ArrayRef::new(v, &[vec![1, 0], vec![0, 1]], vec![0, 0]),
-            Expr::Add(
-                Box::new(Expr::Ref(ArrayRef::new(
-                    w,
-                    &[vec![0, 1], vec![1, 0]],
-                    vec![0, 0],
-                ))),
-                Box::new(Expr::Const(2.0)),
-            ),
-        );
-        p.add_nest(LoopNest::rectangular("nest2", 2, 1, 0, vec![s2]));
-        p
-    }
-
-    fn seed(a: ArrayId, idx: &[i64]) -> f64 {
-        (a.0 as f64 + 1.0) * 1000.0 + idx.iter().fold(0.0, |acc, &x| acc * 17.0 + x as f64)
-    }
 
     #[test]
     fn functional_equivalence_c_opt() {

@@ -64,6 +64,8 @@
 pub mod codegen;
 pub mod cost;
 pub mod exec;
+#[cfg(test)]
+mod fixtures;
 pub mod global;
 pub mod interference;
 pub mod locality;
@@ -78,9 +80,8 @@ pub mod tiling;
 pub use codegen::{render_tiled_nest, render_tiled_program};
 pub use cost::{default_layouts, nest_cost, order_by_cost};
 pub use exec::{
-    build_workload, max_divergence_from_reference, measure_functional, profile_functional,
-    run_functional, run_functional_on, simulate, ArrayProfile, ExecConfig, FunctionalConfig,
-    FunctionalRun, SimReport,
+    build_workload, max_divergence_from_reference, run_functional, run_functional_on, simulate,
+    ArrayProfile, ExecConfig, FunctionalConfig, FunctionalRun, SimReport,
 };
 pub use global::{layout_candidates, optimize_global, GlobalOptions, GlobalResult};
 pub use interference::{Component, InterferenceGraph};

@@ -696,44 +696,8 @@ fn pick_hyperplane(gs: &[Vec<i64>]) -> Option<Vec<i64>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fixtures::paper_example;
     use ooc_ir::{ArrayRef, Expr, LoopNest, Program, Statement};
-
-    /// The paper's running example (§3.1):
-    ///   nest 1: U(i,j) = V(j,i) + 1
-    ///   nest 2: V(i,j) = W(j,i) + 2
-    /// Expected: U row-major, V column-major, W row-major; nest 2
-    /// interchanged.
-    fn paper_example() -> Program {
-        let mut p = Program::new(&["N"]);
-        let u = p.declare_array("U", 2, 0);
-        let v = p.declare_array("V", 2, 0);
-        let w = p.declare_array("W", 2, 0);
-        let s1 = Statement::assign(
-            ArrayRef::new(u, &[vec![1, 0], vec![0, 1]], vec![0, 0]),
-            Expr::Add(
-                Box::new(Expr::Ref(ArrayRef::new(
-                    v,
-                    &[vec![0, 1], vec![1, 0]],
-                    vec![0, 0],
-                ))),
-                Box::new(Expr::Const(1.0)),
-            ),
-        );
-        p.add_nest(LoopNest::rectangular("nest1", 2, 1, 0, vec![s1]));
-        let s2 = Statement::assign(
-            ArrayRef::new(v, &[vec![1, 0], vec![0, 1]], vec![0, 0]),
-            Expr::Add(
-                Box::new(Expr::Ref(ArrayRef::new(
-                    w,
-                    &[vec![0, 1], vec![1, 0]],
-                    vec![0, 0],
-                ))),
-                Box::new(Expr::Const(2.0)),
-            ),
-        );
-        p.add_nest(LoopNest::rectangular("nest2", 2, 1, 0, vec![s2]));
-        p
-    }
 
     #[test]
     fn worked_example_layouts_and_interchange() {

@@ -1,10 +1,16 @@
-//! The measured multi-node parallel executor: shard a nest's static
-//! tile walk across worker threads and drive each shard with the same
-//! pipelined machinery (prefetch pool, tile cache, write-behind) the
-//! single-threaded executor uses, over the same shared store stack —
-//! typically striped across simulated I/O nodes
-//! ([`StripedStore`](ooc_runtime::StripedStore)) so queueing contention
-//! is *experienced*, not just priced.
+//! The measured multi-node parallel executor — and the one driver of
+//! the step engine: shard a nest's static tile walk across worker
+//! threads and drive each shard with the pipelined machinery of
+//! [`crate::pipeline`] (prefetch pool, tile cache, write-behind) over
+//! one shared store stack — typically striped across simulated I/O
+//! nodes ([`StripedStore`](ooc_runtime::StripedStore)) so queueing
+//! contention is *experienced*, not just priced.
+//!
+//! `exec_sharded` is the body of every pipelined and parallel entry
+//! point, durable or not. At one shard every nest takes the serial
+//! path and worker 0 drives the full schedule: that *is* the
+//! pipelined executor, which differs only in the `Engine` names it
+//! runs under.
 //!
 //! # Partitioning
 //!
@@ -18,7 +24,7 @@
 //! communication-free level, or whose written tile regions are not
 //! shard-disjoint, fall back to a single serial shard.
 //!
-//! # Why results are bit-equal to the single-threaded executor
+//! # Why results are bit-equal to the one-shard run
 //!
 //! * Read slots only stage arrays the nest never writes, so every
 //!   prefetch observes immutable data regardless of which thread
@@ -52,11 +58,10 @@
 //! against the shared session and commits them through its own fence.
 //! Multi-shard nests checkpoint at **iteration barriers** (all shards
 //! joined, all queues flushed) with the serial watermark
-//! `(it + 1) * steps_per_iteration`; serial-fallback nests keep the
-//! single-threaded executor's tile-row checkpoint cadence. Resume
-//! therefore lands on a serial-schedule boundary and replays at most
-//! one checkpoint interval per array, exactly as in the
-//! single-threaded case.
+//! `(it + 1) * steps_per_iteration`; serial nests checkpoint at
+//! tile-row cadence inside `NestRun::step`. Resume therefore lands on
+//! a serial-schedule boundary and replays at most one checkpoint
+//! interval per array at any shard count.
 //!
 //! # Degraded mode
 //!
@@ -78,7 +83,7 @@ use crate::pipeline::{
     plan_nest, setup_run, worker_handles, DurableHooks, NestPlan, NestRun, PipelineConfig,
     RunSetup, ShardWorker,
 };
-use crate::recovery::DurableSession;
+use crate::recovery::{DurableNames, DurableSession};
 use crate::tiling::TiledProgram;
 use ooc_ir::{ArrayId, DepElem};
 use ooc_runtime::{IoStats, MemoryBudget, Store};
@@ -96,7 +101,7 @@ pub struct ParallelConfig {
     pub pipeline: PipelineConfig,
     /// Worker shards the tile walk is partitioned across. `1` (or any
     /// nest without a communication-free level) degenerates to the
-    /// single-threaded executor.
+    /// pipelined executor.
     pub shards: usize,
 }
 
@@ -172,8 +177,43 @@ pub fn exec_parallel<S: Store + Send + 'static>(
     cfg: &ParallelConfig,
     make_store: impl FnMut(usize, &str, u64) -> io::Result<S>,
 ) -> io::Result<ParallelRun> {
-    exec_parallel_inner(tp, params, init, cfg, make_store, None)
+    exec_sharded(tp, params, init, cfg, make_store, None, &PARALLEL)
 }
+
+/// The public face a run of the step engine presents: its ledger
+/// executor label, the trace category and top span the forensics key
+/// on, and its durable names. [`exec_pipelined`] is a one-shard run
+/// presenting as [`PIPELINED`]; a durable run swaps in its own
+/// executor label.
+///
+/// [`exec_pipelined`]: crate::pipeline::exec_pipelined
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Engine {
+    pub(crate) executor: &'static str,
+    pub(crate) cat: &'static str,
+    pub(crate) span: &'static str,
+    pub(crate) durable: DurableNames,
+}
+
+pub(crate) const PIPELINED: Engine = Engine {
+    executor: "pipelined",
+    cat: "pipeline",
+    span: "exec-pipelined",
+    durable: DurableNames {
+        executor: ["durable-pipelined", "durable-pipelined-resume"],
+        span: ["exec-pipelined-durable", "resume-pipelined"],
+    },
+};
+
+pub(crate) const PARALLEL: Engine = Engine {
+    executor: "parallel",
+    cat: "parallel",
+    span: "exec-parallel",
+    durable: DurableNames {
+        executor: ["durable-parallel", "durable-parallel-resume"],
+        span: ["exec-parallel-durable", "resume-parallel"],
+    },
+};
 
 /// The communication-free ownership level of `nest`: the first loop
 /// level at which every carried dependence is exactly zero, so
@@ -186,37 +226,40 @@ pub fn ownership_level(nest: &ooc_ir::LoopNest) -> Option<usize> {
     (0..nest.depth).find(|&l| deps.iter().all(|d| d.vector[l] == DepElem::Exact(0)))
 }
 
-/// The parallel executor body, with the optional durable session the
+/// The step-engine driver behind every pipelined and parallel entry
+/// point, durable or not: `cfg.shards` workers over shared stores,
+/// presenting as `engine`, with the optional durable session the
 /// recovery layer drives (see the module docs for the checkpoint
 /// placement).
-pub(crate) fn exec_parallel_inner<S: Store + Send + 'static>(
+pub(crate) fn exec_sharded<S: Store + Send + 'static>(
     tp: &TiledProgram,
     params: &[i64],
     init: &dyn Fn(ArrayId, &[i64]) -> f64,
     cfg: &ParallelConfig,
     mut make_store: impl FnMut(usize, &str, u64) -> io::Result<S>,
     mut dur: Option<&mut DurableSession>,
+    engine: &Engine,
 ) -> io::Result<ParallelRun> {
     let pcfg = &cfg.pipeline;
     let shards = cfg.shards.max(1);
     let _lane = ooc_trace::lane_scope(ooc_trace::Lane::main());
     let _span = ooc_trace::span_with(
-        "parallel",
-        "exec-parallel",
+        engine.cat,
+        engine.span,
         vec![
             ("shards", (shards as u64).into()),
             ("workers", (pcfg.workers as u64).into()),
             ("depth", (pcfg.prefetch_depth as u64).into()),
         ],
     );
+    if let Some(rec) = &pcfg.functional.ledger {
+        rec.set_executor(engine.executor);
+    }
     let RunSetup {
         dims_of,
         shared,
         arrays: mut main_arrays,
     } = setup_run(tp, params, init, pcfg, &mut make_store, &mut dur)?;
-    if let Some(rec) = &pcfg.functional.ledger {
-        rec.set_executor("parallel");
-    }
 
     // One ShardWorker per shard, each with its own array handles,
     // prefetch pool, write-behind queue, and durability fence.
@@ -276,13 +319,12 @@ pub(crate) fn exec_parallel_inner<S: Store + Send + 'static>(
                 d.report.skipped_steps += start_g;
             }
         }
-        let _nest_span = ooc_trace::span("parallel", &format!("nest:{}", nest.name));
+        let _nest_span = ooc_trace::span(engine.cat, &format!("nest:{}", nest.name));
 
         if part.serial_fallback || part.active_shards() <= 1 {
-            // Serial path: worker 0 drives the full serial schedule on
-            // the main thread with the durable session attached, so
-            // tile-row checkpoints behave exactly as in the
-            // single-threaded executor.
+            // Serial path (all of a one-shard run): worker 0 drives
+            // the full serial schedule on the main thread with the
+            // durable session attached, checkpointing at tile rows.
             let mut nr = NestRun::new(ni, nest, params, &staging, schedule, start_g, pcfg);
             for g in start_g..nr.total_steps() {
                 nr.step(&mut workers[0], g, &mut dur)?;
@@ -395,7 +437,7 @@ pub(crate) fn exec_parallel_inner<S: Store + Send + 'static>(
         }
         if ooc_trace::enabled() {
             ooc_trace::instant(
-                "parallel",
+                engine.cat,
                 "flush-barrier",
                 vec![("nest", nest.name.clone().into())],
             );
@@ -467,69 +509,13 @@ pub(crate) fn exec_parallel_inner<S: Store + Send + 'static>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::{run_functional_on, FunctionalConfig};
-    use crate::optimizer::{optimize, OptimizeOptions};
-    use crate::tiling::TilingStrategy;
-    use ooc_ir::{ArrayRef, Expr, LoopNest, Program, Statement};
+    use crate::fixtures::{fcfg, seed, sync_reference, tiled};
     use ooc_runtime::MemStore;
-
-    fn paper_example() -> Program {
-        let mut p = Program::new(&["N"]);
-        let u = p.declare_array("U", 2, 0);
-        let v = p.declare_array("V", 2, 0);
-        let w = p.declare_array("W", 2, 0);
-        let s1 = Statement::assign(
-            ArrayRef::new(u, &[vec![1, 0], vec![0, 1]], vec![0, 0]),
-            Expr::Add(
-                Box::new(Expr::Ref(ArrayRef::new(
-                    v,
-                    &[vec![0, 1], vec![1, 0]],
-                    vec![0, 0],
-                ))),
-                Box::new(Expr::Const(1.0)),
-            ),
-        );
-        p.add_nest(LoopNest::rectangular("nest1", 2, 1, 0, vec![s1]));
-        let s2 = Statement::assign(
-            ArrayRef::new(v, &[vec![1, 0], vec![0, 1]], vec![0, 0]),
-            Expr::Add(
-                Box::new(Expr::Ref(ArrayRef::new(
-                    w,
-                    &[vec![0, 1], vec![1, 0]],
-                    vec![0, 0],
-                ))),
-                Box::new(Expr::Const(2.0)),
-            ),
-        );
-        p.add_nest(LoopNest::rectangular("nest2", 2, 1, 0, vec![s2]));
-        p
-    }
-
-    fn tiled() -> TiledProgram {
-        let p = paper_example();
-        let opt = optimize(&p, &OptimizeOptions::default());
-        TiledProgram::from_optimized(&opt, TilingStrategy::OutOfCore)
-    }
-
-    fn seed(a: ArrayId, idx: &[i64]) -> f64 {
-        (a.0 as f64 + 1.0) * 1000.0 + idx.iter().fold(0.0, |acc, &x| acc * 17.0 + x as f64)
-    }
-
-    fn sync_reference(tp: &TiledProgram, params: &[i64]) -> FunctionalRun {
-        run_functional_on(
-            tp,
-            params,
-            &seed,
-            &FunctionalConfig::with_fraction(16),
-            |_, _, len| Ok(MemStore::new(len)),
-        )
-        .expect("sync run")
-    }
 
     fn parallel_cfg(shards: usize) -> ParallelConfig {
         ParallelConfig {
             pipeline: PipelineConfig {
-                functional: FunctionalConfig::with_fraction(16),
+                functional: fcfg(),
                 ..PipelineConfig::default()
             },
             shards,

@@ -1,9 +1,15 @@
-//! The pipelined executor: [`exec_pipelined`] runs the same tile walk
-//! as [`run_functional_on`](crate::exec::run_functional_on), but
+//! The step engine and its one-shard face, the pipelined executor:
+//! [`exec_pipelined`] runs the same tile walk as
+//! [`run_functional_on`](crate::exec::run_functional_on), but
 //! overlaps tile I/O with compute using the `ooc-sched` subsystem —
 //! background prefetch of upcoming read tiles, a bounded
 //! Belady-informed tile cache, and write-behind of dirty tiles with a
 //! flush barrier at every nest boundary.
+//!
+//! This module holds the engine's parts — `plan_nest`, `ShardWorker`,
+//! `NestRun::step` — and [`crate::parallel`] holds its only driver;
+//! `exec_pipelined` is that driver at `shards = 1`, where every nest
+//! takes the serial path and worker 0 walks the full schedule.
 //!
 //! ## Why the overlap is safe (bit-equality argument)
 //!
@@ -35,11 +41,12 @@
 //! and "stalled" buckets of [`PipelineStats`].
 
 use crate::exec::{
-    exec_box, level_ranges, rw_arrays, walk_tiles, ArrayProfile, FunctionalConfig, FunctionalRun,
-    Staging,
+    exec_box, journaled_write, plan_walk, record_read, record_write_back, write_tile_through,
+    FunctionalConfig, FunctionalRun, NestWalk, Staging,
 };
+use crate::parallel::{exec_sharded, ParallelConfig, ParallelRun, PIPELINED};
 use crate::recovery::DurableSession;
-use crate::tiling::{plan_spans, IoWeights, TiledProgram};
+use crate::tiling::TiledProgram;
 use ooc_ir::ArrayId;
 use ooc_runtime::{
     IoCause, IoStats, LedgerEvent, LedgerRecorder, MemoryBudget, OocArray, SharedJournal,
@@ -128,6 +135,16 @@ pub struct PipelinedRun {
     pub pipeline: PipelineStats,
 }
 
+impl PipelinedRun {
+    /// The pipelined view of a one-shard run of the step engine.
+    pub(crate) fn from_one_shard(run: ParallelRun) -> Self {
+        PipelinedRun {
+            run: run.run,
+            pipeline: run.pipeline,
+        }
+    }
+}
+
 /// One nest's executable plan: the staging layout plus the annotated
 /// schedule.
 pub(crate) struct NestPlan {
@@ -142,57 +159,29 @@ pub(crate) fn plan_nest(
     budget: &MemoryBudget,
     max_call_elems: u64,
 ) -> Option<NestPlan> {
-    let tnest = &tp.nests[ni];
-    let nest = &tnest.nest;
-    let ranges = level_ranges(nest, params)?;
-    let spans = plan_spans(
-        nest,
-        tnest.strategy,
-        &tp.layouts,
-        &tp.program,
-        params,
-        &ranges,
-        budget,
-        IoWeights::default(),
-        max_call_elems,
-    );
-    let (reads, writes) = rw_arrays(nest);
-    let touched: Vec<ArrayId> = {
-        let mut t = reads.clone();
-        for w in &writes {
-            if !t.contains(w) {
-                t.push(*w);
-            }
-        }
-        t
-    };
-    let staging = Staging::for_nest(nest, &writes, &touched);
+    let NestWalk { staging, boxes } = plan_walk(tp, ni, params, budget, max_call_elems)?;
+    let nest = &tp.nests[ni].nest;
     let dims: Vec<Vec<i64>> = tp
         .program
         .arrays
         .iter()
         .map(|decl| decl.dims.iter().map(|d| d.resolve(params)).collect())
         .collect();
-    let mut steps = Vec::new();
-    walk_tiles(
-        &ranges,
-        &tnest.tiled_levels,
-        &spans,
-        ranges[0],
-        &mut |lo, hi| {
+    let steps = boxes
+        .into_iter()
+        .map(|(box_lo, box_hi)| {
             let mut step = TileStep {
-                box_lo: lo.to_vec(),
-                box_hi: hi.to_vec(),
+                box_lo,
+                box_hi,
                 ..TileStep::default()
             };
-            for ((a, slot), region) in staging.regions(nest, lo, hi) {
-                let region = region.clamped(&dims[a.0]);
+            for ((a, slot), region) in staging.regions(nest, &step.box_lo, &step.box_hi) {
                 let id = TileId {
                     key: SlotKey {
                         array: u32::try_from(a.0).expect("array index"),
                         slot: u32::try_from(slot).expect("slot index"),
                     },
-                    region,
+                    region: region.clamped(&dims[a.0]),
                 };
                 if staging.slot_written(a, slot) {
                     step.writes.push(id);
@@ -200,9 +189,9 @@ pub(crate) fn plan_nest(
                     step.reads.push(StageRequest::new(id));
                 }
             }
-            steps.push(step);
-        },
-    );
+            step
+        })
+        .collect();
     let mut schedule = NestSchedule {
         nest: ni,
         iterations: u64::from(nest.iterations),
@@ -273,17 +262,13 @@ impl<S: Store + Send> TileSink for DurableSink<S> {
     fn store(&mut self, id: &TileId, tile: &Tile) -> io::Result<IoStats> {
         let arr = &mut self.arrays[id.key.array as usize];
         arr.reset_stats();
-        let pre = arr.read_tile(&id.region)?;
-        let seq = self
-            .journal
-            .intent(id.key.array, &id.region, tile.data(), pre.data())?;
+        let seq = journaled_write(arr, &self.journal, id.key.array, tile)?;
         self.pending
             .lock()
             .expect("pending intents")
             .entry(id.clone())
             .or_default()
             .push(seq);
-        arr.write_tile(tile)?;
         Ok(arr.stats())
     }
 }
@@ -292,82 +277,41 @@ fn slot_key_pair(id: &TileId) -> (ArrayId, usize) {
     (ArrayId(id.key.array as usize), id.key.slot as usize)
 }
 
-/// Retires a dirty tile: enqueues it on the write-behind queue (whose
-/// sink journals durable runs), or writes it on the main thread — with
-/// the journal protocol (intent → write → commit) when `journal` is
-/// set.
+/// Retires worker `w`'s dirty `tile` at step `at`: enqueues it on the
+/// write-behind queue (whose sink journals durable runs), or writes
+/// it on the main thread — through the journal protocol when the
+/// worker carries a journal.
 ///
-/// Provenance: the retirement is recorded *here*, with the exact
-/// per-run call arithmetic ([`OocArray::exact_tile_calls`]) the sink
-/// or the inline write will incur — write-behind aggregates per array
-/// only, so retire time is the last point the tile identity is known.
-/// Durable sinks additionally take a journal pre-image read per tile,
-/// booked as [`IoCause::ReplayRead`].
-#[allow(clippy::too_many_arguments)]
-fn retire<S: Store>(
-    wb: Option<&WriteBehind>,
-    arrays: &mut [OocArray<SharedStore<S>>],
-    stats: &mut PipelineStats,
-    journal: Option<&SharedJournal>,
-    provenance: (&mut TouchTracker, Option<&LedgerRecorder>, u32, u64),
+/// Provenance: the retirement is recorded *here* — write-behind
+/// aggregates per array only, so retire time is the last point the
+/// tile identity is known.
+fn retire<S: Store + Send + 'static>(
+    w: &mut ShardWorker<S>,
+    at: (u32, u64),
     id: TileId,
     tile: Tile,
 ) -> io::Result<()> {
-    let (tracker, ledger, nest, step) = provenance;
-    if let Some(rec) = ledger {
-        let a = id.key.array;
-        let region = tile.region();
-        let calls = arrays[a as usize].exact_tile_calls(region);
-        let elems = region.len() as u64;
-        if journal.is_some() {
-            rec.record(LedgerEvent {
-                array: a,
-                cause: IoCause::ReplayRead,
-                calls,
-                elems,
-                region: region.clone(),
-                nest,
-                step,
-                evict: None,
-            });
-            // The intent record carries the new data plus the
-            // pre-image.
-            rec.add_journal_bytes(2 * elems * ooc_runtime::ELEM_BYTES);
-        }
-        let cause = tracker.classify_write(a, region);
-        rec.record(LedgerEvent {
-            array: a,
-            cause,
-            calls,
-            elems,
-            region: region.clone(),
-            nest,
-            step,
-            evict: None,
-        });
+    let a = id.key.array;
+    let arr = &mut w.arrays[a as usize];
+    let journaled = w.sync_journal.is_some();
+    let ledger = w.ledger.as_ref();
+    record_write_back(ledger, &mut w.tracker, arr, a, tile.region(), journaled, at);
+    if ledger.is_some() {
         // Retirement ends the region's residency; a later re-stage
         // is a capacity miss paying for this displacement.
-        tracker.note_evicted(a, region, step, None);
+        w.tracker.note_evicted(a, tile.region(), at.1, None);
     }
-    match wb {
+    match &w.wb {
         Some(wb) => {
-            stats.writebehind_tiles += 1;
+            w.stats.writebehind_tiles += 1;
             wb.enqueue(id, tile);
+            Ok(())
         }
         None => {
             let _sync = ooc_trace::enabled().then(|| ooc_trace::span("pipeline", "sync-write"));
-            let arr = &mut arrays[id.key.array as usize];
-            if let Some(journal) = journal {
-                let pre = arr.read_tile(&id.region)?;
-                let seq = journal.intent(id.key.array, &id.region, tile.data(), pre.data())?;
-                arr.write_tile(&tile)?;
-                journal.commit(seq)?;
-            } else {
-                arr.write_tile(&tile)?;
-            }
+            write_tile_through(arr, w.sync_journal.as_ref(), a, &tile)
         }
     }
-    Ok(())
 }
 
 /// Books a delivery: drops it from the in-flight set, accounts its
@@ -451,28 +395,26 @@ fn record_prefetched<S: Store + Send + 'static>(
     }
 }
 
-/// Books a main-thread staging read, classified first-touch vs.
-/// re-read by the worker's tracker.
-fn record_sync_read<S: Store + Send + 'static>(
+/// Stages `id` with a synchronous read on the worker's own thread and
+/// books it, classified first-touch vs. re-read by the worker's
+/// tracker.
+fn stage_sync<S: Store + Send + 'static>(
     w: &mut ShardWorker<S>,
-    ni: usize,
-    g: u64,
-    array: u32,
-    tile: &Tile,
-) {
-    if let Some(rec) = &w.ledger {
-        let (cause, evict) = w.tracker.classify_read(array, tile.region());
-        rec.record(LedgerEvent {
-            array,
-            cause,
-            calls: w.arrays[array as usize].exact_tile_calls(tile.region()),
-            elems: tile.region().len() as u64,
-            region: tile.region().clone(),
-            nest: ni as u32,
-            step: g,
-            evict,
-        });
-    }
+    at: (u32, u64),
+    id: &TileId,
+) -> io::Result<Tile> {
+    let arr = &mut w.arrays[id.key.array as usize];
+    let t = arr.read_tile(&id.region)?;
+    let array = id.key.array;
+    record_read(
+        w.ledger.as_ref(),
+        &mut w.tracker,
+        arr,
+        array,
+        &id.region,
+        at,
+    );
+    Ok(t)
 }
 
 /// The durability plumbing one executor thread's write path needs,
@@ -486,9 +428,9 @@ pub(crate) struct DurableHooks {
 
 /// One executor thread's private pipeline machinery: its own array
 /// handles over the shared stores, its own prefetch pool and
-/// write-behind queue, and its own counters. The single-threaded
-/// executor is exactly one `ShardWorker` driving the full schedule;
-/// the parallel executor builds one per schedule shard.
+/// write-behind queue, and its own counters. The driver builds one
+/// per schedule shard; the pipelined executor is exactly one
+/// `ShardWorker` driving the full schedule.
 pub(crate) struct ShardWorker<S: Store + Send + 'static> {
     pub(crate) arrays: Vec<OocArray<SharedStore<S>>>,
     pub(crate) pool: Option<PrefetchPool>,
@@ -586,10 +528,10 @@ impl<S: Store + Send + 'static> ShardWorker<S> {
 
 /// The per-nest, per-worker execution state of the tile walk: cache,
 /// arrival buffer, in-flight prefetches, resident written tiles, and
-/// the issue window. [`NestRun::step`] is the pipelined executor's
-/// loop body for one global step; the single-threaded executor drives
-/// one `NestRun` over the whole serial schedule, the parallel
-/// executor one per shard over that shard's schedule.
+/// the issue window. [`NestRun::step`] is the step engine's loop body
+/// for one global step; a serial nest drives one `NestRun` over the
+/// whole schedule, a sharded nest one per shard over that shard's
+/// schedule.
 pub(crate) struct NestRun<'a> {
     ni: usize,
     nest: &'a ooc_ir::LoopNest,
@@ -683,6 +625,7 @@ impl<'a> NestRun<'a> {
         dur: &mut Option<&mut DurableSession>,
     ) -> io::Result<()> {
         let s = (g % self.n) as usize;
+        let at = (self.ni as u32, g);
 
         // Periodic durability checkpoint at tile-row boundaries:
         // drain resident written tiles through the journaled write
@@ -693,24 +636,7 @@ impl<'a> NestRun<'a> {
                 if d.cfg.checkpoint_rows > 0 && self.rows_done % d.cfg.checkpoint_rows == 0 {
                     let _ckpt =
                         ooc_trace::enabled().then(|| ooc_trace::span("durable", "checkpoint"));
-                    for (key, tile) in std::mem::take(&mut self.written_tiles) {
-                        let id = TileId {
-                            key: SlotKey {
-                                array: u32::try_from(key.0 .0).expect("array index"),
-                                slot: u32::try_from(key.1).expect("slot index"),
-                            },
-                            region: tile.region().clone(),
-                        };
-                        retire(
-                            w.wb.as_ref(),
-                            &mut w.arrays,
-                            &mut w.stats,
-                            w.sync_journal.as_ref(),
-                            (&mut w.tracker, w.ledger.as_ref(), self.ni as u32, g),
-                            id,
-                            tile,
-                        )?;
-                    }
+                    self.retire_resident(w, g)?;
                     if let Some(wb) = &w.wb {
                         wb.flush()?;
                     }
@@ -774,14 +700,8 @@ impl<'a> NestRun<'a> {
         let mut stalled = false;
         for req in &step.reads {
             let id = &req.tile;
-            let key = slot_key_pair(id);
-            let tile = if let Some(t) = self.cache.take(id.key, &id.region) {
-                t
-            } else if let Some((t, fstats)) = self.arrived.remove(id) {
-                w.stats.prefetched_reads += 1;
-                record_prefetched(w, self.ni, g, id.key.array, &t, &fstats);
-                t
-            } else if self.inflight.contains_key(id) {
+            let mut tile = self.cache.take(id.key, &id.region);
+            if tile.is_none() && !self.arrived.contains_key(id) && self.inflight.contains_key(id) {
                 // Stall: block on deliveries until ours lands.
                 stalled = true;
                 let _stall =
@@ -809,34 +729,27 @@ impl<'a> NestRun<'a> {
                     }
                 }
                 w.stats.stall_drains.observe(drains);
-                match self.arrived.remove(id) {
-                    Some((t, fstats)) => {
-                        w.stats.prefetched_reads += 1;
-                        record_prefetched(w, self.ni, g, id.key.array, &t, &fstats);
-                        t
-                    }
-                    None => {
-                        w.stats.sync_reads += 1;
-                        let _sync = ooc_trace::enabled().then(|| {
-                            ooc_trace::span_with("pipeline", "sync-read", vec![("step", g.into())])
-                        });
-                        let t = w.arrays[key.0 .0].read_tile(&id.region)?;
-                        record_sync_read(w, self.ni, g, id.key.array, &t);
-                        t
-                    }
+            }
+            if tile.is_none() {
+                if let Some((t, fstats)) = self.arrived.remove(id) {
+                    w.stats.prefetched_reads += 1;
+                    record_prefetched(w, self.ni, g, id.key.array, &t, &fstats);
+                    tile = Some(t);
                 }
-            } else {
-                // Never issued (prefetch off, window miss, or
-                // failed fetch): read on the main thread.
-                w.stats.sync_reads += 1;
-                let _sync = ooc_trace::enabled().then(|| {
-                    ooc_trace::span_with("pipeline", "sync-read", vec![("step", g.into())])
-                });
-                let t = w.arrays[key.0 .0].read_tile(&id.region)?;
-                record_sync_read(w, self.ni, g, id.key.array, &t);
-                t
+            }
+            // Never issued (prefetch off, window miss), failed fetch,
+            // or a dead worker: read on the main thread.
+            let tile = match tile {
+                Some(t) => t,
+                None => {
+                    w.stats.sync_reads += 1;
+                    let _sync = ooc_trace::enabled().then(|| {
+                        ooc_trace::span_with("pipeline", "sync-read", vec![("step", g.into())])
+                    });
+                    stage_sync(w, at, id)?
+                }
             };
-            tiles.insert(key, tile);
+            tiles.insert(slot_key_pair(id), tile);
         }
         if stalled {
             w.stats.stalls += 1;
@@ -862,23 +775,14 @@ impl<'a> NestRun<'a> {
                         key: id.key,
                         region: old.region().clone(),
                     };
-                    retire(
-                        w.wb.as_ref(),
-                        &mut w.arrays,
-                        &mut w.stats,
-                        w.sync_journal.as_ref(),
-                        (&mut w.tracker, w.ledger.as_ref(), self.ni as u32, g),
-                        old_id,
-                        old,
-                    )?;
+                    retire(w, at, old_id, old)?;
                 }
                 if let Some(wb) = &w.wb {
                     // Read-after-write fence: the region we are
                     // about to stage may overlap a queued write.
                     wb.wait_clear(id.key.array, &id.region);
                 }
-                let t = w.arrays[key.0 .0].read_tile(&id.region)?;
-                record_sync_read(w, self.ni, g, id.key.array, &t);
+                let t = stage_sync(w, at, id)?;
                 self.written_tiles.insert(key, t);
             }
             let t = self
@@ -941,24 +845,7 @@ impl<'a> NestRun<'a> {
         // executor writes them back here too), then an iteration
         // checkpoint for durable runs.
         if (g + 1) % self.n == 0 {
-            for (key, tile) in std::mem::take(&mut self.written_tiles) {
-                let id = TileId {
-                    key: SlotKey {
-                        array: u32::try_from(key.0 .0).expect("array index"),
-                        slot: u32::try_from(key.1).expect("slot index"),
-                    },
-                    region: tile.region().clone(),
-                };
-                retire(
-                    w.wb.as_ref(),
-                    &mut w.arrays,
-                    &mut w.stats,
-                    w.sync_journal.as_ref(),
-                    (&mut w.tracker, w.ledger.as_ref(), self.ni as u32, g),
-                    id,
-                    tile,
-                )?;
-            }
+            self.retire_resident(w, g)?;
             if let Some(d) = dur.as_deref_mut() {
                 let _ckpt = ooc_trace::enabled().then(|| ooc_trace::span("durable", "checkpoint"));
                 if let Some(wb) = &w.wb {
@@ -966,6 +853,26 @@ impl<'a> NestRun<'a> {
                 }
                 d.checkpoint(self.ni, g + 1)?;
             }
+        }
+        Ok(())
+    }
+
+    /// Retires every resident written tile at step `g` (tile-row
+    /// checkpoints and iteration ends).
+    fn retire_resident<S: Store + Send + 'static>(
+        &mut self,
+        w: &mut ShardWorker<S>,
+        g: u64,
+    ) -> io::Result<()> {
+        for (key, tile) in std::mem::take(&mut self.written_tiles) {
+            let id = TileId {
+                key: SlotKey {
+                    array: u32::try_from(key.0 .0).expect("array index"),
+                    slot: u32::try_from(key.1).expect("slot index"),
+                },
+                region: tile.region().clone(),
+            };
+            retire(w, (self.ni as u32, g), id, tile)?;
         }
         Ok(())
     }
@@ -1076,7 +983,7 @@ pub(crate) fn setup_run<S: Store + Send + 'static>(
             store,
             cfg.functional.runtime,
         );
-        if dur.as_ref().is_none_or(|d| !d.skip_seed) {
+        if dur.as_ref().is_none_or(|d| !d.resumed()) {
             arr.initialize(|idx| init(ArrayId(a), idx))?;
         }
         // Profile the compute phase only.
@@ -1091,37 +998,10 @@ pub(crate) fn setup_run<S: Store + Send + 'static>(
         }
     }
 
-    // Recovery: restore journal pre-images for every uncommitted (or
-    // post-boundary) write of the crashed run, then mark seeding
-    // durable for fresh runs.
+    // Recovery: restore journal pre-images for every post-boundary
+    // write of the crashed run, or mark a fresh run's seeding durable.
     if let Some(d) = dur.as_deref_mut() {
-        let _replay = ooc_trace::enabled().then(|| ooc_trace::span("durable", "recovery-replay"));
-        let ledger = cfg.functional.ledger.clone();
-        d.rollback_now(&mut |a, region, pre| {
-            let mut t = Tile::zeroed(region.clone());
-            if t.data().len() != pre.len() {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    "journal pre-image length mismatch",
-                ));
-            }
-            t.data_mut().copy_from_slice(pre);
-            let arr = &mut arrays[a as usize];
-            if let Some(rec) = &ledger {
-                rec.record(LedgerEvent {
-                    array: a,
-                    cause: IoCause::ReplayWrite,
-                    calls: arr.exact_tile_calls(region),
-                    elems: region.len() as u64,
-                    region: region.clone(),
-                    nest: 0,
-                    step: 0,
-                    evict: None,
-                });
-            }
-            arr.write_tile(&t)
-        })?;
-        d.begin()?;
+        d.start(&mut arrays, cfg.functional.ledger.as_ref())?;
     }
     Ok(RunSetup {
         dims_of,
@@ -1183,181 +1063,15 @@ pub fn exec_pipelined<S: Store + Send + 'static>(
     cfg: &PipelineConfig,
     make_store: impl FnMut(usize, &str, u64) -> io::Result<S>,
 ) -> io::Result<PipelinedRun> {
-    exec_pipelined_inner(tp, params, init, cfg, make_store, None)
-}
-
-/// The pipelined executor body, with the optional durability hooks the
-/// recovery layer drives: journaled write-back, checkpoint records at
-/// tile-row / iteration / nest boundaries, and boundary-driven step
-/// skipping plus pre-image rollback on resume.
-pub(crate) fn exec_pipelined_inner<S: Store + Send + 'static>(
-    tp: &TiledProgram,
-    params: &[i64],
-    init: &dyn Fn(ArrayId, &[i64]) -> f64,
-    cfg: &PipelineConfig,
-    mut make_store: impl FnMut(usize, &str, u64) -> io::Result<S>,
-    mut dur: Option<&mut DurableSession>,
-) -> io::Result<PipelinedRun> {
-    let _lane = ooc_trace::lane_scope(ooc_trace::Lane::main());
-    let _span = ooc_trace::span_with(
-        "pipeline",
-        "exec-pipelined",
-        vec![
-            ("workers", (cfg.workers as u64).into()),
-            ("depth", (cfg.prefetch_depth as u64).into()),
-        ],
-    );
-    let RunSetup {
-        dims_of,
-        shared,
-        arrays,
-    } = setup_run(tp, params, init, cfg, &mut make_store, &mut dur)?;
-    // Main-thread journal handle for synchronous (non-write-behind)
-    // durable retirement.
-    let sync_journal: Option<SharedJournal> = dur.as_ref().map(|d| d.journal.clone());
-
-    let worker_arrays = |shared: &[SharedStore<S>]| -> Vec<OocArray<SharedStore<S>>> {
-        worker_handles(tp, &dims_of, shared, cfg)
+    // The pipelined executor IS a one-shard run of the step engine:
+    // every nest takes the serial path and worker 0 drives the full
+    // schedule.
+    let cfg = ParallelConfig {
+        pipeline: cfg.clone(),
+        shards: 1,
     };
-
-    let pool = (cfg.workers > 0 && cfg.prefetch_depth > 0).then(|| {
-        PrefetchPool::new(
-            (0..cfg.workers)
-                .map(|_| {
-                    Box::new(SharedTileSource {
-                        arrays: worker_arrays(&shared),
-                    }) as Box<dyn TileSource>
-                })
-                .collect(),
-        )
-    });
-    let wb = cfg.write_behind.then(|| match dur.as_ref() {
-        Some(d) => WriteBehind::with_fence(
-            Box::new(DurableSink {
-                arrays: worker_arrays(&shared),
-                journal: d.journal.clone(),
-                pending: Arc::clone(&d.pending),
-            }),
-            Some(d.fence()),
-        ),
-        None => WriteBehind::new(Box::new(SharedTileSink {
-            arrays: worker_arrays(&shared),
-        })),
-    });
-    // The single-threaded executor is one shard worker driving the
-    // full serial schedule — the main arrays double as its handles.
-    if let Some(rec) = &cfg.functional.ledger {
-        rec.set_executor("pipelined");
-    }
-    let mut w = ShardWorker {
-        arrays,
-        pool,
-        wb,
-        sync_journal,
-        stats: PipelineStats::default(),
-        prefetch_stats: BTreeMap::new(),
-        executed_steps: 0,
-        tracker: TouchTracker::new(),
-        ledger: cfg.functional.ledger.clone(),
-    };
-
-    let total_elems = u64::try_from(tp.program.total_elements(params)).expect("size");
-    let budget = MemoryBudget::paper_fraction(total_elems, cfg.functional.memory_fraction);
-
-    for ni in 0..tp.nests.len() {
-        // Resume: nests the checkpoint boundary already covers are
-        // durable in the medium — skip them without touching I/O.
-        if dur.as_ref().is_some_and(|d| d.skip_nest(ni)) {
-            continue;
-        }
-        let Some(NestPlan { staging, schedule }) = plan_nest(
-            tp,
-            ni,
-            params,
-            &budget,
-            cfg.functional.runtime.max_call_elems,
-        ) else {
-            if let Some(d) = dur.as_deref_mut() {
-                d.checkpoint(ni + 1, 0)?;
-            }
-            continue;
-        };
-        let nest = &tp.nests[ni].nest;
-        let n = schedule.steps.len() as u64;
-        if n == 0 || schedule.iterations == 0 {
-            if let Some(d) = dur.as_deref_mut() {
-                d.checkpoint(ni + 1, 0)?;
-            }
-            continue;
-        }
-        // Steps this nest's checkpoint boundary already covers.
-        let start_g = dur.as_ref().map_or(0, |d| d.start_step(ni));
-        if start_g > 0 {
-            if let Some(d) = dur.as_deref_mut() {
-                d.report.skipped_steps += start_g;
-            }
-        }
-        let mut nr = NestRun::new(ni, nest, params, &staging, schedule, start_g, cfg);
-        let _nest_span = ooc_trace::span("pipeline", &format!("nest:{}", nest.name));
-
-        for g in start_g..nr.total_steps() {
-            nr.step(&mut w, g, &mut dur)?;
-        }
-        nr.finish(&mut w)?;
-        if let Some(d) = dur.as_deref_mut() {
-            // Everything this nest wrote is durable and committed.
-            let _ckpt = ooc_trace::enabled().then(|| ooc_trace::span("durable", "checkpoint"));
-            d.checkpoint(ni + 1, 0)?;
-        }
-        if ooc_trace::enabled() {
-            ooc_trace::instant(
-                "pipeline",
-                "flush-barrier",
-                vec![("nest", nest.name.clone().into())],
-            );
-        }
-    }
-
-    // Tear down the workers before capturing profiles so every
-    // delivery and write-back is accounted.
-    let wb_stats = w.shutdown()?;
-
-    // Profiles before the final dump, as in the synchronous executor:
-    // analytic stats fold main-thread staging, prefetch deliveries,
-    // and write-behind retirements; measured I/O accumulated in the
-    // shared store stack across all threads.
-    let profiles: Vec<ArrayProfile> = w
-        .arrays
-        .iter()
-        .enumerate()
-        .map(|(a, arr)| {
-            let mut s = arr.stats();
-            if let Some(p) = w.prefetch_stats.get(&(a as u32)) {
-                s.merge(p);
-            }
-            if let Some(wbs) = wb_stats.get(&(a as u32)) {
-                s.merge(wbs);
-            }
-            ArrayProfile {
-                name: arr.name().to_string(),
-                stats: s,
-                measured: arr.measured(),
-                accesses: arr.access_log(),
-            }
-        })
-        .collect();
-    w.stats.io_retries = profiles.iter().map(|p| p.stats.retries).sum();
-
-    let mut data = Vec::with_capacity(w.arrays.len());
-    for arr in w.arrays.iter_mut() {
-        let region = ooc_runtime::Region::full(arr.dims());
-        data.push(arr.read_tile(&region)?.data().to_vec());
-    }
-
-    Ok(PipelinedRun {
-        run: FunctionalRun { data, profiles },
-        pipeline: w.stats,
-    })
+    exec_sharded(tp, params, init, &cfg, make_store, None, &PIPELINED)
+        .map(PipelinedRun::from_one_shard)
 }
 
 /// Sums every nest's largest per-step read footprint — a convenient
@@ -1384,64 +1098,8 @@ pub fn cache_summary(stats: &CacheStats) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::run_functional_on;
-    use crate::optimizer::{optimize, OptimizeOptions};
-    use crate::tiling::TilingStrategy;
-    use ooc_ir::{ArrayRef, Expr, LoopNest, Program, Statement};
+    use crate::fixtures::{fcfg, seed, sync_reference, tiled};
     use ooc_runtime::MemStore;
-
-    fn paper_example() -> Program {
-        let mut p = Program::new(&["N"]);
-        let u = p.declare_array("U", 2, 0);
-        let v = p.declare_array("V", 2, 0);
-        let w = p.declare_array("W", 2, 0);
-        let s1 = Statement::assign(
-            ArrayRef::new(u, &[vec![1, 0], vec![0, 1]], vec![0, 0]),
-            Expr::Add(
-                Box::new(Expr::Ref(ArrayRef::new(
-                    v,
-                    &[vec![0, 1], vec![1, 0]],
-                    vec![0, 0],
-                ))),
-                Box::new(Expr::Const(1.0)),
-            ),
-        );
-        p.add_nest(LoopNest::rectangular("nest1", 2, 1, 0, vec![s1]));
-        let s2 = Statement::assign(
-            ArrayRef::new(v, &[vec![1, 0], vec![0, 1]], vec![0, 0]),
-            Expr::Add(
-                Box::new(Expr::Ref(ArrayRef::new(
-                    w,
-                    &[vec![0, 1], vec![1, 0]],
-                    vec![0, 0],
-                ))),
-                Box::new(Expr::Const(2.0)),
-            ),
-        );
-        p.add_nest(LoopNest::rectangular("nest2", 2, 1, 0, vec![s2]));
-        p
-    }
-
-    fn tiled() -> TiledProgram {
-        let p = paper_example();
-        let opt = optimize(&p, &OptimizeOptions::default());
-        TiledProgram::from_optimized(&opt, TilingStrategy::OutOfCore)
-    }
-
-    fn seed(a: ArrayId, idx: &[i64]) -> f64 {
-        (a.0 as f64 + 1.0) * 1000.0 + idx.iter().fold(0.0, |acc, &x| acc * 17.0 + x as f64)
-    }
-
-    fn sync_reference(tp: &TiledProgram, params: &[i64]) -> crate::exec::FunctionalRun {
-        run_functional_on(
-            tp,
-            params,
-            &seed,
-            &FunctionalConfig::with_fraction(16),
-            |_, _, len| Ok(MemStore::new(len)),
-        )
-        .expect("sync run")
-    }
 
     #[test]
     fn pipelined_matches_sync_bit_for_bit() {
@@ -1449,7 +1107,7 @@ mod tests {
         let params = [12i64];
         let reference = sync_reference(&tp, &params);
         let cfg = PipelineConfig {
-            functional: FunctionalConfig::with_fraction(16),
+            functional: fcfg(),
             ..PipelineConfig::default()
         };
         let run = exec_pipelined(&tp, &params, &seed, &cfg, |_, _, len| {
@@ -1473,7 +1131,7 @@ mod tests {
         let params = [9i64];
         let reference = sync_reference(&tp, &params);
         let cfg = PipelineConfig {
-            functional: FunctionalConfig::with_fraction(16),
+            functional: fcfg(),
             workers: 0,
             prefetch_depth: 0,
             write_behind: false,
@@ -1498,7 +1156,7 @@ mod tests {
         let params = [10i64];
         let reference = sync_reference(&tp, &params);
         let cfg = PipelineConfig {
-            functional: FunctionalConfig::with_fraction(16),
+            functional: fcfg(),
             cache_capacity: Some(1),
             ..PipelineConfig::default()
         };
@@ -1513,7 +1171,7 @@ mod tests {
     #[test]
     fn schedule_extraction_is_annotated_and_consistent() {
         let tp = tiled();
-        let cfg = FunctionalConfig::with_fraction(16);
+        let cfg = fcfg();
         let schedule = extract_schedule(&tp, &[12], &cfg);
         assert_eq!(schedule.nests.len(), tp.nests.len());
         for nest in &schedule.nests {
@@ -1536,7 +1194,7 @@ mod tests {
         let tp = tiled();
         let params = [11i64];
         let cfg = PipelineConfig {
-            functional: FunctionalConfig::with_fraction(16),
+            functional: fcfg(),
             ..PipelineConfig::default()
         };
         let runs: Vec<_> = (0..3)

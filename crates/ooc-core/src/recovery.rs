@@ -6,17 +6,23 @@
 //! writes included) sit **under** the checksum layer, so a partial
 //! write leaves a stale CRC that the next read reports as a typed
 //! corrupt-read error. Every tile write-back follows the journal
-//! protocol (intent → write → commit), and both executors append a
+//! protocol (intent → write → commit), and the walk appends a
 //! [`CheckpointManifest`](parse_manifest) record at tile-row and
 //! iteration boundaries after durably flushing all resident written
 //! tiles.
 //!
-//! Recovery ([`resume_functional`] / [`resume_pipelined`]) scans the
-//! manifest for the last consistent boundary, rolls back every journal
+//! There is one durable driver, `run_durable`: it opens a
+//! `DurableSession` — fresh, or resumed from the last consistent
+//! manifest boundary — builds the store stack, and hands both to
+//! whichever walk the entry point names: the synchronous reference
+//! walk ([`run_functional_durable`] / [`resume_functional`]) or the
+//! step engine at one shard ([`exec_pipelined_durable`] /
+//! [`resume_pipelined`]) or many ([`exec_parallel_durable`] /
+//! [`resume_parallel`]). A resumed session rolls back every journal
 //! intent at or past the boundary's watermark (restoring pre-images in
-//! reverse sequence order — which also heals torn checksums), and
-//! restarts the tile walk from that boundary. The invariant the test
-//! suite asserts: a crashed-then-recovered run is **bit-equal** to an
+//! reverse sequence order — which also heals torn checksums), and the
+//! walk restarts from that boundary. The invariant the test suite
+//! asserts: a crashed-then-recovered run is **bit-equal** to an
 //! uninterrupted run, and the re-executed work is bounded by one
 //! checkpoint interval.
 //!
@@ -31,22 +37,18 @@
 //! `K nest+1 0 w` marks a nest fully done; `K nests.len() 0 w` marks
 //! the whole program done (resume then only re-reads the final dump).
 
-use crate::exec::{
-    exec_box, level_ranges, rw_arrays, walk_tiles, ArrayProfile, FunctionalConfig, FunctionalRun,
-    Staging,
-};
-use crate::parallel::{ParallelConfig, ParallelRun};
+use crate::exec::{walk_sync, FunctionalConfig, FunctionalRun};
+use crate::parallel::{exec_sharded, Engine, ParallelConfig, ParallelRun, PARALLEL, PIPELINED};
 use crate::pipeline::{PipelineConfig, PipelinedRun};
-use crate::tiling::{plan_spans, IoWeights, TiledProgram};
+use crate::tiling::TiledProgram;
 use ooc_ir::ArrayId;
 use ooc_metrics::Registry;
 use ooc_runtime::{
     is_corrupt, node_down, parse_journal, rollback, ChecksumHandle, ChecksummedStore, DegradedMode,
     FaultConfig, FaultHandle, FaultStore, FileLog, FileStore, IoCause, IoNodePool, Journal,
-    JournalScan, LedgerEvent, LedgerRecorder, LogStore, MemLog, MemStore, MemoryBudget,
-    NodeFaultConfig, NodeHealth, OocArray, Region, RepairIo, ScrubReport, SharedJournal,
-    SharedStore, Store, StripeConfig, StripedStore, Tile, TouchTracker, UndoWriter, WriteIntent,
-    ELEM_BYTES,
+    JournalScan, LedgerEvent, LedgerRecorder, LogStore, MemLog, MemStore, NodeFaultConfig,
+    NodeHealth, OocArray, RepairIo, ScrubReport, SharedJournal, SharedStore, Store, StripeConfig,
+    StripedStore, Tile, WriteIntent,
 };
 use ooc_sched::{DurabilityFence, TileId};
 use std::collections::BTreeMap;
@@ -464,14 +466,16 @@ impl RecoveryReport {
     }
 }
 
-/// Result of a durable functional run: the functional result plus the
+/// Result of a durable run: the executor's own result plus the
 /// recovery report and the fault/checksum observability handles.
 #[derive(Debug)]
-pub struct DurableOutcome {
-    /// Contents and per-array profiles, as
-    /// [`run_functional_on`](crate::exec::run_functional_on) reports
-    /// them.
-    pub run: FunctionalRun,
+pub struct DurableOutcome<R = FunctionalRun> {
+    /// What the executor returns without durability — a
+    /// [`FunctionalRun`], [`PipelinedRun`] or [`ParallelRun`] (bit-equal
+    /// contents in all three). The step-engine runs carry the
+    /// durability counters folded into their
+    /// [`PipelineStats`](ooc_sched::PipelineStats).
+    pub run: R,
     /// Journal / checkpoint / recovery counters.
     pub report: RecoveryReport,
     /// Per-array fault handle when the array was fault-wrapped.
@@ -481,34 +485,10 @@ pub struct DurableOutcome {
 }
 
 /// Result of a durable pipelined run.
-#[derive(Debug)]
-pub struct PipelinedDurableOutcome {
-    /// The pipelined result (bit-equal to the synchronous executor),
-    /// with the durability counters folded into its
-    /// [`PipelineStats`](ooc_sched::PipelineStats).
-    pub run: PipelinedRun,
-    /// Journal / checkpoint / recovery counters.
-    pub report: RecoveryReport,
-    /// Per-array fault handle when the array was fault-wrapped.
-    pub fault_handles: Vec<Option<FaultHandle>>,
-    /// Per-array checksum counters.
-    pub checksum_handles: Vec<ChecksumHandle>,
-}
+pub type PipelinedDurableOutcome = DurableOutcome<PipelinedRun>;
 
 /// Result of a durable parallel run.
-#[derive(Debug)]
-pub struct ParallelDurableOutcome {
-    /// The parallel result (bit-equal to the single-threaded
-    /// executors), with the durability counters folded into its merged
-    /// [`PipelineStats`](ooc_sched::PipelineStats).
-    pub run: ParallelRun,
-    /// Journal / checkpoint / recovery counters.
-    pub report: RecoveryReport,
-    /// Per-array fault handle when the array was fault-wrapped.
-    pub fault_handles: Vec<Option<FaultHandle>>,
-    /// Per-array checksum counters.
-    pub checksum_handles: Vec<ChecksumHandle>,
-}
+pub type ParallelDurableOutcome = DurableOutcome<ParallelRun>;
 
 /// Per-array upper bound on journal intents between consecutive
 /// checkpoint watermarks of a completed run — the "one checkpoint
@@ -574,7 +554,7 @@ impl DurabilityFence for JournalFence {
 }
 
 /// Shared durable-run state: the journal writer, the manifest log,
-/// the resume boundary, and the counters both executors fill.
+/// the resume boundary, and the counters both walks fill.
 pub(crate) struct DurableSession {
     /// The shared journal writer (write path + durability fence).
     pub(crate) journal: SharedJournal,
@@ -582,8 +562,6 @@ pub(crate) struct DurableSession {
     /// Durability knobs.
     pub(crate) cfg: DurabilityConfig,
     boundary: Option<Boundary>,
-    /// Whether seeding is already durable (resume) and must be skipped.
-    pub(crate) skip_seed: bool,
     rollback_intents: Vec<WriteIntent>,
     /// Intent sequences awaiting their write-behind fence commit.
     pub(crate) pending: Arc<Mutex<BTreeMap<TileId, Vec<u64>>>>,
@@ -592,71 +570,124 @@ pub(crate) struct DurableSession {
 }
 
 impl DurableSession {
-    fn fresh(journal: SharedJournal, manifest: Box<dyn LogStore>, cfg: DurabilityConfig) -> Self {
-        DurableSession {
-            journal,
-            manifest,
-            cfg,
-            boundary: None,
-            skip_seed: false,
-            rollback_intents: Vec::new(),
-            pending: Arc::default(),
-            report: RecoveryReport::default(),
-        }
-    }
-
-    fn resumed(
-        journal: SharedJournal,
-        manifest: Box<dyn LogStore>,
+    /// Opens the medium's journal and manifest for a run. A fresh run
+    /// — and a resume that finds no manifest boundary, i.e. a crash
+    /// that predated the seeded milestone — truncates both logs and
+    /// starts from scratch. A resume scans the manifest for the last
+    /// consistent boundary and collects every journal intent at or
+    /// past its watermark for rollback.
+    fn open(
+        medium: &mut dyn DurableMedium,
         cfg: DurabilityConfig,
-        boundary: Boundary,
-        rollback_intents: Vec<WriteIntent>,
-        torn_tail: bool,
-    ) -> Self {
-        DurableSession {
-            journal,
-            manifest,
+        resume: bool,
+    ) -> io::Result<Self> {
+        let mut jlog = medium.journal()?;
+        let mut mlog = medium.manifest()?;
+        let mscan = if resume {
+            parse_manifest(&mlog.read_all()?)
+        } else {
+            ManifestScan::default()
+        };
+        let boundary = mscan.boundary();
+        let (journal, rollback_intents, torn_tail) = match boundary {
+            Some(b) => {
+                let jscan = parse_journal(&jlog.read_all()?);
+                // Drop torn tails *before* appending: a partial,
+                // newline-less final record would otherwise merge with
+                // this run's first append into one unparseable line,
+                // and a second crash recovery would lose every record
+                // from there on.
+                if jscan.torn_tail {
+                    jlog.truncate_to(jscan.valid_len)?;
+                }
+                if mscan.torn_tail {
+                    mlog.truncate_to(mscan.valid_len)?;
+                }
+                let intents = jscan.intents_after(b.watermark);
+                (
+                    Journal::resume(jlog, jscan.next_seq),
+                    intents.into_iter().cloned().collect(),
+                    jscan.torn_tail || mscan.torn_tail,
+                )
+            }
+            None => {
+                jlog.truncate()?;
+                mlog.truncate()?;
+                (Journal::new(jlog), Vec::new(), false)
+            }
+        };
+        Ok(DurableSession {
+            journal: SharedJournal::new(journal),
+            manifest: mlog,
             cfg,
-            boundary: Some(boundary),
-            skip_seed: true,
+            boundary,
             rollback_intents,
             pending: Arc::default(),
             report: RecoveryReport {
-                resumed: true,
-                boundary: Some((boundary.nest, boundary.step)),
+                resumed: boundary.is_some(),
+                boundary: boundary.map(|b| (b.nest, b.step)),
                 torn_tail,
                 ..RecoveryReport::default()
             },
-        }
+        })
     }
 
-    /// Appends the `S` (seeded) milestone for fresh runs; a resumed
-    /// run's seeding is already durable.
-    pub(crate) fn begin(&mut self) -> io::Result<()> {
-        if self.skip_seed {
-            return Ok(());
-        }
-        let wm = self.journal.next_seq();
-        self.manifest.append(format!("S {wm}\n").as_bytes())
+    /// Whether this run restarts from a crashed predecessor's
+    /// boundary — its seeding is already durable and must be skipped.
+    pub(crate) fn resumed(&self) -> bool {
+        self.boundary.is_some()
     }
 
-    /// Rolls back every post-watermark intent through `write`
-    /// (restoring pre-images in reverse sequence order), then records
-    /// the counts and emits a recovery explain.
-    pub(crate) fn rollback_now(&mut self, write: &mut UndoWriter<'_>) -> io::Result<()> {
+    /// Brings freshly built (and, unless [`resumed`](Self::resumed),
+    /// freshly seeded) `arrays` to the session's start boundary: a
+    /// resumed run restores the pre-image of every post-watermark
+    /// intent in reverse sequence order — which also heals torn
+    /// checksums — booking each as [`IoCause::ReplayWrite`]; a fresh
+    /// run appends the `S` (seeded) milestone.
+    pub(crate) fn start<S: Store>(
+        &mut self,
+        arrays: &mut [OocArray<S>],
+        ledger: Option<&LedgerRecorder>,
+    ) -> io::Result<()> {
+        if !self.resumed() {
+            let wm = self.journal.next_seq();
+            return self.manifest.append(format!("S {wm}\n").as_bytes());
+        }
         if self.rollback_intents.is_empty() {
             return Ok(());
         }
+        let _replay = ooc_trace::enabled().then(|| ooc_trace::span("durable", "recovery-replay"));
         let _span = ooc_trace::span("recovery", "rollback");
         let intents = std::mem::take(&mut self.rollback_intents);
         let refs: Vec<&WriteIntent> = intents.iter().collect();
-        let n = rollback(&refs, write)?;
-        let mut by_array: BTreeMap<u32, u64> = BTreeMap::new();
+        let n = rollback(&refs, &mut |a, region, pre| {
+            let mut t = Tile::zeroed(region.clone());
+            if t.data().len() != pre.len() {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    "journal pre-image length mismatch",
+                ));
+            }
+            t.data_mut().copy_from_slice(pre);
+            let arr = &mut arrays[a as usize];
+            if let Some(rec) = ledger {
+                rec.record(LedgerEvent {
+                    array: a,
+                    cause: IoCause::ReplayWrite,
+                    calls: arr.exact_tile_calls(region),
+                    elems: region.len() as u64,
+                    region: region.clone(),
+                    nest: 0,
+                    step: 0,
+                    evict: None,
+                });
+            }
+            arr.write_tile(&t)
+        })?;
         for w in &intents {
-            *by_array.entry(w.array).or_default() += 1;
+            *self.report.rolled_back_by_array.entry(w.array).or_default() += 1;
         }
         self.report.rolled_back_tiles = n;
-        self.report.rolled_back_by_array = by_array;
         if ooc_trace::enabled() {
             let (nest, step) = self.report.boundary.unwrap_or((0, 0));
             ooc_trace::explain(
@@ -715,401 +746,150 @@ impl DurableSession {
     }
 }
 
-type BuiltArrays = (
-    Vec<OocArray<DurableStore>>,
-    Vec<Option<FaultHandle>>,
-    Vec<ChecksumHandle>,
-);
-
-/// Assembles one array's durable store stack: medium data store,
-/// optionally fault-wrapped (faults **under** the checksum layer, so
-/// torn writes are detectable), behind the CRC sidecar verifier.
-fn durable_store(
-    medium: &mut dyn DurableMedium,
-    a: usize,
-    name: &str,
-    len: u64,
-    dur: &DurabilityConfig,
-    faults: &dyn Fn(usize) -> Option<FaultConfig>,
-) -> io::Result<(DurableStore, Option<FaultHandle>, ChecksumHandle)> {
-    let raw = medium.data(a, name, len)?;
-    let (data, fh): (Box<dyn Store + Send>, Option<FaultHandle>) = match faults(a) {
-        Some(fc) => {
-            let fs = FaultStore::new(raw, fc);
-            let h = fs.handle();
-            (Box::new(fs), Some(h))
-        }
-        None => (raw, None),
-    };
-    let side = medium.sidecar(a, name, DurableStore::sidecar_len(len, dur.chunk_elems))?;
-    let cs = ChecksummedStore::attach(data, side, dur.chunk_elems)?;
-    let ch = cs.handle();
-    Ok((cs, fh, ch))
+/// What tells one durable executor from another once walk and driver
+/// are shared: its ledger executor label and its `recovery` trace
+/// span, each as `[fresh, resumed]`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct DurableNames {
+    pub(crate) executor: [&'static str; 2],
+    pub(crate) span: [&'static str; 2],
 }
 
-fn build_arrays(
-    tp: &TiledProgram,
-    params: &[i64],
-    cfg: &FunctionalConfig,
-    dur: &DurabilityConfig,
+const SYNC: DurableNames = DurableNames {
+    executor: ["durable", "durable-resume"],
+    span: ["run-functional-durable", "resume-functional"],
+};
+
+/// The one durable driver. Opens the session (`resume` selects the
+/// start boundary), hands `walk` a factory for each array's durable
+/// store stack — medium data store, optionally fault-wrapped (faults
+/// **under** the checksum layer, so torn writes are detectable),
+/// behind the CRC sidecar verifier — plus the session and the ledger
+/// executor label, then folds the journal, checksum and sidecar
+/// counters into the outcome.
+fn run_durable<R>(
     medium: &mut dyn DurableMedium,
+    dur: &DurabilityConfig,
     faults: &dyn Fn(usize) -> Option<FaultConfig>,
-) -> io::Result<BuiltArrays> {
-    let mut arrays = Vec::with_capacity(tp.program.arrays.len());
-    let mut fault_handles = Vec::new();
-    let mut checksum_handles = Vec::new();
-    for (a, decl) in tp.program.arrays.iter().enumerate() {
-        let dims: Vec<i64> = decl.dims.iter().map(|d| d.resolve(params)).collect();
-        let len = u64::try_from(dims.iter().product::<i64>()).expect("positive size");
-        let (store, fh, ch) = durable_store(medium, a, &decl.name, len, dur, faults)?;
+    ledger: Option<&LedgerRecorder>,
+    resume: bool,
+    names: &DurableNames,
+    walk: impl FnOnce(
+        &mut dyn FnMut(usize, &str, u64) -> io::Result<DurableStore>,
+        &mut DurableSession,
+        &'static str,
+    ) -> io::Result<R>,
+) -> io::Result<DurableOutcome<R>> {
+    let mut session = DurableSession::open(medium, *dur, resume)?;
+    let which = usize::from(session.resumed());
+    let _span = ooc_trace::span("recovery", names.span[which]);
+    let mut fault_handles: Vec<Option<FaultHandle>> = Vec::new();
+    let mut checksum_handles: Vec<ChecksumHandle> = Vec::new();
+    let mut make_store = |a: usize, name: &str, len: u64| {
+        let raw = medium.data(a, name, len)?;
+        let (data, fh): (Box<dyn Store + Send>, _) = match faults(a) {
+            Some(fc) => {
+                let fs = FaultStore::new(raw, fc);
+                let handle = fs.handle();
+                (Box::new(fs), Some(handle))
+            }
+            None => (raw, None),
+        };
         fault_handles.push(fh);
-        checksum_handles.push(ch);
-        arrays.push(OocArray::new(
-            &decl.name,
-            &dims,
-            tp.layouts[a].clone(),
-            store,
-            cfg.runtime,
-        ));
-    }
-    Ok((arrays, fault_handles, checksum_handles))
-}
-
-/// Stamps the ledger's executor label and array-name table for a
-/// durable run, when a recorder is attached.
-fn register_ledger_arrays(
-    cfg: &FunctionalConfig,
-    arrays: &[OocArray<DurableStore>],
-    executor: &str,
-) {
-    if let Some(rec) = &cfg.ledger {
-        rec.set_executor(executor);
-        for (a, arr) in arrays.iter().enumerate() {
-            rec.set_array(u32::try_from(a).expect("array index"), arr.name());
-        }
-    }
-}
-
-/// Feeds each array's checksum-sidecar traffic into the ledger's
-/// `ChecksumOverhead` channel. Called after the run finishes, so the
-/// figure covers all integrity traffic since the post-seed metrics
-/// reset — including verification of the final result dump. Sidecar
-/// bytes live outside the conservation law by construction: the data
-/// store's own metrics never see them.
-fn record_sidecar(ledger: Option<&LedgerRecorder>, handles: &[ChecksumHandle]) {
-    if let Some(rec) = ledger {
-        for (a, ch) in handles.iter().enumerate() {
-            let (calls, elems) = ch.sidecar_io();
-            rec.add_sidecar(u32::try_from(a).expect("array index"), calls, elems);
-        }
-    }
-}
-
-/// Ledger context of the durable tile walk: the walk-local touch
-/// tracker plus the attached recorder, if any. Bundled so
-/// [`durable_write`] and [`flush_written`] can stamp provenance
-/// without growing every signature by three parameters.
-struct WalkLedger<'a> {
-    tracker: TouchTracker,
-    rec: Option<&'a LedgerRecorder>,
-}
-
-/// Journaled tile write-back: intent (with the staged pre-image) →
-/// data write → commit. The pre-image read lands in the ledger as
-/// `ReplayRead` (journal-protocol traffic, not a data reuse) and the
-/// data write classifies as `WriteBack`/`WriteRewrite`; the journal
-/// record itself carries the new data plus the pre-image.
-fn durable_write(
-    arrays: &mut [OocArray<DurableStore>],
-    a: ArrayId,
-    journal: &SharedJournal,
-    tile: &Tile,
-    led: &mut WalkLedger<'_>,
-    nest: u32,
-    step: u64,
-) -> io::Result<()> {
-    let pre = arrays[a.0].read_tile(tile.region())?;
-    if let Some(rec) = led.rec {
-        let array = u32::try_from(a.0).expect("array index");
-        let calls = arrays[a.0].exact_tile_calls(tile.region());
-        let elems = tile.region().len() as u64;
-        rec.record(LedgerEvent {
-            array,
-            cause: IoCause::ReplayRead,
-            calls,
-            elems,
-            region: tile.region().clone(),
-            nest,
-            step,
-            evict: None,
-        });
-        let cause = led.tracker.classify_write(array, tile.region());
-        rec.record(LedgerEvent {
-            array,
-            cause,
-            calls,
-            elems,
-            region: tile.region().clone(),
-            nest,
-            step,
-            evict: None,
-        });
-        rec.add_journal_bytes(2 * elems * ELEM_BYTES);
-    }
-    let seq = journal.intent(
-        u32::try_from(a.0).expect("array index"),
-        tile.region(),
-        tile.data(),
-        pre.data(),
-    )?;
-    arrays[a.0].write_tile(tile)?;
-    journal.commit(seq)
-}
-
-/// Durably flushes every written resident tile and clears the whole
-/// residency map (so checkpoint boundaries carry no in-memory state —
-/// what a resumed run cannot reconstruct). Every drained tile ends its
-/// residency here, so a later re-read classifies as a capacity miss.
-fn flush_written(
-    arrays: &mut [OocArray<DurableStore>],
-    staging: &Staging,
-    tiles: &mut BTreeMap<(ArrayId, usize), Tile>,
-    journal: &SharedJournal,
-    led: &mut WalkLedger<'_>,
-    nest: u32,
-    step: u64,
-) -> io::Result<()> {
-    for ((a, slot), tile) in std::mem::take(tiles) {
-        if staging.slot_written(a, slot) {
-            durable_write(arrays, a, journal, &tile, led, nest, step)?;
-        }
-        led.tracker.note_evicted(
-            u32::try_from(a.0).expect("array index"),
-            tile.region(),
-            step,
-            None,
-        );
-    }
-    Ok(())
-}
-
-/// The shared durable tile walk of [`run_functional_durable`] and
-/// [`resume_functional`]: the synchronous executor's walk with
-/// journaled write-back, periodic checkpoints at tile-row boundaries,
-/// and boundary-driven step skipping on resume. Row accounting runs
-/// identically for skipped and executed steps, so a resumed run
-/// checkpoints at exactly the same `(nest, step)` points as an
-/// uninterrupted one.
-fn run_durable_loop(
-    tp: &TiledProgram,
-    params: &[i64],
-    cfg: &FunctionalConfig,
-    arrays: &mut [OocArray<DurableStore>],
-    session: &mut DurableSession,
-) -> io::Result<()> {
-    let total_elems = u64::try_from(tp.program.total_elements(params)).expect("size");
-    let budget = MemoryBudget::paper_fraction(total_elems, cfg.memory_fraction);
-    let interval = session.cfg.checkpoint_rows;
-    let mut led = WalkLedger {
-        tracker: TouchTracker::new(),
-        rec: cfg.ledger.as_ref(),
+        let side = medium.sidecar(a, name, DurableStore::sidecar_len(len, dur.chunk_elems))?;
+        let store = ChecksummedStore::attach(data, side, dur.chunk_elems)?;
+        checksum_handles.push(store.handle());
+        Ok(store)
     };
-
-    for (ni, tnest) in tp.nests.iter().enumerate() {
-        if session.skip_nest(ni) {
-            continue;
-        }
-        let nest = &tnest.nest;
-        let Some(ranges) = level_ranges(nest, params) else {
-            session.checkpoint(ni + 1, 0)?;
-            continue;
-        };
-        let spans = plan_spans(
-            nest,
-            tnest.strategy,
-            &tp.layouts,
-            &tp.program,
-            params,
-            &ranges,
-            &budget,
-            IoWeights::default(),
-            cfg.runtime.max_call_elems,
-        );
-        let (reads, writes) = rw_arrays(nest);
-        let touched: Vec<ArrayId> = {
-            let mut t = reads.clone();
-            for w in &writes {
-                if !t.contains(w) {
-                    t.push(*w);
-                }
-            }
-            t
-        };
-        let staging = Staging::for_nest(nest, &writes, &touched);
-        let bounds = nest.bounds.loop_bounds();
-        let start_g = session.start_step(ni);
-        let mut g: u64 = 0;
-        let mut rows_done: u64 = 0;
-        let _nest_span = ooc_trace::span("recovery", &format!("nest:{}", nest.name));
-
-        for _ in 0..nest.iterations {
-            let mut tiles: BTreeMap<(ArrayId, usize), Tile> = BTreeMap::new();
-            let mut last_row_lo: Option<i64> = None;
-            let mut io_err: Option<io::Error> = None;
-            walk_tiles(
-                &ranges,
-                &tnest.tiled_levels,
-                &spans,
-                ranges[0],
-                &mut |lo, hi| {
-                    if io_err.is_some() {
-                        return;
-                    }
-                    // Row accounting first — identical for skipped and
-                    // executed steps.
-                    if last_row_lo != Some(lo[0]) {
-                        if last_row_lo.is_some() {
-                            rows_done += 1;
-                            if g > start_g && interval > 0 && rows_done % interval == 0 {
-                                if let Err(e) = flush_written(
-                                    arrays,
-                                    &staging,
-                                    &mut tiles,
-                                    &session.journal,
-                                    &mut led,
-                                    ni as u32,
-                                    g,
-                                )
-                                .and_then(|()| session.checkpoint(ni, g))
-                                {
-                                    io_err = Some(e);
-                                    return;
-                                }
-                            }
-                        }
-                        last_row_lo = Some(lo[0]);
-                    }
-                    if g < start_g {
-                        g += 1;
-                        session.report.skipped_steps += 1;
-                        return;
-                    }
-                    for ((a, slot), region) in staging.regions(nest, lo, hi) {
-                        let region = region.clamped(arrays[a.0].dims());
-                        let key = (a, slot);
-                        let stale = tiles.get(&key).is_none_or(|t| t.region() != &region);
-                        if !stale {
-                            continue;
-                        }
-                        if let Some(old) = tiles.remove(&key) {
-                            if staging.slot_written(a, slot) {
-                                if let Err(e) = durable_write(
-                                    arrays,
-                                    a,
-                                    &session.journal,
-                                    &old,
-                                    &mut led,
-                                    ni as u32,
-                                    g,
-                                ) {
-                                    io_err = Some(e);
-                                    return;
-                                }
-                            }
-                            led.tracker.note_evicted(
-                                u32::try_from(a.0).expect("array index"),
-                                old.region(),
-                                g,
-                                None,
-                            );
-                        }
-                        match arrays[a.0].read_tile(&region) {
-                            Ok(t) => {
-                                if let Some(rec) = led.rec {
-                                    let array = u32::try_from(a.0).expect("array index");
-                                    let (cause, evict) = led.tracker.classify_read(array, &region);
-                                    rec.record(LedgerEvent {
-                                        array,
-                                        cause,
-                                        calls: arrays[a.0].exact_tile_calls(&region),
-                                        elems: region.len() as u64,
-                                        region: region.clone(),
-                                        nest: ni as u32,
-                                        step: g,
-                                        evict,
-                                    });
-                                }
-                                tiles.insert(key, t);
-                            }
-                            Err(e) => {
-                                io_err = Some(e);
-                                return;
-                            }
-                        }
-                    }
-                    let mut iter: Vec<i64> = Vec::with_capacity(nest.depth);
-                    exec_box(
-                        nest, &bounds, params, lo, hi, &mut iter, &mut tiles, &staging,
-                    );
-                    session.report.executed_steps += 1;
-                    g += 1;
-                },
-            );
-            if let Some(e) = io_err {
-                return Err(e);
-            }
-            // End-of-iteration boundary: flush + checkpoint record.
-            if g > start_g {
-                flush_written(
-                    arrays,
-                    &staging,
-                    &mut tiles,
-                    &session.journal,
-                    &mut led,
-                    ni as u32,
-                    g,
-                )?;
-                session.checkpoint(ni, g)?;
-            }
-        }
-        session.checkpoint(ni + 1, 0)?;
-    }
-    Ok(())
-}
-
-fn finish_functional(
-    mut arrays: Vec<OocArray<DurableStore>>,
-    session: DurableSession,
-    fault_handles: Vec<Option<FaultHandle>>,
-    checksum_handles: Vec<ChecksumHandle>,
-) -> io::Result<DurableOutcome> {
-    let profiles: Vec<ArrayProfile> = arrays
-        .iter()
-        .map(|arr| ArrayProfile {
-            name: arr.name().to_string(),
-            stats: arr.stats(),
-            measured: arr.measured(),
-            accesses: arr.access_log(),
-        })
-        .collect();
-    let mut data = Vec::with_capacity(arrays.len());
-    for arr in arrays.iter_mut() {
-        let region = Region::full(arr.dims());
-        data.push(arr.read_tile(&region)?.data().to_vec());
-    }
+    let run = walk(&mut make_store, &mut session, names.executor[which])?;
     let mut report = session.report;
-    let (intents, commits) = session.journal.written();
-    report.journal_intents = intents;
-    report.journal_commits = commits;
+    (report.journal_intents, report.journal_commits) = session.journal.written();
     report.corrupt_reads = checksum_handles
         .iter()
         .map(ChecksumHandle::corrupt_reads)
         .sum();
+    // Sidecar traffic goes to the ledger's `ChecksumOverhead` channel
+    // once the run has finished, so the figure covers all integrity
+    // traffic since the post-seed metrics reset — including
+    // verification of the final result dump. Sidecar bytes live
+    // outside the conservation law by construction: the data store's
+    // own metrics never see them.
+    if let Some(rec) = ledger {
+        for (a, ch) in checksum_handles.iter().enumerate() {
+            let (calls, elems) = ch.sidecar_io();
+            rec.add_sidecar(u32::try_from(a).expect("array index"), calls, elems);
+        }
+    }
     Ok(DurableOutcome {
-        run: FunctionalRun { data, profiles },
+        run,
         report,
         fault_handles,
         checksum_handles,
+    })
+}
+
+/// [`run_durable`] over the step engine presenting as `engine`, with
+/// the durability counters folded into the run's
+/// [`PipelineStats`](ooc_sched::PipelineStats).
+#[allow(clippy::too_many_arguments)]
+fn run_durable_sharded(
+    tp: &TiledProgram,
+    params: &[i64],
+    init: &dyn Fn(ArrayId, &[i64]) -> f64,
+    cfg: &ParallelConfig,
+    dur: &DurabilityConfig,
+    medium: &mut dyn DurableMedium,
+    faults: &dyn Fn(usize) -> Option<FaultConfig>,
+    engine: &Engine,
+    resume: bool,
+) -> io::Result<ParallelDurableOutcome> {
+    let ledger = cfg.pipeline.functional.ledger.as_ref();
+    let names = &engine.durable;
+    let mut out = run_durable(
+        medium,
+        dur,
+        faults,
+        ledger,
+        resume,
+        names,
+        |mk, s, label| {
+            let engine = Engine {
+                executor: label,
+                ..*engine
+            };
+            exec_sharded(tp, params, init, cfg, mk, Some(s), &engine)
+        },
+    )?;
+    out.run.pipeline.journal_commits = out.report.journal_commits;
+    out.run.pipeline.recovery_replayed_tiles = out.report.rolled_back_tiles;
+    out.run.pipeline.corrupt_reads = out.report.corrupt_reads;
+    Ok(out)
+}
+
+/// The one-shard face of [`run_durable_sharded`].
+#[allow(clippy::too_many_arguments)]
+fn run_durable_pipelined(
+    tp: &TiledProgram,
+    params: &[i64],
+    init: &dyn Fn(ArrayId, &[i64]) -> f64,
+    cfg: &PipelineConfig,
+    dur: &DurabilityConfig,
+    medium: &mut dyn DurableMedium,
+    faults: &dyn Fn(usize) -> Option<FaultConfig>,
+    resume: bool,
+) -> io::Result<PipelinedDurableOutcome> {
+    let cfg = &ParallelConfig {
+        pipeline: cfg.clone(),
+        shards: 1,
+    };
+    let out = run_durable_sharded(
+        tp, params, init, cfg, dur, medium, faults, &PIPELINED, resume,
+    )?;
+    Ok(DurableOutcome {
+        run: PipelinedRun::from_one_shard(out.run),
+        report: out.report,
+        fault_handles: out.fault_handles,
+        checksum_handles: out.checksum_handles,
     })
 }
 
@@ -1136,24 +916,10 @@ pub fn run_functional_durable(
     medium: &mut dyn DurableMedium,
     faults: &dyn Fn(usize) -> Option<FaultConfig>,
 ) -> io::Result<DurableOutcome> {
-    let _span = ooc_trace::span("recovery", "run-functional-durable");
-    let mut jlog = medium.journal()?;
-    jlog.truncate()?;
-    let mut mlog = medium.manifest()?;
-    mlog.truncate()?;
-    let (mut arrays, fault_handles, checksum_handles) =
-        build_arrays(tp, params, cfg, dur, medium, faults)?;
-    for (a, arr) in arrays.iter_mut().enumerate() {
-        arr.initialize(|idx| init(ArrayId(a), idx))?;
-        arr.reset_all_metrics();
-    }
-    register_ledger_arrays(cfg, &arrays, "durable");
-    let mut session = DurableSession::fresh(SharedJournal::new(Journal::new(jlog)), mlog, *dur);
-    session.begin()?;
-    run_durable_loop(tp, params, cfg, &mut arrays, &mut session)?;
-    let out = finish_functional(arrays, session, fault_handles, checksum_handles)?;
-    record_sidecar(cfg.ledger.as_ref(), &out.checksum_handles);
-    Ok(out)
+    let ledger = cfg.ledger.as_ref();
+    run_durable(medium, dur, faults, ledger, false, &SYNC, |mk, s, label| {
+        walk_sync(tp, params, init, cfg, label, mk, Some(s))
+    })
 }
 
 /// Resumes a crashed durable run: scans the manifest for the last
@@ -1178,117 +944,9 @@ pub fn resume_functional(
     medium: &mut dyn DurableMedium,
     faults: &dyn Fn(usize) -> Option<FaultConfig>,
 ) -> io::Result<DurableOutcome> {
-    let mut mlog = medium.manifest()?;
-    let mscan = parse_manifest(&mlog.read_all()?);
-    let Some(boundary) = mscan.boundary() else {
-        // Nothing durable yet: the crash predated the seeded
-        // milestone; a fresh run re-seeds everything.
-        return run_functional_durable(tp, params, init, cfg, dur, medium, faults);
-    };
-    let _span = ooc_trace::span("recovery", "resume-functional");
-    let mut jlog = medium.journal()?;
-    let jscan = parse_journal(&jlog.read_all()?);
-    // Drop torn tails *before* appending: a partial, newline-less
-    // final record would otherwise merge with this run's first append
-    // into one unparseable line, and a second crash recovery would
-    // lose every record from there on.
-    if jscan.torn_tail {
-        jlog.truncate_to(jscan.valid_len)?;
-    }
-    if mscan.torn_tail {
-        mlog.truncate_to(mscan.valid_len)?;
-    }
-    let (mut arrays, fault_handles, checksum_handles) =
-        build_arrays(tp, params, cfg, dur, medium, faults)?;
-    for arr in arrays.iter_mut() {
-        arr.reset_all_metrics();
-    }
-    register_ledger_arrays(cfg, &arrays, "durable-resume");
-    let mut session = DurableSession::resumed(
-        SharedJournal::new(Journal::resume(jlog, jscan.next_seq)),
-        mlog,
-        *dur,
-        boundary,
-        jscan
-            .intents_after(boundary.watermark)
-            .into_iter()
-            .cloned()
-            .collect(),
-        jscan.torn_tail || mscan.torn_tail,
-    );
-    let rb_ledger = cfg.ledger.clone();
-    session.rollback_now(&mut |a, region, pre| {
-        let mut t = Tile::zeroed(region.clone());
-        if t.data().len() != pre.len() {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "journal pre-image length mismatch",
-            ));
-        }
-        t.data_mut().copy_from_slice(pre);
-        if let Some(rec) = &rb_ledger {
-            rec.record(LedgerEvent {
-                array: a,
-                cause: IoCause::ReplayWrite,
-                calls: arrays[a as usize].exact_tile_calls(region),
-                elems: region.len() as u64,
-                region: region.clone(),
-                nest: 0,
-                step: 0,
-                evict: None,
-            });
-        }
-        arrays[a as usize].write_tile(&t)
-    })?;
-    run_durable_loop(tp, params, cfg, &mut arrays, &mut session)?;
-    let out = finish_functional(arrays, session, fault_handles, checksum_handles)?;
-    record_sidecar(cfg.ledger.as_ref(), &out.checksum_handles);
-    Ok(out)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn drive_pipelined(
-    tp: &TiledProgram,
-    params: &[i64],
-    init: &dyn Fn(ArrayId, &[i64]) -> f64,
-    cfg: &PipelineConfig,
-    dur: &DurabilityConfig,
-    medium: &mut dyn DurableMedium,
-    faults: &dyn Fn(usize) -> Option<FaultConfig>,
-    mut session: DurableSession,
-) -> io::Result<PipelinedDurableOutcome> {
-    let mut fault_handles: Vec<Option<FaultHandle>> = Vec::new();
-    let mut checksum_handles: Vec<ChecksumHandle> = Vec::new();
-    let mut run = crate::pipeline::exec_pipelined_inner(
-        tp,
-        params,
-        init,
-        cfg,
-        |a, name, len| {
-            let (store, fh, ch) = durable_store(medium, a, name, len, dur, faults)?;
-            fault_handles.push(fh);
-            checksum_handles.push(ch);
-            Ok(store)
-        },
-        Some(&mut session),
-    )?;
-    let (intents, commits) = session.journal.written();
-    let mut report = session.report;
-    report.journal_intents = intents;
-    report.journal_commits = commits;
-    report.corrupt_reads = checksum_handles
-        .iter()
-        .map(ChecksumHandle::corrupt_reads)
-        .sum();
-    run.pipeline.journal_commits = commits;
-    run.pipeline.recovery_replayed_tiles = report.rolled_back_tiles;
-    run.pipeline.corrupt_reads = report.corrupt_reads;
-    record_sidecar(cfg.functional.ledger.as_ref(), &checksum_handles);
-    Ok(PipelinedDurableOutcome {
-        run,
-        report,
-        fault_handles,
-        checksum_handles,
+    let ledger = cfg.ledger.as_ref();
+    run_durable(medium, dur, faults, ledger, true, &SYNC, |mk, s, label| {
+        walk_sync(tp, params, init, cfg, label, mk, Some(s))
     })
 }
 
@@ -1312,18 +970,7 @@ pub fn exec_pipelined_durable(
     medium: &mut dyn DurableMedium,
     faults: &dyn Fn(usize) -> Option<FaultConfig>,
 ) -> io::Result<PipelinedDurableOutcome> {
-    let _span = ooc_trace::span("recovery", "exec-pipelined-durable");
-    let mut jlog = medium.journal()?;
-    jlog.truncate()?;
-    let mut mlog = medium.manifest()?;
-    mlog.truncate()?;
-    let session = DurableSession::fresh(SharedJournal::new(Journal::new(jlog)), mlog, *dur);
-    let out = drive_pipelined(tp, params, init, cfg, dur, medium, faults, session)?;
-    // Last write wins over the inner executor's "pipelined" label.
-    if let Some(rec) = &cfg.functional.ledger {
-        rec.set_executor("durable-pipelined");
-    }
-    Ok(out)
+    run_durable_pipelined(tp, params, init, cfg, dur, medium, faults, false)
 }
 
 /// Resumes a crashed durable *pipelined* run from its last consistent
@@ -1344,85 +991,7 @@ pub fn resume_pipelined(
     medium: &mut dyn DurableMedium,
     faults: &dyn Fn(usize) -> Option<FaultConfig>,
 ) -> io::Result<PipelinedDurableOutcome> {
-    let mut mlog = medium.manifest()?;
-    let mscan = parse_manifest(&mlog.read_all()?);
-    let Some(boundary) = mscan.boundary() else {
-        return exec_pipelined_durable(tp, params, init, cfg, dur, medium, faults);
-    };
-    let _span = ooc_trace::span("recovery", "resume-pipelined");
-    let mut jlog = medium.journal()?;
-    let jscan = parse_journal(&jlog.read_all()?);
-    // See resume_functional: torn tails must be truncated before the
-    // resumed run appends, or a second recovery loses records.
-    if jscan.torn_tail {
-        jlog.truncate_to(jscan.valid_len)?;
-    }
-    if mscan.torn_tail {
-        mlog.truncate_to(mscan.valid_len)?;
-    }
-    let session = DurableSession::resumed(
-        SharedJournal::new(Journal::resume(jlog, jscan.next_seq)),
-        mlog,
-        *dur,
-        boundary,
-        jscan
-            .intents_after(boundary.watermark)
-            .into_iter()
-            .cloned()
-            .collect(),
-        jscan.torn_tail || mscan.torn_tail,
-    );
-    let out = drive_pipelined(tp, params, init, cfg, dur, medium, faults, session)?;
-    if let Some(rec) = &cfg.functional.ledger {
-        rec.set_executor("durable-pipelined-resume");
-    }
-    Ok(out)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn drive_parallel(
-    tp: &TiledProgram,
-    params: &[i64],
-    init: &dyn Fn(ArrayId, &[i64]) -> f64,
-    cfg: &ParallelConfig,
-    dur: &DurabilityConfig,
-    medium: &mut dyn DurableMedium,
-    faults: &dyn Fn(usize) -> Option<FaultConfig>,
-    mut session: DurableSession,
-) -> io::Result<ParallelDurableOutcome> {
-    let mut fault_handles: Vec<Option<FaultHandle>> = Vec::new();
-    let mut checksum_handles: Vec<ChecksumHandle> = Vec::new();
-    let mut run = crate::parallel::exec_parallel_inner(
-        tp,
-        params,
-        init,
-        cfg,
-        |a, name, len| {
-            let (store, fh, ch) = durable_store(medium, a, name, len, dur, faults)?;
-            fault_handles.push(fh);
-            checksum_handles.push(ch);
-            Ok(store)
-        },
-        Some(&mut session),
-    )?;
-    let (intents, commits) = session.journal.written();
-    let mut report = session.report;
-    report.journal_intents = intents;
-    report.journal_commits = commits;
-    report.corrupt_reads = checksum_handles
-        .iter()
-        .map(ChecksumHandle::corrupt_reads)
-        .sum();
-    run.pipeline.journal_commits = commits;
-    run.pipeline.recovery_replayed_tiles = report.rolled_back_tiles;
-    run.pipeline.corrupt_reads = report.corrupt_reads;
-    record_sidecar(cfg.pipeline.functional.ledger.as_ref(), &checksum_handles);
-    Ok(ParallelDurableOutcome {
-        run,
-        report,
-        fault_handles,
-        checksum_handles,
-    })
+    run_durable_pipelined(tp, params, init, cfg, dur, medium, faults, true)
 }
 
 /// [`exec_pipelined_durable`]'s parallel sibling: every shard worker's
@@ -1446,18 +1015,7 @@ pub fn exec_parallel_durable(
     medium: &mut dyn DurableMedium,
     faults: &dyn Fn(usize) -> Option<FaultConfig>,
 ) -> io::Result<ParallelDurableOutcome> {
-    let _span = ooc_trace::span("recovery", "exec-parallel-durable");
-    let mut jlog = medium.journal()?;
-    jlog.truncate()?;
-    let mut mlog = medium.manifest()?;
-    mlog.truncate()?;
-    let session = DurableSession::fresh(SharedJournal::new(Journal::new(jlog)), mlog, *dur);
-    let out = drive_parallel(tp, params, init, cfg, dur, medium, faults, session)?;
-    // Last write wins over the inner executor's "parallel" label.
-    if let Some(rec) = &cfg.pipeline.functional.ledger {
-        rec.set_executor("durable-parallel");
-    }
-    Ok(out)
+    run_durable_sharded(tp, params, init, cfg, dur, medium, faults, &PARALLEL, false)
 }
 
 /// Resumes a crashed durable *parallel* run from its last consistent
@@ -1481,39 +1039,7 @@ pub fn resume_parallel(
     medium: &mut dyn DurableMedium,
     faults: &dyn Fn(usize) -> Option<FaultConfig>,
 ) -> io::Result<ParallelDurableOutcome> {
-    let mut mlog = medium.manifest()?;
-    let mscan = parse_manifest(&mlog.read_all()?);
-    let Some(boundary) = mscan.boundary() else {
-        return exec_parallel_durable(tp, params, init, cfg, dur, medium, faults);
-    };
-    let _span = ooc_trace::span("recovery", "resume-parallel");
-    let mut jlog = medium.journal()?;
-    let jscan = parse_journal(&jlog.read_all()?);
-    // See resume_functional: torn tails must be truncated before the
-    // resumed run appends, or a second recovery loses records.
-    if jscan.torn_tail {
-        jlog.truncate_to(jscan.valid_len)?;
-    }
-    if mscan.torn_tail {
-        mlog.truncate_to(mscan.valid_len)?;
-    }
-    let session = DurableSession::resumed(
-        SharedJournal::new(Journal::resume(jlog, jscan.next_seq)),
-        mlog,
-        *dur,
-        boundary,
-        jscan
-            .intents_after(boundary.watermark)
-            .into_iter()
-            .cloned()
-            .collect(),
-        jscan.torn_tail || mscan.torn_tail,
-    );
-    let out = drive_parallel(tp, params, init, cfg, dur, medium, faults, session)?;
-    if let Some(rec) = &cfg.pipeline.functional.ledger {
-        rec.set_executor("durable-parallel-resume");
-    }
-    Ok(out)
+    run_durable_sharded(tp, params, init, cfg, dur, medium, faults, &PARALLEL, true)
 }
 
 /// A [`DurableMedium`] whose per-array **data** stores are striped
@@ -1841,152 +1367,268 @@ pub fn run_parallel_surviving_node_loss(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::run_functional_on;
-    use crate::optimizer::{optimize, OptimizeOptions};
-    use crate::tiling::TilingStrategy;
-    use ooc_ir::{ArrayRef, Expr, LoopNest, Program, Statement};
+    use crate::exec::run_functional;
+    use crate::fixtures::{fcfg, seed, tiled};
     use ooc_runtime::{is_crashed, testing::TempDir, CrashMode};
-
-    fn paper_example() -> Program {
-        let mut p = Program::new(&["N"]);
-        let u = p.declare_array("U", 2, 0);
-        let v = p.declare_array("V", 2, 0);
-        let w = p.declare_array("W", 2, 0);
-        let s1 = Statement::assign(
-            ArrayRef::new(u, &[vec![1, 0], vec![0, 1]], vec![0, 0]),
-            Expr::Add(
-                Box::new(Expr::Ref(ArrayRef::new(
-                    v,
-                    &[vec![0, 1], vec![1, 0]],
-                    vec![0, 0],
-                ))),
-                Box::new(Expr::Const(1.0)),
-            ),
-        );
-        p.add_nest(LoopNest::rectangular("nest1", 2, 1, 0, vec![s1]));
-        let s2 = Statement::assign(
-            ArrayRef::new(v, &[vec![1, 0], vec![0, 1]], vec![0, 0]),
-            Expr::Add(
-                Box::new(Expr::Ref(ArrayRef::new(
-                    w,
-                    &[vec![0, 1], vec![1, 0]],
-                    vec![0, 0],
-                ))),
-                Box::new(Expr::Const(2.0)),
-            ),
-        );
-        p.add_nest(LoopNest::rectangular("nest2", 2, 1, 0, vec![s2]));
-        p
-    }
-
-    fn tiled() -> TiledProgram {
-        let p = paper_example();
-        let opt = optimize(&p, &OptimizeOptions::default());
-        TiledProgram::from_optimized(&opt, TilingStrategy::OutOfCore)
-    }
-
-    fn seed(a: ArrayId, idx: &[i64]) -> f64 {
-        (a.0 as f64 + 1.0) * 1000.0 + idx.iter().fold(0.0, |acc, &x| acc * 17.0 + x as f64)
-    }
+    use ooc_sched::PipelineStats;
 
     fn reference(tp: &TiledProgram, params: &[i64]) -> Vec<Vec<f64>> {
-        run_functional_on(
-            tp,
-            params,
-            &seed,
-            &FunctionalConfig::with_fraction(16),
-            |_, _, len| Ok(MemStore::new(len)),
-        )
-        .expect("reference run")
-        .data
+        run_functional(tp, params, &seed)
     }
 
-    fn fcfg() -> FunctionalConfig {
-        FunctionalConfig::with_fraction(16)
+    fn pcfg() -> ParallelConfig {
+        ParallelConfig {
+            pipeline: PipelineConfig {
+                functional: fcfg(),
+                ..PipelineConfig::default()
+            },
+            shards: 2,
+        }
     }
 
-    #[test]
-    fn fresh_durable_run_is_bit_equal_and_fully_committed() {
-        let tp = tiled();
-        let params = [10i64];
-        let mut medium = MemMedium::new();
-        let out = run_functional_durable(
-            &tp,
-            &params,
-            &seed,
-            &fcfg(),
-            &DurabilityConfig::default(),
-            &mut medium,
-            &|_| None,
-        )
-        .expect("durable run");
-        assert_eq!(out.run.data, reference(&tp, &params));
-        assert!(!out.report.resumed);
-        assert!(out.report.checkpoints > 0, "{:?}", out.report);
-        assert!(out.report.journal_intents > 0);
-        assert_eq!(out.report.journal_intents, out.report.journal_commits);
-        // A completed run's journal has no uncommitted intents.
-        let scan = parse_journal(&medium.journal_bytes());
-        assert!(scan.uncommitted().is_empty());
-        // The manifest ends on the program-done record.
-        let b = parse_manifest(&medium.manifest_bytes())
-            .boundary()
-            .expect("boundary");
-        assert_eq!((b.nest, b.step), (tp.nests.len(), 0));
+    /// The durable matrix's executor axis: the six durable entry
+    /// points as three executors × {fresh, resume}.
+    #[derive(Debug, Clone, Copy)]
+    enum Exec {
+        Sync,
+        Pipelined,
+        Parallel2,
     }
 
-    #[test]
-    fn crash_then_resume_recovers_bit_equal_with_bounded_replay() {
-        let tp = tiled();
-        let params = [10i64];
-        let expected = reference(&tp, &params);
-        let dur = DurabilityConfig::default();
+    /// What the matrix observes of one durable run, whatever the
+    /// executor's own result type.
+    struct Cell {
+        data: Vec<Vec<f64>>,
+        report: RecoveryReport,
+        /// Store calls each array's fault wrapper saw (the crash-index
+        /// domain); empty when the run was not fault-wrapped.
+        calls: Vec<u64>,
+        /// The step engine's counters (`None` for the sync walk).
+        pipeline: Option<PipelineStats>,
+    }
 
-        // Baseline durable run with a rate-0 fault wrap to count the
-        // store calls each array sees.
-        let mut base = MemMedium::new();
-        let baseline =
-            run_functional_durable(&tp, &params, &seed, &fcfg(), &dur, &mut base, &|_| {
-                Some(FaultConfig::transient(7, 0))
-            })
-            .expect("baseline");
-        let calls: Vec<u64> = baseline
-            .fault_handles
-            .iter()
-            .map(|h| h.as_ref().expect("wrapped").calls())
-            .collect();
-        let base_scan = parse_journal(&base.journal_bytes());
-        let marks = parse_manifest(&base.manifest_bytes()).watermarks();
-        let bound = max_intents_per_interval(&base_scan, &marks);
+    const PARAMS: [i64; 1] = [10];
 
-        for frac in [4u64, 2, 3] {
-            for (target, &tcalls) in calls.iter().enumerate() {
-                if tcalls == 0 {
-                    continue;
+    impl Exec {
+        const ALL: [Exec; 3] = [Exec::Sync, Exec::Pipelined, Exec::Parallel2];
+
+        fn run(
+            self,
+            resume: bool,
+            medium: &mut MemMedium,
+            faults: &dyn Fn(usize) -> Option<FaultConfig>,
+        ) -> io::Result<Cell> {
+            fn cell<R>(
+                out: DurableOutcome<R>,
+                view: impl FnOnce(R) -> (FunctionalRun, Option<PipelineStats>),
+            ) -> Cell {
+                let (run, pipeline) = view(out.run);
+                Cell {
+                    data: run.data,
+                    report: out.report,
+                    calls: out
+                        .fault_handles
+                        .iter()
+                        .flatten()
+                        .map(FaultHandle::calls)
+                        .collect(),
+                    pipeline,
                 }
-                let at = tcalls * (frac - 1) / frac;
-                let mut medium = MemMedium::new();
-                let err =
-                    run_functional_durable(&tp, &params, &seed, &fcfg(), &dur, &mut medium, &|a| {
-                        (a == target).then(|| FaultConfig::crash_at(at))
-                    })
-                    .expect_err("crash injected");
-                assert!(is_crashed(&err), "unexpected error: {err}");
-
-                let out =
-                    resume_functional(&tp, &params, &seed, &fcfg(), &dur, &mut medium, &|_| None)
-                        .expect("resume");
-                assert_eq!(out.run.data, expected, "target {target} at {at}");
-                // Replay is bounded by one checkpoint interval per array.
-                for (a, n) in &out.report.rolled_back_by_array {
-                    let max = bound.get(a).copied().unwrap_or(0);
-                    assert!(
-                        *n <= max,
-                        "array {a}: rolled back {n} > interval bound {max}"
-                    );
+            }
+            let (tp, dur, par) = (tiled(), DurabilityConfig::default(), pcfg());
+            let (f, p) = (&par.pipeline.functional, &par.pipeline);
+            match (self, resume) {
+                (Exec::Sync, false) => {
+                    run_functional_durable(&tp, &PARAMS, &seed, f, &dur, medium, faults)
+                        .map(|o| cell(o, |r| (r, None)))
+                }
+                (Exec::Sync, true) => {
+                    resume_functional(&tp, &PARAMS, &seed, f, &dur, medium, faults)
+                        .map(|o| cell(o, |r| (r, None)))
+                }
+                (Exec::Pipelined, false) => {
+                    exec_pipelined_durable(&tp, &PARAMS, &seed, p, &dur, medium, faults)
+                        .map(|o| cell(o, |r| (r.run, Some(r.pipeline))))
+                }
+                (Exec::Pipelined, true) => {
+                    resume_pipelined(&tp, &PARAMS, &seed, p, &dur, medium, faults)
+                        .map(|o| cell(o, |r| (r.run, Some(r.pipeline))))
+                }
+                (Exec::Parallel2, false) => {
+                    exec_parallel_durable(&tp, &PARAMS, &seed, &par, &dur, medium, faults)
+                        .map(|o| cell(o, |r| (r.run, Some(r.pipeline))))
+                }
+                (Exec::Parallel2, true) => {
+                    resume_parallel(&tp, &PARAMS, &seed, &par, &dur, medium, faults)
+                        .map(|o| cell(o, |r| (r.run, Some(r.pipeline))))
                 }
             }
         }
+    }
+
+    /// What every completed row must show: contents bit-equal to
+    /// `run_functional`, every intent this run wrote committed (and
+    /// the step engine's counters agreeing with the report), and the
+    /// manifest ending on the program-done record.
+    fn assert_complete(exec: Exec, row: &str, cell: &Cell, medium: &MemMedium) {
+        let tp = tiled();
+        assert_eq!(cell.data, reference(&tp, &PARAMS), "{exec:?} {row}");
+        let r = &cell.report;
+        assert_eq!(r.journal_intents, r.journal_commits, "{exec:?} {row}");
+        if let Some(p) = &cell.pipeline {
+            assert_eq!(p.journal_commits, r.journal_commits, "{exec:?} {row}");
+            assert_eq!(
+                p.recovery_replayed_tiles, r.rolled_back_tiles,
+                "{exec:?} {row}"
+            );
+        }
+        let b = parse_manifest(&medium.manifest_bytes())
+            .boundary()
+            .expect("boundary");
+        assert_eq!((b.nest, b.step), (tp.nests.len(), 0), "{exec:?} {row}");
+    }
+
+    /// Appends a partial, newline-less record to both logs — what a
+    /// real process crash mid-append leaves behind.
+    fn tear_log_tails(medium: &mut dyn DurableMedium) {
+        let mut journal = medium.journal().expect("journal log");
+        journal.append(b"I 9999 0 dea").expect("torn journal tail");
+        let mut manifest = medium.manifest().expect("manifest log");
+        manifest.append(b"K 7").expect("torn manifest tail");
+    }
+
+    /// One table over {sync, pipelined, parallel×2} × {fresh, resume
+    /// on an empty medium, crash at k then resume, resume of a
+    /// completed run, torn log tails then a second crash}. Thread
+    /// interleaving makes the exact crash site of the step-engine rows
+    /// nondeterministic; recovery must work regardless.
+    #[test]
+    fn durable_matrix() {
+        let no_faults = |_: usize| None;
+        for exec in Exec::ALL {
+            // Fresh — under a rate-0 fault wrap, to count the store
+            // calls each array sees and to bound one checkpoint
+            // interval in journal intents.
+            let mut base = MemMedium::new();
+            let fresh = exec
+                .run(false, &mut base, &|_| Some(FaultConfig::transient(7, 0)))
+                .expect("fresh");
+            assert_complete(exec, "fresh", &fresh, &base);
+            assert!(!fresh.report.resumed, "{exec:?}");
+            assert!(fresh.report.checkpoints > 0, "{exec:?} {:?}", fresh.report);
+            assert!(fresh.report.journal_intents > 0, "{exec:?}");
+            let scan = parse_journal(&base.journal_bytes());
+            assert!(scan.uncommitted().is_empty(), "{exec:?}");
+            let marks = parse_manifest(&base.manifest_bytes()).watermarks();
+            let bound = max_intents_per_interval(&scan, &marks);
+            let assert_bounded = |row: &str, report: &RecoveryReport| {
+                for (a, n) in &report.rolled_back_by_array {
+                    let max = bound.get(a).copied().unwrap_or(0);
+                    assert!(
+                        *n <= max,
+                        "{exec:?} {row}: array {a} rolled back {n} > interval bound {max}"
+                    );
+                }
+            };
+
+            // Resume on an empty medium ≡ fresh.
+            let mut medium = MemMedium::new();
+            let out = exec.run(true, &mut medium, &no_faults).expect("empty");
+            assert_complete(exec, "resume-empty", &out, &medium);
+            assert!(!out.report.resumed, "{exec:?}: fresh rerun, not a resume");
+            assert_eq!(
+                out.report.journal_intents, fresh.report.journal_intents,
+                "{exec:?}"
+            );
+
+            // Crash at k, then resume.
+            for frac in [4u64, 2, 3] {
+                for (target, &tcalls) in fresh.calls.iter().enumerate() {
+                    let at = tcalls * (frac - 1) / frac;
+                    let row = format!("crash array {target} at {at}");
+                    let mut medium = MemMedium::new();
+                    let err = exec
+                        .run(false, &mut medium, &|a| {
+                            (a == target).then(|| FaultConfig::crash_at(at))
+                        })
+                        .err()
+                        .unwrap_or_else(|| panic!("{exec:?} {row}: crash must abort the run"));
+                    assert!(is_crashed(&err), "{exec:?} {row}: unexpected error: {err}");
+                    let out = exec.run(true, &mut medium, &no_faults).expect("resume");
+                    assert_complete(exec, &row, &out, &medium);
+                    assert!(out.report.resumed, "{exec:?} {row}");
+                    assert_bounded(&row, &out.report);
+                }
+            }
+
+            // Resume of a completed run skips everything.
+            let out = exec.run(true, &mut base, &no_faults).expect("completed");
+            assert_complete(exec, "resume-completed", &out, &base);
+            assert!(out.report.resumed, "{exec:?}");
+            assert_eq!(out.report.executed_steps, 0, "{exec:?} {:?}", out.report);
+            assert_eq!(out.report.journal_intents, 0, "{exec:?}");
+
+            // The double-crash scenario: crash #1 leaves torn journal
+            // and manifest tails; the resumed run appends new records;
+            // crash #2 kills the resume mid-flight. Without truncating
+            // the torn tails first, the resume's first append merges
+            // with the partial line and the second recovery silently
+            // drops every record the resume wrote — skipping their
+            // rollback and breaking bit-equality.
+            let mut medium = MemMedium::new();
+            let first = |a| (a == 0).then(|| FaultConfig::crash_at(fresh.calls[0] / 3));
+            let err = exec.run(false, &mut medium, &first).err().expect("crash 1");
+            assert!(is_crashed(&err), "{exec:?}: unexpected error: {err}");
+            tear_log_tails(&mut medium);
+            let second = |a| (a == 0).then(|| FaultConfig::crash_at(12));
+            let err = exec.run(true, &mut medium, &second).err().expect("crash 2");
+            assert!(is_crashed(&err), "{exec:?}: unexpected error: {err}");
+            // The crashed resume's records all survive: nothing merged
+            // into the (now truncated) torn tails.
+            let jscan = parse_journal(&medium.journal_bytes());
+            assert!(
+                !jscan.torn_tail,
+                "{exec:?}: journal poisoned by merged tail"
+            );
+            let mscan = parse_manifest(&medium.manifest_bytes());
+            assert!(
+                !mscan.torn_tail,
+                "{exec:?}: manifest poisoned by merged tail"
+            );
+            let out = exec.run(true, &mut medium, &no_faults).expect("resume 2");
+            assert_complete(exec, "double crash", &out, &medium);
+            assert!(out.report.resumed, "{exec:?}");
+            assert_bounded("double crash", &out.report);
+        }
+    }
+
+    /// A crashed durable run must leave the ledger labelled with the
+    /// executor that actually ran, not the inner step engine's name.
+    #[test]
+    fn crashed_durable_runs_keep_their_executor_label() {
+        let (tp, dur) = (tiled(), DurabilityConfig::default());
+        let rec = LedgerRecorder::new();
+        let mut par = pcfg();
+        par.pipeline.functional = fcfg().with_ledger(rec.clone());
+        let crash = |a| (a == 0).then(|| FaultConfig::crash_at(25));
+
+        let mut medium = MemMedium::new();
+        let p = &par.pipeline;
+        let err = exec_pipelined_durable(&tp, &PARAMS, &seed, p, &dur, &mut medium, &crash)
+            .expect_err("crash injected");
+        assert!(is_crashed(&err), "unexpected error: {err}");
+        assert_eq!(rec.take().executor, "durable-pipelined");
+        let crash_again = |a| (a == 0).then(|| FaultConfig::crash_at(5));
+        let err = resume_pipelined(&tp, &PARAMS, &seed, p, &dur, &mut medium, &crash_again)
+            .expect_err("second crash injected");
+        assert!(is_crashed(&err), "unexpected error: {err}");
+        assert_eq!(rec.take().executor, "durable-pipelined-resume");
+
+        let mut medium = MemMedium::new();
+        let err = exec_parallel_durable(&tp, &PARAMS, &seed, &par, &dur, &mut medium, &crash)
+            .expect_err("crash injected");
+        assert!(is_crashed(&err), "unexpected error: {err}");
+        assert_eq!(rec.take().executor, "durable-parallel");
     }
 
     #[test]
@@ -2016,42 +1658,6 @@ mod tests {
             .expect("resume");
         assert_eq!(out.run.data, expected);
         assert!(out.report.resumed);
-    }
-
-    #[test]
-    fn resume_of_a_completed_run_skips_everything() {
-        let tp = tiled();
-        let params = [8i64];
-        let mut medium = MemMedium::new();
-        let dur = DurabilityConfig::default();
-        let first =
-            run_functional_durable(&tp, &params, &seed, &fcfg(), &dur, &mut medium, &|_| None)
-                .expect("first run");
-        let out = resume_functional(&tp, &params, &seed, &fcfg(), &dur, &mut medium, &|_| None)
-            .expect("resume of complete run");
-        assert_eq!(out.run.data, first.run.data);
-        assert!(out.report.resumed);
-        assert_eq!(out.report.executed_steps, 0, "{:?}", out.report);
-        assert_eq!(out.report.journal_intents, 0);
-    }
-
-    #[test]
-    fn resume_with_empty_manifest_reruns_from_scratch() {
-        let tp = tiled();
-        let params = [8i64];
-        let mut medium = MemMedium::new();
-        let out = resume_functional(
-            &tp,
-            &params,
-            &seed,
-            &fcfg(),
-            &DurabilityConfig::default(),
-            &mut medium,
-            &|_| None,
-        )
-        .expect("resume with no prior state");
-        assert!(!out.report.resumed, "fresh rerun, not a resume");
-        assert_eq!(out.run.data, reference(&tp, &params));
     }
 
     #[test]
@@ -2113,132 +1719,6 @@ mod tests {
         assert!(!mscan.torn_tail, "manifest clean after recovery");
         let b = mscan.boundary().expect("boundary");
         assert_eq!((b.nest, b.step), (tp.nests.len(), 0));
-    }
-
-    #[test]
-    fn torn_log_tails_survive_a_second_crash_recovery() {
-        // The double-crash scenario: crash #1 leaves torn journal and
-        // manifest tails; the resumed run appends new records; crash
-        // #2 kills the resume mid-flight. Without truncating the torn
-        // tails first, the resume's first append merges with the
-        // partial line and the second recovery silently drops every
-        // record the resume wrote — skipping their rollback and
-        // breaking bit-equality.
-        let tp = tiled();
-        let params = [10i64];
-        let expected = reference(&tp, &params);
-        let dur = DurabilityConfig::default();
-        let mut medium = MemMedium::new();
-        let err = run_functional_durable(&tp, &params, &seed, &fcfg(), &dur, &mut medium, &|a| {
-            (a == 0).then(|| FaultConfig::crash_at(30))
-        })
-        .expect_err("first crash injected");
-        assert!(is_crashed(&err));
-        medium
-            .journal()
-            .expect("journal log")
-            .append(b"I 9999 0 dea")
-            .expect("torn journal tail");
-        medium
-            .manifest()
-            .expect("manifest log")
-            .append(b"K 7")
-            .expect("torn manifest tail");
-
-        let err = resume_functional(&tp, &params, &seed, &fcfg(), &dur, &mut medium, &|a| {
-            (a == 0).then(|| FaultConfig::crash_at(12))
-        })
-        .expect_err("second crash injected");
-        assert!(is_crashed(&err), "unexpected error: {err}");
-        // The crashed resume's records all survive: nothing merged
-        // into the (now truncated) torn tails, so the second scan
-        // keeps every intent for rollback.
-        let jscan = parse_journal(&medium.journal_bytes());
-        assert!(!jscan.torn_tail, "journal poisoned by merged tail");
-        let mscan = parse_manifest(&medium.manifest_bytes());
-        assert!(!mscan.torn_tail, "manifest poisoned by merged tail");
-
-        let out = resume_functional(&tp, &params, &seed, &fcfg(), &dur, &mut medium, &|_| None)
-            .expect("second resume");
-        assert_eq!(out.run.data, expected, "second recovery diverged");
-        assert!(out.report.resumed);
-    }
-
-    #[test]
-    fn pipelined_resume_truncates_torn_tails() {
-        let tp = tiled();
-        let params = [10i64];
-        let expected = reference(&tp, &params);
-        let dur = DurabilityConfig::default();
-        let pcfg = PipelineConfig {
-            functional: fcfg(),
-            ..PipelineConfig::default()
-        };
-        let mut medium = MemMedium::new();
-        let err = exec_pipelined_durable(&tp, &params, &seed, &pcfg, &dur, &mut medium, &|a| {
-            (a == 0).then(|| FaultConfig::crash_at(25))
-        })
-        .expect_err("crash injected");
-        assert!(is_crashed(&err));
-        medium
-            .journal()
-            .expect("journal log")
-            .append(b"I 9999 0 dea")
-            .expect("torn journal tail");
-        medium
-            .manifest()
-            .expect("manifest log")
-            .append(b"K 7")
-            .expect("torn manifest tail");
-        let out = resume_pipelined(&tp, &params, &seed, &pcfg, &dur, &mut medium, &|_| None)
-            .expect("pipelined resume");
-        assert_eq!(out.run.run.data, expected);
-        assert!(out.report.torn_tail);
-        let jscan = parse_journal(&medium.journal_bytes());
-        assert!(!jscan.torn_tail, "journal clean after pipelined recovery");
-        let mscan = parse_manifest(&medium.manifest_bytes());
-        assert!(!mscan.torn_tail, "manifest clean after pipelined recovery");
-    }
-
-    #[test]
-    fn pipelined_durable_fresh_and_crash_resume() {
-        let tp = tiled();
-        let params = [10i64];
-        let expected = reference(&tp, &params);
-        let dur = DurabilityConfig::default();
-        let pcfg = PipelineConfig {
-            functional: fcfg(),
-            ..PipelineConfig::default()
-        };
-
-        let mut medium = MemMedium::new();
-        let fresh =
-            exec_pipelined_durable(&tp, &params, &seed, &pcfg, &dur, &mut medium, &|_| None)
-                .expect("fresh pipelined durable");
-        assert_eq!(fresh.run.run.data, expected);
-        assert!(fresh.report.journal_commits > 0);
-        assert_eq!(
-            fresh.run.pipeline.journal_commits,
-            fresh.report.journal_commits
-        );
-
-        // Crash somewhere in the middle of the store-call stream, then
-        // recover. (Thread interleaving makes the exact crash site
-        // nondeterministic; recovery must work regardless.)
-        let mut medium = MemMedium::new();
-        let err = exec_pipelined_durable(&tp, &params, &seed, &pcfg, &dur, &mut medium, &|a| {
-            (a == 0).then(|| FaultConfig::crash_at(25))
-        })
-        .expect_err("crash injected");
-        assert!(is_crashed(&err), "unexpected error: {err}");
-        let out = resume_pipelined(&tp, &params, &seed, &pcfg, &dur, &mut medium, &|_| None)
-            .expect("pipelined resume");
-        assert_eq!(out.run.run.data, expected);
-        assert!(out.report.resumed);
-        assert_eq!(
-            out.run.pipeline.recovery_replayed_tiles,
-            out.report.rolled_back_tiles
-        );
     }
 
     #[test]
@@ -2315,16 +1795,6 @@ mod tests {
             nodes,
             stripe_elems: 8,
             ..StripeConfig::default()
-        }
-    }
-
-    fn pcfg() -> ParallelConfig {
-        ParallelConfig {
-            pipeline: PipelineConfig {
-                functional: fcfg(),
-                ..PipelineConfig::default()
-            },
-            shards: 2,
         }
     }
 

@@ -458,6 +458,28 @@ impl Drop for Session {
     }
 }
 
+/// Keeps trace sessions out of the process: waits for a live
+/// [`Session`] to end and blocks new ones until the guard drops.
+///
+/// Emitters are process-wide, so code that emits events while another
+/// thread owns a session leaks spans into that session — and has them
+/// cut off when it finishes. Tests that share a binary with
+/// session-owning tests hold this guard while they run instrumented
+/// code (or assert that tracing is off). Starting a session on a
+/// thread that holds the guard deadlocks.
+#[must_use]
+pub fn exclude_sessions() -> SessionExclusion {
+    SessionExclusion {
+        _exclusive: INSTALL_LOCK.lock().unwrap_or_else(PoisonError::into_inner),
+    }
+}
+
+/// RAII guard from [`exclude_sessions`].
+#[derive(Debug)]
+pub struct SessionExclusion {
+    _exclusive: MutexGuard<'static, ()>,
+}
+
 /// An RAII span: a `Begin` event now, the matching `End` when dropped.
 /// Inert (no allocation, no clock read) when tracing is disabled at
 /// construction time.
@@ -581,6 +603,8 @@ mod tests {
 
     #[test]
     fn disabled_by_default_and_cheap() {
+        // Sibling tests install sessions concurrently.
+        let _no_sessions = exclude_sessions();
         assert!(!enabled());
         // Emitters are no-ops without a session.
         let _s = span("compiler", "nothing");

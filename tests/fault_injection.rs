@@ -12,7 +12,8 @@ use ooc_opt::ir::ArrayId;
 use ooc_opt::kernels::{all_kernels, compile, kernel_by_name, Version};
 use ooc_opt::runtime::testing::TempDir;
 use ooc_opt::runtime::{
-    is_crashed, parse_journal, FaultConfig, FaultHandle, FaultStore, MemStore, RetryPolicy,
+    fault_plan, is_crashed, parse_journal, FaultConfig, FaultHandle, FaultStore, MemStore,
+    RetryPolicy,
 };
 
 fn seed(a: ArrayId, idx: &[i64]) -> f64 {
@@ -113,19 +114,53 @@ fn without_retries_faults_are_fatal() {
         },
         ..FunctionalConfig::default()
     };
-    let result = std::panic::catch_unwind(|| {
-        run_functional_on(&cv.tiled, &k.small_params, &seed, &cfg, |a, _, len| {
-            Ok(FaultStore::new(
-                MemStore::new(len),
-                FaultConfig::transient(0xfeed + a as u64, 200),
-            ))
-        })
+    let (tiled, params) = (&cv.tiled, &k.small_params);
+    let result = run_functional_on(tiled, params, &seed, &cfg, |a, _, len| {
+        Ok(FaultStore::new(
+            MemStore::new(len),
+            FaultConfig::transient(0xfeed + a as u64, 200),
+        ))
     });
-    // Either the seeding phase reports the error or the staging loop
-    // panics on it; it must not silently succeed.
-    if let Ok(Ok(_)) = result {
-        panic!("run without retries survived injected faults");
-    }
+    assert!(result.is_err(), "run without retries survived faults");
+
+    // That stream may already fail a seeding call. A single fault that
+    // first fires *after* seeding must come back as an error from the
+    // staging loop. A fault-free wrapped probe counts the busiest
+    // array's store calls; seeding and the final dump move the same
+    // full region, so each takes half of what the compute phase's own
+    // (analytic == store-level) calls leave over.
+    let quiet = FaultConfig::transient(0, 0);
+    let mut handles: Vec<FaultHandle> = Vec::new();
+    let probe = run_functional_on(tiled, params, &seed, &cfg, |_, _, len| {
+        let store = FaultStore::new(MemStore::new(len), quiet);
+        handles.push(store.handle());
+        Ok(store)
+    })
+    .expect("fault-free probe");
+    let compute_calls = |a: usize| {
+        let stats = &probe.profiles[a].stats;
+        stats.read_calls + stats.write_calls
+    };
+    let target = (0..handles.len())
+        .max_by_key(|&a| compute_calls(a))
+        .expect("arrays");
+    let total = handles[target].calls();
+    let compute = compute_calls(target);
+    let seeding = (total - compute) / 2;
+    let staged = seeding..seeding + compute;
+    let once = (0..1000)
+        .map(|s| FaultConfig::first_n(s, 1))
+        .find(|c| {
+            let first = fault_plan(c, total).iter().position(|&fail| fail);
+            first.is_some_and(|i| staged.contains(&(i as u64)))
+        })
+        .expect("a seed whose only fault lands in the staging phase");
+    let err = run_functional_on(tiled, params, &seed, &cfg, |a, _, len| {
+        let faults = if a == target { once } else { quiet };
+        Ok(FaultStore::new(MemStore::new(len), faults))
+    })
+    .expect_err("a staging fault without retries must fail the run");
+    assert!(err.to_string().contains("injected transient"), "{err}");
 }
 
 /// How many evenly-spaced crash points the matrix drills per kernel.
