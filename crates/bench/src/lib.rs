@@ -19,6 +19,7 @@
 //! | Degraded mode (ext.) | `table3 --kill-node`, `inspect --scrub` | node-loss survival, repair traffic, parity scrub |
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod analyze;
 pub mod degraded;

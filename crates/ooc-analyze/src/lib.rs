@@ -24,6 +24,7 @@
 //! (`analyze`, `inspect --analyze`) render it directly.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod blame;
 pub mod critical;

@@ -16,14 +16,15 @@
 //! processors, all hammering the shared striped files.
 //!
 //! Tile boxes are rectangular (the bounding box of the iteration
-//! polyhedron restricted to the tile); for the affine kernels of the
-//! paper every transformed nest is rectangular, making the walk exact.
+//! polyhedron restricted to the tile); the element loops inside a box
+//! keep the nest's own bounds, so a box that overhangs a skewed or
+//! triangular nest runs only the points that belong to it.
 
+use crate::kernel::TileKernel;
 use crate::recovery::DurableSession;
-use crate::tiling::{
-    access_classes, array_region, class_region, plan_spans, IoWeights, TiledProgram,
-};
-use ooc_ir::{ArrayId, Expr, GuardAt, LoopNest, Statement};
+use crate::tiling::{class_region, plan_spans, IoWeights, TiledProgram};
+use ooc_ir::{ArrayId, Expr, LoopNest, Statement};
+use ooc_linalg::Affine;
 use ooc_runtime::{
     AccessRecord, InterleavedGroup, IoCause, IoStats, LedgerEvent, LedgerRecorder, MeasuredIo,
     MemStore, MemoryBudget, OocArray, Region, RuntimeConfig, SharedJournal, Store, Tile,
@@ -93,16 +94,30 @@ impl SimReport {
     }
 }
 
-/// Per-level inclusive ranges of a nest at given parameters, taking
-/// the bounding box of the iteration polyhedron.
+/// Per-level inclusive ranges of a nest at given parameters: a
+/// bounding box of the iteration polyhedron. Each bound form is
+/// evaluated over the *interval* of the outer levels' ranges — a
+/// lower form at its minimum, an upper form at its maximum — so the
+/// box contains every point of a non-rectangular nest; where no form
+/// mentions an outer level (every rectangular nest) this is the exact
+/// range.
 fn level_ranges(nest: &LoopNest, params: &[i64]) -> Option<Vec<(i64, i64)>> {
-    let bounds = nest.bounds.loop_bounds();
-    let mut out = Vec::with_capacity(nest.depth);
-    let mut outer: Vec<i64> = Vec::new();
-    for b in &bounds {
-        let (lo, hi) = b.eval(&outer, params)?;
-        out.push((lo, hi));
-        outer.push(lo);
+    let mut out: Vec<(i64, i64)> = Vec::with_capacity(nest.depth);
+    for b in &nest.bounds.loop_bounds() {
+        // The extreme of `form` over the box of the outer ranges.
+        let extreme = |form: &Affine, max: bool| {
+            let mut at = vec![0i64; form.nvars()];
+            for ((v, &(lo, hi)), c) in at.iter_mut().zip(&out).zip(&form.var_coeffs) {
+                *v = if (c.signum() > 0) == max { hi } else { lo };
+            }
+            form.eval(&at, params)
+        };
+        let lo = b.lowers.iter().map(|f| extreme(f, false).ceil()).max()?;
+        let hi = b.uppers.iter().map(|f| extreme(f, true).floor()).min()?;
+        if lo > hi {
+            return None;
+        }
+        out.push((i64::try_from(lo).ok()?, i64::try_from(hi).ok()?));
     }
     Some(out)
 }
@@ -118,23 +133,6 @@ fn stmt_flops(s: &Statement) -> u64 {
         }
     }
     expr_ops(&s.rhs).max(1)
-}
-
-/// Read/write classification of the arrays of a nest.
-fn rw_arrays(nest: &LoopNest) -> (Vec<ArrayId>, Vec<ArrayId>) {
-    let mut reads = Vec::new();
-    let mut writes = Vec::new();
-    for s in &nest.body {
-        if !writes.contains(&s.lhs.array) {
-            writes.push(s.lhs.array);
-        }
-        for r in s.reads() {
-            if !reads.contains(&r.array) {
-                reads.push(r.array);
-            }
-        }
-    }
-    (reads, writes)
 }
 
 /// Walks the tile boxes of a nest restricted to `chunk` at
@@ -310,7 +308,6 @@ pub fn build_workload(tp: &TiledProgram, cfg: &ExecConfig) -> (PfsSim, Workload,
             weights,
             max_call_elems,
         );
-        let (reads, writes) = rw_arrays(nest);
         let per_stmt: u64 = nest.body.iter().map(stmt_flops).sum();
         // Access classes: one staged tile per (array, access matrix).
         // The class index is canonical per access *matrix* (shared
@@ -345,7 +342,6 @@ pub fn build_workload(tp: &TiledProgram, cfg: &ExecConfig) -> (PfsSim, Workload,
                 }
             }
         }
-        let _ = (&reads, &writes);
 
         for (p, &chunk) in proc_chunks.iter().enumerate() {
             let mut trace: Vec<Op> = Vec::new();
@@ -646,28 +642,34 @@ pub fn run_functional_on<S: Store>(
     walk_sync(tp, params, init, cfg, "sync", make_store, None)
 }
 
-/// One nest's tile walk, planned once for both walks: the staging
-/// layout plus the tile boxes `(lo, hi)` in execution order.
+/// One nest's tile walk, planned once for both walks: the compiled
+/// tile body (with its staging plan) plus the tile boxes `(lo, hi)` in
+/// execution order.
 pub(crate) struct NestWalk {
-    pub(crate) staging: Staging,
+    pub(crate) kernel: TileKernel,
     pub(crate) boxes: Vec<(Vec<i64>, Vec<i64>)>,
 }
 
-/// Plans nest `ni`: level ranges, tile spans under `budget`, and the
-/// staging plan — one tile per (array, access class); written arrays
-/// touched through several classes fall back to a single hull tile so
-/// every read sees the freshest values. `None` when the nest's bounds
-/// do not evaluate (nothing to run).
+/// Plans nest `ni`: level ranges, tile spans under `budget`, the tile
+/// boxes, and the nest's body lowered to a [`TileKernel`]. `None`
+/// when there is nothing to run: the nest's bounds do not evaluate, or
+/// it has no loop level to walk.
+///
+/// # Errors
+/// `InvalidInput` when the body cannot be lowered (see
+/// [`TileKernel::lower`]).
 pub(crate) fn plan_walk(
     tp: &TiledProgram,
     ni: usize,
     params: &[i64],
     budget: &MemoryBudget,
     max_call_elems: u64,
-) -> Option<NestWalk> {
+) -> io::Result<Option<NestWalk>> {
     let tnest = &tp.nests[ni];
     let nest = &tnest.nest;
-    let ranges = level_ranges(nest, params)?;
+    let Some(ranges) = level_ranges(nest, params).filter(|r| !r.is_empty()) else {
+        return Ok(None);
+    };
     let spans = plan_spans(
         nest,
         tnest.strategy,
@@ -679,12 +681,6 @@ pub(crate) fn plan_walk(
         IoWeights::default(),
         max_call_elems,
     );
-    let (mut touched, writes) = rw_arrays(nest);
-    for w in &writes {
-        if !touched.contains(w) {
-            touched.push(*w);
-        }
-    }
     let mut boxes = Vec::new();
     walk_tiles_at(
         &ranges,
@@ -694,10 +690,10 @@ pub(crate) fn plan_walk(
         ranges[0],
         &mut |lo, hi| boxes.push((lo.to_vec(), hi.to_vec())),
     );
-    Some(NestWalk {
-        staging: Staging::for_nest(nest, &writes, &touched),
+    Ok(Some(NestWalk {
+        kernel: TileKernel::lower(nest, params)?,
         boxes,
-    })
+    }))
 }
 
 /// Books a main-thread staging read of `region` in the ledger,
@@ -859,15 +855,15 @@ pub(crate) fn walk_sync<S: Store>(
             continue;
         }
         let nest = &tnest.nest;
-        let Some(NestWalk { staging, boxes }) =
-            plan_walk(tp, ni, params, &budget, cfg.runtime.max_call_elems)
+        let Some(NestWalk { kernel, boxes }) =
+            plan_walk(tp, ni, params, &budget, cfg.runtime.max_call_elems)?
         else {
             if let Some(s) = session.as_deref_mut() {
                 s.checkpoint(ni + 1, 0)?;
             }
             continue;
         };
-        let bounds = nest.bounds.loop_bounds();
+        let staging = kernel.staging();
         let start_g = session.as_ref().map_or(0, |s| s.start_step(ni));
         let nest_base = step;
         let mut rows_done: u64 = 0;
@@ -878,12 +874,13 @@ pub(crate) fn walk_sync<S: Store>(
         // a capacity miss.
         let displace = |arrays: &mut [OocArray<S>],
                         tracker: &mut TouchTracker,
-                        (a, slot): (ArrayId, usize),
+                        slot: usize,
                         tile: &Tile,
                         step: u64|
          -> io::Result<()> {
+            let a = staging.key(slot).0;
             let array = a.0 as u32;
-            if staging.slot_written(a, slot) {
+            if staging.written(slot) {
                 let arr = &mut arrays[a.0];
                 let _s = ooc_trace::enabled()
                     .then(|| ooc_trace::span("runtime", &format!("write-tile:{}", arr.name())));
@@ -901,11 +898,11 @@ pub(crate) fn walk_sync<S: Store>(
         // disabled path stays a single atomic load per tile step).
         let _nest_span = ooc_trace::span("runtime", &format!("nest:{}", nest.name));
         for _ in 0..nest.iterations {
-            // Cached tiles (hoisting, mirroring the simulation): a tile
-            // stays resident while consecutive tile steps touch the same
-            // region; written tiles flush when evicted, at checkpoints
-            // and at iteration end.
-            let mut tiles: BTreeMap<(ArrayId, usize), Tile> = BTreeMap::new();
+            // Cached tiles, one per staging slot (hoisting, mirroring
+            // the simulation): a tile stays resident while consecutive
+            // tile steps touch the same region; written tiles flush
+            // when evicted, at checkpoints and at iteration end.
+            let mut tiles: Vec<Option<Tile>> = vec![None; staging.len()];
             let mut last_row_lo: Option<i64> = None;
             for (lo, hi) in &boxes {
                 let g = step - nest_base;
@@ -915,8 +912,10 @@ pub(crate) fn walk_sync<S: Store>(
                     if last_row_lo.is_some() {
                         rows_done += 1;
                         if g > start_g && interval > 0 && rows_done % interval == 0 {
-                            for (key, tile) in std::mem::take(&mut tiles) {
-                                displace(&mut arrays, &mut tracker, key, &tile, step)?;
+                            for (slot, tile) in tiles.iter_mut().enumerate() {
+                                if let Some(tile) = tile.take() {
+                                    displace(&mut arrays, &mut tracker, slot, &tile, step)?;
+                                }
                             }
                             if let Some(s) = session.as_deref_mut() {
                                 s.checkpoint(ni, g)?;
@@ -943,14 +942,14 @@ pub(crate) fn walk_sync<S: Store>(
                         ],
                     )
                 });
-                for (key, region) in staging.regions(nest, lo, hi) {
-                    let a = key.0;
+                for (slot, region) in staging.regions(nest, lo, hi) {
+                    let a = staging.key(slot).0;
                     let region = region.clamped(arrays[a.0].dims());
-                    if tiles.get(&key).is_some_and(|t| t.region() == &region) {
+                    if tiles[slot].as_ref().is_some_and(|t| t.region() == &region) {
                         continue;
                     }
-                    if let Some(old) = tiles.remove(&key) {
-                        displace(&mut arrays, &mut tracker, key, &old, step)?;
+                    if let Some(old) = tiles[slot].take() {
+                        displace(&mut arrays, &mut tracker, slot, &old, step)?;
                     }
                     let _s = traced.then(|| {
                         ooc_trace::span_with(
@@ -959,16 +958,13 @@ pub(crate) fn walk_sync<S: Store>(
                             vec![("region", format!("{region:?}").into())],
                         )
                     });
-                    tiles.insert(key, arrays[a.0].read_tile(&region)?);
+                    tiles[slot] = Some(arrays[a.0].read_tile(&region)?);
                     let at = (ni as u32, step);
                     record_read(ledger, &mut tracker, &arrays[a.0], a.0 as u32, &region, at);
                 }
                 // Element loops: every polyhedron point inside the box.
                 let _compute_span = traced.then(|| ooc_trace::span("runtime", "compute"));
-                let mut iter: Vec<i64> = Vec::with_capacity(nest.depth);
-                exec_box(
-                    nest, &bounds, params, lo, hi, &mut iter, &mut tiles, &staging,
-                );
+                kernel.run(&mut tiles, lo, hi)?;
                 if let Some(s) = session.as_deref_mut() {
                     s.report.executed_steps += 1;
                 }
@@ -976,8 +972,10 @@ pub(crate) fn walk_sync<S: Store>(
             }
             // Iteration barrier: every staged tile is written back or
             // dropped, then (if anything ran) checkpointed.
-            for (key, tile) in tiles {
-                displace(&mut arrays, &mut tracker, key, &tile, step)?;
+            for (slot, tile) in tiles.into_iter().enumerate() {
+                if let Some(tile) = tile {
+                    displace(&mut arrays, &mut tracker, slot, &tile, step)?;
+                }
             }
             if let Some(s) = session.as_deref_mut() {
                 if step - nest_base > start_g {
@@ -1026,170 +1024,6 @@ pub(crate) fn walk_sync<S: Store>(
         }
     }
     Ok(run)
-}
-
-/// The functional staging plan of one nest: which tile slot each
-/// reference reads/writes.
-pub(crate) struct Staging {
-    /// Per array: `None` = hull mode (single slot 0); `Some(classes)` =
-    /// one slot per access class.
-    plan: BTreeMap<ArrayId, Option<Vec<ooc_linalg::Matrix>>>,
-    /// Arrays written by the nest.
-    written: Vec<ArrayId>,
-    /// Per (array, slot): whether the slot receives writes.
-    written_slots: BTreeMap<(ArrayId, usize), bool>,
-}
-
-impl Staging {
-    pub(crate) fn for_nest(nest: &LoopNest, writes: &[ArrayId], touched: &[ArrayId]) -> Self {
-        let mut plan = BTreeMap::new();
-        let mut written_slots = BTreeMap::new();
-        for &a in touched {
-            let classes = access_classes(nest, a);
-            if writes.contains(&a) && classes.len() > 1 {
-                plan.insert(a, None);
-                written_slots.insert((a, 0usize), true);
-            } else {
-                for (i, class) in classes.iter().enumerate() {
-                    let w = nest
-                        .body
-                        .iter()
-                        .any(|st| st.lhs.array == a && st.lhs.access == *class);
-                    written_slots.insert((a, i), w);
-                }
-                plan.insert(a, Some(classes));
-            }
-        }
-        Staging {
-            plan,
-            written: writes.to_vec(),
-            written_slots,
-        }
-    }
-
-    fn slot_of(&self, r: &ooc_ir::ArrayRef) -> (ArrayId, usize) {
-        match self.plan.get(&r.array) {
-            Some(None) => (r.array, 0),
-            Some(Some(classes)) => {
-                let i = classes
-                    .iter()
-                    .position(|c| *c == r.access)
-                    .expect("reference class staged");
-                (r.array, i)
-            }
-            None => unreachable!("untouched array referenced"),
-        }
-    }
-
-    pub(crate) fn slot_written(&self, a: ArrayId, slot: usize) -> bool {
-        self.written_slots.get(&(a, slot)).copied().unwrap_or(false)
-            || (self.plan.get(&a) == Some(&None) && self.written.contains(&a))
-    }
-
-    /// All (slot key, region) pairs to stage for a tile box.
-    pub(crate) fn regions(
-        &self,
-        nest: &LoopNest,
-        lo: &[i64],
-        hi: &[i64],
-    ) -> Vec<((ArrayId, usize), Region)> {
-        let mut out = Vec::new();
-        for (&a, classes) in &self.plan {
-            match classes {
-                None => {
-                    if let Some(region) = array_region(nest, a, lo, hi) {
-                        out.push(((a, 0), region));
-                    }
-                }
-                Some(classes) => {
-                    for (i, class) in classes.iter().enumerate() {
-                        if let Some(region) = class_region(nest, a, class, lo, hi) {
-                            out.push(((a, i), region));
-                        }
-                    }
-                }
-            }
-        }
-        out
-    }
-}
-
-/// Recursive element-loop execution within a tile box.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn exec_box(
-    nest: &LoopNest,
-    bounds: &[ooc_linalg::LoopBounds],
-    params: &[i64],
-    box_lo: &[i64],
-    box_hi: &[i64],
-    iter: &mut Vec<i64>,
-    tiles: &mut BTreeMap<(ArrayId, usize), Tile>,
-    staging: &Staging,
-) {
-    let level = iter.len();
-    if level == nest.depth {
-        for stmt in &nest.body {
-            if guards_hold(stmt, bounds, params, iter) {
-                let v = eval_expr(&stmt.rhs, iter, tiles, staging);
-                let subs = stmt.lhs.subscripts(iter);
-                let key = staging.slot_of(&stmt.lhs);
-                tiles.get_mut(&key).expect("lhs tile staged").set(&subs, v);
-            }
-        }
-        return;
-    }
-    let Some((lo, hi)) = bounds[level].eval(iter, params) else {
-        return;
-    };
-    let (lo, hi) = (lo.max(box_lo[level]), hi.min(box_hi[level]));
-    for v in lo..=hi {
-        iter.push(v);
-        exec_box(nest, bounds, params, box_lo, box_hi, iter, tiles, staging);
-        iter.pop();
-    }
-}
-
-fn eval_expr(
-    e: &Expr,
-    iter: &[i64],
-    tiles: &BTreeMap<(ArrayId, usize), Tile>,
-    staging: &Staging,
-) -> f64 {
-    match e {
-        Expr::Const(c) => *c,
-        Expr::Ref(r) => {
-            let subs = r.subscripts(iter);
-            tiles
-                .get(&staging.slot_of(r))
-                .expect("read tile staged")
-                .get(&subs)
-        }
-        Expr::Add(a, b) => eval_expr(a, iter, tiles, staging) + eval_expr(b, iter, tiles, staging),
-        Expr::Sub(a, b) => eval_expr(a, iter, tiles, staging) - eval_expr(b, iter, tiles, staging),
-        Expr::Mul(a, b) => eval_expr(a, iter, tiles, staging) * eval_expr(b, iter, tiles, staging),
-        Expr::Div(a, b) => eval_expr(a, iter, tiles, staging) / eval_expr(b, iter, tiles, staging),
-    }
-}
-
-/// Code-sinking guards: the statement runs only at the first/last
-/// iteration of the guarded level **of the whole loop**, not of the
-/// tile — matching the untiled semantics.
-fn guards_hold(
-    stmt: &Statement,
-    bounds: &[ooc_linalg::LoopBounds],
-    params: &[i64],
-    iter: &[i64],
-) -> bool {
-    stmt.guards.iter().all(|g| {
-        let outer = &iter[..g.var];
-        let Some((lo, hi)) = bounds[g.var].eval(outer, params) else {
-            return false;
-        };
-        match g.at {
-            GuardAt::LowerBound => iter[g.var] == lo,
-            GuardAt::UpperBound => iter[g.var] == hi,
-        }
-    })
 }
 
 /// Convenience: compares a tiled program against the reference
@@ -1356,6 +1190,54 @@ mod tests {
         // Two nests of 32x32 iterations, 1 flop each.
         assert_eq!(r.flops, 2.0 * 32.0 * 32.0);
         assert!(r.result.compute_time > 0.0);
+    }
+
+    #[test]
+    fn a_nest_without_loop_levels_has_nothing_to_run() {
+        // `plan_walk` used to index the first level's range before any
+        // depth check could run.
+        let mut p = ooc_ir::Program::new(&["N"]);
+        let a = p.declare_array("A", 1, 0);
+        let stmt = Statement::assign(
+            ooc_ir::ArrayRef::new(a, &[vec![]], vec![1]),
+            Expr::Const(7.0),
+        );
+        p.add_nest(LoopNest {
+            name: "scalar".into(),
+            depth: 0,
+            bounds: ooc_linalg::Polyhedron::universe(0, 1),
+            body: vec![stmt],
+            iterations: 1,
+        });
+        let tp = TiledProgram {
+            layouts: vec![ooc_runtime::FileLayout::row_major(1)],
+            nests: vec![crate::tiling::TiledNest {
+                nest: p.nests[0].clone(),
+                tiled_levels: Vec::new(),
+                strategy: TilingStrategy::OutOfCore,
+            }],
+            program: p,
+        };
+        let budget = MemoryBudget::new(64);
+        assert!(plan_walk(&tp, 0, &[4], &budget, 1 << 20)
+            .expect("nothing to lower")
+            .is_none());
+        let data = run_functional(&tp, &[4], &seed);
+        assert_eq!(data[0], (1..=4).map(|i| seed(a, &[i])).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn level_ranges_bound_a_triangle() {
+        // do i = 1,N; do j = 1,i: the inner range at the first outer
+        // iteration is 1..=1, the bounding box needs 1..=N.
+        let mut nest = LoopNest::rectangular("tri", 2, 1, 0, Vec::new());
+        let (i, j) = (Affine::var(2, 1, 0), Affine::var(2, 1, 1));
+        nest.bounds.add_ge0(i.sub(&j));
+        assert_eq!(level_ranges(&nest, &[9]), Some(vec![(1, 9), (1, 9)]));
+        // Rectangular nests keep their exact ranges.
+        let rect = LoopNest::rectangular("rect", 3, 1, 0, Vec::new());
+        assert_eq!(level_ranges(&rect, &[5]), Some(vec![(1, 5); 3]));
+        assert_eq!(level_ranges(&rect, &[0]), None);
     }
 
     #[test]

@@ -1,0 +1,783 @@
+//! Compiled tile bodies: the element loops of a nest, lowered once per
+//! run and executed by both tile walks
+//! ([`walk_sync`](crate::exec) and [`NestRun::step`](crate::pipeline)).
+//!
+//! [`TileKernel::lower`] resolves everything that does not change
+//! from tile step to tile step:
+//!
+//! * the **slot table** (`Staging`) — one staged tile per (array,
+//!   access class), a written array touched through several classes
+//!   collapsing to one hull slot — and, for every reference, its dense
+//!   slot index plus an *integer* access matrix and offset;
+//! * each level's loop bounds with the parameters substituted, as
+//!   integer forms `(Σ nₖ·iₖ + c) / den`;
+//! * each statement's right-hand side as a postfix **op tape** over an
+//!   `f64` stack, emitted in the expression tree's post-order so every
+//!   operation sees the same operands in the same order as the
+//!   recursive evaluation of `ooc_ir::exec` — results are bit-equal;
+//! * guards, as "level `g.var` sits at its whole-loop lower/upper
+//!   bound", read off the unclamped bounds each level computes on
+//!   entry.
+//!
+//! [`TileKernel::run`] binds the kernel to one step's staged tiles —
+//! per reference a base address and one address step per loop level,
+//! from the tiles' row-major strides — and runs the loops clamped to
+//! the tile box, bumping addresses instead of recomputing subscripts.
+//!
+//! A flat address that leaves its tile would silently alias into a
+//! neighbouring row, so every innermost run checks the subscripts of
+//! both its endpoints against the tile's region, per dimension
+//! (subscripts are affine, so the interior follows). A check of the
+//! box corners would not do: regions are clamped to the array and a
+//! non-rectangular nest's box over-approximates its points.
+//!
+//! `ooc_ir::exec` shares none of this: it is the oracle.
+
+use crate::tiling::{access_classes, array_region, class_region};
+use ooc_ir::{ArrayId, ArrayRef, Expr, Guard, GuardAt, LoopNest};
+use ooc_linalg::{Affine, Matrix, Rational};
+use ooc_runtime::{Region, Tile};
+use std::io;
+use std::ops::Range;
+
+fn invalid(msg: String) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidInput, msg)
+}
+
+/// `acc + a·b`, or an error when an address leaves `i64`.
+fn mul_add(acc: i64, a: i64, b: i64) -> io::Result<i64> {
+    a.checked_mul(b)
+        .and_then(|x| acc.checked_add(x))
+        .ok_or_else(|| invalid("tile address overflows i64".into()))
+}
+
+/// One staged tile slot of a nest.
+struct Slot {
+    array: ArrayId,
+    /// Slot number within the array (the schedule's `SlotKey::slot`).
+    index: usize,
+    /// The access class staged here; `None` = the hull of every
+    /// reference to the array.
+    class: Option<Matrix>,
+    written: bool,
+}
+
+/// The staging plan of one nest: one tile slot per (array, access
+/// class), in (array, class) order; a written array touched through
+/// several classes falls back to a single hull slot so every read
+/// sees the freshest values. A slot's position is its dense index —
+/// the index both walks keep their staged tiles under.
+pub(crate) struct Staging {
+    slots: Vec<Slot>,
+}
+
+impl Staging {
+    fn for_nest(nest: &LoopNest) -> Self {
+        let mut slots = Vec::new();
+        for array in nest.arrays() {
+            let writes = |class: Option<&Matrix>| {
+                nest.body
+                    .iter()
+                    .any(|st| st.lhs.array == array && class.is_none_or(|c| st.lhs.access == *c))
+            };
+            let classes = access_classes(nest, array);
+            if classes.len() > 1 && writes(None) {
+                slots.push(Slot {
+                    array,
+                    index: 0,
+                    class: None,
+                    written: true,
+                });
+            } else {
+                for (index, class) in classes.into_iter().enumerate() {
+                    slots.push(Slot {
+                        array,
+                        index,
+                        written: writes(Some(&class)),
+                        class: Some(class),
+                    });
+                }
+            }
+        }
+        Staging { slots }
+    }
+
+    /// Number of slots.
+    pub(crate) fn len(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// The `(array, slot within the array)` key of dense slot `slot`.
+    pub(crate) fn key(&self, slot: usize) -> (ArrayId, usize) {
+        (self.slots[slot].array, self.slots[slot].index)
+    }
+
+    /// Whether dense slot `slot` receives writes.
+    pub(crate) fn written(&self, slot: usize) -> bool {
+        self.slots[slot].written
+    }
+
+    /// The (dense slot, region) pairs to stage for a tile box, in slot
+    /// order; regions are not yet clamped to the array.
+    pub(crate) fn regions(&self, nest: &LoopNest, lo: &[i64], hi: &[i64]) -> Vec<(usize, Region)> {
+        self.slots
+            .iter()
+            .enumerate()
+            .filter_map(|(i, s)| {
+                let region = match &s.class {
+                    None => array_region(nest, s.array, lo, hi),
+                    Some(class) => class_region(nest, s.array, class, lo, hi),
+                };
+                region.map(|r| (i, r))
+            })
+            .collect()
+    }
+
+    /// The dense slot reference `r` reads or writes through.
+    fn slot_for(&self, r: &ArrayRef) -> io::Result<usize> {
+        self.slots
+            .iter()
+            .position(|s| s.array == r.array && s.class.as_ref().is_none_or(|c| *c == r.access))
+            .ok_or_else(|| invalid(format!("no staged slot for a reference to {:?}", r.array)))
+    }
+}
+
+/// One reference, resolved: its slot, and `subscript[d] =
+/// offset[d] + Σ_l rows[d·depth + l]·iter[l]` in integers.
+struct RefPlan {
+    slot: usize,
+    rank: usize,
+    rows: Vec<i64>,
+    offset: Vec<i64>,
+    /// Where this reference's per-dimension tile bounds start in a
+    /// bound kernel's table.
+    first_sub: usize,
+}
+
+/// One loop-bound form `(Σ coeffs[k]·iter[k] + constant) / den`,
+/// `den > 0`, over the outer iterators.
+struct Form {
+    coeffs: Vec<i64>,
+    constant: i64,
+    den: i64,
+}
+
+impl Form {
+    /// Lowers `a` as a bound of loop `level`: parameters substituted,
+    /// scaled to the common denominator. Coefficients of `level` and
+    /// deeper variables are zero by construction and dropped, as
+    /// `LoopBounds::eval`'s zero padding drops them.
+    fn lower(a: &Affine, level: usize, params: &[i64]) -> io::Result<Form> {
+        if a.nparams() != params.len() || a.nvars() < level {
+            return Err(invalid(format!(
+                "loop bound over {} variables and {} parameters at level {level} with {} parameters",
+                a.nvars(),
+                a.nparams(),
+                params.len()
+            )));
+        }
+        let constant = a
+            .param_coeffs
+            .iter()
+            .zip(params)
+            .fold(a.constant, |acc, (c, &p)| acc + *c * Rational::from(p));
+        let terms = || a.var_coeffs[..level].iter().chain([&constant]);
+        let overflow = || invalid("loop bound coefficient overflows i64".into());
+        let mut den: i128 = 1;
+        for t in terms() {
+            let g = ooc_linalg::rational::gcd_i128(den, t.den());
+            den = (den / g).checked_mul(t.den()).ok_or_else(overflow)?;
+        }
+        let mut ints = Vec::with_capacity(level + 1);
+        for t in terms() {
+            let scaled = t.num().checked_mul(den / t.den()).ok_or_else(overflow)?;
+            ints.push(i64::try_from(scaled).map_err(|_| overflow())?);
+        }
+        let constant = ints.pop().unwrap_or(0);
+        Ok(Form {
+            coeffs: ints,
+            constant,
+            den: i64::try_from(den).map_err(|_| overflow())?,
+        })
+    }
+
+    fn numerator(&self, outer: &[i64]) -> i64 {
+        self.coeffs
+            .iter()
+            .zip(outer)
+            .fold(self.constant, |acc, (c, i)| acc + c * i)
+    }
+
+    fn ceil(&self, outer: &[i64]) -> i64 {
+        -(-self.numerator(outer)).div_euclid(self.den)
+    }
+
+    fn floor(&self, outer: &[i64]) -> i64 {
+        self.numerator(outer).div_euclid(self.den)
+    }
+}
+
+/// One loop level: `max ceil(lowers) ..= min floor(uppers)`.
+struct Level {
+    lowers: Vec<Form>,
+    uppers: Vec<Form>,
+}
+
+impl Level {
+    /// The whole-loop bounds at the given outer iterators; `None` when
+    /// the loop is empty (or unbounded) there.
+    fn eval(&self, outer: &[i64]) -> Option<(i64, i64)> {
+        let lo = self.lowers.iter().map(|f| f.ceil(outer)).max()?;
+        let hi = self.uppers.iter().map(|f| f.floor(outer)).min()?;
+        (lo <= hi).then_some((lo, hi))
+    }
+}
+
+/// One operation of the body's tape: postfix over the `f64` stack,
+/// one statement after the other.
+#[derive(Clone, Copy)]
+enum Op {
+    /// Opens guarded statement `.0`: continue at op `.1` unless the
+    /// statement executes at this iteration.
+    Guard(usize, usize),
+    Const(f64),
+    /// Push the element reference `.1` addresses in slot `.0`.
+    Load(usize, usize),
+    Add,
+    Sub,
+    Mul,
+    Div,
+    /// Closes a statement: pop into the element reference `.1`
+    /// addresses in slot `.0`.
+    Store(usize, usize),
+}
+
+/// One statement: its references (the written one first) and its
+/// guards.
+struct Stmt {
+    refs: Range<usize>,
+    guards: Vec<Guard>,
+}
+
+/// The compiled body of one nest at fixed parameters. See the module
+/// docs.
+pub struct TileKernel {
+    depth: usize,
+    staging: Staging,
+    refs: Vec<RefPlan>,
+    /// Tile-bound table entries all references need together.
+    subs: usize,
+    levels: Vec<Level>,
+    stmts: Vec<Stmt>,
+    tape: Vec<Op>,
+    /// Deepest the stack gets on any statement's tape.
+    stack: usize,
+}
+
+impl TileKernel {
+    /// Lowers `nest` at the given parameter values.
+    ///
+    /// # Errors
+    /// `InvalidInput` when the nest cannot run as a tile body: a
+    /// non-integer access-matrix entry, a reference whose shape does
+    /// not match the nest or that no slot stages, a guard on a level
+    /// the nest does not have, or a bound that leaves `i64`.
+    pub fn lower(nest: &LoopNest, params: &[i64]) -> io::Result<Self> {
+        let mut k = TileKernel {
+            depth: nest.depth,
+            staging: Staging::for_nest(nest),
+            refs: Vec::new(),
+            subs: 0,
+            levels: Vec::with_capacity(nest.depth),
+            stmts: Vec::with_capacity(nest.body.len()),
+            tape: Vec::new(),
+            stack: 0,
+        };
+        for (level, b) in nest.bounds.loop_bounds().iter().enumerate() {
+            let lower = |forms: &[Affine]| -> io::Result<Vec<Form>> {
+                forms
+                    .iter()
+                    .map(|a| Form::lower(a, level, params))
+                    .collect()
+            };
+            k.levels.push(Level {
+                lowers: lower(&b.lowers)?,
+                uppers: lower(&b.uppers)?,
+            });
+        }
+        for st in &nest.body {
+            if let Some(g) = st.guards.iter().find(|g| g.var >= nest.depth) {
+                return Err(invalid(format!(
+                    "guard on level {} of a depth-{} nest",
+                    g.var, nest.depth
+                )));
+            }
+            let (first_ref, first_op) = (k.refs.len(), k.tape.len());
+            if !st.guards.is_empty() {
+                k.tape.push(Op::Guard(k.stmts.len(), 0));
+            }
+            let (slot, lhs) = k.add_ref(&st.lhs)?;
+            let stack = k.emit(&st.rhs)?;
+            k.stack = k.stack.max(stack);
+            k.tape.push(Op::Store(slot, lhs));
+            let end = k.tape.len();
+            if let Op::Guard(_, skip) = &mut k.tape[first_op] {
+                *skip = end;
+            }
+            k.stmts.push(Stmt {
+                refs: first_ref..k.refs.len(),
+                guards: st.guards.clone(),
+            });
+        }
+        Ok(k)
+    }
+
+    /// Resolves `r`; returns its `(slot, reference index)`.
+    fn add_ref(&mut self, r: &ArrayRef) -> io::Result<(usize, usize)> {
+        if r.depth() != self.depth || r.offset.len() != r.rank() {
+            return Err(invalid(format!(
+                "reference to {:?} is {}x{} with {} offsets in a depth-{} nest",
+                r.array,
+                r.rank(),
+                r.depth(),
+                r.offset.len(),
+                self.depth
+            )));
+        }
+        let mut rows = Vec::with_capacity(r.rank() * self.depth);
+        for d in 0..r.rank() {
+            for l in 0..self.depth {
+                let entry = r.access[(d, l)];
+                let int = entry.as_integer().and_then(|v| i64::try_from(v).ok());
+                rows.push(int.ok_or_else(|| {
+                    invalid(format!(
+                        "access entry {entry} of a reference to {:?} is not an i64",
+                        r.array
+                    ))
+                })?);
+            }
+        }
+        let slot = self.staging.slot_for(r)?;
+        self.refs.push(RefPlan {
+            slot,
+            rank: r.rank(),
+            rows,
+            offset: r.offset.clone(),
+            first_sub: self.subs,
+        });
+        self.subs += r.rank();
+        Ok((slot, self.refs.len() - 1))
+    }
+
+    /// Appends `e` to the tape in post-order; returns the stack depth
+    /// it needs.
+    fn emit(&mut self, e: &Expr) -> io::Result<usize> {
+        let (a, b, op) = match e {
+            Expr::Const(c) => {
+                self.tape.push(Op::Const(*c));
+                return Ok(1);
+            }
+            Expr::Ref(r) => {
+                let (slot, r) = self.add_ref(r)?;
+                self.tape.push(Op::Load(slot, r));
+                return Ok(1);
+            }
+            Expr::Add(a, b) => (a, b, Op::Add),
+            Expr::Sub(a, b) => (a, b, Op::Sub),
+            Expr::Mul(a, b) => (a, b, Op::Mul),
+            Expr::Div(a, b) => (a, b, Op::Div),
+        };
+        let left = self.emit(a)?;
+        let right = self.emit(b)?;
+        self.tape.push(op);
+        Ok(left.max(right + 1))
+    }
+
+    /// The nest's staging plan.
+    pub(crate) fn staging(&self) -> &Staging {
+        &self.staging
+    }
+
+    /// Number of tile slots [`run`](Self::run) expects.
+    #[must_use]
+    pub fn slots(&self) -> usize {
+        self.staging.len()
+    }
+
+    /// The dense index of the slot a tile schedule names `(array,
+    /// slot)` (a `SlotKey`'s two fields).
+    ///
+    /// # Errors
+    /// `InvalidInput` when the nest stages no such slot.
+    pub fn slot_index(&self, array: usize, slot: usize) -> io::Result<usize> {
+        self.staging
+            .slots
+            .iter()
+            .position(|s| s.array.0 == array && s.index == slot)
+            .ok_or_else(|| invalid(format!("the nest stages no slot {slot} of array {array}")))
+    }
+
+    /// Runs every iteration of the nest inside the tile box
+    /// `box_lo..=box_hi` on `tiles`, one staged tile per slot in dense
+    /// slot order: levels outermost to innermost, statements in body
+    /// order within each iteration.
+    ///
+    /// # Errors
+    /// `InvalidInput` when a referenced slot holds no tile or a tile of
+    /// the wrong rank, or an address leaves `i64`.
+    ///
+    /// # Panics
+    /// Panics when a reference leaves its staged tile — a compiler
+    /// bug that must surface in tests (see the module docs).
+    pub fn run(
+        &self,
+        tiles: &mut [Option<Tile>],
+        box_lo: &[i64],
+        box_hi: &[i64],
+    ) -> io::Result<()> {
+        if self.depth == 0 {
+            return Ok(());
+        }
+        if box_lo.len() != self.depth || box_hi.len() != self.depth {
+            return Err(invalid(format!(
+                "tile box of rank {} for a depth-{} nest",
+                box_lo.len(),
+                self.depth
+            )));
+        }
+        let n = self.refs.len();
+        let mut addr = vec![0i64; (self.depth + 1) * n];
+        let mut steps = vec![0i64; self.depth * n];
+        let mut sub_bounds = Vec::with_capacity(self.subs);
+        for (r, rp) in self.refs.iter().enumerate() {
+            let region = match tiles.get(rp.slot) {
+                Some(Some(tile)) if tile.region().rank() == rp.rank => tile.region(),
+                _ => {
+                    return Err(invalid(format!(
+                        "slot {} holds no rank-{} tile",
+                        rp.slot, rp.rank
+                    )))
+                }
+            };
+            // Row-major over the tile's region, last dimension fastest.
+            let mut stride = 1i64;
+            for d in (0..rp.rank).rev() {
+                addr[r] = mul_add(addr[r], stride, rp.offset[d] - region.lo[d])?;
+                for l in 0..self.depth {
+                    let at = l * n + r;
+                    steps[at] = mul_add(steps[at], stride, rp.rows[d * self.depth + l])?;
+                }
+                stride = mul_add(0, stride, region.extent(d))?;
+            }
+            sub_bounds.extend(region.lo.iter().copied().zip(region.hi.iter().copied()));
+        }
+        let bufs = tiles
+            .iter_mut()
+            .map(|t| t.as_mut().map(Tile::data_mut).unwrap_or_default())
+            .collect();
+        Bound {
+            k: self,
+            bufs,
+            box_lo,
+            box_hi,
+            steps,
+            sub_bounds,
+            iter: vec![0; self.depth],
+            whole: vec![(0, 0); self.depth],
+            addr,
+            active: vec![(0, 0); self.stmts.len()],
+            stack: vec![0.0; self.stack],
+        }
+        .level(0);
+        Ok(())
+    }
+}
+
+/// A kernel bound to one step's tiles, plus the loop state.
+struct Bound<'k, 't> {
+    k: &'k TileKernel,
+    /// Each slot's tile data.
+    bufs: Vec<&'t mut [f64]>,
+    box_lo: &'t [i64],
+    box_hi: &'t [i64],
+    /// `steps[l·n + r]`: what one iteration of level `l` adds to the
+    /// address of reference `r`.
+    steps: Vec<i64>,
+    /// Per reference and dimension, the tile's inclusive subscript
+    /// bounds (indexed from `RefPlan::first_sub`).
+    sub_bounds: Vec<(i64, i64)>,
+    /// Iterators of the levels entered so far.
+    iter: Vec<i64>,
+    /// Unclamped bounds of each level entered so far — what guards
+    /// compare against.
+    whole: Vec<(i64, i64)>,
+    /// `addr[l·n + r]`: address of reference `r` with levels `< l` at
+    /// `iter` and the rest at zero; row `depth` is the live address.
+    addr: Vec<i64>,
+    /// Per statement, the iterations of the current innermost run it
+    /// executes at.
+    active: Vec<(i64, i64)>,
+    stack: Vec<f64>,
+}
+
+impl Bound<'_, '_> {
+    fn level(&mut self, l: usize) {
+        let k = self.k;
+        let Some(whole) = k.levels[l].eval(&self.iter[..l]) else {
+            return;
+        };
+        self.whole[l] = whole;
+        let (lo, hi) = (whole.0.max(self.box_lo[l]), whole.1.min(self.box_hi[l]));
+        if lo > hi {
+            return;
+        }
+        let n = k.refs.len();
+        let (outer, inner) = self.addr.split_at_mut((l + 1) * n);
+        let steps = &self.steps[l * n..(l + 1) * n];
+        for ((a, base), s) in inner.iter_mut().zip(&outer[l * n..]).zip(steps) {
+            *a = base + s * lo;
+        }
+        if l + 1 == k.depth {
+            self.innermost(lo, hi);
+            return;
+        }
+        for v in lo..=hi {
+            self.iter[l] = v;
+            self.level(l + 1);
+            let row = &mut self.addr[(l + 1) * n..(l + 2) * n];
+            for (a, s) in row.iter_mut().zip(&self.steps[l * n..]) {
+                *a += s;
+            }
+        }
+    }
+
+    /// One run `lo..=hi` of the innermost level.
+    fn innermost(&mut self, lo: i64, hi: i64) {
+        let k = self.k;
+        let inner = k.depth - 1;
+        for (s, st) in k.stmts.iter().enumerate() {
+            // A guard on the innermost level narrows the run to the
+            // one iteration at the whole-loop bound; a guard on an
+            // outer level holds for the whole run or not at all.
+            let (mut from, mut to) = (lo, hi);
+            for g in &st.guards {
+                let at = match g.at {
+                    GuardAt::LowerBound => self.whole[g.var].0,
+                    GuardAt::UpperBound => self.whole[g.var].1,
+                };
+                if g.var == inner {
+                    (from, to) = (from.max(at), to.min(at));
+                } else if self.iter[g.var] != at {
+                    (from, to) = (1, 0);
+                }
+            }
+            self.active[s] = (from, to);
+            if from <= to {
+                for r in st.refs.clone() {
+                    self.check_endpoints(r, from, to);
+                }
+            }
+        }
+        let n = k.refs.len();
+        let cur = &mut self.addr[k.depth * n..];
+        let steps = &self.steps[inner * n..];
+        let (bufs, stack, active) = (&mut self.bufs, &mut self.stack, &self.active);
+        for v in lo..=hi {
+            let (mut pc, mut sp) = (0, 0);
+            while let Some(&op) = k.tape.get(pc) {
+                pc += 1;
+                match op {
+                    Op::Guard(stmt, skip) => {
+                        let (from, to) = active[stmt];
+                        if v < from || v > to {
+                            pc = skip;
+                        }
+                    }
+                    Op::Const(c) => {
+                        stack[sp] = c;
+                        sp += 1;
+                    }
+                    // A negative address wraps past any tile length
+                    // and fails the slice's bounds check.
+                    Op::Load(slot, r) => {
+                        stack[sp] = bufs[slot][cur[r] as usize];
+                        sp += 1;
+                    }
+                    Op::Add => {
+                        sp -= 1;
+                        stack[sp - 1] += stack[sp];
+                    }
+                    Op::Sub => {
+                        sp -= 1;
+                        stack[sp - 1] -= stack[sp];
+                    }
+                    Op::Mul => {
+                        sp -= 1;
+                        stack[sp - 1] *= stack[sp];
+                    }
+                    Op::Div => {
+                        sp -= 1;
+                        stack[sp - 1] /= stack[sp];
+                    }
+                    Op::Store(slot, r) => {
+                        sp -= 1;
+                        bufs[slot][cur[r] as usize] = stack[sp];
+                    }
+                }
+            }
+            for (a, s) in cur.iter_mut().zip(steps) {
+                *a += s;
+            }
+        }
+    }
+
+    /// Asserts that reference `r` stays inside its tile at both ends
+    /// `from` and `to` of an innermost run.
+    fn check_endpoints(&self, r: usize, from: i64, to: i64) {
+        let depth = self.k.depth;
+        let rp = &self.k.refs[r];
+        for d in 0..rp.rank {
+            let (row, inner) = rp.rows[d * depth..(d + 1) * depth].split_at(depth - 1);
+            let outer = row
+                .iter()
+                .zip(&self.iter)
+                .fold(rp.offset[d], |acc, (c, i)| acc + c * i);
+            let (lo, hi) = self.sub_bounds[rp.first_sub + d];
+            for v in [from, to] {
+                let sub = outer + inner[0] * v;
+                assert!(
+                    lo <= sub && sub <= hi,
+                    "subscript {sub} of dimension {d} outside tile {lo}..={hi} of slot {}",
+                    rp.slot
+                );
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ooc_ir::Statement;
+    use ooc_linalg::Polyhedron;
+
+    fn identity_ref(a: usize, offset: Vec<i64>) -> ArrayRef {
+        ArrayRef::new(ArrayId(a), &[vec![1, 0], vec![0, 1]], offset)
+    }
+
+    /// `A(i,j) = B(i,j) + 1` over `1..=n` squared.
+    fn copy_nest() -> LoopNest {
+        let rhs = Expr::Add(
+            Box::new(Expr::Ref(identity_ref(1, vec![0, 0]))),
+            Box::new(Expr::Const(1.0)),
+        );
+        let stmt = Statement::assign(identity_ref(0, vec![0, 0]), rhs);
+        LoopNest::rectangular("copy", 2, 1, 0, vec![stmt])
+    }
+
+    fn tile(lo: [i64; 2], hi: [i64; 2], fill: f64) -> Option<Tile> {
+        let mut t = Tile::zeroed(Region::new(lo.to_vec(), hi.to_vec()));
+        t.data_mut().fill(fill);
+        Some(t)
+    }
+
+    #[test]
+    fn runs_the_box_and_nothing_else() {
+        let k = TileKernel::lower(&copy_nest(), &[4]).expect("lowers");
+        assert_eq!(k.slots(), 2);
+        let mut tiles = [tile([1, 1], [4, 4], 0.0), tile([1, 1], [4, 4], 2.0)];
+        k.run(&mut tiles, &[2, 1], &[3, 4]).expect("staged");
+        let a = tiles[0].as_ref().expect("still staged");
+        for i in 1..=4 {
+            for j in 1..=4 {
+                let want = if (2..=3).contains(&i) { 3.0 } else { 0.0 };
+                assert_eq!(a.get(&[i, j]), want, "A({i},{j})");
+            }
+        }
+    }
+
+    /// The read tile stops one column short of the box: without the
+    /// endpoint check the flat address of `B(1,4)` would alias to
+    /// `B(2,1)` and the run would silently read a neighbour.
+    #[test]
+    #[should_panic(expected = "outside tile")]
+    fn reference_leaving_its_tile_fails_the_endpoint_check() {
+        let k = TileKernel::lower(&copy_nest(), &[4]).expect("lowers");
+        let mut tiles = [tile([1, 1], [4, 4], 0.0), tile([1, 1], [4, 3], 2.0)];
+        let _ = k.run(&mut tiles, &[1, 1], &[4, 4]);
+    }
+
+    #[test]
+    fn an_unstaged_slot_is_an_error_not_a_panic() {
+        let k = TileKernel::lower(&copy_nest(), &[4]).expect("lowers");
+        let mut tiles = [tile([1, 1], [4, 4], 0.0), None];
+        let err = k
+            .run(&mut tiles, &[1, 1], &[4, 4])
+            .expect_err("B is missing");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+    }
+
+    #[test]
+    fn lowering_rejects_what_cannot_run() {
+        let kind = |nest: &LoopNest| {
+            TileKernel::lower(nest, &[4])
+                .map(|_| ())
+                .map_err(|e| e.kind())
+        };
+        // A(i/2, j): no integer access matrix.
+        let mut nest = copy_nest();
+        let half = Rational::new(1, 2);
+        nest.body[0].lhs.access = Matrix::from_rationals(
+            2,
+            2,
+            vec![half, Rational::ZERO, Rational::ZERO, Rational::ONE],
+        );
+        assert_eq!(kind(&nest), Err(io::ErrorKind::InvalidInput));
+        // A guard on a level the nest does not have.
+        let mut nest = copy_nest();
+        nest.body[0].guards.push(Guard {
+            var: 2,
+            at: GuardAt::LowerBound,
+        });
+        assert_eq!(kind(&nest), Err(io::ErrorKind::InvalidInput));
+        // A reference written for a deeper nest.
+        let mut nest = copy_nest();
+        nest.body[0].lhs = ArrayRef::new(ArrayId(0), &[vec![1, 0, 0], vec![0, 1, 0]], vec![0, 0]);
+        assert_eq!(kind(&nest), Err(io::ErrorKind::InvalidInput));
+        assert_eq!(kind(&copy_nest()), Ok(()));
+    }
+
+    /// Fractional bounds with negative numerators: the integer forms
+    /// must round exactly as `LoopBounds::eval` rounds the rationals.
+    #[test]
+    fn integer_bounds_agree_with_the_rational_ones() {
+        // -6 <= x0 <= 6,  (x0 - 3)/2 <= x1 <= (x0 + p)/3.
+        let mut poly = Polyhedron::universe(2, 1);
+        poly.add_var_range(0, -6, 6);
+        let (x0, x1) = (Affine::var(2, 1, 0), Affine::var(2, 1, 1));
+        let lower = x1.scale(Rational::from(2i64)).sub(&x0);
+        poly.add_ge0(lower.add(&Affine::constant(2, 1, 3)));
+        let upper = x0.add(&Affine::param(2, 1, 0));
+        poly.add_ge0(upper.sub(&x1.scale(Rational::from(3i64))));
+        let stmt = Statement::assign(identity_ref(0, vec![0, 0]), Expr::Const(0.0));
+        let nest = LoopNest {
+            name: "skewed".into(),
+            depth: 2,
+            bounds: poly,
+            body: vec![stmt],
+            iterations: 1,
+        };
+        let bounds = nest.bounds.loop_bounds();
+        for p in [-2i64, 4, 7] {
+            let k = TileKernel::lower(&nest, &[p]).expect("lowers");
+            assert_eq!(k.levels[0].eval(&[]), bounds[0].eval(&[], &[p]), "p={p}");
+            for x0 in -6..=6 {
+                assert_eq!(
+                    k.levels[1].eval(&[x0]),
+                    bounds[1].eval(&[x0], &[p]),
+                    "p={p} x0={x0}"
+                );
+            }
+        }
+    }
+}

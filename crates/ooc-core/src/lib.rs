@@ -17,7 +17,10 @@
 //! 5. [`tiling`] — out-of-core tiling (§3.3): tile all but the
 //!    innermost loop; plus traditional all-loops tiling for baselines.
 //! 6. [`exec`] — plan execution: functional (real data, small N) and
-//!    simulation (I/O call accounting + `pfs-sim` timing, paper-scale N).
+//!    simulation (I/O call accounting + `pfs-sim` timing, paper-scale N);
+//!    [`kernel`] — the element loops of a nest compiled once per run
+//!    (slot table, strided integer addressing, op tape), run by every
+//!    functional executor.
 //! 7. [`storage`] — §3.4 storage-requirement reduction for general
 //!    data transformations.
 //! 8. [`global`] — the paper's §5 future work: exact global layout
@@ -60,6 +63,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod codegen;
 pub mod cost;
@@ -68,6 +72,7 @@ pub mod exec;
 mod fixtures;
 pub mod global;
 pub mod interference;
+pub mod kernel;
 pub mod locality;
 pub mod optimizer;
 pub mod parallel;
@@ -85,6 +90,7 @@ pub use exec::{
 };
 pub use global::{layout_candidates, optimize_global, GlobalOptions, GlobalResult};
 pub use interference::{Component, InterferenceGraph};
+pub use kernel::TileKernel;
 pub use locality::{
     dim_order_for, innermost_candidates, layouts_for_2d, locality_under, loop_constraint_rows,
     movement, movement_i64, Locality,

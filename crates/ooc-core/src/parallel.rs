@@ -36,9 +36,9 @@
 //! * Shard threads are joined and every write-behind queue is flushed
 //!   before the next nest (or the final dump) reads anything, so
 //!   cross-nest flow sees complete results.
-//! * Each step's compute is byte-identical
-//!   ([`exec_box`](crate::exec) on the same staged tiles in the same
-//!   shard-local order).
+//! * Each step's compute is byte-identical (the nest's one
+//!   [`TileKernel`](crate::kernel) on the same staged tiles in the
+//!   same shard-local order).
 //!
 //! Analytic **write** I/O is likewise conserved: the steps of the
 //! serial walk are partitioned exactly (every step executes on exactly
@@ -283,13 +283,14 @@ pub(crate) fn exec_sharded<S: Store + Send + 'static>(
         if dur.as_ref().is_some_and(|d| d.skip_nest(ni)) {
             continue;
         }
-        let Some(NestPlan { staging, schedule }) = plan_nest(
+        let Some(NestPlan { kernel, schedule }) = plan_nest(
             tp,
             ni,
             params,
             &budget,
             pcfg.functional.runtime.max_call_elems,
-        ) else {
+        )?
+        else {
             if let Some(d) = dur.as_deref_mut() {
                 d.checkpoint(ni + 1, 0)?;
             }
@@ -325,7 +326,7 @@ pub(crate) fn exec_sharded<S: Store + Send + 'static>(
             // Serial path (all of a one-shard run): worker 0 drives
             // the full serial schedule on the main thread with the
             // durable session attached, checkpointing at tile rows.
-            let mut nr = NestRun::new(ni, nest, params, &staging, schedule, start_g, pcfg);
+            let mut nr = NestRun::new(ni, &kernel, schedule, start_g, pcfg);
             for g in start_g..nr.total_steps() {
                 nr.step(&mut workers[0], g, &mut dur)?;
             }
@@ -339,8 +340,7 @@ pub(crate) fn exec_sharded<S: Store + Send + 'static>(
                 // iteration serially so row accounting stays exact,
                 // then shard from the next iteration barrier.
                 let to = (from_it + 1) * n;
-                let mut nr =
-                    NestRun::new(ni, nest, params, &staging, schedule.clone(), start_g, pcfg);
+                let mut nr = NestRun::new(ni, &kernel, schedule.clone(), start_g, pcfg);
                 for g in start_g..to {
                     nr.step(&mut workers[0], g, &mut dur)?;
                 }
@@ -358,15 +358,7 @@ pub(crate) fn exec_sharded<S: Store + Send + 'static>(
                 .map(|sh| {
                     (!sh.schedule.steps.is_empty()).then(|| {
                         let n_s = sh.schedule.steps.len() as u64;
-                        NestRun::new(
-                            ni,
-                            nest,
-                            params,
-                            &staging,
-                            sh.schedule.clone(),
-                            from_it * n_s,
-                            pcfg,
-                        )
+                        NestRun::new(ni, &kernel, sh.schedule.clone(), from_it * n_s, pcfg)
                     })
                 })
                 .collect();

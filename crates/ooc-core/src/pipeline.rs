@@ -29,10 +29,10 @@
 //! matters: `wait_clear` before re-staging a region that may overlap
 //! a queued write of the same array, and `flush` at the end of every
 //! nest (before the cache clears and the next nest — or the final
-//! dump — may read anything the nest wrote). Compute itself is
-//! byte-for-byte the synchronous `exec_box` over the same tile
-//! boxes in the same order, so the pipelined result is bit-equal by
-//! construction; the differential suite checks it on every kernel.
+//! dump — may read anything the nest wrote). Compute itself is the
+//! synchronous walk's [`TileKernel`] over the same tile boxes in the
+//! same order, so the pipelined result is bit-equal by construction;
+//! the differential suite checks it on every kernel.
 //!
 //! Scheduling decisions (issue window, eviction, stall handling) are
 //! driven purely by step counts and deterministic tie-breaks — never
@@ -41,9 +41,10 @@
 //! and "stalled" buckets of [`PipelineStats`].
 
 use crate::exec::{
-    exec_box, journaled_write, plan_walk, record_read, record_write_back, write_tile_through,
-    FunctionalConfig, FunctionalRun, NestWalk, Staging,
+    journaled_write, plan_walk, record_read, record_write_back, write_tile_through,
+    FunctionalConfig, FunctionalRun, NestWalk,
 };
+use crate::kernel::TileKernel;
 use crate::parallel::{exec_sharded, ParallelConfig, ParallelRun, PIPELINED};
 use crate::recovery::DurableSession;
 use crate::tiling::TiledProgram;
@@ -145,10 +146,10 @@ impl PipelinedRun {
     }
 }
 
-/// One nest's executable plan: the staging layout plus the annotated
-/// schedule.
+/// One nest's executable plan: the compiled tile body plus the
+/// annotated schedule.
 pub(crate) struct NestPlan {
-    pub(crate) staging: Staging,
+    pub(crate) kernel: TileKernel,
     pub(crate) schedule: NestSchedule,
 }
 
@@ -158,8 +159,12 @@ pub(crate) fn plan_nest(
     params: &[i64],
     budget: &MemoryBudget,
     max_call_elems: u64,
-) -> Option<NestPlan> {
-    let NestWalk { staging, boxes } = plan_walk(tp, ni, params, budget, max_call_elems)?;
+) -> io::Result<Option<NestPlan>> {
+    let Some(NestWalk { kernel, boxes }) = plan_walk(tp, ni, params, budget, max_call_elems)?
+    else {
+        return Ok(None);
+    };
+    let staging = kernel.staging();
     let nest = &tp.nests[ni].nest;
     let dims: Vec<Vec<i64>> = tp
         .program
@@ -175,7 +180,8 @@ pub(crate) fn plan_nest(
                 box_hi,
                 ..TileStep::default()
             };
-            for ((a, slot), region) in staging.regions(nest, &step.box_lo, &step.box_hi) {
+            for (dense, region) in staging.regions(nest, &step.box_lo, &step.box_hi) {
+                let (a, slot) = staging.key(dense);
                 let id = TileId {
                     key: SlotKey {
                         array: u32::try_from(a.0).expect("array index"),
@@ -183,7 +189,7 @@ pub(crate) fn plan_nest(
                     },
                     region: region.clamped(&dims[a.0]),
                 };
-                if staging.slot_written(a, slot) {
+                if staging.written(dense) {
                     step.writes.push(id);
                 } else {
                     step.reads.push(StageRequest::new(id));
@@ -199,13 +205,14 @@ pub(crate) fn plan_nest(
         read_footprint_max: 0,
     };
     annotate_next_use(&mut schedule);
-    Some(NestPlan { staging, schedule })
+    Ok(Some(NestPlan { kernel, schedule }))
 }
 
 /// Derives the full tile schedule of a tiled program — the ordered
 /// tile footprints per nest with cyclic next-use annotations — without
 /// executing anything. `figure4` and `inspect --pipeline` render it;
-/// [`exec_pipelined`] executes it.
+/// [`exec_pipelined`] executes it. A nest whose body does not lower
+/// has no schedule here; the executors report the error.
 #[must_use]
 pub fn extract_schedule(tp: &TiledProgram, params: &[i64], cfg: &FunctionalConfig) -> TileSchedule {
     let total_elems = u64::try_from(tp.program.total_elements(params)).expect("size");
@@ -213,7 +220,8 @@ pub fn extract_schedule(tp: &TiledProgram, params: &[i64], cfg: &FunctionalConfi
     TileSchedule {
         nests: (0..tp.nests.len())
             .filter_map(|ni| {
-                plan_nest(tp, ni, params, &budget, cfg.runtime.max_call_elems).map(|p| p.schedule)
+                let plan = plan_nest(tp, ni, params, &budget, cfg.runtime.max_call_elems);
+                plan.ok().flatten().map(|p| p.schedule)
             })
             .collect(),
     }
@@ -275,6 +283,11 @@ impl<S: Store + Send> TileSink for DurableSink<S> {
 
 fn slot_key_pair(id: &TileId) -> (ArrayId, usize) {
     (ArrayId(id.key.array as usize), id.key.slot as usize)
+}
+
+/// Where the kernel expects the tile of `id`'s slot.
+fn dense_slot(kernel: &TileKernel, id: &TileId) -> io::Result<usize> {
+    kernel.slot_index(id.key.array as usize, id.key.slot as usize)
 }
 
 /// Retires worker `w`'s dirty `tile` at step `at`: enqueues it on the
@@ -534,10 +547,7 @@ impl<S: Store + Send + 'static> ShardWorker<S> {
 /// schedule.
 pub(crate) struct NestRun<'a> {
     ni: usize,
-    nest: &'a ooc_ir::LoopNest,
-    bounds: Vec<ooc_linalg::LoopBounds>,
-    params: &'a [i64],
-    staging: &'a Staging,
+    kernel: &'a TileKernel,
     schedule: NestSchedule,
     /// Steps per iteration of this run's schedule.
     n: u64,
@@ -562,9 +572,7 @@ impl<'a> NestRun<'a> {
     /// as an uninterrupted one).
     pub(crate) fn new(
         ni: usize,
-        nest: &'a ooc_ir::LoopNest,
-        params: &'a [i64],
-        staging: &'a Staging,
+        kernel: &'a TileKernel,
         schedule: NestSchedule,
         start_g: u64,
         cfg: &PipelineConfig,
@@ -585,10 +593,7 @@ impl<'a> NestRun<'a> {
         });
         NestRun {
             ni,
-            nest,
-            bounds: nest.bounds.loop_bounds(),
-            params,
-            staging,
+            kernel,
             schedule,
             n,
             start_g,
@@ -696,7 +701,7 @@ impl<'a> NestRun<'a> {
 
         // Stage this step's tiles.
         let step = &self.schedule.steps[s];
-        let mut tiles: BTreeMap<(ArrayId, usize), Tile> = BTreeMap::new();
+        let mut tiles: Vec<Option<Tile>> = vec![None; self.kernel.slots()];
         let mut stalled = false;
         for req in &step.reads {
             let id = &req.tile;
@@ -749,7 +754,7 @@ impl<'a> NestRun<'a> {
                     stage_sync(w, at, id)?
                 }
             };
-            tiles.insert(slot_key_pair(id), tile);
+            tiles[dense_slot(self.kernel, id)?] = Some(tile);
         }
         if stalled {
             w.stats.stalls += 1;
@@ -785,25 +790,11 @@ impl<'a> NestRun<'a> {
                 let t = stage_sync(w, at, id)?;
                 self.written_tiles.insert(key, t);
             }
-            let t = self
-                .written_tiles
-                .remove(&key)
-                .expect("written tile staged");
-            tiles.insert(key, t);
+            tiles[dense_slot(self.kernel, id)?] = self.written_tiles.remove(&key);
         }
 
-        // Compute — byte-identical to the synchronous executor.
-        let mut iter: Vec<i64> = Vec::with_capacity(self.nest.depth);
-        exec_box(
-            self.nest,
-            &self.bounds,
-            self.params,
-            &step.box_lo,
-            &step.box_hi,
-            &mut iter,
-            &mut tiles,
-            self.staging,
-        );
+        // Compute — the synchronous walk's kernel on the same tiles.
+        self.kernel.run(&mut tiles, &step.box_lo, &step.box_hi)?;
         match dur.as_deref_mut() {
             Some(d) => d.report.executed_steps += 1,
             None => w.executed_steps += 1,
@@ -813,8 +804,7 @@ impl<'a> NestRun<'a> {
         // next use; evictees are clean by construction (written
         // tiles never enter the cache).
         for req in &step.reads {
-            let key = slot_key_pair(&req.tile);
-            if let Some(t) = tiles.remove(&key) {
+            if let Some(t) = tiles[dense_slot(self.kernel, &req.tile)?].take() {
                 let next = self.schedule.absolute_next_use(g, req.next_use_delta);
                 let out = self.cache.insert(req.tile.key, t, false, next);
                 debug_assert!(
@@ -835,9 +825,8 @@ impl<'a> NestRun<'a> {
             }
         }
         for id in &step.writes {
-            let key = slot_key_pair(id);
-            if let Some(t) = tiles.remove(&key) {
-                self.written_tiles.insert(key, t);
+            if let Some(t) = tiles[dense_slot(self.kernel, id)?].take() {
+                self.written_tiles.insert(slot_key_pair(id), t);
             }
         }
 

@@ -20,6 +20,7 @@
 //! * [`pretty`] — pseudo-Fortran rendering of nests for inspection.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod builder;
 pub mod deps;

@@ -118,6 +118,19 @@ impl ArrayRef {
     #[must_use]
     pub fn subscripts(&self, iter: &[i64]) -> Vec<i64> {
         assert_eq!(iter.len(), self.depth());
+        // An all-integer access matrix (every kernel's) needs no
+        // rational arithmetic: plain dot products, in the rationals'
+        // own `i128` so overflow still fails loudly.
+        let integer_row = |d: usize| {
+            let mut acc = i128::from(self.offset[d]);
+            for (j, &x) in iter.iter().enumerate() {
+                acc += self.access[(d, j)].as_integer()? * i128::from(x);
+            }
+            Some(i64::try_from(acc).expect("overflow"))
+        };
+        if let Some(subs) = (0..self.rank()).map(integer_row).collect() {
+            return subs;
+        }
         self.access
             .mul_vec_i64(iter)
             .iter()
@@ -472,6 +485,18 @@ mod tests {
         // With offset: U(i+1, j-1).
         let r2 = ArrayRef::new(ArrayId(0), &[vec![1, 0], vec![0, 1]], vec![1, -1]);
         assert_eq!(r2.subscripts(&[3, 7]), vec![4, 6]);
+    }
+
+    #[test]
+    fn fractional_access_takes_the_rational_path() {
+        // A(i/2 + j/2): integer only where i + j is even.
+        let half = ooc_linalg::Rational::new(1, 2);
+        let r = ArrayRef {
+            array: ArrayId(0),
+            access: Matrix::from_rationals(1, 2, vec![half, half]),
+            offset: vec![3],
+        };
+        assert_eq!(r.subscripts(&[5, 7]), vec![9]);
     }
 
     #[test]

@@ -8,6 +8,7 @@
 //! structure is designed to reproduce and tests it in miniature.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod kernel;
 pub mod kernels;

@@ -39,6 +39,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod completion;
 pub mod fm;

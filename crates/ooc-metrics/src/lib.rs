@@ -25,6 +25,7 @@
 //! from one commit to the next.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod diff;
 pub mod prometheus;

@@ -40,6 +40,7 @@
 //! schedule from its tiling output and drives these pieces.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod cache;
 pub mod partition;

@@ -11,6 +11,13 @@
 //!   error, so a nest never starts while its predecessor's stores are
 //!   airborne and a lost write can never be silently absorbed.
 //!
+//! The queue is bounded ([`MAX_PENDING`] tiles behind the one being
+//! written): [`WriteBehind::enqueue`] holds the producer back once it
+//! is full, so a body that computes faster than the store absorbs
+//! cannot park a whole iteration's dirty tiles outside the memory
+//! budget. The bound moves waiting from the flush barrier to the
+//! enqueue; it changes no write, and no count.
+//!
 //! A *single* writer thread keeps per-array write order identical to
 //! enqueue order, which makes overlapping same-array writes safe
 //! without any versioning; cross-array order is irrelevant because
@@ -50,6 +57,10 @@ pub trait DurabilityFence: Send {
     fn commit(&mut self, id: &TileId) -> io::Result<()>;
 }
 
+/// Most tiles that wait in the queue behind the one being written —
+/// the write-side twin of the prefetch window's default depth.
+pub const MAX_PENDING: usize = 4;
+
 #[derive(Debug, Default)]
 struct WbQueue {
     pending: Vec<(TileId, Tile)>,
@@ -88,6 +99,9 @@ struct WbState {
     work: Condvar,
     /// Signals waiters that the queue drained / a region cleared.
     settled: Condvar,
+    /// Signals the producer that the writer took a tile off a full
+    /// queue.
+    room: Condvar,
 }
 
 /// The write-behind queue plus its writer thread.
@@ -126,6 +140,7 @@ impl WriteBehind {
                             if !q.pending.is_empty() {
                                 let (id, tile) = q.pending.remove(0);
                                 q.active = Some(id.clone());
+                                state.room.notify_one();
                                 break (id, tile);
                             }
                             if q.closed {
@@ -167,10 +182,21 @@ impl WriteBehind {
         }
     }
 
-    /// Queues `tile` for background write-back.
+    /// Queues `tile` for background write-back, first waiting until
+    /// fewer than [`MAX_PENDING`] tiles are queued: a producer that
+    /// computes faster than the store absorbs would otherwise park a
+    /// whole iteration's written tiles here, outside any memory
+    /// budget.
     pub fn enqueue(&self, id: TileId, tile: Tile) {
         {
             let mut q = self.state.queue.lock().expect("writebehind queue");
+            if q.pending.len() >= MAX_PENDING {
+                let _full =
+                    ooc_trace::enabled().then(|| ooc_trace::span("pipeline", "wb-full-wait"));
+                while q.pending.len() >= MAX_PENDING {
+                    q = self.state.room.wait(q).expect("writebehind queue");
+                }
+            }
             q.pending.push((id, tile));
         }
         self.state.work.notify_one();
@@ -455,6 +481,62 @@ mod tests {
         let err = wb.flush().expect_err("fence failure surfaces");
         assert!(err.to_string().contains("fence failed"));
         assert_eq!(wb.tiles_written(), 0, "an uncommitted tile never settles");
+    }
+
+    /// Holds every write until the test hands it a token, and says
+    /// when a write starts.
+    struct GatedSink {
+        started: std::sync::mpsc::Sender<i64>,
+        gate: std::sync::mpsc::Receiver<()>,
+    }
+
+    impl TileSink for GatedSink {
+        fn store(&mut self, id: &TileId, _tile: &Tile) -> io::Result<IoStats> {
+            self.started.send(id.region.lo[0]).expect("test listens");
+            self.gate.recv().expect("test releases every write");
+            Ok(IoStats::default())
+        }
+    }
+
+    #[test]
+    fn a_full_queue_holds_the_producer_back() {
+        use std::sync::mpsc::channel;
+        let (started_tx, started) = channel();
+        let (gate, gate_rx) = channel();
+        let wb = WriteBehind::new(Box::new(GatedSink {
+            started: started_tx,
+            gate: gate_rx,
+        }));
+        let total = 3 * MAX_PENDING as i64;
+        let (queued_tx, queued) = channel();
+        std::thread::scope(|scope| {
+            let wb = &wb;
+            scope.spawn(move || {
+                for i in 1..=total {
+                    wb.enqueue(id(0, i, i), filled(i, i, i as f64));
+                    queued_tx.send(i).expect("test listens");
+                }
+            });
+            // The writer holds tile 1 at the gate; the producer fills
+            // the queue behind it and must then wait, however long the
+            // test dawdles here.
+            assert_eq!(started.recv().expect("writer runs"), 1);
+            for i in 1..=MAX_PENDING as i64 + 1 {
+                assert_eq!(queued.recv().expect("producer runs"), i);
+            }
+            for next in 2..=total {
+                assert!(
+                    wb.depth() <= MAX_PENDING as u64 + 1,
+                    "queue overran its bound"
+                );
+                gate.send(()).expect("writer waits");
+                // FIFO: the writer takes the tiles in enqueue order.
+                assert_eq!(started.recv().expect("writer runs"), next);
+            }
+            gate.send(()).expect("writer waits");
+        });
+        wb.flush().expect("no errors");
+        assert_eq!(wb.tiles_written(), total as u64);
     }
 
     #[test]

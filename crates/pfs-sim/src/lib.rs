@@ -18,6 +18,7 @@
 //! reconstruction.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod analytic;
 pub mod config;

@@ -8,6 +8,7 @@
 //! `cargo build --benches` compiling.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 use std::hint;
 use std::time::{Duration, Instant};

@@ -14,6 +14,7 @@
 //! failing case reports the case number, and re-running replays it.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod strategy;
 pub mod test_runner;

@@ -7,6 +7,7 @@
 //! sequential execution).
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 /// The `rayon::prelude` re-exports.
 pub mod prelude {

@@ -28,6 +28,8 @@
 //!
 //! See `examples/quickstart.rs` for a five-minute tour.
 
+#![forbid(unsafe_code)]
+
 pub use ooc_core as core;
 pub use ooc_ir as ir;
 pub use ooc_kernels as kernels;
