@@ -7,8 +7,8 @@
 //! compiled plan can be inspected side by side with the publication.
 
 use crate::exec::ExecConfig;
-use crate::tiling::{plan_spans, IoWeights, TiledProgram};
-use ooc_runtime::{MemoryBudget, ELEM_BYTES};
+use crate::plan::plan_nest;
+use crate::tiling::TiledProgram;
 use std::fmt::Write as _;
 
 const TILE_VARS: [&str; 8] = ["UT", "VT", "WT", "XT", "YT", "ZT", "ST", "TT"];
@@ -27,31 +27,22 @@ pub fn render_tiled_nest(tp: &TiledProgram, nest_idx: usize, cfg: &ExecConfig) -
     let params = &cfg.params;
     let mut out = String::new();
 
-    // Ranges and spans, mirroring the executor.
-    let bounds = nest.bounds.loop_bounds();
-    let mut ranges = Vec::with_capacity(nest.depth);
-    let mut outer: Vec<i64> = Vec::new();
-    for b in &bounds {
-        let Some((lo, hi)) = b.eval(&outer, params) else {
+    // Ranges and spans: the plan the simulator runs.
+    let plan = cfg.plan_env(&tp.program, &tp.layouts).and_then(|env| {
+        let plan = plan_nest(&env, nest, tnest.strategy, &tnest.tiled_levels, None)?;
+        Ok(plan.map(|p| (p.ranges, p.spans)))
+    });
+    let (ranges, spans) = match plan {
+        Ok(Some(plan)) => plan,
+        Ok(None) => {
             let _ = writeln!(out, "! nest `{}` is empty at {params:?}", nest.name);
             return out;
-        };
-        ranges.push((lo, hi));
-        outer.push(lo);
-    }
-    let total = u64::try_from(tp.program.total_elements(params).max(1)).expect("size");
-    let budget = MemoryBudget::paper_fraction(total, cfg.memory_fraction);
-    let spans = plan_spans(
-        nest,
-        tnest.strategy,
-        &tp.layouts,
-        &tp.program,
-        params,
-        &ranges,
-        &budget,
-        IoWeights::default(),
-        cfg.machine.pfs.max_call_bytes / ELEM_BYTES,
-    );
+        }
+        Err(e) => {
+            let _ = writeln!(out, "! nest `{}` cannot be planned: {e}", nest.name);
+            return out;
+        }
+    };
 
     let _ = writeln!(
         out,
@@ -279,5 +270,31 @@ mod tests {
         let text = render_tiled_program(&tp, &cfg);
         assert!(text.contains("! file layouts:"));
         assert!(text.contains("U "));
+    }
+
+    /// `do i = 1,N; do j = 1,i`: the `j` tile loop must cover the
+    /// bounding range `1..=N`, not the single column the inner loop
+    /// spans at the first outer iteration.
+    #[test]
+    fn triangular_nest_tiles_its_bounding_box() {
+        let mut prog = worked_example();
+        let (i, j) = (
+            ooc_linalg::Affine::var(2, 1, 0),
+            ooc_linalg::Affine::var(2, 1, 1),
+        );
+        prog.nests[0].bounds.add_ge0(i.sub(&j));
+        let tp = TiledProgram {
+            layouts: crate::cost::default_layouts(&prog),
+            nests: vec![crate::tiling::TiledNest {
+                nest: prog.nests[0].clone(),
+                tiled_levels: vec![0, 1],
+                strategy: TilingStrategy::Traditional,
+            }],
+            program: prog,
+        };
+        let text = render_tiled_nest(&tp, 0, &ExecConfig::new(vec![64], 1));
+        assert!(text.contains("do UT = 1, 64, "), "level 0:\n{text}");
+        assert!(text.contains("do VT = 1, 64, "), "level 1:\n{text}");
+        assert!(text.contains("min(VT+"), "level 1 element loop:\n{text}");
     }
 }

@@ -21,14 +21,14 @@
 //! triangular nest runs only the points that belong to it.
 
 use crate::kernel::TileKernel;
+use crate::plan::{chunks, plan_nest, NestPlan, PlanEnv, PAPER_MEMORY_FRACTION};
 use crate::recovery::DurableSession;
-use crate::tiling::{class_region, plan_spans, IoWeights, TiledProgram};
-use ooc_ir::{ArrayId, Expr, LoopNest, Statement};
-use ooc_linalg::Affine;
+use crate::tiling::{TiledNest, TiledProgram};
+use ooc_ir::{ArrayId, Expr, Statement};
 use ooc_runtime::{
     AccessRecord, InterleavedGroup, IoCause, IoStats, LedgerEvent, LedgerRecorder, MeasuredIo,
-    MemStore, MemoryBudget, OocArray, Region, RuntimeConfig, SharedJournal, Store, Tile,
-    TouchTracker, ELEM_BYTES,
+    MemStore, OocArray, Region, RuntimeConfig, SharedJournal, Store, Tile, TouchTracker,
+    ELEM_BYTES,
 };
 use pfs_sim::{FileId, MachineConfig, Op, PfsSim, SimResult, Workload};
 use std::collections::BTreeMap;
@@ -58,9 +58,23 @@ impl ExecConfig {
             params,
             machine: MachineConfig::default(),
             procs,
-            memory_fraction: 128,
+            memory_fraction: PAPER_MEMORY_FRACTION,
             interleave: Vec::new(),
         }
+    }
+
+    /// The planning environment of a program under `layouts` on this
+    /// configuration's machine, at its parameters and memory fraction.
+    ///
+    /// # Errors
+    /// See [`PlanEnv::new`].
+    pub(crate) fn plan_env<'a>(
+        &'a self,
+        program: &'a ooc_ir::Program,
+        layouts: &'a [ooc_runtime::FileLayout],
+    ) -> io::Result<PlanEnv<'a>> {
+        let (params, fraction) = (&self.params, self.memory_fraction);
+        PlanEnv::for_machine(program, layouts, params, fraction, &self.machine)
     }
 }
 
@@ -94,34 +108,6 @@ impl SimReport {
     }
 }
 
-/// Per-level inclusive ranges of a nest at given parameters: a
-/// bounding box of the iteration polyhedron. Each bound form is
-/// evaluated over the *interval* of the outer levels' ranges — a
-/// lower form at its minimum, an upper form at its maximum — so the
-/// box contains every point of a non-rectangular nest; where no form
-/// mentions an outer level (every rectangular nest) this is the exact
-/// range.
-fn level_ranges(nest: &LoopNest, params: &[i64]) -> Option<Vec<(i64, i64)>> {
-    let mut out: Vec<(i64, i64)> = Vec::with_capacity(nest.depth);
-    for b in &nest.bounds.loop_bounds() {
-        // The extreme of `form` over the box of the outer ranges.
-        let extreme = |form: &Affine, max: bool| {
-            let mut at = vec![0i64; form.nvars()];
-            for ((v, &(lo, hi)), c) in at.iter_mut().zip(&out).zip(&form.var_coeffs) {
-                *v = if (c.signum() > 0) == max { hi } else { lo };
-            }
-            form.eval(&at, params)
-        };
-        let lo = b.lowers.iter().map(|f| extreme(f, false).ceil()).max()?;
-        let hi = b.uppers.iter().map(|f| extreme(f, true).floor()).min()?;
-        if lo > hi {
-            return None;
-        }
-        out.push((i64::try_from(lo).ok()?, i64::try_from(hi).ok()?));
-    }
-    Some(out)
-}
-
 /// Number of floating-point operations per execution of a statement.
 fn stmt_flops(s: &Statement) -> u64 {
     fn expr_ops(e: &Expr) -> u64 {
@@ -133,73 +119,6 @@ fn stmt_flops(s: &Statement) -> u64 {
         }
     }
     expr_ops(&s.rhs).max(1)
-}
-
-/// Walks the tile boxes of a nest restricted to `chunk` at
-/// `chunk_level`, invoking `f(box_lo, box_hi)`.
-fn walk_tiles_at(
-    ranges: &[(i64, i64)],
-    tiled: &[usize],
-    spans: &[i64],
-    chunk_level: usize,
-    chunk: (i64, i64),
-    f: &mut impl FnMut(&[i64], &[i64]),
-) {
-    let depth = ranges.len();
-    if depth == 0 {
-        return;
-    }
-    let mut ranges = ranges.to_vec();
-    ranges[chunk_level] = chunk;
-    if ranges.iter().any(|(lo, hi)| lo > hi) {
-        return;
-    }
-    let mut lo = vec![0i64; depth];
-    let mut hi = vec![0i64; depth];
-    walk_rec(&ranges, tiled, spans, 0, &mut lo, &mut hi, f);
-}
-
-fn walk_rec(
-    ranges: &[(i64, i64)],
-    tiled: &[usize],
-    spans: &[i64],
-    level: usize,
-    lo: &mut Vec<i64>,
-    hi: &mut Vec<i64>,
-    f: &mut impl FnMut(&[i64], &[i64]),
-) {
-    if level == ranges.len() {
-        f(lo, hi);
-        return;
-    }
-    let (rlo, rhi) = ranges[level];
-    if tiled.contains(&level) {
-        let span = spans[level].max(1);
-        let mut t = rlo;
-        while t <= rhi {
-            lo[level] = t;
-            hi[level] = (t + span - 1).min(rhi);
-            walk_rec(ranges, tiled, spans, level + 1, lo, hi, f);
-            t += span;
-        }
-    } else {
-        lo[level] = rlo;
-        hi[level] = rhi;
-        walk_rec(ranges, tiled, spans, level + 1, lo, hi, f);
-    }
-}
-
-/// Splits `(lo, hi)` into `procs` near-equal chunks.
-fn chunks(lo: i64, hi: i64, procs: usize) -> Vec<(i64, i64)> {
-    let n = (hi - lo + 1).max(0);
-    let p = procs.max(1) as i64;
-    (0..p)
-        .map(|i| {
-            let start = lo + i * n / p;
-            let end = lo + (i + 1) * n / p - 1;
-            (start, end)
-        })
-        .collect()
 }
 
 /// Builds the `pfs-sim` workload of a tiled program (one trace per
@@ -215,45 +134,31 @@ pub fn build_workload(tp: &TiledProgram, cfg: &ExecConfig) -> (PfsSim, Workload,
         ],
     );
     let mut sim = PfsSim::new(cfg.machine);
-    let params = &cfg.params;
-    let dims_of = |a: usize| -> Vec<i64> {
-        tp.program.arrays[a]
-            .dims
-            .iter()
-            .map(|d| d.resolve(params))
-            .collect()
-    };
+    let env = cfg
+        .plan_env(&tp.program, &tp.layouts)
+        .expect("array sizes fit u64");
+    let n_arrays = tp.program.arrays.len();
 
     // Interleave groups: member -> (group index, group object, file).
     let mut group_of: BTreeMap<ArrayId, usize> = BTreeMap::new();
-    let mut groups: Vec<(InterleavedGroup, FileId, Vec<ArrayId>)> = Vec::new();
+    let mut groups: Vec<(InterleavedGroup, FileId)> = Vec::new();
     for members in &cfg.interleave {
         if members.len() < 2 {
             continue;
         }
-        let dims = dims_of(members[0].0);
         let layout = tp.layouts[members[0].0].clone();
-        let g = InterleavedGroup::new(&dims, layout, members.len());
+        let g = InterleavedGroup::new(env.dims(members[0].0), layout, members.len());
         let file = sim.create_file(g.file_elements() * ELEM_BYTES);
         for m in members {
             group_of.insert(*m, groups.len());
         }
-        groups.push((g, file, members.clone()));
+        groups.push((g, file));
     }
     // Plain files for ungrouped arrays.
     let mut file_of: BTreeMap<ArrayId, FileId> = BTreeMap::new();
-    for (a, decl) in tp.program.arrays.iter().enumerate() {
-        let id = ArrayId(a);
-        if group_of.contains_key(&id) {
-            continue;
-        }
-        let elems = u64::try_from(decl.len(params)).expect("array size");
-        file_of.insert(id, sim.create_file(elems * ELEM_BYTES));
+    for a in (0..n_arrays).filter(|&a| !group_of.contains_key(&ArrayId(a))) {
+        file_of.insert(ArrayId(a), sim.create_file(env.array_elems(a) * ELEM_BYTES));
     }
-
-    let total_elems = u64::try_from(tp.program.total_elements(params)).expect("size");
-    let budget = MemoryBudget::paper_fraction(total_elems, cfg.memory_fraction);
-    let max_call_elems = cfg.machine.pfs.max_call_bytes / ELEM_BYTES;
 
     let mut per_proc: Vec<Vec<Op>> = vec![Vec::new(); cfg.procs];
     let mut io_calls = 0u64;
@@ -264,86 +169,27 @@ pub fn build_workload(tp: &TiledProgram, cfg: &ExecConfig) -> (PfsSim, Workload,
 
     for tnest in &tp.nests {
         let nest = &tnest.nest;
-        let Some(ranges) = level_ranges(nest, params) else {
-            continue;
-        };
-        // Wall-clock weights: disk-side per-call service spreads across
-        // the I/O nodes, processor-side issue stays serial, bytes
-        // stream through the processor's link to the I/O partition.
-        let weights = IoWeights {
-            per_call: (cfg.machine.pfs.disk.call_overhead_s
-                + cfg.machine.pfs.disk.min_transfer_bytes as f64
-                    / cfg.machine.pfs.disk.bandwidth_bps)
-                / cfg.machine.pfs.io_nodes as f64
-                + cfg.machine.compute.io_issue_overhead_s,
-            per_elem: ELEM_BYTES as f64 / cfg.machine.compute.link_bandwidth_bps,
-        };
         // Communication-free parallelization: block-partition the
-        // outermost loop level with zero dependence distance over the
-        // processors (the paper's fixed per-code data decomposition;
-        // falls back to the outermost loop when nothing is provably
-        // parallel).
-        let deps = ooc_ir::nest_dependences(nest);
-        let chunk_level = (0..nest.depth)
-            .find(|&l| {
-                deps.iter()
-                    .all(|d| d.vector[l] == ooc_ir::DepElem::Exact(0))
-            })
-            .unwrap_or(0);
-        let proc_chunks = chunks(ranges[chunk_level].0, ranges[chunk_level].1, cfg.procs);
-        let mut plan_ranges = ranges.clone();
-        plan_ranges[chunk_level] = proc_chunks
-            .iter()
-            .max_by_key(|(lo, hi)| hi - lo)
-            .copied()
-            .unwrap_or(ranges[chunk_level]);
-        let spans = plan_spans(
+        // ownership level over the processors (the paper's fixed
+        // per-code data decomposition; the outermost loop when nothing
+        // is provably parallel), spans planned on the largest chunk.
+        let plan = plan_nest(
+            &env,
             nest,
             tnest.strategy,
-            &tp.layouts,
-            &tp.program,
-            params,
-            &plan_ranges,
-            &budget,
-            weights,
-            max_call_elems,
-        );
+            &tnest.tiled_levels,
+            Some(cfg.procs),
+        )
+        .expect("staged regions fit i64");
+        let Some(plan) = plan else { continue };
+        let staging = &plan.staging;
+        let chunk_level = plan.own_level.unwrap_or(0);
         let per_stmt: u64 = nest.body.iter().map(stmt_flops).sum();
-        // Access classes: one staged tile per (array, access matrix).
-        // The class index is canonical per access *matrix* (shared
-        // across arrays) so interleaved group members staged through the
-        // same matrix hit one cache slot — one fetch serves the group.
-        let mut class_table: Vec<ooc_linalg::Matrix> = Vec::new();
-        let class_id = |m: &ooc_linalg::Matrix, table: &mut Vec<ooc_linalg::Matrix>| -> usize {
-            if let Some(i) = table.iter().position(|c| c == m) {
-                i
-            } else {
-                table.push(m.clone());
-                table.len() - 1
-            }
-        };
-        let mut read_classes: Vec<(ArrayId, usize, ooc_linalg::Matrix)> = Vec::new();
-        let mut write_classes: Vec<(ArrayId, usize, ooc_linalg::Matrix)> = Vec::new();
-        for st in &nest.body {
-            let cid = class_id(&st.lhs.access, &mut class_table);
-            if !write_classes
-                .iter()
-                .any(|(a, c, _)| *a == st.lhs.array && *c == cid)
-            {
-                write_classes.push((st.lhs.array, cid, st.lhs.access.clone()));
-            }
-            for r in st.reads() {
-                let cid = class_id(&r.access, &mut class_table);
-                if !read_classes
-                    .iter()
-                    .any(|(a, c, _)| *a == r.array && *c == cid)
-                {
-                    read_classes.push((r.array, cid, r.access.clone()));
-                }
-            }
-        }
 
-        for (p, &chunk) in proc_chunks.iter().enumerate() {
+        for (p, chunk) in chunks(plan.ranges[chunk_level], cfg.procs)
+            .into_iter()
+            .enumerate()
+        {
             let mut trace: Vec<Op> = Vec::new();
             // Tile-loop-invariant hoisting: a staged tile whose region is
             // unchanged from the previous tile step is already resident —
@@ -355,92 +201,74 @@ pub fn build_workload(tp: &TiledProgram, cfg: &ExecConfig) -> (PfsSim, Workload,
             let mut calls_acc = 0u64;
             let mut bytes_acc = 0u64;
             let mut flops_acc = 0f64;
-            walk_tiles_at(
-                &ranges,
-                &tnest.tiled_levels,
-                &spans,
-                chunk_level,
-                chunk,
-                &mut |lo, hi| {
-                    tile_steps += 1;
-                    let mut emit =
-                        |array: ArrayId,
-                         cidx: usize,
-                         class: &ooc_linalg::Matrix,
-                         is_write: bool,
-                         trace: &mut Vec<Op>,
-                         cached: &mut BTreeMap<(usize, usize), Region>| {
-                            let Some(region) = class_region(nest, array, class, lo, hi) else {
-                                return;
-                            };
-                            let dims = dims_of(array.0);
-                            let region = region.clamped(&dims);
-                            if let Some(&gi) = group_of.get(&array) {
-                                // Interleaved group: one staged op fetches every
-                                // member's slice; cache per (group, class).
-                                let key = (tp.program.arrays.len() + gi, cidx);
-                                if cached.get(&key) == Some(&region) {
-                                    return;
-                                }
-                                let (g, file, _) = &groups[gi];
-                                let cost = g.group_io_cost(&region, max_call_elems);
-                                cached.insert(key, region);
-                                if cost.calls == 0 {
-                                    return;
-                                }
-                                calls_acc += cost.calls;
-                                bytes_acc += cost.elements * ELEM_BYTES;
-                                trace.push(Op::Io {
-                                    file: *file,
-                                    offset: cost.start_byte,
-                                    bytes: cost.elements * ELEM_BYTES,
-                                    span: cost.span_bytes,
-                                    calls: cost.calls,
-                                    is_write,
-                                });
-                                return;
-                            }
-                            let key = (array.0, cidx);
-                            if cached.get(&key) == Some(&region) {
-                                return;
-                            }
-                            let layout = &tp.layouts[array.0];
-                            let summary = layout.region_run_summary(&dims, &region);
-                            let cost = ooc_runtime::summary_cost(summary, max_call_elems);
-                            cached.insert(key, region);
-                            if cost.calls == 0 {
-                                return;
-                            }
-                            calls_acc += cost.calls;
-                            bytes_acc += cost.elements * ELEM_BYTES;
-                            trace.push(Op::Io {
-                                file: file_of[&array],
-                                offset: cost.start_byte,
-                                bytes: cost.elements * ELEM_BYTES,
-                                span: cost.span_bytes,
-                                calls: cost.calls,
-                                is_write,
-                            });
+            plan.for_each_box(chunk_level, chunk, &mut |lo, hi| {
+                tile_steps += 1;
+                // A read is issued only for a slot some right-hand side
+                // reads, a write only for a written slot.
+                let mut emit =
+                    |slot: usize,
+                     is_write: bool,
+                     trace: &mut Vec<Op>,
+                     cached: &mut BTreeMap<(usize, usize), Region>| {
+                        let (array, index) = staging.key(slot);
+                        let region = plan.staged_slot(slot, lo, hi);
+                        // An interleaved group is one file: one staged op
+                        // fetches every member's slice, so its members
+                        // staged through the same access matrix share a
+                        // cache entry.
+                        let group = group_of.get(&array).copied();
+                        let key = match group {
+                            Some(gi) => (n_arrays + gi, staging.class_key(slot)),
+                            None => (array.0, index),
                         };
-                    for (a, cidx, class) in &read_classes {
-                        emit(*a, *cidx, class, false, &mut trace, &mut cached_read);
-                    }
-                    // Compute phase between reads and write-back.
-                    let points: f64 = lo
-                        .iter()
-                        .zip(hi)
-                        .map(|(&l, &h)| (h - l + 1).max(0) as f64)
-                        .product();
-                    let flops = points * per_stmt as f64;
-                    flops_acc += flops;
-                    trace.push(Op::Compute {
-                        seconds: flops * spf,
-                    });
-                    for (a, cidx, class) in &write_classes {
-                        emit(*a, *cidx, class, true, &mut trace, &mut cached_write);
-                    }
-                },
-            );
+                        if cached.get(&key) == Some(&region) {
+                            return;
+                        }
+                        let (cost, file) = match group {
+                            Some(gi) => {
+                                let (g, file) = &groups[gi];
+                                (g.group_io_cost(&region, env.max_call_elems()), *file)
+                            }
+                            None => {
+                                let summary = tp.layouts[array.0]
+                                    .region_run_summary(env.dims(array.0), &region);
+                                let cost = ooc_runtime::summary_cost(summary, env.max_call_elems());
+                                (cost, file_of[&array])
+                            }
+                        };
+                        cached.insert(key, region);
+                        if cost.calls == 0 {
+                            return;
+                        }
+                        calls_acc += cost.calls;
+                        bytes_acc += cost.elements * ELEM_BYTES;
+                        trace.push(Op::Io {
+                            file,
+                            offset: cost.start_byte,
+                            bytes: cost.elements * ELEM_BYTES,
+                            span: cost.span_bytes,
+                            calls: cost.calls,
+                            is_write,
+                        });
+                    };
+                for &slot in staging.reads() {
+                    emit(slot, false, &mut trace, &mut cached_read);
+                }
+                // Compute phase between reads and write-back.
+                let points: f64 = lo
+                    .iter()
+                    .zip(hi)
+                    .map(|(&l, &h)| (h - l + 1).max(0) as f64)
+                    .product();
+                let flops = points * per_stmt as f64;
+                flops_acc += flops;
+                trace.push(Op::Compute {
+                    seconds: flops * spf,
+                });
+                for &slot in staging.writes() {
+                    emit(slot, true, &mut trace, &mut cached_write);
+                }
+            });
             // The outer timing loop repeats the whole nest (tiles are not
             // cached across repetitions: the working set was recycled).
             io_calls += calls_acc * u64::from(nest.iterations);
@@ -504,7 +332,7 @@ impl Default for FunctionalConfig {
     fn default() -> Self {
         FunctionalConfig {
             runtime: RuntimeConfig::default(),
-            memory_fraction: 128,
+            memory_fraction: PAPER_MEMORY_FRACTION,
             ledger: None,
         }
     }
@@ -519,6 +347,26 @@ impl FunctionalConfig {
             memory_fraction,
             ledger: None,
         }
+    }
+
+    /// The planning environment of `tp` at `params` under this
+    /// configuration's memory fraction and call-size limit.
+    ///
+    /// # Errors
+    /// See [`PlanEnv::new`].
+    pub(crate) fn plan_env<'a>(
+        &self,
+        tp: &'a TiledProgram,
+        params: &'a [i64],
+    ) -> io::Result<PlanEnv<'a>> {
+        let max_call_elems = self.runtime.max_call_elems;
+        PlanEnv::new(
+            &tp.program,
+            &tp.layouts,
+            params,
+            self.memory_fraction,
+            max_call_elems,
+        )
     }
 
     /// The same configuration with a provenance ledger attached.
@@ -642,58 +490,22 @@ pub fn run_functional_on<S: Store>(
     walk_sync(tp, params, init, cfg, "sync", make_store, None)
 }
 
-/// One nest's tile walk, planned once for both walks: the compiled
-/// tile body (with its staging plan) plus the tile boxes `(lo, hi)` in
-/// execution order.
-pub(crate) struct NestWalk {
-    pub(crate) kernel: TileKernel,
-    pub(crate) boxes: Vec<(Vec<i64>, Vec<i64>)>,
-}
-
-/// Plans nest `ni`: level ranges, tile spans under `budget`, the tile
-/// boxes, and the nest's body lowered to a [`TileKernel`]. `None`
-/// when there is nothing to run: the nest's bounds do not evaluate, or
-/// it has no loop level to walk.
+/// Plans a tiled nest for execution: the nest's [`NestPlan`] and its
+/// body lowered to a [`TileKernel`] against the plan's slot table —
+/// what both walks and the schedule extractor run. `None` when there
+/// is nothing to run (see [`plan_nest`]).
 ///
 /// # Errors
-/// `InvalidInput` when the body cannot be lowered (see
-/// [`TileKernel::lower`]).
-pub(crate) fn plan_walk(
-    tp: &TiledProgram,
-    ni: usize,
-    params: &[i64],
-    budget: &MemoryBudget,
-    max_call_elems: u64,
-) -> io::Result<Option<NestWalk>> {
-    let tnest = &tp.nests[ni];
-    let nest = &tnest.nest;
-    let Some(ranges) = level_ranges(nest, params).filter(|r| !r.is_empty()) else {
-        return Ok(None);
-    };
-    let spans = plan_spans(
-        nest,
-        tnest.strategy,
-        &tp.layouts,
-        &tp.program,
-        params,
-        &ranges,
-        budget,
-        IoWeights::default(),
-        max_call_elems,
-    );
-    let mut boxes = Vec::new();
-    walk_tiles_at(
-        &ranges,
-        &tnest.tiled_levels,
-        &spans,
-        0,
-        ranges[0],
-        &mut |lo, hi| boxes.push((lo.to_vec(), hi.to_vec())),
-    );
-    Ok(Some(NestWalk {
-        kernel: TileKernel::lower(nest, params)?,
-        boxes,
-    }))
+/// `InvalidInput` when the nest cannot be planned or its body cannot
+/// be lowered (see [`TileKernel::lower`]).
+pub(crate) fn plan_walk<'e>(
+    env: &'e PlanEnv<'e>,
+    tnest: &TiledNest,
+) -> io::Result<Option<(NestPlan<'e>, TileKernel)>> {
+    let plan = plan_nest(env, &tnest.nest, tnest.strategy, &tnest.tiled_levels, None)?;
+    let Some(plan) = plan else { return Ok(None) };
+    let kernel = TileKernel::lower_on(&tnest.nest, env.params, &plan.staging)?;
+    Ok(Some((plan, kernel)))
 }
 
 /// Books a main-thread staging read of `region` in the ledger,
@@ -817,12 +629,12 @@ pub(crate) fn walk_sync<S: Store>(
         rec.set_executor(executor);
     }
     let resumed = session.as_ref().is_some_and(|s| s.resumed());
+    let env = cfg.plan_env(tp, params)?;
     let mut arrays: Vec<OocArray<S>> = Vec::with_capacity(tp.program.arrays.len());
     for (a, decl) in tp.program.arrays.iter().enumerate() {
-        let dims: Vec<i64> = decl.dims.iter().map(|d| d.resolve(params)).collect();
-        let len: i64 = dims.iter().product();
-        let store = make_store(a, &decl.name, u64::try_from(len).expect("positive size"))?;
-        let mut arr = OocArray::new(&decl.name, &dims, tp.layouts[a].clone(), store, cfg.runtime);
+        let store = make_store(a, &decl.name, env.array_elems(a))?;
+        let layout = tp.layouts[a].clone();
+        let mut arr = OocArray::new(&decl.name, env.dims(a), layout, store, cfg.runtime);
         // A resumed run's seeding is already durable in the medium.
         if !resumed {
             arr.initialize(|idx| init(ArrayId(a), idx))?;
@@ -840,9 +652,6 @@ pub(crate) fn walk_sync<S: Store>(
     let journal = session.as_ref().map(|s| s.journal.clone());
     let interval = session.as_ref().map_or(0, |s| s.cfg.checkpoint_rows);
 
-    let total_elems = u64::try_from(tp.program.total_elements(params)).expect("size");
-    let budget = MemoryBudget::paper_fraction(total_elems, cfg.memory_fraction);
-
     // Provenance: the sync walk is one locality — a single tracker
     // classifies first touches vs. re-reads across all nests, and a
     // global step counter stamps each event's schedule position.
@@ -855,15 +664,14 @@ pub(crate) fn walk_sync<S: Store>(
             continue;
         }
         let nest = &tnest.nest;
-        let Some(NestWalk { kernel, boxes }) =
-            plan_walk(tp, ni, params, &budget, cfg.runtime.max_call_elems)?
-        else {
+        let Some((plan, kernel)) = plan_walk(&env, tnest)? else {
             if let Some(s) = session.as_deref_mut() {
                 s.checkpoint(ni + 1, 0)?;
             }
             continue;
         };
-        let staging = kernel.staging();
+        let staging = &plan.staging;
+        let boxes = plan.boxes();
         let start_g = session.as_ref().map_or(0, |s| s.start_step(ni));
         let nest_base = step;
         let mut rows_done: u64 = 0;
@@ -902,7 +710,7 @@ pub(crate) fn walk_sync<S: Store>(
             // the simulation): a tile stays resident while consecutive
             // tile steps touch the same region; written tiles flush
             // when evicted, at checkpoints and at iteration end.
-            let mut tiles: Vec<Option<Tile>> = vec![None; staging.len()];
+            let mut tiles: Vec<Option<Tile>> = vec![None; staging.slots()];
             let mut last_row_lo: Option<i64> = None;
             for (lo, hi) in &boxes {
                 let g = step - nest_base;
@@ -942,9 +750,8 @@ pub(crate) fn walk_sync<S: Store>(
                         ],
                     )
                 });
-                for (slot, region) in staging.regions(nest, lo, hi) {
+                for (slot, region) in plan.staged(lo, hi) {
                     let a = staging.key(slot).0;
-                    let region = region.clamped(arrays[a.0].dims());
                     if tiles[slot].as_ref().is_some_and(|t| t.region() == &region) {
                         continue;
                     }
@@ -1202,7 +1009,7 @@ mod tests {
             ooc_ir::ArrayRef::new(a, &[vec![]], vec![1]),
             Expr::Const(7.0),
         );
-        p.add_nest(LoopNest {
+        p.add_nest(ooc_ir::LoopNest {
             name: "scalar".into(),
             depth: 0,
             bounds: ooc_linalg::Polyhedron::universe(0, 1),
@@ -1218,39 +1025,11 @@ mod tests {
             }],
             program: p,
         };
-        let budget = MemoryBudget::new(64);
-        assert!(plan_walk(&tp, 0, &[4], &budget, 1 << 20)
+        let env = PlanEnv::new(&tp.program, &tp.layouts, &[4], 1, 1 << 20).expect("sized");
+        assert!(plan_walk(&env, &tp.nests[0])
             .expect("nothing to lower")
             .is_none());
         let data = run_functional(&tp, &[4], &seed);
         assert_eq!(data[0], (1..=4).map(|i| seed(a, &[i])).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn level_ranges_bound_a_triangle() {
-        // do i = 1,N; do j = 1,i: the inner range at the first outer
-        // iteration is 1..=1, the bounding box needs 1..=N.
-        let mut nest = LoopNest::rectangular("tri", 2, 1, 0, Vec::new());
-        let (i, j) = (Affine::var(2, 1, 0), Affine::var(2, 1, 1));
-        nest.bounds.add_ge0(i.sub(&j));
-        assert_eq!(level_ranges(&nest, &[9]), Some(vec![(1, 9), (1, 9)]));
-        // Rectangular nests keep their exact ranges.
-        let rect = LoopNest::rectangular("rect", 3, 1, 0, Vec::new());
-        assert_eq!(level_ranges(&rect, &[5]), Some(vec![(1, 5); 3]));
-        assert_eq!(level_ranges(&rect, &[0]), None);
-    }
-
-    #[test]
-    fn chunk_partition_covers_range() {
-        let cs = chunks(1, 100, 16);
-        assert_eq!(cs.len(), 16);
-        assert_eq!(cs[0].0, 1);
-        assert_eq!(cs[15].1, 100);
-        let total: i64 = cs.iter().map(|(a, b)| b - a + 1).sum();
-        assert_eq!(total, 100);
-        // Degenerate: more procs than rows.
-        let cs = chunks(1, 3, 8);
-        let covered: i64 = cs.iter().map(|(a, b)| (b - a + 1).max(0)).sum();
-        assert_eq!(covered, 3);
     }
 }

@@ -5,10 +5,8 @@
 //! [`TileKernel::lower`] resolves everything that does not change
 //! from tile step to tile step:
 //!
-//! * the **slot table** (`Staging`) — one staged tile per (array,
-//!   access class), a written array touched through several classes
-//!   collapsing to one hull slot — and, for every reference, its dense
-//!   slot index plus an *integer* access matrix and offset;
+//! * for every reference, its dense slot index in the nest's slot
+//!   table ([`Staging`]) plus an *integer* access matrix and offset;
 //! * each level's loop bounds with the parameters substituted, as
 //!   integer forms `(Σ nₖ·iₖ + c) / den`;
 //! * each statement's right-hand side as a postfix **op tape** over an
@@ -33,10 +31,10 @@
 //!
 //! `ooc_ir::exec` shares none of this: it is the oracle.
 
-use crate::tiling::{access_classes, array_region, class_region};
-use ooc_ir::{ArrayId, ArrayRef, Expr, Guard, GuardAt, LoopNest};
-use ooc_linalg::{Affine, Matrix, Rational};
-use ooc_runtime::{Region, Tile};
+use crate::plan::Staging;
+use ooc_ir::{ArrayRef, Expr, Guard, GuardAt, LoopNest};
+use ooc_linalg::{Affine, Rational};
+use ooc_runtime::Tile;
 use std::io;
 use std::ops::Range;
 
@@ -49,97 +47,6 @@ fn mul_add(acc: i64, a: i64, b: i64) -> io::Result<i64> {
     a.checked_mul(b)
         .and_then(|x| acc.checked_add(x))
         .ok_or_else(|| invalid("tile address overflows i64".into()))
-}
-
-/// One staged tile slot of a nest.
-struct Slot {
-    array: ArrayId,
-    /// Slot number within the array (the schedule's `SlotKey::slot`).
-    index: usize,
-    /// The access class staged here; `None` = the hull of every
-    /// reference to the array.
-    class: Option<Matrix>,
-    written: bool,
-}
-
-/// The staging plan of one nest: one tile slot per (array, access
-/// class), in (array, class) order; a written array touched through
-/// several classes falls back to a single hull slot so every read
-/// sees the freshest values. A slot's position is its dense index —
-/// the index both walks keep their staged tiles under.
-pub(crate) struct Staging {
-    slots: Vec<Slot>,
-}
-
-impl Staging {
-    fn for_nest(nest: &LoopNest) -> Self {
-        let mut slots = Vec::new();
-        for array in nest.arrays() {
-            let writes = |class: Option<&Matrix>| {
-                nest.body
-                    .iter()
-                    .any(|st| st.lhs.array == array && class.is_none_or(|c| st.lhs.access == *c))
-            };
-            let classes = access_classes(nest, array);
-            if classes.len() > 1 && writes(None) {
-                slots.push(Slot {
-                    array,
-                    index: 0,
-                    class: None,
-                    written: true,
-                });
-            } else {
-                for (index, class) in classes.into_iter().enumerate() {
-                    slots.push(Slot {
-                        array,
-                        index,
-                        written: writes(Some(&class)),
-                        class: Some(class),
-                    });
-                }
-            }
-        }
-        Staging { slots }
-    }
-
-    /// Number of slots.
-    pub(crate) fn len(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// The `(array, slot within the array)` key of dense slot `slot`.
-    pub(crate) fn key(&self, slot: usize) -> (ArrayId, usize) {
-        (self.slots[slot].array, self.slots[slot].index)
-    }
-
-    /// Whether dense slot `slot` receives writes.
-    pub(crate) fn written(&self, slot: usize) -> bool {
-        self.slots[slot].written
-    }
-
-    /// The (dense slot, region) pairs to stage for a tile box, in slot
-    /// order; regions are not yet clamped to the array.
-    pub(crate) fn regions(&self, nest: &LoopNest, lo: &[i64], hi: &[i64]) -> Vec<(usize, Region)> {
-        self.slots
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| {
-                let region = match &s.class {
-                    None => array_region(nest, s.array, lo, hi),
-                    Some(class) => class_region(nest, s.array, class, lo, hi),
-                };
-                region.map(|r| (i, r))
-            })
-            .collect()
-    }
-
-    /// The dense slot reference `r` reads or writes through.
-    fn slot_for(&self, r: &ArrayRef) -> io::Result<usize> {
-        self.slots
-            .iter()
-            .position(|s| s.array == r.array && s.class.as_ref().is_none_or(|c| *c == r.access))
-            .ok_or_else(|| invalid(format!("no staged slot for a reference to {:?}", r.array)))
-    }
 }
 
 /// One reference, resolved: its slot, and `subscript[d] =
@@ -263,7 +170,8 @@ struct Stmt {
 /// docs.
 pub struct TileKernel {
     depth: usize,
-    staging: Staging,
+    /// The `(array, slot within the array)` key of each dense slot.
+    slot_keys: Vec<(usize, usize)>,
     refs: Vec<RefPlan>,
     /// Tile-bound table entries all references need together.
     subs: usize,
@@ -283,9 +191,18 @@ impl TileKernel {
     /// not match the nest or that no slot stages, a guard on a level
     /// the nest does not have, or a bound that leaves `i64`.
     pub fn lower(nest: &LoopNest, params: &[i64]) -> io::Result<Self> {
+        Self::lower_on(nest, params, &Staging::for_nest(nest))
+    }
+
+    /// [`TileKernel::lower`] against the slot table a plan already
+    /// built for `nest`.
+    pub(crate) fn lower_on(nest: &LoopNest, params: &[i64], staging: &Staging) -> io::Result<Self> {
         let mut k = TileKernel {
             depth: nest.depth,
-            staging: Staging::for_nest(nest),
+            slot_keys: (0..staging.slots())
+                .map(|s| staging.key(s))
+                .map(|(array, index)| (array.0, index))
+                .collect(),
             refs: Vec::new(),
             subs: 0,
             levels: Vec::with_capacity(nest.depth),
@@ -316,8 +233,8 @@ impl TileKernel {
             if !st.guards.is_empty() {
                 k.tape.push(Op::Guard(k.stmts.len(), 0));
             }
-            let (slot, lhs) = k.add_ref(&st.lhs)?;
-            let stack = k.emit(&st.rhs)?;
+            let (slot, lhs) = k.add_ref(&st.lhs, staging)?;
+            let stack = k.emit(&st.rhs, staging)?;
             k.stack = k.stack.max(stack);
             k.tape.push(Op::Store(slot, lhs));
             let end = k.tape.len();
@@ -333,7 +250,7 @@ impl TileKernel {
     }
 
     /// Resolves `r`; returns its `(slot, reference index)`.
-    fn add_ref(&mut self, r: &ArrayRef) -> io::Result<(usize, usize)> {
+    fn add_ref(&mut self, r: &ArrayRef, staging: &Staging) -> io::Result<(usize, usize)> {
         if r.depth() != self.depth || r.offset.len() != r.rank() {
             return Err(invalid(format!(
                 "reference to {:?} is {}x{} with {} offsets in a depth-{} nest",
@@ -357,7 +274,9 @@ impl TileKernel {
                 })?);
             }
         }
-        let slot = self.staging.slot_for(r)?;
+        let slot = staging
+            .slot_for(r)
+            .ok_or_else(|| invalid(format!("no staged slot for a reference to {:?}", r.array)))?;
         self.refs.push(RefPlan {
             slot,
             rank: r.rank(),
@@ -371,14 +290,14 @@ impl TileKernel {
 
     /// Appends `e` to the tape in post-order; returns the stack depth
     /// it needs.
-    fn emit(&mut self, e: &Expr) -> io::Result<usize> {
+    fn emit(&mut self, e: &Expr, staging: &Staging) -> io::Result<usize> {
         let (a, b, op) = match e {
             Expr::Const(c) => {
                 self.tape.push(Op::Const(*c));
                 return Ok(1);
             }
             Expr::Ref(r) => {
-                let (slot, r) = self.add_ref(r)?;
+                let (slot, r) = self.add_ref(r, staging)?;
                 self.tape.push(Op::Load(slot, r));
                 return Ok(1);
             }
@@ -387,21 +306,16 @@ impl TileKernel {
             Expr::Mul(a, b) => (a, b, Op::Mul),
             Expr::Div(a, b) => (a, b, Op::Div),
         };
-        let left = self.emit(a)?;
-        let right = self.emit(b)?;
+        let left = self.emit(a, staging)?;
+        let right = self.emit(b, staging)?;
         self.tape.push(op);
         Ok(left.max(right + 1))
-    }
-
-    /// The nest's staging plan.
-    pub(crate) fn staging(&self) -> &Staging {
-        &self.staging
     }
 
     /// Number of tile slots [`run`](Self::run) expects.
     #[must_use]
     pub fn slots(&self) -> usize {
-        self.staging.len()
+        self.slot_keys.len()
     }
 
     /// The dense index of the slot a tile schedule names `(array,
@@ -410,10 +324,9 @@ impl TileKernel {
     /// # Errors
     /// `InvalidInput` when the nest stages no such slot.
     pub fn slot_index(&self, array: usize, slot: usize) -> io::Result<usize> {
-        self.staging
-            .slots
+        self.slot_keys
             .iter()
-            .position(|s| s.array.0 == array && s.index == slot)
+            .position(|&key| key == (array, slot))
             .ok_or_else(|| invalid(format!("the nest stages no slot {slot} of array {array}")))
     }
 
@@ -658,8 +571,9 @@ impl Bound<'_, '_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ooc_ir::Statement;
-    use ooc_linalg::Polyhedron;
+    use ooc_ir::{ArrayId, Statement};
+    use ooc_linalg::{Matrix, Polyhedron};
+    use ooc_runtime::Region;
 
     fn identity_ref(a: usize, offset: Vec<i64>) -> ArrayRef {
         ArrayRef::new(ArrayId(a), &[vec![1, 0], vec![0, 1]], offset)

@@ -16,6 +16,9 @@
 //!    `d-opt` / `l-opt` comparison strategies.
 //! 5. [`tiling`] — out-of-core tiling (§3.3): tile all but the
 //!    innermost loop; plus traditional all-loops tiling for baselines.
+//!    [`plan`] — the one planner: per nest, level ranges, ownership
+//!    level, tile spans within the 1/128 budget with their modeled
+//!    cost, and the staging slot table, consumed by everything below.
 //! 6. [`exec`] — plan execution: functional (real data, small N) and
 //!    simulation (I/O call accounting + `pfs-sim` timing, paper-scale N);
 //!    [`kernel`] — the element loops of a nest compiled once per run
@@ -77,6 +80,7 @@ pub mod locality;
 pub mod optimizer;
 pub mod parallel;
 pub mod pipeline;
+pub mod plan;
 pub mod recovery;
 pub mod report;
 pub mod storage;
@@ -99,8 +103,9 @@ pub use optimizer::{
     best_transform_for, modeled_program_cost, optimize, optimize_data_only, optimize_loop_only,
     OptimizeOptions, OptimizedProgram,
 };
-pub use parallel::{exec_parallel, ownership_level, ParallelConfig, ParallelRun, PartitionSummary};
+pub use parallel::{exec_parallel, ParallelConfig, ParallelRun, PartitionSummary};
 pub use pipeline::{exec_pipelined, extract_schedule, PipelineConfig, PipelinedRun};
+pub use plan::{ownership_level, plan_nest, NestPlan, PlanEnv};
 pub use recovery::{
     exec_parallel_durable, exec_pipelined_durable, max_intents_per_interval, parse_manifest,
     resume_functional, resume_parallel, resume_pipelined, run_functional_durable,
@@ -110,7 +115,4 @@ pub use recovery::{
 };
 pub use report::{optimization_report, IoComparison, NestReport, OptimizationReport, RefReport};
 pub use storage::{bounding_box, reduce_storage, StorageReduction};
-pub use tiling::{
-    access_classes, array_region, choose_tile_span, class_region, level_spans, plan_spans,
-    ref_region, spans_io_cost, tile_footprint, IoWeights, TiledNest, TiledProgram, TilingStrategy,
-};
+pub use tiling::{ref_region, IoWeights, TiledNest, TiledProgram, TilingStrategy};

@@ -18,12 +18,14 @@
 //! [`optimize_loop_only`] (`l-opt`) never changes layouts.
 
 use crate::cost::{default_layouts, nest_cost, order_by_cost};
+use crate::exec::ExecConfig;
 use crate::interference::InterferenceGraph;
 use crate::locality::{
     dim_order_for, innermost_candidates, layouts_for_2d, locality_under, loop_constraint_rows,
     movement_i64,
 };
-use crate::tiling::{plan_spans, spans_io_cost, IoWeights, TilingStrategy};
+use crate::plan::plan_nest;
+use crate::tiling::TilingStrategy;
 use ooc_ir::{nest_dependences, transformation_preserves, LoopNest, Program};
 use ooc_linalg::{completion_candidates, Matrix};
 use ooc_runtime::FileLayout;
@@ -432,70 +434,33 @@ fn choose_transform(
 
 /// Modeled I/O time of one nest after tiling under the given concrete
 /// layouts, used to compare candidate loop transformations and layout
-/// assignments.
+/// assignments: the cost of the nest's plan on the default machine,
+/// partitioned the way the executor will run it (the ownership level
+/// block-divided over the representative processor count). A nest that
+/// is empty or cannot be planned at the cost parameters costs nothing.
 fn modeled_nest_cost(
     prog: &Program,
     nest: &LoopNest,
     layouts: &[FileLayout],
     opts: &OptimizeOptions,
 ) -> f64 {
-    let depth = nest.depth;
     let params: Vec<i64> = (0..prog.params.len())
         .map(|i| opts.cost_params.get(i).copied().unwrap_or(64))
         .collect();
-    // Bounding ranges of the transformed nest, partitioned the way the
-    // executor will run it: the outermost zero-distance level is
-    // block-divided over the representative processor count.
-    let bounds = nest.bounds.loop_bounds();
-    let mut ranges = Vec::with_capacity(depth);
-    let mut outer: Vec<i64> = Vec::new();
-    for b in &bounds {
-        match b.eval(&outer, &params) {
-            Some((lo, hi)) => {
-                ranges.push((lo, hi));
-                outer.push(lo);
-            }
-            None => return 0.0,
-        }
-    }
-    let deps = nest_dependences(nest);
-    let chunk_level = (0..depth)
-        .find(|&l| {
-            deps.iter()
-                .all(|d| d.vector[l] == ooc_ir::DepElem::Exact(0))
-        })
-        .unwrap_or(0);
-    {
-        let (lo, hi) = ranges[chunk_level];
-        let extent = (hi - lo + 1).max(1);
-        let chunk = (extent + opts.model_procs - 1) / opts.model_procs.max(1);
-        ranges[chunk_level] = (lo, lo + chunk.max(1) - 1);
-    }
-    let total = u64::try_from(prog.total_elements(&params).max(1)).expect("size");
-    let budget = ooc_runtime::MemoryBudget::paper_fraction(total, 128);
-    let weights = IoWeights::default();
-    let max_call_elems = 4 * 1024 * 1024 / 8;
-    let spans = plan_spans(
-        nest,
-        TilingStrategy::Optimized,
-        layouts,
-        prog,
-        &params,
-        &ranges,
-        &budget,
-        weights,
-        max_call_elems,
-    );
-    spans_io_cost(
-        nest,
-        layouts,
-        prog,
-        &params,
-        &ranges,
-        &spans,
-        weights,
-        max_call_elems,
-    )
+    // The default machine under the paper's memory rule.
+    let cfg = ExecConfig::new(params, usize::try_from(opts.model_procs).unwrap_or(1));
+    let levels: Vec<usize> = (0..nest.depth).collect();
+    let cost = cfg.plan_env(prog, layouts).and_then(|env| {
+        let plan = plan_nest(
+            &env,
+            nest,
+            TilingStrategy::Optimized,
+            &levels,
+            Some(cfg.procs),
+        )?;
+        Ok(plan.map_or(0.0, |p| p.cost))
+    });
+    cost.unwrap_or(0.0)
 }
 
 /// Scores an innermost-column candidate: fixed-layout references score
@@ -817,5 +782,25 @@ mod tests {
         let opt = optimize(&p, &OptimizeOptions::default());
         assert!(opt.program.nests.is_empty());
         assert!(opt.layouts.is_empty());
+    }
+
+    /// The cost gate plans a non-rectangular nest on its bounding box:
+    /// `do i = 1,N; do j = 1,i` costs what `do i = 1,N; do j = 1,N`
+    /// costs, not what one column of it would.
+    #[test]
+    fn triangular_nest_costs_its_bounding_rectangle() {
+        let p = paper_example();
+        let opts = OptimizeOptions::default();
+        let layouts = default_layouts(&p);
+        let rect = p.nests[0].clone();
+        let mut tri = rect.clone();
+        let (i, j) = (
+            ooc_linalg::Affine::var(2, 1, 0),
+            ooc_linalg::Affine::var(2, 1, 1),
+        );
+        tri.bounds.add_ge0(i.sub(&j));
+        let cost = |nest: &LoopNest| modeled_nest_cost(&p, nest, &layouts, &opts);
+        assert!(cost(&rect) > 0.0);
+        assert_eq!(cost(&tri), cost(&rect));
     }
 }

@@ -15,11 +15,12 @@
 //! # Partitioning
 //!
 //! Each nest is split by **tile-walk ownership** at its
-//! communication-free parallelization level — the first loop level
-//! where every dependence carried by the nest is exactly zero (the
-//! same rule `build_workload` uses to chunk the simulated Table 3
-//! machine). [`partition_nest_checked`] block-partitions the distinct
-//! tile-origin values at that level with the `i*n/p` chunks rule and
+//! communication-free parallelization level — the plan's
+//! [`own_level`](crate::plan::NestPlan), the first loop level where
+//! every dependence carried by the nest is exactly zero (the level the
+//! simulated Table 3 machine chunks on). [`partition_nest_checked`]
+//! block-partitions the distinct tile-origin values at that level with
+//! the `i*n/p` chunks rule and
 //! recomputes per-shard Belady next-use deltas; nests with no
 //! communication-free level, or whose written tile regions are not
 //! shard-disjoint, fall back to a single serial shard.
@@ -78,15 +79,15 @@
 //! repair plane (ledger repair channel, `Repair` blame category) —
 //! never in the data-plane conservation law.
 
-use crate::exec::{ArrayProfile, FunctionalRun};
+use crate::exec::{plan_walk, ArrayProfile, FunctionalRun};
 use crate::pipeline::{
-    plan_nest, setup_run, worker_handles, DurableHooks, NestPlan, NestRun, PipelineConfig,
-    RunSetup, ShardWorker,
+    nest_schedule, setup_run, worker_handles, DurableHooks, NestRun, PipelineConfig, RunSetup,
+    ShardWorker,
 };
 use crate::recovery::{DurableNames, DurableSession};
 use crate::tiling::TiledProgram;
-use ooc_ir::{ArrayId, DepElem};
-use ooc_runtime::{IoStats, MemoryBudget, Store};
+use ooc_ir::ArrayId;
+use ooc_runtime::{IoStats, Store};
 use ooc_sched::{partition_nest_checked, PipelineStats};
 use std::collections::BTreeMap;
 use std::io;
@@ -215,17 +216,6 @@ pub(crate) const PARALLEL: Engine = Engine {
     },
 };
 
-/// The communication-free ownership level of `nest`: the first loop
-/// level at which every carried dependence is exactly zero, so
-/// distinct values of that level's index can execute on distinct
-/// workers with no cross-worker flow. This is the same rule the
-/// simulated Table 3 machine uses to chunk nests across processors.
-#[must_use]
-pub fn ownership_level(nest: &ooc_ir::LoopNest) -> Option<usize> {
-    let deps = ooc_ir::nest_dependences(nest);
-    (0..nest.depth).find(|&l| deps.iter().all(|d| d.vector[l] == DepElem::Exact(0)))
-}
-
 /// The step-engine driver behind every pipelined and parallel entry
 /// point, durable or not: `cfg.shards` workers over shared stores,
 /// presenting as `engine`, with the optional durable session the
@@ -255,15 +245,15 @@ pub(crate) fn exec_sharded<S: Store + Send + 'static>(
     if let Some(rec) = &pcfg.functional.ledger {
         rec.set_executor(engine.executor);
     }
+    let env = pcfg.functional.plan_env(tp, params)?;
     let RunSetup {
-        dims_of,
         shared,
         arrays: mut main_arrays,
-    } = setup_run(tp, params, init, pcfg, &mut make_store, &mut dur)?;
+    } = setup_run(&env, init, pcfg, &mut make_store, &mut dur)?;
 
     // One ShardWorker per shard, each with its own array handles,
     // prefetch pool, write-behind queue, and durability fence.
-    let mk_arrays = || worker_handles(tp, &dims_of, &shared, pcfg);
+    let mk_arrays = || worker_handles(&env, &shared, pcfg);
     let mut workers: Vec<ShardWorker<S>> = (0..shards)
         .map(|_| {
             let hooks = dur.as_ref().map(|d| DurableHooks {
@@ -275,28 +265,20 @@ pub(crate) fn exec_sharded<S: Store + Send + 'static>(
         })
         .collect();
 
-    let total_elems = u64::try_from(tp.program.total_elements(params)).expect("size");
-    let budget = MemoryBudget::paper_fraction(total_elems, pcfg.functional.memory_fraction);
     let mut partitions: Vec<PartitionSummary> = Vec::new();
 
-    for ni in 0..tp.nests.len() {
+    for (ni, tnest) in tp.nests.iter().enumerate() {
         if dur.as_ref().is_some_and(|d| d.skip_nest(ni)) {
             continue;
         }
-        let Some(NestPlan { kernel, schedule }) = plan_nest(
-            tp,
-            ni,
-            params,
-            &budget,
-            pcfg.functional.runtime.max_call_elems,
-        )?
-        else {
+        let Some((plan, kernel)) = plan_walk(&env, tnest)? else {
             if let Some(d) = dur.as_deref_mut() {
                 d.checkpoint(ni + 1, 0)?;
             }
             continue;
         };
-        let nest = &tp.nests[ni].nest;
+        let nest = &tnest.nest;
+        let schedule = nest_schedule(&plan, ni, nest.iterations);
         let n = schedule.steps.len() as u64;
         let iterations = schedule.iterations;
         if n == 0 || iterations == 0 {
@@ -305,7 +287,7 @@ pub(crate) fn exec_sharded<S: Store + Send + 'static>(
             }
             continue;
         }
-        let level = ownership_level(nest);
+        let level = plan.own_level;
         let part = partition_nest_checked(&schedule, level, shards);
         partitions.push(PartitionSummary {
             nest: ni,
@@ -598,13 +580,5 @@ mod tests {
         })
         .expect("serial run");
         assert!(run.partitions.iter().all(|p| p.serial_fallback));
-    }
-
-    #[test]
-    fn ownership_level_is_zero_for_independent_nests() {
-        let tp = tiled();
-        for tn in &tp.nests {
-            assert_eq!(ownership_level(&tn.nest), Some(0), "{}", tn.nest.name);
-        }
     }
 }

@@ -6,9 +6,10 @@
 //! Belady-informed tile cache, and write-behind of dirty tiles with a
 //! flush barrier at every nest boundary.
 //!
-//! This module holds the engine's parts — `plan_nest`, `ShardWorker`,
-//! `NestRun::step` — and [`crate::parallel`] holds its only driver;
-//! `exec_pipelined` is that driver at `shards = 1`, where every nest
+//! This module holds the engine's parts — `nest_schedule`,
+//! `ShardWorker`, `NestRun::step` — and [`crate::parallel`] holds its
+//! only driver; `exec_pipelined` is that driver at `shards = 1`, where
+//! every nest
 //! takes the serial path and worker 0 walks the full schedule.
 //!
 //! ## Why the overlap is safe (bit-equality argument)
@@ -42,16 +43,17 @@
 
 use crate::exec::{
     journaled_write, plan_walk, record_read, record_write_back, write_tile_through,
-    FunctionalConfig, FunctionalRun, NestWalk,
+    FunctionalConfig, FunctionalRun,
 };
 use crate::kernel::TileKernel;
 use crate::parallel::{exec_sharded, ParallelConfig, ParallelRun, PIPELINED};
+use crate::plan::{NestPlan, PlanEnv};
 use crate::recovery::DurableSession;
 use crate::tiling::TiledProgram;
 use ooc_ir::ArrayId;
 use ooc_runtime::{
-    IoCause, IoStats, LedgerEvent, LedgerRecorder, MemoryBudget, OocArray, SharedJournal,
-    SharedStore, Store, Tile, TouchTracker,
+    IoCause, IoStats, LedgerEvent, LedgerRecorder, OocArray, SharedJournal, SharedStore, Store,
+    Tile, TouchTracker,
 };
 use ooc_sched::{
     annotate_next_use, CacheStats, Delivery, NestSchedule, PipelineStats, PrefetchPool, SlotKey,
@@ -146,33 +148,12 @@ impl PipelinedRun {
     }
 }
 
-/// One nest's executable plan: the compiled tile body plus the
-/// annotated schedule.
-pub(crate) struct NestPlan {
-    pub(crate) kernel: TileKernel,
-    pub(crate) schedule: NestSchedule,
-}
-
-pub(crate) fn plan_nest(
-    tp: &TiledProgram,
-    ni: usize,
-    params: &[i64],
-    budget: &MemoryBudget,
-    max_call_elems: u64,
-) -> io::Result<Option<NestPlan>> {
-    let Some(NestWalk { kernel, boxes }) = plan_walk(tp, ni, params, budget, max_call_elems)?
-    else {
-        return Ok(None);
-    };
-    let staging = kernel.staging();
-    let nest = &tp.nests[ni].nest;
-    let dims: Vec<Vec<i64>> = tp
-        .program
-        .arrays
-        .iter()
-        .map(|decl| decl.dims.iter().map(|d| d.resolve(params)).collect())
-        .collect();
-    let steps = boxes
+/// The annotated tile schedule of nest `ni` under `plan`: one step
+/// per tile box, its staged regions split into prefetchable reads and
+/// main-thread writes.
+pub(crate) fn nest_schedule(plan: &NestPlan, ni: usize, iterations: u32) -> NestSchedule {
+    let steps = plan
+        .boxes()
         .into_iter()
         .map(|(box_lo, box_hi)| {
             let mut step = TileStep {
@@ -180,16 +161,16 @@ pub(crate) fn plan_nest(
                 box_hi,
                 ..TileStep::default()
             };
-            for (dense, region) in staging.regions(nest, &step.box_lo, &step.box_hi) {
-                let (a, slot) = staging.key(dense);
+            for (dense, region) in plan.staged(&step.box_lo, &step.box_hi) {
+                let (a, slot) = plan.staging.key(dense);
                 let id = TileId {
                     key: SlotKey {
                         array: u32::try_from(a.0).expect("array index"),
                         slot: u32::try_from(slot).expect("slot index"),
                     },
-                    region: region.clamped(&dims[a.0]),
+                    region,
                 };
-                if staging.written(dense) {
+                if plan.staging.written(dense) {
                     step.writes.push(id);
                 } else {
                     step.reads.push(StageRequest::new(id));
@@ -200,12 +181,12 @@ pub(crate) fn plan_nest(
         .collect();
     let mut schedule = NestSchedule {
         nest: ni,
-        iterations: u64::from(nest.iterations),
+        iterations: u64::from(iterations),
         steps,
         read_footprint_max: 0,
     };
     annotate_next_use(&mut schedule);
-    Ok(Some(NestPlan { kernel, schedule }))
+    schedule
 }
 
 /// Derives the full tile schedule of a tiled program — the ordered
@@ -213,17 +194,18 @@ pub(crate) fn plan_nest(
 /// executing anything. `figure4` and `inspect --pipeline` render it;
 /// [`exec_pipelined`] executes it. A nest whose body does not lower
 /// has no schedule here; the executors report the error.
+///
+/// # Panics
+/// Panics when an array's size at `params` does not fit `u64`.
 #[must_use]
 pub fn extract_schedule(tp: &TiledProgram, params: &[i64], cfg: &FunctionalConfig) -> TileSchedule {
-    let total_elems = u64::try_from(tp.program.total_elements(params)).expect("size");
-    let budget = MemoryBudget::paper_fraction(total_elems, cfg.memory_fraction);
+    let env = cfg.plan_env(tp, params).expect("array sizes fit u64");
+    let nests = tp.nests.iter().enumerate().filter_map(|(ni, tnest)| {
+        let (plan, _kernel) = plan_walk(&env, tnest).ok().flatten()?;
+        Some(nest_schedule(&plan, ni, tnest.nest.iterations))
+    });
     TileSchedule {
-        nests: (0..tp.nests.len())
-            .filter_map(|ni| {
-                let plan = plan_nest(tp, ni, params, &budget, cfg.runtime.max_call_elems);
-                plan.ok().flatten().map(|p| p.schedule)
-            })
-            .collect(),
+        nests: nests.collect(),
     }
 }
 
@@ -925,12 +907,10 @@ impl<'a> NestRun<'a> {
     }
 }
 
-/// Shared run preamble for the pipelined and parallel executors:
-/// resolved array dims, the shared store stack, and the seeded
-/// main-thread array handles, with journal pre-image rollback applied
-/// when resuming a durable run.
+/// Shared run preamble for the pipelined and parallel executors: the
+/// shared store stack and the seeded main-thread array handles, with
+/// journal pre-image rollback applied when resuming a durable run.
 pub(crate) struct RunSetup<S: Store + Send + 'static> {
-    pub(crate) dims_of: Vec<Vec<i64>>,
     pub(crate) shared: Vec<SharedStore<S>>,
     pub(crate) arrays: Vec<OocArray<SharedStore<S>>>,
 }
@@ -940,35 +920,22 @@ pub(crate) struct RunSetup<S: Store + Send + 'static> {
 /// the compute phase is profiled, and rolls back uncommitted journal
 /// writes before marking the run begun.
 pub(crate) fn setup_run<S: Store + Send + 'static>(
-    tp: &TiledProgram,
-    params: &[i64],
+    env: &PlanEnv,
     init: &dyn Fn(ArrayId, &[i64]) -> f64,
     cfg: &PipelineConfig,
     make_store: &mut dyn FnMut(usize, &str, u64) -> io::Result<S>,
     dur: &mut Option<&mut DurableSession>,
 ) -> io::Result<RunSetup<S>> {
-    let dims_of: Vec<Vec<i64>> = tp
-        .program
-        .arrays
-        .iter()
-        .map(|decl| decl.dims.iter().map(|d| d.resolve(params)).collect())
-        .collect();
-
-    let mut shared: Vec<SharedStore<S>> = Vec::with_capacity(tp.program.arrays.len());
-    let mut arrays: Vec<OocArray<SharedStore<S>>> = Vec::with_capacity(tp.program.arrays.len());
-    for (a, decl) in tp.program.arrays.iter().enumerate() {
-        let dims = &dims_of[a];
-        let len: i64 = dims.iter().product();
-        let store = SharedStore::new(make_store(
-            a,
-            &decl.name,
-            u64::try_from(len).expect("positive size"),
-        )?);
+    let n = env.program.arrays.len();
+    let mut shared: Vec<SharedStore<S>> = Vec::with_capacity(n);
+    let mut arrays: Vec<OocArray<SharedStore<S>>> = Vec::with_capacity(n);
+    for (a, decl) in env.program.arrays.iter().enumerate() {
+        let store = SharedStore::new(make_store(a, &decl.name, env.array_elems(a))?);
         shared.push(store.clone());
         let mut arr = OocArray::new(
             &decl.name,
-            dims,
-            tp.layouts[a].clone(),
+            env.dims(a),
+            env.layouts[a].clone(),
             store,
             cfg.functional.runtime,
         );
@@ -992,11 +959,7 @@ pub(crate) fn setup_run<S: Store + Send + 'static>(
     if let Some(d) = dur.as_deref_mut() {
         d.start(&mut arrays, cfg.functional.ledger.as_ref())?;
     }
-    Ok(RunSetup {
-        dims_of,
-        shared,
-        arrays,
-    })
+    Ok(RunSetup { shared, arrays })
 }
 
 /// Fresh per-thread array handles over the same shared stores. Workers
@@ -1004,20 +967,19 @@ pub(crate) fn setup_run<S: Store + Send + 'static>(
 /// stats are isolated by `reset_stats()` on their own handles, and
 /// store-level measurement accumulates in the shared stack.
 pub(crate) fn worker_handles<S: Store + Send + 'static>(
-    tp: &TiledProgram,
-    dims_of: &[Vec<i64>],
+    env: &PlanEnv,
     shared: &[SharedStore<S>],
     cfg: &PipelineConfig,
 ) -> Vec<OocArray<SharedStore<S>>> {
-    tp.program
+    env.program
         .arrays
         .iter()
         .enumerate()
         .map(|(a, decl)| {
             OocArray::new(
                 &decl.name,
-                &dims_of[a],
-                tp.layouts[a].clone(),
+                env.dims(a),
+                env.layouts[a].clone(),
                 shared[a].clone(),
                 cfg.functional.runtime,
             )

@@ -9,13 +9,15 @@
 //! number of I/O calls. The out-of-core strategy therefore tiles
 //! **all loops except the innermost**.
 //!
-//! Tile *sizes* are chosen at execution time from the memory budget
-//! (the paper's 1/128 rule): the largest span such that one tile of
-//! every referenced array fits in memory simultaneously.
+//! This module holds the tiling *decision* a compiled program carries
+//! (strategy and legal levels per nest). Tile *sizes* are chosen at
+//! execution time from the memory budget (the paper's 1/128 rule) by
+//! [`crate::plan`].
 
-use ooc_ir::{ArrayId, LoopNest, Program};
+use ooc_ir::{LoopNest, Program};
 use ooc_linalg::Rational;
-use ooc_runtime::{FileLayout, MemoryBudget, Region};
+use ooc_runtime::{FileLayout, Region, ELEM_BYTES};
+use pfs_sim::MachineConfig;
 
 /// Which loops of a nest get tiled, and how tile shapes are chosen.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -30,10 +32,6 @@ pub enum TilingStrategy {
     /// versions (`col`/`row`/`l-opt`/`d-opt`), isolating layout and
     /// loop-order effects from tiling quality.
     Optimized,
-    /// Internal: the out-of-core search with the innermost loop
-    /// strictly pinned untiled (used by [`TilingStrategy::OutOfCore`],
-    /// which falls back to free shapes when pinning costs more).
-    OutOfCorePinned,
     /// Mechanical staging: the innermost loop's slab is read whole,
     /// every other loop is tiled with one common span from the memory
     /// budget. No shape intelligence — kept for ablation studies.
@@ -49,7 +47,7 @@ impl TilingStrategy {
     #[must_use]
     pub fn tiled_levels(&self, depth: usize) -> Vec<usize> {
         match self {
-            TilingStrategy::OutOfCore | TilingStrategy::OutOfCorePinned | TilingStrategy::Slab => {
+            TilingStrategy::OutOfCore | TilingStrategy::Slab => {
                 (0..depth.saturating_sub(1)).collect()
             }
             TilingStrategy::Optimized | TilingStrategy::Traditional => (0..depth).collect(),
@@ -67,17 +65,28 @@ pub struct IoWeights {
     pub per_elem: f64,
 }
 
-impl Default for IoWeights {
-    fn default() -> Self {
-        // Wall-clock units, matching the default machine: disk-side
-        // call service (3 ms + one minimum 1 KB block at 1.5 MB/s)
-        // spreads over 64 I/O nodes; the 5 ms synchronous issue cost
-        // stays serial at the processor; bytes stream through the
-        // processor's 0.6 MB/s link.
+impl IoWeights {
+    /// Wall-clock weights on `machine`: disk-side call service (the
+    /// call overhead plus one minimum block) spreads over the I/O
+    /// nodes, the synchronous issue cost stays serial at the
+    /// processor, bytes stream through the processor's link to the
+    /// I/O partition.
+    #[must_use]
+    pub fn for_machine(machine: &MachineConfig) -> Self {
+        let disk = &machine.pfs.disk;
         IoWeights {
-            per_call: (3.0e-3 + 1024.0 / 1.5e6) / 64.0 + 5.0e-3,
-            per_elem: 8.0 / 0.6e6,
+            per_call: (disk.call_overhead_s + disk.min_transfer_bytes as f64 / disk.bandwidth_bps)
+                / machine.pfs.io_nodes as f64
+                + machine.compute.io_issue_overhead_s,
+            per_elem: ELEM_BYTES as f64 / machine.compute.link_bandwidth_bps,
         }
+    }
+}
+
+impl Default for IoWeights {
+    /// The weights of the default machine.
+    fn default() -> Self {
+        IoWeights::for_machine(&MachineConfig::default())
     }
 }
 
@@ -152,31 +161,8 @@ fn level_tiling_legal(deps: &[ooc_ir::Dependence], l: usize) -> bool {
     })
 }
 
-/// Per-level spans of one tile: tiled levels get the chosen tile span,
-/// untiled levels cover their whole range.
-#[must_use]
-pub fn level_spans(
-    nest: &LoopNest,
-    tiled_levels: &[usize],
-    span: i64,
-    level_extents: &[i64],
-) -> Vec<i64> {
-    (0..nest.depth)
-        .map(|l| {
-            if tiled_levels.contains(&l) {
-                span.min(level_extents[l]).max(1)
-            } else {
-                level_extents[l]
-            }
-        })
-        .collect()
-}
-
-/// The array region touched by one reference when each loop level `j`
-/// ranges over `lo[j]..=hi[j]` — exact interval arithmetic on
-/// `L·Ī + ō`.
-#[must_use]
-pub fn ref_region(r: &ooc_ir::ArrayRef, lo: &[i64], hi: &[i64]) -> Region {
+/// [`ref_region`], or `None` when a bound leaves `i64`.
+pub(crate) fn checked_ref_region(r: &ooc_ir::ArrayRef, lo: &[i64], hi: &[i64]) -> Option<Region> {
     let rank = r.rank();
     let mut rlo = Vec::with_capacity(rank);
     let mut rhi = Vec::with_capacity(rank);
@@ -192,399 +178,30 @@ pub fn ref_region(r: &ooc_ir::ArrayRef, lo: &[i64], hi: &[i64]) -> Region {
             min += if a < b { a } else { b };
             max += if a < b { b } else { a };
         }
-        rlo.push(i64::try_from(min.floor()).expect("region bound"));
-        rhi.push(i64::try_from(max.ceil()).expect("region bound"));
+        rlo.push(i64::try_from(min.floor()).ok()?);
+        rhi.push(i64::try_from(max.ceil()).ok()?);
     }
-    Region::new(rlo, rhi)
+    Some(Region::new(rlo, rhi))
 }
 
-/// The distinct access classes (access matrices) through which a nest
-/// references `array`. References differing only in their constant
-/// offsets share a class (their per-tile regions differ by a small
-/// halo and are staged together); references with different access
-/// matrices (e.g. `A(i,k)` and `A(j,k)` in `syr2k`) are staged as
-/// separate tiles — hulling them would balloon to nearly the whole
-/// array whenever the two index ranges are far apart.
-#[must_use]
-pub fn access_classes(nest: &LoopNest, array: ArrayId) -> Vec<ooc_linalg::Matrix> {
-    let mut classes: Vec<ooc_linalg::Matrix> = Vec::new();
-    for r in nest.all_refs() {
-        if r.array == array && !classes.contains(&r.access) {
-            classes.push(r.access.clone());
-        }
-    }
-    classes
-}
-
-/// The hull of the regions of the references to `array` through the
-/// given access class, over the iteration box.
-#[must_use]
-pub fn class_region(
-    nest: &LoopNest,
-    array: ArrayId,
-    class: &ooc_linalg::Matrix,
-    lo: &[i64],
-    hi: &[i64],
-) -> Option<Region> {
-    let mut hull: Option<Region> = None;
-    for r in nest.all_refs() {
-        if r.array != array || &r.access != class {
-            continue;
-        }
-        let reg = ref_region(r, lo, hi);
-        hull = Some(match hull {
-            None => reg,
-            Some(h) => Region::new(
-                h.lo.iter().zip(&reg.lo).map(|(&a, &b)| a.min(b)).collect(),
-                h.hi.iter().zip(&reg.hi).map(|(&a, &b)| a.max(b)).collect(),
-            ),
-        });
-    }
-    hull
-}
-
-/// The hull of the regions of every reference to `array` in the nest
-/// over the given iteration box, or `None` if the nest does not touch
-/// the array.
-#[must_use]
-pub fn array_region(nest: &LoopNest, array: ArrayId, lo: &[i64], hi: &[i64]) -> Option<Region> {
-    let mut hull: Option<Region> = None;
-    for r in nest.all_refs() {
-        if r.array != array {
-            continue;
-        }
-        let reg = ref_region(r, lo, hi);
-        hull = Some(match hull {
-            None => reg,
-            Some(h) => Region::new(
-                h.lo.iter().zip(&reg.lo).map(|(&a, &b)| a.min(b)).collect(),
-                h.hi.iter().zip(&reg.hi).map(|(&a, &b)| a.max(b)).collect(),
-            ),
-        });
-    }
-    hull
-}
-
-/// Estimated in-memory footprint (elements) of one tile of every
-/// array referenced by the nest, for the given per-level spans.
-#[must_use]
-pub fn tile_footprint(nest: &LoopNest, program: &Program, params: &[i64], spans: &[i64]) -> u64 {
-    let lo: Vec<i64> = vec![1; nest.depth];
-    let hi: Vec<i64> = spans.to_vec();
-    let mut total = 0u64;
-    for array in nest.arrays() {
-        let dims: Vec<i64> = program.arrays[array.0]
-            .dims
-            .iter()
-            .map(|d| d.resolve(params))
-            .collect();
-        for class in access_classes(nest, array) {
-            if let Some(region) = class_region(nest, array, &class, &lo, &hi) {
-                // Clamp the footprint to the array size (a region can
-                // spill past the declared bounds at the
-                // interval-arithmetic level).
-                let mut elems = 1u64;
-                for (d, &dim) in dims.iter().enumerate() {
-                    elems *= u64::try_from(region.extent(d).min(dim).max(1)).expect("extent");
-                }
-                total += elems;
-            }
-        }
-    }
-    total
-}
-
-/// Chooses the largest tile span `B ≥ 1` such that the nest's tile
-/// working set fits the memory budget. Binary search over `B`;
-/// `level_extents[l]` is the full trip count of loop `l`.
-#[must_use]
-pub fn choose_tile_span(
-    nest: &LoopNest,
-    tiled_levels: &[usize],
-    program: &Program,
-    params: &[i64],
-    level_extents: &[i64],
-    budget: &MemoryBudget,
-) -> i64 {
-    let max_extent = level_extents.iter().copied().max().unwrap_or(1);
-    let fits = |b: i64| -> bool {
-        let spans = level_spans(nest, tiled_levels, b, level_extents);
-        tile_footprint(nest, program, params, &spans) <= budget.capacity()
-    };
-    if fits(max_extent) {
-        return max_extent;
-    }
-    let (mut lo, mut hi) = (1i64, max_extent);
-    // Invariant: fits(lo) may be false only when even B=1 overflows — the
-    // runtime then still makes progress one row at a time.
-    while lo < hi {
-        let mid = lo + (hi - lo + 1) / 2;
-        if fits(mid) {
-            lo = mid;
-        } else {
-            hi = mid - 1;
-        }
-    }
-    lo.max(1)
-}
-
-/// Modeled I/O time of a full nest execution for candidate per-level
-/// spans, matching the executor's tile-loop-invariant hoisting: an
-/// array is (re)staged once per combination of the tile loops its
-/// region depends on **and every loop above them** (consecutive-step
-/// caching), paying the calls and bytes of one region each time.
-/// Written arrays pay twice (read + write-back).
-#[allow(clippy::too_many_arguments)]
-#[must_use]
-pub fn spans_io_cost(
-    nest: &LoopNest,
-    layouts: &[FileLayout],
-    program: &Program,
-    params: &[i64],
-    ranges: &[(i64, i64)],
-    spans: &[i64],
-    weights: IoWeights,
-    max_call_elems: u64,
-) -> f64 {
-    let depth = nest.depth;
-    let trips: Vec<f64> = (0..depth)
-        .map(|l| {
-            let extent = (ranges[l].1 - ranges[l].0 + 1).max(1);
-            ((extent + spans[l] - 1) / spans[l].max(1)) as f64
-        })
-        .collect();
-    let lo: Vec<i64> = ranges.iter().map(|&(lo, _)| lo).collect();
-    let hi: Vec<i64> = ranges
-        .iter()
-        .zip(spans)
-        .map(|(&(lo, _), &s)| lo + s - 1)
-        .collect();
-    let mut written: Vec<ArrayId> = Vec::new();
-    for st in &nest.body {
-        if !written.contains(&st.lhs.array) {
-            written.push(st.lhs.array);
-        }
-    }
-    let mut total = 0f64;
-    for array in nest.arrays() {
-        let dims: Vec<i64> = program.arrays[array.0]
-            .dims
-            .iter()
-            .map(|d| d.resolve(params))
-            .collect();
-        for class in access_classes(nest, array) {
-            let Some(region) = class_region(nest, array, &class, &lo, &hi) else {
-                continue;
-            };
-            let summary = layouts[array.0].region_run_summary(&dims, &region.clamped(&dims));
-            let cost = ooc_runtime::summary_cost(summary, max_call_elems);
-            // Deepest tile level this class's region varies with: its
-            // tile stays cached while only deeper levels advance.
-            let deepest = (0..depth).rev().find(|&l| {
-                trips[l] > 1.0 && !class.col(l).iter().all(ooc_linalg::Rational::is_zero)
-            });
-            let restages: f64 = match deepest {
-                None => 1.0,
-                Some(d) => trips[..=d].iter().product(),
-            };
-            let is_written = written.contains(&array)
-                && nest
-                    .body
-                    .iter()
-                    .any(|st| st.lhs.array == array && st.lhs.access == class);
-            let accesses = if is_written { 2.0 } else { 1.0 };
-            total += restages
-                * accesses
-                * (cost.calls as f64 * weights.per_call + cost.elements as f64 * weights.per_elem);
-        }
-    }
-    total
-}
-
-/// Chooses per-level tile spans for a nest.
+/// The array region touched by one reference when each loop level `j`
+/// ranges over `lo[j]..=hi[j]` — exact interval arithmetic on
+/// `L·Ī + ō`. For boxes whose regions are known to fit `i64`:
+/// planning checks a nest's whole range once (see
+/// [`plan_nest`](crate::plan::plan_nest)), so the walks' per-box calls
+/// cannot overflow.
 ///
-/// * [`TilingStrategy::Traditional`] — equal square spans from the
-///   budget (no shape intelligence).
-/// * [`TilingStrategy::Optimized`] — coordinate descent over
-///   power-of-two spans per level minimizing [`spans_io_cost`] subject
-///   to the memory budget.
-/// * [`TilingStrategy::OutOfCore`] — same search with the innermost
-///   level pinned untiled (full extent), the paper's §3.3 rule.
-#[allow(clippy::too_many_arguments)]
+/// # Panics
+/// Panics when a region bound leaves `i64`.
 #[must_use]
-pub fn plan_spans(
-    nest: &LoopNest,
-    strategy: TilingStrategy,
-    layouts: &[FileLayout],
-    program: &Program,
-    params: &[i64],
-    ranges: &[(i64, i64)],
-    budget: &MemoryBudget,
-    weights: IoWeights,
-    max_call_elems: u64,
-) -> Vec<i64> {
-    let depth = nest.depth;
-    if depth == 0 {
-        return Vec::new();
-    }
-    let extents: Vec<i64> = ranges
-        .iter()
-        .map(|&(lo, hi)| (hi - lo + 1).max(1))
-        .collect();
-    let tiled = strategy.tiled_levels(depth);
-    if matches!(strategy, TilingStrategy::Traditional | TilingStrategy::Slab) {
-        let span = choose_tile_span(nest, &tiled, program, params, &extents, budget);
-        return level_spans(nest, &tiled, span, &extents);
-    }
-    if strategy == TilingStrategy::OutOfCore {
-        // §3.3 prefers the innermost loop untiled (its stride-1 slab is
-        // read whole), but a compiler armed with this cost model only
-        // keeps the slab when it is not worse — tiny memory budgets can
-        // make full-width slabs lose to free shapes.
-        let pinned = plan_spans(
-            nest,
-            TilingStrategy::OutOfCorePinned,
-            layouts,
-            program,
-            params,
-            ranges,
-            budget,
-            weights,
-            max_call_elems,
-        );
-        let free = plan_spans(
-            nest,
-            TilingStrategy::Optimized,
-            layouts,
-            program,
-            params,
-            ranges,
-            budget,
-            weights,
-            max_call_elems,
-        );
-        let cp = spans_io_cost(
-            nest,
-            layouts,
-            program,
-            params,
-            ranges,
-            &pinned,
-            weights,
-            max_call_elems,
-        );
-        let cf = spans_io_cost(
-            nest,
-            layouts,
-            program,
-            params,
-            ranges,
-            &free,
-            weights,
-            max_call_elems,
-        );
-        return if cp <= cf { pinned } else { free };
-    }
-    // Searchable levels: tiled levels; pinned levels get full extent.
-    let fits = |spans: &[i64]| -> bool {
-        tile_footprint(nest, program, params, spans) <= budget.capacity()
-    };
-    // Start feasible: all searchable spans at 1, pinned at extent.
-    let spans: Vec<i64> = (0..depth)
-        .map(|l| if tiled.contains(&l) { 1 } else { extents[l] })
-        .collect();
-    let candidates = |extent: i64| -> Vec<i64> {
-        let mut v: Vec<i64> = std::iter::successors(Some(1i64), |&x| {
-            if x < extent {
-                Some((x * 2).min(extent))
-            } else {
-                None
-            }
-        })
-        .collect();
-        v.dedup();
-        v
-    };
-    let cost = |spans: &[i64]| -> f64 {
-        spans_io_cost(
-            nest,
-            layouts,
-            program,
-            params,
-            ranges,
-            spans,
-            weights,
-            max_call_elems,
-        )
-    };
-    // Exhaustive enumeration over power-of-two spans per searchable
-    // level (≤ 13 candidates per level, nest depth ≤ 4 in practice):
-    // every version gets its true optimum under the cost model, so
-    // version differences are structural — layouts and loop order —
-    // rather than artifacts of a heuristic search.
-    let cand_lists: Vec<Vec<i64>> = (0..depth)
-        .map(|l| {
-            if tiled.contains(&l) {
-                candidates(extents[l])
-            } else {
-                vec![spans[l]]
-            }
-        })
-        .collect();
-    let mut best_cost = f64::INFINITY;
-    let mut best = spans.clone();
-    let mut current = spans.clone();
-    enumerate_spans(&cand_lists, 0, &mut current, &mut |trial| {
-        if !fits(trial) {
-            return;
-        }
-        let c = cost(trial);
-        if c < best_cost {
-            best_cost = c;
-            best = trial.to_vec();
-        }
-    });
-    if best_cost.is_finite() {
-        best
-    } else {
-        // Nothing fits (budget below even 1-wide tiles): make progress
-        // with minimal spans.
-        spans
-    }
-}
-
-/// Recursive cartesian product over per-level candidate spans.
-fn enumerate_spans(
-    cand_lists: &[Vec<i64>],
-    level: usize,
-    current: &mut Vec<i64>,
-    f: &mut impl FnMut(&[i64]),
-) {
-    if level == cand_lists.len() {
-        f(current);
-        return;
-    }
-    for &c in &cand_lists[level] {
-        current[level] = c;
-        enumerate_spans(cand_lists, level + 1, current, f);
-    }
+pub fn ref_region(r: &ooc_ir::ArrayRef, lo: &[i64], hi: &[i64]) -> Region {
+    checked_ref_region(r, lo, hi).expect("region bound")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ooc_ir::{ArrayRef, Expr, Statement};
-
-    fn simple_nest(depth: usize) -> (Program, LoopNest) {
-        let mut p = Program::new(&["N"]);
-        let a = p.declare_array("A", 2, 0);
-        let s = Statement::assign(
-            ArrayRef::new(a, &[vec![1, 0], vec![0, 1]], vec![0, 0]),
-            Expr::Const(0.0),
-        );
-        let nest = LoopNest::rectangular("n", depth.max(2), 1, 0, vec![s]);
-        (p, nest)
-    }
+    use ooc_ir::ArrayRef;
 
     #[test]
     fn strategies_pick_levels() {
@@ -598,77 +215,18 @@ mod tests {
         assert_eq!(TilingStrategy::Traditional.tiled_levels(1), vec![0]);
     }
 
+    /// The default weights are derived from the default machine and
+    /// must stay bit-equal to the literals every baseline was planned
+    /// with.
     #[test]
-    fn out_of_core_spans_elongate_along_layout() {
-        // trans-style nest: B(i,j) = A(j,i), A col-major, B row-major
-        // (the d-opt layouts). With the innermost loop untiled, the
-        // search keeps strip tiles that beat naive square tiles.
-        let mut p = Program::new(&["N"]);
-        let b = p.declare_array("B", 2, 0);
-        let a = p.declare_array("A", 2, 0);
-        let s = Statement::assign(
-            ArrayRef::new(b, &[vec![1, 0], vec![0, 1]], vec![0, 0]),
-            Expr::Ref(ArrayRef::new(a, &[vec![0, 1], vec![1, 0]], vec![0, 0])),
-        );
-        let nest = LoopNest::rectangular("trans", 2, 1, 0, vec![s]);
-        let layouts = vec![FileLayout::row_major(2), FileLayout::col_major(2)];
-        let params = [256i64];
-        let ranges = [(1i64, 256), (1, 256)];
-        let budget = MemoryBudget::new(2 * 256 * 256 / 128); // paper 1/128 rule
-        let spans = plan_spans(
-            &nest,
-            TilingStrategy::OutOfCore,
-            &layouts,
-            &p,
-            &params,
-            &ranges,
-            &budget,
-            IoWeights::default(),
-            1 << 20,
-        );
-        assert_eq!(spans[1], 256, "inner span stretches to the full row");
-        assert!(spans[0] < 16, "outer span shrinks to fit the budget");
-        // And the modeled cost beats the square alternative.
-        let square = plan_spans(
-            &nest,
-            TilingStrategy::Traditional,
-            &layouts,
-            &p,
-            &params,
-            &ranges,
-            &budget,
-            IoWeights::default(),
-            1 << 20,
-        );
+    fn default_weights_are_the_default_machines() {
         let w = IoWeights::default();
-        let c_opt = spans_io_cost(&nest, &layouts, &p, &params, &ranges, &spans, w, 1 << 20);
-        let c_sq = spans_io_cost(&nest, &layouts, &p, &params, &ranges, &square, w, 1 << 20);
-        assert!(c_opt < c_sq, "optimized {c_opt} vs square {c_sq}");
-    }
-
-    #[test]
-    fn out_of_core_pins_innermost() {
-        let mut p = Program::new(&["N"]);
-        let a = p.declare_array("A", 2, 0);
-        let s = Statement::assign(
-            ArrayRef::new(a, &[vec![1, 0], vec![0, 1]], vec![0, 0]),
-            Expr::Const(0.0),
-        );
-        let nest = LoopNest::rectangular("n", 2, 1, 0, vec![s]);
-        let layouts = vec![FileLayout::row_major(2)];
-        let spans = plan_spans(
-            &nest,
-            TilingStrategy::OutOfCore,
-            &layouts,
-            &p,
-            &[64],
-            &[(1, 64), (1, 64)],
-            &MemoryBudget::new(256),
-            IoWeights::default(),
-            1 << 20,
-        );
-        assert_eq!(spans[1], 64, "innermost untiled");
-        assert!(spans[0] * 64 <= 256, "budget respected");
+        let per_call: f64 = (3.0e-3 + 1024.0 / 1.5e6) / 64.0 + 5.0e-3;
+        let per_elem: f64 = 8.0 / 0.6e6;
+        assert_eq!(w.per_call.to_bits(), per_call.to_bits());
+        assert_eq!(w.per_elem.to_bits(), per_elem.to_bits());
+        let machine = MachineConfig::default();
+        assert_eq!(machine.pfs.max_call_bytes / ELEM_BYTES, 4 * 1024 * 1024 / 8);
     }
 
     #[test]
@@ -683,87 +241,8 @@ mod tests {
         let reg2 = ref_region(&r2, &[2, 1], &[4, 3]);
         assert_eq!(reg2.lo, vec![6, 1]);
         assert_eq!(reg2.hi, vec![8, 3]);
-    }
-
-    #[test]
-    fn array_region_hulls_multiple_refs() {
-        // A(i, j) and A(i-1, j): hull spans rows i-1..i.
-        let mut p = Program::new(&["N"]);
-        let a = p.declare_array("A", 2, 0);
-        let s = Statement::assign(
-            ArrayRef::new(a, &[vec![1, 0], vec![0, 1]], vec![0, 0]),
-            Expr::Ref(ArrayRef::new(a, &[vec![1, 0], vec![0, 1]], vec![-1, 0])),
-        );
-        let nest = LoopNest::rectangular("n", 2, 1, 0, vec![s]);
-        let reg = array_region(&nest, a, &[3, 1], &[5, 4]).expect("touched");
-        assert_eq!(reg.lo, vec![2, 1]);
-        assert_eq!(reg.hi, vec![5, 4]);
-        assert!(array_region(&nest, ooc_ir::ArrayId(9), &[1, 1], &[2, 2]).is_none());
-    }
-
-    #[test]
-    fn footprint_counts_all_arrays() {
-        let mut p = Program::new(&["N"]);
-        let a = p.declare_array("A", 2, 0);
-        let b = p.declare_array("B", 2, 0);
-        let s = Statement::assign(
-            ArrayRef::new(a, &[vec![1, 0], vec![0, 1]], vec![0, 0]),
-            Expr::Ref(ArrayRef::new(b, &[vec![0, 1], vec![1, 0]], vec![0, 0])),
-        );
-        let nest = LoopNest::rectangular("n", 2, 1, 0, vec![s]);
-        // Spans 2x4: A tile 2x4 = 8; B tile (transposed) 4x2 = 8.
-        assert_eq!(tile_footprint(&nest, &p, &[16], &[2, 4]), 16);
-    }
-
-    #[test]
-    fn choose_span_fits_budget() {
-        let (p, nest) = simple_nest(2);
-        // N=16; OOC tiling (level 0 only): tile = B x 16. Budget 64
-        // elements -> B = 4.
-        let b = choose_tile_span(&nest, &[0], &p, &[16], &[16, 16], &MemoryBudget::new(64));
-        assert_eq!(b, 4);
-        // Huge budget: whole array in one tile.
-        let b = choose_tile_span(
-            &nest,
-            &[0],
-            &p,
-            &[16],
-            &[16, 16],
-            &MemoryBudget::new(1 << 20),
-        );
-        assert_eq!(b, 16);
-        // Tiny budget: still progresses with B = 1.
-        let b = choose_tile_span(&nest, &[0], &p, &[16], &[16, 16], &MemoryBudget::new(4));
-        assert_eq!(b, 1);
-    }
-
-    #[test]
-    fn figure3_tile_shapes() {
-        // Figure 3: 8x8 arrays, memory 32 elements, 2 arrays per nest.
-        // Traditional (both loops tiled): 4x4 tiles. OOC (outer only):
-        // 2x8 tiles. Same memory!
-        let mut p = Program::new(&["N"]);
-        let u = p.declare_array("U", 2, 0);
-        let v = p.declare_array("V", 2, 0);
-        let s = Statement::assign(
-            ArrayRef::new(u, &[vec![1, 0], vec![0, 1]], vec![0, 0]),
-            Expr::Ref(ArrayRef::new(v, &[vec![0, 1], vec![1, 0]], vec![0, 0])),
-        );
-        let nest = LoopNest::rectangular("n", 2, 1, 0, vec![s]);
-        let budget = MemoryBudget::new(32);
-        let b_trad = choose_tile_span(&nest, &[0, 1], &p, &[8], &[8, 8], &budget);
-        assert_eq!(b_trad, 4, "traditional 4x4 tiles");
-        let b_ooc = choose_tile_span(&nest, &[0], &p, &[8], &[8, 8], &budget);
-        assert_eq!(b_ooc, 2, "out-of-core 2x8 tiles");
-    }
-
-    #[test]
-    fn level_spans_mix() {
-        let (_, nest) = simple_nest(2);
-        assert_eq!(level_spans(&nest, &[0], 3, &[10, 10]), vec![3, 10]);
-        assert_eq!(level_spans(&nest, &[0, 1], 3, &[10, 10]), vec![3, 3]);
-        assert_eq!(level_spans(&nest, &[], 3, &[10, 10]), vec![10, 10]);
-        // Span capped by extent.
-        assert_eq!(level_spans(&nest, &[0], 99, &[10, 10]), vec![10, 10]);
+        // A bound outside i64 is reported, not wrapped.
+        let far = ArrayRef::new(ooc_ir::ArrayId(0), &[vec![4]], vec![0]);
+        assert!(checked_ref_region(&far, &[1], &[i64::MAX / 2]).is_none());
     }
 }

@@ -12,8 +12,8 @@
 //! bit.
 
 use ooc_opt::core::{
-    exec_pipelined, ref_region, run_functional, run_functional_on, FunctionalConfig,
-    OptimizedProgram, PipelineConfig, TiledProgram, TilingStrategy,
+    exec_pipelined, extract_schedule, plan_nest, ref_region, run_functional, run_functional_on,
+    FunctionalConfig, OptimizedProgram, PipelineConfig, PlanEnv, TiledProgram, TilingStrategy,
 };
 use ooc_opt::ir::{
     execute_program, ArrayId, ArrayRef, DimSize, Expr, Guard, GuardAt, LoopNest, Memory, Program,
@@ -278,6 +278,38 @@ proptest! {
             let [sync, piped] = both_walks(&tp, &[], fraction);
             prop_assert_eq!(&sync, &want, "{:?} sync walk:\n{:#?}", strategy, prog.nests[0]);
             prop_assert_eq!(&piped, &want, "{:?} step engine:\n{:#?}", strategy, prog.nests[0]);
+        }
+    }
+
+    /// What a schedule step stages is what the nest's plan says its
+    /// tile box stages, hull slots included: the schedule extractor
+    /// and a plan built here from the same inputs cannot disagree.
+    #[test]
+    fn schedule_steps_stage_the_plans_footprint(
+        pool in proptest::collection::vec(0u32..1_000_000, 96),
+        fraction in 2u64..24,
+    ) {
+        let (prog, layouts) = random_nest(&mut Pool(pool.iter()));
+        for strategy in [TilingStrategy::OutOfCore, TilingStrategy::Traditional] {
+            let tp = tiled(&prog, layouts.clone(), strategy);
+            let cfg = FunctionalConfig::with_fraction(fraction);
+            let max_call = cfg.runtime.max_call_elems;
+            let env = PlanEnv::new(&tp.program, &tp.layouts, &[], fraction, max_call)
+                .expect("small arrays");
+            let schedule = extract_schedule(&tp, &[], &cfg);
+            prop_assert_eq!(schedule.nests.len(), 1);
+            let tnest = &tp.nests[0];
+            let plan = plan_nest(&env, &tnest.nest, tnest.strategy, &tnest.tiled_levels, None)
+                .expect("small regions")
+                .expect("the nest is not empty");
+            prop_assert_eq!(schedule.nests[0].steps.len(), plan.boxes().len());
+            for step in &schedule.nests[0].steps {
+                let reads = step.reads.iter().map(|r| &r.tile);
+                let staged: i64 = reads.chain(&step.writes).map(|t| t.region.len()).sum();
+                let plan_stages = plan.staged(&step.box_lo, &step.box_hi);
+                let planned: i64 = plan_stages.iter().map(|(_, r)| r.len()).sum();
+                prop_assert_eq!(staged, planned, "{:?} {:?}", strategy, step);
+            }
         }
     }
 }
