@@ -337,19 +337,17 @@ fn choose_transform(
     push(ek.clone(), &mut pool);
 
     // Rank candidates: best locality score first; on ties prefer the
-    // identity innermost column (no gratuitous transformation).
+    // identity innermost column (no gratuitous transformation). A
+    // column that moves some reference by a fraction has no score and
+    // is not a candidate.
     let mut scored: Vec<(f64, bool, Vec<i64>)> = pool
         .into_iter()
-        .map(|q_last| {
-            let score = score_innermost(nest, fixed, weights, &q_last);
-            (score, q_last == ek, q_last)
+        .filter_map(|q_last| {
+            let score = score_innermost(nest, fixed, weights, &q_last)?;
+            Some((score, q_last == ek, q_last))
         })
         .collect();
-    scored.sort_by(|a, b| {
-        b.0.partial_cmp(&a.0)
-            .expect("no NaN scores")
-            .then(b.1.cmp(&a.1))
-    });
+    scored.sort_by(|a, b| b.0.total_cmp(&a.0).then(b.1.cmp(&a.1)));
 
     let n_candidates = scored.len();
 
@@ -361,7 +359,7 @@ fn choose_transform(
             continue;
         }
         for q in completion_candidates(q_last, opts.completion_limit) {
-            let t = q.inverse().expect("unimodular Q is invertible");
+            let Some(t) = q.inverse() else { continue };
             if transformation_preserves(&t, &deps) {
                 if ooc_trace::enabled() {
                     ooc_trace::explain(
@@ -467,16 +465,17 @@ fn modeled_nest_cost(
 /// their actual locality; free arrays score optimistically (they will
 /// receive a layout via relation (1) afterwards). Each reference is
 /// weighted by its array's data size — locality for a scratch vector
-/// must not trump locality for an out-of-core matrix.
+/// must not trump locality for an out-of-core matrix. `None` when the
+/// column moves some reference by a fraction of an element.
 fn score_innermost(
     nest: &LoopNest,
     fixed: &[Option<FileLayout>],
     weights: &[f64],
     q_last: &[i64],
-) -> f64 {
+) -> Option<f64> {
     let mut score = 0.0;
     for r in nest.all_refs() {
-        let u = movement_i64(&r.access, q_last).expect("integer movement");
+        let u = movement_i64(&r.access, q_last)?;
         let s = match &fixed[r.array.0] {
             Some(layout) => locality_under(layout, &u).score(),
             None => {
@@ -491,7 +490,7 @@ fn score_innermost(
         };
         score += weights[r.array.0] * s as f64;
     }
-    score
+    Some(score)
 }
 
 /// [`fix_layouts`] with a cost check: a candidate layout is kept only
@@ -732,6 +731,34 @@ mod tests {
         let t = opt.transforms[0].inverse().expect("invertible");
         let deps = nest_dependences(&p.nests[0]);
         assert!(transformation_preserves(&t, &deps));
+    }
+
+    /// Ranking candidate columns must not panic on a reference the
+    /// columns move by a fraction: such columns are no candidates, and
+    /// the identity is still there to fall back on.
+    #[test]
+    fn a_fractional_access_entry_is_skipped_not_a_panic() {
+        // A(i, j) = B(i/2 + j/2, j): integral wherever i + j is even,
+        // which the compiler is never asked to execute here.
+        let mut p = Program::new(&["N"]);
+        let a = p.declare_array("A", 2, 0);
+        let b = p.declare_array("B", 2, 0);
+        let half = ooc_linalg::Rational::new(1, 2);
+        let zero_one = [ooc_linalg::Rational::ZERO, ooc_linalg::Rational::ONE];
+        let halved = ArrayRef {
+            array: b,
+            access: Matrix::from_rationals(2, 2, [[half, half], zero_one].concat()),
+            offset: vec![0, 0],
+        };
+        let s = Statement::assign(
+            ArrayRef::new(a, &[vec![1, 0], vec![0, 1]], vec![0, 0]),
+            Expr::Ref(halved),
+        );
+        p.add_nest(LoopNest::rectangular("n", 2, 1, 0, vec![s]));
+        let opt = optimize_loop_only(&p, &OptimizeOptions::default(), None);
+        let t = opt.transforms[0].inverse().expect("invertible");
+        assert!(opt.transforms[0].is_unimodular());
+        assert!(transformation_preserves(&t, &nest_dependences(&p.nests[0])));
     }
 
     #[test]

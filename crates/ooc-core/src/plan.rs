@@ -384,15 +384,20 @@ impl Staging {
     pub fn footprint(&self, env: &PlanEnv, spans: &[i64]) -> u64 {
         let lo = vec![1i64; spans.len()];
         (0..self.slots())
-            .map(|slot| {
-                let region = self.region(slot, &lo, spans);
-                let dims = env.dims(self.slots[slot].array.0);
-                dims.iter()
-                    .enumerate()
-                    .map(|(d, &dim)| region.extent(d).min(dim).max(1).unsigned_abs())
-                    .product::<u64>()
-            })
+            .map(|slot| self.tile_elems(env, slot, &lo, spans))
             .sum()
+    }
+
+    /// One slot's term of [`Staging::footprint`], for the tile box
+    /// `lo..=hi`. Depends on the box's extent along the levels the
+    /// slot varies with only.
+    fn tile_elems(&self, env: &PlanEnv, slot: usize, lo: &[i64], hi: &[i64]) -> u64 {
+        let region = self.region(slot, lo, hi);
+        let dims = env.dims(self.slots[slot].array.0);
+        dims.iter()
+            .enumerate()
+            .map(|(d, &dim)| region.extent(d).min(dim).max(1).unsigned_abs())
+            .product()
     }
 
     /// Modeled I/O time of a full nest execution for candidate
@@ -406,19 +411,30 @@ impl Staging {
         let trips: Vec<f64> = ranges
             .iter()
             .zip(spans)
-            .map(|(&(lo, hi), &s)| {
-                let extent = (hi - lo + 1).max(1);
-                ((extent + s - 1) / s.max(1)) as f64
-            })
+            .map(|(&range, &s)| trips(range, s))
             .collect();
-        let lo: Vec<i64> = ranges.iter().map(|&(lo, _)| lo).collect();
-        let hi: Vec<i64> = lo.iter().zip(spans).map(|(&lo, &s)| lo + s - 1).collect();
+        let (lo, hi) = first_box(ranges, spans);
+        self.priced(env, &trips, |slot| self.tile_transfer(env, slot, &lo, &hi))
+    }
+
+    /// `(calls, elements)` of staging slot `slot` once for the tile
+    /// box `lo..=hi`. Depends on the box's bounds along the levels the
+    /// slot varies with only.
+    fn tile_transfer(&self, env: &PlanEnv, slot: usize, lo: &[i64], hi: &[i64]) -> (u64, u64) {
+        let array = self.slots[slot].array.0;
+        let region = self.region(slot, lo, hi);
+        let (runs, elements) = env.layouts[array].region_run_counts(env.dims(array), &region);
+        let calls = ooc_runtime::run_calls(runs, elements, env.max_call_elems);
+        (calls, elements)
+    }
+
+    /// The cost model proper: with `trips[l]` tile steps along level
+    /// `l` and `transfer(slot)` the `(calls, elements)` of staging the
+    /// slot once, the modeled I/O time, summed in slot order.
+    fn priced(&self, env: &PlanEnv, trips: &[f64], transfer: impl Fn(usize) -> (u64, u64)) -> f64 {
         let mut total = 0f64;
         for (i, slot) in self.slots.iter().enumerate() {
-            let dims = env.dims(slot.array.0);
-            let region = self.region(i, &lo, &hi).clamped(dims);
-            let summary = env.layouts[slot.array.0].region_run_summary(dims, &region);
-            let cost = ooc_runtime::summary_cost(summary, env.max_call_elems);
+            let (calls, elements) = transfer(i);
             // Deepest tile level this slot's region varies with: its
             // tile stays cached while only deeper levels advance.
             let deepest = (0..trips.len())
@@ -428,8 +444,7 @@ impl Staging {
             let accesses = if slot.written { 2.0 } else { 1.0 };
             total += restages
                 * accesses
-                * (cost.calls as f64 * env.weights.per_call
-                    + cost.elements as f64 * env.weights.per_elem);
+                * (calls as f64 * env.weights.per_call + elements as f64 * env.weights.per_elem);
         }
         total
     }
@@ -620,10 +635,9 @@ fn plan_spans(
             let cost = staging.io_cost(env, ranges, &spans);
             (spans, cost)
         }
-        TilingStrategy::Optimized => search_spans(env, staging, ranges, false),
+        TilingStrategy::Optimized => search_spans(env, staging, ranges).free,
         TilingStrategy::OutOfCore => {
-            let pinned = search_spans(env, staging, ranges, true);
-            let free = search_spans(env, staging, ranges, false);
+            let Searched { free, pinned } = search_spans(env, staging, ranges);
             if pinned.1 <= free.1 {
                 pinned
             } else {
@@ -672,49 +686,178 @@ fn budget_spans(
     spans_at(lo.max(1))
 }
 
-/// Exhaustive enumeration over power-of-two spans per searchable level
-/// (≤ 13 candidates per level, nest depth ≤ 4 in practice), minimizing
+/// The first tile box of `ranges` under `spans` — the one the cost
+/// model prices.
+fn first_box(ranges: &[(i64, i64)], spans: &[i64]) -> (Vec<i64>, Vec<i64>) {
+    let lo: Vec<i64> = ranges.iter().map(|&(lo, _)| lo).collect();
+    let hi = lo.iter().zip(spans).map(|(&lo, &s)| lo + s - 1).collect();
+    (lo, hi)
+}
+
+/// Tile steps along a level of range `lo..=hi` under span `s`.
+fn trips((lo, hi): (i64, i64), s: i64) -> f64 {
+    let extent = (hi - lo + 1).max(1);
+    ((extent + s - 1) / s.max(1)) as f64
+}
+
+/// What one tile of one slot costs: its footprint term and the calls
+/// and elements of staging it once.
+#[derive(Clone, Copy)]
+struct TileCost {
+    elems: u64,
+    calls: u64,
+    moved: u64,
+}
+
+/// The span search's scorer. A slot's tile depends only on the spans
+/// of the levels its references vary with, so every per-slot answer a
+/// search can ask for is tabulated once — by the per-slot functions
+/// [`Staging::footprint`] and [`Staging::io_cost`] are sums over — and
+/// a trial is one lookup per slot.
+struct SpanTables {
+    /// Candidate spans per level: the powers of two below the level's
+    /// extent, then the extent.
+    cands: Vec<Vec<i64>>,
+    /// Tile steps per level and candidate.
+    trips: Vec<Vec<f64>>,
+    /// Per slot: the index stride of every level (0 where the slot
+    /// does not vary) and one entry per combination of candidates of
+    /// the levels it varies with.
+    slots: Vec<(Vec<usize>, Vec<TileCost>)>,
+}
+
+impl SpanTables {
+    fn build(env: &PlanEnv, staging: &Staging, ranges: &[(i64, i64)]) -> Self {
+        let cands: Vec<Vec<i64>> = ranges
+            .iter()
+            .map(|&(lo, hi)| {
+                let extent = (hi - lo + 1).max(1);
+                std::iter::successors(Some(1i64), |&x| (x < extent).then(|| (x * 2).min(extent)))
+                    .collect()
+            })
+            .collect();
+        let trips = ranges
+            .iter()
+            .zip(&cands)
+            .map(|(&range, cands)| cands.iter().map(|&s| trips(range, s)).collect())
+            .collect();
+        let origin = vec![1i64; ranges.len()];
+        let slots = (0..staging.slots())
+            .map(|slot| {
+                let varies = &staging.slots[slot].varies;
+                let choices: Vec<Vec<usize>> = (0..ranges.len())
+                    .map(|l| (0..if varies[l] { cands[l].len() } else { 1 }).collect())
+                    .collect();
+                let mut strides = vec![0usize; ranges.len()];
+                let mut stride = 1;
+                for l in (0..ranges.len()).rev().filter(|&l| varies[l]) {
+                    strides[l] = stride;
+                    stride *= cands[l].len();
+                }
+                let mut entries = Vec::with_capacity(stride);
+                for_each_product(&choices, &mut Vec::new(), &mut |choice| {
+                    let spans: Vec<i64> = choice.iter().zip(&cands).map(|(&i, c)| c[i]).collect();
+                    let (lo, hi) = first_box(ranges, &spans);
+                    let (calls, moved) = staging.tile_transfer(env, slot, &lo, &hi);
+                    entries.push(TileCost {
+                        elems: staging.tile_elems(env, slot, &origin, &spans),
+                        calls,
+                        moved,
+                    });
+                });
+                (strides, entries)
+            })
+            .collect();
+        SpanTables {
+            cands,
+            trips,
+            slots,
+        }
+    }
+
+    /// Slot `slot`'s tile under the candidates `choice` picks per level.
+    fn tile(&self, slot: usize, choice: &[usize]) -> TileCost {
+        let (strides, entries) = &self.slots[slot];
+        let at: usize = choice.iter().zip(strides).map(|(&i, &s)| i * s).sum();
+        entries[at]
+    }
+
+    /// [`Staging::footprint`] of the spans `choice` picks.
+    fn footprint(&self, choice: &[usize]) -> u64 {
+        (0..self.slots.len())
+            .map(|slot| self.tile(slot, choice).elems)
+            .sum()
+    }
+
+    /// [`Staging::io_cost`] of the spans `choice` picks — the same
+    /// expression over the same operands, hence the same bits.
+    fn io_cost(&self, env: &PlanEnv, staging: &Staging, choice: &[usize]) -> f64 {
+        let trips: Vec<f64> = choice.iter().zip(&self.trips).map(|(&i, t)| t[i]).collect();
+        staging.priced(env, &trips, |slot| {
+            let tile = self.tile(slot, choice);
+            (tile.calls, tile.moved)
+        })
+    }
+
+    /// The spans `choice` picks, with their cost.
+    fn plan(&self, (choice, cost): (Vec<usize>, f64)) -> (Vec<i64>, f64) {
+        let spans = choice.iter().zip(&self.cands).map(|(&i, c)| c[i]);
+        (spans.collect(), cost)
+    }
+}
+
+/// The cheapest fitting spans over every level (`free`) and with the
+/// innermost level kept whole (`pinned`), each with its modeled cost.
+struct Searched {
+    free: (Vec<i64>, f64),
+    pinned: (Vec<i64>, f64),
+}
+
+/// Exhaustive enumeration over power-of-two spans per level (≤ 13
+/// candidates per level, nest depth ≤ 4 in practice), minimizing
 /// [`Staging::io_cost`] subject to the memory budget: every version
 /// gets its true optimum under the cost model, so version differences
 /// are structural — layouts and loop order — rather than artifacts of a
-/// heuristic search. With `pin_innermost` the innermost level keeps
-/// its full extent. The first strict improvement in enumeration order
-/// wins; when nothing fits (budget below even 1-wide tiles) the
-/// minimal spans make progress.
-fn search_spans(
-    env: &PlanEnv,
-    staging: &Staging,
-    ranges: &[(i64, i64)],
-    pin_innermost: bool,
-) -> (Vec<i64>, f64) {
-    let searched = ranges.len() - usize::from(pin_innermost);
-    let cand_lists: Vec<Vec<i64>> = ranges
+/// heuristic search. The first strict improvement in enumeration order
+/// wins; when nothing fits (budget below even 1-wide tiles) the minimal
+/// spans make progress. The trials that keep the innermost level whole
+/// are a subsequence of all trials, so one pass finds both optima.
+fn search_spans(env: &PlanEnv, staging: &Staging, ranges: &[(i64, i64)]) -> Searched {
+    let tables = SpanTables::build(env, staging, ranges);
+    let choices: Vec<Vec<usize>> = tables
+        .cands
         .iter()
-        .enumerate()
-        .map(|(l, &(lo, hi))| {
-            let extent = (hi - lo + 1).max(1);
-            if l >= searched {
-                return vec![extent];
-            }
-            std::iter::successors(Some(1i64), |&x| (x < extent).then(|| (x * 2).min(extent)))
-                .collect()
-        })
+        .map(|c| (0..c.len()).collect())
         .collect();
-    let minimal: Vec<i64> = cand_lists.iter().map(|c| c[0]).collect();
-    let mut best: Option<(Vec<i64>, f64)> = None;
-    for_each_product(&cand_lists, &mut Vec::new(), &mut |trial| {
-        if staging.footprint(env, trial) > env.budget.capacity() {
+    let inner = ranges.len() - 1;
+    let whole = tables.cands[inner].len() - 1;
+    let mut free: Option<(Vec<usize>, f64)> = None;
+    let mut pinned: Option<(Vec<usize>, f64)> = None;
+    for_each_product(&choices, &mut Vec::new(), &mut |choice| {
+        if tables.footprint(choice) > env.budget.capacity() {
             return;
         }
-        let c = staging.io_cost(env, ranges, trial);
-        if c < best.as_ref().map_or(f64::INFINITY, |b| b.1) {
-            best = Some((trial.to_vec(), c));
+        let cost = tables.io_cost(env, staging, choice);
+        let keep_if_cheaper = |best: &mut Option<(Vec<usize>, f64)>| {
+            if cost < best.as_ref().map_or(f64::INFINITY, |b| b.1) {
+                *best = Some((choice.to_vec(), cost));
+            }
+        };
+        keep_if_cheaper(&mut free);
+        if choice[inner] == whole {
+            keep_if_cheaper(&mut pinned);
         }
     });
-    best.unwrap_or_else(|| {
-        let cost = staging.io_cost(env, ranges, &minimal);
-        (minimal, cost)
-    })
+    let minimal = |inner_choice: usize| {
+        let mut choice = vec![0; ranges.len()];
+        choice[inner] = inner_choice;
+        let cost = tables.io_cost(env, staging, &choice);
+        (choice, cost)
+    };
+    Searched {
+        free: tables.plan(free.unwrap_or_else(|| minimal(0))),
+        pinned: tables.plan(pinned.unwrap_or_else(|| minimal(whole))),
+    }
 }
 
 /// Calls `f` with every combination of one entry per list, the last
@@ -959,6 +1102,43 @@ mod tests {
         assert_eq!(ooc.cost, st.io_cost(&env, &ooc.ranges, &ooc.spans));
         let square = plan(TilingStrategy::Traditional);
         assert!(ooc.cost < square.cost, "{} vs {}", ooc.cost, square.cost);
+    }
+
+    /// The search evaluates regions and run counts once per table
+    /// entry, and a slot has one entry per combination of candidates
+    /// of the levels it varies with — not one per trial.
+    #[test]
+    fn tables_hold_one_entry_per_varying_combination() {
+        // mat at paper size: C(i,j) = C(i,j) + A(i,k) * B(k,j), N = 4096.
+        let mut p = Program::new(&["N"]);
+        let mut at = |name, rows: [Vec<i64>; 2]| {
+            ArrayRef::new(p.declare_array(name, 2, 0), &rows, vec![0, 0])
+        };
+        let a = at("A", [vec![1, 0, 0], vec![0, 0, 1]]);
+        let b = at("B", [vec![0, 0, 1], vec![0, 1, 0]]);
+        let c = at("C", [vec![1, 0, 0], vec![0, 1, 0]]);
+        let product = Expr::Mul(Box::new(Expr::Ref(a)), Box::new(Expr::Ref(b)));
+        let sum = Expr::Add(Box::new(Expr::Ref(c.clone())), Box::new(product));
+        let nest = LoopNest::rectangular("matmul", 3, 1, 0, vec![Statement::assign(c, sum)]);
+        let layouts = vec![FileLayout::col_major(2); 3];
+        let env = PlanEnv::new(&p, &layouts, &[4096], 128, 1 << 19).expect("sized");
+        let staging = Staging::for_nest(&nest);
+        let ranges = level_ranges(&nest, env.params).expect("not empty");
+        let tables = SpanTables::build(&env, &staging, &ranges);
+        assert_eq!(
+            tables.cands.iter().map(Vec::len).collect::<Vec<_>>(),
+            [13; 3]
+        );
+        let entries: usize = tables.slots.iter().map(|(_, entries)| entries.len()).sum();
+        assert_eq!(entries, 3 * 13 * 13, "three 2-D slots in a depth-3 nest");
+        // And an entry is the definitions' answer for its spans.
+        let choice = [3, 12, 5];
+        let spans = [8, 4096, 32];
+        assert_eq!(tables.footprint(&choice), staging.footprint(&env, &spans));
+        assert_eq!(
+            tables.io_cost(&env, &staging, &choice).to_bits(),
+            staging.io_cost(&env, &ranges, &spans).to_bits()
+        );
     }
 
     #[test]

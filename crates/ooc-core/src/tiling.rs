@@ -161,27 +161,76 @@ fn level_tiling_legal(deps: &[ooc_ir::Dependence], l: usize) -> bool {
     })
 }
 
-/// [`ref_region`], or `None` when a bound leaves `i64`.
+/// [`ref_region`], or `None` when a bound leaves `i64` or an
+/// intermediate value `i128`.
 pub(crate) fn checked_ref_region(r: &ooc_ir::ArrayRef, lo: &[i64], hi: &[i64]) -> Option<Region> {
     let rank = r.rank();
     let mut rlo = Vec::with_capacity(rank);
     let mut rhi = Vec::with_capacity(rank);
     for d in 0..rank {
-        let mut min = Rational::from(r.offset[d]);
-        let mut max = min;
-        for j in 0..r.depth() {
-            let c = r.access[(d, j)];
-            if c.is_zero() {
-                continue;
-            }
-            let (a, b) = (c * Rational::from(lo[j]), c * Rational::from(hi[j]));
-            min += if a < b { a } else { b };
-            max += if a < b { b } else { a };
-        }
-        rlo.push(i64::try_from(min.floor()).ok()?);
-        rhi.push(i64::try_from(max.ceil()).ok()?);
+        // An all-integer access row (every kernel's) needs no rational
+        // arithmetic.
+        let integer = (0..r.depth()).all(|j| r.access[(d, j)].is_integer());
+        let (min, max) = if integer {
+            integer_row_bounds(r, d, lo, hi)?
+        } else {
+            rational_row_bounds(r, d, lo, hi)?
+        };
+        rlo.push(i64::try_from(min).ok()?);
+        rhi.push(i64::try_from(max).ok()?);
     }
     Some(Region::new(rlo, rhi))
+}
+
+/// Least and greatest value of subscript `d` of `r` over the box
+/// `lo..=hi`, for a row of integer coefficients.
+fn integer_row_bounds(
+    r: &ooc_ir::ArrayRef,
+    d: usize,
+    lo: &[i64],
+    hi: &[i64],
+) -> Option<(i128, i128)> {
+    let mut min = i128::from(r.offset[d]);
+    let mut max = min;
+    for j in 0..r.depth() {
+        let c = r.access[(d, j)].num();
+        if c == 0 {
+            continue;
+        }
+        let a = c.checked_mul(i128::from(lo[j]))?;
+        let b = c.checked_mul(i128::from(hi[j]))?;
+        min = min.checked_add(a.min(b))?;
+        max = max.checked_add(a.max(b))?;
+    }
+    Some((min, max))
+}
+
+/// [`integer_row_bounds`] for any row: exact interval arithmetic in
+/// `Rational`s, rounded outwards.
+fn rational_row_bounds(
+    r: &ooc_ir::ArrayRef,
+    d: usize,
+    lo: &[i64],
+    hi: &[i64],
+) -> Option<(i128, i128)> {
+    let mut min = Rational::from(r.offset[d]);
+    let mut max = min;
+    for j in 0..r.depth() {
+        let c = r.access[(d, j)];
+        if c.is_zero() {
+            continue;
+        }
+        // The smaller end by sign, not by `Ord`: comparing rationals
+        // cross-multiplies and panics where this must return `None`.
+        let (small, large) = if (c.signum() > 0) == (lo[j] <= hi[j]) {
+            (lo[j], hi[j])
+        } else {
+            (hi[j], lo[j])
+        };
+        min = min.checked_add(c.checked_mul(Rational::from(small))?)?;
+        max = max.checked_add(c.checked_mul(Rational::from(large))?)?;
+    }
+    Some((min.floor(), max.ceil()))
 }
 
 /// The array region touched by one reference when each loop level `j`
@@ -244,5 +293,88 @@ mod tests {
         // A bound outside i64 is reported, not wrapped.
         let far = ArrayRef::new(ooc_ir::ArrayId(0), &[vec![4]], vec![0]);
         assert!(checked_ref_region(&far, &[1], &[i64::MAX / 2]).is_none());
+    }
+
+    /// A reference with the given access entries in halves.
+    fn ref_of_halves(halves: &[i64], rank: usize, depth: usize, offset: &[i64]) -> ArrayRef {
+        let entries = halves[..rank * depth]
+            .iter()
+            .map(|&h| Rational::new(i128::from(h), 2))
+            .collect();
+        ArrayRef {
+            array: ooc_ir::ArrayId(0),
+            access: ooc_linalg::Matrix::from_rationals(rank, depth, entries),
+            offset: offset[..rank].to_vec(),
+        }
+    }
+
+    proptest::proptest! {
+        /// Both row evaluators against the definition: a subscript is
+        /// affine, so its extremes over a box sit at corners.
+        #[test]
+        fn region_rows_match_the_corners_of_the_box(
+            halves in proptest::collection::vec(-6i64..=6, 9),
+            integer in proptest::strategy::any::<bool>(),
+            shape in (1usize..=3, 1usize..=3),
+            offset in proptest::collection::vec(-50i64..=50, 3),
+            lows in proptest::collection::vec(-40i64..=40, 3),
+            extents in proptest::collection::vec(0i64..=30, 3),
+        ) {
+            let (rank, depth) = shape;
+            let scale = if integer { 2 } else { 1 };
+            let halves: Vec<i64> = halves.iter().map(|h| h * scale).collect();
+            let r = ref_of_halves(&halves, rank, depth, &offset);
+            let lo = &lows[..depth];
+            let hi: Vec<i64> = lo.iter().zip(&extents).map(|(l, e)| l + e).collect();
+            let region = checked_ref_region(&r, lo, &hi).expect("small numbers");
+            for d in 0..rank {
+                let corners = (0..1usize << depth).map(|corner| {
+                    let at = (0..depth).map(|j| if corner >> j & 1 == 1 { hi[j] } else { lo[j] });
+                    at.enumerate().fold(Rational::from(r.offset[d]), |sum, (j, x)| {
+                        sum + r.access[(d, j)] * Rational::from(x)
+                    })
+                });
+                let corners: Vec<Rational> = corners.collect();
+                let min = corners.iter().min().expect("a box has corners").floor();
+                let max = corners.iter().max().expect("a box has corners").ceil();
+                proptest::prop_assert_eq!((i128::from(region.lo[d]), i128::from(region.hi[d])), (min, max));
+                proptest::prop_assert_eq!(rational_row_bounds(&r, d, lo, &hi), Some((min, max)));
+                if (0..depth).all(|j| r.access[(d, j)].is_integer()) {
+                    proptest::prop_assert_eq!(integer_row_bounds(&r, d, lo, &hi), Some((min, max)));
+                }
+            }
+        }
+    }
+
+    /// Leaving `i64` at the end or `i128` on the way is `None` from the
+    /// integer rows and from the rational rows alike.
+    #[test]
+    fn overflowing_rows_are_none_on_both_paths() {
+        let huge = i128::MAX / 2;
+        let fits_i64 = |bounds: Option<(i128, i128)>| {
+            bounds
+                .is_some_and(|(min, max)| i64::try_from(min).is_ok() && i64::try_from(max).is_ok())
+        };
+        for (entry, den) in [(4, 1), (huge, 1), (9, 2), (huge, 3)] {
+            let c = Rational::new(entry, den);
+            let r = ArrayRef {
+                array: ooc_ir::ArrayId(0),
+                access: ooc_linalg::Matrix::from_rationals(1, 2, vec![c, c]),
+                offset: vec![0],
+            };
+            let (lo, hi) = ([1, 1], [i64::MAX / 2, i64::MAX / 2]);
+            assert!(checked_ref_region(&r, &lo, &hi).is_none(), "{entry}/{den}");
+            assert!(checked_ref_region(&r, &hi, &lo).is_none(), "{entry}/{den}");
+            assert!(
+                !fits_i64(rational_row_bounds(&r, 0, &lo, &hi)),
+                "{entry}/{den}"
+            );
+            if den == 1 {
+                assert!(!fits_i64(integer_row_bounds(&r, 0, &lo, &hi)), "{entry}");
+            }
+            // Over a small box only the huge coefficients overflow.
+            let small = checked_ref_region(&r, &[1, 1], &[4, 4]);
+            assert_eq!(small.is_some(), entry != huge, "{entry}/{den}");
+        }
     }
 }

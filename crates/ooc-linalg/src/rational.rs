@@ -145,7 +145,9 @@ impl Rational {
         self.num as f64 / self.den as f64
     }
 
-    fn checked_add(self, rhs: Self) -> Option<Self> {
+    /// `self + rhs`, or `None` when a component leaves `i128`.
+    #[must_use]
+    pub fn checked_add(self, rhs: Self) -> Option<Self> {
         // a/b + c/d = (a*(l/b) + c*(l/d)) / l with l = lcm(b, d).
         let g = gcd_i128(self.den, rhs.den);
         let l = (self.den / g).checked_mul(rhs.den)?;
@@ -154,7 +156,9 @@ impl Rational {
         Some(Rational::new(left.checked_add(right)?, l))
     }
 
-    fn checked_mul_impl(self, rhs: Self) -> Option<Self> {
+    /// `self * rhs`, or `None` when a component leaves `i128`.
+    #[must_use]
+    pub fn checked_mul(self, rhs: Self) -> Option<Self> {
         // Cross-reduce before multiplying to delay overflow.
         let g1 = gcd_i128(self.num, rhs.den);
         let g2 = gcd_i128(rhs.num, self.den);
@@ -199,7 +203,7 @@ impl Sub for Rational {
 impl Mul for Rational {
     type Output = Rational;
     fn mul(self, rhs: Self) -> Self {
-        self.checked_mul_impl(rhs)
+        self.checked_mul(rhs)
             .expect("rational multiplication overflow")
     }
 }

@@ -516,27 +516,29 @@ impl<S: Store> OocArray<S> {
     }
 }
 
-/// Converts a run summary into an I/O cost under a call-size cap.
+/// I/O calls that move `elements` elements in `runs` runs when one
+/// call carries at most `max_call_elems`.
 #[must_use]
-pub fn summary_cost(s: RunSummary, max_call_elems: u64) -> IoCost {
-    if s.elements == 0 {
-        return IoCost {
-            calls: 0,
-            elements: 0,
-            start_byte: 0,
-            span_bytes: 0,
-        };
+pub fn run_calls(runs: u64, elements: u64, max_call_elems: u64) -> u64 {
+    if elements == 0 {
+        return 0;
     }
     // Average run length; long runs split into multiple calls. Splitting
     // is computed per average run, which is exact when runs are uniform
     // (rectangular tiles under linear layouts always are).
-    let avg = (s.elements / s.runs).max(1);
+    let avg = (elements / runs).max(1);
     let calls_per_run = avg.div_ceil(max_call_elems);
-    let rem = s.elements % s.runs;
+    let rem = elements % runs;
     // Distribute the remainder conservatively: at most one extra call.
     let extra = u64::from(rem > 0 && (avg + 1).div_ceil(max_call_elems) > calls_per_run);
+    runs * calls_per_run + extra
+}
+
+/// Converts a run summary into an I/O cost under a call-size cap.
+#[must_use]
+pub fn summary_cost(s: RunSummary, max_call_elems: u64) -> IoCost {
     IoCost {
-        calls: s.runs * calls_per_run + extra,
+        calls: run_calls(s.runs, s.elements, max_call_elems),
         elements: s.elements,
         start_byte: s.min_start * ELEM_BYTES,
         span_bytes: (s.max_end - s.min_start) * ELEM_BYTES,

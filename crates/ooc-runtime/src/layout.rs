@@ -395,12 +395,69 @@ impl FileLayout {
         runs
     }
 
-    /// Aggregate run statistics for a region without enumeration —
-    /// O(#runs) at worst, O(1) for dimension-order layouts. Exact for
-    /// [`FileLayout::DimOrder`] and [`FileLayout::Blocked2D`]; for
-    /// general hyperplane layouts it counts one run per intersected
+    /// Number of maximal contiguous runs and of elements in `region`
+    /// (clamped to the array) — what an I/O cost needs, without the
+    /// file offsets of [`FileLayout::region_run_summary`] and without
+    /// allocating. O(1) for dimension-order layouts, O(blocks) for
+    /// blocked ones, O(intersected hyperplanes) for hyperplane layouts.
+    /// Exact for [`FileLayout::DimOrder`] and [`FileLayout::Blocked2D`];
+    /// for general hyperplane layouts it counts one run per intersected
     /// hyperplane (exact unless the region covers whole adjacent
     /// hyperplanes, where runs could merge — a second-order effect).
+    #[must_use]
+    pub fn region_run_counts(&self, dims: &[i64], region: &Region) -> (u64, u64) {
+        let lo = |d: usize| region.lo[d].max(1);
+        let hi = |d: usize| region.hi[d].min(dims[d]);
+        let extent = |d: usize| (hi(d) - lo(d) + 1).max(0);
+        let elements = (0..dims.len()).map(extent).product::<i64>() as u64;
+        if elements == 0 {
+            return (0, 0);
+        }
+        // A full-array access is one sequential sweep under any layout.
+        if (0..dims.len()).all(|d| extent(d) == dims[d]) {
+            return (1, elements);
+        }
+        let runs = match self {
+            FileLayout::DimOrder(perm) => {
+                // Innermost (fastest) dimensions that the region covers
+                // fully merge into longer runs.
+                let mut run_len: u64 = 1;
+                for (pos, &d) in perm.iter().enumerate().rev() {
+                    run_len *= extent(d) as u64;
+                    if extent(d) != dims[d] || pos == 0 {
+                        break;
+                    }
+                }
+                elements / run_len
+            }
+            FileLayout::Hyperplane2D(g1, g2) => {
+                let h = Hyperplanes::new(*g1, *g2, dims[0], dims[1]);
+                let (c_lo, c_hi) = h.c_range(lo(0), hi(0), lo(1), hi(1));
+                (c_lo..=c_hi)
+                    .filter(|&c| h.span(c, lo(0), hi(0), lo(1), hi(1)).is_some())
+                    .count() as u64
+            }
+            FileLayout::Blocked2D { br, bc } => {
+                let (r1, r2, c1, c2) = (lo(0), hi(0), lo(1), hi(1));
+                let mut runs = 0u64;
+                for bi in (r1 - 1) / br..=(r2 - 1) / br {
+                    // Rows of the region inside block row `bi`.
+                    let rows = ((bi + 1) * br).min(r2) - (bi * br + 1).max(r1) + 1;
+                    for bj in (c1 - 1) / bc..=(c2 - 1) / bc {
+                        let block_w = ((bj + 1) * bc).min(dims[1]) - bj * bc;
+                        let width = ((bj + 1) * bc).min(c2) - (bj * bc + 1).max(c1) + 1;
+                        // Row-major inside the block: full-width spans merge.
+                        runs += if width == block_w { 1 } else { rows as u64 };
+                    }
+                }
+                runs
+            }
+        };
+        (runs, elements)
+    }
+
+    /// [`FileLayout::region_run_counts`] plus the file span the region
+    /// touches, first element to one past the last.
     #[must_use]
     pub fn region_run_summary(&self, dims: &[i64], region: &Region) -> RunSummary {
         let region = region.clamped(dims);
@@ -408,8 +465,7 @@ impl FileLayout {
             return RunSummary::default();
         }
         let elements = region.len() as u64;
-        // A full-array access is one sequential sweep under any layout.
-        if region == Region::full(dims) {
+        if region.hi == dims && region.lo.iter().all(|&l| l == 1) {
             return RunSummary {
                 runs: 1,
                 elements,
@@ -417,77 +473,29 @@ impl FileLayout {
                 max_end: elements,
             };
         }
-        match self {
-            FileLayout::DimOrder(perm) => {
-                // Innermost (fastest) dimensions that the region covers
-                // fully merge into longer runs.
-                let mut run_len: u64 = 1;
-                for (pos, &d) in perm.iter().enumerate().rev() {
-                    run_len *= region.extent(d) as u64;
-                    if region.extent(d) != dims[d] || pos == 0 {
-                        break;
-                    }
+        if let FileLayout::Hyperplane2D(..) = self {
+            // The walk that counts the intersected hyperplanes also
+            // knows where the first starts and the last ends.
+            let mut summary = RunSummary {
+                elements,
+                ..RunSummary::default()
+            };
+            self.for_each_segment(dims, &region, |s| {
+                if summary.runs == 0 {
+                    summary.min_start = s.file_start;
                 }
-                let runs = elements / run_len;
-                let min_start = self.offset_of(dims, &region.lo);
-                let max_end = self.offset_of(dims, &region.hi) + 1;
-                RunSummary {
-                    runs,
-                    elements,
-                    min_start,
-                    max_end,
-                }
-            }
-            FileLayout::Hyperplane2D(..) => {
-                // One run per intersected hyperplane, first to last.
-                let mut summary = RunSummary::default();
-                self.for_each_segment(dims, &region, |s| {
-                    if summary.runs == 0 {
-                        summary.min_start = s.file_start;
-                    }
-                    summary.runs += 1;
-                    summary.max_end = s.file_start + s.len;
-                });
-                summary.elements = elements;
-                summary
-            }
-            FileLayout::Blocked2D { br, bc } => {
-                let (r1, r2) = (region.lo[0], region.hi[0]);
-                let (c1, c2) = (region.lo[1], region.hi[1]);
-                let mut runs = 0u64;
-                let mut min_start = u64::MAX;
-                let mut max_end = 0u64;
-                let (b_lo, b_hi) = ((r1 - 1) / br, (r2 - 1) / br);
-                let (d_lo, d_hi) = ((c1 - 1) / bc, (c2 - 1) / bc);
-                for bi in b_lo..=b_hi {
-                    for bj in d_lo..=d_hi {
-                        // Intersection of the region with block (bi, bj).
-                        let blk_r1 = (bi * br + 1).max(r1);
-                        let blk_r2 = ((bi + 1) * br).min(dims[0]).min(r2);
-                        let blk_c1 = (bj * bc + 1).max(c1);
-                        let blk_c2 = ((bj + 1) * bc).min(dims[1]).min(c2);
-                        if blk_r1 > blk_r2 || blk_c1 > blk_c2 {
-                            continue;
-                        }
-                        let block_w = ((bj + 1) * bc).min(dims[1]) - bj * bc;
-                        let rows = (blk_r2 - blk_r1 + 1) as u64;
-                        let width = (blk_c2 - blk_c1 + 1) as u64;
-                        // Row-major inside the block: full-width spans merge.
-                        let r = if width == block_w as u64 { 1 } else { rows };
-                        runs += r;
-                        let start = self.offset_of(dims, &[blk_r1, blk_c1]);
-                        let end = self.offset_of(dims, &[blk_r2, blk_c2]) + 1;
-                        min_start = min_start.min(start);
-                        max_end = max_end.max(end);
-                    }
-                }
-                RunSummary {
-                    runs,
-                    elements,
-                    min_start,
-                    max_end,
-                }
-            }
+                summary.runs += 1;
+                summary.max_end = s.file_start + s.len;
+            });
+            return summary;
+        }
+        // Dimension-order and blocked layouts store the region's
+        // corners first and last.
+        RunSummary {
+            runs: self.region_run_counts(dims, &region).0,
+            elements,
+            min_start: self.offset_of(dims, &region.lo),
+            max_end: self.offset_of(dims, &region.hi) + 1,
         }
     }
 }

@@ -63,7 +63,9 @@ pub mod striped;
 pub mod testing;
 pub mod trace;
 
-pub use array::{summary_cost, IoCost, IoStats, OocArray, RetryPolicy, RuntimeConfig, Tile};
+pub use array::{
+    run_calls, summary_cost, IoCost, IoStats, OocArray, RetryPolicy, RuntimeConfig, Tile,
+};
 pub use budget::{square_tile_edge, tile_span, BudgetExceeded, MemoryBudget};
 pub use checksum::{
     corrupt_error, crc64, crc64_f64s, is_corrupt, ChecksumHandle, ChecksummedStore, CorruptError,

@@ -228,7 +228,7 @@ proptest! {
 
     /// The fast run summary never under-counts the exact runs and
     /// agrees on element totals; for dimension-order layouts it is
-    /// exact.
+    /// exact. The counts-only query is the same two numbers.
     #[test]
     fn summary_matches_exact_runs(
         layout in layout_strategy(),
@@ -240,12 +240,18 @@ proptest! {
             vec![1 + dims[0] / 3, 1 + dims[1] / 3],
             vec![dims[0] - dims[0] / 4, dims[1] - dims[1] / 4],
         );
-        for r in [region, sub] {
+        // And one that overhangs the array on three sides.
+        let over = Region::new(vec![0, -1], vec![dims[0] + 2, 1 + dims[1] / 2]);
+        for r in [region, sub, over] {
             if r.is_empty() {
                 continue;
             }
             let exact = layout.region_runs(&dims, &r);
             let summary = layout.region_run_summary(&dims, &r);
+            prop_assert_eq!(
+                layout.region_run_counts(&dims, &r),
+                (summary.runs, summary.elements)
+            );
             let exact_elems: u64 = exact.iter().map(|x| x.len).sum();
             prop_assert_eq!(summary.elements, exact_elems);
             prop_assert!(summary.runs >= exact.len() as u64);
