@@ -31,6 +31,15 @@ use std::sync::Arc;
 /// the CRC with eight independent lookups.
 const POLY: u64 = 0xC96C_5795_D787_0F42;
 
+/// Words per lane of the braided fold (see [`fold_words`]). A block is
+/// four lanes, so the braid engages from `4 * LANE_WORDS` words up:
+/// 32 is the longest lane whose block still fits the smallest chunk
+/// hashed in earnest, the durable default of 128 elements. Shorter
+/// lanes measured slower at every length (more [`skip`]s per word),
+/// longer ones 5 % faster from 512 elements up and serial at 128
+/// (`cargo bench -p ooc-bench --bench checksum`).
+const LANE_WORDS: usize = 32;
+
 const fn build_tables() -> [[u64; 256]; 8] {
     let mut tables = [[0u64; 256]; 8];
     let mut i = 0;
@@ -61,9 +70,48 @@ const fn build_tables() -> [[u64; 256]; 8] {
     tables
 }
 
-static TABLES: [[u64; 256]; 8] = build_tables();
+/// `SKIP[k][b]` is the register `b << 8k` advanced over `LANE_WORDS`
+/// zero words. Advancing is linear over XOR, so a whole register
+/// advances as the XOR of its eight bytes' entries ([`skip`]).
+const fn build_skip(tables: &[[u64; 256]; 8]) -> [[u64; 256]; 8] {
+    // The image of each register bit; every entry is a sum of these.
+    let mut basis = [0u64; 64];
+    let mut bit = 0;
+    while bit < 64 {
+        let mut reg = 1u64 << bit;
+        let mut n = 0;
+        while n < LANE_WORDS * 8 {
+            reg = tables[0][(reg & 0xFF) as usize] ^ (reg >> 8);
+            n += 1;
+        }
+        basis[bit] = reg;
+        bit += 1;
+    }
+    let mut skip = [[0u64; 256]; 8];
+    let mut k = 0;
+    while k < 8 {
+        let mut b = 0;
+        while b < 256 {
+            let mut j = 0;
+            while j < 8 {
+                if b >> j & 1 == 1 {
+                    skip[k][b] ^= basis[8 * k + j];
+                }
+                j += 1;
+            }
+            b += 1;
+        }
+        k += 1;
+    }
+    skip
+}
+
+const TABLE_VALUES: [[u64; 256]; 8] = build_tables();
+static TABLES: [[u64; 256]; 8] = TABLE_VALUES;
+static SKIP: [[u64; 256]; 8] = build_skip(&TABLE_VALUES);
 
 /// Folds eight bytes, given as their little-endian word, into `crc`.
+#[inline(always)]
 fn crc_word(crc: u64, word: u64) -> u64 {
     let x = (crc ^ word).to_le_bytes();
     TABLES[7][x[0] as usize]
@@ -76,15 +124,68 @@ fn crc_word(crc: u64, word: u64) -> u64 {
         ^ TABLES[0][x[7] as usize]
 }
 
+/// Advances the register over `LANE_WORDS` zero words.
+#[inline(always)]
+fn skip(crc: u64) -> u64 {
+    let x = crc.to_le_bytes();
+    SKIP[0][x[0] as usize]
+        ^ SKIP[1][x[1] as usize]
+        ^ SKIP[2][x[2] as usize]
+        ^ SKIP[3][x[3] as usize]
+        ^ SKIP[4][x[4] as usize]
+        ^ SKIP[5][x[5] as usize]
+        ^ SKIP[6][x[6] as usize]
+        ^ SKIP[7][x[7] as usize]
+}
+
+/// Folds the words of `items` (`N` items to a word, read by `word`)
+/// into the register `crc`; items past the last whole word are left to
+/// the caller.
+///
+/// One `crc_word` chain is a dependent lookup per word and runs at the
+/// table-load latency, so whole blocks of four lanes are *braided*:
+/// lane 0 continues from `crc`, lanes 1–3 start from a zero register,
+/// and the four chains advance in one loop, independent of each other.
+/// The register is linear over XOR — the state after a message `M`
+/// from state `s` is `advance(s, |M|) ^ state(0, M)` — so the lanes
+/// join exactly: each [`skip`] carries the joined prefix over the next
+/// lane's length before that lane's own state is XORed in. What is
+/// left after the last block folds serially.
+fn fold_words<T, const N: usize>(mut crc: u64, items: &[T], word: impl Fn(&[T]) -> u64) -> u64 {
+    let lane = LANE_WORDS * N;
+    let mut blocks = items.chunks_exact(4 * lane);
+    for block in &mut blocks {
+        let (l0, rest) = block.split_at(lane);
+        let (l1, rest) = rest.split_at(lane);
+        let (l2, l3) = rest.split_at(lane);
+        let words = |l| words_of::<T, N>(l, &word);
+        let (mut s0, mut s1, mut s2, mut s3) = (crc, 0, 0, 0);
+        for (((w0, w1), w2), w3) in words(l0).zip(words(l1)).zip(words(l2)).zip(words(l3)) {
+            s0 = crc_word(s0, w0);
+            s1 = crc_word(s1, w1);
+            s2 = crc_word(s2, w2);
+            s3 = crc_word(s3, w3);
+        }
+        crc = skip(skip(skip(s0) ^ s1) ^ s2) ^ s3;
+    }
+    words_of::<T, N>(blocks.remainder(), &word).fold(crc, crc_word)
+}
+
+/// The whole words of `items`, `N` items each.
+fn words_of<'a, T, const N: usize>(
+    items: &'a [T],
+    word: &'a impl Fn(&[T]) -> u64,
+) -> impl Iterator<Item = u64> + 'a {
+    items.chunks_exact(N).map(word)
+}
+
 /// CRC64 (CRC-64/XZ) of a byte slice.
 #[must_use]
 pub fn crc64(bytes: &[u8]) -> u64 {
-    let words = bytes.chunks_exact(8);
-    let tail = words.remainder();
-    let mut crc = words.fold(!0u64, |crc, w| {
-        crc_word(crc, u64::from_le_bytes(w.try_into().expect("8-byte chunk")))
+    let mut crc = fold_words::<u8, 8>(!0, bytes, |w| {
+        u64::from_le_bytes(w.try_into().expect("8-byte chunk"))
     });
-    for &b in tail {
+    for &b in &bytes[bytes.len() - bytes.len() % 8..] {
         crc = TABLES[0][((crc ^ u64::from(b)) & 0xFF) as usize] ^ (crc >> 8);
     }
     !crc
@@ -94,9 +195,7 @@ pub fn crc64(bytes: &[u8]) -> u64 {
 /// pattern — bit-exact, NaN-payload-preserving, allocation-free.
 #[must_use]
 pub fn crc64_f64s(values: &[f64]) -> u64 {
-    !values
-        .iter()
-        .fold(!0u64, |crc, v| crc_word(crc, v.to_bits()))
+    !fold_words::<f64, 1>(!0, values, |v| v[0].to_bits())
 }
 
 /// Typed payload of a corrupt-read error: which chunk failed
@@ -192,11 +291,25 @@ impl ChecksumHandle {
 /// A [`Store`] wrapper verifying every read against a per-chunk CRC64
 /// sidecar and refreshing the sidecar after every write. See the
 /// module docs for the torn-write detection argument.
+///
+/// The calls it issues below itself are a contract, because a
+/// [`FaultStore`](crate::fault::FaultStore) under this layer numbers
+/// them and crash points are indices into that numbering: a read
+/// issues, per covered chunk in ascending order, one data read of the
+/// whole chunk and then one sidecar read of its checksum; a write
+/// issues the data write, then one data read per covered chunk, then
+/// one sidecar write of all their checksums; the first failing call
+/// ends the request. After a failed read the buffer's contents are
+/// unspecified: whole chunks are verified in place, so the failing
+/// chunk's data may already be in it.
 #[derive(Debug)]
 pub struct ChecksummedStore<S, C> {
     data: S,
     sidecar: C,
-    chunk_elems: u64,
+    /// Chunk length in elements, at most the store's length: the size
+    /// of every scratch buffer, so it is bounded by what the store
+    /// holds and not by what the caller configured.
+    chunk_elems: usize,
     counters: Arc<ChecksumCounters>,
 }
 
@@ -206,8 +319,9 @@ impl<S: Store, C: Store> ChecksummedStore<S, C> {
     /// to recompute them from the data).
     ///
     /// # Errors
-    /// [`io::ErrorKind::InvalidInput`] when `chunk_elems` is zero or
-    /// the sidecar is too small to cover the data store.
+    /// [`io::ErrorKind::InvalidInput`] when `chunk_elems` is zero, the
+    /// sidecar is too small to cover the data store, or a chunk of the
+    /// store does not fit the address space.
     pub fn attach(data: S, sidecar: C, chunk_elems: u64) -> io::Result<Self> {
         if chunk_elems == 0 {
             return Err(io::Error::new(
@@ -226,6 +340,14 @@ impl<S: Store, C: Store> ChecksummedStore<S, C> {
                 ),
             ));
         }
+        // A chunk longer than the store is the store: same chunk
+        // indices, same spans.
+        let chunk_elems = usize::try_from(chunk_elems.min(data.len().max(1))).map_err(|_| {
+            io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!("a chunk of {chunk_elems} elements does not fit in memory"),
+            )
+        })?;
         Ok(ChecksummedStore {
             data,
             sidecar,
@@ -259,15 +381,40 @@ impl<S: Store, C: Store> ChecksummedStore<S, C> {
         (self.data, self.sidecar)
     }
 
+    /// The chunk length as an element offset.
+    fn chunk(&self) -> u64 {
+        self.chunk_elems as u64
+    }
+
     fn chunks(&self) -> u64 {
-        self.data.len().div_ceil(self.chunk_elems)
+        self.data.len().div_ceil(self.chunk())
+    }
+
+    /// The chunks covering the in-range, non-empty request
+    /// `offset..offset + len`.
+    fn chunks_of(&self, offset: u64, len: usize) -> std::ops::RangeInclusive<u64> {
+        offset / self.chunk()..=(offset + len as u64 - 1) / self.chunk()
     }
 
     /// `(first element, length)` of chunk `i`, clamped to the store.
     fn chunk_span(&self, i: u64) -> (u64, usize) {
-        let start = i * self.chunk_elems;
-        let len = self.chunk_elems.min(self.data.len() - start);
-        (start, usize::try_from(len).expect("chunk length"))
+        let start = i * self.chunk();
+        let left = self.data.len() - start;
+        let len = usize::try_from(left).map_or(self.chunk_elems, |left| left.min(self.chunk_elems));
+        (start, len)
+    }
+
+    /// Reads every chunk of `chunks` back from the data store and
+    /// returns their checksums in sidecar form.
+    fn chunk_crcs(&self, chunks: impl Iterator<Item = u64>) -> io::Result<Vec<f64>> {
+        let mut scratch = vec![0.0f64; self.chunk_elems];
+        chunks
+            .map(|i| {
+                let (start, len) = self.chunk_span(i);
+                self.data.read_run(start, &mut scratch[..len])?;
+                Ok(f64::from_bits(crc64_f64s(&scratch[..len])))
+            })
+            .collect()
     }
 
     /// Recomputes every chunk checksum from the data store.
@@ -275,14 +422,7 @@ impl<S: Store, C: Store> ChecksummedStore<S, C> {
     /// # Errors
     /// Propagates data / sidecar I/O errors.
     pub fn rebuild(&mut self) -> io::Result<()> {
-        let chunks = self.chunks();
-        let mut crcs = Vec::with_capacity(usize::try_from(chunks).expect("chunk count"));
-        let mut scratch = vec![0.0f64; usize::try_from(self.chunk_elems).expect("chunk size")];
-        for i in 0..chunks {
-            let (start, len) = self.chunk_span(i);
-            self.data.read_run(start, &mut scratch[..len])?;
-            crcs.push(f64::from_bits(crc64_f64s(&scratch[..len])));
-        }
+        let crcs = self.chunk_crcs(0..self.chunks())?;
         if !crcs.is_empty() {
             self.sidecar.write_run(0, &crcs)?;
         }
@@ -296,22 +436,24 @@ impl<S: Store, C: Store> ChecksummedStore<S, C> {
     /// I/O errors.
     pub fn verify(&self) -> io::Result<u64> {
         let chunks = self.chunks();
-        let mut scratch = vec![0.0f64; usize::try_from(self.chunk_elems).expect("chunk size")];
+        let mut scratch = vec![0.0f64; self.chunk_elems];
         for i in 0..chunks {
-            self.verify_chunk(i, &mut scratch)?;
+            let (_, len) = self.chunk_span(i);
+            self.verify_chunk(i, &mut scratch[..len])?;
         }
         Ok(chunks)
     }
 
-    /// Reads chunk `i` into `scratch[..len]` and checks it against the
-    /// sidecar, returning the verified slice length.
-    fn verify_chunk(&self, i: u64, scratch: &mut [f64]) -> io::Result<usize> {
+    /// Reads chunk `i` into `dest`, which is exactly as long as the
+    /// chunk, and checks it against the sidecar.
+    fn verify_chunk(&self, i: u64, dest: &mut [f64]) -> io::Result<()> {
         let (start, len) = self.chunk_span(i);
-        self.data.read_run(start, &mut scratch[..len])?;
+        debug_assert_eq!(dest.len(), len, "destination of chunk {i}");
+        self.data.read_run(start, dest)?;
         let mut recorded = [0.0f64];
         self.sidecar.read_run(i, &mut recorded)?;
         let expected = recorded[0].to_bits();
-        let actual = crc64_f64s(&scratch[..len]);
+        let actual = crc64_f64s(dest);
         if actual != expected {
             self.counters.corrupt_reads.fetch_add(1, Ordering::Relaxed);
             return Err(corrupt_error(CorruptError {
@@ -325,7 +467,7 @@ impl<S: Store, C: Store> ChecksummedStore<S, C> {
         self.counters
             .verified_chunks
             .fetch_add(1, Ordering::Relaxed);
-        Ok(len)
+        Ok(())
     }
 
     fn in_range(&self, offset: u64, len: usize) -> bool {
@@ -346,19 +488,28 @@ impl<S: Store, C: Store> Store for ChecksummedStore<S, C> {
             // semantics match the wrapped store exactly.
             return self.data.read_run(offset, buf);
         }
-        let first = offset / self.chunk_elems;
-        let last = (offset + buf.len() as u64 - 1) / self.chunk_elems;
-        let mut scratch = vec![0.0f64; usize::try_from(self.chunk_elems).expect("chunk size")];
-        for i in first..=last {
-            let len = self.verify_chunk(i, &mut scratch)?;
-            let (start, _) = self.chunk_span(i);
-            // Copy the verified chunk's overlap with the request.
-            let lo = offset.max(start);
-            let hi = (offset + buf.len() as u64).min(start + len as u64);
-            let src = usize::try_from(lo - start).expect("offset");
-            let dst = usize::try_from(lo - offset).expect("offset");
-            let n = usize::try_from(hi - lo).expect("length");
-            buf[dst..dst + n].copy_from_slice(&scratch[src..src + n]);
+        // Elements of the current chunk that precede the request:
+        // below `chunk_elems`, and non-zero for the first chunk only.
+        let mut skip = (offset % self.chunk()) as usize;
+        let mut rest = buf;
+        let mut scratch = Vec::new();
+        for i in self.chunks_of(offset, rest.len()) {
+            let (_, len) = self.chunk_span(i);
+            let n = (len - skip).min(rest.len());
+            let (dest, tail) = std::mem::take(&mut rest).split_at_mut(n);
+            if n == len {
+                // The whole chunk is wanted: read and verify it where
+                // the caller wants it.
+                self.verify_chunk(i, dest)?;
+            } else {
+                // A partial edge chunk (at most two per request):
+                // verify all of it aside, hand over the overlap.
+                scratch.resize(len, 0.0f64);
+                self.verify_chunk(i, &mut scratch)?;
+                dest.copy_from_slice(&scratch[skip..skip + n]);
+            }
+            rest = tail;
+            skip = 0;
         }
         Ok(())
     }
@@ -370,15 +521,9 @@ impl<S: Store, C: Store> Store for ChecksummedStore<S, C> {
         // Data first, checksums second: a crash in between leaves a
         // *detectable* stale checksum, never a silently-trusted one.
         self.data.write_run(offset, buf)?;
-        let first = offset / self.chunk_elems;
-        let last = (offset + buf.len() as u64 - 1) / self.chunk_elems;
-        let mut scratch = vec![0.0f64; usize::try_from(self.chunk_elems).expect("chunk size")];
-        let mut crcs = Vec::with_capacity(usize::try_from(last - first + 1).expect("chunks"));
-        for i in first..=last {
-            let (start, len) = self.chunk_span(i);
-            self.data.read_run(start, &mut scratch[..len])?;
-            crcs.push(f64::from_bits(crc64_f64s(&scratch[..len])));
-        }
+        let chunks = self.chunks_of(offset, buf.len());
+        let first = *chunks.start();
+        let crcs = self.chunk_crcs(chunks)?;
         self.sidecar.write_run(first, &crcs)?;
         self.counters
             .chunk_updates
@@ -444,6 +589,76 @@ mod tests {
             .flat_map(|v| v.to_bits().to_le_bytes())
             .collect();
         assert_eq!(crc64_f64s(&vals), crc64(&bytes));
+    }
+
+    /// One `crc_word` chain over the whole input: the fold the braid
+    /// replaced, and the one that wrote every sidecar before it.
+    fn serial_f64s(values: &[f64]) -> u64 {
+        !values
+            .iter()
+            .fold(!0u64, |crc, v| crc_word(crc, v.to_bits()))
+    }
+
+    #[test]
+    fn every_length_equals_the_serial_fold() {
+        let block = 4 * LANE_WORDS;
+        let values: Vec<f64> = (0..4 * block + 17)
+            .map(|i| f64::from_bits((i as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)))
+            .collect();
+        let bytes: Vec<u8> = values
+            .iter()
+            .flat_map(|v| v.to_bits().to_le_bytes())
+            .collect();
+        for n in 0..=values.len() {
+            let want = serial_f64s(&values[..n]);
+            assert_eq!(crc64_f64s(&values[..n]), want, "{n} values");
+            assert_eq!(crc64(&bytes[..8 * n]), want, "{n} whole words of bytes");
+        }
+        // A ragged byte tail after 0, 1 and 3 blocks plus a few words.
+        for words in [0, 5, block + 2, 3 * block + 9] {
+            for tail in 1..8 {
+                let n = 8 * words + tail;
+                let mut crc = !serial_f64s(&values[..words]);
+                for &b in &bytes[8 * words..n] {
+                    crc = TABLES[0][((crc ^ u64::from(b)) & 0xFF) as usize] ^ (crc >> 8);
+                }
+                assert_eq!(crc64(&bytes[..n]), !crc, "{n} bytes");
+            }
+        }
+    }
+
+    #[test]
+    fn sidecars_of_the_serial_fold_verify_clean() {
+        // Chunks below, at and above one braid block, last chunk short.
+        for chunk in [100u64, 128, 512, 700] {
+            let len = 3 * chunk + 37;
+            let mut data = MemStore::new(len);
+            let values: Vec<f64> = (0..len).map(|i| (i as f64).sin()).collect();
+            data.write_run(0, &values).expect("seed");
+            let crcs: Vec<f64> = values
+                .chunks(chunk as usize)
+                .map(|c| f64::from_bits(serial_f64s(c)))
+                .collect();
+            let mut sidecar = MemStore::new(crcs.len() as u64);
+            sidecar.write_run(0, &crcs).expect("sidecar");
+            let cs = ChecksummedStore::attach(data, sidecar, chunk).expect("attach");
+            assert_eq!(cs.verify().expect("parent-format sidecar"), 4);
+        }
+    }
+
+    #[test]
+    fn scratch_is_sized_by_the_store_not_by_the_configured_chunk() {
+        let sidecar = MemStore::new(1);
+        let mut cs =
+            ChecksummedStore::attach(MemStore::new(16), sidecar, u64::MAX).expect("attach");
+        cs.rebuild().expect("rebuild");
+        cs.write_run(3, &[1.0, 2.0]).expect("write");
+        let mut buf = [0.0; 4];
+        cs.read_run(2, &mut buf).expect("read");
+        assert_eq!(buf, [0.0, 1.0, 2.0, 0.0]);
+        assert_eq!(cs.verify().expect("verify"), 1);
+        // Same chunking as any chunk length that covers the store.
+        assert_eq!(cs.handle().chunk_updates(), 1);
     }
 
     #[test]
