@@ -1215,12 +1215,19 @@ impl DurableMedium for StripedMedium {
 /// failure and repair, alongside the run's [`RecoveryReport`].
 #[derive(Debug, Clone, Default)]
 pub struct NodeLossReport {
-    /// Nodes lost (quarantined after a typed discovery error), in
-    /// discovery order. Empty when the run finished fault-free.
+    /// Nodes lost, in discovery order: those quarantined after a typed
+    /// discovery error, then any the pool holds
+    /// [`Down`](NodeHealth::Down) at the end although no error reached
+    /// the driver — the dying call was a prefetch worker's (whose
+    /// errors the pipeline drops by design) or a parity-plane call
+    /// (tolerated in place), and every later access degraded silently.
+    /// Empty when the run finished fault-free.
     pub nodes_lost: Vec<usize>,
-    /// Per-node arrival index each loss was discovered at.
+    /// Per-node arrival index each loss was discovered at (the node's
+    /// served-call count where the typed error was not seen).
     pub discovery_calls: Vec<u64>,
-    /// Number of journal-bounded resumes taken (one per loss).
+    /// Number of journal-bounded resumes taken: one per loss that
+    /// surfaced as an error, none for a loss absorbed in place.
     pub resumes: u64,
     /// Per-node traffic, timing, health, and repair counters at the
     /// end of the run.
@@ -1267,6 +1274,18 @@ pub struct NodeLossOutcome {
     pub loss: NodeLossReport,
 }
 
+/// The nodes the pool holds [`Down`](NodeHealth::Down) that `loss` has
+/// not recorded yet, each with its served-call count (the arrival
+/// index of the rejected call rode an error nobody kept).
+fn undiscovered_down(medium: &StripedMedium, loss: &NodeLossReport) -> Vec<(usize, u64)> {
+    let pool = medium.pool();
+    let stats = medium.node_stats();
+    (0..pool.nodes())
+        .filter(|n| pool.health(*n) == NodeHealth::Down && !loss.nodes_lost.contains(n))
+        .map(|n| (n, stats[n].io.total_calls() + stats[n].repair.total_calls()))
+        .collect()
+}
+
 /// Runs a durable parallel execution over a striped-parity medium and
 /// rides through permanent I/O-node loss: when a shard's access
 /// *discovers* a dead node (typed
@@ -1308,6 +1327,16 @@ pub fn run_parallel_surviving_node_loss(
     for _ in 0..=medium.pool().nodes() {
         match attempt {
             Ok(outcome) => {
+                // A node can die without any error reaching us: the
+                // pool marks it Down at the rejected arrival, and when
+                // that arrival was a prefetch read (dropped by the
+                // pipeline) or a parity-plane call (tolerated in
+                // place) every later access reconstructs or lands in
+                // parity. Nothing to resume — but a loss to report.
+                for (node, call) in undiscovered_down(medium, &loss) {
+                    loss.nodes_lost.push(node);
+                    loss.discovery_calls.push(call);
+                }
                 loss.node_stats = medium.node_stats();
                 loss.repair = medium.total_repair();
                 return Ok(NodeLossOutcome { outcome, loss });
@@ -1326,15 +1355,7 @@ pub fn run_parallel_surviving_node_loss(
                     // recorded call is the node's served-call count at
                     // discovery (the true arrival index rode the lost
                     // error).
-                    None if is_corrupt(&e) => {
-                        let stats = medium.node_stats();
-                        (0..medium.pool().nodes())
-                            .find(|&n| {
-                                medium.pool().health(n) == NodeHealth::Down
-                                    && !loss.nodes_lost.contains(&n)
-                            })
-                            .map(|n| (n, stats[n].io.total_calls() + stats[n].repair.total_calls()))
-                    }
+                    None if is_corrupt(&e) => undiscovered_down(medium, &loss).first().copied(),
                     None => None,
                 };
                 let Some((node, call)) = discovered else {
@@ -1881,11 +1902,39 @@ mod tests {
         let out = run_parallel_surviving_node_loss(&tp, &params, &seed, &pcfg(), &dur, &mut medium)
             .expect("survive mid-run node loss");
         assert_eq!(out.outcome.run.run.data, expected);
+        // Whichever call met the dead node first — a shard's (typed
+        // error, one resume) or a prefetch worker's (error dropped, the
+        // rest of the run degrades in place) — the loss is reported.
         assert_eq!(out.loss.nodes_lost, vec![node]);
+        assert!(out.loss.resumes <= 1, "{} resumes", out.loss.resumes);
         for (a, n) in &out.outcome.report.rolled_back_by_array {
             let max = bound.get(a).copied().unwrap_or(0);
             assert!(*n <= max, "array {a}: rolled back {n} > bound {max}");
         }
+    }
+
+    #[test]
+    fn a_loss_absorbed_without_an_error_is_still_reported() {
+        let tp = tiled();
+        let params = [8i64];
+        let expected = reference(&tp, &params);
+        // Dead before the first call: no access ever *discovers* the
+        // node, every one of them degrades in place.
+        let mut medium = StripedMedium::new(small_stripes(4));
+        medium.pool().quarantine(2);
+        let out = run_parallel_surviving_node_loss(
+            &tp,
+            &params,
+            &seed,
+            &pcfg(),
+            &DurabilityConfig::default(),
+            &mut medium,
+        )
+        .expect("degraded run");
+        assert_eq!(out.outcome.run.run.data, expected);
+        assert_eq!(out.loss.nodes_lost, vec![2]);
+        assert_eq!(out.loss.discovery_calls.len(), 1);
+        assert_eq!(out.loss.resumes, 0);
     }
 
     #[test]

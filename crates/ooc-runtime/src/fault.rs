@@ -164,7 +164,7 @@ pub fn is_crashed(e: &io::Error) -> bool {
 }
 
 /// Per-node fault injection for an
-/// [`IoNodePool`](crate::striped::IoNodePool): *permanent* node death
+/// [`IoNodePool`](crate::IoNodePool): *permanent* node death
 /// and *gray* slowdown, the two failure modes [`CrashMode`] cannot
 /// express (a crash kills the process; these kill or degrade one
 /// storage node while the run keeps going).

@@ -35,11 +35,19 @@
 //! * [`shared`] — [`SharedStore`]: a cloneable `Arc<Mutex<…>>` handle
 //!   that lets prefetch/write-behind threads share one store.
 //! * [`striped`] — [`StripedStore`]: 64 KB stripes round-robined over
-//!   K per-node stores behind bounded FIFO lanes ([`IoNodePool`]),
-//!   with deterministic per-node traffic counters and timing
-//!   histograms — measured multi-I/O-node contention. Optional
-//!   degraded mode: rotating parity, dead-node reconstruction, hedged
-//!   reads, and an online scrubber.
+//!   K per-node part stores — the stripe geometry, how a store is
+//!   built, and the fault-free read/write path. Measured
+//!   multi-I/O-node contention in three modules, this one and two
+//!   private ones re-exported here:
+//!   * `pool` — [`IoNodePool`]: the bounded FIFO lane per node
+//!     (tickets, deadlines, [`NodeHealth`]) and what it counts
+//!     ([`NodeStats`]: deterministic per-node traffic, timing
+//!     histograms, [`RepairIo`]). A striped call is counted where it
+//!     takes its lane, nowhere else.
+//!   * `repair` — the degraded mode of a store built with a parity
+//!     lane: parity read-modify-write, dead-node reconstruction,
+//!     hedged reads, [`StripedStore::scrub`] and the
+//!     [`OnlineScrubber`], [`StripedStore::resilver`].
 //! * [`parity`] — [`ParityLayout`]: the rotating-parity geometry and
 //!   bitwise-XOR combine the degraded mode is built on.
 //! * [`testing`] — store factories and temp-dir plumbing for
@@ -56,7 +64,9 @@ pub mod journal;
 pub mod layout;
 pub mod ledger;
 pub mod parity;
+mod pool;
 pub mod profile;
+mod repair;
 pub mod shared;
 pub mod store;
 pub mod striped;
@@ -85,14 +95,15 @@ pub use ledger::{
     CauseTotal, EvictDetail, IoCause, LedgerEvent, LedgerRecorder, ProvenanceLedger, TouchTracker,
 };
 pub use parity::{xor_into, ParityLayout};
+pub use pool::{
+    CallClass, HedgeConfig, IoNodePool, NodeHealth, NodeStats, NodeTiming, RepairCounter, RepairIo,
+    ServiceModel, StripeConfig,
+};
 pub use profile::{
     heatmap, sequential_stats, AccessLog, AccessRecord, ProfilingStore, SeekCdf, SeqStats,
 };
+pub use repair::{OnlineScrubber, ResilverReport, ScrubReport};
 pub use shared::SharedStore;
 pub use store::{FileStore, MemStore, Store, ELEM_BYTES};
-pub use striped::{
-    part_len, CallClass, DegradedMode, HedgeConfig, IoNodePool, NodeHealth, NodeStats, NodeTiming,
-    OnlineScrubber, RepairCounter, RepairIo, ResilverReport, ScrubReport, ServiceModel,
-    StripeConfig, StripedStore,
-};
+pub use striped::{part_len, DegradedMode, StripedStore};
 pub use trace::{MeasuredIo, TraceHandle, TracingStore, RUN_HIST_BUCKETS};

@@ -1,0 +1,875 @@
+//! The I/O-node pool: K bounded FIFO request lanes, one per simulated
+//! I/O node, shared by every [`StripedStore`](crate::StripedStore) of
+//! a run so contention is *experienced* rather than priced.
+//!
+//! A lane serializes the calls that land on its node (strict ticket
+//! FIFO, bounded queue admission, optional simulated service time,
+//! optional queue-wait deadline) and is **the one place a striped call
+//! is counted**: the lane books the call it has just served under its
+//! [`CallClass`], and nobody else keeps a tally. Two kinds of per-node
+//! statistics come out:
+//!
+//! * **deterministic traffic** ([`NodeStats::io`], a [`MeasuredIo`])
+//!   — call/element counts and segment run-length histograms. These
+//!   are pure functions of the offset→stripe mapping, independent of
+//!   thread interleaving, so tests and CI gates compare them exactly.
+//!   Splitting a run at stripe boundaries does not depend on the node
+//!   count, so per-node totals are *conserved*: summed over K nodes
+//!   they equal the single-node totals.
+//! * **timing** ([`NodeStats::timing`]) — queue-depth and wait-time
+//!   histograms plus busy time. These depend on real scheduling and
+//!   are reported as warn-only observability, never gated.
+//!
+//! Repair-plane calls ([`CallClass::Repair`]: parity RMW,
+//! reconstruction, hedges, scrubbing) are counted **separately** from
+//! the data plane — in [`NodeStats::repair`] and, when the calling
+//! store carries a [`LedgerRecorder`], at the same point in the
+//! provenance ledger's repair channel — so the conservation invariant
+//! above is untouched by redundancy and the two repair accounts agree
+//! by construction.
+//!
+//! The pool is also the set of **fault domains**: nodes can die
+//! permanently ([`NodeFaultConfig::permanent_fail_at`] or
+//! [`IoNodePool::quarantine`]; calls are then rejected with a typed
+//! [`NodeDownError`](crate::NodeDownError)), and a lane that stops
+//! draining returns a typed [`NodeSlowError`](crate::NodeSlowError) at
+//! its deadline instead of blocking forever.
+
+use crate::fault::{node_down_error, node_slow_error, NodeFaultConfig};
+use crate::ledger::{IoCause, LedgerRecorder};
+use crate::trace::MeasuredIo;
+use ooc_metrics::Histogram;
+use std::collections::{BTreeMap, BTreeSet};
+use std::io;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::time::{Duration, Instant};
+
+/// Simulated service time per call on one I/O node. With the default
+/// (zero) model a lane only serializes concurrent callers; non-zero
+/// values hold the lane for `call_ns + elems * elem_ns` nanoseconds
+/// per call so speedup measurements see realistic node occupancy.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ServiceModel {
+    /// Fixed nanoseconds one call occupies the node.
+    pub call_ns: u64,
+    /// Additional nanoseconds per element transferred.
+    pub elem_ns: u64,
+}
+
+impl ServiceModel {
+    /// Service duration of one call moving `elems` elements.
+    #[must_use]
+    pub fn duration(&self, elems: u64) -> Duration {
+        Duration::from_nanos(
+            self.call_ns
+                .saturating_add(self.elem_ns.saturating_mul(elems)),
+        )
+    }
+
+    /// `true` when the model adds no simulated time.
+    #[must_use]
+    pub fn is_zero(&self) -> bool {
+        self.call_ns == 0 && self.elem_ns == 0
+    }
+}
+
+/// Hedged-read policy: a read waiting longer than
+/// `max(min_ns, waitₚ · multiplier)` for its lane grant — where
+/// `waitₚ` is the lane's observed wait-time quantile — gives up and
+/// is retired against the parity-derived peer set instead. Only reads
+/// hedge (a hedged write would race its abandoned twin); only stores
+/// with a parity lane can hedge.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct HedgeConfig {
+    /// Which wait-time quantile to base the deadline on, in ‰
+    /// (950 = p95).
+    pub quantile_per_mille: u32,
+    /// Deadline multiplier over the quantile, in ‰ (3000 = 3×).
+    pub multiplier_per_mille: u32,
+    /// Floor in nanoseconds, so an idle lane's empty histogram does
+    /// not hedge instantly.
+    pub min_ns: u64,
+}
+
+impl Default for HedgeConfig {
+    fn default() -> Self {
+        HedgeConfig {
+            quantile_per_mille: 950,
+            multiplier_per_mille: 3000,
+            min_ns: 200_000,
+        }
+    }
+}
+
+impl HedgeConfig {
+    /// The hedge deadline for a lane with the given wait-time history.
+    #[must_use]
+    pub fn deadline_ns(&self, wait_hist: &Histogram) -> u64 {
+        let q = f64::from(self.quantile_per_mille.min(1000)) / 1000.0;
+        let scaled = wait_hist
+            .quantile(q)
+            .saturating_mul(u64::from(self.multiplier_per_mille))
+            / 1000;
+        scaled.max(self.min_ns)
+    }
+}
+
+/// Striping geometry plus lane behavior for an [`IoNodePool`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StripeConfig {
+    /// Number of simulated I/O nodes (the paper's PFS: 64).
+    pub nodes: usize,
+    /// Stripe unit in *elements*. The default mirrors the Paragon's
+    /// 64 KB stripes: 8192 eight-byte elements.
+    pub stripe_elems: u64,
+    /// Bounded FIFO depth per node: a caller blocks before enqueueing
+    /// once this many requests are waiting or in service.
+    pub queue_capacity: usize,
+    /// Simulated per-call service time.
+    pub service: ServiceModel,
+    /// Queue-wait deadline in nanoseconds: a caller that has not been
+    /// granted the lane within this budget gets a typed
+    /// [`NodeSlowError`](crate::NodeSlowError) instead of blocking
+    /// indefinitely. `None` (the default) waits forever.
+    pub queue_deadline_ns: Option<u64>,
+    /// Hedged-read policy for stores with a parity lane. `None` (the
+    /// default) never hedges.
+    pub hedge: Option<HedgeConfig>,
+}
+
+impl Default for StripeConfig {
+    fn default() -> Self {
+        StripeConfig {
+            nodes: 4,
+            stripe_elems: 8192,
+            queue_capacity: 64,
+            service: ServiceModel::default(),
+            queue_deadline_ns: None,
+            hedge: None,
+        }
+    }
+}
+
+impl StripeConfig {
+    /// The default geometry over `nodes` I/O nodes.
+    #[must_use]
+    pub fn with_nodes(nodes: usize) -> Self {
+        StripeConfig {
+            nodes,
+            ..StripeConfig::default()
+        }
+    }
+}
+
+/// How a lane call should be accounted.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CallClass {
+    /// Data-plane read: counted in [`NodeStats::io`].
+    Read,
+    /// Data-plane write: counted in [`NodeStats::io`].
+    Write,
+    /// Repair-plane traffic (parity RMW, reconstruction, hedges,
+    /// scrubbing): counted in [`NodeStats::repair`] under `cause`,
+    /// never in the conserved data-plane counters.
+    Repair {
+        /// Which repair activity this call belongs to (one of
+        /// [`IoCause::REPAIR`]).
+        cause: IoCause,
+        /// Whether the call reads (vs. writes) the part store.
+        is_read: bool,
+    },
+}
+
+impl CallClass {
+    /// A repair-plane read under `cause`.
+    #[must_use]
+    pub fn repair_read(cause: IoCause) -> Self {
+        CallClass::Repair {
+            cause,
+            is_read: true,
+        }
+    }
+
+    /// A repair-plane write under `cause`.
+    #[must_use]
+    pub fn repair_write(cause: IoCause) -> Self {
+        CallClass::Repair {
+            cause,
+            is_read: false,
+        }
+    }
+}
+
+/// One I/O node's health as seen by its lane.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub enum NodeHealth {
+    /// Serving normally.
+    #[default]
+    Up,
+    /// Alive but missed at least one caller's deadline (gray
+    /// straggler). Still serves calls.
+    Slow,
+    /// Dead: every call is rejected with a typed
+    /// [`NodeDownError`](crate::NodeDownError).
+    Down,
+}
+
+/// Timing-dependent observability for one node's lane. Values vary
+/// with thread scheduling — report them, never gate on them.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct NodeTiming {
+    /// Total nanoseconds callers waited for this lane.
+    pub wait_ns: u64,
+    /// Total nanoseconds the node spent servicing calls (including
+    /// simulated service time).
+    pub busy_ns: u64,
+    /// High-water mark of requests waiting or in service.
+    pub max_depth: u64,
+    /// Distribution of queue depth observed at each arrival.
+    pub depth_hist: Histogram,
+    /// Distribution of per-call wait times in nanoseconds.
+    pub wait_hist: Histogram,
+    /// Calls that gave up on the lane after missing their queue-wait
+    /// or hedge deadline.
+    pub timeouts: u64,
+    /// Calls rejected because the node was down.
+    pub down_rejections: u64,
+}
+
+/// Read/write call and element counts for one repair cause.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RepairCounter {
+    /// Repair-plane read calls.
+    pub read_calls: u64,
+    /// Elements moved by repair reads.
+    pub read_elems: u64,
+    /// Repair-plane write calls.
+    pub write_calls: u64,
+    /// Elements moved by repair writes.
+    pub write_elems: u64,
+}
+
+impl RepairCounter {
+    fn add(&mut self, is_read: bool, elems: u64) {
+        if is_read {
+            self.read_calls += 1;
+            self.read_elems += elems;
+        } else {
+            self.write_calls += 1;
+            self.write_elems += elems;
+        }
+    }
+
+    /// Total calls, reads plus writes.
+    #[must_use]
+    pub fn total_calls(&self) -> u64 {
+        self.read_calls + self.write_calls
+    }
+
+    /// Total elements, reads plus writes.
+    #[must_use]
+    pub fn total_elems(&self) -> u64 {
+        self.read_elems + self.write_elems
+    }
+}
+
+/// Repair-plane traffic on one node, broken down by cause. Kept
+/// strictly outside [`NodeStats::io`] so the data-plane conservation
+/// invariants (per-node totals summing to the single-node totals) are
+/// unaffected by redundancy overhead.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct RepairIo {
+    /// Cause → counters.
+    pub by_cause: BTreeMap<IoCause, RepairCounter>,
+}
+
+impl RepairIo {
+    /// Adds one call of `elems` elements under `cause`.
+    pub fn add(&mut self, cause: IoCause, is_read: bool, elems: u64) {
+        self.by_cause.entry(cause).or_default().add(is_read, elems);
+    }
+
+    /// The counters for `cause` (zero if never seen).
+    #[must_use]
+    pub fn get(&self, cause: IoCause) -> RepairCounter {
+        self.by_cause.get(&cause).copied().unwrap_or_default()
+    }
+
+    /// Total repair calls across causes.
+    #[must_use]
+    pub fn total_calls(&self) -> u64 {
+        self.by_cause.values().map(RepairCounter::total_calls).sum()
+    }
+
+    /// Total repair elements across causes.
+    #[must_use]
+    pub fn total_elems(&self) -> u64 {
+        self.by_cause.values().map(RepairCounter::total_elems).sum()
+    }
+
+    /// `true` when no repair traffic was recorded.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.by_cause.is_empty()
+    }
+
+    /// Folds `other`'s counters into this one.
+    pub fn merge(&mut self, other: &RepairIo) {
+        for (cause, c) in &other.by_cause {
+            let e = self.by_cause.entry(*cause).or_default();
+            e.read_calls += c.read_calls;
+            e.read_elems += c.read_elems;
+            e.write_calls += c.write_calls;
+            e.write_elems += c.write_elems;
+        }
+    }
+}
+
+/// Everything one I/O node counted.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct NodeStats {
+    /// Deterministic traffic: per-segment calls, elements, and run
+    /// lengths (pure function of the stripe mapping).
+    pub io: MeasuredIo,
+    /// Timing-dependent lane observability.
+    pub timing: NodeTiming,
+    /// Repair-plane traffic (parity, reconstruction, hedges, scrub),
+    /// outside the conserved data plane.
+    pub repair: RepairIo,
+}
+
+/// One node's FIFO lane: a ticket dispenser plus its statistics.
+#[derive(Debug, Default)]
+struct LaneState {
+    next_ticket: u64,
+    serving: u64,
+    /// Per-node arrival counter — the `call` index node faults key on.
+    arrivals: u64,
+    health: NodeHealth,
+    /// Set after [`IoNodePool::revive`]: disables the injected
+    /// `down_at` schedule for this (replaced) node.
+    revived: bool,
+    /// Tickets abandoned by deadline-expired callers; the completer
+    /// skips them when advancing `serving`.
+    cancelled: BTreeSet<u64>,
+    stats: NodeStats,
+}
+
+#[derive(Debug, Default)]
+struct Lane {
+    state: Mutex<LaneState>,
+    grant: Condvar,
+}
+
+#[derive(Debug)]
+struct PoolInner {
+    cfg: StripeConfig,
+    faults: NodeFaultConfig,
+    lanes: Vec<Lane>,
+}
+
+impl Lane {
+    fn lock(&self) -> MutexGuard<'_, LaneState> {
+        self.state.lock().expect("lane poisoned")
+    }
+
+    /// Blocks until the lane's next grant notification, for at most
+    /// what is left of `deadline` since `arrived`; hands the guard
+    /// back as `Err` when nothing is left.
+    fn wait<'a>(
+        &'a self,
+        st: MutexGuard<'a, LaneState>,
+        deadline: Option<Duration>,
+        arrived: Instant,
+    ) -> Result<MutexGuard<'a, LaneState>, MutexGuard<'a, LaneState>> {
+        let Some(deadline) = deadline else {
+            return Ok(self.grant.wait(st).expect("lane poisoned"));
+        };
+        match deadline.checked_sub(arrived.elapsed()) {
+            Some(left) if !left.is_zero() => {
+                Ok(self.grant.wait_timeout(st, left).expect("lane poisoned").0)
+            }
+            _ => Err(st),
+        }
+    }
+}
+
+fn elapsed_ns(since: Instant) -> u64 {
+    u64::try_from(since.elapsed().as_nanos()).unwrap_or(u64::MAX)
+}
+
+/// Where a striped store has its repair-plane lane calls booked
+/// besides [`NodeStats::repair`]: a ledger recorder and the array id
+/// the store reports under.
+pub(crate) type RepairSink = (LedgerRecorder, u32);
+
+/// K per-node FIFO request lanes shared by every
+/// [`StripedStore`](crate::StripedStore) of a run. Cloning shares the
+/// pool (and its statistics), so all arrays' traffic aggregates into
+/// one per-node picture — the measured analogue of `pfs-sim`'s
+/// machine-wide I/O node model.
+#[derive(Debug, Clone)]
+pub struct IoNodePool {
+    inner: Arc<PoolInner>,
+}
+
+impl IoNodePool {
+    /// A pool of `cfg.nodes` idle lanes with no injected node faults.
+    ///
+    /// # Panics
+    /// Panics on zero nodes or a zero stripe unit.
+    #[must_use]
+    pub fn new(cfg: StripeConfig) -> Self {
+        Self::with_faults(cfg, NodeFaultConfig::new())
+    }
+
+    /// A pool with an injected node-fault schedule: permanent deaths
+    /// keyed to per-node arrival counters and per-call gray slowness.
+    ///
+    /// # Panics
+    /// Panics on zero nodes or a zero stripe unit.
+    #[must_use]
+    pub fn with_faults(cfg: StripeConfig, faults: NodeFaultConfig) -> Self {
+        assert!(cfg.nodes > 0, "a pool needs at least one I/O node");
+        assert!(cfg.stripe_elems > 0, "stripe unit must be positive");
+        IoNodePool {
+            inner: Arc::new(PoolInner {
+                cfg,
+                faults,
+                lanes: (0..cfg.nodes).map(|_| Lane::default()).collect(),
+            }),
+        }
+    }
+
+    /// The pool's configuration.
+    #[must_use]
+    pub fn config(&self) -> &StripeConfig {
+        &self.inner.cfg
+    }
+
+    /// The injected node-fault schedule.
+    #[must_use]
+    pub fn faults(&self) -> &NodeFaultConfig {
+        &self.inner.faults
+    }
+
+    /// Number of I/O nodes.
+    #[must_use]
+    pub fn nodes(&self) -> usize {
+        self.inner.cfg.nodes
+    }
+
+    /// `node`'s current health.
+    #[must_use]
+    pub fn health(&self, node: usize) -> NodeHealth {
+        self.inner.lanes[node].lock().health
+    }
+
+    /// Declares `node` dead: every subsequent call is rejected with a
+    /// typed [`NodeDownError`](crate::NodeDownError) until
+    /// [`revive`](Self::revive). Callers already granted the lane
+    /// finish normally, so quarantine never wedges waiting tickets.
+    pub fn quarantine(&self, node: usize) {
+        let lane = &self.inner.lanes[node];
+        lane.lock().health = NodeHealth::Down;
+        lane.grant.notify_all();
+    }
+
+    /// Marks `node` healthy again after its stores were resilvered
+    /// onto a replacement. Also disables the injected `down_at`
+    /// schedule for this node — the replacement is a new device.
+    pub fn revive(&self, node: usize) {
+        let mut st = self.inner.lanes[node].lock();
+        st.health = NodeHealth::Up;
+        st.revived = true;
+    }
+
+    /// The hedge deadline for a read on `node`, from the configured
+    /// [`HedgeConfig`] and the lane's observed wait-time histogram.
+    /// `None` when hedging is not configured.
+    #[must_use]
+    pub fn hedge_deadline_ns(&self, node: usize) -> Option<u64> {
+        let hedge = self.inner.cfg.hedge?;
+        let st = self.inner.lanes[node].lock();
+        Some(hedge.deadline_ns(&st.stats.timing.wait_hist))
+    }
+
+    /// Runs one store call on `node`'s lane under the pool-wide
+    /// queue-wait deadline ([`StripeConfig::queue_deadline_ns`]).
+    /// See [`execute_deadline`](Self::execute_deadline).
+    ///
+    /// # Errors
+    /// Propagates `op`'s error, a typed dead-node rejection, or a
+    /// typed deadline timeout.
+    pub fn execute<R>(
+        &self,
+        node: usize,
+        class: CallClass,
+        elems: u64,
+        op: impl FnOnce() -> io::Result<R>,
+    ) -> io::Result<R> {
+        self.execute_deadline(node, class, elems, self.inner.cfg.queue_deadline_ns, op)
+    }
+
+    /// Runs one store call on `node`'s lane: waits for bounded FIFO
+    /// admission and the lane grant (up to `deadline_ns`, if given),
+    /// executes `op`, holds the lane for the simulated service time
+    /// (plus any injected gray slowness), and records the node's
+    /// statistics under `class`.
+    ///
+    /// # Errors
+    /// * a typed [`NodeDownError`](crate::NodeDownError) when the node
+    ///   is dead (quarantined or at/past its injected death call) —
+    ///   `op` never runs;
+    /// * a typed [`NodeSlowError`](crate::NodeSlowError) when the lane
+    ///   grant missed `deadline_ns` — the ticket is cancelled and `op`
+    ///   never runs;
+    /// * `op`'s own error otherwise.
+    pub fn execute_deadline<R>(
+        &self,
+        node: usize,
+        class: CallClass,
+        elems: u64,
+        deadline_ns: Option<u64>,
+        op: impl FnOnce() -> io::Result<R>,
+    ) -> io::Result<R> {
+        self.call(node, class, elems, deadline_ns, None, op)
+    }
+
+    /// The lane call behind [`execute_deadline`](Self::execute_deadline)
+    /// and every part-store call of a striped store — the only place
+    /// such a call is counted: a served call enters `node`'s
+    /// [`NodeStats`] under `class`, and a repair-plane call is booked
+    /// to `sink`'s ledger (when the calling store has one) in the same
+    /// match arm, so the two repair accounts cannot drift apart.
+    pub(crate) fn call<R>(
+        &self,
+        node: usize,
+        class: CallClass,
+        elems: u64,
+        deadline_ns: Option<u64>,
+        sink: Option<&RepairSink>,
+        op: impl FnOnce() -> io::Result<R>,
+    ) -> io::Result<R> {
+        let lane = &self.inner.lanes[node];
+        let capacity = self.inner.cfg.queue_capacity.max(1) as u64;
+        let arrived = Instant::now();
+        let deadline = deadline_ns.map(Duration::from_nanos);
+        let ticket;
+        {
+            let mut st = lane.lock();
+            let call = st.arrivals;
+            st.arrivals += 1;
+            let injected_down = !st.revived
+                && self
+                    .inner
+                    .faults
+                    .down_at
+                    .get(&node)
+                    .is_some_and(|&at| call >= at);
+            if st.health == NodeHealth::Down || injected_down {
+                st.health = NodeHealth::Down;
+                st.stats.timing.down_rejections += 1;
+                return Err(node_down_error(node, call));
+            }
+            // Queue-wait blame span: covers bounded admission plus the
+            // FIFO grant wait, attributed to the *calling* lane.
+            let _qwait = (ooc_trace::enabled()
+                && (st.next_ticket - st.serving >= capacity || st.serving != st.next_ticket))
+                .then(|| {
+                    ooc_trace::span_with(
+                        "striped",
+                        "queue-wait",
+                        vec![("node", (node as u64).into())],
+                    )
+                });
+            while st.next_ticket - st.serving >= capacity {
+                st = match lane.wait(st, deadline, arrived) {
+                    Ok(st) => st,
+                    Err(mut st) => return Err(Self::give_up(&mut st, node, arrived)),
+                };
+            }
+            ticket = st.next_ticket;
+            st.next_ticket += 1;
+            let depth = st.next_ticket - st.serving;
+            st.stats.timing.max_depth = st.stats.timing.max_depth.max(depth);
+            st.stats.timing.depth_hist.observe(depth);
+            while st.serving != ticket {
+                st = match lane.wait(st, deadline, arrived) {
+                    Ok(st) => st,
+                    Err(mut st) => {
+                        // Cancellation is safe: serving != ticket here,
+                        // so the completer has not granted us yet and
+                        // will skip the abandoned ticket.
+                        st.cancelled.insert(ticket);
+                        return Err(Self::give_up(&mut st, node, arrived));
+                    }
+                };
+            }
+            let wait_ns = elapsed_ns(arrived);
+            st.stats.timing.wait_ns += wait_ns;
+            st.stats.timing.wait_hist.observe(wait_ns);
+        }
+        let started = Instant::now();
+        let result = op();
+        let service = self.inner.cfg.service;
+        let slow_ns = self.inner.faults.slow_ns.get(&node).copied().unwrap_or(0);
+        if !service.is_zero() || slow_ns > 0 {
+            std::thread::sleep(service.duration(elems) + Duration::from_nanos(slow_ns));
+        }
+        let mut st = lane.lock();
+        match &result {
+            Ok(_) => match class {
+                CallClass::Read => st.stats.io.count(elems, false),
+                CallClass::Write => st.stats.io.count(elems, true),
+                CallClass::Repair { cause, is_read } => {
+                    st.stats.repair.add(cause, is_read, elems);
+                    if let Some((ledger, array)) = sink {
+                        ledger.add_repair(*array, cause, 1, elems);
+                    }
+                }
+            },
+            Err(_) => st.stats.io.failed_calls += 1,
+        }
+        st.stats.timing.busy_ns += elapsed_ns(started);
+        st.serving += 1;
+        loop {
+            let next = st.serving;
+            if !st.cancelled.remove(&next) {
+                break;
+            }
+            st.serving += 1;
+        }
+        lane.grant.notify_all();
+        drop(st);
+        result
+    }
+
+    /// Records a deadline miss on a locked lane and builds its error.
+    fn give_up(st: &mut LaneState, node: usize, arrived: Instant) -> io::Error {
+        st.stats.timing.timeouts += 1;
+        if st.health == NodeHealth::Up {
+            st.health = NodeHealth::Slow;
+        }
+        node_slow_error(node, elapsed_ns(arrived))
+    }
+
+    /// A copy of every node's statistics, in node order.
+    #[must_use]
+    pub fn snapshot(&self) -> Vec<NodeStats> {
+        self.inner
+            .lanes
+            .iter()
+            .map(|l| l.lock().stats.clone())
+            .collect()
+    }
+
+    /// Per-node deterministic traffic summed into one [`MeasuredIo`].
+    #[must_use]
+    pub fn total_io(&self) -> MeasuredIo {
+        let mut total = MeasuredIo::default();
+        for s in self.snapshot() {
+            total.merge(&s.io);
+        }
+        total
+    }
+
+    /// Per-node repair-plane traffic summed into one [`RepairIo`].
+    #[must_use]
+    pub fn total_repair(&self) -> RepairIo {
+        let mut total = RepairIo::default();
+        for s in self.snapshot() {
+            total.merge(&s.repair);
+        }
+        total
+    }
+
+    /// Zeroes every node's statistics. A striped store forwards its
+    /// `reset_metrics` here; since executors reset all arrays at one
+    /// barrier (after seeding), the last reset leaves the pool clean
+    /// for the compute phase. Health, arrival counters, and tickets
+    /// are preserved — only statistics reset.
+    pub fn reset_stats(&self) {
+        for lane in &self.inner.lanes {
+            lane.lock().stats = NodeStats::default();
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::fault::{is_node_down, is_node_slow};
+    use crate::store::Store;
+    use crate::striped::tests::{pool, striped, striped_parity};
+    use std::sync::atomic::{AtomicBool, Ordering};
+
+    #[test]
+    fn lanes_serialize_concurrent_callers() {
+        use std::sync::atomic::{AtomicU64, Ordering};
+        let p = IoNodePool::new(StripeConfig {
+            nodes: 1,
+            stripe_elems: 4,
+            queue_capacity: 2,
+            ..StripeConfig::default()
+        });
+        let in_lane = Arc::new(AtomicU64::new(0));
+        std::thread::scope(|scope| {
+            for _ in 0..8 {
+                let p = p.clone();
+                let in_lane = Arc::clone(&in_lane);
+                scope.spawn(move || {
+                    for _ in 0..50 {
+                        p.execute(0, CallClass::Read, 4, || {
+                            let now = in_lane.fetch_add(1, Ordering::SeqCst);
+                            assert_eq!(now, 0, "lane admitted two callers at once");
+                            std::thread::yield_now();
+                            in_lane.fetch_sub(1, Ordering::SeqCst);
+                            Ok(())
+                        })
+                        .expect("op");
+                    }
+                });
+            }
+        });
+        let stats = p.snapshot();
+        assert_eq!(stats[0].io.read_calls, 400);
+        assert!(stats[0].timing.max_depth >= 1);
+        assert!(stats[0].timing.depth_hist.count == 400);
+    }
+
+    #[test]
+    fn failed_calls_are_counted_separately() {
+        let mut s = striped(2, 4, 8);
+        // In-range for the logical store but force a part error by
+        // using the pool directly with a failing op.
+        let err = s
+            .pool()
+            .execute(0, CallClass::Read, 1, || -> io::Result<()> {
+                Err(io::Error::other("boom"))
+            })
+            .expect_err("op error propagates");
+        assert_eq!(err.to_string(), "boom");
+        assert_eq!(s.pool().snapshot()[0].io.failed_calls, 1);
+        assert_eq!(s.pool().snapshot()[0].io.read_calls, 0);
+        // The lane is still usable afterwards.
+        s.write_run(0, &[1.0]).expect("write after failure");
+    }
+
+    #[test]
+    fn service_model_duration() {
+        let m = ServiceModel {
+            call_ns: 1000,
+            elem_ns: 10,
+        };
+        assert_eq!(m.duration(5), Duration::from_nanos(1050));
+        assert!(!m.is_zero());
+        assert!(ServiceModel::default().is_zero());
+    }
+
+    #[test]
+    fn injected_permanent_failure_is_typed_sticky_and_counted() {
+        let p = IoNodePool::with_faults(
+            StripeConfig {
+                nodes: 2,
+                stripe_elems: 4,
+                ..StripeConfig::default()
+            },
+            NodeFaultConfig::new().permanent_fail_at(1, 2),
+        );
+        for _ in 0..2 {
+            p.execute(1, CallClass::Read, 1, || Ok(()))
+                .expect("pre-death call");
+        }
+        let e = p
+            .execute(1, CallClass::Read, 1, || Ok(()))
+            .expect_err("death at call 2");
+        assert!(is_node_down(&e));
+        assert_eq!(crate::fault::node_down(&e).expect("payload").node, 1);
+        assert_eq!(p.health(1), NodeHealth::Down);
+        // Sticky: later calls are rejected without running the op.
+        let e2 = p
+            .execute(1, CallClass::Read, 1, || -> io::Result<()> {
+                panic!("op must not run")
+            })
+            .expect_err("still dead");
+        assert!(is_node_down(&e2));
+        assert_eq!(p.snapshot()[1].timing.down_rejections, 2);
+        // The other node is unaffected.
+        p.execute(0, CallClass::Read, 1, || Ok(()))
+            .expect("peer alive");
+        // Revive disables the injected schedule (replacement device).
+        p.revive(1);
+        p.execute(1, CallClass::Read, 1, || Ok(()))
+            .expect("revived");
+    }
+
+    #[test]
+    fn queue_deadline_returns_typed_timeout() {
+        let p = IoNodePool::with_faults(
+            StripeConfig {
+                nodes: 1,
+                stripe_elems: 4,
+                queue_deadline_ns: Some(2_000_000), // 2 ms
+                ..StripeConfig::default()
+            },
+            NodeFaultConfig::new().slow_node(0, 60_000_000), // 60 ms service
+        );
+        let entered = Arc::new(AtomicBool::new(false));
+        std::thread::scope(|scope| {
+            let bg = p.clone();
+            let flag = Arc::clone(&entered);
+            scope.spawn(move || {
+                bg.execute_deadline(0, CallClass::Read, 1, None, || {
+                    flag.store(true, Ordering::SeqCst);
+                    Ok(())
+                })
+                .expect("background call");
+            });
+            while !entered.load(Ordering::SeqCst) {
+                std::thread::yield_now();
+            }
+            // The lane is now held for ~60 ms; our 2 ms budget expires.
+            let e = p
+                .execute(0, CallClass::Read, 1, || Ok(()))
+                .expect_err("deadline miss");
+            assert!(is_node_slow(&e), "typed slow error, got {e}");
+        });
+        assert_eq!(p.snapshot()[0].timing.timeouts, 1);
+        assert_eq!(p.health(0), NodeHealth::Slow);
+        // The lane still drains: a patient call succeeds.
+        p.execute_deadline(0, CallClass::Read, 1, None, || Ok(()))
+            .expect("lane drains after timeout");
+    }
+
+    #[test]
+    fn ledger_books_repair_traffic_outside_the_data_partition() {
+        let rec = LedgerRecorder::new();
+        let p = pool(4, 8);
+        let mut s = striped_parity(&p, 64).with_ledger(rec.clone(), 3);
+        let data: Vec<f64> = (0..64).map(f64::from).collect();
+        s.write_run(0, &data).expect("write");
+        p.quarantine(0);
+        let mut buf = vec![0.0; 64];
+        s.read_run(0, &mut buf).expect("degraded read");
+        let ledger = rec.snapshot();
+        assert!(ledger.events.is_empty(), "repair never lands in events");
+        assert!(
+            ledger
+                .repair
+                .get(&(3, IoCause::ParityWrite))
+                .is_some_and(|&(c, e)| c > 0 && e > 0),
+            "parity RMW booked"
+        );
+        assert!(
+            ledger
+                .repair
+                .get(&(3, IoCause::DegradedReconstruct))
+                .is_some_and(|&(c, e)| c > 0 && e > 0),
+            "reconstruction booked"
+        );
+        ledger
+            .check_conservation(&[])
+            .expect("conservation holds with repair outside the partition");
+    }
+}

@@ -1,0 +1,950 @@
+//! Degraded mode: what a [`StripedStore`] built with
+//! [`build_with_parity`](StripedStore::build_with_parity) does beyond
+//! the fault-free path of `striped`.
+//!
+//! Such a store keeps a rotating parity lane (see [`ParityLayout`]):
+//! every group of K−1 data stripes gets a full-stripe XOR parity chunk
+//! on the one node holding none of the group's data, so it survives
+//! the loss of any single I/O node bit-exactly:
+//!
+//! * writes keep parity consistent by read-modify-write of the delta
+//!   (`old ⊕ new`), the data write strictly *before* the parity
+//!   update;
+//! * reads of a dead node's stripes ([`NodeHealth::Down`]) reconstruct
+//!   the lost range by XOR from its K−1 peers, and writes to them land
+//!   entirely in parity;
+//! * reads can be **hedged**
+//!   ([`HedgeConfig`](crate::HedgeConfig)): after a quantile-based
+//!   wait the request is retired against the parity-derived peer set,
+//!   masking gray stragglers;
+//! * an [`OnlineScrubber`] walks parity groups in the background,
+//!   verifying parity against data (CRC-corrupt chunks surface as
+//!   typed errors from the checksum layer) and rewriting whichever
+//!   side is stale; [`StripedStore::resilver`] rebuilds a replacement
+//!   node from peers.
+//!
+//! Everything here is built from two primitives. Every part-store
+//! call is the store's one **lane call** (`read_part` / `write_part`
+//! over `IoNodePool::call`), made under a repair [`CallClass`]: the
+//! lane counts it in [`NodeStats::repair`](crate::NodeStats) and, when
+//! a [`LedgerRecorder`](crate::LedgerRecorder) is attached, books it to the provenance
+//! ledger's repair channel at the same point, so no function below
+//! keeps a tally and the data-plane conservation invariants are
+//! untouched by redundancy. And "XOR every other stripe of the group
+//! over this range" is the one **group XOR** (`group_xor`) behind
+//! reconstruction, parity rewrite and parity resilvering.
+
+use crate::checksum::is_corrupt;
+use crate::fault::{is_node_down, is_node_slow};
+use crate::ledger::IoCause;
+use crate::parity::{xor_into, ParityLayout};
+use crate::pool::{CallClass, NodeHealth};
+use crate::shared::SharedStore;
+use crate::store::Store;
+use crate::striped::{checked_part, chunk, part_len, DegradedMode, Part, Segment, StripedStore};
+use std::io;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+use std::time::Duration;
+
+/// What one scrub pass (or group) found and fixed.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ScrubReport {
+    /// Parity groups visited.
+    pub groups: u64,
+    /// Groups whose parity verified bit-exactly against the data.
+    pub clean: u64,
+    /// Groups whose parity was readable but stale (rewritten when
+    /// repairing).
+    pub parity_mismatch: u64,
+    /// Chunks (data or parity) whose CRC sidecar flagged corruption.
+    pub corrupt_chunks: u64,
+    /// Chunks rewritten from redundancy.
+    pub repaired: u64,
+    /// Chunks skipped because their node is down (redundancy already
+    /// spent — nothing to verify against).
+    pub skipped: u64,
+    /// Corrupt chunks beyond single-fault repair (≥ 2 losses in one
+    /// group).
+    pub unrecoverable: u64,
+    /// Elements read while scrubbing.
+    pub read_elems: u64,
+    /// Elements rewritten while repairing.
+    pub written_elems: u64,
+}
+
+impl ScrubReport {
+    /// Folds `other` into this report.
+    pub fn absorb(&mut self, other: &ScrubReport) {
+        self.groups += other.groups;
+        self.clean += other.clean;
+        self.parity_mismatch += other.parity_mismatch;
+        self.corrupt_chunks += other.corrupt_chunks;
+        self.repaired += other.repaired;
+        self.skipped += other.skipped;
+        self.unrecoverable += other.unrecoverable;
+        self.read_elems += other.read_elems;
+        self.written_elems += other.written_elems;
+    }
+}
+
+/// What a [`StripedStore::resilver`] rebuilt onto the replacement.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ResilverReport {
+    /// Data stripes reconstructed from peers.
+    pub data_stripes: u64,
+    /// Parity chunks recomputed from group data.
+    pub parity_chunks: u64,
+    /// Elements written to the replacement part stores.
+    pub elems_written: u64,
+    /// Elements read from surviving peers to source the rebuild.
+    pub source_elems_read: u64,
+}
+
+/// What scrubbing found where a chunk should be.
+#[derive(Debug)]
+enum Chunk {
+    /// Read back clean.
+    Read(Vec<f64>),
+    /// The CRC sidecar flagged it.
+    Corrupt,
+    /// Its node is down.
+    Dead,
+}
+
+fn bits_equal(a: &[f64], b: &[f64]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+}
+
+fn no_parity_error() -> io::Error {
+    io::Error::new(
+        io::ErrorKind::InvalidInput,
+        "store has no parity lane (built without build_with_parity)",
+    )
+}
+
+/// A `striped`-category trace span named `name` carrying the node
+/// and/or parity group it concerns; `None` while tracing is off.
+fn span(name: &str, node: Option<usize>, group: Option<u64>) -> Option<ooc_trace::SpanGuard> {
+    ooc_trace::enabled().then(|| {
+        let node = node.map(|n| ("node", (n as u64).into()));
+        let group = group.map(|j| ("group", j.into()));
+        ooc_trace::span_with("striped", name, node.into_iter().chain(group).collect())
+    })
+}
+
+fn double_fault_error(group: u64, node: usize) -> io::Error {
+    io::Error::other(format!(
+        "double fault: group {group} needs node {node}, which is also down"
+    ))
+}
+
+impl<S: Store> StripedStore<S> {
+    /// The parity geometry, or the typed no-parity error.
+    fn layout(&self) -> io::Result<ParityLayout> {
+        self.parity_layout().ok_or_else(no_parity_error)
+    }
+
+    /// The group-XOR primitive: the XOR, over `[within, within + len)`
+    /// of their stripes, of every data stripe of group `j` except
+    /// `skip`, each read as one `cause` repair call on its node's
+    /// lane. A stripe the range misses (the short last one) adds zero
+    /// bits and costs no call. Parity is XOR over stripe-aligned
+    /// chunks, so the range restriction is element-wise exact. Returns
+    /// the accumulator and the elements read.
+    ///
+    /// # Errors
+    /// A double-fault error when a needed stripe's node is down; any
+    /// read error otherwise.
+    fn group_xor(
+        &self,
+        j: u64,
+        skip: Option<u64>,
+        within: u64,
+        len: usize,
+        cause: IoCause,
+    ) -> io::Result<(Vec<f64>, u64)> {
+        let lay = self.layout()?;
+        let class = CallClass::repair_read(cause);
+        let mut acc = vec![0.0; len];
+        let mut buf = vec![0.0; len];
+        let mut read = 0u64;
+        for g in lay.stripes_of_group(j) {
+            let glen = lay.stripe_len(g);
+            if Some(g) == skip || within >= glen {
+                continue;
+            }
+            let node = lay.data_node(g);
+            if self.pool.health(node) == NodeHealth::Down {
+                return Err(double_fault_error(j, node));
+            }
+            let piece = &mut buf[..chunk((glen - within).min(len as u64))];
+            let off = lay.data_part_offset(g) + within;
+            self.read_part(Part::Data, node, off, class, piece)?;
+            xor_into(&mut acc, piece);
+            read += piece.len() as u64;
+        }
+        Ok((acc, read))
+    }
+
+    /// Rebuilds `dst.len()` elements of data stripe `g`, starting
+    /// `within` elements into the stripe, by XOR-ing the group's
+    /// parity chunk with every *other* data stripe over the same
+    /// range. Returns the elements read to do so.
+    ///
+    /// # Errors
+    /// A double-fault error when the parity node (or a needed peer)
+    /// is also down; any peer read error otherwise.
+    fn reconstruct_range(
+        &self,
+        g: u64,
+        within: u64,
+        dst: &mut [f64],
+        cause: IoCause,
+    ) -> io::Result<u64> {
+        let lay = self.layout()?;
+        let j = lay.group_of(g);
+        let pnode = lay.parity_node(j);
+        if self.pool.health(pnode) == NodeHealth::Down {
+            return Err(double_fault_error(j, pnode));
+        }
+        let name = if cause == IoCause::HedgedRead {
+            "hedge-read"
+        } else {
+            "degraded-reconstruct"
+        };
+        let _span = span(name, Some(lay.data_node(g)), Some(j));
+        let mut parity = vec![0.0; dst.len()];
+        let poff = lay.parity_part_offset(j) + within;
+        let class = CallClass::repair_read(cause);
+        self.read_part(Part::Parity, pnode, poff, class, &mut parity)?;
+        let (peers, read) = self.group_xor(j, Some(g), within, dst.len(), cause)?;
+        dst.copy_from_slice(&peers);
+        xor_into(dst, &parity);
+        Ok(read + dst.len() as u64)
+    }
+
+    /// Serves one read segment of a store with a parity lane,
+    /// degrading through parity when the owning node is dead, slow
+    /// past its hedge deadline, or (in [`DegradedMode::Auto`]) freshly
+    /// discovered dead/corrupt.
+    pub(crate) fn read_segment_parity(&self, seg: Segment, dst: &mut [f64]) -> io::Result<()> {
+        if self.pool.health(seg.node) == NodeHealth::Down {
+            return self
+                .reconstruct_range(seg.stripe, seg.within, dst, IoCause::DegradedReconstruct)
+                .map(drop);
+        }
+        let deadline = self
+            .pool
+            .hedge_deadline_ns(seg.node)
+            .or(self.pool.config().queue_deadline_ns);
+        let direct = self.read_part_by(
+            Part::Data,
+            seg.node,
+            seg.part_off,
+            CallClass::Read,
+            deadline,
+            dst,
+        );
+        let cause = match direct {
+            Ok(()) => return Ok(()),
+            // Hedge: retire the read against the peer set. Valid
+            // even though the node is alive — parity stays
+            // consistent for slow-but-healthy lanes.
+            Err(e) if is_node_slow(&e) => IoCause::HedgedRead,
+            Err(e) if self.mode == DegradedMode::Auto && (is_node_down(&e) || is_corrupt(&e)) => {
+                IoCause::DegradedReconstruct
+            }
+            Err(e) => return Err(e),
+        };
+        self.reconstruct_range(seg.stripe, seg.within, dst, cause)
+            .map(drop)
+    }
+
+    /// Recomputes and writes the parity range covering `seg`, taking
+    /// `src` as stripe `seg.stripe`'s content and reading every other
+    /// group stripe from disk. Used when the old data (or old parity)
+    /// needed for the RMW delta is unavailable — in particular when
+    /// the segment's owning node is dead: the data chunk itself is
+    /// unreachable, so the write lands entirely in parity — peers XOR
+    /// src — and later reads reconstruct it.
+    fn rewrite_parity_from_group(&mut self, seg: Segment, src: &[f64]) -> io::Result<()> {
+        let lay = self.layout()?;
+        let j = lay.group_of(seg.stripe);
+        let pnode = lay.parity_node(j);
+        if self.pool.health(pnode) == NodeHealth::Down {
+            return Err(double_fault_error(j, pnode));
+        }
+        let _span = span("parity-write", Some(pnode), Some(j));
+        let cause = IoCause::ParityWrite;
+        let (mut pchunk, _) = self.group_xor(j, Some(seg.stripe), seg.within, src.len(), cause)?;
+        xor_into(&mut pchunk, src);
+        let poff = lay.parity_part_offset(j) + seg.within;
+        let class = CallClass::repair_write(cause);
+        self.write_part(Part::Parity, pnode, poff, class, &pchunk)
+    }
+
+    /// Writes one segment with the parity lane kept consistent:
+    /// read-modify-write of the parity delta (`old ⊕ new`), with the
+    /// data write strictly *before* the parity update so a failed or
+    /// torn data write leaves parity agreeing with the old data.
+    pub(crate) fn write_segment_parity(&mut self, seg: Segment, src: &[f64]) -> io::Result<()> {
+        if self.pool.health(seg.node) == NodeHealth::Down {
+            return self.rewrite_parity_from_group(seg, src);
+        }
+        let lay = self.layout()?;
+        let rmw_read = CallClass::repair_read(IoCause::ParityWrite);
+        // Old data, for the parity delta.
+        let mut old = vec![0.0; src.len()];
+        match self.read_part(Part::Data, seg.node, seg.part_off, rmw_read, &mut old) {
+            Ok(()) => {}
+            Err(e) if is_corrupt(&e) && self.mode == DegradedMode::Auto => {
+                // Torn/corrupt pre-image: parity still agrees with the
+                // clean old data, so reconstruct it from peers, then
+                // proceed with the normal delta.
+                self.reconstruct_range(
+                    seg.stripe,
+                    seg.within,
+                    &mut old,
+                    IoCause::DegradedReconstruct,
+                )?;
+            }
+            Err(e) if is_node_down(&e) => {
+                if self.mode == DegradedMode::Auto {
+                    return self.rewrite_parity_from_group(seg, src);
+                }
+                return Err(e);
+            }
+            Err(e) => return Err(e),
+        }
+        // New data, before parity: a failure here leaves parity
+        // consistent with the old chunk.
+        let write_new = self.write_part(Part::Data, seg.node, seg.part_off, CallClass::Write, src);
+        if let Err(e) = write_new {
+            if is_node_down(&e) && self.mode == DegradedMode::Auto {
+                return self.rewrite_parity_from_group(seg, src);
+            }
+            return Err(e);
+        }
+        // Parity RMW.
+        let j = lay.group_of(seg.stripe);
+        let pnode = lay.parity_node(j);
+        if self.pool.health(pnode) == NodeHealth::Down {
+            // Single-fault model: data is authoritative, parity for
+            // this group is lost until the node is resilvered.
+            return Ok(());
+        }
+        let poff = lay.parity_part_offset(j) + seg.within;
+        let mut pchunk = vec![0.0; src.len()];
+        match self.read_part(Part::Parity, pnode, poff, rmw_read, &mut pchunk) {
+            Ok(()) => {}
+            // Stale/torn parity: recompute this range from the
+            // whole group instead of applying a delta to garbage.
+            Err(e) if is_corrupt(&e) => return self.rewrite_parity_from_group(seg, src),
+            Err(e) if is_node_down(&e) => return Ok(()),
+            Err(e) => return Err(e),
+        }
+        xor_into(&mut pchunk, &old);
+        xor_into(&mut pchunk, src);
+        let class = CallClass::repair_write(IoCause::ParityWrite);
+        self.write_part(Part::Parity, pnode, poff, class, &pchunk)
+    }
+
+    /// Reads one chunk for scrubbing and turns what came back into a
+    /// verdict: a chunk on a dead node (known or discovered by this
+    /// read) is [`Chunk::Dead`], a CRC-flagged one [`Chunk::Corrupt`].
+    ///
+    /// # Errors
+    /// Any other part error.
+    fn scrub_read(&self, part: Part, node: usize, off: u64, len: usize) -> io::Result<Chunk> {
+        if self.pool.health(node) == NodeHealth::Down {
+            return Ok(Chunk::Dead);
+        }
+        let mut buf = vec![0.0; len];
+        let class = CallClass::repair_read(IoCause::ScrubRead);
+        match self.read_part(part, node, off, class, &mut buf) {
+            Ok(()) => Ok(Chunk::Read(buf)),
+            Err(e) if is_corrupt(&e) => Ok(Chunk::Corrupt),
+            Err(e) if is_node_down(&e) => Ok(Chunk::Dead),
+            Err(e) => Err(e),
+        }
+    }
+
+    /// Verifies (and with `repair`, fixes) one parity group: reads
+    /// every live data chunk and the parity chunk, checks parity
+    /// bit-exactly, rewrites stale parity, and rebuilds a single
+    /// CRC-corrupt chunk from redundancy.
+    ///
+    /// # Errors
+    /// Out-of-range group, missing parity lane, or an unexpected
+    /// (non-corruption, non-dead-node) part error.
+    pub fn scrub_group(&mut self, j: u64, repair: bool) -> io::Result<ScrubReport> {
+        let lay = self.layout()?;
+        if j >= lay.groups() {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!("parity group {j} out of range ({} groups)", lay.groups()),
+            ));
+        }
+        let _span = span("scrub", None, Some(j));
+        let stripe = chunk(lay.stripe_elems);
+        let pnode = lay.parity_node(j);
+        let poff = lay.parity_part_offset(j);
+        let mut data = Vec::new();
+        for g in lay.stripes_of_group(j) {
+            let (node, off) = (lay.data_node(g), lay.data_part_offset(g));
+            let glen = chunk(lay.stripe_len(g));
+            data.push((g, self.scrub_read(Part::Data, node, off, glen)?));
+        }
+        let parity = self.scrub_read(Part::Parity, pnode, poff, stripe)?;
+        let mut rep = ScrubReport {
+            groups: 1,
+            ..ScrubReport::default()
+        };
+        for verdict in data.iter().map(|(_, c)| c).chain([&parity]) {
+            match verdict {
+                Chunk::Read(buf) => rep.read_elems += buf.len() as u64,
+                Chunk::Corrupt => rep.corrupt_chunks += 1,
+                Chunk::Dead => rep.skipped += 1,
+            }
+        }
+        if rep.skipped > 0 {
+            // Degraded group: redundancy already spent covering the
+            // dead node; nothing to verify against until resilvered.
+            return Ok(rep);
+        }
+        if rep.corrupt_chunks > 1 {
+            rep.unrecoverable += rep.corrupt_chunks;
+            return Ok(rep);
+        }
+        // XOR of every readable data chunk, zero-padded to the unit.
+        let mut acc = vec![0.0; stripe];
+        for (_, c) in &data {
+            if let Chunk::Read(buf) = c {
+                xor_into(&mut acc, buf);
+            }
+        }
+        let corrupt_data = data.iter().find(|(_, c)| matches!(c, Chunk::Corrupt));
+        match (parity, corrupt_data) {
+            (Chunk::Read(p), None) if bits_equal(&p, &acc) => rep.clean += 1,
+            (Chunk::Read(p), Some(&(g, _))) => {
+                // Exactly one CRC-corrupt data chunk: peers ⊕ parity
+                // restores it; the write refreshes the CRC sidecar too.
+                xor_into(&mut acc, &p);
+                if repair {
+                    let rebuilt = &acc[..chunk(lay.stripe_len(g))];
+                    let (node, off) = (lay.data_node(g), lay.data_part_offset(g));
+                    let class = CallClass::repair_write(IoCause::DegradedReconstruct);
+                    self.write_part(Part::Data, node, off, class, rebuilt)?;
+                    rep.repaired += 1;
+                    rep.written_elems += rebuilt.len() as u64;
+                }
+            }
+            (parity, _) => {
+                // Parity is CRC-corrupt, or readable but stale against
+                // clean data: the data's XOR replaces it.
+                if matches!(parity, Chunk::Read(_)) {
+                    rep.parity_mismatch += 1;
+                }
+                if repair {
+                    let class = CallClass::repair_write(IoCause::ParityWrite);
+                    self.write_part(Part::Parity, pnode, poff, class, &acc)?;
+                    rep.repaired += 1;
+                    rep.written_elems += acc.len() as u64;
+                }
+            }
+        }
+        Ok(rep)
+    }
+
+    /// Scrubs every parity group once. See
+    /// [`scrub_group`](Self::scrub_group).
+    ///
+    /// # Errors
+    /// As [`scrub_group`](Self::scrub_group).
+    pub fn scrub(&mut self, repair: bool) -> io::Result<ScrubReport> {
+        let mut total = ScrubReport::default();
+        for j in 0..self.layout()?.groups() {
+            total.absorb(&self.scrub_group(j, repair)?);
+        }
+        Ok(total)
+    }
+
+    /// Rebuilds dead node `node`'s data and parity parts onto fresh
+    /// replacement stores (`make_data(part_len)` /
+    /// `make_parity(parity_part_len)`), reconstructing every data
+    /// stripe from its peers and recomputing every parity chunk from
+    /// its group. Replacement writes bypass the (dead) lane: they take
+    /// no lane, so they are in no lane's counters and not in the
+    /// ledger — [`ResilverReport::elems_written`] reports them.
+    ///
+    /// Does **not** revive the node in the pool: other arrays sharing
+    /// the pool may still need resilvering. Call
+    /// [`IoNodePool::revive`](crate::IoNodePool::revive) once every
+    /// array is rebuilt.
+    ///
+    /// # Errors
+    /// Missing parity lane, wrong-length replacement parts, or peer
+    /// read failures (double faults).
+    pub fn resilver(
+        &mut self,
+        node: usize,
+        make_data: impl FnOnce(u64) -> io::Result<S>,
+        make_parity: impl FnOnce(u64) -> io::Result<S>,
+    ) -> io::Result<ResilverReport> {
+        let lay = self.layout()?;
+        let _span = span("resilver", Some(node), None);
+        let dlen = part_len(self.len, lay.stripe_elems, lay.nodes, node);
+        let mut new_data = checked_part("replacement data", node, dlen, make_data(dlen)?)?;
+        let plen = lay.parity_part_len(node);
+        let mut new_parity = checked_part("replacement parity", node, plen, make_parity(plen)?)?;
+        let stripe = chunk(lay.stripe_elems);
+        let mut rep = ResilverReport::default();
+        for g in 0..lay.data_stripes() {
+            if lay.data_node(g) != node {
+                continue;
+            }
+            let mut buf = vec![0.0; chunk(lay.stripe_len(g))];
+            rep.source_elems_read +=
+                self.reconstruct_range(g, 0, &mut buf, IoCause::DegradedReconstruct)?;
+            new_data.write_run(lay.data_part_offset(g), &buf)?;
+            rep.data_stripes += 1;
+            rep.elems_written += buf.len() as u64;
+        }
+        for j in 0..lay.groups() {
+            if lay.parity_node(j) != node {
+                continue;
+            }
+            let (acc, read) = self.group_xor(j, None, 0, stripe, IoCause::DegradedReconstruct)?;
+            new_parity.write_run(lay.parity_part_offset(j), &acc)?;
+            rep.parity_chunks += 1;
+            rep.elems_written += acc.len() as u64;
+            rep.source_elems_read += read;
+        }
+        self.parts[node] = new_data;
+        self.parity.as_mut().expect("parity lane").parts[node] = new_parity;
+        Ok(rep)
+    }
+}
+
+/// A background scrubber thread walking a shared striped store's
+/// parity groups (lock taken per group, so foreground I/O interleaves
+/// freely), optionally repairing what it finds.
+#[derive(Debug)]
+pub struct OnlineScrubber {
+    stop: Arc<AtomicBool>,
+    handle: std::thread::JoinHandle<io::Result<ScrubReport>>,
+}
+
+impl OnlineScrubber {
+    /// Starts scrubbing `store` in a background thread: `passes` full
+    /// walks over all parity groups (0 = until stopped), pausing
+    /// `pace` between groups, repairing when `repair` is set.
+    #[must_use]
+    pub fn start<S: Store + Send + 'static>(
+        store: SharedStore<StripedStore<S>>,
+        repair: bool,
+        pace: Duration,
+        passes: u64,
+    ) -> Self {
+        let stop = Arc::new(AtomicBool::new(false));
+        let flag = Arc::clone(&stop);
+        let handle = std::thread::spawn(move || {
+            let Some(groups) = store.with_inner(|s| s.parity_groups()) else {
+                return Err(no_parity_error());
+            };
+            let mut total = ScrubReport::default();
+            let mut pass = 0u64;
+            'walk: while !flag.load(Ordering::Relaxed) && (passes == 0 || pass < passes) {
+                for j in 0..groups {
+                    if flag.load(Ordering::Relaxed) {
+                        break 'walk;
+                    }
+                    let rep = store.with_inner(|s| s.scrub_group(j, repair))?;
+                    total.absorb(&rep);
+                    if !pace.is_zero() {
+                        std::thread::sleep(pace);
+                    }
+                }
+                pass += 1;
+            }
+            Ok(total)
+        });
+        OnlineScrubber { stop, handle }
+    }
+
+    /// Signals the walker to stop and joins it, returning the
+    /// accumulated report.
+    ///
+    /// # Errors
+    /// A scrub error from the thread, or a generic error if it
+    /// panicked.
+    pub fn stop(self) -> io::Result<ScrubReport> {
+        self.stop.store(true, Ordering::Relaxed);
+        self.handle
+            .join()
+            .map_err(|_| io::Error::other("scrubber thread panicked"))?
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::fault::NodeFaultConfig;
+    use crate::pool::{HedgeConfig, IoNodePool, StripeConfig};
+    use crate::store::MemStore;
+    use crate::striped::tests::{pool, striped_parity};
+
+    /// XOR of every data chunk of every group equals the parity chunk.
+    fn assert_parity_consistent(s: &StripedStore<MemStore>) {
+        let lay = s.parity_layout().expect("parity layout");
+        let stripe = usize::try_from(lay.stripe_elems).expect("stripe");
+        for j in 0..lay.groups() {
+            let mut acc = vec![0.0; stripe];
+            for g in lay.stripes_of_group(j) {
+                let glen = usize::try_from(lay.stripe_len(g)).expect("stripe");
+                let mut buf = vec![0.0; glen];
+                s.parts[lay.data_node(g)]
+                    .read_run(lay.data_part_offset(g), &mut buf)
+                    .expect("data chunk");
+                xor_into(&mut acc, &buf);
+            }
+            let pnode = lay.parity_node(j);
+            let mut p = vec![0.0; stripe];
+            s.parity.as_ref().expect("parity").parts[pnode]
+                .read_run(lay.parity_part_offset(j), &mut p)
+                .expect("parity chunk");
+            assert!(bits_equal(&acc, &p), "group {j} parity consistent");
+        }
+    }
+
+    #[test]
+    fn parity_store_matches_flat_and_keeps_parity_consistent() {
+        let p = pool(4, 8);
+        let mut flat = MemStore::new(100);
+        let mut s = striped_parity(&p, 100);
+        let mut x = 1.0;
+        for (off, len) in [(0u64, 100usize), (17, 31), (90, 10), (8, 8), (95, 5)] {
+            let data: Vec<f64> = (0..len)
+                .map(|i| {
+                    x += 0.25 + i as f64;
+                    x
+                })
+                .collect();
+            flat.write_run(off, &data).expect("flat write");
+            s.write_run(off, &data).expect("parity-striped write");
+        }
+        let mut a = vec![0.0; 100];
+        let mut b = vec![0.0; 100];
+        flat.read_run(0, &mut a).expect("flat read");
+        s.read_run(0, &mut b).expect("striped read");
+        assert_eq!(a, b);
+        assert_parity_consistent(&s);
+        // Parity traffic is accounted on the repair plane only.
+        let repair = p.total_repair();
+        assert!(repair.get(IoCause::ParityWrite).write_calls > 0);
+        assert_eq!(repair.get(IoCause::DegradedReconstruct).total_calls(), 0);
+    }
+
+    #[test]
+    fn degraded_read_reconstructs_bit_equal_for_every_dead_node() {
+        let p = pool(4, 8);
+        let mut s = striped_parity(&p, 100);
+        let data: Vec<f64> = (0..100).map(|i| f64::from(i) * 1.5 - 20.0).collect();
+        s.write_run(0, &data).expect("healthy write");
+        for dead in 0..4 {
+            let before = p.snapshot()[dead].io.clone();
+            p.quarantine(dead);
+            assert_eq!(p.health(dead), NodeHealth::Down);
+            let mut buf = vec![0.0; 100];
+            s.read_run(0, &mut buf).expect("degraded read");
+            assert!(bits_equal(&buf, &data), "node {dead} dead: bit-equal");
+            // Reconstruction is repair traffic; the dead node's
+            // data-plane counters do not move.
+            assert_eq!(p.snapshot()[dead].io, before, "node {dead} io frozen");
+            assert!(
+                p.total_repair()
+                    .get(IoCause::DegradedReconstruct)
+                    .read_calls
+                    > 0
+            );
+            p.revive(dead);
+        }
+    }
+
+    #[test]
+    fn degraded_write_lands_in_parity_and_reads_back() {
+        let p = pool(3, 4);
+        let mut s = striped_parity(&p, 36);
+        let first: Vec<f64> = (0..36).map(f64::from).collect();
+        s.write_run(0, &first).expect("healthy write");
+        p.quarantine(1);
+        let second: Vec<f64> = (0..36).map(|i| f64::from(i) * -2.5).collect();
+        s.write_run(0, &second).expect("degraded write");
+        let mut buf = vec![0.0; 36];
+        s.read_run(0, &mut buf).expect("degraded read");
+        assert!(bits_equal(&buf, &second), "degraded write round-trips");
+        // The dead node's part never saw the new data.
+        let lay = s.parity_layout().expect("layout");
+        let mut stale = vec![0.0; 4];
+        s.parts[1].read_run(0, &mut stale).expect("stale chunk");
+        let g = (0..lay.data_stripes())
+            .find(|&g| lay.data_node(g) == 1)
+            .expect("stripe on node 1");
+        assert!(
+            bits_equal(&stale, &first[(g * 4) as usize..(g * 4 + 4) as usize]),
+            "dead part still holds pre-kill bits"
+        );
+    }
+
+    #[test]
+    fn resilver_rebuilds_a_replacement_node() {
+        let p = pool(4, 8);
+        let mut s = striped_parity(&p, 100);
+        let data: Vec<f64> = (0..100).map(|i| f64::from(i).sqrt()).collect();
+        s.write_run(0, &data).expect("healthy write");
+        p.quarantine(2);
+        let patch: Vec<f64> = (0..20).map(|i| f64::from(i) + 0.125).collect();
+        s.write_run(10, &patch).expect("degraded write");
+        let mut want = data.clone();
+        want[10..30].copy_from_slice(&patch);
+
+        let rep = s
+            .resilver(2, |l| Ok(MemStore::new(l)), |l| Ok(MemStore::new(l)))
+            .expect("resilver");
+        assert!(rep.data_stripes > 0);
+        assert!(rep.parity_chunks > 0);
+        assert!(rep.elems_written > 0);
+        p.revive(2);
+        assert_eq!(p.health(2), NodeHealth::Up);
+
+        let mut buf = vec![0.0; 100];
+        s.read_run(0, &mut buf).expect("post-resilver read");
+        assert!(bits_equal(&buf, &want), "resilvered store bit-equal");
+        assert_parity_consistent(&s);
+        // The revived lane serves data-plane reads again.
+        let before = p.snapshot()[2].io.read_calls;
+        let mut probe = vec![0.0; 100];
+        s.read_run(0, &mut probe).expect("probe");
+        assert!(
+            p.snapshot()[2].io.read_calls > before,
+            "lane back in service"
+        );
+    }
+
+    #[test]
+    fn hedged_read_reconstructs_past_a_straggler() {
+        let p = IoNodePool::with_faults(
+            StripeConfig {
+                nodes: 3,
+                stripe_elems: 4,
+                hedge: Some(HedgeConfig {
+                    min_ns: 1_000_000, // 1 ms floor, empty history
+                    ..HedgeConfig::default()
+                }),
+                ..StripeConfig::default()
+            },
+            NodeFaultConfig::new().slow_node(0, 60_000_000),
+        );
+        let mut s = striped_parity(&p, 24);
+        let data: Vec<f64> = (0..24).map(|i| f64::from(i) * 0.5).collect();
+        // Seed without tripping hedges: write path never hedges, and
+        // node 0's injected slowness only delays it.
+        s.write_run(0, &data).expect("write");
+        let entered = Arc::new(AtomicBool::new(false));
+        let shared = SharedStore::new(s);
+        std::thread::scope(|scope| {
+            let bg = p.clone();
+            let flag = Arc::clone(&entered);
+            scope.spawn(move || {
+                bg.execute_deadline(0, CallClass::Read, 1, None, || {
+                    flag.store(true, Ordering::SeqCst);
+                    Ok(())
+                })
+                .expect("straggling call");
+            });
+            while !entered.load(Ordering::SeqCst) {
+                std::thread::yield_now();
+            }
+            // Node 0 is busy for ~60 ms; the hedge fires after ~1 ms
+            // and retires stripe 0 against nodes 1 + parity.
+            let mut buf = vec![0.0; 4];
+            shared
+                .with_inner(|s| s.read_run(0, &mut buf))
+                .expect("hedged read");
+            assert!(bits_equal(&buf, &data[..4]), "hedged read bit-equal");
+        });
+        let repair = p.total_repair();
+        assert!(
+            repair.get(IoCause::HedgedRead).read_calls > 0,
+            "hedge accounted"
+        );
+        assert_eq!(p.snapshot()[0].timing.timeouts, 1);
+    }
+
+    #[test]
+    fn manual_mode_surfaces_discovery_then_reconstructs_known_dead() {
+        let p = IoNodePool::with_faults(
+            StripeConfig {
+                nodes: 4,
+                stripe_elems: 8,
+                ..StripeConfig::default()
+            },
+            NodeFaultConfig::new().permanent_fail_at(1, u64::MAX),
+        );
+        let mut s = striped_parity(&p, 100);
+        s.set_degraded_mode(DegradedMode::Manual);
+        assert_eq!(s.degraded_mode(), DegradedMode::Manual);
+        let data: Vec<f64> = (0..100).map(|i| f64::from(i) + 0.75).collect();
+        s.write_run(0, &data).expect("healthy write");
+        // Kill node 1 *after* seeding (schedule said never, we say now).
+        p.quarantine(1);
+        // Known-dead reconstruction works even in Manual mode...
+        let mut buf = vec![0.0; 100];
+        s.read_run(0, &mut buf).expect("known-dead read");
+        assert!(bits_equal(&buf, &data));
+        // ...but a *fresh* discovery surfaces the typed error: new pool
+        // where the node dies at its first arrival after seeding. The
+        // seed's arrival count on node 1 comes from a fault-free twin
+        // (arrivals = data + repair calls, all deterministic).
+        let twin = p.snapshot()[1].clone();
+        let seed_arrivals = twin.io.total_calls() + twin.repair.total_calls();
+        let p2 = IoNodePool::with_faults(
+            StripeConfig {
+                nodes: 4,
+                stripe_elems: 8,
+                ..StripeConfig::default()
+            },
+            NodeFaultConfig::new().permanent_fail_at(1, seed_arrivals),
+        );
+        let mut s2 = striped_parity(&p2, 100);
+        s2.set_degraded_mode(DegradedMode::Manual);
+        s2.write_run(0, &data).expect("seed within fault budget");
+        let e = s2.read_run(0, &mut buf).expect_err("discovery surfaces");
+        assert!(is_node_down(&e), "typed NodeDown, got {e}");
+        // After discovery the node is marked down; reads degrade.
+        assert_eq!(p2.health(1), NodeHealth::Down);
+        s2.read_run(0, &mut buf)
+            .expect("degraded read after discovery");
+        assert!(bits_equal(&buf, &data));
+    }
+
+    #[test]
+    fn scrub_verifies_detects_and_repairs() {
+        let p = pool(3, 4);
+        let mut s = striped_parity(&p, 36);
+        let data: Vec<f64> = (0..36).map(|i| f64::from(i) * 3.25).collect();
+        s.write_run(0, &data).expect("write");
+        let clean = s.scrub(false).expect("clean scrub");
+        assert_eq!(clean.groups, s.parity_groups().expect("groups"));
+        assert_eq!(clean.clean, clean.groups);
+        assert_eq!(clean.parity_mismatch, 0);
+        assert_eq!(clean.repaired, 0);
+        assert!(clean.read_elems > 0);
+
+        // Stale parity: overwrite group 0's parity chunk behind the
+        // store's back.
+        let lay = s.parity_layout().expect("layout");
+        let pnode = lay.parity_node(0);
+        s.parity.as_mut().expect("parity").parts[pnode]
+            .write_run(lay.parity_part_offset(0), &[9.0, 9.0, 9.0, 9.0])
+            .expect("corrupt parity");
+        let found = s.scrub(false).expect("detect scrub");
+        assert_eq!(found.parity_mismatch, 1);
+        assert_eq!(found.repaired, 0, "verify-only leaves it stale");
+        let fixed = s.scrub(true).expect("repair scrub");
+        assert_eq!(fixed.parity_mismatch, 1);
+        assert_eq!(fixed.repaired, 1);
+        assert!(fixed.written_elems > 0);
+        assert_parity_consistent(&s);
+        // Redundancy is whole again: degraded reads are bit-equal.
+        p.quarantine(lay.data_node(0));
+        let mut buf = vec![0.0; 36];
+        s.read_run(0, &mut buf).expect("degraded read");
+        assert!(bits_equal(&buf, &data));
+        // Scrub skips degraded groups rather than "repairing" them.
+        p.quarantine(lay.data_node(0));
+        let degraded = s.scrub(true).expect("degraded scrub");
+        assert!(degraded.skipped > 0);
+        assert_eq!(degraded.unrecoverable, 0);
+    }
+
+    #[test]
+    fn online_scrubber_walks_in_the_background() {
+        let p = pool(3, 4);
+        let mut s = striped_parity(&p, 48);
+        let data: Vec<f64> = (0..48).map(|i| f64::from(i) - 7.5).collect();
+        s.write_run(0, &data).expect("write");
+        let shared = SharedStore::new(s);
+        let scrubber = OnlineScrubber::start(shared.clone(), true, Duration::ZERO, 2);
+        // Foreground I/O interleaves with the walker: at least 20
+        // reads, and on until the walker has booked its first group
+        // (it may be scheduled late) or has plainly failed to.
+        let scrubbed = || p.total_repair().get(IoCause::ScrubRead).read_calls > 0;
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        let mut reads = 0;
+        while reads < 20 || (!scrubbed() && std::time::Instant::now() < deadline) {
+            reads += 1;
+            let mut buf = vec![0.0; 48];
+            shared
+                .with_inner(|s| s.read_run(0, &mut buf))
+                .expect("read");
+            assert!(bits_equal(&buf, &data));
+        }
+        let rep = scrubber.stop().expect("scrubber result");
+        assert!(rep.groups > 0, "walker visited groups");
+        assert_eq!(rep.unrecoverable, 0);
+        assert!(scrubbed());
+    }
+
+    /// The group-XOR primitive against brute force: every element of
+    /// the group read through the flat image, for every
+    /// `(group, skip, within, len)` of a store with a short last
+    /// stripe — the accumulator, the elements it returns, and the
+    /// calls and elements the lanes (and the ledger) counted for it.
+    #[test]
+    fn group_xor_matches_the_flat_image_oracle() {
+        let (stripe, len) = (4u64, 23u64);
+        let p = pool(3, stripe);
+        let rec = crate::LedgerRecorder::new();
+        let mut s = striped_parity(&p, len).with_ledger(rec.clone(), 0);
+        let image: Vec<f64> = (0..len).map(|i| (i as f64).sqrt() - 2.5).collect();
+        s.write_run(0, &image).expect("seed");
+        let lay = s.parity_layout().expect("layout");
+        // A cause nothing else in this test emits, so deltas are exact.
+        let cause = IoCause::ScrubRead;
+        for j in 0..lay.groups() {
+            for skip in std::iter::once(None).chain(lay.stripes_of_group(j).map(Some)) {
+                for within in 0..stripe {
+                    for n in 1..=chunk(stripe - within) {
+                        let mut want = vec![0u64; n];
+                        let (mut calls, mut elems) = (0u64, 0u64);
+                        for g in lay.stripes_of_group(j).filter(|&g| Some(g) != skip) {
+                            let first = g * stripe + within;
+                            let live = (first..first + n as u64).filter(|&o| o < len);
+                            for (w, o) in want.iter_mut().zip(live.clone()) {
+                                *w ^= image[chunk(o)].to_bits();
+                            }
+                            calls += u64::from(live.clone().count() > 0);
+                            elems += live.count() as u64;
+                        }
+                        let before = p.total_repair().get(cause);
+                        let (acc, read) = s.group_xor(j, skip, within, n, cause).expect("xor");
+                        let after = p.total_repair().get(cause);
+                        let got: Vec<u64> = acc.iter().map(|x| x.to_bits()).collect();
+                        let case = format!("group {j} skip {skip:?} within {within} len {n}");
+                        assert_eq!(got, want, "{case}");
+                        assert_eq!(read, elems, "{case}");
+                        assert_eq!(after.read_calls - before.read_calls, calls, "{case}");
+                        assert_eq!(after.read_elems - before.read_elems, elems, "{case}");
+                    }
+                }
+            }
+        }
+        let lanes = p.total_repair().get(cause);
+        assert_eq!(
+            rec.snapshot().repair.get(&(0, cause)),
+            Some(&(lanes.read_calls, lanes.read_elems))
+        );
+    }
+}

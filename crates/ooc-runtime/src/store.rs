@@ -130,7 +130,7 @@ impl Store for MemStore {
     }
 }
 
-fn range_err() -> io::Error {
+pub(crate) fn range_err() -> io::Error {
     io::Error::new(io::ErrorKind::InvalidInput, "run out of store range")
 }
 

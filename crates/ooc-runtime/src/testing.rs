@@ -3,8 +3,9 @@
 //! equivalent in-memory or on-disk stores, so differential tests can
 //! run the same program against both and compare measured I/O.
 
+use crate::pool::IoNodePool;
 use crate::store::{FileStore, MemStore, Store};
-use crate::striped::{IoNodePool, StripedStore};
+use crate::striped::StripedStore;
 use crate::trace::{TraceHandle, TracingStore};
 use std::io;
 use std::path::{Path, PathBuf};

@@ -131,7 +131,10 @@ impl MeasuredIo {
         parts.join(" ")
     }
 
-    fn record(&mut self, offset: u64, len: u64, is_write: bool, last_end: &mut Option<u64>) {
+    /// Counts one successful call of `len` elements: calls, volume
+    /// and run-length bucket, no seek tracking (the per-node lanes of
+    /// an [`IoNodePool`](crate::IoNodePool) interleave many arrays).
+    pub(crate) fn count(&mut self, len: u64, is_write: bool) {
         if is_write {
             self.write_calls += 1;
             self.write_elems += len;
@@ -139,6 +142,11 @@ impl MeasuredIo {
             self.read_calls += 1;
             self.read_elems += len;
         }
+        self.run_hist[Self::bucket_of(len)] += 1;
+    }
+
+    fn record(&mut self, offset: u64, len: u64, is_write: bool, last_end: &mut Option<u64>) {
+        self.count(len, is_write);
         if let Some(end) = *last_end {
             let gap = end.abs_diff(offset);
             if gap > 0 {
@@ -147,7 +155,6 @@ impl MeasuredIo {
             }
         }
         *last_end = Some(offset + len);
-        self.run_hist[Self::bucket_of(len)] += 1;
     }
 }
 

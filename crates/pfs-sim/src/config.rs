@@ -48,8 +48,18 @@ impl DiskParams {
     /// plus streaming time, with every call occupying the disk for at
     /// least the minimum transfer. This is the bulk form of
     /// [`price_sequence`](crate::pricing::price_sequence)'s per-call
-    /// model, used to price provenance-ledger cause buckets where
-    /// only aggregate `(calls, bytes)` per bucket are known.
+    /// model, used wherever only aggregate `(calls, bytes)` are known:
+    /// the simulator's per-node service time
+    /// ([`PfsSim`](crate::PfsSim)), a measured node load
+    /// ([`NodeLoad::seconds`](crate::NodeLoad::seconds))
+    /// and provenance-ledger cause buckets. Two neighbours look alike
+    /// and are deliberately *not* this function, because they
+    /// associate differently and so round differently:
+    /// [`op_io_seconds`](crate::pipeline::op_io_seconds) folds the
+    /// processor's issue overhead into the per-call term and streams
+    /// at the slower of link and disk, and
+    /// [`price_sequence`](crate::pricing::price_sequence) floors and
+    /// sums call by call.
     #[must_use]
     pub fn bulk_seconds(&self, calls: u64, bytes: u64) -> f64 {
         let floored = bytes.max(calls.saturating_mul(self.min_transfer_bytes));

@@ -28,14 +28,11 @@ pub struct NodeLoad {
 }
 
 impl NodeLoad {
-    /// Seconds this load occupies its node under `disk`: the fixed
-    /// overhead per call plus transfer time, with the minimum-transfer
-    /// floor applied per call in aggregate (`calls *
-    /// min_transfer_bytes` when the payload is smaller).
+    /// Seconds this load occupies its node under `disk`:
+    /// [`DiskParams::bulk_seconds`] of its calls and bytes.
     #[must_use]
     pub fn seconds(&self, disk: &DiskParams) -> f64 {
-        let floored = self.bytes.max(self.calls * disk.min_transfer_bytes);
-        self.calls as f64 * disk.call_overhead_s + floored as f64 / disk.bandwidth_bps
+        disk.bulk_seconds(self.calls, self.bytes)
     }
 }
 

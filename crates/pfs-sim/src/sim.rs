@@ -340,9 +340,7 @@ impl PfsSim {
                     for (node, ncalls, nbytes) in self.node_shares(offset, span, bytes, calls) {
                         // Each call occupies the disk for at least one
                         // block of transfer (sector/stripe granularity).
-                        let nbytes_eff = nbytes.max(ncalls * disk.min_transfer_bytes);
-                        let service = ncalls as f64 * disk.call_overhead_s
-                            + nbytes_eff as f64 / disk.bandwidth_bps;
+                        let service = disk.bulk_seconds(ncalls, nbytes);
                         let start = node_busy_until[node].max(t_issued);
                         node_busy_until[node] = start + service;
                         node_busy[node] += service;
