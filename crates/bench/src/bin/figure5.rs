@@ -81,9 +81,9 @@ fn main() {
     }
     recovery_register(metrics.registry(), &demo);
 
-    // (b) The pipelined durable executor: journaled write-behind with a
-    // durability fence, crashed and recovered.
-    println!("\n(b) pipelined durable executor (write-behind journaling + fence):");
+    // (b) The pipelined durable executor: journaled write-behind,
+    // crashed and recovered.
+    println!("\n(b) pipelined durable executor (journaled write-behind):");
     let cv = compile(&k, Version::COpt);
     let dur = DurabilityConfig::default();
     let pcfg = PipelineConfig {

@@ -22,8 +22,8 @@
 
 use ooc_analyze::{diff_ledgers, LedgerDiff};
 use ooc_core::{
-    max_intents_per_interval, parse_manifest, run_parallel_surviving_node_loss, DurabilityConfig,
-    FunctionalConfig, NodeLossOutcome, ParallelConfig, PipelineConfig, StripedMedium,
+    max_intents_per_interval, run_parallel_surviving_node_loss, DurabilityConfig, FunctionalConfig,
+    NodeLossOutcome, ParallelConfig, PipelineConfig, StripedMedium,
 };
 use ooc_kernels::{compile, kernel_by_name, Kernel, Version};
 use ooc_metrics::Registry;
@@ -178,7 +178,7 @@ pub fn run_degraded_demo(kernel: &str, kill_node: Option<usize>) -> DegradedDemo
     let disk = DiskParams::default();
 
     // Fault-free twin: expected bits, healthy loads, arrival counts,
-    // and the journal/manifest that bound replay.
+    // and the journal that bounds replay.
     let (healthy, healthy_medium, healthy_ledger) =
         run_survival(&k, &cv.tiled, NodeFaultConfig::new(), "c-opt-healthy");
     assert!(healthy.loss.nodes_lost.is_empty());
@@ -191,10 +191,7 @@ pub fn run_degraded_demo(kernel: &str, kill_node: Option<usize>) -> DegradedDemo
         .iter()
         .map(|n| n.io.total_calls() + n.repair.total_calls())
         .collect();
-    let bound = max_intents_per_interval(
-        &parse_journal(&healthy_medium.journal_bytes()),
-        &parse_manifest(&healthy_medium.manifest_bytes()).watermarks(),
-    );
+    let bound = max_intents_per_interval(&parse_journal(&healthy_medium.journal_bytes()));
 
     let targets: Vec<usize> = match kill_node {
         Some(n) => {

@@ -13,9 +13,8 @@
 //! executor is single-threaded and fault replay is seeded.
 
 use ooc_core::{
-    max_intents_per_interval, parse_manifest, resume_functional, run_functional_durable,
-    DurabilityConfig, DurableMedium, DurableOutcome, DurableStore, FunctionalConfig, MemMedium,
-    RecoveryReport,
+    max_intents_per_interval, resume_functional, run_functional_durable, DurabilityConfig,
+    DurableMedium, DurableOutcome, DurableStore, FunctionalConfig, MemMedium, RecoveryReport,
 };
 use ooc_ir::ArrayId;
 use ooc_kernels::{compile, kernel_by_name, Kernel, Version};
@@ -128,10 +127,7 @@ fn run_one_interval(
         .map(|h| h.as_ref().expect("wrapped").calls())
         .collect();
     let target = (0..calls.len()).max_by_key(|&a| calls[a]).unwrap_or(0);
-    let bound = max_intents_per_interval(
-        &parse_journal(&base.journal_bytes()),
-        &parse_manifest(&base.manifest_bytes()).watermarks(),
-    );
+    let bound = max_intents_per_interval(&parse_journal(&base.journal_bytes()));
     let full_elems = total_elems(&baseline);
 
     for i in 1..=crashes {

@@ -15,8 +15,8 @@
 use ooc_bench::measured::measured_seed;
 use ooc_bench::{DEGRADED_KERNELS, DEGRADED_NODES, DEGRADED_STRIPE_ELEMS};
 use ooc_core::{
-    max_intents_per_interval, parse_manifest, run_parallel_surviving_node_loss, DurabilityConfig,
-    FunctionalConfig, NodeLossOutcome, ParallelConfig, PipelineConfig, StripedMedium,
+    max_intents_per_interval, run_parallel_surviving_node_loss, DurabilityConfig, FunctionalConfig,
+    NodeLossOutcome, ParallelConfig, PipelineConfig, StripedMedium,
 };
 use ooc_kernels::{compile, kernel_by_name, Kernel, Version};
 use ooc_runtime::{
@@ -108,10 +108,7 @@ fn every_version_survives_any_single_node_loss_bit_equal() {
             assert_eq!(healthy.loss.resumes, 0, "{kernel} {stamp}");
             assert_conserves(&k, version, &stamp, &ledger, &healthy);
             let expected = healthy.outcome.run.run.data;
-            let bound = max_intents_per_interval(
-                &parse_journal(&medium.journal_bytes()),
-                &parse_manifest(&medium.manifest_bytes()).watermarks(),
-            );
+            let bound = max_intents_per_interval(&parse_journal(&medium.journal_bytes()));
             let arrivals: Vec<u64> = healthy
                 .loss
                 .node_stats

@@ -568,37 +568,23 @@ pub(crate) fn record_write_back<S: Store>(
     rec.record(event(tracker.classify_write(array, region)));
 }
 
-/// The data half of the journal protocol: pre-image read → intent →
-/// data write. Returns the intent's sequence; the caller commits it
-/// once the write counts as settled (at once on a synchronous path,
-/// from the durability fence behind a write-behind queue).
-pub(crate) fn journaled_write<S: Store>(
-    arr: &mut OocArray<S>,
-    journal: &SharedJournal,
-    array: u32,
-    tile: &Tile,
-) -> io::Result<u64> {
-    let pre = arr.read_tile(tile.region())?;
-    let seq = journal.intent(array, tile.region(), tile.data(), pre.data())?;
-    arr.write_tile(tile)?;
-    Ok(seq)
-}
-
 /// Writes `tile` back on the calling thread — through the journal
-/// protocol (intent → write → commit) when `journal` is set.
+/// protocol (pre-image read → intent → data write → commit) when
+/// `journal` is set. Every write path uses it: the synchronous walk,
+/// the step engine's main thread and the write-behind writer.
 pub(crate) fn write_tile_through<S: Store>(
     arr: &mut OocArray<S>,
     journal: Option<&SharedJournal>,
     array: u32,
     tile: &Tile,
 ) -> io::Result<()> {
-    match journal {
-        Some(journal) => {
-            let seq = journaled_write(arr, journal, array, tile)?;
-            journal.commit(seq)
-        }
-        None => arr.write_tile(tile),
-    }
+    let Some(journal) = journal else {
+        return arr.write_tile(tile);
+    };
+    let pre = arr.read_tile(tile.region())?;
+    let seq = journal.intent(array, tile.region(), tile.data(), pre.data())?;
+    arr.write_tile(tile)?;
+    journal.commit(seq)
 }
 
 /// The synchronous reference walk: one tile per staging slot, staged

@@ -32,8 +32,8 @@
 //!    prefetch, a Belady-informed tile cache, and write-behind over
 //!    the schedules the tiling pass fixes statically.
 //! 10. [`recovery`] — crash-consistent execution: per-tile-region
-//!     checksums, a write intent journal, checkpoint manifests at
-//!     tile-row boundaries, and checkpoint/restart that recovers a
+//!     checksums, one write intent journal that also carries the
+//!     tile-row checkpoints, and checkpoint/restart that recovers a
 //!     crashed run bit-equal to an uninterrupted one.
 //! 11. [`parallel`] — the measured multi-node executor: nests
 //!     partitioned by tile-walk ownership at their communication-free
@@ -107,11 +107,11 @@ pub use parallel::{exec_parallel, ParallelConfig, ParallelRun, PartitionSummary}
 pub use pipeline::{exec_pipelined, extract_schedule, PipelineConfig, PipelinedRun};
 pub use plan::{ownership_level, plan_nest, NestPlan, PlanEnv};
 pub use recovery::{
-    exec_parallel_durable, exec_pipelined_durable, max_intents_per_interval, parse_manifest,
-    resume_functional, resume_parallel, resume_pipelined, run_functional_durable,
-    run_parallel_surviving_node_loss, Boundary, DirMedium, DurabilityConfig, DurableMedium,
-    DurableOutcome, DurableStore, ManifestRecord, ManifestScan, MemMedium, NodeLossOutcome,
-    NodeLossReport, ParallelDurableOutcome, PipelinedDurableOutcome, RecoveryReport, StripedMedium,
+    exec_parallel_durable, exec_pipelined_durable, max_intents_per_interval, resume_functional,
+    resume_parallel, resume_pipelined, run_functional_durable, run_parallel_surviving_node_loss,
+    DirMedium, DurabilityConfig, DurableMedium, DurableOutcome, DurableStore, MemMedium,
+    NodeLossOutcome, NodeLossReport, ParallelDurableOutcome, PipelinedDurableOutcome,
+    RecoveryReport, StripedMedium,
 };
 pub use report::{optimization_report, IoComparison, NestReport, OptimizationReport, RefReport};
 pub use storage::{bounding_box, reduce_storage, StorageReduction};

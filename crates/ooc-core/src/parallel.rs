@@ -54,9 +54,9 @@
 //!
 //! # Durability
 //!
-//! A durable parallel run reuses the journal/fence/manifest protocol
-//! wholesale: every worker's write-behind sink journals intents
-//! against the shared session and commits them through its own fence.
+//! A durable parallel run reuses the journal protocol wholesale: every
+//! worker's write path — its main thread and its write-behind sink —
+//! runs intent → write → commit against the shared session's one log.
 //! Multi-shard nests checkpoint at **iteration barriers** (all shards
 //! joined, all queues flushed) with the serial watermark
 //! `(it + 1) * steps_per_iteration`; serial nests checkpoint at
@@ -81,8 +81,7 @@
 
 use crate::exec::{plan_walk, ArrayProfile, FunctionalRun};
 use crate::pipeline::{
-    nest_schedule, setup_run, worker_handles, DurableHooks, NestRun, PipelineConfig, RunSetup,
-    ShardWorker,
+    nest_schedule, setup_run, worker_handles, NestRun, PipelineConfig, RunSetup, ShardWorker,
 };
 use crate::recovery::{DurableNames, DurableSession};
 use crate::tiling::TiledProgram;
@@ -91,7 +90,6 @@ use ooc_runtime::{IoStats, Store};
 use ooc_sched::{partition_nest_checked, PipelineStats};
 use std::collections::BTreeMap;
 use std::io;
-use std::sync::Arc;
 
 /// Configuration of the parallel executor: the per-shard pipeline
 /// settings plus the number of worker shards.
@@ -252,17 +250,10 @@ pub(crate) fn exec_sharded<S: Store + Send + 'static>(
     } = setup_run(&env, init, pcfg, &mut make_store, &mut dur)?;
 
     // One ShardWorker per shard, each with its own array handles,
-    // prefetch pool, write-behind queue, and durability fence.
+    // prefetch pool and write-behind queue.
     let mk_arrays = || worker_handles(&env, &shared, pcfg);
     let mut workers: Vec<ShardWorker<S>> = (0..shards)
-        .map(|_| {
-            let hooks = dur.as_ref().map(|d| DurableHooks {
-                journal: d.journal.clone(),
-                pending: Arc::clone(&d.pending),
-                fence: d.fence(),
-            });
-            ShardWorker::build(&mk_arrays, pcfg, hooks)
-        })
+        .map(|_| ShardWorker::build(&mk_arrays, pcfg, dur.as_ref().map(|d| d.journal.clone())))
         .collect();
 
     let mut partitions: Vec<PartitionSummary> = Vec::new();
@@ -387,7 +378,7 @@ pub(crate) fn exec_sharded<S: Store + Send + 'static>(
                 })?;
                 if let Some(d) = dur.as_deref_mut() {
                     // Iteration barrier: every shard retired its
-                    // written tiles at its local iteration end; fence
+                    // written tiles at its local iteration end; flush
                     // every queue, then record the serial watermark.
                     let _ckpt =
                         ooc_trace::enabled().then(|| ooc_trace::span("durable", "checkpoint"));

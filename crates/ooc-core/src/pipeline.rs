@@ -42,8 +42,7 @@
 //! and "stalled" buckets of [`PipelineStats`].
 
 use crate::exec::{
-    journaled_write, plan_walk, record_read, record_write_back, write_tile_through,
-    FunctionalConfig, FunctionalRun,
+    plan_walk, record_read, record_write_back, write_tile_through, FunctionalConfig, FunctionalRun,
 };
 use crate::kernel::TileKernel;
 use crate::parallel::{exec_sharded, ParallelConfig, ParallelRun, PIPELINED};
@@ -61,7 +60,6 @@ use ooc_sched::{
 };
 use std::collections::BTreeMap;
 use std::io;
-use std::sync::{Arc, Mutex};
 
 /// Configuration of the pipelined executor.
 #[derive(Debug, Clone)]
@@ -224,41 +222,20 @@ impl<S: Store + Send> TileSource for SharedTileSource<S> {
     }
 }
 
-/// The write-behind thread's view of the arrays.
+/// The write-behind thread's view of the arrays. A durable run's sink
+/// carries the journal and writes through the same protocol as the
+/// main thread (intent → write → commit), so a tile's commit record is
+/// in the log before the queue reports the tile settled.
 struct SharedTileSink<S: Store> {
     arrays: Vec<OocArray<SharedStore<S>>>,
+    journal: Option<SharedJournal>,
 }
 
 impl<S: Store + Send> TileSink for SharedTileSink<S> {
     fn store(&mut self, id: &TileId, tile: &Tile) -> io::Result<IoStats> {
         let arr = &mut self.arrays[id.key.array as usize];
         arr.reset_stats();
-        arr.write_tile(tile)?;
-        Ok(arr.stats())
-    }
-}
-
-/// The write-behind sink of a *durable* run: journal the tile's write
-/// intent (with a pre-image read) before the data write, and park the
-/// intent sequence for the durability fence to commit once the tile
-/// settles.
-struct DurableSink<S: Store> {
-    arrays: Vec<OocArray<SharedStore<S>>>,
-    journal: SharedJournal,
-    pending: Arc<Mutex<BTreeMap<TileId, Vec<u64>>>>,
-}
-
-impl<S: Store + Send> TileSink for DurableSink<S> {
-    fn store(&mut self, id: &TileId, tile: &Tile) -> io::Result<IoStats> {
-        let arr = &mut self.arrays[id.key.array as usize];
-        arr.reset_stats();
-        let seq = journaled_write(arr, &self.journal, id.key.array, tile)?;
-        self.pending
-            .lock()
-            .expect("pending intents")
-            .entry(id.clone())
-            .or_default()
-            .push(seq);
+        write_tile_through(arr, self.journal.as_ref(), id.key.array, tile)?;
         Ok(arr.stats())
     }
 }
@@ -273,9 +250,8 @@ fn dense_slot(kernel: &TileKernel, id: &TileId) -> io::Result<usize> {
 }
 
 /// Retires worker `w`'s dirty `tile` at step `at`: enqueues it on the
-/// write-behind queue (whose sink journals durable runs), or writes
-/// it on the main thread — through the journal protocol when the
-/// worker carries a journal.
+/// write-behind queue, or writes it on the main thread — either way
+/// through the journal protocol when the worker carries a journal.
 ///
 /// Provenance: the retirement is recorded *here* — write-behind
 /// aggregates per array only, so retire time is the last point the
@@ -288,7 +264,7 @@ fn retire<S: Store + Send + 'static>(
 ) -> io::Result<()> {
     let a = id.key.array;
     let arr = &mut w.arrays[a as usize];
-    let journaled = w.sync_journal.is_some();
+    let journaled = w.journal.is_some();
     let ledger = w.ledger.as_ref();
     record_write_back(ledger, &mut w.tracker, arr, a, tile.region(), journaled, at);
     if ledger.is_some() {
@@ -304,7 +280,7 @@ fn retire<S: Store + Send + 'static>(
         }
         None => {
             let _sync = ooc_trace::enabled().then(|| ooc_trace::span("pipeline", "sync-write"));
-            write_tile_through(arr, w.sync_journal.as_ref(), a, &tile)
+            write_tile_through(arr, w.journal.as_ref(), a, &tile)
         }
     }
 }
@@ -412,15 +388,6 @@ fn stage_sync<S: Store + Send + 'static>(
     Ok(t)
 }
 
-/// The durability plumbing one executor thread's write path needs,
-/// cloned off a `DurableSession` (the fence is per-worker: each
-/// write-behind queue commits its own tiles' intents).
-pub(crate) struct DurableHooks {
-    pub(crate) journal: SharedJournal,
-    pub(crate) pending: Arc<Mutex<BTreeMap<TileId, Vec<u64>>>>,
-    pub(crate) fence: Box<dyn ooc_sched::DurabilityFence>,
-}
-
 /// One executor thread's private pipeline machinery: its own array
 /// handles over the shared stores, its own prefetch pool and
 /// write-behind queue, and its own counters. The driver builds one
@@ -430,7 +397,7 @@ pub(crate) struct ShardWorker<S: Store + Send + 'static> {
     pub(crate) arrays: Vec<OocArray<SharedStore<S>>>,
     pub(crate) pool: Option<PrefetchPool>,
     pub(crate) wb: Option<WriteBehind>,
-    pub(crate) sync_journal: Option<SharedJournal>,
+    pub(crate) journal: Option<SharedJournal>,
     pub(crate) stats: PipelineStats,
     pub(crate) prefetch_stats: BTreeMap<u32, IoStats>,
     /// Steps executed while driven without a durable session (the
@@ -447,11 +414,11 @@ impl<S: Store + Send + 'static> ShardWorker<S> {
     /// Builds a worker from fresh array handles produced by
     /// `mk_arrays` (one set for the worker itself, one per prefetch
     /// source, one for the write-behind sink), with the durable write
-    /// path when `hooks` is given.
+    /// path when `journal` is given.
     pub(crate) fn build(
         mk_arrays: &dyn Fn() -> Vec<OocArray<SharedStore<S>>>,
         cfg: &PipelineConfig,
-        hooks: Option<DurableHooks>,
+        journal: Option<SharedJournal>,
     ) -> Self {
         let pool = (cfg.workers > 0 && cfg.prefetch_depth > 0).then(|| {
             PrefetchPool::new(
@@ -464,35 +431,17 @@ impl<S: Store + Send + 'static> ShardWorker<S> {
                     .collect(),
             )
         });
-        let (wb, sync_journal) = match hooks {
-            Some(h) => {
-                let journal = h.journal.clone();
-                let wb = cfg.write_behind.then(|| {
-                    WriteBehind::with_fence(
-                        Box::new(DurableSink {
-                            arrays: mk_arrays(),
-                            journal: h.journal,
-                            pending: h.pending,
-                        }),
-                        Some(h.fence),
-                    )
-                });
-                (wb, Some(journal))
-            }
-            None => (
-                cfg.write_behind.then(|| {
-                    WriteBehind::new(Box::new(SharedTileSink {
-                        arrays: mk_arrays(),
-                    }))
-                }),
-                None,
-            ),
-        };
+        let wb = cfg.write_behind.then(|| {
+            WriteBehind::new(Box::new(SharedTileSink {
+                arrays: mk_arrays(),
+                journal: journal.clone(),
+            }))
+        });
         ShardWorker {
             arrays: mk_arrays(),
             pool,
             wb,
-            sync_journal,
+            journal,
             stats: PipelineStats::default(),
             prefetch_stats: BTreeMap::new(),
             executed_steps: 0,
@@ -616,7 +565,7 @@ impl<'a> NestRun<'a> {
 
         // Periodic durability checkpoint at tile-row boundaries:
         // drain resident written tiles through the journaled write
-        // path, fence the queue, then append the manifest record.
+        // path, flush the queue, then append the checkpoint record.
         if self.row_start[s] && g > self.start_g {
             self.rows_done += 1;
             if let Some(d) = dur.as_deref_mut() {
@@ -755,8 +704,8 @@ impl<'a> NestRun<'a> {
             if stale {
                 if let Some(old) = self.written_tiles.remove(&key) {
                     // Retire under the *old* tile's identity: the
-                    // queue's RAW fence and the durable sink's journal
-                    // intent must name the region actually written,
+                    // queue's RAW fence and the sink's journal intent
+                    // must name the region actually written,
                     // not this step's new region.
                     let old_id = TileId {
                         key: id.key,

@@ -6,14 +6,15 @@
 //! writes included) sit **under** the checksum layer, so a partial
 //! write leaves a stale CRC that the next read reports as a typed
 //! corrupt-read error. Every tile write-back follows the journal
-//! protocol (intent → write → commit), and the walk appends a
-//! [`CheckpointManifest`](parse_manifest) record at tile-row and
-//! iteration boundaries after durably flushing all resident written
-//! tiles.
+//! protocol (intent → write → commit) on whichever thread writes the
+//! tile back, and the walk appends a checkpoint record to the same log
+//! at tile-row, iteration and nest boundaries after durably flushing
+//! all resident written tiles (the log's grammar is in
+//! [`ooc_runtime::journal`]).
 //!
 //! There is one durable driver, `run_durable`: it opens a
-//! `DurableSession` — fresh, or resumed from the last consistent
-//! manifest boundary — builds the store stack, and hands both to
+//! `DurableSession` — fresh, or resumed from the log's last consistent
+//! boundary — builds the store stack, and hands both to
 //! whichever walk the entry point names: the synchronous reference
 //! walk ([`run_functional_durable`] / [`resume_functional`]) or the
 //! step engine at one shard ([`exec_pipelined_durable`] /
@@ -25,17 +26,6 @@
 //! asserts: a crashed-then-recovered run is **bit-equal** to an
 //! uninterrupted run, and the re-executed work is bounded by one
 //! checkpoint interval.
-//!
-//! The manifest is an append-only text log like the journal, with a
-//! torn-tail-tolerant parser:
-//!
-//! ```text
-//! S <watermark>            seeding completed
-//! K <nest> <step> <watermark>   <step> steps of <nest> are durable
-//! ```
-//!
-//! `K nest+1 0 w` marks a nest fully done; `K nests.len() 0 w` marks
-//! the whole program done (resume then only re-reads the final dump).
 
 use crate::exec::{walk_sync, FunctionalConfig, FunctionalRun};
 use crate::parallel::{exec_sharded, Engine, ParallelConfig, ParallelRun, PARALLEL, PIPELINED};
@@ -44,17 +34,15 @@ use crate::tiling::TiledProgram;
 use ooc_ir::ArrayId;
 use ooc_metrics::Registry;
 use ooc_runtime::{
-    is_corrupt, node_down, parse_journal, rollback, ChecksumHandle, ChecksummedStore, DegradedMode,
-    FaultConfig, FaultHandle, FaultStore, FileLog, FileStore, IoCause, IoNodePool, Journal,
-    JournalScan, LedgerEvent, LedgerRecorder, LogStore, MemLog, MemStore, NodeFaultConfig,
-    NodeHealth, OocArray, RepairIo, ScrubReport, SharedJournal, SharedStore, Store, StripeConfig,
-    StripedStore, Tile, WriteIntent,
+    is_corrupt, node_down, parse_journal, rollback, Boundary, ChecksumHandle, ChecksummedStore,
+    DegradedMode, FaultConfig, FaultHandle, FaultStore, FileLog, FileStore, IoCause, IoNodePool,
+    Journal, JournalScan, LedgerEvent, LedgerRecorder, LogStore, MemLog, MemStore, NodeFaultConfig,
+    NodeHealth, OocArray, Region, RepairIo, ScrubReport, SharedJournal, SharedStore, Store,
+    StripeConfig, StripedStore, Tile, WriteIntent,
 };
-use ooc_sched::{DurabilityFence, TileId};
 use std::collections::BTreeMap;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
 
 /// Durability knobs of a crash-consistent run.
 #[derive(Debug, Clone, Copy)]
@@ -92,9 +80,9 @@ impl DurabilityConfig {
 pub type DurableStore = ChecksummedStore<Box<dyn Store + Send>, Box<dyn Store + Send>>;
 
 /// Where a durable run keeps its persistent state: per-array data and
-/// sidecar stores plus the journal and manifest logs. Repeated calls
-/// for the same array/log must return handles onto the **same**
-/// backing bytes, so a "crashed" run's state survives into recovery.
+/// sidecar stores plus the one journal log. Repeated calls for the
+/// same array/log must return handles onto the **same** backing bytes,
+/// so a "crashed" run's state survives into recovery.
 pub trait DurableMedium {
     /// The data store of array `a` (`len` elements).
     ///
@@ -108,17 +96,11 @@ pub trait DurableMedium {
     /// Propagates store construction errors.
     fn sidecar(&mut self, a: usize, name: &str, len: u64) -> io::Result<Box<dyn Store + Send>>;
 
-    /// The write intent journal log.
+    /// The journal log: write intents, commits and checkpoints.
     ///
     /// # Errors
     /// Propagates log construction errors.
     fn journal(&mut self) -> io::Result<Box<dyn LogStore>>;
-
-    /// The checkpoint manifest log.
-    ///
-    /// # Errors
-    /// Propagates log construction errors.
-    fn manifest(&mut self) -> io::Result<Box<dyn LogStore>>;
 }
 
 /// An in-memory [`DurableMedium`] for tests: stores and logs are
@@ -129,7 +111,6 @@ pub struct MemMedium {
     data: BTreeMap<usize, SharedStore<MemStore>>,
     sidecars: BTreeMap<usize, SharedStore<MemStore>>,
     journal: MemLog,
-    manifest: MemLog,
 }
 
 impl MemMedium {
@@ -143,12 +124,6 @@ impl MemMedium {
     #[must_use]
     pub fn journal_bytes(&self) -> Vec<u8> {
         self.journal.snapshot()
-    }
-
-    /// The raw manifest bytes (test plumbing).
-    #[must_use]
-    pub fn manifest_bytes(&self) -> Vec<u8> {
-        self.manifest.snapshot()
     }
 }
 
@@ -174,22 +149,19 @@ impl DurableMedium for MemMedium {
     fn journal(&mut self) -> io::Result<Box<dyn LogStore>> {
         Ok(Box::new(self.journal.clone()))
     }
-
-    fn manifest(&mut self) -> io::Result<Box<dyn LogStore>> {
-        Ok(Box::new(self.manifest.clone()))
-    }
 }
 
 /// A directory-backed [`DurableMedium`]: `<name>.dat` / `<name>.crc`
-/// files per array plus `journal.log` and `manifest.log`. Existing
-/// files are reopened, so state persists across real process crashes.
+/// files per array plus `journal.log`. Existing files are reopened, so
+/// state persists across real process crashes; one whose length is not
+/// the array's is an `InvalidData` error, not a reshaped array.
 ///
 /// Durability scope: by default nothing is fsynced, so the crash
 /// guarantees cover **process** crashes (the page cache survives),
-/// not kernel panics or power loss. [`DirMedium::synced`] fsyncs the
-/// journal and manifest appends; full physical-media consistency
-/// would additionally require syncing the data/sidecar files before
-/// each checkpoint record (see DESIGN.md §12).
+/// not kernel panics or power loss. [`DirMedium::synced`] fsyncs every
+/// journal append; full physical-media consistency would additionally
+/// require syncing the data/sidecar files before each checkpoint record
+/// (see DESIGN.md §12).
 #[derive(Debug, Clone)]
 pub struct DirMedium {
     dir: PathBuf,
@@ -207,8 +179,8 @@ impl DirMedium {
         }
     }
 
-    /// Like [`DirMedium::new`], but journal and manifest appends are
-    /// fsynced to physical media.
+    /// Like [`DirMedium::new`], but journal appends are fsynced to
+    /// physical media.
     #[must_use]
     pub fn synced(dir: &Path) -> Self {
         DirMedium {
@@ -219,21 +191,21 @@ impl DirMedium {
 
     fn file(&self, name: &str, len: u64) -> io::Result<Box<dyn Store + Send>> {
         let path = self.dir.join(name);
-        let store = if path.exists() {
-            FileStore::open(&path)?
-        } else {
-            FileStore::create(&path, len)?
-        };
-        Ok(Box::new(store))
-    }
-
-    fn log(&self, name: &str) -> FileLog {
-        let path = self.dir.join(name);
-        if self.sync_logs {
-            FileLog::synced(&path)
-        } else {
-            FileLog::new(&path)
+        if !path.exists() {
+            return Ok(Box::new(FileStore::create(&path, len)?));
         }
+        let store = FileStore::open(&path)?;
+        if store.len() != len {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!(
+                    "{}: {} elements on disk, {len} expected",
+                    path.display(),
+                    store.len()
+                ),
+            ));
+        }
+        Ok(Box::new(store))
     }
 }
 
@@ -247,149 +219,13 @@ impl DurableMedium for DirMedium {
     }
 
     fn journal(&mut self) -> io::Result<Box<dyn LogStore>> {
-        Ok(Box::new(self.log("journal.log")))
+        let path = self.dir.join("journal.log");
+        Ok(Box::new(if self.sync_logs {
+            FileLog::synced(&path)
+        } else {
+            FileLog::new(&path)
+        }))
     }
-
-    fn manifest(&mut self) -> io::Result<Box<dyn LogStore>> {
-        Ok(Box::new(self.log("manifest.log")))
-    }
-}
-
-/// One checkpoint manifest record.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ManifestRecord {
-    /// Seeding completed; journal watermark at that point.
-    Seeded {
-        /// Journal sequence the next intent will get.
-        watermark: u64,
-    },
-    /// `step` global tile steps of `nest` are durable (all earlier
-    /// nests complete).
-    Checkpoint {
-        /// Nest index (`nests.len()` = whole program done).
-        nest: usize,
-        /// Global steps completed within the nest (across iterations).
-        step: u64,
-        /// Journal sequence the next intent will get.
-        watermark: u64,
-    },
-}
-
-/// The last consistent execution boundary a manifest records.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Boundary {
-    /// First nest that is not fully durable.
-    pub nest: usize,
-    /// Global steps of that nest already durable.
-    pub step: u64,
-    /// Journal watermark: intents with `seq >= watermark` must be
-    /// rolled back.
-    pub watermark: u64,
-}
-
-/// Result of scanning a (possibly crash-torn) checkpoint manifest.
-#[derive(Debug, Clone, Default)]
-pub struct ManifestScan {
-    /// Records in log order.
-    pub records: Vec<ManifestRecord>,
-    /// Whether a torn tail was dropped.
-    pub torn_tail: bool,
-    /// Byte length of the parsed-valid prefix; resume truncates the
-    /// manifest here before appending (see [`JournalScan::valid_len`](
-    /// ooc_runtime::JournalScan)).
-    pub valid_len: u64,
-}
-
-impl ManifestScan {
-    /// The last recorded boundary; `None` means nothing durable exists
-    /// yet (recovery re-runs from scratch, re-seeding everything).
-    #[must_use]
-    pub fn boundary(&self) -> Option<Boundary> {
-        self.records.last().map(|r| match *r {
-            ManifestRecord::Seeded { watermark } => Boundary {
-                nest: 0,
-                step: 0,
-                watermark,
-            },
-            ManifestRecord::Checkpoint {
-                nest,
-                step,
-                watermark,
-            } => Boundary {
-                nest,
-                step,
-                watermark,
-            },
-        })
-    }
-
-    /// All journal watermarks in record order (checkpoint-interval
-    /// boundaries in journal-sequence space).
-    #[must_use]
-    pub fn watermarks(&self) -> Vec<u64> {
-        self.records
-            .iter()
-            .map(|r| match *r {
-                ManifestRecord::Seeded { watermark }
-                | ManifestRecord::Checkpoint { watermark, .. } => watermark,
-            })
-            .collect()
-    }
-}
-
-fn parse_manifest_line(line: &str) -> Option<ManifestRecord> {
-    let mut f = line.split_ascii_whitespace();
-    match f.next()? {
-        "S" => {
-            let watermark = f.next()?.parse().ok()?;
-            if f.next().is_some() {
-                return None;
-            }
-            Some(ManifestRecord::Seeded { watermark })
-        }
-        "K" => {
-            let nest = f.next()?.parse().ok()?;
-            let step = f.next()?.parse().ok()?;
-            let watermark = f.next()?.parse().ok()?;
-            if f.next().is_some() {
-                return None;
-            }
-            Some(ManifestRecord::Checkpoint {
-                nest,
-                step,
-                watermark,
-            })
-        }
-        _ => None,
-    }
-}
-
-/// Parses a checkpoint manifest, tolerating a torn tail exactly like
-/// the journal parser: the first unterminated or unparseable line and
-/// everything after it is dropped.
-#[must_use]
-pub fn parse_manifest(bytes: &[u8]) -> ManifestScan {
-    let mut scan = ManifestScan::default();
-    let mut pos = 0usize;
-    while pos < bytes.len() {
-        let Some(nl) = bytes[pos..].iter().position(|&b| b == b'\n') else {
-            scan.torn_tail = true;
-            break;
-        };
-        let line = &bytes[pos..pos + nl];
-        pos += nl + 1;
-        match std::str::from_utf8(line).ok().and_then(parse_manifest_line) {
-            Some(r) => {
-                scan.records.push(r);
-                scan.valid_len = pos as u64;
-            }
-            None => {
-                scan.torn_tail = true;
-                break;
-            }
-        }
-    }
-    scan
 }
 
 /// Everything a durable run counted about journaling, checkpointing
@@ -413,11 +249,11 @@ pub struct RecoveryReport {
     pub journal_intents: u64,
     /// Journal commits appended by this run.
     pub journal_commits: u64,
-    /// Checkpoint manifest records appended by this run.
+    /// Checkpoint records appended by this run.
     pub checkpoints: u64,
     /// Checksum-verification failures observed by this run's reads.
     pub corrupt_reads: u64,
-    /// Whether recovery dropped a torn journal or manifest tail.
+    /// Whether recovery dropped a torn log tail.
     pub torn_tail: bool,
 }
 
@@ -472,9 +308,7 @@ impl RecoveryReport {
 pub struct DurableOutcome<R = FunctionalRun> {
     /// What the executor returns without durability — a
     /// [`FunctionalRun`], [`PipelinedRun`] or [`ParallelRun`] (bit-equal
-    /// contents in all three). The step-engine runs carry the
-    /// durability counters folded into their
-    /// [`PipelineStats`](ooc_sched::PipelineStats).
+    /// contents in all three).
     pub run: R,
     /// Journal / checkpoint / recovery counters.
     pub report: RecoveryReport,
@@ -491,11 +325,11 @@ pub type PipelinedDurableOutcome = DurableOutcome<PipelinedRun>;
 pub type ParallelDurableOutcome = DurableOutcome<ParallelRun>;
 
 /// Per-array upper bound on journal intents between consecutive
-/// checkpoint watermarks of a completed run — the "one checkpoint
-/// interval" budget recovery must stay within.
+/// checkpoint watermarks of a completed run's log — the "one
+/// checkpoint interval" budget recovery must stay within.
 #[must_use]
-pub fn max_intents_per_interval(scan: &JournalScan, watermarks: &[u64]) -> BTreeMap<u32, u64> {
-    let mut marks: Vec<u64> = watermarks.to_vec();
+pub fn max_intents_per_interval(scan: &JournalScan) -> BTreeMap<u32, u64> {
+    let mut marks = scan.watermarks();
     marks.sort_unstable();
     marks.dedup();
     marks.push(u64::MAX);
@@ -515,118 +349,67 @@ pub fn max_intents_per_interval(scan: &JournalScan, watermarks: &[u64]) -> BTree
     out
 }
 
-/// The durability fence handed to `WriteBehind`: after the sink lands
-/// a tile's data, commit the journal intent the sink recorded for it —
-/// so `wait_clear`/`flush` reporting a region clear implies its commit
-/// record is durably in the journal.
-struct JournalFence {
-    journal: SharedJournal,
-    pending: Arc<Mutex<BTreeMap<TileId, Vec<u64>>>>,
-}
-
-impl DurabilityFence for JournalFence {
-    fn commit(&mut self, id: &TileId) -> io::Result<()> {
-        let seq = {
-            let mut p = self.pending.lock().expect("pending intents");
-            p.get_mut(id).and_then(|v| {
-                if v.is_empty() {
-                    None
-                } else {
-                    Some(v.remove(0))
-                }
-            })
-        };
-        // The sink parks exactly one sequence per store() before the
-        // fence runs; a missing entry means an intent would stay
-        // uncommitted forever (spurious rollback on every resume), so
-        // surface the bookkeeping mismatch instead of masking it.
-        let Some(seq) = seq else {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!(
-                    "durability fence: no pending journal intent for array {} tile",
-                    id.key.array
-                ),
-            ));
-        };
-        self.journal.commit(seq)
-    }
-}
-
-/// Shared durable-run state: the journal writer, the manifest log,
-/// the resume boundary, and the counters both walks fill.
+/// Shared durable-run state: the journal writer, the resume boundary,
+/// and the counters both walks fill.
 pub(crate) struct DurableSession {
-    /// The shared journal writer (write path + durability fence).
+    /// The shared journal writer: every write path and the checkpoints.
     pub(crate) journal: SharedJournal,
-    manifest: Box<dyn LogStore>,
     /// Durability knobs.
     pub(crate) cfg: DurabilityConfig,
     boundary: Option<Boundary>,
     rollback_intents: Vec<WriteIntent>,
-    /// Intent sequences awaiting their write-behind fence commit.
-    pub(crate) pending: Arc<Mutex<BTreeMap<TileId, Vec<u64>>>>,
     /// Counters filled as the run progresses.
     pub(crate) report: RecoveryReport,
 }
 
 impl DurableSession {
-    /// Opens the medium's journal and manifest for a run. A fresh run
-    /// — and a resume that finds no manifest boundary, i.e. a crash
-    /// that predated the seeded milestone — truncates both logs and
-    /// starts from scratch. A resume scans the manifest for the last
-    /// consistent boundary and collects every journal intent at or
-    /// past its watermark for rollback.
+    /// Opens the medium's journal for a run. A fresh run — and a resume
+    /// that finds no boundary, i.e. a crash that predated the seeded
+    /// milestone — truncates the log and starts from scratch. A resume
+    /// scans the log for the last consistent boundary and collects
+    /// every intent at or past its watermark for rollback.
     fn open(
         medium: &mut dyn DurableMedium,
         cfg: DurabilityConfig,
         resume: bool,
     ) -> io::Result<Self> {
-        let mut jlog = medium.journal()?;
-        let mut mlog = medium.manifest()?;
-        let mscan = if resume {
-            parse_manifest(&mlog.read_all()?)
+        let mut log = medium.journal()?;
+        let scan = if resume {
+            parse_journal(&log.read_all()?)
         } else {
-            ManifestScan::default()
+            JournalScan::default()
         };
-        let boundary = mscan.boundary();
-        let (journal, rollback_intents, torn_tail) = match boundary {
+        let boundary = scan.boundary();
+        let (journal, rollback_intents) = match boundary {
             Some(b) => {
-                let jscan = parse_journal(&jlog.read_all()?);
-                // Drop torn tails *before* appending: a partial,
+                // Drop a torn tail *before* appending: a partial,
                 // newline-less final record would otherwise merge with
                 // this run's first append into one unparseable line,
                 // and a second crash recovery would lose every record
                 // from there on.
-                if jscan.torn_tail {
-                    jlog.truncate_to(jscan.valid_len)?;
+                if scan.torn_tail {
+                    log.truncate_to(scan.valid_len)?;
                 }
-                if mscan.torn_tail {
-                    mlog.truncate_to(mscan.valid_len)?;
-                }
-                let intents = jscan.intents_after(b.watermark);
+                let intents = scan.intents_after(b.watermark);
                 (
-                    Journal::resume(jlog, jscan.next_seq),
+                    Journal::resume(log, scan.next_seq),
                     intents.into_iter().cloned().collect(),
-                    jscan.torn_tail || mscan.torn_tail,
                 )
             }
             None => {
-                jlog.truncate()?;
-                mlog.truncate()?;
-                (Journal::new(jlog), Vec::new(), false)
+                log.truncate()?;
+                (Journal::new(log), Vec::new())
             }
         };
         Ok(DurableSession {
             journal: SharedJournal::new(journal),
-            manifest: mlog,
             cfg,
             boundary,
             rollback_intents,
-            pending: Arc::default(),
             report: RecoveryReport {
                 resumed: boundary.is_some(),
                 boundary: boundary.map(|b| (b.nest, b.step)),
-                torn_tail,
+                torn_tail: boundary.is_some() && scan.torn_tail,
                 ..RecoveryReport::default()
             },
         })
@@ -650,8 +433,7 @@ impl DurableSession {
         ledger: Option<&LedgerRecorder>,
     ) -> io::Result<()> {
         if !self.resumed() {
-            let wm = self.journal.next_seq();
-            return self.manifest.append(format!("S {wm}\n").as_bytes());
+            return self.journal.seeded();
         }
         if self.rollback_intents.is_empty() {
             return Ok(());
@@ -661,15 +443,9 @@ impl DurableSession {
         let intents = std::mem::take(&mut self.rollback_intents);
         let refs: Vec<&WriteIntent> = intents.iter().collect();
         let n = rollback(&refs, &mut |a, region, pre| {
+            let arr = undo_target(arrays, a, region, pre.len())?;
             let mut t = Tile::zeroed(region.clone());
-            if t.data().len() != pre.len() {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    "journal pre-image length mismatch",
-                ));
-            }
             t.data_mut().copy_from_slice(pre);
-            let arr = &mut arrays[a as usize];
             if let Some(rec) = ledger {
                 rec.record(LedgerEvent {
                     array: a,
@@ -719,9 +495,7 @@ impl DurableSession {
     /// Appends a `K nest step watermark` checkpoint record. Callers
     /// must have durably flushed all written tiles first.
     pub(crate) fn checkpoint(&mut self, nest: usize, step: u64) -> io::Result<()> {
-        let wm = self.journal.next_seq();
-        self.manifest
-            .append(format!("K {nest} {step} {wm}\n").as_bytes())?;
+        let wm = self.journal.checkpoint(nest, step)?;
         self.report.checkpoints += 1;
         if ooc_trace::enabled() {
             ooc_trace::instant(
@@ -736,14 +510,38 @@ impl DurableSession {
         }
         Ok(())
     }
+}
 
-    /// A write-behind fence committing this session's intents.
-    pub(crate) fn fence(&self) -> Box<dyn DurabilityFence> {
-        Box::new(JournalFence {
-            journal: self.journal.clone(),
-            pending: Arc::clone(&self.pending),
-        })
+/// The array an intent read back from the log restores into — checked
+/// against the run's arrays before anything is allocated: the array
+/// index, the region's rank and bounds, and the pre-image length.
+fn undo_target<'a, S: Store>(
+    arrays: &'a mut [OocArray<S>],
+    a: u32,
+    region: &Region,
+    pre: usize,
+) -> io::Result<&'a mut OocArray<S>> {
+    let bad = |what: String| {
+        io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("journal intent on array {a}: {what}"),
+        )
+    };
+    let count = arrays.len();
+    let arr = arrays
+        .get_mut(a as usize)
+        .ok_or_else(|| bad(format!("the run has {count} arrays")))?;
+    let dims = arr.dims();
+    let (lo, hi) = (&region.lo, &region.hi);
+    let inside = region.rank() == dims.len()
+        && (0..dims.len()).all(|d| 1 <= lo[d] && lo[d] <= hi[d] && hi[d] <= dims[d]);
+    if !inside {
+        return Err(bad(format!("region {region:?} outside dims {dims:?}")));
     }
+    if usize::try_from(region.len()).ok() != Some(pre) {
+        return Err(bad(format!("{pre}-element pre-image for {region:?}")));
+    }
+    Ok(arr)
 }
 
 /// What tells one durable executor from another once walk and driver
@@ -828,9 +626,7 @@ fn run_durable<R>(
     })
 }
 
-/// [`run_durable`] over the step engine presenting as `engine`, with
-/// the durability counters folded into the run's
-/// [`PipelineStats`](ooc_sched::PipelineStats).
+/// [`run_durable`] over the step engine presenting as `engine`.
 #[allow(clippy::too_many_arguments)]
 fn run_durable_sharded(
     tp: &TiledProgram,
@@ -845,7 +641,7 @@ fn run_durable_sharded(
 ) -> io::Result<ParallelDurableOutcome> {
     let ledger = cfg.pipeline.functional.ledger.as_ref();
     let names = &engine.durable;
-    let mut out = run_durable(
+    run_durable(
         medium,
         dur,
         faults,
@@ -859,11 +655,7 @@ fn run_durable_sharded(
             };
             exec_sharded(tp, params, init, cfg, mk, Some(s), &engine)
         },
-    )?;
-    out.run.pipeline.journal_commits = out.report.journal_commits;
-    out.run.pipeline.recovery_replayed_tiles = out.report.rolled_back_tiles;
-    out.run.pipeline.corrupt_reads = out.report.corrupt_reads;
-    Ok(out)
+    )
 }
 
 /// The one-shard face of [`run_durable_sharded`].
@@ -893,8 +685,8 @@ fn run_durable_pipelined(
     })
 }
 
-/// Runs a tiled program durably from scratch: truncates the journal
-/// and manifest, seeds the arrays, then executes the synchronous tile
+/// Runs a tiled program durably from scratch: truncates the journal,
+/// seeds the arrays, then executes the synchronous tile
 /// walk with journaled write-back and periodic checkpoints.
 /// `faults(a)` optionally fault-wraps array `a`'s data store (under
 /// the checksum layer) — crash modes return a typed non-transient
@@ -922,16 +714,17 @@ pub fn run_functional_durable(
     })
 }
 
-/// Resumes a crashed durable run: scans the manifest for the last
-/// consistent boundary, rolls back every journal intent at or past its
+/// Resumes a crashed durable run: scans the journal for the last
+/// consistent boundary, rolls back every intent at or past its
 /// watermark (restoring pre-images, which also heals torn checksums),
-/// and restarts the tile walk from the boundary. With no manifest
-/// boundary (crash before seeding completed) the run restarts from
-/// scratch. The recovered result is bit-equal to an uninterrupted run.
+/// and restarts the tile walk from the boundary. With no boundary
+/// (crash before seeding completed) the run restarts from scratch. The
+/// recovered result is bit-equal to an uninterrupted run.
 ///
 /// # Errors
 /// Propagates store/journal I/O errors, including injected crashes on
-/// a re-crashed resume.
+/// a re-crashed resume; an intent the run's arrays cannot hold (array
+/// index, region or pre-image length) is `InvalidData`.
 ///
 /// # Panics
 /// Panics on internal inconsistencies (compiler bugs).
@@ -951,9 +744,9 @@ pub fn resume_functional(
 }
 
 /// [`run_functional_durable`]'s pipelined sibling: the asynchronous
-/// tile pipeline with journaled write-back (the write-behind sink
-/// journals each tile's intent and a [`DurabilityFence`] commits it
-/// before the tile settles), checkpoints at tile-row / iteration /
+/// tile pipeline with journaled write-back (the write-behind sink runs
+/// each tile through intent → write → commit before the tile settles),
+/// checkpoints at tile-row / iteration /
 /// nest boundaries, and crash recovery via [`resume_pipelined`].
 ///
 /// # Errors
@@ -995,8 +788,8 @@ pub fn resume_pipelined(
 }
 
 /// [`exec_pipelined_durable`]'s parallel sibling: every shard worker's
-/// write path journals intents against the shared session and commits
-/// them through its own fence; multi-shard nests checkpoint at
+/// write path journals into the shared session's one log; multi-shard
+/// nests checkpoint at
 /// iteration barriers after all queues flush, serial-fallback nests at
 /// tile-row boundaries. Crash recovery via [`resume_parallel`].
 ///
@@ -1059,17 +852,15 @@ pub fn resume_parallel(
 /// reconstruct from parity and writes land in the parity lane in
 /// either mode.
 ///
-/// CRC sidecars, the journal, and the manifest live **off** the
-/// striped pool (plain shared memory): they are metadata an I/O-node
-/// failure must not take down, mirroring a deployment that keeps logs
-/// on the compute node's local disk.
+/// CRC sidecars and the journal live **off** the striped pool, in an
+/// embedded [`MemMedium`]: they are metadata an I/O-node failure must
+/// not take down, mirroring a deployment that keeps logs on the
+/// compute node's local disk.
 pub struct StripedMedium {
     pool: IoNodePool,
     mode: DegradedMode,
     data: BTreeMap<usize, SharedStore<StripedStore<MemStore>>>,
-    sidecars: BTreeMap<usize, SharedStore<MemStore>>,
-    journal: MemLog,
-    manifest: MemLog,
+    meta: MemMedium,
     ledger: Option<LedgerRecorder>,
 }
 
@@ -1094,9 +885,7 @@ impl StripedMedium {
             pool: IoNodePool::with_faults(cfg, faults),
             mode: DegradedMode::Manual,
             data: BTreeMap::new(),
-            sidecars: BTreeMap::new(),
-            journal: MemLog::new(),
-            manifest: MemLog::new(),
+            meta: MemMedium::new(),
             ledger: None,
         }
     }
@@ -1153,13 +942,7 @@ impl StripedMedium {
     /// The raw journal bytes (test plumbing).
     #[must_use]
     pub fn journal_bytes(&self) -> Vec<u8> {
-        self.journal.snapshot()
-    }
-
-    /// The raw manifest bytes (test plumbing).
-    #[must_use]
-    pub fn manifest_bytes(&self) -> Vec<u8> {
-        self.manifest.snapshot()
+        self.meta.journal_bytes()
     }
 }
 
@@ -1193,21 +976,12 @@ impl DurableMedium for StripedMedium {
         Ok(Box::new(shared))
     }
 
-    fn sidecar(&mut self, a: usize, _name: &str, len: u64) -> io::Result<Box<dyn Store + Send>> {
-        let s = self
-            .sidecars
-            .entry(a)
-            .or_insert_with(|| SharedStore::new(MemStore::new(len)))
-            .clone();
-        Ok(Box::new(s))
+    fn sidecar(&mut self, a: usize, name: &str, len: u64) -> io::Result<Box<dyn Store + Send>> {
+        self.meta.sidecar(a, name, len)
     }
 
     fn journal(&mut self) -> io::Result<Box<dyn LogStore>> {
-        Ok(Box::new(self.journal.clone()))
-    }
-
-    fn manifest(&mut self) -> io::Result<Box<dyn LogStore>> {
-        Ok(Box::new(self.manifest.clone()))
+        self.meta.journal()
     }
 }
 
@@ -1390,8 +1164,8 @@ mod tests {
     use super::*;
     use crate::exec::run_functional;
     use crate::fixtures::{fcfg, seed, tiled};
-    use ooc_runtime::{is_crashed, testing::TempDir, CrashMode};
-    use ooc_sched::PipelineStats;
+    use ooc_runtime::{is_crashed, testing::TempDir, CrashMode, JournalRecord};
+    use std::collections::BTreeSet;
 
     fn reference(tp: &TiledProgram, params: &[i64]) -> Vec<Vec<f64>> {
         run_functional(tp, params, &seed)
@@ -1424,8 +1198,6 @@ mod tests {
         /// Store calls each array's fault wrapper saw (the crash-index
         /// domain); empty when the run was not fault-wrapped.
         calls: Vec<u64>,
-        /// The step engine's counters (`None` for the sync walk).
-        pipeline: Option<PipelineStats>,
     }
 
     const PARAMS: [i64; 1] = [10];
@@ -1439,13 +1211,9 @@ mod tests {
             medium: &mut MemMedium,
             faults: &dyn Fn(usize) -> Option<FaultConfig>,
         ) -> io::Result<Cell> {
-            fn cell<R>(
-                out: DurableOutcome<R>,
-                view: impl FnOnce(R) -> (FunctionalRun, Option<PipelineStats>),
-            ) -> Cell {
-                let (run, pipeline) = view(out.run);
+            fn cell<R>(out: DurableOutcome<R>, view: impl FnOnce(R) -> FunctionalRun) -> Cell {
                 Cell {
-                    data: run.data,
+                    data: view(out.run).data,
                     report: out.report,
                     calls: out
                         .fault_handles
@@ -1453,7 +1221,6 @@ mod tests {
                         .flatten()
                         .map(FaultHandle::calls)
                         .collect(),
-                    pipeline,
                 }
             }
             let (tp, dur, par) = (tiled(), DurabilityConfig::default(), pcfg());
@@ -1461,61 +1228,51 @@ mod tests {
             match (self, resume) {
                 (Exec::Sync, false) => {
                     run_functional_durable(&tp, &PARAMS, &seed, f, &dur, medium, faults)
-                        .map(|o| cell(o, |r| (r, None)))
+                        .map(|o| cell(o, |r| r))
                 }
                 (Exec::Sync, true) => {
                     resume_functional(&tp, &PARAMS, &seed, f, &dur, medium, faults)
-                        .map(|o| cell(o, |r| (r, None)))
+                        .map(|o| cell(o, |r| r))
                 }
                 (Exec::Pipelined, false) => {
                     exec_pipelined_durable(&tp, &PARAMS, &seed, p, &dur, medium, faults)
-                        .map(|o| cell(o, |r| (r.run, Some(r.pipeline))))
+                        .map(|o| cell(o, |r| r.run))
                 }
                 (Exec::Pipelined, true) => {
                     resume_pipelined(&tp, &PARAMS, &seed, p, &dur, medium, faults)
-                        .map(|o| cell(o, |r| (r.run, Some(r.pipeline))))
+                        .map(|o| cell(o, |r| r.run))
                 }
                 (Exec::Parallel2, false) => {
                     exec_parallel_durable(&tp, &PARAMS, &seed, &par, &dur, medium, faults)
-                        .map(|o| cell(o, |r| (r.run, Some(r.pipeline))))
+                        .map(|o| cell(o, |r| r.run))
                 }
                 (Exec::Parallel2, true) => {
                     resume_parallel(&tp, &PARAMS, &seed, &par, &dur, medium, faults)
-                        .map(|o| cell(o, |r| (r.run, Some(r.pipeline))))
+                        .map(|o| cell(o, |r| r.run))
                 }
             }
         }
     }
 
     /// What every completed row must show: contents bit-equal to
-    /// `run_functional`, every intent this run wrote committed (and
-    /// the step engine's counters agreeing with the report), and the
-    /// manifest ending on the program-done record.
+    /// `run_functional`, every intent this run wrote committed, and the
+    /// log ending on the program-done record.
     fn assert_complete(exec: Exec, row: &str, cell: &Cell, medium: &MemMedium) {
         let tp = tiled();
         assert_eq!(cell.data, reference(&tp, &PARAMS), "{exec:?} {row}");
         let r = &cell.report;
         assert_eq!(r.journal_intents, r.journal_commits, "{exec:?} {row}");
-        if let Some(p) = &cell.pipeline {
-            assert_eq!(p.journal_commits, r.journal_commits, "{exec:?} {row}");
-            assert_eq!(
-                p.recovery_replayed_tiles, r.rolled_back_tiles,
-                "{exec:?} {row}"
-            );
-        }
-        let b = parse_manifest(&medium.manifest_bytes())
+        let b = parse_journal(&medium.journal_bytes())
             .boundary()
             .expect("boundary");
         assert_eq!((b.nest, b.step), (tp.nests.len(), 0), "{exec:?} {row}");
     }
 
-    /// Appends a partial, newline-less record to both logs — what a
-    /// real process crash mid-append leaves behind.
-    fn tear_log_tails(medium: &mut dyn DurableMedium) {
+    /// Appends a partial, newline-less record to the log — what a real
+    /// process crash mid-append leaves behind.
+    fn tear_log_tail(medium: &mut dyn DurableMedium) {
         let mut journal = medium.journal().expect("journal log");
         journal.append(b"I 9999 0 dea").expect("torn journal tail");
-        let mut manifest = medium.manifest().expect("manifest log");
-        manifest.append(b"K 7").expect("torn manifest tail");
     }
 
     /// One table over {sync, pipelined, parallel×2} × {fresh, resume
@@ -1540,8 +1297,7 @@ mod tests {
             assert!(fresh.report.journal_intents > 0, "{exec:?}");
             let scan = parse_journal(&base.journal_bytes());
             assert!(scan.uncommitted().is_empty(), "{exec:?}");
-            let marks = parse_manifest(&base.manifest_bytes()).watermarks();
-            let bound = max_intents_per_interval(&scan, &marks);
+            let bound = max_intents_per_interval(&scan);
             let assert_bounded = |row: &str, report: &RecoveryReport| {
                 for (a, n) in &report.rolled_back_by_array {
                     let max = bound.get(a).copied().unwrap_or(0);
@@ -1589,8 +1345,8 @@ mod tests {
             assert_eq!(out.report.executed_steps, 0, "{exec:?} {:?}", out.report);
             assert_eq!(out.report.journal_intents, 0, "{exec:?}");
 
-            // The double-crash scenario: crash #1 leaves torn journal
-            // and manifest tails; the resumed run appends new records;
+            // The double-crash scenario: crash #1 leaves a torn log
+            // tail; the resumed run appends new records;
             // crash #2 kills the resume mid-flight. Without truncating
             // the torn tails first, the resume's first append merges
             // with the partial line and the second recovery silently
@@ -1600,21 +1356,16 @@ mod tests {
             let first = |a| (a == 0).then(|| FaultConfig::crash_at(fresh.calls[0] / 3));
             let err = exec.run(false, &mut medium, &first).err().expect("crash 1");
             assert!(is_crashed(&err), "{exec:?}: unexpected error: {err}");
-            tear_log_tails(&mut medium);
+            tear_log_tail(&mut medium);
             let second = |a| (a == 0).then(|| FaultConfig::crash_at(12));
             let err = exec.run(true, &mut medium, &second).err().expect("crash 2");
             assert!(is_crashed(&err), "{exec:?}: unexpected error: {err}");
             // The crashed resume's records all survive: nothing merged
-            // into the (now truncated) torn tails.
+            // into the (now truncated) torn tail.
             let jscan = parse_journal(&medium.journal_bytes());
             assert!(
                 !jscan.torn_tail,
                 "{exec:?}: journal poisoned by merged tail"
-            );
-            let mscan = parse_manifest(&medium.manifest_bytes());
-            assert!(
-                !mscan.torn_tail,
-                "{exec:?}: manifest poisoned by merged tail"
             );
             let out = exec.run(true, &mut medium, &no_faults).expect("resume 2");
             assert_complete(exec, "double crash", &out, &medium);
@@ -1694,30 +1445,22 @@ mod tests {
         .expect_err("crash injected");
         assert!(is_crashed(&err));
         assert!(tmp.path().join("journal.log").exists());
-        assert!(tmp.path().join("manifest.log").exists());
-        // A real process crash mid-append leaves partial, newline-less
-        // final records on both logs; resume must truncate them away.
-        medium
-            .journal()
-            .expect("journal log")
-            .append(b"I 9999 0 dea")
-            .expect("torn journal tail");
-        medium
-            .manifest()
-            .expect("manifest log")
-            .append(b"K 7")
-            .expect("torn manifest tail");
-        let watermark = parse_manifest(&medium.manifest().expect("m").read_all().expect("read"))
+        // A real process crash mid-append leaves a partial,
+        // newline-less final record; resume must truncate it away.
+        tear_log_tail(&mut medium);
+        let read_log =
+            |m: &mut DirMedium| parse_journal(&m.journal().expect("log").read_all().expect("read"));
+        let watermark = read_log(&mut medium)
             .boundary()
             .expect("boundary before resume")
             .watermark;
         let out = resume_functional(&tp, &params, &seed, &fcfg(), &dur, &mut medium, &|_| None)
             .expect("resume from files");
         assert_eq!(out.run.data, reference(&tp, &params));
-        assert!(out.report.torn_tail, "resume saw the torn tails");
-        // The resumed run's appends did not merge with the torn tails:
-        // both logs reparse without loss.
-        let jscan = parse_journal(&medium.journal().expect("journal").read_all().expect("read"));
+        assert!(out.report.torn_tail, "resume saw the torn tail");
+        // The resumed run's appends did not merge with the torn tail:
+        // the log reparses without loss.
+        let jscan = read_log(&mut medium);
         assert!(!jscan.torn_tail, "journal clean after recovery");
         // Rollback restores data without appending compensation
         // records, so the crashed run's in-flight intents stay
@@ -1730,16 +1473,150 @@ mod tests {
                 w.seq
             );
         }
-        let mscan = parse_manifest(
-            &medium
-                .manifest()
-                .expect("manifest")
-                .read_all()
-                .expect("read"),
-        );
-        assert!(!mscan.torn_tail, "manifest clean after recovery");
-        let b = mscan.boundary().expect("boundary");
+        let b = jscan.boundary().expect("boundary");
         assert_eq!((b.nest, b.step), (tp.nests.len(), 0));
+    }
+
+    #[test]
+    fn dir_medium_refuses_a_leftover_file_of_the_wrong_length() {
+        let tmp = TempDir::new("ooc-recovery-len").expect("tmp");
+        let tp = tiled();
+        let (params, dur) = ([8i64], DurabilityConfig::default());
+        ooc_runtime::FileStore::create(&tmp.path().join("U.dat"), 3).expect("leftover");
+        let mut medium = DirMedium::new(tmp.path());
+        let err =
+            run_functional_durable(&tp, &params, &seed, &fcfg(), &dur, &mut medium, &|_| None)
+                .expect_err("a 3-element U.dat is not an 8x8 array");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        let msg = err.to_string();
+        for needle in ["U.dat", "3 elements", "64 expected"] {
+            assert!(msg.contains(needle), "missing {needle:?} in {msg}");
+        }
+    }
+
+    /// A completed run's medium with `line` appended to its log, then
+    /// resumed: the intent lies past the final watermark, so resume
+    /// rolls it back.
+    fn resume_with_appended_intent(line: impl Fn(u64) -> String) -> io::Result<DurableOutcome> {
+        let (tp, dur) = (tiled(), DurabilityConfig::default());
+        let mut medium = MemMedium::new();
+        run_functional_durable(&tp, &PARAMS, &seed, &fcfg(), &dur, &mut medium, &|_| None)
+            .expect("completed run");
+        let next = parse_journal(&medium.journal_bytes()).next_seq;
+        let mut log = medium.journal().expect("log");
+        log.append(line(next).as_bytes()).expect("append");
+        resume_functional(&tp, &PARAMS, &seed, &fcfg(), &dur, &mut medium, &|_| None)
+    }
+
+    #[test]
+    fn resume_refuses_an_intent_on_an_unknown_array() {
+        let err = resume_with_appended_intent(|seq| format!("I {seq} 7 0 1;1 1;1 1 0\n"))
+            .expect_err("the program has three arrays");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        assert!(err.to_string().contains("array 7"), "{err}");
+    }
+
+    #[test]
+    fn resume_refuses_a_region_outside_the_array_before_allocating() {
+        let err = resume_with_appended_intent(|seq| {
+            format!("I {seq} 1 0 1;1 3000000000;3000000000 0 -\n")
+        })
+        .expect_err("a 3e9 x 3e9 region does not fit a 10 x 10 array");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        // Inside the array, a pre-image of the wrong length is refused
+        // too.
+        let err = resume_with_appended_intent(|seq| format!("I {seq} 1 0 1;1 2;2 1 0\n"))
+            .expect_err("a 2 x 2 region needs four pre-image values");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+    }
+
+    /// Checks the ordering the write-behind commit guarantees, read off
+    /// the one log: every `S`/`K` record comes after the `C` record of
+    /// every intent below its watermark — except `rolled_back`, the
+    /// intents a resume undid, which may stay uncommitted — and every
+    /// intent this run wrote committed.
+    fn assert_commits_precede_checkpoints(
+        exec: Exec,
+        row: &str,
+        medium: &MemMedium,
+        rolled_back: &BTreeSet<u64>,
+        report: &RecoveryReport,
+    ) {
+        let scan = parse_journal(&medium.journal_bytes());
+        let mut open: BTreeSet<u64> = BTreeSet::new();
+        let mut checkpoints = 0;
+        for r in &scan.records {
+            match r {
+                JournalRecord::Intent(w) => {
+                    open.insert(w.seq);
+                }
+                JournalRecord::Commit(seq) => {
+                    open.remove(seq);
+                }
+                JournalRecord::Seeded { watermark }
+                | JournalRecord::Checkpoint { watermark, .. } => {
+                    checkpoints += 1;
+                    let late: Vec<_> = open
+                        .range(..watermark)
+                        .filter(|s| !rolled_back.contains(s))
+                        .collect();
+                    assert!(
+                        late.is_empty(),
+                        "{exec:?} {row}: {r:?} before commits {late:?}"
+                    );
+                }
+            }
+        }
+        assert!(checkpoints > 1, "{exec:?} {row}: {checkpoints} checkpoints");
+        assert!(
+            open.is_subset(rolled_back),
+            "{exec:?} {row}: uncommitted {open:?}"
+        );
+        assert_eq!(
+            report.journal_intents, report.journal_commits,
+            "{exec:?} {row}"
+        );
+    }
+
+    #[test]
+    fn every_checkpoint_follows_the_commits_below_its_watermark() {
+        for exec in Exec::ALL {
+            let mut base = MemMedium::new();
+            let fresh = exec
+                .run(false, &mut base, &|_| Some(FaultConfig::transient(7, 0)))
+                .expect("fresh");
+            assert_commits_precede_checkpoints(
+                exec,
+                "fresh",
+                &base,
+                &BTreeSet::new(),
+                &fresh.report,
+            );
+
+            let mut medium = MemMedium::new();
+            let at = fresh.calls[0] / 2;
+            let err = exec
+                .run(false, &mut medium, &|a| {
+                    (a == 0).then(|| FaultConfig::crash_at(at))
+                })
+                .err()
+                .expect("crash");
+            assert!(is_crashed(&err), "{exec:?}: unexpected error: {err}");
+            let crashed = parse_journal(&medium.journal_bytes());
+            let b = crashed.boundary().expect("the crash came after seeding");
+            let rolled_back: BTreeSet<u64> = crashed
+                .intents_after(b.watermark)
+                .iter()
+                .map(|w| w.seq)
+                .collect();
+            let out = exec.run(true, &mut medium, &|_| None).expect("resume");
+            assert_eq!(
+                out.report.rolled_back_tiles as usize,
+                rolled_back.len(),
+                "{exec:?}"
+            );
+            assert_commits_precede_checkpoints(exec, "resumed", &medium, &rolled_back, &out.report);
+        }
     }
 
     #[test]
@@ -1765,48 +1642,6 @@ mod tests {
             })
             .collect();
         assert_eq!(journals[0], journals[1], "crash replay diverged");
-    }
-
-    #[test]
-    fn manifest_parser_tolerates_torn_tail() {
-        let mut log = MemLog::new();
-        log.append(b"S 0\n").expect("append");
-        log.append(b"K 0 4 7\n").expect("append");
-        log.append(b"K 1 0 12\n").expect("append");
-        let full = log.snapshot();
-        let whole = parse_manifest(&full);
-        assert!(!whole.torn_tail);
-        assert_eq!(whole.records.len(), 3);
-        assert_eq!(
-            whole.boundary(),
-            Some(Boundary {
-                nest: 1,
-                step: 0,
-                watermark: 12
-            })
-        );
-        assert_eq!(whole.watermarks(), vec![0, 7, 12]);
-        for cut in 0..full.len() {
-            let scan = parse_manifest(&full[..cut]);
-            assert!(scan.records.len() <= 3);
-            // A torn manifest still yields the last *complete* record.
-            if cut <= 4 {
-                assert!(scan.boundary().is_none() || scan.records.len() == 1);
-            }
-            // The valid prefix reparses torn-free to the same records.
-            let len = usize::try_from(scan.valid_len).expect("len");
-            assert!(len <= cut);
-            let again = parse_manifest(&full[..len]);
-            assert!(!again.torn_tail);
-            assert_eq!(again.records, scan.records);
-        }
-        // Garbage line: dropped with everything after it; the valid
-        // prefix ends before the garbage.
-        log.append(b"garbage\nK 9 9 9\n").expect("append");
-        let scan = parse_manifest(&log.snapshot());
-        assert!(scan.torn_tail);
-        assert_eq!(scan.records.len(), 3);
-        assert_eq!(scan.valid_len, full.len() as u64);
     }
 
     fn small_stripes(nodes: usize) -> StripeConfig {
@@ -1881,7 +1716,7 @@ mod tests {
         let dur = DurabilityConfig::default();
 
         // Fault-free striped twin: per-node arrival counts to place a
-        // mid-run kill, and the journal/manifest to bound replay.
+        // mid-run kill, and the journal to bound replay.
         let mut twin = StripedMedium::new(small_stripes(4));
         run_parallel_surviving_node_loss(&tp, &params, &seed, &pcfg(), &dur, &mut twin)
             .expect("twin");
@@ -1890,9 +1725,7 @@ mod tests {
             .iter()
             .map(|s| s.io.total_calls() + s.repair.total_calls())
             .collect();
-        let scan = parse_journal(&twin.journal_bytes());
-        let marks = parse_manifest(&twin.manifest_bytes()).watermarks();
-        let bound = max_intents_per_interval(&scan, &marks);
+        let bound = max_intents_per_interval(&parse_journal(&twin.journal_bytes()));
 
         let node = 1usize;
         let at = arrivals[node] / 2;

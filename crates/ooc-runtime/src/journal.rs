@@ -5,22 +5,35 @@
 //!
 //! 1. **Intent** — before a tile region is written back, append
 //!    `{seq, array, region, checksum-of-new-data, pre-image}`. The
-//!    pre-image is the region's contents as of the last checkpoint
-//!    (captured for free when the executor staged the tile), so
-//!    rolling an intent back restores checkpoint state exactly.
+//!    pre-image is the region's contents just before the write, so
+//!    rolling intents back in reverse order restores checkpoint state
+//!    exactly.
 //! 2. Perform the store write.
 //! 3. **Commit** — append `{seq}`.
 //!
-//! A crash at any point leaves a log whose *torn tail* (a partial
-//! final record) is tolerated by [`parse_journal`]; recovery applies
-//! pre-images of post-checkpoint intents in reverse sequence order
-//! ([`rollback`]), which is idempotent — replaying the scan twice
-//! lands in the same state, the property `journal_proptests.rs`
-//! drives at random.
+//! The same log carries the checkpoints: once every written tile is
+//! durable, the executor appends a record stamped with the sequence the
+//! next intent will get (its *watermark*). One line per record:
 //!
-//! Records are text lines with `f64` values serialized as their
-//! 16-hex-digit bit patterns, so every value (NaN payloads included)
-//! round-trips exactly.
+//! ```text
+//! I <seq> <array> <crc> <lo> <hi> <n> <pre>   intent (coordinates `;`-joined, pre `,`-joined or `-`)
+//! C <seq>                                     commit
+//! S <watermark>                               seeding completed
+//! K <nest> <step> <watermark>                 <step> steps of <nest> are durable
+//! ```
+//!
+//! `K nest+1 0 w` marks a nest fully done; `K nests.len() 0 w` marks the
+//! whole program done. A crash at any point leaves a log whose *torn
+//! tail* (a partial final record) is tolerated by [`parse_journal`];
+//! recovery restarts from the last `S`/`K` record
+//! ([`JournalScan::boundary`]) and applies the pre-images of every
+//! intent at or past its watermark in reverse sequence order
+//! ([`rollback`]), which is idempotent — replaying the scan twice lands
+//! in the same state, the property `journal_proptests.rs` drives at
+//! random.
+//!
+//! `f64` values are serialized as their 16-hex-digit bit patterns, so
+//! every value (NaN payloads included) round-trips exactly.
 
 use crate::checksum::crc64_f64s;
 use crate::layout::Region;
@@ -29,9 +42,9 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
-/// Byte-level backing of a journal or manifest: append-only writes
-/// plus a full scan. Implementations decide persistence (memory for
-/// tests, a file for real runs).
+/// Byte-level backing of a journal: append-only writes plus a full
+/// scan. Implementations decide persistence (memory for tests, a file
+/// for real runs).
 pub trait LogStore: Send {
     /// Appends `bytes` at the end of the log.
     ///
@@ -219,6 +232,54 @@ pub enum JournalRecord {
     Intent(WriteIntent),
     /// A commit of the intent with this sequence number.
     Commit(u64),
+    /// Seeding completed; journal watermark at that point.
+    Seeded {
+        /// Journal sequence the next intent will get.
+        watermark: u64,
+    },
+    /// `step` global tile steps of `nest` are durable (all earlier
+    /// nests complete).
+    Checkpoint {
+        /// Nest index (`nests.len()` = whole program done).
+        nest: usize,
+        /// Global steps completed within the nest (across iterations).
+        step: u64,
+        /// Journal sequence the next intent will get.
+        watermark: u64,
+    },
+}
+
+/// The last consistent execution boundary a journal records.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Boundary {
+    /// First nest that is not fully durable.
+    pub nest: usize,
+    /// Global steps of that nest already durable.
+    pub step: u64,
+    /// Journal watermark: intents with `seq >= watermark` must be
+    /// rolled back.
+    pub watermark: u64,
+}
+
+/// The boundary an `S` or `K` record marks.
+fn boundary_of(r: &JournalRecord) -> Option<Boundary> {
+    match *r {
+        JournalRecord::Seeded { watermark } => Some(Boundary {
+            nest: 0,
+            step: 0,
+            watermark,
+        }),
+        JournalRecord::Checkpoint {
+            nest,
+            step,
+            watermark,
+        } => Some(Boundary {
+            nest,
+            step,
+            watermark,
+        }),
+        JournalRecord::Intent(_) | JournalRecord::Commit(_) => None,
+    }
 }
 
 /// The writer side of the journal.
@@ -302,8 +363,30 @@ impl Journal {
         Ok(())
     }
 
+    /// Appends the `S` record (seeding completed) with the current
+    /// watermark.
+    ///
+    /// # Errors
+    /// Propagates log I/O errors.
+    pub fn seeded(&mut self) -> io::Result<()> {
+        self.log.append(format!("S {}\n", self.next_seq).as_bytes())
+    }
+
+    /// Appends a `K` record (`step` steps of `nest` durable), returning
+    /// the watermark it carries. Callers must have made every written
+    /// tile durable first.
+    ///
+    /// # Errors
+    /// Propagates log I/O errors.
+    pub fn checkpoint(&mut self, nest: usize, step: u64) -> io::Result<u64> {
+        let wm = self.next_seq;
+        self.log
+            .append(format!("K {nest} {step} {wm}\n").as_bytes())?;
+        Ok(wm)
+    }
+
     /// The sequence number the next intent will get — the journal
-    /// *watermark* checkpoint manifests record.
+    /// *watermark* checkpoint records carry.
     #[must_use]
     pub fn next_seq(&self) -> u64 {
         self.next_seq
@@ -332,8 +415,9 @@ impl std::fmt::Debug for Journal {
     }
 }
 
-/// A thread-safe shared handle onto one [`Journal`] — the write path
-/// and the write-behind durability fence both append through this.
+/// A thread-safe shared handle onto one [`Journal`] — every write path
+/// (main thread, shard workers, write-behind writers) and the
+/// checkpoints append through this.
 #[derive(Debug, Clone)]
 pub struct SharedJournal(Arc<Mutex<Journal>>);
 
@@ -373,6 +457,28 @@ impl SharedJournal {
     /// Panics if the journal mutex was poisoned.
     pub fn commit(&self, seq: u64) -> io::Result<()> {
         self.0.lock().expect("journal lock").commit(seq)
+    }
+
+    /// See [`Journal::seeded`].
+    ///
+    /// # Errors
+    /// Propagates log I/O errors.
+    ///
+    /// # Panics
+    /// Panics if the journal mutex was poisoned.
+    pub fn seeded(&self) -> io::Result<()> {
+        self.0.lock().expect("journal lock").seeded()
+    }
+
+    /// See [`Journal::checkpoint`].
+    ///
+    /// # Errors
+    /// Propagates log I/O errors.
+    ///
+    /// # Panics
+    /// Panics if the journal mutex was poisoned.
+    pub fn checkpoint(&self, nest: usize, step: u64) -> io::Result<u64> {
+        self.0.lock().expect("journal lock").checkpoint(nest, step)
     }
 
     /// See [`Journal::next_seq`].
@@ -417,7 +523,8 @@ fn parse_line(line: &str) -> Option<JournalRecord> {
             Some(JournalRecord::Commit(seq))
         }
         "I" => {
-            let seq = f.next()?.parse().ok()?;
+            // The largest sequence has no successor to resume from.
+            let seq = f.next()?.parse().ok().filter(|&s| s < u64::MAX)?;
             let array = f.next()?.parse().ok()?;
             let checksum = u64::from_str_radix(f.next()?, 16).ok()?;
             let lo = parse_coords(f.next()?)?;
@@ -445,6 +552,26 @@ fn parse_line(line: &str) -> Option<JournalRecord> {
                 checksum,
                 pre,
             }))
+        }
+        "S" => {
+            let watermark = f.next()?.parse().ok()?;
+            if f.next().is_some() {
+                return None;
+            }
+            Some(JournalRecord::Seeded { watermark })
+        }
+        "K" => {
+            let nest = f.next()?.parse().ok()?;
+            let step = f.next()?.parse().ok()?;
+            let watermark = f.next()?.parse().ok()?;
+            if f.next().is_some() {
+                return None;
+            }
+            Some(JournalRecord::Checkpoint {
+                nest,
+                step,
+                watermark,
+            })
         }
         _ => None,
     }
@@ -475,7 +602,7 @@ impl JournalScan {
             .iter()
             .filter_map(|r| match r {
                 JournalRecord::Commit(s) => Some(*s),
-                JournalRecord::Intent(_) => None,
+                _ => None,
             })
             .collect()
     }
@@ -487,7 +614,7 @@ impl JournalScan {
             .iter()
             .filter_map(|r| match r {
                 JournalRecord::Intent(w) => Some(w),
-                JournalRecord::Commit(_) => None,
+                _ => None,
             })
             .collect()
     }
@@ -509,6 +636,23 @@ impl JournalScan {
         self.intents()
             .into_iter()
             .filter(|w| w.seq >= watermark)
+            .collect()
+    }
+
+    /// The last recorded boundary; `None` means nothing durable exists
+    /// yet (recovery re-runs from scratch, re-seeding everything).
+    #[must_use]
+    pub fn boundary(&self) -> Option<Boundary> {
+        self.records.iter().rev().find_map(boundary_of)
+    }
+
+    /// All checkpoint watermarks in record order (checkpoint-interval
+    /// boundaries in journal-sequence space).
+    #[must_use]
+    pub fn watermarks(&self) -> Vec<u64> {
+        self.records
+            .iter()
+            .filter_map(|r| boundary_of(r).map(|b| b.watermark))
             .collect()
     }
 
@@ -735,6 +879,49 @@ mod tests {
         assert!(scan.torn_tail);
         assert_eq!(scan.valid_len, full.len() as u64);
         assert_eq!(scan.records.len(), 2);
+    }
+
+    #[test]
+    fn checkpoint_records_share_the_log_and_its_torn_tail_rule() {
+        let log = MemLog::new();
+        let mut j = Journal::new(Box::new(log.clone()));
+        j.seeded().expect("seeded");
+        let s = j
+            .intent(0, &region(1, 2), &[1.0; 2], &[0.0; 2])
+            .expect("intent");
+        j.commit(s).expect("commit");
+        assert_eq!(j.checkpoint(0, 4).expect("checkpoint"), 1);
+        assert_eq!(j.checkpoint(1, 0).expect("checkpoint"), 1);
+        let full = log.snapshot();
+        assert!(full.starts_with(b"S 0\nI 0 0 "));
+        assert!(full.ends_with(b"\nC 0\nK 0 4 1\nK 1 0 1\n"));
+        let whole = parse_journal(&full);
+        assert!(!whole.torn_tail);
+        assert_eq!(whole.records.len(), 5);
+        let last = Boundary {
+            nest: 1,
+            step: 0,
+            watermark: 1,
+        };
+        assert_eq!(whole.boundary(), Some(last));
+        assert_eq!(whole.watermarks(), vec![0, 1, 1]);
+        for cut in 0..full.len() {
+            // A torn log still yields the last *complete* boundary, and
+            // the valid prefix reparses torn-free to the same records.
+            let scan = parse_journal(&full[..cut]);
+            let len = usize::try_from(scan.valid_len).expect("len");
+            assert!(len <= cut);
+            assert_eq!(scan.boundary().is_some(), cut >= 4, "cut {cut}");
+            let again = parse_journal(&full[..len]);
+            assert!(!again.torn_tail);
+            assert_eq!(again.records, scan.records);
+        }
+        // Garbage line: dropped with everything after it.
+        log.clone().append(b"garbage\nK 9 9 9\n").expect("append");
+        let scan = parse_journal(&log.snapshot());
+        assert!(scan.torn_tail);
+        assert_eq!(scan.boundary(), Some(last));
+        assert_eq!(scan.valid_len, full.len() as u64);
     }
 
     #[test]

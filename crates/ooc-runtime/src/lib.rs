@@ -25,9 +25,10 @@
 //!   tests.
 //! * [`checksum`] — [`ChecksummedStore`]: per-chunk CRC64 sidecar;
 //!   corrupt or torn data surfaces as a typed, non-transient error.
-//! * [`journal`] — the write intent [`Journal`]: append-only
-//!   intent/commit log with pre-images, torn-tail-tolerant scan, and
-//!   idempotent [`rollback`].
+//! * [`journal`] — the write intent [`Journal`]: the one append-only
+//!   durable log (intents with pre-images, commits, checkpoint
+//!   records), torn-tail-tolerant scan with the resume [`Boundary`],
+//!   and idempotent [`rollback`].
 //! * [`ledger`] — the I/O provenance ledger: every transfer
 //!   classified by cause (compulsory, capacity miss, wasted prefetch,
 //!   replay, …) in a partition that conserves exactly against the
@@ -87,8 +88,8 @@ pub use fault::{
 };
 pub use interleave::InterleavedGroup;
 pub use journal::{
-    parse_journal, rollback, FileLog, Journal, JournalRecord, JournalScan, LogStore, MemLog,
-    SharedJournal, UndoWriter, WriteIntent,
+    parse_journal, rollback, Boundary, FileLog, Journal, JournalRecord, JournalScan, LogStore,
+    MemLog, SharedJournal, UndoWriter, WriteIntent,
 };
 pub use layout::{FileLayout, Region, Run, RunSummary};
 pub use ledger::{

@@ -26,10 +26,10 @@
 //!   main thread computes.
 //! * [`writebehind`] — a [`WriteBehind`] queue that retires dirty
 //!   tiles in the background, with `wait_clear` read-after-write
-//!   fences, a `flush` barrier at nest boundaries so pipelined
-//!   results stay **bit-equal** to the synchronous executor, and an
-//!   optional [`DurabilityFence`] that commits each tile's journal
-//!   intent before the tile settles (crash consistency).
+//!   fences and a `flush` barrier at nest boundaries so pipelined
+//!   results stay **bit-equal** to the synchronous executor. A tile
+//!   settles when its [`TileSink`] returns, so a crash-consistent
+//!   sink's journal commit lands before the tile counts as written.
 //! * [`stats`] — [`PipelineStats`]: hit rates, stall counts, and
 //!   in-flight depth, exportable to `ooc-metrics`.
 //!
@@ -58,4 +58,4 @@ pub use schedule::{
     annotate_next_use, NestSchedule, SlotKey, StageRequest, TileId, TileSchedule, TileStep,
 };
 pub use stats::{hist_compact, PipelineStats};
-pub use writebehind::{DurabilityFence, TileSink, WriteBehind};
+pub use writebehind::{TileSink, WriteBehind};

@@ -34,12 +34,6 @@ pub struct PipelineStats {
     /// Transient store-call failures absorbed by the retry policy
     /// across all arrays (from `IoStats.retries`).
     pub io_retries: u64,
-    /// Reads that failed checksum verification (torn/corrupt data).
-    pub corrupt_reads: u64,
-    /// Write intents committed to the journal (durable runs only).
-    pub journal_commits: u64,
-    /// Tiles rolled back from journal pre-images during recovery.
-    pub recovery_replayed_tiles: u64,
 }
 
 impl PipelineStats {
@@ -70,9 +64,6 @@ impl PipelineStats {
         self.in_flight_depth.merge(&other.in_flight_depth);
         self.stall_drains.merge(&other.stall_drains);
         self.io_retries += other.io_retries;
-        self.corrupt_reads += other.corrupt_reads;
-        self.journal_commits += other.journal_commits;
-        self.recovery_replayed_tiles += other.recovery_replayed_tiles;
     }
 
     /// Registers every counter under `pipeline_*` with a `kernel`
@@ -95,12 +86,6 @@ impl PipelineStats {
         );
         c("pipeline_cache_overflows_total", self.cache.overflows);
         c("pipeline_io_retries_total", self.io_retries);
-        c("pipeline_corrupt_reads_total", self.corrupt_reads);
-        c("pipeline_journal_commits_total", self.journal_commits);
-        c(
-            "pipeline_recovery_replayed_tiles_total",
-            self.recovery_replayed_tiles,
-        );
         registry.gauge_set(
             "pipeline_cache_peak_elems",
             labels,
@@ -161,16 +146,7 @@ impl PipelineStats {
             "  write-behind: {} tiles queued\n",
             self.writebehind_tiles
         ));
-        out.push_str(&format!(
-            "  io: {} transient retries, {} corrupt reads\n",
-            self.io_retries, self.corrupt_reads,
-        ));
-        if self.journal_commits > 0 || self.recovery_replayed_tiles > 0 {
-            out.push_str(&format!(
-                "  durability: {} journal commits, {} tiles replayed in recovery\n",
-                self.journal_commits, self.recovery_replayed_tiles,
-            ));
-        }
+        out.push_str(&format!("  io: {} transient retries\n", self.io_retries));
         out
     }
 }
@@ -217,8 +193,6 @@ mod tests {
             },
             max_in_flight: 4,
             io_retries: 5,
-            journal_commits: 4,
-            recovery_replayed_tiles: 1,
             ..PipelineStats::default()
         };
         s.in_flight_depth.observe(2);
@@ -244,10 +218,6 @@ mod tests {
             r.get("pipeline_io_retries_total", labels),
             Some(Value::Counter(5))
         );
-        assert_eq!(
-            r.get("pipeline_journal_commits_total", labels),
-            Some(Value::Counter(4))
-        );
         match r.get("pipeline_hit_rate", labels) {
             Some(Value::Gauge(g)) => assert!((g - 0.75).abs() < 1e-12),
             other => panic!("hit rate gauge missing: {other:?}"),
@@ -268,13 +238,9 @@ mod tests {
             "stalls:",
             "write-behind:",
             "5 transient retries",
-            "4 journal commits",
         ] {
             assert!(text.contains(needle), "missing {needle:?} in {text}");
         }
-        // Non-durable runs don't print the durability line.
-        let quiet = PipelineStats::default().render();
-        assert!(!quiet.contains("durability:"), "quiet render: {quiet}");
     }
 
     #[test]

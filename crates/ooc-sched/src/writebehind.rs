@@ -21,7 +21,10 @@
 //! A *single* writer thread keeps per-array write order identical to
 //! enqueue order, which makes overlapping same-array writes safe
 //! without any versioning; cross-array order is irrelevant because
-//! stores to different arrays never alias.
+//! stores to different arrays never alias. A tile settles when
+//! [`TileSink::store`] returns, so whatever the sink does inside it —
+//! a crash-consistent executor's journal commit, for one — is done
+//! before `wait_clear` or `flush` report the region clear.
 
 use crate::schedule::TileId;
 use ooc_runtime::{IoStats, Region, Tile};
@@ -40,21 +43,6 @@ pub trait TileSink: Send {
     /// Propagates store-level I/O errors (after the sink's own retry
     /// policy is exhausted).
     fn store(&mut self, id: &TileId, tile: &Tile) -> io::Result<IoStats>;
-}
-
-/// The durability hook a crash-consistent executor installs: after a
-/// tile's data write succeeds, the fence commits its journal intent
-/// — *before* the tile is marked settled, so by the time
-/// [`WriteBehind::wait_clear`] (or [`WriteBehind::flush`]) reports a
-/// region clear, its commit record is durably in the journal. A
-/// fence error is sticky like a write error and surfaces at the next
-/// flush barrier.
-pub trait DurabilityFence: Send {
-    /// Commits the journal intent backing `id`'s write.
-    ///
-    /// # Errors
-    /// Propagates journal I/O errors.
-    fn commit(&mut self, id: &TileId) -> io::Result<()>;
 }
 
 /// Most tiles that wait in the queue behind the one being written —
@@ -112,21 +100,9 @@ pub struct WriteBehind {
 }
 
 impl WriteBehind {
-    /// Spawns the writer thread over `sink` with no durability fence.
+    /// Spawns the writer thread over `sink`.
     #[must_use]
-    pub fn new(sink: Box<dyn TileSink>) -> Self {
-        WriteBehind::with_fence(sink, None)
-    }
-
-    /// Spawns the writer thread over `sink`; when `fence` is present
-    /// the writer commits each tile's journal intent after the data
-    /// write succeeds and before the tile settles (see
-    /// [`DurabilityFence`]).
-    #[must_use]
-    pub fn with_fence(
-        mut sink: Box<dyn TileSink>,
-        mut fence: Option<Box<dyn DurabilityFence>>,
-    ) -> Self {
+    pub fn new(mut sink: Box<dyn TileSink>) -> Self {
         let state = Arc::new(WbState::default());
         let writer = {
             let state = Arc::clone(&state);
@@ -149,16 +125,9 @@ impl WriteBehind {
                             q = state.work.wait(q).expect("writebehind queue");
                         }
                     };
-                    // Data first, then the fence's journal commit — the
-                    // write-ahead ordering crash recovery depends on.
                     let _write =
                         ooc_trace::enabled().then(|| ooc_trace::span("pipeline", "wb-write"));
-                    let result = sink.store(&id, &tile).and_then(|stats| {
-                        if let Some(f) = fence.as_mut() {
-                            f.commit(&id)?;
-                        }
-                        Ok(stats)
-                    });
+                    let result = sink.store(&id, &tile);
                     let mut q = state.queue.lock().expect("writebehind queue");
                     q.active = None;
                     match result {
@@ -396,91 +365,6 @@ mod tests {
         // The error was consumed; the queue keeps working.
         wb.flush().expect("sticky error cleared after observation");
         assert_eq!(wb.tiles_written(), 1, "array-0 write still landed");
-    }
-
-    struct LogFence {
-        log: Arc<Mutex<Vec<String>>>,
-        fail: bool,
-    }
-
-    impl DurabilityFence for LogFence {
-        fn commit(&mut self, id: &TileId) -> io::Result<()> {
-            if self.fail {
-                return Err(io::Error::other("fence failed"));
-            }
-            self.log
-                .lock()
-                .expect("log")
-                .push(format!("commit:{}:{}", id.key.array, id.region.lo[0]));
-            Ok(())
-        }
-    }
-
-    struct LogSink {
-        inner: Box<dyn TileSink>,
-        log: Arc<Mutex<Vec<String>>>,
-    }
-
-    impl TileSink for LogSink {
-        fn store(&mut self, id: &TileId, tile: &Tile) -> io::Result<IoStats> {
-            let stats = self.inner.store(id, tile)?;
-            self.log
-                .lock()
-                .expect("log")
-                .push(format!("store:{}:{}", id.key.array, id.region.lo[0]));
-            Ok(stats)
-        }
-    }
-
-    #[test]
-    fn fence_commits_after_data_before_settle() {
-        let log = Arc::new(Mutex::new(Vec::new()));
-        let (inner, _stores) = sink(None, 1);
-        let wb = WriteBehind::with_fence(
-            Box::new(LogSink {
-                inner,
-                log: Arc::clone(&log),
-            }),
-            Some(Box::new(LogFence {
-                log: Arc::clone(&log),
-                fail: false,
-            })),
-        );
-        wb.enqueue(id(0, 1, 4), filled(1, 4, 1.0));
-        wb.enqueue(id(0, 5, 8), filled(5, 8, 2.0));
-        // wait_clear returning means the overlapping tile both landed
-        // AND committed — the durability-fence guarantee.
-        wb.wait_clear(0, &Region::new(vec![2], vec![3]));
-        {
-            let l = log.lock().expect("log");
-            let store_pos = l.iter().position(|e| e == "store:0:1").expect("stored");
-            let commit_pos = l.iter().position(|e| e == "commit:0:1").expect("committed");
-            assert!(store_pos < commit_pos, "data write precedes journal commit");
-        }
-        wb.flush().expect("clean");
-        let l = log.lock().expect("log");
-        assert_eq!(
-            l.iter().filter(|e| e.starts_with("commit:")).count(),
-            2,
-            "every landed tile committed"
-        );
-    }
-
-    #[test]
-    fn fence_errors_surface_at_the_barrier() {
-        let log = Arc::new(Mutex::new(Vec::new()));
-        let (inner, _stores) = sink(None, 0);
-        let wb = WriteBehind::with_fence(
-            Box::new(LogSink {
-                inner,
-                log: Arc::clone(&log),
-            }),
-            Some(Box::new(LogFence { log, fail: true })),
-        );
-        wb.enqueue(id(0, 1, 4), filled(1, 4, 1.0));
-        let err = wb.flush().expect_err("fence failure surfaces");
-        assert!(err.to_string().contains("fence failed"));
-        assert_eq!(wb.tiles_written(), 0, "an uncommitted tile never settles");
     }
 
     /// Holds every write until the test hands it a token, and says

@@ -4,9 +4,9 @@
 //! run.
 
 use ooc_opt::core::{
-    exec_parallel_durable, max_intents_per_interval, parse_manifest, resume_functional,
-    resume_parallel, run_functional, run_functional_durable, run_functional_on, DirMedium,
-    DurabilityConfig, DurableMedium, FunctionalConfig, MemMedium, ParallelConfig, PipelineConfig,
+    exec_parallel_durable, max_intents_per_interval, resume_functional, resume_parallel,
+    run_functional, run_functional_durable, run_functional_on, DirMedium, DurabilityConfig,
+    DurableMedium, FunctionalConfig, MemMedium, ParallelConfig, PipelineConfig,
 };
 use ooc_opt::ir::ArrayId;
 use ooc_opt::kernels::{all_kernels, compile, kernel_by_name, Version};
@@ -199,10 +199,7 @@ fn crash_matrix_on(make_medium: &mut dyn FnMut(&str, u64) -> Box<dyn DurableMedi
             .map(|h| h.as_ref().expect("wrapped").calls())
             .collect();
         let target = (0..calls.len()).max_by_key(|&a| calls[a]).expect("arrays");
-        let bound = max_intents_per_interval(
-            &parse_journal(&base.journal_bytes()),
-            &parse_manifest(&base.manifest_bytes()).watermarks(),
-        );
+        let bound = max_intents_per_interval(&parse_journal(&base.journal_bytes()));
 
         for i in 1..=CRASH_POINTS {
             let at = calls[target] * i / (CRASH_POINTS + 1);
@@ -301,10 +298,7 @@ fn parallel_crash_matrix_recovers_every_kernel() {
             .map(|h| h.as_ref().expect("wrapped").calls())
             .collect();
         let target = (0..calls.len()).max_by_key(|&a| calls[a]).expect("arrays");
-        let bound = max_intents_per_interval(
-            &parse_journal(&base.journal_bytes()),
-            &parse_manifest(&base.manifest_bytes()).watermarks(),
-        );
+        let bound = max_intents_per_interval(&parse_journal(&base.journal_bytes()));
 
         for i in 1..=CRASH_POINTS {
             let at = calls[target] * i / (CRASH_POINTS + 1);
