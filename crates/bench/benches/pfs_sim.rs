@@ -5,7 +5,7 @@ use std::hint::black_box;
 
 fn synthetic_workload(procs: usize, ops_per_proc: usize) -> (PfsSim, Workload) {
     let mut sim = PfsSim::new(MachineConfig::default());
-    let f = sim.create_file(1 << 30);
+    let f = sim.create_file();
     let per_proc = (0..procs)
         .map(|p| {
             (0..ops_per_proc)

@@ -15,7 +15,7 @@
 use crate::measured::{measured_params, measured_seed, MEASURED_STRIPE_ELEMS};
 use ooc_analyze::{AnalysisReport, Blame, ALL_BLAMES};
 use ooc_core::{exec_parallel, ParallelConfig};
-use ooc_kernels::{all_kernels, compile, Kernel, Version};
+use ooc_kernels::{compile, Kernel, Version};
 use ooc_metrics::Registry;
 use ooc_runtime::{IoNodePool, MemStore, NodeStats, StripeConfig, StripedStore};
 use ooc_trace::Session;
@@ -48,7 +48,7 @@ impl AnalyzeCell {
     /// The gap-report row for this cell: priced contention vs
     /// experienced per-node busy/wait seconds.
     #[must_use]
-    pub fn gap_cell(&self) -> GapCell {
+    fn gap_cell(&self) -> GapCell {
         let loads: Vec<NodeLoad> = self
             .node_stats
             .iter()
@@ -152,37 +152,6 @@ pub fn run_analyze_cell(
         report,
         node_stats: pool.snapshot(),
     }
-}
-
-/// Runs the full forensics sweep: `kernels` (all when empty) × six
-/// versions × [`ANALYZE_WORKER_COUNTS`] at `nodes`, plus the extra
-/// node counts in `gap_nodes` at `gap_workers` for the contention gap
-/// table. Strictly sequential (trace sessions are process-exclusive).
-#[must_use]
-pub fn run_analyze_sweep(
-    scale: i64,
-    kernels: &[String],
-    nodes: usize,
-    gap_nodes: &[usize],
-    gap_workers: usize,
-) -> Vec<AnalyzeCell> {
-    let mut cells = Vec::new();
-    for k in all_kernels() {
-        if !kernels.is_empty() && !kernels.iter().any(|n| n == k.name) {
-            continue;
-        }
-        for &v in Version::ALL.iter() {
-            for workers in ANALYZE_WORKER_COUNTS {
-                cells.push(run_analyze_cell(&k, v, scale, workers, nodes));
-            }
-            for &gn in gap_nodes {
-                if gn != nodes {
-                    cells.push(run_analyze_cell(&k, v, scale, gap_workers, gn));
-                }
-            }
-        }
-    }
-    cells
 }
 
 /// The contention gap table over every cell run with `gap_workers`.

@@ -136,8 +136,7 @@ fn main() {
         cfg.interleave = cv.interleave.clone();
 
         // Measured: run the program for real at the functional-test
-        // size over profiled+traced in-memory stores, and attach the
-        // observation to the simulation report.
+        // size over profiled+traced in-memory stores.
         let run = run_functional_on(
             &cv.tiled,
             &k.small_params,
@@ -146,10 +145,7 @@ fn main() {
             |_, _, len| Ok(ProfilingStore::new(TracingStore::new(MemStore::new(len)))),
         )
         .expect("in-memory profiled execution");
-        let mut r = simulate(&cv.tiled, &cfg);
-        if let Some(m) = run.total_measured() {
-            r = r.with_measured(m);
-        }
+        let r = simulate(&cv.tiled, &cfg);
 
         println!(
             "{:6} calls={:>10} MB={:>10.1} tiles={:>8} time={:>10.2}  layouts={}",

@@ -116,19 +116,6 @@ pub struct DegradedDemo {
     pub sampled_kills: Vec<(usize, u64)>,
 }
 
-impl DegradedDemo {
-    /// The sweep's worst single-node loss by priced degraded makespan.
-    #[must_use]
-    pub fn worst_priced(&self) -> Option<&DegradedReport> {
-        self.cells.iter().map(|c| &c.priced).max_by(|a, b| {
-            a.degraded
-                .makespan_s
-                .partial_cmp(&b.degraded.makespan_s)
-                .expect("finite makespans")
-        })
-    }
-}
-
 fn node_loads(stats: &[NodeStats]) -> Vec<NodeLoad> {
     stats
         .iter()
@@ -296,7 +283,7 @@ pub fn run_degraded_demo(kernel: &str, kill_node: Option<usize>) -> DegradedDemo
 fn assert_ledger_conserves(
     k: &Kernel,
     ledger: &ProvenanceLedger,
-    out: &ooc_core::ParallelDurableOutcome,
+    out: &ooc_core::DurableOutcome<ooc_core::ParallelRun>,
 ) {
     let stats: Vec<_> = out.run.run.profiles.iter().map(|p| p.stats).collect();
     if let Err(e) = ledger.check_conservation(&stats) {

@@ -23,7 +23,7 @@ use pfs_sim::DiskParams;
 /// Cache fraction the ledger cells run at: 1/16 of the total array
 /// footprint, matching `inspect`'s measured view, so re-reads after
 /// eviction (capacity misses) actually occur on the small inputs.
-pub const LEDGER_FRACTION: u64 = 16;
+const LEDGER_FRACTION: u64 = 16;
 
 /// The version pair the diff mode explains by default: the paper's
 /// unoptimized baseline against its combined-optimization version.

@@ -33,17 +33,15 @@ pub mod reference;
 pub mod trace;
 
 pub use analyze::{
-    analyze_json, analyze_register, efficiency_summary, gap_report, run_analyze_cell,
-    run_analyze_sweep, AnalyzeCell, ANALYZE_WORKER_COUNTS,
+    analyze_json, analyze_register, efficiency_summary, gap_report, run_analyze_cell, AnalyzeCell,
+    ANALYZE_WORKER_COUNTS,
 };
 pub use degraded::{
     degraded_register, run_degraded_demo, run_degraded_ledger_diff, DegradedCell, DegradedDemo,
     DEGRADED_KERNELS, DEGRADED_NODES, DEGRADED_STRIPE_ELEMS,
 };
 pub use experiments::{run_table2, run_table3, table2_row, Table2Cell, Table2Row, Table3Entry};
-pub use ledger::{
-    ledger_register, run_ledger_cell, run_ledger_diff, LEDGER_DIFF_PAIR, LEDGER_FRACTION,
-};
+pub use ledger::{ledger_register, run_ledger_cell, run_ledger_diff, LEDGER_DIFF_PAIR};
 pub use measured::{
     measured_params, measured_table3_register, run_measured_table3, MeasuredEntry,
     MEASURED_NODE_COUNTS, MEASURED_STRIPE_ELEMS,

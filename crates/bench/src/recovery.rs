@@ -23,7 +23,7 @@ use ooc_runtime::{is_crashed, parse_journal, ChecksummedStore, CrashedError, Fau
 use std::collections::BTreeMap;
 
 /// Checkpoint intervals (tile rows per checkpoint) the sweep covers.
-pub const INTERVALS: [u64; 3] = [1, 2, 4];
+const INTERVALS: [u64; 3] = [1, 2, 4];
 
 fn seed(a: ArrayId, idx: &[i64]) -> f64 {
     let mut h = (a.0 as i64 + 1) * 2654435761;

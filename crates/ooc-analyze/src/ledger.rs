@@ -21,14 +21,14 @@ use std::fmt::Write as _;
 
 /// Seconds the disk model charges one cause bucket.
 #[must_use]
-pub fn bucket_seconds(disk: &DiskParams, t: &CauseTotal) -> f64 {
+fn bucket_seconds(disk: &DiskParams, t: &CauseTotal) -> f64 {
     disk.bulk_seconds(t.calls, t.elems * ELEM_BYTES)
 }
 
 /// Total priced seconds of every bucket — data causes plus the
 /// checksum sidecar channel.
 #[must_use]
-pub fn price_ledger(ledger: &ProvenanceLedger, disk: &DiskParams) -> f64 {
+fn price_ledger(ledger: &ProvenanceLedger, disk: &DiskParams) -> f64 {
     let totals = ledger.totals();
     IoCause::ALL
         .iter()
@@ -56,7 +56,7 @@ fn cause_total(
 
 /// `1234567` → `"1,234,567"`.
 #[must_use]
-pub fn commas(n: u64) -> String {
+fn commas(n: u64) -> String {
     let s = n.to_string();
     let mut out = String::with_capacity(s.len() + s.len() / 3);
     for (i, c) in s.chars().enumerate() {
@@ -216,17 +216,8 @@ pub struct CauseDelta {
 impl CauseDelta {
     /// `b - a` in bytes (negative = the comparison moves fewer).
     #[must_use]
-    pub fn delta_bytes(&self) -> i64 {
+    fn delta_bytes(&self) -> i64 {
         self.b.bytes() as i64 - self.a.bytes() as i64
-    }
-
-    /// `b - a` in I/O calls (negative = the comparison issues fewer).
-    /// Byte-neutral call reductions are the paper's core effect: the
-    /// matching file layout lengthens contiguous runs, so the same
-    /// bytes move in fewer, longer calls.
-    #[must_use]
-    pub fn delta_calls(&self) -> i64 {
-        self.b.calls as i64 - self.a.calls as i64
     }
 }
 
@@ -490,7 +481,7 @@ pub fn diff_ledgers(a: &ProvenanceLedger, b: &ProvenanceLedger, disk: &DiskParam
 impl LedgerDiff {
     /// Net byte change across all cause buckets (`b - a`).
     #[must_use]
-    pub fn net_bytes(&self) -> i64 {
+    fn net_bytes(&self) -> i64 {
         self.rows.iter().map(CauseDelta::delta_bytes).sum()
     }
 

@@ -35,8 +35,8 @@ pub mod timeline;
 
 pub use blame::{Blame, Waterfall, ALL_BLAMES};
 pub use critical::{CriticalPath, PathStep};
-pub use ledger::{diff_ledgers, price_ledger, render_ledger, CauseDelta, LedgerDiff};
-pub use live::{registry_provider, LiveServer, Provider, Response};
+pub use ledger::{diff_ledgers, render_ledger, CauseDelta, LedgerDiff};
+pub use live::{registry_provider, LiveServer, Response};
 pub use timeline::{FlowLink, LaneTimeline, Segment, Timeline};
 
 use std::fmt::Write as _;

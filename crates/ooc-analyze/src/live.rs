@@ -2,7 +2,7 @@
 //!
 //! [`LiveServer`] binds a `TcpListener`, polls it non-blocking from a
 //! background thread, and answers `GET` requests through a caller-
-//! supplied [`Provider`] closure. The intended wiring:
+//! supplied provider closure. The intended wiring:
 //!
 //! * `GET /metrics` — Prometheus text exposition of a shared
 //!   [`Registry`](ooc_metrics::Registry) snapshot, captured fresh per
@@ -46,10 +46,6 @@ impl Response {
     }
 }
 
-/// Maps a request path (e.g. `"/metrics"`) to a response; `None`
-/// becomes `404`.
-pub type Provider = Arc<dyn Fn(&str) -> Option<Response> + Send + Sync>;
-
 /// The running pull endpoint. Dropping it stops the poll thread.
 pub struct LiveServer {
     addr: SocketAddr,
@@ -60,10 +56,15 @@ pub struct LiveServer {
 impl LiveServer {
     /// Binds `bind` (e.g. `"127.0.0.1:0"`) and serves `provider` from
     /// a background thread until [`stop`](LiveServer::stop) or drop.
+    /// `provider` maps a request path (e.g. `"/metrics"`) to a
+    /// response; `None` becomes `404`.
     ///
     /// # Errors
     /// Propagates the bind failure.
-    pub fn start(bind: &str, provider: Provider) -> std::io::Result<LiveServer> {
+    pub fn start<P>(bind: &str, provider: P) -> std::io::Result<LiveServer>
+    where
+        P: Fn(&str) -> Option<Response> + Send + 'static,
+    {
         let listener = TcpListener::bind(bind)?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
@@ -111,7 +112,7 @@ impl Drop for LiveServer {
     }
 }
 
-fn serve_one(mut stream: TcpStream, provider: &Provider) {
+fn serve_one(mut stream: TcpStream, provider: &dyn Fn(&str) -> Option<Response>) {
     let _ = stream.set_read_timeout(Some(Duration::from_millis(500)));
     // A request may arrive in several segments: read until the
     // request line is complete (or the buffer / timeout runs out).
@@ -158,14 +159,13 @@ fn serve_one(mut stream: TcpStream, provider: &Provider) {
 /// of `registry`; `/analyze` serves the latest report text in
 /// `report`; `/ledger` serves the latest provenance-ledger render in
 /// `ledger`; `/` lists all three.
-#[must_use]
 pub fn registry_provider(
     producer: &'static str,
     registry: Arc<ooc_metrics::Registry>,
     report: Arc<Mutex<String>>,
     ledger: Arc<Mutex<String>>,
-) -> Provider {
-    Arc::new(move |path| match path {
+) -> impl Fn(&str) -> Option<Response> + Send + 'static {
+    move |path: &str| match path {
         "/metrics" => {
             let snap = ooc_metrics::Snapshot::capture(producer, &registry);
             Some(Response::text(ooc_metrics::prometheus_text(&snap)))
@@ -188,7 +188,7 @@ pub fn registry_provider(
         }
         "/" => Some(Response::text("endpoints: /metrics /analyze /ledger\n")),
         _ => None,
-    })
+    }
 }
 
 /// Fetches `path` from a running [`LiveServer`] over plain TCP —

@@ -21,7 +21,7 @@ const ELEM_VARS: [&str; 8] = ["u'", "v'", "w'", "x'", "y'", "z'", "s'", "t'"];
 /// # Panics
 /// Panics if `nest_idx` is out of range.
 #[must_use]
-pub fn render_tiled_nest(tp: &TiledProgram, nest_idx: usize, cfg: &ExecConfig) -> String {
+fn render_tiled_nest(tp: &TiledProgram, nest_idx: usize, cfg: &ExecConfig) -> String {
     let tnest = &tp.nests[nest_idx];
     let nest = &tnest.nest;
     let params = &cfg.params;

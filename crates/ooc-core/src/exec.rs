@@ -91,21 +91,6 @@ pub struct SimReport {
     pub flops: f64,
     /// Total tile steps walked.
     pub tile_steps: u64,
-    /// Store-level measured I/O from a companion functional run, when
-    /// one was attached with [`SimReport::with_measured`]. Simulation
-    /// itself moves no data, so this stays `None` unless a caller runs
-    /// the program for real (usually at a smaller size) and attaches
-    /// the observation for side-by-side reporting.
-    pub measured: Option<MeasuredIo>,
-}
-
-impl SimReport {
-    /// Attaches measured I/O observed by a functional run.
-    #[must_use]
-    pub fn with_measured(mut self, measured: MeasuredIo) -> Self {
-        self.measured = Some(measured);
-        self
-    }
 }
 
 /// Number of floating-point operations per execution of a statement.
@@ -148,7 +133,7 @@ pub fn build_workload(tp: &TiledProgram, cfg: &ExecConfig) -> (PfsSim, Workload,
         }
         let layout = tp.layouts[members[0].0].clone();
         let g = InterleavedGroup::new(env.dims(members[0].0), layout, members.len());
-        let file = sim.create_file(g.file_elements() * ELEM_BYTES);
+        let file = sim.create_file();
         for m in members {
             group_of.insert(*m, groups.len());
         }
@@ -157,7 +142,7 @@ pub fn build_workload(tp: &TiledProgram, cfg: &ExecConfig) -> (PfsSim, Workload,
     // Plain files for ungrouped arrays.
     let mut file_of: BTreeMap<ArrayId, FileId> = BTreeMap::new();
     for a in (0..n_arrays).filter(|&a| !group_of.contains_key(&ArrayId(a))) {
-        file_of.insert(ArrayId(a), sim.create_file(env.array_elems(a) * ELEM_BYTES));
+        file_of.insert(ArrayId(a), sim.create_file());
     }
 
     let mut per_proc: Vec<Vec<Op>> = vec![Vec::new(); cfg.procs];
@@ -300,7 +285,6 @@ pub fn build_workload(tp: &TiledProgram, cfg: &ExecConfig) -> (PfsSim, Workload,
         io_bytes,
         flops: flops_total,
         tile_steps,
-        measured: None,
     };
     (sim, workload, report)
 }

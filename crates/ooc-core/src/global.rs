@@ -48,7 +48,7 @@ impl Default for GlobalOptions {
 /// exactly {column-major, row-major}, the choice set of the paper's
 /// published comparisons.
 #[must_use]
-pub fn layout_candidates(rank: usize) -> Vec<FileLayout> {
+fn layout_candidates(rank: usize) -> Vec<FileLayout> {
     (0..rank)
         .map(|inner| {
             let mut perm: Vec<usize> = (0..rank).rev().filter(|&d| d != inner).collect();

@@ -37,12 +37,6 @@ impl InterferenceGraph {
         }
     }
 
-    /// Arrays referenced by nest `n`.
-    #[must_use]
-    pub fn arrays_of(&self, n: NestId) -> &[ArrayId] {
-        &self.edges[n.0]
-    }
-
     /// `true` if nest `n` references array `a`.
     #[must_use]
     pub fn references(&self, n: NestId, a: ArrayId) -> bool {

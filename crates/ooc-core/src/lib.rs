@@ -86,13 +86,13 @@ pub mod report;
 pub mod storage;
 pub mod tiling;
 
-pub use codegen::{render_tiled_nest, render_tiled_program};
+pub use codegen::render_tiled_program;
 pub use cost::{default_layouts, nest_cost, order_by_cost};
 pub use exec::{
     build_workload, max_divergence_from_reference, run_functional, run_functional_on, simulate,
     ArrayProfile, ExecConfig, FunctionalConfig, FunctionalRun, SimReport,
 };
-pub use global::{layout_candidates, optimize_global, GlobalOptions, GlobalResult};
+pub use global::{optimize_global, GlobalOptions, GlobalResult};
 pub use interference::{Component, InterferenceGraph};
 pub use kernel::TileKernel;
 pub use locality::{
@@ -105,13 +105,12 @@ pub use optimizer::{
 };
 pub use parallel::{exec_parallel, ParallelConfig, ParallelRun, PartitionSummary};
 pub use pipeline::{exec_pipelined, extract_schedule, PipelineConfig, PipelinedRun};
-pub use plan::{ownership_level, plan_nest, NestPlan, PlanEnv};
+pub use plan::{plan_nest, NestPlan, PlanEnv};
 pub use recovery::{
     exec_parallel_durable, exec_pipelined_durable, max_intents_per_interval, resume_functional,
     resume_parallel, resume_pipelined, run_functional_durable, run_parallel_surviving_node_loss,
     DirMedium, DurabilityConfig, DurableMedium, DurableOutcome, DurableStore, MemMedium,
-    NodeLossOutcome, NodeLossReport, ParallelDurableOutcome, PipelinedDurableOutcome,
-    RecoveryReport, StripedMedium,
+    NodeLossOutcome, NodeLossReport, RecoveryReport, StripedMedium,
 };
 pub use report::{optimization_report, IoComparison, NestReport, OptimizationReport, RefReport};
 pub use storage::{bounding_box, reduce_storage, StorageReduction};

@@ -113,15 +113,6 @@ impl Default for ParallelConfig {
     }
 }
 
-impl ParallelConfig {
-    /// Same settings with a different shard count.
-    #[must_use]
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards;
-        self
-    }
-}
-
 /// How one nest was partitioned — recorded per nest so tests and the
 /// bench harness can assert which nests actually ran parallel.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -55,8 +55,8 @@ use ooc_runtime::{
     Tile, TouchTracker,
 };
 use ooc_sched::{
-    annotate_next_use, CacheStats, Delivery, NestSchedule, PipelineStats, PrefetchPool, SlotKey,
-    StageRequest, TileCache, TileId, TileSchedule, TileSink, TileSource, TileStep, WriteBehind,
+    annotate_next_use, Delivery, NestSchedule, PipelineStats, PrefetchPool, SlotKey, StageRequest,
+    TileCache, TileId, TileSchedule, TileSink, TileSource, TileStep, WriteBehind,
 };
 use std::collections::BTreeMap;
 use std::io;
@@ -106,20 +106,6 @@ impl PipelineConfig {
     #[must_use]
     pub fn depth(mut self, depth: usize) -> Self {
         self.prefetch_depth = depth;
-        self
-    }
-
-    /// Sets the worker count (builder style).
-    #[must_use]
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = workers;
-        self
-    }
-
-    /// Sets an explicit cache capacity in elements (builder style).
-    #[must_use]
-    pub fn with_cache_capacity(mut self, elems: u64) -> Self {
-        self.cache_capacity = Some(elems);
         self
     }
 }
@@ -984,15 +970,6 @@ pub fn schedule_footprint(schedule: &TileSchedule) -> u64 {
         .map(|n| n.read_footprint_max)
         .max()
         .unwrap_or(0)
-}
-
-/// Folds a [`CacheStats`] into a short human-readable summary line.
-#[must_use]
-pub fn cache_summary(stats: &CacheStats) -> String {
-    format!(
-        "{} hits / {} misses, {} evictions, peak {} elems",
-        stats.hits, stats.misses, stats.evictions, stats.peak_elems
-    )
 }
 
 #[cfg(test)]

@@ -160,7 +160,7 @@ impl<'a> PlanEnv<'a> {
 /// mentions an outer level (every rectangular nest) this is the exact
 /// range.
 #[must_use]
-pub fn level_ranges(nest: &LoopNest, params: &[i64]) -> Option<Vec<(i64, i64)>> {
+fn level_ranges(nest: &LoopNest, params: &[i64]) -> Option<Vec<(i64, i64)>> {
     let mut out: Vec<(i64, i64)> = Vec::with_capacity(nest.depth);
     for b in &nest.bounds.loop_bounds() {
         // The extreme of `form` over the box of the outer ranges.
@@ -189,7 +189,7 @@ pub fn level_ranges(nest: &LoopNest, params: &[i64]) -> Option<Vec<(i64, i64)>> 
 /// chunk nests across processors on it (falling back to the outermost
 /// level when there is none).
 #[must_use]
-pub fn ownership_level(nest: &LoopNest) -> Option<usize> {
+fn ownership_level(nest: &LoopNest) -> Option<usize> {
     let deps = ooc_ir::nest_dependences(nest);
     (0..nest.depth).find(|&l| deps.iter().all(|d| d.vector[l] == DepElem::Exact(0)))
 }

@@ -64,17 +64,6 @@ impl Default for DurabilityConfig {
     }
 }
 
-impl DurabilityConfig {
-    /// A config checkpointing every `rows` tile rows.
-    #[must_use]
-    pub fn every_rows(rows: u64) -> Self {
-        DurabilityConfig {
-            checkpoint_rows: rows,
-            ..DurabilityConfig::default()
-        }
-    }
-}
-
 /// The store stack of a durable array: data and CRC sidecar behind a
 /// checksum-verifying layer (optionally fault-injected underneath).
 pub type DurableStore = ChecksummedStore<Box<dyn Store + Send>, Box<dyn Store + Send>>;
@@ -317,12 +306,6 @@ pub struct DurableOutcome<R = FunctionalRun> {
     /// Per-array checksum counters.
     pub checksum_handles: Vec<ChecksumHandle>,
 }
-
-/// Result of a durable pipelined run.
-pub type PipelinedDurableOutcome = DurableOutcome<PipelinedRun>;
-
-/// Result of a durable parallel run.
-pub type ParallelDurableOutcome = DurableOutcome<ParallelRun>;
 
 /// Per-array upper bound on journal intents between consecutive
 /// checkpoint watermarks of a completed run's log — the "one
@@ -638,7 +621,7 @@ fn run_durable_sharded(
     faults: &dyn Fn(usize) -> Option<FaultConfig>,
     engine: &Engine,
     resume: bool,
-) -> io::Result<ParallelDurableOutcome> {
+) -> io::Result<DurableOutcome<ParallelRun>> {
     let ledger = cfg.pipeline.functional.ledger.as_ref();
     let names = &engine.durable;
     run_durable(
@@ -669,7 +652,7 @@ fn run_durable_pipelined(
     medium: &mut dyn DurableMedium,
     faults: &dyn Fn(usize) -> Option<FaultConfig>,
     resume: bool,
-) -> io::Result<PipelinedDurableOutcome> {
+) -> io::Result<DurableOutcome<PipelinedRun>> {
     let cfg = &ParallelConfig {
         pipeline: cfg.clone(),
         shards: 1,
@@ -762,7 +745,7 @@ pub fn exec_pipelined_durable(
     dur: &DurabilityConfig,
     medium: &mut dyn DurableMedium,
     faults: &dyn Fn(usize) -> Option<FaultConfig>,
-) -> io::Result<PipelinedDurableOutcome> {
+) -> io::Result<DurableOutcome<PipelinedRun>> {
     run_durable_pipelined(tp, params, init, cfg, dur, medium, faults, false)
 }
 
@@ -783,7 +766,7 @@ pub fn resume_pipelined(
     dur: &DurabilityConfig,
     medium: &mut dyn DurableMedium,
     faults: &dyn Fn(usize) -> Option<FaultConfig>,
-) -> io::Result<PipelinedDurableOutcome> {
+) -> io::Result<DurableOutcome<PipelinedRun>> {
     run_durable_pipelined(tp, params, init, cfg, dur, medium, faults, true)
 }
 
@@ -807,7 +790,7 @@ pub fn exec_parallel_durable(
     dur: &DurabilityConfig,
     medium: &mut dyn DurableMedium,
     faults: &dyn Fn(usize) -> Option<FaultConfig>,
-) -> io::Result<ParallelDurableOutcome> {
+) -> io::Result<DurableOutcome<ParallelRun>> {
     run_durable_sharded(tp, params, init, cfg, dur, medium, faults, &PARALLEL, false)
 }
 
@@ -831,7 +814,7 @@ pub fn resume_parallel(
     dur: &DurabilityConfig,
     medium: &mut dyn DurableMedium,
     faults: &dyn Fn(usize) -> Option<FaultConfig>,
-) -> io::Result<ParallelDurableOutcome> {
+) -> io::Result<DurableOutcome<ParallelRun>> {
     run_durable_sharded(tp, params, init, cfg, dur, medium, faults, &PARALLEL, true)
 }
 
@@ -915,13 +898,6 @@ impl StripedMedium {
     #[must_use]
     pub fn total_repair(&self) -> RepairIo {
         self.pool.total_repair()
-    }
-
-    /// The striped store of array `a`, once built (test plumbing and
-    /// scrubber attachment).
-    #[must_use]
-    pub fn array_store(&self, a: usize) -> Option<SharedStore<StripedStore<MemStore>>> {
-        self.data.get(&a).cloned()
     }
 
     /// Scrubs every array built so far: verifies each parity group
@@ -1043,7 +1019,7 @@ impl NodeLossReport {
 #[derive(Debug)]
 pub struct NodeLossOutcome {
     /// The completed (possibly resumed) durable parallel run.
-    pub outcome: ParallelDurableOutcome,
+    pub outcome: DurableOutcome<ParallelRun>,
     /// Node losses, resumes, and repair traffic.
     pub loss: NodeLossReport,
 }

@@ -43,13 +43,13 @@ pub struct NestReport {
 impl NestReport {
     /// References with good (temporal or stride-1) locality, before.
     #[must_use]
-    pub fn good_before(&self) -> usize {
+    fn good_before(&self) -> usize {
         self.refs.iter().filter(|r| is_good(r.before)).count()
     }
 
     /// References with good locality after optimization.
     #[must_use]
-    pub fn good_after(&self) -> usize {
+    fn good_after(&self) -> usize {
         self.refs.iter().filter(|r| is_good(r.after)).count()
     }
 }

@@ -81,15 +81,6 @@ pub enum DepKind {
     Output,
 }
 
-impl Dependence {
-    /// `true` when the vector is all-`Exact(0)` (a loop-independent
-    /// dependence, preserved by any non-singular transformation).
-    #[must_use]
-    pub fn is_loop_independent(&self) -> bool {
-        self.vector.iter().all(|e| *e == DepElem::Exact(0))
-    }
-}
-
 /// Computes the dependences of a nest, summarized as distance or
 /// direction vectors.
 ///
@@ -388,7 +379,9 @@ mod tests {
             Expr::Ref(refm(1, &[vec![0, 1], vec![1, 0]], vec![0, 0])),
         );
         let deps = nest_dependences(&nest_with(vec![s], 2));
-        assert!(deps.iter().all(Dependence::is_loop_independent));
+        assert!(deps
+            .iter()
+            .all(|d| d.vector.iter().all(|e| *e == DepElem::Exact(0))));
     }
 
     #[test]

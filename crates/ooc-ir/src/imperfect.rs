@@ -30,15 +30,6 @@ impl Subscript {
         }
     }
 
-    /// The subscript `var + c`.
-    #[must_use]
-    pub fn var_plus(name: &str, c: i64) -> Self {
-        Subscript {
-            terms: vec![(name.to_string(), 1)],
-            constant: c,
-        }
-    }
-
     /// A constant subscript.
     #[must_use]
     pub fn constant(c: i64) -> Self {
@@ -55,16 +46,6 @@ impl Subscript {
             terms: terms.iter().map(|(n, c)| ((*n).to_string(), *c)).collect(),
             constant,
         }
-    }
-
-    /// Coefficient of variable `name` (0 if absent).
-    #[must_use]
-    pub fn coeff_of(&self, name: &str) -> i64 {
-        self.terms
-            .iter()
-            .filter(|(n, _)| n == name)
-            .map(|(_, c)| c)
-            .sum()
     }
 }
 
@@ -208,13 +189,10 @@ mod tests {
 
     #[test]
     fn subscript_constructors() {
-        assert_eq!(Subscript::var("i").coeff_of("i"), 1);
-        assert_eq!(Subscript::var("i").coeff_of("j"), 0);
-        assert_eq!(Subscript::var_plus("i", 2).constant, 2);
+        assert_eq!(Subscript::var("i").terms, [("i".to_string(), 1)]);
         assert_eq!(Subscript::constant(4).terms.len(), 0);
         let s = Subscript::affine(&[("i", 2), ("j", -1)], 3);
-        assert_eq!(s.coeff_of("i"), 2);
-        assert_eq!(s.coeff_of("j"), -1);
+        assert_eq!(s.terms, [("i".to_string(), 2), ("j".to_string(), -1)]);
         assert_eq!(s.constant, 3);
     }
 

@@ -32,12 +32,12 @@ pub mod program;
 
 pub use builder::{NestBuilder, ProgramBuilder, B};
 pub use deps::{nest_dependences, transformation_preserves, DepElem, DepKind, Dependence};
-pub use exec::{eval_expr, execute_nest, execute_program, Memory};
+pub use exec::{execute_program, Memory};
 pub use imperfect::{
     LoopNode, Node, Subscript, SurfaceExpr, SurfaceProgram, SurfaceRef, SurfaceStmt,
 };
 pub use normalize::{normalize, NormalizeError};
-pub use pretty::{nest_to_string, program_to_string, ref_str};
+pub use pretty::program_to_string;
 pub use program::{
     ArrayDecl, ArrayId, ArrayRef, DimSize, Expr, Guard, GuardAt, LoopNest, NestId, Program,
     Statement,

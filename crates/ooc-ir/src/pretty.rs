@@ -76,7 +76,7 @@ fn bound_str(forms: &[Affine], params: &[String], is_lower: bool) -> String {
 
 /// Renders a reference like `U(i,j+1)`.
 #[must_use]
-pub fn ref_str(r: &ArrayRef, array_names: &[String]) -> String {
+fn ref_str(r: &ArrayRef, array_names: &[String]) -> String {
     let name = array_names
         .get(r.array.0)
         .cloned()
@@ -146,7 +146,7 @@ fn stmt_str(s: &Statement, array_names: &[String]) -> String {
 
 /// Renders one nest as an indented `do` pyramid.
 #[must_use]
-pub fn nest_to_string(nest: &LoopNest, params: &[String], array_names: &[String]) -> String {
+fn nest_to_string(nest: &LoopNest, params: &[String], array_names: &[String]) -> String {
     let mut out = String::new();
     let bounds = nest.bounds.loop_bounds();
     for (level, b) in bounds.iter().enumerate() {

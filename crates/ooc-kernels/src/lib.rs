@@ -15,4 +15,4 @@ pub mod kernels;
 pub mod versions;
 
 pub use kernel::{all_kernels, kernel_by_name, Kernel};
-pub use versions::{compile, differential_pairs, interleave_groups, CompiledVersion, Version};
+pub use versions::{compile, differential_pairs, CompiledVersion, Version};

@@ -56,11 +56,10 @@ impl Version {
     ];
 
     /// The naive fixed-layout baselines.
-    pub const BASELINES: [Version; 2] = [Version::Col, Version::Row];
+    const BASELINES: [Version; 2] = [Version::Col, Version::Row];
 
     /// The compiler-optimized versions.
-    pub const OPTIMIZED: [Version; 4] =
-        [Version::LOpt, Version::DOpt, Version::COpt, Version::HOpt];
+    const OPTIMIZED: [Version; 4] = [Version::LOpt, Version::DOpt, Version::COpt, Version::HOpt];
 
     /// Table column label.
     #[must_use]
@@ -73,13 +72,6 @@ impl Version {
             Version::COpt => "c-opt",
             Version::HOpt => "h-opt",
         }
-    }
-
-    /// `true` for the compiler-optimized versions, `false` for the
-    /// fixed-layout baselines.
-    #[must_use]
-    pub fn is_optimized(&self) -> bool {
-        Version::OPTIMIZED.contains(self)
     }
 }
 
@@ -189,7 +181,7 @@ pub fn compile(kernel: &Kernel, version: Version) -> CompiledVersion {
 /// every staged group tile is fully used and one batch of calls
 /// fetches all members.
 #[must_use]
-pub fn interleave_groups(tiled: &TiledProgram) -> Vec<Vec<ArrayId>> {
+fn interleave_groups(tiled: &TiledProgram) -> Vec<Vec<ArrayId>> {
     // Signature: dims + layout + the multiset of (nest, access matrix)
     // pairs the array is touched through.
     let mut by_sig: BTreeMap<String, Vec<ArrayId>> = BTreeMap::new();

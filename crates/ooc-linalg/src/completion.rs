@@ -27,7 +27,7 @@ use crate::rational::Rational;
 /// # Panics
 /// Panics if `v` is zero or not primitive.
 #[must_use]
-pub fn extend_to_unimodular_first_col(v: &[i64]) -> Matrix {
+fn extend_to_unimodular_first_col(v: &[i64]) -> Matrix {
     let k = v.len();
     assert!(k > 0, "empty vector");
     assert_eq!(gcd_slice(v).abs(), 1, "vector {v:?} is not primitive");

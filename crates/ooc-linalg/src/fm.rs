@@ -102,7 +102,7 @@ impl Affine {
 
     /// `self + s·rhs`.
     #[must_use]
-    pub fn combine(&self, rhs: &Affine, s: Rational) -> Affine {
+    fn combine(&self, rhs: &Affine, s: Rational) -> Affine {
         assert_eq!(self.nvars(), rhs.nvars());
         assert_eq!(self.nparams(), rhs.nparams());
         Affine {
@@ -139,7 +139,7 @@ impl Affine {
     /// Panics if `subst.len() != nvars` or the substitution forms
     /// disagree about spaces.
     #[must_use]
-    pub fn substitute_vars(&self, subst: &[Affine]) -> Affine {
+    fn substitute_vars(&self, subst: &[Affine]) -> Affine {
         assert_eq!(subst.len(), self.nvars());
         let new_nvars = subst.first().map_or(0, Affine::nvars);
         let mut out = Affine::zero(new_nvars, self.nparams());
@@ -275,12 +275,6 @@ impl Polyhedron {
     #[must_use]
     pub const fn nparams(&self) -> usize {
         self.nparams
-    }
-
-    /// The constraints (each `expr >= 0`).
-    #[must_use]
-    pub fn constraints(&self) -> &[Constraint] {
-        &self.constraints
     }
 
     /// Adds `expr >= 0`.
@@ -591,7 +585,7 @@ mod tests {
         p.add_var_range(0, 2, 7);
         p.add_var_range(1, 1, 3);
         let q = p.eliminate(1);
-        for c in q.constraints() {
+        for c in &q.constraints {
             assert!(c.expr.var_coeffs[1].is_zero());
         }
         assert!(q.contains(&[2, 0], &[]));

@@ -5,36 +5,8 @@
 //! positive — the transformed source iteration still executes before
 //! the transformed sink iteration.
 
-use crate::matrix::Matrix;
-use crate::rational::Rational;
-
-/// `true` iff `v` is lexicographically positive (first nonzero entry
-/// is positive). The zero vector is *not* positive.
-#[must_use]
-pub fn lex_positive(v: &[Rational]) -> bool {
-    for x in v {
-        match x.signum() {
-            0 => continue,
-            s => return s > 0,
-        }
-    }
-    false
-}
-
-/// `true` iff `v` is lexicographically non-negative (zero vector
-/// included).
-#[must_use]
-pub fn lex_nonnegative(v: &[Rational]) -> bool {
-    for x in v {
-        match x.signum() {
-            0 => continue,
-            s => return s > 0,
-        }
-    }
-    true
-}
-
-/// Integer-slice variants.
+/// `true` iff the integer vector is lexicographically positive (first
+/// nonzero entry is positive). The zero vector is *not* positive.
 #[must_use]
 pub fn lex_positive_i64(v: &[i64]) -> bool {
     v.iter().find(|&&x| x != 0).is_some_and(|&x| x > 0)
@@ -46,21 +18,34 @@ pub fn lex_nonnegative_i64(v: &[i64]) -> bool {
     v.iter().find(|&&x| x != 0).is_none_or(|&x| x > 0)
 }
 
-/// Checks that the loop transformation `t` preserves every dependence
-/// distance vector in `distances`: each `t·d` must stay
-/// lexicographically positive. An empty set of dependences is always
-/// legal.
-#[must_use]
-pub fn transformation_legal(t: &Matrix, distances: &[Vec<i64>]) -> bool {
-    distances.iter().all(|d| {
-        assert_eq!(d.len(), t.cols(), "distance vector dimension mismatch");
-        lex_positive(&t.mul_vec_i64(d))
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rational::Rational;
+
+    /// Reference: `true` iff `v` is lexicographically positive, by the
+    /// definition over exact rationals.
+    fn lex_positive(v: &[Rational]) -> bool {
+        for x in v {
+            match x.signum() {
+                0 => continue,
+                s => return s > 0,
+            }
+        }
+        false
+    }
+
+    /// Reference: `true` iff `v` is lexicographically non-negative
+    /// (zero vector included).
+    fn lex_nonnegative(v: &[Rational]) -> bool {
+        for x in v {
+            match x.signum() {
+                0 => continue,
+                s => return s > 0,
+            }
+        }
+        true
+    }
 
     fn r(v: &[i64]) -> Vec<Rational> {
         v.iter().map(|&x| Rational::from(x)).collect()
@@ -94,23 +79,5 @@ mod tests {
             assert_eq!(lex_positive_i64(&v), lex_positive(&r(&v)));
             assert_eq!(lex_nonnegative_i64(&v), lex_nonnegative(&r(&v)));
         }
-    }
-
-    #[test]
-    fn interchange_legality() {
-        let interchange = Matrix::from_i64(2, 2, &[0, 1, 1, 0]);
-        // Distance (1, 0): interchange maps it to (0, 1) — still legal.
-        assert!(transformation_legal(&interchange, &[vec![1, 0]]));
-        // Distance (1, -1): interchange maps it to (-1, 1) — illegal.
-        assert!(!transformation_legal(&interchange, &[vec![1, -1]]));
-        // No dependences: always legal.
-        assert!(transformation_legal(&interchange, &[]));
-    }
-
-    #[test]
-    fn skew_makes_interchange_legal() {
-        // Classic: skewing T = [[1,0],[1,1]] maps (1,-1) to (1,0).
-        let skew = Matrix::from_i64(2, 2, &[1, 0, 1, 1]);
-        assert!(transformation_legal(&skew, &[vec![1, -1]]));
     }
 }

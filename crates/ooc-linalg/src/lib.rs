@@ -49,12 +49,10 @@ pub mod lex;
 pub mod matrix;
 pub mod rational;
 
-pub use completion::{complete_last_column, completion_candidates, extend_to_unimodular_first_col};
+pub use completion::{complete_last_column, completion_candidates};
 pub use fm::{Affine, Constraint, LoopBounds, Polyhedron};
 pub use gcd::{extended_gcd, gcd, gcd_slice, lcm, primitive};
 pub use hnf::{column_hnf, HnfResult};
-pub use lex::{
-    lex_nonnegative, lex_nonnegative_i64, lex_positive, lex_positive_i64, transformation_legal,
-};
+pub use lex::{lex_nonnegative_i64, lex_positive_i64};
 pub use matrix::Matrix;
 pub use rational::Rational;

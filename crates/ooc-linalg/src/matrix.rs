@@ -109,7 +109,7 @@ impl Matrix {
 
     /// Returns `true` for a square matrix.
     #[must_use]
-    pub const fn is_square(&self) -> bool {
+    const fn is_square(&self) -> bool {
         self.rows == self.cols
     }
 
@@ -338,15 +338,6 @@ impl Matrix {
             .collect()
     }
 
-    /// Returns entries as `i64` if *every* entry is an integer in range.
-    #[must_use]
-    pub fn to_i64(&self) -> Option<Vec<i64>> {
-        self.data
-            .iter()
-            .map(|r| r.as_integer().and_then(|v| i64::try_from(v).ok()))
-            .collect()
-    }
-
     /// Returns `true` if all entries are integers.
     #[must_use]
     pub fn is_integer(&self) -> bool {
@@ -361,22 +352,12 @@ impl Matrix {
     }
 
     /// Swaps two rows in place.
-    pub fn swap_rows(&mut self, a: usize, b: usize) {
+    fn swap_rows(&mut self, a: usize, b: usize) {
         if a == b {
             return;
         }
         for c in 0..self.cols {
             self.data.swap(a * self.cols + c, b * self.cols + c);
-        }
-    }
-
-    /// Swaps two columns in place.
-    pub fn swap_cols(&mut self, a: usize, b: usize) {
-        if a == b {
-            return;
-        }
-        for r in 0..self.rows {
-            self.data.swap(r * self.cols + a, r * self.cols + b);
         }
     }
 }

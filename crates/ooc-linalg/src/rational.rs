@@ -139,12 +139,6 @@ impl Rational {
         -((-self.num).div_euclid(self.den))
     }
 
-    /// Approximate value as `f64` (for display / heuristics only).
-    #[must_use]
-    pub fn to_f64(&self) -> f64 {
-        self.num as f64 / self.den as f64
-    }
-
     /// `self + rhs`, or `None` when a component leaves `i128`.
     #[must_use]
     pub fn checked_add(self, rhs: Self) -> Option<Self> {

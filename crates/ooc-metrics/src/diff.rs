@@ -12,7 +12,7 @@
 //!   drains): how *often* the instrumented path ran is deterministic
 //!   and gates exactly on the observation count, but where the
 //!   samples land moves with the host clock, so bucket-shape and sum
-//!   drift at equal count is tolerated ([`TIMING_HIST_PREFIX`]).
+//!   drift at equal count is tolerated.
 //! * **Gauges drift.** Wall-clock and simulated-seconds vary with the
 //!   host or legitimately move as code evolves; a gauge only *warns*,
 //!   and only beyond a relative threshold.
@@ -159,7 +159,7 @@ fn fmt_value(v: &Option<Value>) -> String {
 /// histograms (queue waits, stall drains): their observation **count**
 /// is deterministic and gates exactly, but bucket shape and sum move
 /// with the host clock, so shape drift at equal count is tolerated.
-pub const TIMING_HIST_PREFIX: &str = "timing_";
+const TIMING_HIST_PREFIX: &str = "timing_";
 
 fn judge(key: &Key, old: &Value, new: &Value, policy: &DiffPolicy) -> (Verdict, String) {
     match (old, new) {

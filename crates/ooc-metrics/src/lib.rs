@@ -35,7 +35,7 @@ pub mod snapshot;
 pub use diff::{diff_snapshots, DiffEntry, DiffPolicy, DiffReport, Verdict};
 pub use prometheus::prometheus_text;
 pub use registry::{Histogram, Key, Registry, Value};
-pub use snapshot::{validate_snapshot_json, Snapshot, SNAPSHOT_SCHEMA};
+pub use snapshot::{validate_snapshot_json, Snapshot};
 
 /// Number of log2 histogram buckets. Bucket `i` counts observations in
 /// `2^i ..= 2^(i+1)-1`; the last bucket absorbs the overflow. This is

@@ -150,6 +150,26 @@ impl Histogram {
         }
         crate::bucket_bounds(LOG2_BUCKETS - 1).1
     }
+
+    /// Compact one-line rendering: each nonzero bucket as
+    /// `[lo-hi]xCOUNT` (`[lo+]` for the overflow bucket), e.g.
+    /// `[0-1]x3 [8-15]x4`. Empty string when empty.
+    #[must_use]
+    pub fn compact(&self) -> String {
+        let mut parts = Vec::new();
+        for (i, &count) in self.buckets.iter().enumerate() {
+            if count == 0 {
+                continue;
+            }
+            let (lo, hi) = crate::bucket_bounds(i);
+            if hi == u64::MAX {
+                parts.push(format!("[{lo}+]x{count}"));
+            } else {
+                parts.push(format!("[{lo}-{hi}]x{count}"));
+            }
+        }
+        parts.join(" ")
+    }
 }
 
 /// A metric's current value.
@@ -316,6 +336,19 @@ mod tests {
         assert_eq!(h.quantile(0.5), crate::bucket_bounds(0).1, "rank 8 of 16");
         assert_eq!(h.quantile(0.9), crate::bucket_bounds(3).1, "rank 15");
         assert_eq!(h.quantile(1.0), crate::bucket_bounds(9).1, "max bucket");
+    }
+
+    #[test]
+    fn histogram_renders_compactly() {
+        let mut buckets = [0; LOG2_BUCKETS];
+        assert_eq!(Histogram::from_counts(buckets, 0).compact(), "");
+        buckets[0] = 3;
+        buckets[3] = 4;
+        buckets[LOG2_BUCKETS - 1] = 1;
+        assert_eq!(
+            Histogram::from_counts(buckets, 0).compact(),
+            "[0-1]x3 [8-15]x4 [8388608+]x1"
+        );
     }
 
     #[test]

@@ -33,7 +33,7 @@ use crate::LOG2_BUCKETS;
 use ooc_trace::json::Json;
 
 /// The schema identifier every valid snapshot carries.
-pub const SNAPSHOT_SCHEMA: &str = "ooc-metrics-snapshot/v1";
+const SNAPSHOT_SCHEMA: &str = "ooc-metrics-snapshot/v1";
 
 /// A registry's state at one instant, plus provenance.
 #[derive(Debug, Clone, PartialEq)]
@@ -116,7 +116,7 @@ impl Snapshot {
     ///
     /// # Errors
     /// Returns the first structural problem found.
-    pub fn from_json(v: &Json) -> Result<Snapshot, String> {
+    fn from_json(v: &Json) -> Result<Snapshot, String> {
         validate_snapshot_json(v)?;
         let producer = v
             .get("producer")

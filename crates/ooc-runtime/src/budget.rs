@@ -65,7 +65,7 @@ impl MemoryBudget {
 
     /// Elements still available.
     #[must_use]
-    pub fn available(&self) -> u64 {
+    fn available(&self) -> u64 {
         self.capacity - self.in_use
     }
 
@@ -109,30 +109,6 @@ impl MemoryBudget {
     }
 }
 
-/// Chooses the largest tile height `B` such that `arrays` tiles of
-/// `B × row_len` elements fit in the budget; at least 1.
-///
-/// This is the tile-size rule for the paper's out-of-core tiling
-/// (§3.3): the innermost loop is untiled (full `row_len` extent), the
-/// tiled dimension gets `B` iterations.
-#[must_use]
-pub fn tile_span(budget: &MemoryBudget, arrays: usize, row_len: u64) -> u64 {
-    let per = budget.per_array(arrays);
-    (per / row_len.max(1)).max(1)
-}
-
-/// Chooses a square tile edge for traditional tiling: the largest `B`
-/// with `arrays` tiles of `B × B` elements within budget; at least 1.
-#[must_use]
-pub fn square_tile_edge(budget: &MemoryBudget, arrays: usize) -> u64 {
-    let per = budget.per_array(arrays);
-    let mut b = (per as f64).sqrt() as u64;
-    while b > 1 && b * b > per {
-        b -= 1;
-    }
-    b.max(1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -161,24 +137,6 @@ mod tests {
     fn over_free_panics() {
         let mut b = MemoryBudget::new(10);
         b.free(1);
-    }
-
-    #[test]
-    fn tile_span_rule() {
-        // Budget 32 elements over 2 arrays, rows of 8: B = 2 (16 elements
-        // per array tile) — exactly the Figure 3 setting.
-        let b = MemoryBudget::new(32);
-        assert_eq!(tile_span(&b, 2, 8), 2);
-        // Tiny budgets still make progress.
-        assert_eq!(tile_span(&MemoryBudget::new(1), 2, 8), 1);
-    }
-
-    #[test]
-    fn square_tile_rule() {
-        // Budget 32 over 2 arrays: per-array 16 -> 4x4 tiles (Figure 3(a)).
-        let b = MemoryBudget::new(32);
-        assert_eq!(square_tile_edge(&b, 2), 4);
-        assert_eq!(square_tile_edge(&MemoryBudget::new(2), 2), 1);
     }
 
     #[test]

@@ -232,7 +232,7 @@ impl std::error::Error for CorruptError {}
 
 /// Wraps a [`CorruptError`] as a non-transient [`io::Error`].
 #[must_use]
-pub fn corrupt_error(detail: CorruptError) -> io::Error {
+fn corrupt_error(detail: CorruptError) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, detail)
 }
 

@@ -12,7 +12,7 @@
 //! Determinism is **per (store, call index)**, not per global call
 //! order: each store (one per array) numbers its own calls, and the
 //! raw fail/pass decision for call `k` is a pure hash of
-//! `(seed, k)` — see [`FaultStore::would_fail_at`]. Concurrent callers
+//! `(seed, k)` — see [`fault_plan`]. Concurrent callers
 //! (prefetch workers hammering several arrays at once) therefore
 //! observe exactly the same injected-fault schedule per array as a
 //! single-threaded run, regardless of how the threads interleave.
@@ -62,7 +62,7 @@ pub enum CrashMode {
 impl CrashMode {
     /// The call index at which this mode crashes, if any.
     #[must_use]
-    pub fn crash_index(&self) -> Option<u64> {
+    fn crash_index(&self) -> Option<u64> {
         match self {
             CrashMode::None => None,
             CrashMode::CrashAt(at) | CrashMode::TornWrite { at, .. } => Some(*at),
@@ -208,26 +208,6 @@ impl NodeFaultConfig {
     pub fn slow_node(mut self, node: usize, delay_ns: u64) -> Self {
         self.slow_ns.insert(node, delay_ns);
         self
-    }
-
-    /// A seeded single-node kill: derives `(node, call)` from the same
-    /// splitmix-style hash the transient schedule uses, so fault
-    /// sweeps can scatter kill points deterministically.
-    #[must_use]
-    pub fn seeded_kill(seed: u64, nodes: usize, max_call: u64) -> Self {
-        let h = |salt: u64| {
-            let mut x = seed
-                .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-                .wrapping_add(salt.wrapping_mul(0xbf58_476d_1ce4_e5b9))
-                | 1;
-            x ^= x >> 30;
-            x = x.wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            x ^= x >> 27;
-            x
-        };
-        let node = usize::try_from(h(1) % nodes.max(1) as u64).expect("node fits usize");
-        let call = h(2) % max_call.max(1);
-        Self::new().permanent_fail_at(node, call)
     }
 
     /// `true` when no faults are configured.
@@ -402,40 +382,10 @@ impl<S: Store> FaultStore<S> {
         FaultHandle(Arc::clone(&self.state))
     }
 
-    /// Failures injected so far.
-    ///
-    /// # Panics
-    /// Panics if the fault mutex was poisoned.
-    #[must_use]
-    pub fn injected(&self) -> u64 {
-        self.state.lock().expect("fault lock").injected
-    }
-
     /// Unwraps the backing store.
     #[must_use]
     pub fn into_inner(self) -> S {
         self.inner
-    }
-
-    /// Whether this store's call number `index` fails, as a pure
-    /// function of `(config, index)` — the full capped schedule is
-    /// replayed from 0, so the answer is independent of when (or from
-    /// which thread) the call actually arrives. Covers both the
-    /// transient schedule and the crash point.
-    #[must_use]
-    pub fn would_fail_at(&self, index: u64) -> bool {
-        if self
-            .config
-            .crash
-            .crash_index()
-            .is_some_and(|at| index >= at)
-        {
-            return true;
-        }
-        fault_plan(&self.config, index + 1)
-            .last()
-            .copied()
-            .unwrap_or(false)
     }
 
     /// Decides (and records) what the next call does. The lock only
@@ -490,7 +440,7 @@ impl<S: Store> FaultStore<S> {
 /// decision derives from these, so the whole schedule is a pure
 /// function of the per-store call index.
 #[must_use]
-pub fn raw_fault(config: &FaultConfig, index: u64) -> bool {
+fn raw_fault(config: &FaultConfig, index: u64) -> bool {
     let mut x = config
         .seed
         .wrapping_mul(0x9e37_79b9_7f4a_7c15)
@@ -607,7 +557,6 @@ mod tests {
             }
         }
         assert_eq!(failures, 3, "exactly max_faults injected");
-        assert_eq!(s.injected(), 3);
         assert_eq!(s.handle().injected(), 3);
     }
 
@@ -634,16 +583,11 @@ mod tests {
     }
 
     #[test]
-    fn would_fail_at_matches_observed_schedule() {
+    fn observed_schedule_matches_the_plan() {
         let config = FaultConfig::transient(99, 250);
         let s = FaultStore::new(MemStore::new(8), config);
         let plan = fault_plan(&config, 64);
         for (k, planned) in plan.iter().enumerate() {
-            assert_eq!(
-                s.would_fail_at(k as u64),
-                *planned,
-                "plan/replay disagree at call {k}"
-            );
             let mut buf = [0.0; 1];
             let observed = s.read_run(0, &mut buf).is_err();
             assert_eq!(observed, *planned, "live call {k} diverged from plan");
@@ -683,7 +627,7 @@ mod tests {
         let planned: u64 = fault_plan(&config, total).iter().filter(|&&f| f).count() as u64;
         assert!(planned > 0, "config must actually inject");
         assert_eq!(*failures.lock().expect("count lock"), planned);
-        assert_eq!(concurrent.injected(), planned);
+        assert_eq!(concurrent.handle().injected(), planned);
 
         // And the sequential twin sees the identical schedule.
         let sequential = FaultStore::new(MemStore::new(8), config);
@@ -747,7 +691,6 @@ mod tests {
         let s = FaultStore::new(MemStore::new(8), crashing);
         let mut buf = [0.0; 1];
         for (k, planned) in plan.iter().enumerate() {
-            assert_eq!(s.would_fail_at(k as u64), *planned, "plan at {k}");
             let r = s.read_run(0, &mut buf);
             match r {
                 Ok(()) => assert!(!planned, "call {k} passed but plan says fail"),
@@ -760,7 +703,6 @@ mod tests {
                 }
             }
         }
-        assert!(s.would_fail_at(40), "crash point fails");
         let e = s.read_run(0, &mut buf).expect_err("call 40 crashes");
         assert!(is_crashed(&e));
     }
@@ -800,24 +742,12 @@ mod tests {
     }
 
     #[test]
-    fn seeded_kill_is_deterministic_and_in_range() {
-        let a = NodeFaultConfig::seeded_kill(9, 4, 100);
-        let b = NodeFaultConfig::seeded_kill(9, 4, 100);
-        assert_eq!(a, b, "equal seeds give equal kills");
-        let (&node, &call) = a.down_at.iter().next().expect("one kill");
-        assert!(node < 4);
-        assert!(call < 100);
-        let c = NodeFaultConfig::seeded_kill(10, 4, 100);
-        assert_ne!(a, c, "different seeds should differ");
-    }
-
-    #[test]
     fn zero_rate_never_fails() {
         let s = FaultStore::new(MemStore::new(8), FaultConfig::transient(1, 0));
         for _ in 0..100 {
             let mut buf = [0.0; 2];
             s.read_run(0, &mut buf).expect("no faults at rate 0");
         }
-        assert_eq!(s.injected(), 0);
+        assert_eq!(s.handle().injected(), 0);
     }
 }

@@ -14,7 +14,6 @@
 
 use crate::array::{summary_cost, IoCost};
 use crate::layout::{FileLayout, Region, RunSummary};
-use crate::store::ELEM_BYTES;
 
 /// A group of `members` same-shape arrays stored element-interleaved
 /// under a common base layout.
@@ -44,12 +43,6 @@ impl InterleavedGroup {
         }
     }
 
-    /// Total elements in the combined file.
-    #[must_use]
-    pub fn file_elements(&self) -> u64 {
-        self.dims.iter().product::<i64>() as u64 * self.members as u64
-    }
-
     /// File offset of member `m`'s element at `idx`.
     #[must_use]
     pub fn offset_of(&self, member: usize, idx: &[i64]) -> u64 {
@@ -62,7 +55,7 @@ impl InterleavedGroup {
     /// with each run `members`× longer. This is where interleaving
     /// wins: one call moves the group's whole tile slice.
     #[must_use]
-    pub fn group_run_summary(&self, region: &Region) -> RunSummary {
+    fn group_run_summary(&self, region: &Region) -> RunSummary {
         let s = self.base.region_run_summary(&self.dims, region);
         RunSummary {
             runs: s.runs,
@@ -77,30 +70,6 @@ impl InterleavedGroup {
     pub fn group_io_cost(&self, region: &Region, max_call_elems: u64) -> IoCost {
         summary_cost(self.group_run_summary(region), max_call_elems)
     }
-
-    /// Run summary for reading only ONE member's tile: every element of
-    /// the member is isolated by the interleaving stride, so each base
-    /// *element* becomes its own run (the penalty interleaving pays when
-    /// arrays are not accessed together).
-    #[must_use]
-    pub fn single_member_run_summary(&self, region: &Region) -> RunSummary {
-        let s = self.base.region_run_summary(&self.dims, region);
-        if self.members == 1 {
-            return s;
-        }
-        RunSummary {
-            runs: s.elements,
-            elements: s.elements,
-            min_start: s.min_start * self.members as u64,
-            max_end: s.max_end * self.members as u64,
-        }
-    }
-}
-
-/// Convenience: bytes moved by an [`IoCost`].
-#[must_use]
-pub fn cost_bytes(c: &IoCost) -> u64 {
-    c.elements * ELEM_BYTES
 }
 
 #[cfg(test)]
@@ -115,7 +84,6 @@ mod tests {
         assert_eq!(g.offset_of(2, &[1, 1]), 2);
         assert_eq!(g.offset_of(0, &[1, 2]), 3);
         assert_eq!(g.offset_of(1, &[2, 2]), 10);
-        assert_eq!(g.file_elements(), 12);
     }
 
     #[test]
@@ -146,16 +114,6 @@ mod tests {
             .runs;
         assert_eq!(grouped, 4);
         assert_eq!(single * 2, 8);
-    }
-
-    #[test]
-    fn single_member_pays_stride_penalty() {
-        let g = InterleavedGroup::new(&[4, 4], FileLayout::row_major(2), 2);
-        let region = Region::new(vec![1, 1], vec![1, 4]);
-        let s = g.single_member_run_summary(&region);
-        assert_eq!(s.runs, 4); // one run per element
-        let g1 = InterleavedGroup::new(&[4, 4], FileLayout::row_major(2), 1);
-        assert_eq!(g1.single_member_run_summary(&region).runs, 1);
     }
 
     #[test]

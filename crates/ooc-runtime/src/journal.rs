@@ -385,22 +385,15 @@ impl Journal {
         Ok(wm)
     }
 
-    /// The sequence number the next intent will get — the journal
-    /// *watermark* checkpoint records carry.
-    #[must_use]
-    pub fn next_seq(&self) -> u64 {
-        self.next_seq
-    }
-
     /// Intents appended by this writer (not counting a resumed past).
     #[must_use]
-    pub fn intents_written(&self) -> u64 {
+    fn intents_written(&self) -> u64 {
         self.intents
     }
 
     /// Commits appended by this writer.
     #[must_use]
-    pub fn commits_written(&self) -> u64 {
+    fn commits_written(&self) -> u64 {
         self.commits
     }
 }
@@ -479,15 +472,6 @@ impl SharedJournal {
     /// Panics if the journal mutex was poisoned.
     pub fn checkpoint(&self, nest: usize, step: u64) -> io::Result<u64> {
         self.0.lock().expect("journal lock").checkpoint(nest, step)
-    }
-
-    /// See [`Journal::next_seq`].
-    ///
-    /// # Panics
-    /// Panics if the journal mutex was poisoned.
-    #[must_use]
-    pub fn next_seq(&self) -> u64 {
-        self.0.lock().expect("journal lock").next_seq()
     }
 
     /// `(intents, commits)` appended through this journal writer.
@@ -597,7 +581,7 @@ pub struct JournalScan {
 impl JournalScan {
     /// Sequence numbers with a commit record.
     #[must_use]
-    pub fn committed_seqs(&self) -> BTreeSet<u64> {
+    fn committed_seqs(&self) -> BTreeSet<u64> {
         self.records
             .iter()
             .filter_map(|r| match r {
@@ -705,17 +689,18 @@ pub fn parse_journal(bytes: &[u8]) -> JournalScan {
     scan
 }
 
-/// The write path [`rollback`] drives: `(array, region, pre-image)`.
-pub type UndoWriter<'a> = dyn FnMut(u32, &Region, &[f64]) -> io::Result<()> + 'a;
-
-/// Applies `intents` in reverse sequence order through `write`,
-/// restoring each pre-image — the undo pass of recovery. Returns the
-/// number of tiles rolled back. Idempotent: pre-images are absolute
-/// contents, so replaying the same rollback lands in the same state.
+/// Applies `intents` in reverse sequence order through `write(array,
+/// region, pre-image)`, restoring each pre-image — the undo pass of
+/// recovery. Returns the number of tiles rolled back. Idempotent:
+/// pre-images are absolute contents, so replaying the same rollback
+/// lands in the same state.
 ///
 /// # Errors
 /// Propagates `write` errors.
-pub fn rollback(intents: &[&WriteIntent], write: &mut UndoWriter<'_>) -> io::Result<u64> {
+pub fn rollback<F>(intents: &[&WriteIntent], write: &mut F) -> io::Result<u64>
+where
+    F: FnMut(u32, &Region, &[f64]) -> io::Result<()>,
+{
     let mut ordered: Vec<&WriteIntent> = intents.to_vec();
     ordered.sort_by_key(|w| std::cmp::Reverse(w.seq));
     let mut n = 0u64;
@@ -975,6 +960,6 @@ mod tests {
         // Sequence numbers unique and dense.
         let seqs: BTreeSet<u64> = scan.intents().iter().map(|w| w.seq).collect();
         assert_eq!(seqs.len(), 64);
-        assert_eq!(j.next_seq(), 64);
+        assert_eq!(seqs.last(), Some(&63));
     }
 }

@@ -102,19 +102,6 @@ impl IoCause {
         IoCause::ScrubRead,
     ];
 
-    /// The causes that partition the data store's traffic (everything
-    /// except the checksum sidecar channel).
-    pub const DATA: [IoCause; 8] = [
-        IoCause::Compulsory,
-        IoCause::CapacityMiss,
-        IoCause::PrefetchUseful,
-        IoCause::PrefetchWasted,
-        IoCause::ReplayRead,
-        IoCause::WriteBack,
-        IoCause::WriteRewrite,
-        IoCause::ReplayWrite,
-    ];
-
     /// Whether this cause accounts read-side traffic.
     #[must_use]
     pub fn is_read(self) -> bool {
@@ -134,7 +121,7 @@ impl IoCause {
     /// Whether this cause is repair-plane traffic (see
     /// [`IoCause::REPAIR`]).
     #[must_use]
-    pub fn is_repair(self) -> bool {
+    fn is_repair(self) -> bool {
         IoCause::REPAIR.contains(&self)
     }
 
@@ -280,7 +267,7 @@ impl ProvenanceLedger {
     /// Read-side and write-side `(calls, elems)` sums of the data
     /// causes for one array.
     #[must_use]
-    pub fn data_sums(&self, array: u32) -> ((u64, u64), (u64, u64)) {
+    fn data_sums(&self, array: u32) -> ((u64, u64), (u64, u64)) {
         let mut read = (0u64, 0u64);
         let mut write = (0u64, 0u64);
         for e in self.events.iter().filter(|e| e.array == array) {
@@ -348,18 +335,6 @@ impl ProvenanceLedger {
             .filter(|e| e.cause == cause)
             .map(|e| e.elems)
             .sum()
-    }
-
-    /// Total elements across all repair-plane causes.
-    #[must_use]
-    pub fn repair_elems(&self) -> u64 {
-        self.repair.values().map(|&(_, e)| e).sum()
-    }
-
-    /// Total bytes in data-cause buckets matching `cause`.
-    #[must_use]
-    pub fn cause_bytes(&self, cause: IoCause) -> u64 {
-        self.cause_elems(cause) * crate::store::ELEM_BYTES
     }
 }
 
@@ -654,7 +629,6 @@ mod tests {
         assert_eq!(ledger.cause_elems(IoCause::DegradedReconstruct), 12);
         assert_eq!(ledger.cause_elems(IoCause::ScrubRead), 16);
         assert_eq!(ledger.cause_elems(IoCause::HedgedRead), 0);
-        assert_eq!(ledger.repair_elems(), 36);
         let totals = ledger.totals();
         assert_eq!(totals[&(0, IoCause::ParityWrite)].elems, 8);
         assert_eq!(totals[&(1, IoCause::ScrubRead)].calls, 1);
@@ -666,21 +640,31 @@ mod tests {
         LedgerRecorder::new().add_repair(0, IoCause::WriteBack, 1, 1);
     }
 
+    /// The causes that partition the data store's traffic (everything
+    /// except the checksum sidecar channel).
+    const DATA: [IoCause; 8] = [
+        IoCause::Compulsory,
+        IoCause::CapacityMiss,
+        IoCause::PrefetchUseful,
+        IoCause::PrefetchWasted,
+        IoCause::ReplayRead,
+        IoCause::WriteBack,
+        IoCause::WriteRewrite,
+        IoCause::ReplayWrite,
+    ];
+
     #[test]
     fn repair_causes_are_disjoint_from_the_data_partition() {
         for cause in IoCause::REPAIR {
             assert!(cause.is_repair());
-            assert!(
-                !IoCause::DATA.contains(&cause),
-                "{cause} must stay out of DATA"
-            );
+            assert!(!DATA.contains(&cause), "{cause} must stay out of DATA");
         }
-        for cause in IoCause::DATA {
+        for cause in DATA {
             assert!(!cause.is_repair());
         }
         assert_eq!(
             IoCause::ALL.len(),
-            IoCause::DATA.len() + IoCause::REPAIR.len() + 1,
+            DATA.len() + IoCause::REPAIR.len() + 1,
             "ALL = data partition + repair plane + checksum sidecar"
         );
     }

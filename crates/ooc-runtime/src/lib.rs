@@ -77,19 +77,17 @@ pub mod trace;
 pub use array::{
     run_calls, summary_cost, IoCost, IoStats, OocArray, RetryPolicy, RuntimeConfig, Tile,
 };
-pub use budget::{square_tile_edge, tile_span, BudgetExceeded, MemoryBudget};
-pub use checksum::{
-    corrupt_error, crc64, crc64_f64s, is_corrupt, ChecksumHandle, ChecksummedStore, CorruptError,
-};
+pub use budget::{BudgetExceeded, MemoryBudget};
+pub use checksum::{crc64, crc64_f64s, is_corrupt, ChecksumHandle, ChecksummedStore, CorruptError};
 pub use fault::{
     fault_plan, is_crashed, is_node_down, is_node_slow, node_down, node_down_error,
-    node_slow_error, raw_fault, CrashMode, CrashedError, FaultConfig, FaultHandle, FaultStore,
-    NodeDownError, NodeFaultConfig, NodeSlowError,
+    node_slow_error, CrashMode, CrashedError, FaultConfig, FaultHandle, FaultStore, NodeDownError,
+    NodeFaultConfig, NodeSlowError,
 };
 pub use interleave::InterleavedGroup;
 pub use journal::{
     parse_journal, rollback, Boundary, FileLog, Journal, JournalRecord, JournalScan, LogStore,
-    MemLog, SharedJournal, UndoWriter, WriteIntent,
+    MemLog, SharedJournal, WriteIntent,
 };
 pub use layout::{FileLayout, Region, Run, RunSummary};
 pub use ledger::{

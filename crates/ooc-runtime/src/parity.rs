@@ -51,7 +51,7 @@ impl ParityLayout {
 
     /// Data stripes per parity group (`K-1`).
     #[must_use]
-    pub fn group_width(&self) -> u64 {
+    fn group_width(&self) -> u64 {
         self.nodes as u64 - 1
     }
 

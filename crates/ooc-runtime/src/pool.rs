@@ -59,7 +59,7 @@ pub struct ServiceModel {
 impl ServiceModel {
     /// Service duration of one call moving `elems` elements.
     #[must_use]
-    pub fn duration(&self, elems: u64) -> Duration {
+    fn duration(&self, elems: u64) -> Duration {
         Duration::from_nanos(
             self.call_ns
                 .saturating_add(self.elem_ns.saturating_mul(elems)),
@@ -494,23 +494,6 @@ impl IoNodePool {
         Some(hedge.deadline_ns(&st.stats.timing.wait_hist))
     }
 
-    /// Runs one store call on `node`'s lane under the pool-wide
-    /// queue-wait deadline ([`StripeConfig::queue_deadline_ns`]).
-    /// See [`execute_deadline`](Self::execute_deadline).
-    ///
-    /// # Errors
-    /// Propagates `op`'s error, a typed dead-node rejection, or a
-    /// typed deadline timeout.
-    pub fn execute<R>(
-        &self,
-        node: usize,
-        class: CallClass,
-        elems: u64,
-        op: impl FnOnce() -> io::Result<R>,
-    ) -> io::Result<R> {
-        self.execute_deadline(node, class, elems, self.inner.cfg.queue_deadline_ns, op)
-    }
-
     /// Runs one store call on `node`'s lane: waits for bounded FIFO
     /// admission and the lane grant (up to `deadline_ns`, if given),
     /// executes `op`, holds the lane for the simulated service time
@@ -720,7 +703,7 @@ mod tests {
                 let in_lane = Arc::clone(&in_lane);
                 scope.spawn(move || {
                     for _ in 0..50 {
-                        p.execute(0, CallClass::Read, 4, || {
+                        p.execute_deadline(0, CallClass::Read, 4, None, || {
                             let now = in_lane.fetch_add(1, Ordering::SeqCst);
                             assert_eq!(now, 0, "lane admitted two callers at once");
                             std::thread::yield_now();
@@ -745,7 +728,7 @@ mod tests {
         // using the pool directly with a failing op.
         let err = s
             .pool()
-            .execute(0, CallClass::Read, 1, || -> io::Result<()> {
+            .execute_deadline(0, CallClass::Read, 1, None, || -> io::Result<()> {
                 Err(io::Error::other("boom"))
             })
             .expect_err("op error propagates");
@@ -778,29 +761,29 @@ mod tests {
             NodeFaultConfig::new().permanent_fail_at(1, 2),
         );
         for _ in 0..2 {
-            p.execute(1, CallClass::Read, 1, || Ok(()))
+            p.execute_deadline(1, CallClass::Read, 1, None, || Ok(()))
                 .expect("pre-death call");
         }
         let e = p
-            .execute(1, CallClass::Read, 1, || Ok(()))
+            .execute_deadline(1, CallClass::Read, 1, None, || Ok(()))
             .expect_err("death at call 2");
         assert!(is_node_down(&e));
         assert_eq!(crate::fault::node_down(&e).expect("payload").node, 1);
         assert_eq!(p.health(1), NodeHealth::Down);
         // Sticky: later calls are rejected without running the op.
         let e2 = p
-            .execute(1, CallClass::Read, 1, || -> io::Result<()> {
+            .execute_deadline(1, CallClass::Read, 1, None, || -> io::Result<()> {
                 panic!("op must not run")
             })
             .expect_err("still dead");
         assert!(is_node_down(&e2));
         assert_eq!(p.snapshot()[1].timing.down_rejections, 2);
         // The other node is unaffected.
-        p.execute(0, CallClass::Read, 1, || Ok(()))
+        p.execute_deadline(0, CallClass::Read, 1, None, || Ok(()))
             .expect("peer alive");
         // Revive disables the injected schedule (replacement device).
         p.revive(1);
-        p.execute(1, CallClass::Read, 1, || Ok(()))
+        p.execute_deadline(1, CallClass::Read, 1, None, || Ok(()))
             .expect("revived");
     }
 
@@ -831,7 +814,9 @@ mod tests {
             }
             // The lane is now held for ~60 ms; our 2 ms budget expires.
             let e = p
-                .execute(0, CallClass::Read, 1, || Ok(()))
+                .execute_deadline(0, CallClass::Read, 1, p.config().queue_deadline_ns, || {
+                    Ok(())
+                })
                 .expect_err("deadline miss");
             assert!(is_node_slow(&e), "typed slow error, got {e}");
         });

@@ -112,12 +112,6 @@ impl<S: Store> ProfilingStore<S> {
         }
     }
 
-    /// Wraps `inner` recording into an existing shared `log`.
-    #[must_use]
-    pub fn with_log(inner: S, log: AccessLog) -> Self {
-        ProfilingStore { inner, log }
-    }
-
     /// A shared handle onto this store's log.
     #[must_use]
     pub fn log(&self) -> AccessLog {

@@ -378,7 +378,7 @@ impl<S: Store> StripedStore<S> {
     /// # Errors
     /// Out-of-range group, missing parity lane, or an unexpected
     /// (non-corruption, non-dead-node) part error.
-    pub fn scrub_group(&mut self, j: u64, repair: bool) -> io::Result<ScrubReport> {
+    fn scrub_group(&mut self, j: u64, repair: bool) -> io::Result<ScrubReport> {
         let lay = self.layout()?;
         if j >= lay.groups() {
             return Err(io::Error::new(
@@ -457,11 +457,13 @@ impl<S: Store> StripedStore<S> {
         Ok(rep)
     }
 
-    /// Scrubs every parity group once. See
-    /// [`scrub_group`](Self::scrub_group).
+    /// Scrubs every parity group once: verifies each group's parity
+    /// bit-exactly and, with `repair`, rewrites stale parity and
+    /// rebuilds a single CRC-corrupt chunk from redundancy.
     ///
     /// # Errors
-    /// As [`scrub_group`](Self::scrub_group).
+    /// Missing parity lane, or an unexpected (non-corruption,
+    /// non-dead-node) part error.
     pub fn scrub(&mut self, repair: bool) -> io::Result<ScrubReport> {
         let mut total = ScrubReport::default();
         for j in 0..self.layout()?.groups() {

@@ -50,16 +50,6 @@ impl<S: Store> SharedStore<S> {
     pub fn with_inner<R>(&self, f: impl FnOnce(&mut S) -> R) -> R {
         f(&mut self.0.lock().unwrap_or_else(PoisonError::into_inner))
     }
-
-    /// Unwraps the store when this is the last handle.
-    ///
-    /// # Errors
-    /// Returns `self` unchanged while other clones are alive.
-    pub fn try_unwrap(self) -> Result<S, SharedStore<S>> {
-        Arc::try_unwrap(self.0)
-            .map(|m| m.into_inner().unwrap_or_else(PoisonError::into_inner))
-            .map_err(SharedStore)
-    }
 }
 
 impl<S: Store> Store for SharedStore<S> {
@@ -139,15 +129,5 @@ mod tests {
             let owner = (i % 4) as f64 + 1.0;
             assert_eq!(chunk, [owner; 4], "run {i}");
         }
-    }
-
-    #[test]
-    fn try_unwrap_needs_sole_ownership() {
-        let a = SharedStore::new(MemStore::new(4));
-        let b = a.clone();
-        let a = a.try_unwrap().expect_err("clone alive");
-        drop(b);
-        let inner = a.try_unwrap().expect("sole owner");
-        assert_eq!(inner.len(), 4);
     }
 }

@@ -145,15 +145,23 @@ impl FileStore {
     /// Creates (truncating) a file sized for `len` elements.
     ///
     /// # Errors
-    /// Propagates filesystem errors.
+    /// `InvalidInput` when `len` elements do not fit a `u64` byte
+    /// length (nothing is created then); otherwise propagates
+    /// filesystem errors.
     pub fn create(path: &Path, len: u64) -> io::Result<Self> {
+        let bytes = len.checked_mul(ELEM_BYTES).ok_or_else(|| {
+            io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!("{len} elements overflow a u64 byte length"),
+            )
+        })?;
         let file = OpenOptions::new()
             .read(true)
             .write(true)
             .create(true)
             .truncate(true)
             .open(path)?;
-        file.set_len(len * ELEM_BYTES)?;
+        file.set_len(bytes)?;
         Ok(FileStore { file, len })
     }
 
@@ -325,5 +333,22 @@ mod tests {
         assert!(s.write_run(u64::MAX, &[1.0, 2.0]).is_err());
         assert!(s.read_run(u64::MAX - 1, &mut [0.0; 4]).is_err());
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn filestore_refuses_a_length_whose_byte_size_overflows() {
+        let dir = crate::testing::TempDir::new("ooc-store-overflow").expect("tmp");
+        let path = dir.path().join("arr.dat");
+        // 2^61 + 4 elements are 2^64 + 32 bytes: wrapped, a 32-byte
+        // file on which element 2^61 would alias element 0.
+        for len in [u64::MAX / ELEM_BYTES + 1, (1 << 61) + 4] {
+            let err = FileStore::create(&path, len).expect_err("byte length overflows");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "len {len}");
+        }
+        let mut s = FileStore::create(&path, 4).expect("small length");
+        s.write_run(3, &[7.0]).expect("write");
+        let mut buf = [0.0; 4];
+        s.read_run(0, &mut buf).expect("read");
+        assert_eq!(buf, [0.0, 0.0, 0.0, 7.0]);
     }
 }

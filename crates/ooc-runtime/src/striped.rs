@@ -194,12 +194,6 @@ impl<S: Store> StripedStore<S> {
         self
     }
 
-    /// Whether this store carries a parity lane.
-    #[must_use]
-    pub fn has_parity(&self) -> bool {
-        self.parity.is_some()
-    }
-
     /// Number of parity groups, when a parity lane exists.
     #[must_use]
     pub fn parity_groups(&self) -> Option<u64> {

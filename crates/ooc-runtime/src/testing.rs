@@ -1,21 +1,17 @@
 //! Test plumbing for the instrumented store layer: self-cleaning
 //! temporary directories and a [`Backend`] selector that builds
 //! equivalent in-memory or on-disk stores, so differential tests can
-//! run the same program against both and compare measured I/O.
+//! run the same program against both and compare measured I/O. The
+//! stores are `Send`, so the sync, pipelined and parallel executors
+//! all take the same [`Backend::open`] / [`Backend::open_traced`].
 
-use crate::pool::IoNodePool;
 use crate::store::{FileStore, MemStore, Store};
-use crate::striped::StripedStore;
 use crate::trace::{TraceHandle, TracingStore};
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 static TEMP_COUNTER: AtomicU64 = AtomicU64::new(0);
-
-/// A traced, striped, sendable store as built by
-/// [`Backend::open_striped_traced`].
-pub type TracedStriped = TracingStore<StripedStore<Box<dyn Store + Send>>>;
 
 /// A process-unique temporary directory removed on drop.
 #[derive(Debug)]
@@ -71,11 +67,13 @@ impl Backend {
     }
 
     /// Builds a zeroed store of `len` elements. File-backed stores
-    /// live at `dir/<name>.dat`.
+    /// live at `dir/<name>.dat`. The trait object is `Send`, so the
+    /// store can also cross into pipeline worker threads (behind a
+    /// [`SharedStore`](crate::shared::SharedStore)).
     ///
     /// # Errors
     /// Propagates filesystem errors.
-    pub fn open(self, dir: &Path, name: &str, len: u64) -> io::Result<Box<dyn Store>> {
+    pub fn open(self, dir: &Path, name: &str, len: u64) -> io::Result<Box<dyn Store + Send>> {
         match self {
             Backend::Mem => Ok(Box::new(MemStore::new(len))),
             Backend::File => Ok(Box::new(FileStore::create(
@@ -86,7 +84,8 @@ impl Backend {
     }
 
     /// Like [`Backend::open`], wrapped in a [`TracingStore`]; the
-    /// returned handle observes the store after it moves into an array.
+    /// returned handle observes the store after it moves into an array
+    /// or across threads.
     ///
     /// # Errors
     /// Propagates filesystem errors.
@@ -95,82 +94,8 @@ impl Backend {
         dir: &Path,
         name: &str,
         len: u64,
-    ) -> io::Result<(TracingStore<Box<dyn Store>>, TraceHandle)> {
-        let store = TracingStore::new(self.open(dir, name, len)?);
-        let trace = store.trace();
-        Ok((store, trace))
-    }
-
-    /// Like [`Backend::open`], but the trait object is `Send` so the
-    /// store can cross into pipeline worker threads (behind a
-    /// [`SharedStore`](crate::shared::SharedStore)).
-    ///
-    /// # Errors
-    /// Propagates filesystem errors.
-    pub fn open_sendable(
-        self,
-        dir: &Path,
-        name: &str,
-        len: u64,
-    ) -> io::Result<Box<dyn Store + Send>> {
-        match self {
-            Backend::Mem => Ok(Box::new(MemStore::new(len))),
-            Backend::File => Ok(Box::new(FileStore::create(
-                &dir.join(format!("{name}.dat")),
-                len,
-            )?)),
-        }
-    }
-
-    /// Like [`Backend::open_sendable`], wrapped in a [`TracingStore`]
-    /// so pipelined differential tests observe measured I/O across
-    /// threads.
-    ///
-    /// # Errors
-    /// Propagates filesystem errors.
-    pub fn open_traced_send(
-        self,
-        dir: &Path,
-        name: &str,
-        len: u64,
     ) -> io::Result<(TracingStore<Box<dyn Store + Send>>, TraceHandle)> {
-        let store = TracingStore::new(self.open_sendable(dir, name, len)?);
-        let trace = store.trace();
-        Ok((store, trace))
-    }
-
-    /// Builds a [`StripedStore`] over this backend: one part store per
-    /// I/O node of `pool` (file parts at `dir/<name>.n<k>.dat`),
-    /// routed through the pool's FIFO lanes.
-    ///
-    /// # Errors
-    /// Propagates filesystem errors.
-    pub fn open_striped(
-        self,
-        dir: &Path,
-        name: &str,
-        len: u64,
-        pool: &IoNodePool,
-    ) -> io::Result<StripedStore<Box<dyn Store + Send>>> {
-        StripedStore::build(pool, len, |node, part_len| {
-            self.open_sendable(dir, &format!("{name}.n{node}"), part_len)
-        })
-    }
-
-    /// Like [`Backend::open_striped`], wrapped in a [`TracingStore`]
-    /// so differential tests see the array's measured store-level I/O
-    /// alongside the pool's per-node statistics.
-    ///
-    /// # Errors
-    /// Propagates filesystem errors.
-    pub fn open_striped_traced(
-        self,
-        dir: &Path,
-        name: &str,
-        len: u64,
-        pool: &IoNodePool,
-    ) -> io::Result<(TracedStriped, TraceHandle)> {
-        let store = TracingStore::new(self.open_striped(dir, name, len, pool)?);
+        let store = TracingStore::new(self.open(dir, name, len)?);
         let trace = store.trace();
         Ok((store, trace))
     }

@@ -111,24 +111,11 @@ impl MeasuredIo {
         ooc_metrics::Histogram::from_counts(self.run_hist, self.total_elems())
     }
 
-    /// Compact one-line rendering of the run-length histogram: each
-    /// nonzero bucket as `[lo-hi]xCOUNT` (`[lo+]` for the overflow
-    /// bucket), e.g. `[0-1]x3 [8-15]x4`. Empty string when idle.
+    /// Compact one-line rendering of the run-length histogram (see
+    /// [`Histogram::compact`](ooc_metrics::Histogram::compact)).
     #[must_use]
     pub fn run_hist_compact(&self) -> String {
-        let mut parts = Vec::new();
-        for (i, &count) in self.run_hist.iter().enumerate() {
-            if count == 0 {
-                continue;
-            }
-            let (lo, hi) = ooc_metrics::bucket_bounds(i);
-            if hi == u64::MAX {
-                parts.push(format!("[{lo}+]x{count}"));
-            } else {
-                parts.push(format!("[{lo}-{hi}]x{count}"));
-            }
-        }
-        parts.join(" ")
+        self.run_histogram().compact()
     }
 
     /// Counts one successful call of `len` elements: calls, volume
@@ -190,7 +177,7 @@ impl TraceHandle {
     ///
     /// # Panics
     /// Panics if the trace mutex was poisoned.
-    pub fn reset(&self) {
+    fn reset(&self) {
         let mut s = self.0.lock().expect("trace lock");
         *s = TraceState::default();
     }
@@ -222,12 +209,6 @@ impl<S: Store> TracingStore<S> {
             inner,
             trace: TraceHandle::new(),
         }
-    }
-
-    /// Wraps `inner` recording into an existing shared `trace`.
-    #[must_use]
-    pub fn with_trace(inner: S, trace: TraceHandle) -> Self {
-        TracingStore { inner, trace }
     }
 
     /// A shared handle onto this store's trace.
@@ -335,16 +316,6 @@ mod tests {
         let m = h.snapshot();
         assert_eq!(m.run_hist[3], 1);
         assert_eq!(m.run_hist[2], 1);
-    }
-
-    #[test]
-    fn run_hist_renders_compactly() {
-        let mut m = MeasuredIo::default();
-        assert_eq!(m.run_hist_compact(), "");
-        m.run_hist[0] = 3;
-        m.run_hist[3] = 4;
-        m.run_hist[RUN_HIST_BUCKETS - 1] = 1;
-        assert_eq!(m.run_hist_compact(), "[0-1]x3 [8-15]x4 [8388608+]x1");
     }
 
     #[test]

@@ -32,7 +32,7 @@ fn concrete_stores_are_send_and_sync() {
 
 #[test]
 fn boxed_send_stores_cross_threads() {
-    // `Backend::open_sendable` hands out this exact type; the store
+    // `Backend::open` hands out this exact type; the store
     // itself only needs `Send` (it is owned by one thread at a time —
     // cross-thread sharing goes through `SharedStore`).
     assert_send::<Box<dyn Store + Send>>();

@@ -57,5 +57,5 @@ pub use prefetch::{Delivery, PrefetchPool, PrefetchRequest, TileSource};
 pub use schedule::{
     annotate_next_use, NestSchedule, SlotKey, StageRequest, TileId, TileSchedule, TileStep,
 };
-pub use stats::{hist_compact, PipelineStats};
+pub use stats::PipelineStats;
 pub use writebehind::{TileSink, WriteBehind};

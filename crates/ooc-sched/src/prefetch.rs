@@ -81,8 +81,7 @@ pub struct PrefetchPool {
 
 impl PrefetchPool {
     /// Spawns one worker per source. An empty `sources` vector builds
-    /// a degenerate pool whose submissions are never served — callers
-    /// should treat `worker_count() == 0` as "prefetch disabled".
+    /// a degenerate pool whose submissions are never served.
     #[must_use]
     pub fn new(sources: Vec<Box<dyn TileSource>>) -> Self {
         let state = Arc::new(QueueState::default());
@@ -147,12 +146,6 @@ impl PrefetchPool {
             next_seq: 0,
             received: 0,
         }
-    }
-
-    /// Number of live workers.
-    #[must_use]
-    pub fn worker_count(&self) -> usize {
-        self.workers.len()
     }
 
     /// Requests issued minus deliveries consumed.
@@ -323,7 +316,7 @@ mod tests {
             pool.submit(tile(0, 1, 64));
         }
         pool.shutdown();
-        assert_eq!(pool.worker_count(), 0);
+        assert!(pool.workers.is_empty());
         // Drop after shutdown is a no-op; already-produced deliveries
         // may or may not exist, but recv never hangs.
         while pool.try_recv().is_some() {}
@@ -332,7 +325,7 @@ mod tests {
     #[test]
     fn empty_pool_serves_nothing() {
         let mut pool = PrefetchPool::new(Vec::new());
-        assert_eq!(pool.worker_count(), 0);
+        assert!(pool.workers.is_empty());
         pool.submit(tile(0, 1, 2));
         assert!(pool.try_recv().is_none());
         // With zero workers every tx clone was dropped in new(), so a

@@ -86,7 +86,7 @@ pub struct TileStep {
 impl TileStep {
     /// Elements staged for reading at this step.
     #[must_use]
-    pub fn read_elems(&self) -> u64 {
+    fn read_elems(&self) -> u64 {
         self.reads
             .iter()
             .map(|r| r.tile.region.len().max(0) as u64)

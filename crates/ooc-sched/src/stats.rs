@@ -129,7 +129,7 @@ impl PipelineStats {
         if self.stall_drains.count > 0 {
             out.push_str(&format!(
                 "  stall drains: {} (p50 {}, p90 {})\n",
-                hist_compact(&self.stall_drains),
+                self.stall_drains.compact(),
                 self.stall_drains.quantile(0.5),
                 self.stall_drains.quantile(0.9),
             ));
@@ -137,7 +137,7 @@ impl PipelineStats {
         if self.in_flight_depth.count > 0 {
             out.push_str(&format!(
                 "  in-flight depth: {} (p50 {}, p90 {})\n",
-                hist_compact(&self.in_flight_depth),
+                self.in_flight_depth.compact(),
                 self.in_flight_depth.quantile(0.5),
                 self.in_flight_depth.quantile(0.9),
             ));
@@ -149,25 +149,6 @@ impl PipelineStats {
         out.push_str(&format!("  io: {} transient retries\n", self.io_retries));
         out
     }
-}
-
-/// Non-empty log2 buckets of a histogram as `[lo-hi]xN` tokens (the
-/// same shape `MeasuredIo::run_hist_compact` prints).
-#[must_use]
-pub fn hist_compact(h: &Histogram) -> String {
-    let mut parts = Vec::new();
-    for (i, &count) in h.buckets.iter().enumerate() {
-        if count == 0 {
-            continue;
-        }
-        let (lo, hi) = ooc_metrics::bucket_bounds(i);
-        if hi == u64::MAX {
-            parts.push(format!("[{lo}+]x{count}"));
-        } else {
-            parts.push(format!("[{lo}-{hi}]x{count}"));
-        }
-    }
-    parts.join(" ")
 }
 
 #[cfg(test)]

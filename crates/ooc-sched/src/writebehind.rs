@@ -11,7 +11,7 @@
 //!   error, so a nest never starts while its predecessor's stores are
 //!   airborne and a lost write can never be silently absorbed.
 //!
-//! The queue is bounded ([`MAX_PENDING`] tiles behind the one being
+//! The queue is bounded (`MAX_PENDING` = 4 tiles behind the one being
 //! written): [`WriteBehind::enqueue`] holds the producer back once it
 //! is full, so a body that computes faster than the store absorbs
 //! cannot park a whole iteration's dirty tiles outside the memory
@@ -47,7 +47,7 @@ pub trait TileSink: Send {
 
 /// Most tiles that wait in the queue behind the one being written —
 /// the write-side twin of the prefetch window's default depth.
-pub const MAX_PENDING: usize = 4;
+const MAX_PENDING: usize = 4;
 
 #[derive(Debug, Default)]
 struct WbQueue {
@@ -60,7 +60,6 @@ struct WbQueue {
     error: Option<io::Error>,
     /// Per-array accumulated write stats.
     stats: BTreeMap<u32, IoStats>,
-    tiles_written: u64,
     closed: bool,
 }
 
@@ -133,7 +132,6 @@ impl WriteBehind {
                     match result {
                         Ok(stats) => {
                             q.stats.entry(id.key.array).or_default().merge(&stats);
-                            q.tiles_written += 1;
                         }
                         Err(e) => {
                             if q.error.is_none() {
@@ -152,7 +150,7 @@ impl WriteBehind {
     }
 
     /// Queues `tile` for background write-back, first waiting until
-    /// fewer than [`MAX_PENDING`] tiles are queued: a producer that
+    /// fewer than `MAX_PENDING` tiles are queued: a producer that
     /// computes faster than the store absorbs would otherwise park a
     /// whole iteration's written tiles here, outside any memory
     /// budget.
@@ -220,16 +218,6 @@ impl WriteBehind {
             .expect("writebehind queue")
             .stats
             .clone()
-    }
-
-    /// Tiles written back so far.
-    #[must_use]
-    pub fn tiles_written(&self) -> u64 {
-        self.state
-            .queue
-            .lock()
-            .expect("writebehind queue")
-            .tiles_written
     }
 
     /// Closes the queue (after draining it) and joins the writer.
@@ -325,7 +313,7 @@ mod tests {
         }
         wb.flush().expect("no errors");
         assert_eq!(wb.depth(), 0);
-        assert_eq!(wb.tiles_written(), 4);
+        assert_eq!(wb.stats()[&0].write_calls, 4);
         let mut buf = [0.0; 16];
         stores[&0].read_run(0, &mut buf).expect("read");
         for (i, chunk) in buf.chunks(4).enumerate() {
@@ -364,7 +352,7 @@ mod tests {
         assert!(err.to_string().contains("sink failed"));
         // The error was consumed; the queue keeps working.
         wb.flush().expect("sticky error cleared after observation");
-        assert_eq!(wb.tiles_written(), 1, "array-0 write still landed");
+        assert_eq!(wb.stats()[&0].write_calls, 1, "array-0 write still landed");
     }
 
     /// Holds every write until the test hands it a token, and says
@@ -378,7 +366,10 @@ mod tests {
         fn store(&mut self, id: &TileId, _tile: &Tile) -> io::Result<IoStats> {
             self.started.send(id.region.lo[0]).expect("test listens");
             self.gate.recv().expect("test releases every write");
-            Ok(IoStats::default())
+            Ok(IoStats {
+                write_calls: 1,
+                ..IoStats::default()
+            })
         }
     }
 
@@ -420,7 +411,7 @@ mod tests {
             gate.send(()).expect("writer waits");
         });
         wb.flush().expect("no errors");
-        assert_eq!(wb.tiles_written(), total as u64);
+        assert_eq!(wb.stats()[&0].write_calls, total as u64);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! trace file is openable before anyone loads it into a viewer.
 
 use crate::json::Json;
-use crate::{ArgValue, Event, EventKind, TraceData};
+use crate::{ArgValue, Event, EventKind};
 
 fn arg_json(v: &ArgValue) -> Json {
     match v {
@@ -97,69 +97,6 @@ pub struct ChromeSummary {
     pub counters: usize,
     /// Flow events (`s`/`f` causal links).
     pub flows: usize,
-}
-
-/// Repairs a flight-recorder (or mid-run snapshot) trace so it
-/// exports as a structurally valid Chrome document: for every `End`
-/// whose `Begin` was evicted from the ring, a synthetic `Begin` is
-/// prepended at that thread's window start, and every span still open
-/// at the snapshot point gets a synthetic `End` at the thread's last
-/// timestamp. Synthetic events carry a `synthetic` argument so
-/// viewers and the analyzer can tell them apart. Returns the number
-/// of events synthesized.
-pub fn repair_truncation(data: &mut TraceData) -> usize {
-    use std::collections::BTreeMap;
-    // Per tid: first/last ts, unmatched Ends (stream order =
-    // deepest-open-first), and the stack of still-open Begins.
-    let mut first_ts: BTreeMap<u64, u64> = BTreeMap::new();
-    let mut last_ts: BTreeMap<u64, u64> = BTreeMap::new();
-    let mut orphans: BTreeMap<u64, Vec<Event>> = BTreeMap::new();
-    let mut open: BTreeMap<u64, Vec<Event>> = BTreeMap::new();
-    for e in &data.events {
-        first_ts.entry(e.tid).or_insert(e.ts_us);
-        last_ts.insert(e.tid, e.ts_us);
-        match e.kind {
-            EventKind::Begin => open.entry(e.tid).or_default().push(e.clone()),
-            EventKind::End if open.entry(e.tid).or_default().pop().is_none() => {
-                orphans.entry(e.tid).or_default().push(e.clone());
-            }
-            _ => {}
-        }
-    }
-    let mut prefix: Vec<Event> = Vec::new();
-    for (tid, ends) in &orphans {
-        let ts = first_ts.get(tid).copied().unwrap_or(0);
-        // Orphan Ends close spans deepest-first, so their Begins must
-        // be synthesized outermost-first: reverse the stream order.
-        for e in ends.iter().rev() {
-            prefix.push(Event {
-                ts_us: ts,
-                kind: EventKind::Begin,
-                args: vec![("synthetic", ArgValue::U64(1))],
-                ..e.clone()
-            });
-        }
-    }
-    let mut suffix: Vec<Event> = Vec::new();
-    for (tid, begins) in &open {
-        let ts = last_ts.get(tid).copied().unwrap_or(0);
-        for e in begins.iter().rev() {
-            suffix.push(Event {
-                ts_us: ts,
-                kind: EventKind::End,
-                args: vec![("synthetic", ArgValue::U64(1))],
-                ..e.clone()
-            });
-        }
-    }
-    let added = prefix.len() + suffix.len();
-    if added > 0 {
-        let mut events = prefix;
-        events.append(&mut data.events);
-        events.append(&mut suffix);
-        data.events = events;
-    }
-    added
 }
 
 /// Parses and structurally validates an exported trace document.
@@ -331,37 +268,6 @@ mod tests {
                 .and_then(Json::as_str),
             Some("shard:1")
         );
-    }
-
-    #[test]
-    fn repair_truncation_balances_ring_window() {
-        let session = Session::start_flight_recorder(4);
-        {
-            let _outer = crate::span("t", "outer");
-            for i in 0..6 {
-                let _inner = crate::span("t", &format!("step-{i}"));
-                crate::instant("t", "tick", Vec::new());
-            }
-        }
-        let mut data = session.finish();
-        assert!(data.dropped > 0);
-        // Raw truncated window does not balance...
-        assert!(validate_chrome_trace(&chrome_trace_json(&data.events)).is_err());
-        // ...but the repaired one does.
-        let added = repair_truncation(&mut data);
-        assert!(added > 0);
-        validate_chrome_trace(&chrome_trace_json(&data.events)).expect("repaired");
-    }
-
-    #[test]
-    fn repair_truncation_closes_live_snapshot() {
-        let session = Session::start();
-        let _open = crate::span("t", "still-running");
-        let mut data = session.snapshot();
-        assert_eq!(repair_truncation(&mut data), 1);
-        validate_chrome_trace(&chrome_trace_json(&data.events)).expect("closed");
-        drop(_open);
-        let _ = session.finish();
     }
 
     #[test]

@@ -310,7 +310,7 @@ thread_local! {
 
 /// The lane identity currently declared for this thread, if any.
 #[must_use]
-pub fn current_lane() -> Option<Lane> {
+fn current_lane() -> Option<Lane> {
     LANE.with(Cell::get)
 }
 

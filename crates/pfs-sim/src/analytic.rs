@@ -85,23 +85,6 @@ pub fn lower_bound(cfg: &MachineConfig, w: &Workload) -> f64 {
     subsystem_bound.max(proc_bound)
 }
 
-/// A coarse point estimate: the processor critical path with the I/O
-/// subsystem shared `procs`-ways when oversubscribed.
-#[must_use]
-pub fn estimate(cfg: &MachineConfig, w: &Workload) -> f64 {
-    let s = stats(w);
-    let disk = cfg.pfs.disk;
-    let nodes = cfg.pfs.io_nodes as f64;
-    let procs = s.procs.max(1) as f64;
-    // Effective per-processor service rate: the subsystem is shared when
-    // more processors than nodes are active.
-    let sharing = (procs / nodes).max(1.0);
-    let io = s.max_proc_calls as f64
-        * (disk.call_overhead_s * sharing + cfg.compute.io_issue_overhead_s)
-        + s.max_proc_bytes as f64 * sharing / (disk.bandwidth_bps * nodes.min(procs));
-    s.max_proc_compute + io
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -141,7 +124,7 @@ mod tests {
     fn lower_bound_below_des() {
         let cfg = MachineConfig::default();
         let mut sim = PfsSim::new(cfg);
-        let f = sim.create_file(1 << 30);
+        let f = sim.create_file();
         for procs in [1usize, 4, 16] {
             let w = Workload::replicated(
                 vec![Op::Io {
@@ -161,13 +144,5 @@ mod tests {
                 "lower bound {lb} above DES {des} at P={procs}"
             );
         }
-    }
-
-    #[test]
-    fn estimate_tracks_call_count() {
-        let cfg = MachineConfig::default();
-        let few = estimate(&cfg, &workload(16, 10, 1 << 20));
-        let many = estimate(&cfg, &workload(16, 1000, 1 << 20));
-        assert!(many > few);
     }
 }

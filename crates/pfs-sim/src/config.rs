@@ -55,9 +55,9 @@ impl DiskParams {
     /// and provenance-ledger cause buckets. Two neighbours look alike
     /// and are deliberately *not* this function, because they
     /// associate differently and so round differently:
-    /// [`op_io_seconds`](crate::pipeline::op_io_seconds) folds the
-    /// processor's issue overhead into the per-call term and streams
-    /// at the slower of link and disk, and
+    /// the per-op price of the [`pipeline`](crate::pipeline) overlap
+    /// model folds the processor's issue overhead into the per-call
+    /// term and streams at the slower of link and disk, and
     /// [`price_sequence`](crate::pricing::price_sequence) floors and
     /// sums call by call.
     #[must_use]
@@ -102,16 +102,6 @@ impl PfsConfig {
     pub fn node_of(&self, offset: u64) -> usize {
         usize::try_from((offset / self.stripe_unit) % self.io_nodes as u64)
             .expect("node index fits usize")
-    }
-
-    /// Number of calls needed for one contiguous run of `len` bytes.
-    #[must_use]
-    pub fn calls_for_run(&self, len: u64) -> u64 {
-        if len == 0 {
-            0
-        } else {
-            len.div_ceil(self.max_call_bytes)
-        }
     }
 }
 
@@ -180,18 +170,5 @@ mod tests {
         assert_eq!(c.node_of(100), 1);
         assert_eq!(c.node_of(399), 3);
         assert_eq!(c.node_of(400), 0);
-    }
-
-    #[test]
-    fn call_splitting() {
-        let c = PfsConfig {
-            max_call_bytes: 64,
-            ..PfsConfig::default()
-        };
-        assert_eq!(c.calls_for_run(0), 0);
-        assert_eq!(c.calls_for_run(1), 1);
-        assert_eq!(c.calls_for_run(64), 1);
-        assert_eq!(c.calls_for_run(65), 2);
-        assert_eq!(c.calls_for_run(640), 10);
     }
 }

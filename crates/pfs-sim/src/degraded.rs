@@ -94,25 +94,6 @@ pub fn price_degraded(loads: &[NodeLoad], down: usize, disk: &DiskParams) -> Deg
     }
 }
 
-/// Prices the loss of **each** node in turn and returns the worst
-/// case — the planning number for "can this job ride through any
-/// single failure".
-///
-/// # Panics
-/// As [`price_degraded`].
-#[must_use]
-pub fn worst_case_degraded(loads: &[NodeLoad], disk: &DiskParams) -> DegradedReport {
-    (0..loads.len())
-        .map(|n| price_degraded(loads, n, disk))
-        .max_by(|a, b| {
-            a.degraded
-                .makespan_s
-                .partial_cmp(&b.degraded.makespan_s)
-                .expect("makespans are finite")
-        })
-        .expect("at least one node")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -180,22 +161,6 @@ mod tests {
         let h = &rep.healthy.per_node_s;
         assert!(d[0] > h[0]);
         assert!(d[2] > h[2]);
-    }
-
-    #[test]
-    fn worst_case_picks_the_heaviest_loss() {
-        let loads = vec![
-            NodeLoad {
-                calls: 1,
-                bytes: 1_000,
-            },
-            NodeLoad {
-                calls: 50,
-                bytes: 500_000,
-            },
-        ];
-        let rep = worst_case_degraded(&loads, &disk());
-        assert_eq!(rep.down_node, 1, "losing the loaded node hurts most");
     }
 
     #[test]

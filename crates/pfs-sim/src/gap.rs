@@ -45,7 +45,7 @@ pub struct GapCell {
 impl GapCell {
     /// Measured completion time: the busiest node's service seconds.
     #[must_use]
-    pub fn measured_makespan_s(&self) -> f64 {
+    fn measured_makespan_s(&self) -> f64 {
         self.measured_busy_s.iter().copied().fold(0.0, f64::max)
     }
 
@@ -62,7 +62,7 @@ impl GapCell {
 
     /// Total experienced queue wait across nodes, in seconds.
     #[must_use]
-    pub fn wait_total_s(&self) -> f64 {
+    fn wait_total_s(&self) -> f64 {
         self.measured_wait_s.iter().sum()
     }
 

@@ -29,14 +29,14 @@ pub mod pipeline;
 pub mod pricing;
 pub mod sim;
 
-pub use analytic::{estimate, lower_bound, stats, WorkloadStats};
+pub use analytic::{lower_bound, stats, WorkloadStats};
 pub use config::{ComputeParams, DiskParams, MachineConfig, PfsConfig};
 pub use contention::{price_node_loads, ContentionReport, NodeLoad};
-pub use degraded::{price_degraded, worst_case_degraded, DegradedReport};
+pub use degraded::{price_degraded, DegradedReport};
 pub use gap::{GapCell, GapReport};
 pub use pipeline::{
-    op_io_seconds, overlap_lower_bound, overlap_report, pipelined_makespan, sequential_makespan,
+    overlap_lower_bound, overlap_report, pipelined_makespan, sequential_makespan,
     stages_from_trace, OverlapReport, Stage,
 };
 pub use pricing::{price_sequence, render_timeline, PricedCall, PricedTimeline};
-pub use sim::{FileId, Op, PfsSim, SimResult, Trace, Workload};
+pub use sim::{FileId, Op, PfsSim, SimResult, Workload};

@@ -41,7 +41,7 @@ pub struct Stage {
 /// much of the *blocking* the pipeline can hide, so it prices the same
 /// serial channel the synchronous executor blocks on.
 #[must_use]
-pub fn op_io_seconds(op: &Op, machine: &MachineConfig) -> f64 {
+fn op_io_seconds(op: &Op, machine: &MachineConfig) -> f64 {
     match *op {
         Op::Compute { .. } => 0.0,
         Op::Io { bytes, calls, .. } => {

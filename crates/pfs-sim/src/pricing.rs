@@ -33,14 +33,14 @@ pub struct PricedCall {
 impl PricedCall {
     /// Call duration in seconds.
     #[must_use]
-    pub fn duration_s(&self) -> f64 {
+    fn duration_s(&self) -> f64 {
         self.end_s - self.start_s
     }
 
     /// `true` when the fixed overhead exceeds the transfer time — the
     /// signature of a fragmented, call-bound access pattern.
     #[must_use]
-    pub fn overhead_bound(&self) -> bool {
+    fn overhead_bound(&self) -> bool {
         self.overhead_s >= self.duration_s() - self.overhead_s
     }
 }

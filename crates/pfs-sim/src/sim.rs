@@ -51,14 +51,11 @@ pub enum Op {
     },
 }
 
-/// A per-processor trace.
-pub type Trace = Vec<Op>;
-
 /// The workload of a simulated run: one trace per compute processor.
 #[derive(Debug, Clone, Default)]
 pub struct Workload {
     /// `per_proc[p]` is processor `p`'s op sequence.
-    pub per_proc: Vec<Trace>,
+    pub per_proc: Vec<Vec<Op>>,
 }
 
 impl Workload {
@@ -67,7 +64,7 @@ impl Workload {
     /// each processor works on its own partition with an identical
     /// access pattern).
     #[must_use]
-    pub fn replicated(trace: Trace, procs: usize) -> Self {
+    pub fn replicated(trace: Vec<Op>, procs: usize) -> Self {
         Workload {
             per_proc: vec![trace; procs],
         }
@@ -119,32 +116,18 @@ pub struct SimResult {
     pub proc_finish: Vec<f64>,
 }
 
-impl SimResult {
-    /// Utilization of the most loaded I/O node (busy / total time).
-    #[must_use]
-    pub fn peak_node_utilization(&self) -> f64 {
-        if self.total_time == 0.0 {
-            return 0.0;
-        }
-        self.node_busy.iter().fold(0.0f64, |a, &b| a.max(b)) / self.total_time
-    }
-}
-
 /// The parallel file system simulator.
 #[derive(Debug, Clone)]
 pub struct PfsSim {
     config: MachineConfig,
-    file_sizes: Vec<u64>,
+    files: usize,
 }
 
 impl PfsSim {
     /// Creates a simulator for the given machine.
     #[must_use]
     pub fn new(config: MachineConfig) -> Self {
-        PfsSim {
-            config,
-            file_sizes: Vec::new(),
-        }
+        PfsSim { config, files: 0 }
     }
 
     /// The machine configuration.
@@ -153,17 +136,10 @@ impl PfsSim {
         &self.config
     }
 
-    /// Registers a striped file of `size` bytes, returning its id.
-    pub fn create_file(&mut self, size: u64) -> FileId {
-        let id = FileId(self.file_sizes.len());
-        self.file_sizes.push(size);
-        id
-    }
-
-    /// Size of a registered file.
-    #[must_use]
-    pub fn file_size(&self, f: FileId) -> u64 {
-        self.file_sizes[f.0]
+    /// Registers a striped file, returning its id.
+    pub fn create_file(&mut self) -> FileId {
+        self.files += 1;
+        FileId(self.files - 1)
     }
 
     /// Splits an I/O batch into per-node shares `(node, calls, bytes)`.
@@ -408,7 +384,7 @@ mod tests {
     #[test]
     fn single_call_single_stripe() {
         let mut sim = PfsSim::new(small_machine());
-        let f = sim.create_file(10_000);
+        let f = sim.create_file();
         let w = Workload::replicated(
             vec![Op::Io {
                 file: f,
@@ -430,7 +406,7 @@ mod tests {
     #[test]
     fn striped_read_parallelizes_across_nodes() {
         let mut sim = PfsSim::new(small_machine());
-        let f = sim.create_file(10_000);
+        let f = sim.create_file();
         // 400 bytes spanning all 4 nodes in one call batch of 4 calls:
         // each node serves 100 bytes + 1 call = 0.01 + 0.1 = 0.11 in
         // parallel.
@@ -452,7 +428,7 @@ mod tests {
     #[test]
     fn contention_serializes_same_node() {
         let mut sim = PfsSim::new(small_machine());
-        let f = sim.create_file(10_000);
+        let f = sim.create_file();
         // Two processors hit the same 50-byte stripe-0 region: node 0
         // serves them FIFO -> second finishes at 0.12.
         let w = Workload::replicated(
@@ -476,7 +452,7 @@ mod tests {
     #[test]
     fn disjoint_nodes_run_parallel() {
         let mut sim = PfsSim::new(small_machine());
-        let f = sim.create_file(10_000);
+        let f = sim.create_file();
         // Proc 0 hits node 0, proc 1 hits node 1: fully parallel.
         let w = Workload {
             per_proc: vec![
@@ -506,7 +482,7 @@ mod tests {
     fn fewer_calls_is_faster_same_bytes() {
         // The heart of the paper: same volume, fewer calls => less time.
         let mut sim = PfsSim::new(small_machine());
-        let f = sim.create_file(10_000);
+        let f = sim.create_file();
         let many = Workload::replicated(
             vec![Op::Io {
                 file: f,
@@ -575,7 +551,7 @@ mod tests {
         let mut cfg = small_machine();
         cfg.compute.io_issue_overhead_s = 0.005;
         let mut sim = PfsSim::new(cfg);
-        let f = sim.create_file(1_000);
+        let f = sim.create_file();
         let w = Workload::replicated(
             vec![Op::Io {
                 file: f,
@@ -603,7 +579,7 @@ mod tests {
     #[test]
     fn interleaved_compute_and_io() {
         let mut sim = PfsSim::new(small_machine());
-        let f = sim.create_file(1_000);
+        let f = sim.create_file();
         let w = Workload::replicated(
             vec![
                 Op::Compute { seconds: 1.0 },
@@ -635,7 +611,7 @@ mod tests {
         cfg.compute.io_issue_overhead_s = 0.010;
         cfg.pfs.disk.bandwidth_bps = 1e9; // call overheads dominate
         let mut sim = PfsSim::new(cfg);
-        let f = sim.create_file(1 << 20);
+        let f = sim.create_file();
         let mk = |procs: usize| {
             let bytes_per = 16_000u64 / procs as u64;
             let w = Workload {

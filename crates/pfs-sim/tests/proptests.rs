@@ -69,7 +69,7 @@ proptest! {
     fn lower_bound_sound(w in workload(8)) {
         let cfg = machine(8);
         let mut sim = PfsSim::new(cfg);
-        let _f = sim.create_file(1 << 30);
+        let _f = sim.create_file();
         let des = sim.simulate(&w).total_time;
         let lb = lower_bound(&cfg, &w);
         prop_assert!(lb <= des + 1e-9, "bound {lb} above DES {des}");

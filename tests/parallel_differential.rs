@@ -67,11 +67,7 @@ fn run_parallel(
         params,
         &seed,
         &parallel_cfg(shards),
-        |_, name, len| {
-            backend
-                .open_traced_send(dir.path(), name, len)
-                .map(|(s, _)| s)
-        },
+        |_, name, len| backend.open_traced(dir.path(), name, len).map(|(s, _)| s),
     )
     .expect("parallel run")
 }

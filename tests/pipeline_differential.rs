@@ -50,11 +50,7 @@ fn run_pipelined(
         params,
         &seed,
         &pipeline_config(),
-        |_, name, len| {
-            backend
-                .open_traced_send(dir.path(), name, len)
-                .map(|(s, _)| s)
-        },
+        |_, name, len| backend.open_traced(dir.path(), name, len).map(|(s, _)| s),
     )
     .expect("pipelined run")
 }
