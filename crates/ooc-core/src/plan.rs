@@ -19,9 +19,9 @@
 //! Where they disagree the walk stages tiles the search never
 //! budgeted; `tests/plan_budget.rs` pins the nests where that happens.
 
-use crate::tiling::{checked_ref_region, ref_region, IoWeights, TilingStrategy};
+use crate::tiling::{self, AffineRow, IoWeights, TilingStrategy};
 use ooc_ir::{ArrayId, ArrayRef, DepElem, LoopNest, Program};
-use ooc_linalg::{Affine, Matrix, Rational};
+use ooc_linalg::{Affine, Matrix};
 use ooc_runtime::{FileLayout, MemoryBudget, Region};
 use pfs_sim::MachineConfig;
 use std::io;
@@ -196,10 +196,12 @@ fn ownership_level(nest: &LoopNest) -> Option<usize> {
 
 /// Splits `lo..=hi` into `procs` near-equal chunks.
 pub(crate) fn chunks((lo, hi): (i64, i64), procs: usize) -> Vec<(i64, i64)> {
-    let n = (hi - lo + 1).max(0);
-    let p = procs.max(1) as i64;
+    // Wide enough that `i · n` cannot wrap: both factors are below 2^64.
+    let n = (i128::from(hi) - i128::from(lo) + 1).max(0) as u128;
+    let p = procs.max(1) as u128;
+    let start = |i: u128| i128::from(lo) + (i * n / p) as i128;
     (0..p)
-        .map(|i| (lo + i * n / p, lo + (i + 1) * n / p - 1))
+        .map(|i| (start(i) as i64, (start(i + 1) - 1) as i64))
         .collect()
 }
 
@@ -212,8 +214,11 @@ struct Slot {
     /// The access class staged here; `None` = the hull of every
     /// reference to the array.
     class: Option<Matrix>,
-    /// The distinct references staged through this slot.
-    refs: Vec<ArrayRef>,
+    /// Rank of the array.
+    rank: usize,
+    /// The distinct references staged through this slot, compiled:
+    /// `rank` subscripts per reference.
+    rows: Vec<AffineRow>,
     written: bool,
     /// Per loop level, whether advancing it moves the slot's region.
     varies: Vec<bool>,
@@ -276,18 +281,20 @@ impl Staging {
                         refs.push((*r).clone());
                     }
                 }
+                let rows: Vec<AffineRow> = refs
+                    .iter()
+                    .flat_map(|r| (0..r.rank()).map(move |d| AffineRow::of(r, d)))
+                    .collect();
                 let varies = (0..nest.depth)
-                    .map(|l| {
-                        refs.iter()
-                            .any(|r| !r.access.col(l).iter().all(Rational::is_zero))
-                    })
+                    .map(|l| rows.iter().any(|row| row.mentions(l)))
                     .collect();
                 slots.push(Slot {
                     array,
                     index,
                     written: written(class),
                     class: class.cloned(),
-                    refs,
+                    rank: refs.first().map_or(0, ArrayRef::rank),
+                    rows,
                     varies,
                 });
             }
@@ -357,23 +364,52 @@ impl Staging {
             .unwrap_or(slot)
     }
 
+    /// Writes the region slot `slot` stages for the tile box `lo..=hi`
+    /// — the hull of its references' regions, not yet clamped to the
+    /// array — into `out_lo..=out_hi`, one entry per dimension of the
+    /// slot's array. The one place a staged region's bounds are
+    /// computed: every reference is evaluated from subscripts compiled
+    /// when the slot table was built, in `i128` for integer
+    /// coefficients and in exact `Rational`s otherwise.
+    ///
+    /// `None` when a bound leaves `i64` or an intermediate value
+    /// `i128`; the outputs are then unspecified.
+    pub fn hull_into(
+        &self,
+        slot: usize,
+        lo: &[i64],
+        hi: &[i64],
+        out_lo: &mut [i64],
+        out_hi: &mut [i64],
+    ) -> Option<()> {
+        tiling::hull_into(&self.slots[slot].rows, lo, hi, out_lo, out_hi)
+    }
+
+    /// [`Staging::hull_into`] `region`, for a box inside the range
+    /// [`plan_nest`] checked.
+    fn region_into(&self, slot: usize, lo: &[i64], hi: &[i64], region: &mut Region) {
+        self.hull_into(slot, lo, hi, &mut region.lo, &mut region.hi)
+            .expect("plan_nest checked that every box's region fits i64");
+    }
+
+    /// A region of slot `slot`'s rank for [`Staging::hull_into`] to
+    /// write into.
+    fn scratch(&self, slot: usize) -> Region {
+        let rank = self.slots[slot].rank;
+        Region::new(vec![0; rank], vec![0; rank])
+    }
+
     /// The region slot `slot` stages for the tile box `lo..=hi`: the
     /// hull of its references' regions, not yet clamped to the array.
+    ///
+    /// # Panics
+    /// Panics when a bound leaves `i64`, which no box inside a planned
+    /// nest's ranges can make it do.
     #[must_use]
     pub fn region(&self, slot: usize, lo: &[i64], hi: &[i64]) -> Region {
-        let mut refs = self.slots[slot].refs.iter();
-        let mut hull = refs.next().map_or_else(
-            || Region::new(Vec::new(), Vec::new()),
-            |r| ref_region(r, lo, hi),
-        );
-        for r in refs {
-            let reg = ref_region(r, lo, hi);
-            for d in 0..hull.rank() {
-                hull.lo[d] = hull.lo[d].min(reg.lo[d]);
-                hull.hi[d] = hull.hi[d].max(reg.hi[d]);
-            }
-        }
-        hull
+        let mut region = self.scratch(slot);
+        self.region_into(slot, lo, hi, &mut region);
+        region
     }
 
     /// Estimated in-memory footprint (elements) of one tile per slot
@@ -384,19 +420,26 @@ impl Staging {
     pub fn footprint(&self, env: &PlanEnv, spans: &[i64]) -> u64 {
         let lo = vec![1i64; spans.len()];
         (0..self.slots())
-            .map(|slot| self.tile_elems(env, slot, &lo, spans))
+            .map(|slot| self.tile_elems(env, slot, &lo, spans, &mut self.scratch(slot)))
             .sum()
     }
 
     /// One slot's term of [`Staging::footprint`], for the tile box
-    /// `lo..=hi`. Depends on the box's extent along the levels the
-    /// slot varies with only.
-    fn tile_elems(&self, env: &PlanEnv, slot: usize, lo: &[i64], hi: &[i64]) -> u64 {
-        let region = self.region(slot, lo, hi);
+    /// `lo..=hi`, computed in the caller's `hull`. Depends on the box's
+    /// extent along the levels the slot varies with only.
+    fn tile_elems(
+        &self,
+        env: &PlanEnv,
+        slot: usize,
+        lo: &[i64],
+        hi: &[i64],
+        hull: &mut Region,
+    ) -> u64 {
+        self.region_into(slot, lo, hi, hull);
         let dims = env.dims(self.slots[slot].array.0);
         dims.iter()
             .enumerate()
-            .map(|(d, &dim)| region.extent(d).min(dim).max(1).unsigned_abs())
+            .map(|(d, &dim)| hull.extent(d).min(dim).max(1).unsigned_abs())
             .product()
     }
 
@@ -414,16 +457,26 @@ impl Staging {
             .map(|(&range, &s)| trips(range, s))
             .collect();
         let (lo, hi) = first_box(ranges, spans);
-        self.priced(env, &trips, |slot| self.tile_transfer(env, slot, &lo, &hi))
+        self.priced(env, &trips, |slot| {
+            self.tile_transfer(env, slot, &lo, &hi, &mut self.scratch(slot))
+        })
     }
 
     /// `(calls, elements)` of staging slot `slot` once for the tile
-    /// box `lo..=hi`. Depends on the box's bounds along the levels the
-    /// slot varies with only.
-    fn tile_transfer(&self, env: &PlanEnv, slot: usize, lo: &[i64], hi: &[i64]) -> (u64, u64) {
+    /// box `lo..=hi`, computed in the caller's `hull`. Depends on the
+    /// box's bounds along the levels the slot varies with only.
+    fn tile_transfer(
+        &self,
+        env: &PlanEnv,
+        slot: usize,
+        lo: &[i64],
+        hi: &[i64],
+        hull: &mut Region,
+    ) -> (u64, u64) {
         let array = self.slots[slot].array.0;
-        let region = self.region(slot, lo, hi);
-        let (runs, elements) = env.layouts[array].region_run_counts(env.dims(array), &region);
+        self.region_into(slot, lo, hi, hull);
+        let (runs, elements) =
+            env.layouts[array].region_run_counts(env.dims(array), &hull.lo, &hull.hi);
         let calls = ooc_runtime::run_calls(runs, elements, env.max_call_elems);
         (calls, elements)
     }
@@ -431,7 +484,12 @@ impl Staging {
     /// The cost model proper: with `trips[l]` tile steps along level
     /// `l` and `transfer(slot)` the `(calls, elements)` of staging the
     /// slot once, the modeled I/O time, summed in slot order.
-    fn priced(&self, env: &PlanEnv, trips: &[f64], transfer: impl Fn(usize) -> (u64, u64)) -> f64 {
+    fn priced(
+        &self,
+        env: &PlanEnv,
+        trips: &[f64],
+        mut transfer: impl FnMut(usize) -> (u64, u64),
+    ) -> f64 {
         let mut total = 0f64;
         for (i, slot) in self.slots.iter().enumerate() {
             let (calls, elements) = transfer(i);
@@ -456,11 +514,15 @@ impl Staging {
         let origin: Vec<(i64, i64)> = ranges.iter().map(|&(lo, hi)| (1, hi - lo + 1)).collect();
         for ranges in [ranges, &origin] {
             let (lo, hi): (Vec<i64>, Vec<i64>) = ranges.iter().copied().unzip();
-            for r in self.slots.iter().flat_map(|s| &s.refs) {
-                if checked_ref_region(r, &lo, &hi).is_none() {
+            for slot in 0..self.slots() {
+                let mut hull = self.scratch(slot);
+                if self
+                    .hull_into(slot, &lo, &hi, &mut hull.lo, &mut hull.hi)
+                    .is_none()
+                {
                     return Err(invalid(format!(
                         "a reference to {:?} leaves i64 over {ranges:?}",
-                        r.array
+                        self.slots[slot].array
                     )));
                 }
             }
@@ -697,7 +759,7 @@ fn first_box(ranges: &[(i64, i64)], spans: &[i64]) -> (Vec<i64>, Vec<i64>) {
 /// Tile steps along a level of range `lo..=hi` under span `s`.
 fn trips((lo, hi): (i64, i64), s: i64) -> f64 {
     let extent = (hi - lo + 1).max(1);
-    ((extent + s - 1) / s.max(1)) as f64
+    ((extent - 1) / s.max(1) + 1) as f64
 }
 
 /// What one tile of one slot costs: its footprint term and the calls
@@ -732,8 +794,8 @@ impl SpanTables {
             .iter()
             .map(|&(lo, hi)| {
                 let extent = (hi - lo + 1).max(1);
-                std::iter::successors(Some(1i64), |&x| (x < extent).then(|| (x * 2).min(extent)))
-                    .collect()
+                let double = |&x: &i64| (x < extent).then(|| x.saturating_mul(2).min(extent));
+                std::iter::successors(Some(1i64), double).collect()
             })
             .collect();
         let trips = ranges
@@ -741,6 +803,7 @@ impl SpanTables {
             .zip(&cands)
             .map(|(&range, cands)| cands.iter().map(|&s| trips(range, s)).collect())
             .collect();
+        let lo: Vec<i64> = ranges.iter().map(|&(lo, _)| lo).collect();
         let origin = vec![1i64; ranges.len()];
         let slots = (0..staging.slots())
             .map(|slot| {
@@ -754,13 +817,19 @@ impl SpanTables {
                     strides[l] = stride;
                     stride *= cands[l].len();
                 }
+                // One scratch set per slot: an entry's spans, the upper
+                // corner of its first box, and the hull they stage.
+                let (mut spans, mut hi, mut hull) =
+                    (origin.clone(), lo.clone(), staging.scratch(slot));
                 let mut entries = Vec::with_capacity(stride);
                 for_each_product(&choices, &mut Vec::new(), &mut |choice| {
-                    let spans: Vec<i64> = choice.iter().zip(&cands).map(|(&i, c)| c[i]).collect();
-                    let (lo, hi) = first_box(ranges, &spans);
-                    let (calls, moved) = staging.tile_transfer(env, slot, &lo, &hi);
+                    for (l, &i) in choice.iter().enumerate() {
+                        spans[l] = cands[l][i];
+                        hi[l] = lo[l] + spans[l] - 1;
+                    }
+                    let (calls, moved) = staging.tile_transfer(env, slot, &lo, &hi, &mut hull);
                     entries.push(TileCost {
-                        elems: staging.tile_elems(env, slot, &origin, &spans),
+                        elems: staging.tile_elems(env, slot, &origin, &spans, &mut hull),
                         calls,
                         moved,
                     });
@@ -790,10 +859,19 @@ impl SpanTables {
     }
 
     /// [`Staging::io_cost`] of the spans `choice` picks — the same
-    /// expression over the same operands, hence the same bits.
-    fn io_cost(&self, env: &PlanEnv, staging: &Staging, choice: &[usize]) -> f64 {
-        let trips: Vec<f64> = choice.iter().zip(&self.trips).map(|(&i, t)| t[i]).collect();
-        staging.priced(env, &trips, |slot| {
+    /// expression over the same operands, hence the same bits. `trips`
+    /// is the caller's buffer, one entry per level.
+    fn io_cost(
+        &self,
+        env: &PlanEnv,
+        staging: &Staging,
+        choice: &[usize],
+        trips: &mut [f64],
+    ) -> f64 {
+        for ((t, &i), level) in trips.iter_mut().zip(choice).zip(&self.trips) {
+            *t = level[i];
+        }
+        staging.priced(env, trips, |slot| {
             let tile = self.tile(slot, choice);
             (tile.calls, tile.moved)
         })
@@ -833,11 +911,12 @@ fn search_spans(env: &PlanEnv, staging: &Staging, ranges: &[(i64, i64)]) -> Sear
     let whole = tables.cands[inner].len() - 1;
     let mut free: Option<(Vec<usize>, f64)> = None;
     let mut pinned: Option<(Vec<usize>, f64)> = None;
+    let mut trips = vec![0f64; ranges.len()];
     for_each_product(&choices, &mut Vec::new(), &mut |choice| {
         if tables.footprint(choice) > env.budget.capacity() {
             return;
         }
-        let cost = tables.io_cost(env, staging, choice);
+        let cost = tables.io_cost(env, staging, choice, &mut trips);
         let keep_if_cheaper = |best: &mut Option<(Vec<usize>, f64)>| {
             if cost < best.as_ref().map_or(f64::INFINITY, |b| b.1) {
                 *best = Some((choice.to_vec(), cost));
@@ -848,10 +927,10 @@ fn search_spans(env: &PlanEnv, staging: &Staging, ranges: &[(i64, i64)]) -> Sear
             keep_if_cheaper(&mut pinned);
         }
     });
-    let minimal = |inner_choice: usize| {
+    let mut minimal = |inner_choice: usize| {
         let mut choice = vec![0; ranges.len()];
         choice[inner] = inner_choice;
-        let cost = tables.io_cost(env, staging, &choice);
+        let cost = tables.io_cost(env, staging, &choice, &mut trips);
         (choice, cost)
     };
     Searched {
@@ -952,6 +1031,51 @@ mod tests {
         wide.bounds.add_var_range(1, 1, 4);
         let err = plan_nest(&env, &wide, TilingStrategy::Slab, &[0], None).expect_err("overflows");
         assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+    }
+
+    /// Level ranges past 2^62 plan inside the range: the candidate
+    /// doubling saturates, trip counts do not wrap, and the chunks of a
+    /// restricted search are computed wide.
+    #[test]
+    fn wide_level_ranges_plan_inside_the_range() {
+        let mut p = Program::new(&["N"]);
+        let x = p.declare_array("X", 2, 0);
+        let zero = Statement::assign(identity(x, vec![0, 0]), Expr::Const(0.0));
+        let layouts = vec![FileLayout::row_major(2)];
+        let env = env_with(&p, &layouts, &[1 << 31], 64);
+        for (top, restrict) in [((1i64 << 62) + 1, None), (1 << 62, Some(16))] {
+            let mut nest = LoopNest::rectangular("wide", 2, 1, 0, vec![zero.clone()]);
+            nest.bounds = ooc_linalg::Polyhedron::universe(2, 1);
+            nest.bounds.add_var_range(0, 1, top);
+            nest.bounds.add_var_range(1, 1, 4);
+            let plan = plan_nest(&env, &nest, TilingStrategy::Optimized, &[0, 1], restrict)
+                .expect("regions fit i64")
+                .expect("not empty");
+            assert_eq!(plan.ranges, vec![(1, top), (1, 4)]);
+            // The searched range of level 0: the largest chunk.
+            let (lo, hi) = restrict.map_or((1, top), |procs| {
+                let largest = chunks((1, top), procs)
+                    .into_iter()
+                    .max_by_key(|(lo, hi)| hi - lo);
+                largest.expect("a chunk per processor")
+            });
+            assert!(1 <= lo && lo <= hi && hi <= top, "{lo}..={hi}");
+            assert!(
+                (1..=hi - lo + 1).contains(&plan.spans[0]),
+                "{:?}",
+                plan.spans
+            );
+            assert!((1..=4).contains(&plan.spans[1]), "{:?}", plan.spans);
+            assert!(plan.planned_footprint() <= env.budget().capacity());
+            assert!(plan.cost.is_finite(), "{}", plan.cost);
+        }
+        // 2^62 rows in 16 ascending, disjoint, contiguous chunks.
+        let cs = chunks((1, 1 << 62), 16);
+        assert_eq!(cs.len(), 16);
+        assert_eq!((cs[0].0, cs[15].1), (1, 1 << 62));
+        for (c, next) in cs.iter().zip(&cs[1..]) {
+            assert!(c.0 <= c.1 && c.1 + 1 == next.0, "{cs:?}");
+        }
     }
 
     #[test]
@@ -1136,7 +1260,9 @@ mod tests {
         let spans = [8, 4096, 32];
         assert_eq!(tables.footprint(&choice), staging.footprint(&env, &spans));
         assert_eq!(
-            tables.io_cost(&env, &staging, &choice).to_bits(),
+            tables
+                .io_cost(&env, &staging, &choice, &mut [0.0; 3])
+                .to_bits(),
             staging.io_cost(&env, &ranges, &spans).to_bits()
         );
     }

@@ -14,7 +14,7 @@
 //! execution time from the memory budget (the paper's 1/128 rule) by
 //! [`crate::plan`].
 
-use ooc_ir::{LoopNest, Program};
+use ooc_ir::{ArrayRef, LoopNest, Program};
 use ooc_linalg::Rational;
 use ooc_runtime::{FileLayout, Region, ELEM_BYTES};
 use pfs_sim::MachineConfig;
@@ -161,96 +161,134 @@ fn level_tiling_legal(deps: &[ooc_ir::Dependence], l: usize) -> bool {
     })
 }
 
+/// One subscript of a reference, `offset + Σ c·i_level` over its
+/// nonzero coefficients: an access-matrix row compiled once, so that
+/// bounding it over a box neither rescans nor indexes the matrix.
+#[derive(Debug)]
+pub(crate) enum AffineRow {
+    /// Every coefficient an integer that fits `i64` (every kernel's
+    /// rows): `i128` arithmetic, in which a product of two `i64`s
+    /// cannot overflow, so only the sums are checked.
+    Integer {
+        offset: i64,
+        terms: Vec<(usize, i64)>,
+    },
+    /// Any other row: exact interval arithmetic in `Rational`s, rounded
+    /// outwards.
+    Exact {
+        offset: i64,
+        terms: Vec<(usize, Rational)>,
+    },
+}
+
+impl AffineRow {
+    /// Subscript `d` of `r`.
+    pub(crate) fn of(r: &ArrayRef, d: usize) -> Self {
+        let offset = r.offset[d];
+        let terms: Vec<(usize, Rational)> = (0..r.depth())
+            .map(|j| (j, r.access[(d, j)]))
+            .filter(|(_, c)| !c.is_zero())
+            .collect();
+        let integer: Option<Vec<(usize, i64)>> = terms
+            .iter()
+            .map(|&(j, c)| Some((j, i64::try_from(c.as_integer()?).ok()?)))
+            .collect();
+        match integer {
+            Some(terms) => AffineRow::Integer { offset, terms },
+            None => AffineRow::Exact { offset, terms },
+        }
+    }
+
+    /// Whether the subscript moves with loop level `l`.
+    pub(crate) fn mentions(&self, l: usize) -> bool {
+        match self {
+            AffineRow::Integer { terms, .. } => terms.iter().any(|&(j, _)| j == l),
+            AffineRow::Exact { terms, .. } => terms.iter().any(|&(j, _)| j == l),
+        }
+    }
+
+    /// Least and greatest value of the subscript over the box
+    /// `lo..=hi` (either corner may be the larger), or `None` when an
+    /// intermediate value leaves `i128`.
+    fn bounds(&self, lo: &[i64], hi: &[i64]) -> Option<(i128, i128)> {
+        match self {
+            AffineRow::Integer { offset, terms } => {
+                let mut min = i128::from(*offset);
+                let mut max = min;
+                for &(j, c) in terms {
+                    let a = i128::from(c) * i128::from(lo[j]);
+                    let b = i128::from(c) * i128::from(hi[j]);
+                    min = min.checked_add(a.min(b))?;
+                    max = max.checked_add(a.max(b))?;
+                }
+                Some((min, max))
+            }
+            AffineRow::Exact { offset, terms } => {
+                let mut min = Rational::from(*offset);
+                let mut max = min;
+                for &(j, c) in terms {
+                    // The smaller end by sign, not by `Ord`: comparing
+                    // rationals cross-multiplies and panics where this
+                    // must return `None`.
+                    let (small, large) = if (c.signum() > 0) == (lo[j] <= hi[j]) {
+                        (lo[j], hi[j])
+                    } else {
+                        (hi[j], lo[j])
+                    };
+                    min = min.checked_add(c.checked_mul(Rational::from(small))?)?;
+                    max = max.checked_add(c.checked_mul(Rational::from(large))?)?;
+                }
+                Some((min.floor(), max.ceil()))
+            }
+        }
+    }
+}
+
+/// Writes the hull of the regions of some references of one array
+/// over the box `lo..=hi` into `out_lo..=out_hi`: `rows` holds each
+/// reference's subscripts in order, `out_lo.len()` (the rank) per
+/// reference. `None` when a bound leaves `i64` or an intermediate value
+/// `i128`; the outputs are then unspecified.
+pub(crate) fn hull_into(
+    rows: &[AffineRow],
+    lo: &[i64],
+    hi: &[i64],
+    out_lo: &mut [i64],
+    out_hi: &mut [i64],
+) -> Option<()> {
+    out_lo.fill(i64::MAX);
+    out_hi.fill(i64::MIN);
+    for (d, row) in (0..out_lo.len()).cycle().zip(rows) {
+        let (min, max) = row.bounds(lo, hi)?;
+        out_lo[d] = out_lo[d].min(i64::try_from(min).ok()?);
+        out_hi[d] = out_hi[d].max(i64::try_from(max).ok()?);
+    }
+    Some(())
+}
+
 /// [`ref_region`], or `None` when a bound leaves `i64` or an
 /// intermediate value `i128`.
-pub(crate) fn checked_ref_region(r: &ooc_ir::ArrayRef, lo: &[i64], hi: &[i64]) -> Option<Region> {
-    let rank = r.rank();
-    let mut rlo = Vec::with_capacity(rank);
-    let mut rhi = Vec::with_capacity(rank);
-    for d in 0..rank {
-        // An all-integer access row (every kernel's) needs no rational
-        // arithmetic.
-        let integer = (0..r.depth()).all(|j| r.access[(d, j)].is_integer());
-        let (min, max) = if integer {
-            integer_row_bounds(r, d, lo, hi)?
-        } else {
-            rational_row_bounds(r, d, lo, hi)?
-        };
-        rlo.push(i64::try_from(min).ok()?);
-        rhi.push(i64::try_from(max).ok()?);
-    }
-    Some(Region::new(rlo, rhi))
-}
-
-/// Least and greatest value of subscript `d` of `r` over the box
-/// `lo..=hi`, for a row of integer coefficients.
-fn integer_row_bounds(
-    r: &ooc_ir::ArrayRef,
-    d: usize,
-    lo: &[i64],
-    hi: &[i64],
-) -> Option<(i128, i128)> {
-    let mut min = i128::from(r.offset[d]);
-    let mut max = min;
-    for j in 0..r.depth() {
-        let c = r.access[(d, j)].num();
-        if c == 0 {
-            continue;
-        }
-        let a = c.checked_mul(i128::from(lo[j]))?;
-        let b = c.checked_mul(i128::from(hi[j]))?;
-        min = min.checked_add(a.min(b))?;
-        max = max.checked_add(a.max(b))?;
-    }
-    Some((min, max))
-}
-
-/// [`integer_row_bounds`] for any row: exact interval arithmetic in
-/// `Rational`s, rounded outwards.
-fn rational_row_bounds(
-    r: &ooc_ir::ArrayRef,
-    d: usize,
-    lo: &[i64],
-    hi: &[i64],
-) -> Option<(i128, i128)> {
-    let mut min = Rational::from(r.offset[d]);
-    let mut max = min;
-    for j in 0..r.depth() {
-        let c = r.access[(d, j)];
-        if c.is_zero() {
-            continue;
-        }
-        // The smaller end by sign, not by `Ord`: comparing rationals
-        // cross-multiplies and panics where this must return `None`.
-        let (small, large) = if (c.signum() > 0) == (lo[j] <= hi[j]) {
-            (lo[j], hi[j])
-        } else {
-            (hi[j], lo[j])
-        };
-        min = min.checked_add(c.checked_mul(Rational::from(small))?)?;
-        max = max.checked_add(c.checked_mul(Rational::from(large))?)?;
-    }
-    Some((min.floor(), max.ceil()))
+fn checked_ref_region(r: &ArrayRef, lo: &[i64], hi: &[i64]) -> Option<Region> {
+    let rows: Vec<AffineRow> = (0..r.rank()).map(|d| AffineRow::of(r, d)).collect();
+    let mut region = Region::new(vec![0; r.rank()], vec![0; r.rank()]);
+    hull_into(&rows, lo, hi, &mut region.lo, &mut region.hi)?;
+    Some(region)
 }
 
 /// The array region touched by one reference when each loop level `j`
 /// ranges over `lo[j]..=hi[j]` — exact interval arithmetic on
-/// `L·Ī + ō`. For boxes whose regions are known to fit `i64`:
-/// planning checks a nest's whole range once (see
-/// [`plan_nest`](crate::plan::plan_nest)), so the walks' per-box calls
-/// cannot overflow.
+/// `L·Ī + ō`. For boxes whose regions are known to fit `i64`.
 ///
 /// # Panics
 /// Panics when a region bound leaves `i64`.
 #[must_use]
-pub fn ref_region(r: &ooc_ir::ArrayRef, lo: &[i64], hi: &[i64]) -> Region {
+pub fn ref_region(r: &ArrayRef, lo: &[i64], hi: &[i64]) -> Region {
     checked_ref_region(r, lo, hi).expect("region bound")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ooc_ir::ArrayRef;
 
     #[test]
     fn strategies_pick_levels() {
@@ -293,6 +331,20 @@ mod tests {
         // A bound outside i64 is reported, not wrapped.
         let far = ArrayRef::new(ooc_ir::ArrayId(0), &[vec![4]], vec![0]);
         assert!(checked_ref_region(&far, &[1], &[i64::MAX / 2]).is_none());
+    }
+
+    /// Subscript `d` of `r` on the exact path, whatever its coefficients.
+    fn exact_row(r: &ArrayRef, d: usize) -> AffineRow {
+        match AffineRow::of(r, d) {
+            AffineRow::Integer { offset, terms } => AffineRow::Exact {
+                offset,
+                terms: terms
+                    .into_iter()
+                    .map(|(j, c)| (j, Rational::from(c)))
+                    .collect(),
+            },
+            exact => exact,
+        }
     }
 
     /// A reference with the given access entries in halves.
@@ -338,10 +390,12 @@ mod tests {
                 let min = corners.iter().min().expect("a box has corners").floor();
                 let max = corners.iter().max().expect("a box has corners").ceil();
                 proptest::prop_assert_eq!((i128::from(region.lo[d]), i128::from(region.hi[d])), (min, max));
-                proptest::prop_assert_eq!(rational_row_bounds(&r, d, lo, &hi), Some((min, max)));
-                if (0..depth).all(|j| r.access[(d, j)].is_integer()) {
-                    proptest::prop_assert_eq!(integer_row_bounds(&r, d, lo, &hi), Some((min, max)));
-                }
+                proptest::prop_assert_eq!(exact_row(&r, d).bounds(lo, &hi), Some((min, max)));
+                let row = AffineRow::of(&r, d);
+                let integer = (0..depth).all(|j| r.access[(d, j)].is_integer());
+                proptest::prop_assert_eq!(matches!(row, AffineRow::Integer { .. }), integer);
+                proptest::prop_assert_eq!(row.bounds(lo, &hi), Some((min, max)));
+                proptest::prop_assert_eq!(row.bounds(&hi, lo), Some((min, max)));
             }
         }
     }
@@ -366,15 +420,24 @@ mod tests {
             assert!(checked_ref_region(&r, &lo, &hi).is_none(), "{entry}/{den}");
             assert!(checked_ref_region(&r, &hi, &lo).is_none(), "{entry}/{den}");
             assert!(
-                !fits_i64(rational_row_bounds(&r, 0, &lo, &hi)),
+                !fits_i64(exact_row(&r, 0).bounds(&lo, &hi)),
                 "{entry}/{den}"
             );
-            if den == 1 {
-                assert!(!fits_i64(integer_row_bounds(&r, 0, &lo, &hi)), "{entry}");
-            }
+            // Integers beyond `i64` take the exact path.
+            let row = AffineRow::of(&r, 0);
+            let integer = den == 1 && entry != huge;
+            assert_eq!(matches!(row, AffineRow::Integer { .. }), integer);
+            assert!(!fits_i64(row.bounds(&lo, &hi)), "{entry}/{den}");
             // Over a small box only the huge coefficients overflow.
             let small = checked_ref_region(&r, &[1, 1], &[4, 4]);
             assert_eq!(small.is_some(), entry != huge, "{entry}/{den}");
         }
+        // An integer row's products fit `i128`, its sums need not: four
+        // terms of 2^126.
+        let r = ArrayRef::new(ooc_ir::ArrayId(0), &[vec![i64::MIN; 4]], vec![0]);
+        let corner = [i64::MIN; 4];
+        assert!(matches!(AffineRow::of(&r, 0), AffineRow::Integer { .. }));
+        assert_eq!(AffineRow::of(&r, 0).bounds(&corner, &corner), None);
+        assert_eq!(exact_row(&r, 0).bounds(&corner, &corner), None);
     }
 }

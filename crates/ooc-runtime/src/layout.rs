@@ -395,20 +395,22 @@ impl FileLayout {
         runs
     }
 
-    /// Number of maximal contiguous runs and of elements in `region`
-    /// (clamped to the array) — what an I/O cost needs, without the
-    /// file offsets of [`FileLayout::region_run_summary`] and without
-    /// allocating. O(1) for dimension-order layouts, O(blocks) for
-    /// blocked ones, O(intersected hyperplanes) for hyperplane layouts.
-    /// Exact for [`FileLayout::DimOrder`] and [`FileLayout::Blocked2D`];
-    /// for general hyperplane layouts it counts one run per intersected
-    /// hyperplane (exact unless the region covers whole adjacent
-    /// hyperplanes, where runs could merge — a second-order effect).
+    /// Number of maximal contiguous runs and of elements in the region
+    /// `lo..=hi` (clamped to the array) — what an I/O cost needs,
+    /// without the file offsets of [`FileLayout::region_run_summary`]
+    /// and without allocating. O(1) for dimension-order layouts,
+    /// O(blocks) for blocked ones, O(intersected hyperplanes) for
+    /// hyperplane layouts. Exact for [`FileLayout::DimOrder`] and
+    /// [`FileLayout::Blocked2D`]; for general hyperplane layouts it
+    /// counts one run per intersected hyperplane (exact unless the
+    /// region covers whole adjacent hyperplanes, where runs could merge
+    /// — a second-order effect).
     #[must_use]
-    pub fn region_run_counts(&self, dims: &[i64], region: &Region) -> (u64, u64) {
-        let lo = |d: usize| region.lo[d].max(1);
-        let hi = |d: usize| region.hi[d].min(dims[d]);
-        let extent = |d: usize| (hi(d) - lo(d) + 1).max(0);
+    pub fn region_run_counts(&self, dims: &[i64], lo: &[i64], hi: &[i64]) -> (u64, u64) {
+        // The region clamped to the array.
+        let first = |d: usize| lo[d].max(1);
+        let last = |d: usize| hi[d].min(dims[d]);
+        let extent = |d: usize| (last(d) - first(d) + 1).max(0);
         let elements = (0..dims.len()).map(extent).product::<i64>() as u64;
         if elements == 0 {
             return (0, 0);
@@ -432,13 +434,13 @@ impl FileLayout {
             }
             FileLayout::Hyperplane2D(g1, g2) => {
                 let h = Hyperplanes::new(*g1, *g2, dims[0], dims[1]);
-                let (c_lo, c_hi) = h.c_range(lo(0), hi(0), lo(1), hi(1));
+                let (c_lo, c_hi) = h.c_range(first(0), last(0), first(1), last(1));
                 (c_lo..=c_hi)
-                    .filter(|&c| h.span(c, lo(0), hi(0), lo(1), hi(1)).is_some())
+                    .filter(|&c| h.span(c, first(0), last(0), first(1), last(1)).is_some())
                     .count() as u64
             }
             FileLayout::Blocked2D { br, bc } => {
-                let (r1, r2, c1, c2) = (lo(0), hi(0), lo(1), hi(1));
+                let (r1, r2, c1, c2) = (first(0), last(0), first(1), last(1));
                 let mut runs = 0u64;
                 for bi in (r1 - 1) / br..=(r2 - 1) / br {
                     // Rows of the region inside block row `bi`.
@@ -492,7 +494,7 @@ impl FileLayout {
         // Dimension-order and blocked layouts store the region's
         // corners first and last.
         RunSummary {
-            runs: self.region_run_counts(dims, &region).0,
+            runs: self.region_run_counts(dims, &region.lo, &region.hi).0,
             elements,
             min_start: self.offset_of(dims, &region.lo),
             max_end: self.offset_of(dims, &region.hi) + 1,

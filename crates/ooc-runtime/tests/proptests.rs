@@ -250,7 +250,7 @@ proptest! {
             let exact = layout.region_runs(&dims, &r);
             let summary = layout.region_run_summary(&dims, &r);
             prop_assert_eq!(
-                layout.region_run_counts(&dims, &r),
+                layout.region_run_counts(&dims, &r.lo, &r.hi),
                 (summary.runs, summary.elements)
             );
             let exact_elems: u64 = exact.iter().map(|x| x.len).sum();

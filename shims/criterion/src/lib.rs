@@ -2,9 +2,11 @@
 //!
 //! The build environment has no crates.io access, so the workspace's
 //! `harness = false` benches link against this subset instead: each
-//! `bench_function` runs a short warmup, then times a fixed batch and
-//! prints mean wall-clock time per iteration. No statistics, plots, or
-//! saved baselines — just enough to keep `cargo bench` meaningful and
+//! `bench_function` calibrates a batch size from one warm-up call, times
+//! eleven batches, and prints the median wall-clock time per
+//! iteration with its quartiles (linear interpolation between closest
+//! ranks, the rule of the `benchmark/` package's `stats.rs`). No plots
+//! or saved baselines — just enough to keep `cargo bench` meaningful and
 //! `cargo build --benches` compiling.
 
 #![warn(missing_docs)]
@@ -13,9 +15,25 @@
 use std::hint;
 use std::time::{Duration, Instant};
 
+/// Timed batches per benchmark.
+const BATCHES: usize = 11;
+
+/// What one batch aims to take; the batch size is calibrated from the
+/// warm-up call.
+const BATCH_TARGET: Duration = Duration::from_millis(20);
+
 /// Opaque value barrier; defers to [`std::hint::black_box`].
 pub fn black_box<T>(x: T) -> T {
     hint::black_box(x)
+}
+
+/// The `p`-quantile (0..=1) of `sorted` by linear interpolation
+/// between closest ranks.
+fn quantile(sorted: &[f64], p: f64) -> f64 {
+    let pos = p * (sorted.len() - 1) as f64;
+    let lo = pos.floor() as usize;
+    let hi = pos.ceil() as usize;
+    sorted[lo] + (sorted[hi] - sorted[lo]) * (pos - lo as f64)
 }
 
 /// Times closures registered through [`Criterion::bench_function`].
@@ -31,19 +49,29 @@ impl Criterion {
         self
     }
 
-    /// Runs and reports one named benchmark.
+    /// Runs and reports one named benchmark: median time per iteration
+    /// over the batches, then the first and third quartile.
     pub fn bench_function<F: FnMut(&mut Bencher)>(&mut self, id: &str, mut f: F) -> &mut Self {
         let mut b = Bencher {
-            elapsed: Duration::ZERO,
+            per_iter: Vec::new(),
             iters: 0,
         };
         f(&mut b);
-        let per_iter = if b.iters == 0 {
-            Duration::ZERO
-        } else {
-            b.elapsed / u32::try_from(b.iters.min(u64::from(u32::MAX))).unwrap_or(u32::MAX)
-        };
-        println!("{id:<48} {per_iter:>12.2?}/iter ({} iters)", b.iters);
+        let mut sorted = b.per_iter;
+        if sorted.is_empty() {
+            println!("{id:<48} (routine never ran)");
+            return self;
+        }
+        sorted.sort_by(|x, y| x.partial_cmp(y).expect("timings are never NaN"));
+        let at = |p| Duration::from_secs_f64(quantile(&sorted, p));
+        println!(
+            "{id:<48} {:>12.2?}/iter [{:.2?}, {:.2?}] ({} batches of {} iters)",
+            at(0.5),
+            at(0.25),
+            at(0.75),
+            sorted.len(),
+            b.iters
+        );
         self
     }
 }
@@ -51,24 +79,28 @@ impl Criterion {
 /// Passed to benchmark closures; times the hot loop.
 #[derive(Debug)]
 pub struct Bencher {
-    elapsed: Duration,
+    /// Seconds per iteration, one entry per batch.
+    per_iter: Vec<f64>,
     iters: u64,
 }
 
 impl Bencher {
-    /// Times repeated calls of `routine`.
+    /// Times repeated calls of `routine`: one warm-up call sizes the
+    /// batches, then `BATCHES` batches of that many calls each.
     pub fn iter<R, F: FnMut() -> R>(&mut self, mut routine: F) {
-        // Warmup and calibration: aim for ~0.2 s of measurement.
         let t0 = Instant::now();
         black_box(routine());
         let once = t0.elapsed().max(Duration::from_nanos(50));
-        let target = Duration::from_millis(200);
-        let iters = (target.as_nanos() / once.as_nanos()).clamp(1, 100_000) as u64;
-        let start = Instant::now();
-        for _ in 0..iters {
-            black_box(routine());
-        }
-        self.elapsed = start.elapsed();
+        let iters = (BATCH_TARGET.as_nanos() / once.as_nanos()).clamp(1, 100_000) as u64;
+        self.per_iter = (0..BATCHES)
+            .map(|_| {
+                let start = Instant::now();
+                for _ in 0..iters {
+                    black_box(routine());
+                }
+                start.elapsed().as_secs_f64() / iters as f64
+            })
+            .collect();
         self.iters = iters;
     }
 }
@@ -92,4 +124,18 @@ macro_rules! criterion_main {
             $($group();)+
         }
     };
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn quartiles_interpolate_between_ranks() {
+        let sorted = [1.0, 2.0, 3.0];
+        let q = |p| quantile(&sorted, p);
+        assert_eq!((q(0.25), q(0.5), q(0.75)), (1.5, 2.0, 2.5));
+        assert_eq!(quantile(&[1.0, 2.0, 3.0, 4.0], 0.5), 2.5);
+        assert_eq!(quantile(&[5.0], 0.75), 5.0);
+    }
 }
