@@ -7,15 +7,16 @@
 //! writes), verifies the checksum layer flags torn data, resumes from
 //! the last checkpoint, asserts the recovered result is **bit-equal**
 //! to an uninterrupted run, and reports the recovered-vs-rerun I/O
-//! cost. A final section demonstrates the pipelined durable executor
-//! crash-recovering with write-behind journaling.
+//! cost. A final section demonstrates the durable step engine (one
+//! shard, prefetch and write-behind) crash-recovering with write-behind
+//! journaling.
 //!
 //! Usage: `figure5 [kernel] [crashes] [--metrics out.json] [--trace out.json]`
 use ooc_bench::trace::TraceScope;
 use ooc_bench::{interval_summary, recovery_register, run_recovery_demo, MetricsScope};
 use ooc_core::{
-    exec_pipelined_durable, resume_pipelined, DurabilityConfig, FunctionalConfig, MemMedium,
-    PipelineConfig,
+    run_durable, DurabilityConfig, FunctionalConfig, MemMedium, ParallelConfig, PipelineConfig,
+    Start,
 };
 use ooc_ir::ArrayId;
 use ooc_kernels::{compile, kernel_by_name, Version};
@@ -86,56 +87,37 @@ fn main() {
     println!("\n(b) pipelined durable executor (journaled write-behind):");
     let cv = compile(&k, Version::COpt);
     let dur = DurabilityConfig::default();
-    let pcfg = PipelineConfig {
-        functional: FunctionalConfig::with_fraction(16),
-        ..PipelineConfig::default()
+    let pcfg = ParallelConfig {
+        pipeline: PipelineConfig {
+            functional: FunctionalConfig::with_fraction(16),
+            ..PipelineConfig::default()
+        },
+        shards: 1,
     };
-    let mut clean = MemMedium::new();
-    let fresh = exec_pipelined_durable(
-        &cv.tiled,
-        &k.small_params,
-        &seed,
-        &pcfg,
-        &dur,
-        &mut clean,
-        &|_| None,
-    )
-    .expect("fresh pipelined durable run");
-    let mut medium = MemMedium::new();
+    let run = |medium: &mut MemMedium, faults: &dyn Fn(usize) -> Option<FaultConfig>, start| {
+        let (tp, params) = (&cv.tiled, &k.small_params);
+        run_durable(tp, params, &seed, &pcfg, &dur, medium, faults, start)
+    };
+    let fresh =
+        run(&mut MemMedium::new(), &|_| None, Start::Fresh).expect("fresh pipelined durable run");
     // Probe run with a rate-0 wrap to size the crash index.
-    let probe = exec_pipelined_durable(
-        &cv.tiled,
-        &k.small_params,
-        &seed,
-        &pcfg,
-        &dur,
+    let probe = run(
         &mut MemMedium::new(),
         &|a| (a == 0).then(|| FaultConfig::transient(13, 0)),
+        Start::Fresh,
     )
     .expect("probe run");
     let calls = probe.fault_handles[0].as_ref().map_or(0, |h| h.calls());
     let crash_at = (calls / 2).max(1);
-    let err = exec_pipelined_durable(
-        &cv.tiled,
-        &k.small_params,
-        &seed,
-        &pcfg,
-        &dur,
+    let mut medium = MemMedium::new();
+    let err = run(
         &mut medium,
         &|a| (a == 0).then(|| FaultConfig::crash_at(crash_at)),
+        Start::Fresh,
     )
     .expect_err("injected crash must abort the pipelined run");
     assert!(is_crashed(&err), "unexpected error: {err}");
-    let out = resume_pipelined(
-        &cv.tiled,
-        &k.small_params,
-        &seed,
-        &pcfg,
-        &dur,
-        &mut medium,
-        &|_| None,
-    )
-    .expect("pipelined resume");
+    let out = run(&mut medium, &|_| None, Start::Resume).expect("pipelined resume");
     assert_eq!(
         out.run.run.data, fresh.run.run.data,
         "pipelined recovery diverged from the uninterrupted run"

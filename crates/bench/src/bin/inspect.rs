@@ -18,11 +18,11 @@
 //! tree to stdout; `--profile` renders each array's access pattern
 //! (seek CDF, sequential bursts, file heatmap) and a disk timeline
 //! priced by the `pfs-sim` cost model; `--pipeline` additionally runs
-//! each version through the asynchronous tile pipeline
-//! (`exec_pipelined`), asserts bit-equality with the synchronous run,
-//! and prints the cache/prefetch/stall counters (with `--shards N`,
-//! N > 1, it runs the *parallel* executor instead and prints each
-//! shard's counters plus the merged view); `--analyze` runs each
+//! each version through the step engine (`exec_parallel` at
+//! `--shards N`, default 1: the asynchronous tile pipeline), asserts
+//! bit-equality with the synchronous run, and prints the
+//! cache/prefetch/stall counters (each shard's, then the merged view,
+//! when N > 1); `--analyze` runs each
 //! version through a traced parallel execution and prints the
 //! scaling-forensics report (blame waterfall, Gantt, critical path —
 //! mutually exclusive with `--trace`/`--explain`, which own the
@@ -43,8 +43,8 @@
 use ooc_bench::trace::{render_explain, TraceScope};
 use ooc_bench::{interval_summary, recovery_register, run_recovery_demo, MetricsScope};
 use ooc_core::{
-    exec_parallel, exec_pipelined, run_functional_on, simulate, ExecConfig, FunctionalConfig,
-    IoComparison, ParallelConfig, PipelineConfig,
+    exec_parallel, run_functional_on, simulate, ExecConfig, FunctionalConfig, IoComparison,
+    ParallelConfig, PipelineConfig,
 };
 use ooc_ir::ArrayId;
 use ooc_kernels::{compile, kernel_by_name, Version};
@@ -215,58 +215,38 @@ fn main() {
             }
         }
         if pipeline {
-            let pcfg = PipelineConfig {
-                functional: FunctionalConfig::with_fraction(16),
-                ..PipelineConfig::default()
+            let pcfg = ParallelConfig {
+                pipeline: PipelineConfig {
+                    functional: FunctionalConfig::with_fraction(16),
+                    ..PipelineConfig::default()
+                },
+                shards,
             };
+            let prun = exec_parallel(&cv.tiled, &k.small_params, &seed, &pcfg, |_, _, len| {
+                Ok(ooc_runtime::MemStore::new(len))
+            })
+            .expect("pipelined run");
+            assert_eq!(
+                prun.run.data,
+                run.data,
+                "{} {}: pipeline diverged from the synchronous executor",
+                k.name,
+                v.label()
+            );
+            println!(
+                "       pipeline at {:?} (workers={} depth={} shards={shards}) — bit-equal to sync:",
+                k.small_params, pcfg.pipeline.workers, pcfg.pipeline.prefetch_depth
+            );
             if shards > 1 {
-                let pcfg = ParallelConfig {
-                    pipeline: pcfg,
-                    shards,
-                };
-                let prun = exec_parallel(&cv.tiled, &k.small_params, &seed, &pcfg, |_, _, len| {
-                    Ok(ooc_runtime::MemStore::new(len))
-                })
-                .expect("parallel run");
-                assert_eq!(
-                    prun.run.data,
-                    run.data,
-                    "{} {}: parallel executor diverged from the synchronous one",
-                    k.name,
-                    v.label()
-                );
-                println!(
-                    "       parallel pipeline at {:?} ({shards} shards) — bit-equal to sync:",
-                    k.small_params
-                );
                 for (si, stats) in prun.shard_stats.iter().enumerate() {
                     println!("       shard {si}:");
                     print!("{}", stats.render());
                 }
                 println!("       merged across {shards} shards:");
-                print!("{}", prun.pipeline.render());
-                prun.pipeline
-                    .register_into(metrics.registry(), k.name, v.label());
-            } else {
-                let prun = exec_pipelined(&cv.tiled, &k.small_params, &seed, &pcfg, |_, _, len| {
-                    Ok(ooc_runtime::MemStore::new(len))
-                })
-                .expect("pipelined run");
-                assert_eq!(
-                    prun.run.data,
-                    run.data,
-                    "{} {}: pipeline diverged from the synchronous executor",
-                    k.name,
-                    v.label()
-                );
-                println!(
-                    "       pipeline at {:?} (workers={} depth={}) — bit-equal to sync:",
-                    k.small_params, pcfg.workers, pcfg.prefetch_depth
-                );
-                print!("{}", prun.pipeline.render());
-                prun.pipeline
-                    .register_into(metrics.registry(), k.name, v.label());
             }
+            print!("{}", prun.pipeline.render());
+            prun.pipeline
+                .register_into(metrics.registry(), k.name, v.label());
         }
         if analyze {
             if trace.active() {

@@ -13,8 +13,8 @@
 //! executor is single-threaded and fault replay is seeded.
 
 use ooc_core::{
-    max_intents_per_interval, resume_functional, run_functional_durable, DurabilityConfig,
-    DurableMedium, DurableOutcome, DurableStore, FunctionalConfig, MemMedium, RecoveryReport,
+    max_intents_per_interval, run_durable, run_functional_durable, DurabilityConfig, DurableMedium,
+    DurableOutcome, DurableStore, FunctionalConfig, MemMedium, RecoveryReport, Start,
 };
 use ooc_ir::ArrayId;
 use ooc_kernels::{compile, kernel_by_name, Kernel, Version};
@@ -190,7 +190,7 @@ fn run_one_interval(
             k.name
         );
 
-        let out = resume_functional(
+        let out = run_durable(
             tiled,
             &k.small_params,
             &seed,
@@ -198,6 +198,7 @@ fn run_one_interval(
             &dur,
             &mut medium,
             &|_| None,
+            Start::Resume,
         )
         .expect("resume after crash");
         assert_eq!(

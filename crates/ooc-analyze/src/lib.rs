@@ -246,7 +246,7 @@ mod tests {
     fn metrics_registration_is_stable() {
         let session = Session::start();
         {
-            let _top = ooc_trace::span("pipeline", "exec-pipelined");
+            let _top = ooc_trace::span("parallel", "exec-parallel");
             let _read = ooc_trace::span("pipeline", "sync-read");
             spin_us(50);
         }

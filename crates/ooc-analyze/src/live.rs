@@ -191,35 +191,31 @@ pub fn registry_provider(
     }
 }
 
-/// Fetches `path` from a running [`LiveServer`] over plain TCP —
-/// shared by tests and the bench smoke path.
-///
-/// # Errors
-/// Propagates connection/read failures.
-pub fn fetch(addr: SocketAddr, path: &str) -> std::io::Result<(u16, String)> {
-    let mut stream = TcpStream::connect(addr)?;
-    stream.set_read_timeout(Some(Duration::from_secs(2)))?;
-    // One write: `write!` straight to the socket sends the request in
-    // fragments, and a server answering (and closing) after the first
-    // one breaks the pipe under the rest.
-    stream.write_all(format!("GET {path} HTTP/1.0\r\nHost: live\r\n\r\n").as_bytes())?;
-    let mut raw = String::new();
-    stream.read_to_string(&mut raw)?;
-    let status = raw
-        .lines()
-        .next()
-        .and_then(|l| l.split_whitespace().nth(1))
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0);
-    let body = raw
-        .split_once("\r\n\r\n")
-        .map_or(String::new(), |(_, b)| b.to_string());
-    Ok((status, body))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Fetches `path` from a running [`LiveServer`] over plain TCP.
+    fn fetch(addr: SocketAddr, path: &str) -> std::io::Result<(u16, String)> {
+        let mut stream = TcpStream::connect(addr)?;
+        stream.set_read_timeout(Some(Duration::from_secs(2)))?;
+        // One write: `write!` straight to the socket sends the request
+        // in fragments, and a server answering (and closing) after the
+        // first one breaks the pipe under the rest.
+        stream.write_all(format!("GET {path} HTTP/1.0\r\nHost: live\r\n\r\n").as_bytes())?;
+        let mut raw = String::new();
+        stream.read_to_string(&mut raw)?;
+        let status = raw
+            .lines()
+            .next()
+            .and_then(|l| l.split_whitespace().nth(1))
+            .and_then(|s| s.parse().ok())
+            .unwrap_or(0);
+        let body = raw
+            .split_once("\r\n\r\n")
+            .map_or(String::new(), |(_, b)| b.to_string());
+        Ok((status, body))
+    }
 
     #[test]
     fn serves_metrics_and_analysis_live() {

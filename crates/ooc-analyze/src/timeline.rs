@@ -63,8 +63,8 @@ pub struct FlowLink {
 /// partition it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Timeline {
-    /// Name of the window-defining top span (`exec-parallel`,
-    /// `exec-pipelined`, or `trace` when no executor span exists).
+    /// Name of the window-defining top span (`exec-parallel`, or
+    /// `trace` when no executor span exists).
     pub top_span: String,
     /// Run wall-clock, microseconds.
     pub wall_us: u64,
@@ -109,9 +109,7 @@ impl Timeline {
         // is one, else the full event range.
         let mut window: Option<(u64, u64, String, u64)> = None; // (start, end, name, tid)
         for e in &data.events {
-            if matches!(e.kind, EventKind::Begin)
-                && (e.name == "exec-parallel" || e.name == "exec-pipelined")
-            {
+            if matches!(e.kind, EventKind::Begin) && e.name == "exec-parallel" {
                 window = Some((e.ts_us, e.ts_us, e.name.clone(), e.tid));
                 break;
             }
@@ -385,7 +383,7 @@ mod tests {
     fn flow_links_are_matched() {
         let session = Session::start();
         {
-            let _top = ooc_trace::span("pipeline", "exec-pipelined");
+            let _top = ooc_trace::span("parallel", "exec-parallel");
             ooc_trace::flow_start("pipeline", "delivery", 3);
             ooc_trace::flow_finish("pipeline", "delivery", 3);
             ooc_trace::flow_start("pipeline", "delivery", 9);

@@ -26,9 +26,8 @@ use crate::recovery::DurableSession;
 use crate::tiling::{TiledNest, TiledProgram};
 use ooc_ir::{ArrayId, Expr, Statement};
 use ooc_runtime::{
-    AccessRecord, InterleavedGroup, IoCause, IoStats, LedgerEvent, LedgerRecorder, MeasuredIo,
-    MemStore, OocArray, Region, RuntimeConfig, SharedJournal, Store, Tile, TouchTracker,
-    ELEM_BYTES,
+    AccessRecord, InterleavedGroup, IoCause, IoStats, Journal, LedgerEvent, LedgerRecorder,
+    MeasuredIo, MemStore, OocArray, Region, RuntimeConfig, Store, Tile, TouchTracker, ELEM_BYTES,
 };
 use pfs_sim::{FileId, MachineConfig, Op, PfsSim, SimResult, Workload};
 use std::collections::BTreeMap;
@@ -558,7 +557,7 @@ pub(crate) fn record_write_back<S: Store>(
 /// the step engine's main thread and the write-behind writer.
 pub(crate) fn write_tile_through<S: Store>(
     arr: &mut OocArray<S>,
-    journal: Option<&SharedJournal>,
+    journal: Option<&Journal>,
     array: u32,
     tile: &Tile,
 ) -> io::Result<()> {

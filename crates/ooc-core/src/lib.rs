@@ -28,17 +28,20 @@
 //!    data transformations.
 //! 8. [`global`] — the paper's §5 future work: exact global layout
 //!    assignment by branch-and-bound.
-//! 9. [`pipeline`] — the asynchronous tile pipeline: compiler-driven
+//! 9. [`pipeline`] — the step engine's parts: compiler-driven
 //!    prefetch, a Belady-informed tile cache, and write-behind over
-//!    the schedules the tiling pass fixes statically.
+//!    the schedules the tiling pass fixes statically;
+//!    [`exec_pipelined`] is the engine at one shard.
 //! 10. [`recovery`] — crash-consistent execution: per-tile-region
 //!     checksums, one write intent journal that also carries the
-//!     tile-row checkpoints, and checkpoint/restart that recovers a
-//!     crashed run bit-equal to an uninterrupted one.
-//! 11. [`parallel`] — the measured multi-node executor: nests
-//!     partitioned by tile-walk ownership at their communication-free
-//!     level and driven by worker threads over shared (typically
-//!     striped) stores, bit-equal to the single-threaded pipeline.
+//!     tile-row checkpoints, and [`run_durable`], whose
+//!     [`Start::Resume`] recovers a crashed run of either walk
+//!     bit-equal to an uninterrupted one.
+//! 11. [`parallel`] — the measured multi-node executor and the step
+//!     engine's one driver: nests partitioned by tile-walk ownership at
+//!     their communication-free level and driven by worker threads over
+//!     shared (typically striped) stores, bit-equal to the synchronous
+//!     walk at every shard count.
 //!
 //! # Example: the paper's worked example, end to end
 //!
@@ -104,13 +107,13 @@ pub use optimizer::{
     OptimizeOptions, OptimizedProgram,
 };
 pub use parallel::{exec_parallel, ParallelConfig, ParallelRun, PartitionSummary};
-pub use pipeline::{exec_pipelined, extract_schedule, PipelineConfig, PipelinedRun};
+pub use pipeline::{exec_pipelined, extract_schedule, PipelineConfig};
 pub use plan::{plan_nest, NestPlan, PlanEnv};
 pub use recovery::{
-    exec_parallel_durable, exec_pipelined_durable, max_intents_per_interval, resume_functional,
-    resume_parallel, resume_pipelined, run_functional_durable, run_parallel_surviving_node_loss,
-    DirMedium, DurabilityConfig, DurableMedium, DurableOutcome, DurableStore, MemMedium,
-    NodeLossOutcome, NodeLossReport, RecoveryReport, StripedMedium,
+    max_intents_per_interval, run_durable, run_functional_durable,
+    run_parallel_surviving_node_loss, DirMedium, DurabilityConfig, DurableMedium, DurableOutcome,
+    DurableStore, MemMedium, NodeLossOutcome, NodeLossReport, RecoveryReport, Start, StripedMedium,
+    Walk,
 };
 pub use report::{optimization_report, IoComparison, NestReport, OptimizationReport, RefReport};
 pub use storage::{bounding_box, reduce_storage, StorageReduction};

@@ -6,11 +6,11 @@
 //! nodes ([`StripedStore`](ooc_runtime::StripedStore)) so queueing
 //! contention is *experienced*, not just priced.
 //!
-//! `exec_sharded` is the body of every pipelined and parallel entry
-//! point, durable or not. At one shard every nest takes the serial
-//! path and worker 0 drives the full schedule: that *is* the
-//! pipelined executor, which differs only in the `Engine` names it
-//! runs under.
+//! `exec_sharded` is the body of [`exec_parallel`],
+//! [`exec_pipelined`](crate::pipeline::exec_pipelined) and the durable
+//! step-engine runs. At one shard every nest takes the serial path and
+//! worker 0 drives the full schedule: that *is* the pipelined
+//! executor.
 //!
 //! # Partitioning
 //!
@@ -83,7 +83,7 @@ use crate::exec::{plan_walk, ArrayProfile, FunctionalRun};
 use crate::pipeline::{
     nest_schedule, setup_run, worker_handles, NestRun, PipelineConfig, RunSetup, ShardWorker,
 };
-use crate::recovery::{DurableNames, DurableSession};
+use crate::recovery::DurableSession;
 use crate::tiling::TiledProgram;
 use ooc_ir::ArrayId;
 use ooc_runtime::{IoStats, Store};
@@ -167,47 +167,12 @@ pub fn exec_parallel<S: Store + Send + 'static>(
     cfg: &ParallelConfig,
     make_store: impl FnMut(usize, &str, u64) -> io::Result<S>,
 ) -> io::Result<ParallelRun> {
-    exec_sharded(tp, params, init, cfg, make_store, None, &PARALLEL)
+    exec_sharded(tp, params, init, cfg, make_store, None, "parallel")
 }
 
-/// The public face a run of the step engine presents: its ledger
-/// executor label, the trace category and top span the forensics key
-/// on, and its durable names. [`exec_pipelined`] is a one-shard run
-/// presenting as [`PIPELINED`]; a durable run swaps in its own
-/// executor label.
-///
-/// [`exec_pipelined`]: crate::pipeline::exec_pipelined
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Engine {
-    pub(crate) executor: &'static str,
-    pub(crate) cat: &'static str,
-    pub(crate) span: &'static str,
-    pub(crate) durable: DurableNames,
-}
-
-pub(crate) const PIPELINED: Engine = Engine {
-    executor: "pipelined",
-    cat: "pipeline",
-    span: "exec-pipelined",
-    durable: DurableNames {
-        executor: ["durable-pipelined", "durable-pipelined-resume"],
-        span: ["exec-pipelined-durable", "resume-pipelined"],
-    },
-};
-
-pub(crate) const PARALLEL: Engine = Engine {
-    executor: "parallel",
-    cat: "parallel",
-    span: "exec-parallel",
-    durable: DurableNames {
-        executor: ["durable-parallel", "durable-parallel-resume"],
-        span: ["exec-parallel-durable", "resume-parallel"],
-    },
-};
-
-/// The step-engine driver behind every pipelined and parallel entry
-/// point, durable or not: `cfg.shards` workers over shared stores,
-/// presenting as `engine`, with the optional durable session the
+/// The step-engine driver behind every pipelined and parallel run,
+/// durable or not: `cfg.shards` workers over shared stores, booked to
+/// the ledger as `executor`, with the optional durable session the
 /// recovery layer drives (see the module docs for the checkpoint
 /// placement).
 pub(crate) fn exec_sharded<S: Store + Send + 'static>(
@@ -217,14 +182,14 @@ pub(crate) fn exec_sharded<S: Store + Send + 'static>(
     cfg: &ParallelConfig,
     mut make_store: impl FnMut(usize, &str, u64) -> io::Result<S>,
     mut dur: Option<&mut DurableSession>,
-    engine: &Engine,
+    executor: &str,
 ) -> io::Result<ParallelRun> {
     let pcfg = &cfg.pipeline;
     let shards = cfg.shards.max(1);
     let _lane = ooc_trace::lane_scope(ooc_trace::Lane::main());
     let _span = ooc_trace::span_with(
-        engine.cat,
-        engine.span,
+        "parallel",
+        "exec-parallel",
         vec![
             ("shards", (shards as u64).into()),
             ("workers", (pcfg.workers as u64).into()),
@@ -232,7 +197,7 @@ pub(crate) fn exec_sharded<S: Store + Send + 'static>(
         ],
     );
     if let Some(rec) = &pcfg.functional.ledger {
-        rec.set_executor(engine.executor);
+        rec.set_executor(executor);
     }
     let env = pcfg.functional.plan_env(tp, params)?;
     let RunSetup {
@@ -284,7 +249,7 @@ pub(crate) fn exec_sharded<S: Store + Send + 'static>(
                 d.report.skipped_steps += start_g;
             }
         }
-        let _nest_span = ooc_trace::span(engine.cat, &format!("nest:{}", nest.name));
+        let _nest_span = ooc_trace::span("parallel", &format!("nest:{}", nest.name));
 
         if part.serial_fallback || part.active_shards() <= 1 {
             // Serial path (all of a one-shard run): worker 0 drives
@@ -393,7 +358,7 @@ pub(crate) fn exec_sharded<S: Store + Send + 'static>(
         }
         if ooc_trace::enabled() {
             ooc_trace::instant(
-                engine.cat,
+                "parallel",
                 "flush-barrier",
                 vec![("nest", nest.name.clone().into())],
             );

@@ -8,9 +8,9 @@
 //!
 //! This module holds the engine's parts — `nest_schedule`,
 //! `ShardWorker`, `NestRun::step` — and [`crate::parallel`] holds its
-//! only driver; `exec_pipelined` is that driver at `shards = 1`, where
-//! every nest
-//! takes the serial path and worker 0 walks the full schedule.
+//! only driver; `exec_pipelined` is [`exec_parallel`] at one shard, so
+//! it returns a [`ParallelRun`]: every nest takes the serial path and
+//! worker 0 walks the full schedule.
 //!
 //! ## Why the overlap is safe (bit-equality argument)
 //!
@@ -42,17 +42,17 @@
 //! and "stalled" buckets of [`PipelineStats`].
 
 use crate::exec::{
-    plan_walk, record_read, record_write_back, write_tile_through, FunctionalConfig, FunctionalRun,
+    plan_walk, record_read, record_write_back, write_tile_through, FunctionalConfig,
 };
 use crate::kernel::TileKernel;
-use crate::parallel::{exec_sharded, ParallelConfig, ParallelRun, PIPELINED};
+use crate::parallel::{exec_parallel, ParallelConfig, ParallelRun};
 use crate::plan::{NestPlan, PlanEnv};
 use crate::recovery::DurableSession;
 use crate::tiling::TiledProgram;
 use ooc_ir::ArrayId;
 use ooc_runtime::{
-    IoCause, IoStats, LedgerEvent, LedgerRecorder, OocArray, SharedJournal, SharedStore, Store,
-    Tile, TouchTracker,
+    IoCause, IoStats, Journal, LedgerEvent, LedgerRecorder, OocArray, SharedStore, Store, Tile,
+    TouchTracker,
 };
 use ooc_sched::{
     annotate_next_use, Delivery, NestSchedule, PipelineStats, PrefetchPool, SlotKey, StageRequest,
@@ -107,28 +107,6 @@ impl PipelineConfig {
     pub fn depth(mut self, depth: usize) -> Self {
         self.prefetch_depth = depth;
         self
-    }
-}
-
-/// Result of [`exec_pipelined`]: the functional result (bit-equal to
-/// the synchronous executor) plus the pipeline's own counters.
-#[derive(Debug, Clone)]
-pub struct PipelinedRun {
-    /// Array contents and per-array I/O profiles, exactly as
-    /// [`run_functional_on`](crate::exec::run_functional_on) reports
-    /// them.
-    pub run: FunctionalRun,
-    /// Prefetch / cache / stall counters of the run.
-    pub pipeline: PipelineStats,
-}
-
-impl PipelinedRun {
-    /// The pipelined view of a one-shard run of the step engine.
-    pub(crate) fn from_one_shard(run: ParallelRun) -> Self {
-        PipelinedRun {
-            run: run.run,
-            pipeline: run.pipeline,
-        }
     }
 }
 
@@ -214,7 +192,7 @@ impl<S: Store + Send> TileSource for SharedTileSource<S> {
 /// in the log before the queue reports the tile settled.
 struct SharedTileSink<S: Store> {
     arrays: Vec<OocArray<SharedStore<S>>>,
-    journal: Option<SharedJournal>,
+    journal: Option<Journal>,
 }
 
 impl<S: Store + Send> TileSink for SharedTileSink<S> {
@@ -383,7 +361,7 @@ pub(crate) struct ShardWorker<S: Store + Send + 'static> {
     pub(crate) arrays: Vec<OocArray<SharedStore<S>>>,
     pub(crate) pool: Option<PrefetchPool>,
     pub(crate) wb: Option<WriteBehind>,
-    pub(crate) journal: Option<SharedJournal>,
+    pub(crate) journal: Option<Journal>,
     pub(crate) stats: PipelineStats,
     pub(crate) prefetch_stats: BTreeMap<u32, IoStats>,
     /// Steps executed while driven without a durable session (the
@@ -404,7 +382,7 @@ impl<S: Store + Send + 'static> ShardWorker<S> {
     pub(crate) fn build(
         mk_arrays: &dyn Fn() -> Vec<OocArray<SharedStore<S>>>,
         cfg: &PipelineConfig,
-        journal: Option<SharedJournal>,
+        journal: Option<Journal>,
     ) -> Self {
         let pool = (cfg.workers > 0 && cfg.prefetch_depth > 0).then(|| {
             PrefetchPool::new(
@@ -929,7 +907,8 @@ pub(crate) fn worker_handles<S: Store + Send + 'static>(
 /// through write-behind with a flush barrier at every nest boundary.
 /// Results are bit-equal to
 /// [`run_functional_on`](crate::exec::run_functional_on) over the same
-/// stores (see the module docs for the argument).
+/// stores (see the module docs for the argument). This is
+/// [`exec_parallel`] at one shard: every nest takes the serial path.
 ///
 /// `make_store` builds each array's backing store exactly as for the
 /// synchronous executor; it only additionally needs `Send` so clones
@@ -948,16 +927,12 @@ pub fn exec_pipelined<S: Store + Send + 'static>(
     init: &dyn Fn(ArrayId, &[i64]) -> f64,
     cfg: &PipelineConfig,
     make_store: impl FnMut(usize, &str, u64) -> io::Result<S>,
-) -> io::Result<PipelinedRun> {
-    // The pipelined executor IS a one-shard run of the step engine:
-    // every nest takes the serial path and worker 0 drives the full
-    // schedule.
+) -> io::Result<ParallelRun> {
     let cfg = ParallelConfig {
         pipeline: cfg.clone(),
         shards: 1,
     };
-    exec_sharded(tp, params, init, &cfg, make_store, None, &PIPELINED)
-        .map(PipelinedRun::from_one_shard)
+    exec_parallel(tp, params, init, &cfg, make_store)
 }
 
 /// Sums every nest's largest per-step read footprint — a convenient

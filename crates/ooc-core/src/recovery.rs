@@ -12,24 +12,21 @@
 //! all resident written tiles (the log's grammar is in
 //! [`ooc_runtime::journal`]).
 //!
-//! There is one durable driver, `run_durable`: it opens a
-//! `DurableSession` — fresh, or resumed from the log's last consistent
-//! boundary — builds the store stack, and hands both to
-//! whichever walk the entry point names: the synchronous reference
-//! walk ([`run_functional_durable`] / [`resume_functional`]) or the
-//! step engine at one shard ([`exec_pipelined_durable`] /
-//! [`resume_pipelined`]) or many ([`exec_parallel_durable`] /
-//! [`resume_parallel`]). A resumed session rolls back every journal
-//! intent at or past the boundary's watermark (restoring pre-images in
-//! reverse sequence order — which also heals torn checksums), and the
-//! walk restarts from that boundary. The invariant the test suite
-//! asserts: a crashed-then-recovered run is **bit-equal** to an
-//! uninterrupted run, and the re-executed work is bounded by one
-//! checkpoint interval.
+//! There is one durable entry point, [`run_durable`]: it opens a
+//! `DurableSession` — [`Start::Fresh`], or [`Start::Resume`]d from the
+//! log's last consistent boundary — builds the store stack, and hands
+//! both to the walk the config's type picks ([`Walk`]): the
+//! synchronous reference walk for a [`FunctionalConfig`], the step
+//! engine at `cfg.shards` for a [`ParallelConfig`]. A resumed session
+//! rolls back every journal intent at or past the boundary's watermark
+//! (restoring pre-images in reverse sequence order — which also heals
+//! torn checksums), and the walk restarts from that boundary. The
+//! invariant the test suite asserts: a crashed-then-recovered run is
+//! **bit-equal** to an uninterrupted run, and the re-executed work is
+//! bounded by one checkpoint interval.
 
 use crate::exec::{walk_sync, FunctionalConfig, FunctionalRun};
-use crate::parallel::{exec_sharded, Engine, ParallelConfig, ParallelRun, PARALLEL, PIPELINED};
-use crate::pipeline::{PipelineConfig, PipelinedRun};
+use crate::parallel::{exec_sharded, ParallelConfig, ParallelRun};
 use crate::tiling::TiledProgram;
 use ooc_ir::ArrayId;
 use ooc_metrics::Registry;
@@ -37,8 +34,8 @@ use ooc_runtime::{
     is_corrupt, node_down, parse_journal, rollback, Boundary, ChecksumHandle, ChecksummedStore,
     DegradedMode, FaultConfig, FaultHandle, FaultStore, FileLog, FileStore, IoCause, IoNodePool,
     Journal, JournalScan, LedgerEvent, LedgerRecorder, LogStore, MemLog, MemStore, NodeFaultConfig,
-    NodeHealth, OocArray, Region, RepairIo, ScrubReport, SharedJournal, SharedStore, Store,
-    StripeConfig, StripedStore, Tile, WriteIntent,
+    NodeHealth, OocArray, Region, RepairIo, ScrubReport, SharedStore, Store, StripeConfig,
+    StripedStore, Tile, WriteIntent,
 };
 use std::collections::BTreeMap;
 use std::io;
@@ -295,9 +292,8 @@ impl RecoveryReport {
 /// recovery report and the fault/checksum observability handles.
 #[derive(Debug)]
 pub struct DurableOutcome<R = FunctionalRun> {
-    /// What the executor returns without durability — a
-    /// [`FunctionalRun`], [`PipelinedRun`] or [`ParallelRun`] (bit-equal
-    /// contents in all three).
+    /// What the walk returns without durability — a [`FunctionalRun`]
+    /// or a [`ParallelRun`] (bit-equal contents in both).
     pub run: R,
     /// Journal / checkpoint / recovery counters.
     pub report: RecoveryReport,
@@ -332,18 +328,38 @@ pub fn max_intents_per_interval(scan: &JournalScan) -> BTreeMap<u32, u64> {
     out
 }
 
-/// Shared durable-run state: the journal writer, the resume boundary,
-/// and the counters both walks fill.
-pub(crate) struct DurableSession {
-    /// The shared journal writer: every write path and the checkpoints.
-    pub(crate) journal: SharedJournal,
-    /// Durability knobs.
-    pub(crate) cfg: DurabilityConfig,
-    boundary: Option<Boundary>,
-    rollback_intents: Vec<WriteIntent>,
-    /// Counters filled as the run progresses.
-    pub(crate) report: RecoveryReport,
+/// Whether a durable run starts over or picks up a crashed
+/// predecessor's log.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Start {
+    /// Truncate the journal, seed the arrays and run from the top.
+    Fresh,
+    /// Restart from the log's last consistent boundary. With no boundary
+    /// (a crash before seeding completed) the run starts over, as
+    /// [`Start::Fresh`].
+    Resume,
 }
+
+// `pub` in a private module: `Walk::walk` names the session and no
+// other crate can, so no other crate can implement `Walk`.
+mod session {
+    use super::{Boundary, DurabilityConfig, Journal, RecoveryReport, WriteIntent};
+
+    /// Shared durable-run state: the journal writer, the resume
+    /// boundary, and the counters both walks fill.
+    pub struct DurableSession {
+        /// The shared journal writer: every write path and the
+        /// checkpoints.
+        pub(crate) journal: Journal,
+        /// Durability knobs.
+        pub(crate) cfg: DurabilityConfig,
+        pub(super) boundary: Option<Boundary>,
+        pub(super) rollback_intents: Vec<WriteIntent>,
+        /// Counters filled as the run progresses.
+        pub(crate) report: RecoveryReport,
+    }
+}
+pub(crate) use session::DurableSession;
 
 impl DurableSession {
     /// Opens the medium's journal for a run. A fresh run — and a resume
@@ -354,16 +370,15 @@ impl DurableSession {
     fn open(
         medium: &mut dyn DurableMedium,
         cfg: DurabilityConfig,
-        resume: bool,
+        start: Start,
     ) -> io::Result<Self> {
         let mut log = medium.journal()?;
-        let scan = if resume {
-            parse_journal(&log.read_all()?)
-        } else {
-            JournalScan::default()
+        let scan = match start {
+            Start::Resume => parse_journal(&log.read_all()?),
+            Start::Fresh => JournalScan::default(),
         };
         let boundary = scan.boundary();
-        let (journal, rollback_intents) = match boundary {
+        let (next_seq, rollback_intents) = match boundary {
             Some(b) => {
                 // Drop a torn tail *before* appending: a partial,
                 // newline-less final record would otherwise merge with
@@ -374,18 +389,15 @@ impl DurableSession {
                     log.truncate_to(scan.valid_len)?;
                 }
                 let intents = scan.intents_after(b.watermark);
-                (
-                    Journal::resume(log, scan.next_seq),
-                    intents.into_iter().cloned().collect(),
-                )
+                (scan.next_seq, intents.into_iter().cloned().collect())
             }
             None => {
                 log.truncate()?;
-                (Journal::new(log), Vec::new())
+                (0, Vec::new())
             }
         };
         Ok(DurableSession {
-            journal: SharedJournal::new(journal),
+            journal: Journal::new(log, next_seq),
             cfg,
             boundary,
             rollback_intents,
@@ -527,43 +539,122 @@ fn undo_target<'a, S: Store>(
     Ok(arr)
 }
 
-/// What tells one durable executor from another once walk and driver
-/// are shared: its ledger executor label and its `recovery` trace
-/// span, each as `[fresh, resumed]`.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct DurableNames {
-    pub(crate) executor: [&'static str; 2],
-    pub(crate) span: [&'static str; 2],
+/// The walk a durable run drives, picked by the type of its config: a
+/// [`FunctionalConfig`] runs the synchronous reference walk and returns
+/// a [`FunctionalRun`]; a [`ParallelConfig`] runs the step engine at
+/// `cfg.shards` and returns a [`ParallelRun`]. Sealed: `walk` takes a
+/// session type no other crate can name.
+pub trait Walk {
+    /// What the walk returns without durability.
+    type Run;
+
+    /// The walk's ledger executor label under a durable session;
+    /// `-resume` is appended when the session resumed.
+    #[doc(hidden)]
+    const DURABLE: &'static str;
+
+    /// The run's provenance recorder, when attached.
+    #[doc(hidden)]
+    fn ledger(&self) -> Option<&LedgerRecorder>;
+
+    /// Runs the walk over the stores `make_store` builds, under
+    /// `session` and the ledger label `executor`.
+    #[doc(hidden)]
+    fn walk(
+        &self,
+        tp: &TiledProgram,
+        params: &[i64],
+        init: &dyn Fn(ArrayId, &[i64]) -> f64,
+        make_store: &mut dyn FnMut(usize, &str, u64) -> io::Result<DurableStore>,
+        session: &mut DurableSession,
+        executor: &str,
+    ) -> io::Result<Self::Run>;
 }
 
-const SYNC: DurableNames = DurableNames {
-    executor: ["durable", "durable-resume"],
-    span: ["run-functional-durable", "resume-functional"],
-};
+impl Walk for FunctionalConfig {
+    type Run = FunctionalRun;
+    const DURABLE: &'static str = "durable";
 
-/// The one durable driver. Opens the session (`resume` selects the
-/// start boundary), hands `walk` a factory for each array's durable
-/// store stack — medium data store, optionally fault-wrapped (faults
-/// **under** the checksum layer, so torn writes are detectable),
-/// behind the CRC sidecar verifier — plus the session and the ledger
-/// executor label, then folds the journal, checksum and sidecar
-/// counters into the outcome.
-fn run_durable<R>(
-    medium: &mut dyn DurableMedium,
+    fn ledger(&self) -> Option<&LedgerRecorder> {
+        self.ledger.as_ref()
+    }
+
+    fn walk(
+        &self,
+        tp: &TiledProgram,
+        params: &[i64],
+        init: &dyn Fn(ArrayId, &[i64]) -> f64,
+        make_store: &mut dyn FnMut(usize, &str, u64) -> io::Result<DurableStore>,
+        session: &mut DurableSession,
+        executor: &str,
+    ) -> io::Result<FunctionalRun> {
+        walk_sync(tp, params, init, self, executor, make_store, Some(session))
+    }
+}
+
+impl Walk for ParallelConfig {
+    type Run = ParallelRun;
+    const DURABLE: &'static str = "durable-parallel";
+
+    fn ledger(&self) -> Option<&LedgerRecorder> {
+        self.pipeline.functional.ledger.as_ref()
+    }
+
+    fn walk(
+        &self,
+        tp: &TiledProgram,
+        params: &[i64],
+        init: &dyn Fn(ArrayId, &[i64]) -> f64,
+        make_store: &mut dyn FnMut(usize, &str, u64) -> io::Result<DurableStore>,
+        session: &mut DurableSession,
+        executor: &str,
+    ) -> io::Result<ParallelRun> {
+        exec_sharded(tp, params, init, self, make_store, Some(session), executor)
+    }
+}
+
+/// Runs a tiled program durably: opens the journal from `start`, builds
+/// each array's store stack — the medium's data store, fault-wrapped by
+/// `faults(a)` **under** the checksum layer (so torn writes are
+/// detectable), behind the CRC sidecar verifier — and drives the walk
+/// `cfg`'s type picks ([`Walk`]) with journaled write-back and periodic
+/// checkpoints.
+///
+/// [`Start::Fresh`] truncates the journal, seeds the arrays and runs
+/// from the top. [`Start::Resume`] scans the journal for the last
+/// consistent boundary, rolls back every intent at or past its
+/// watermark (restoring pre-images, which also heals torn checksums),
+/// and restarts the walk from the boundary; with no boundary (a crash
+/// before seeding completed) it starts over. The recovered result is
+/// bit-equal to an uninterrupted run, at any shard count.
+///
+/// # Errors
+/// Propagates store/journal I/O errors, including injected crashes
+/// (check with [`ooc_runtime::is_crashed`]) from any shard; an intent
+/// the run's arrays cannot hold (array index, region or pre-image
+/// length) is `InvalidData`.
+///
+/// # Panics
+/// Panics on internal inconsistencies (compiler bugs), like
+/// [`run_functional_on`](crate::exec::run_functional_on).
+#[allow(clippy::too_many_arguments)]
+pub fn run_durable<C: Walk>(
+    tp: &TiledProgram,
+    params: &[i64],
+    init: &dyn Fn(ArrayId, &[i64]) -> f64,
+    cfg: &C,
     dur: &DurabilityConfig,
+    medium: &mut dyn DurableMedium,
     faults: &dyn Fn(usize) -> Option<FaultConfig>,
-    ledger: Option<&LedgerRecorder>,
-    resume: bool,
-    names: &DurableNames,
-    walk: impl FnOnce(
-        &mut dyn FnMut(usize, &str, u64) -> io::Result<DurableStore>,
-        &mut DurableSession,
-        &'static str,
-    ) -> io::Result<R>,
-) -> io::Result<DurableOutcome<R>> {
-    let mut session = DurableSession::open(medium, *dur, resume)?;
-    let which = usize::from(session.resumed());
-    let _span = ooc_trace::span("recovery", names.span[which]);
+    start: Start,
+) -> io::Result<DurableOutcome<C::Run>> {
+    let mut session = DurableSession::open(medium, *dur, start)?;
+    let executor = if session.resumed() {
+        format!("{}-resume", C::DURABLE)
+    } else {
+        C::DURABLE.to_string()
+    };
+    let _span = ooc_trace::span("recovery", &executor);
     let mut fault_handles: Vec<Option<FaultHandle>> = Vec::new();
     let mut checksum_handles: Vec<ChecksumHandle> = Vec::new();
     let mut make_store = |a: usize, name: &str, len: u64| {
@@ -582,7 +673,7 @@ fn run_durable<R>(
         checksum_handles.push(store.handle());
         Ok(store)
     };
-    let run = walk(&mut make_store, &mut session, names.executor[which])?;
+    let run = cfg.walk(tp, params, init, &mut make_store, &mut session, &executor)?;
     let mut report = session.report;
     (report.journal_intents, report.journal_commits) = session.journal.written();
     report.corrupt_reads = checksum_handles
@@ -595,7 +686,7 @@ fn run_durable<R>(
     // verification of the final result dump. Sidecar bytes live
     // outside the conservation law by construction: the data store's
     // own metrics never see them.
-    if let Some(rec) = ledger {
+    if let Some(rec) = cfg.ledger() {
         for (a, ch) in checksum_handles.iter().enumerate() {
             let (calls, elems) = ch.sidecar_io();
             rec.add_sidecar(u32::try_from(a).expect("array index"), calls, elems);
@@ -609,79 +700,13 @@ fn run_durable<R>(
     })
 }
 
-/// [`run_durable`] over the step engine presenting as `engine`.
-#[allow(clippy::too_many_arguments)]
-fn run_durable_sharded(
-    tp: &TiledProgram,
-    params: &[i64],
-    init: &dyn Fn(ArrayId, &[i64]) -> f64,
-    cfg: &ParallelConfig,
-    dur: &DurabilityConfig,
-    medium: &mut dyn DurableMedium,
-    faults: &dyn Fn(usize) -> Option<FaultConfig>,
-    engine: &Engine,
-    resume: bool,
-) -> io::Result<DurableOutcome<ParallelRun>> {
-    let ledger = cfg.pipeline.functional.ledger.as_ref();
-    let names = &engine.durable;
-    run_durable(
-        medium,
-        dur,
-        faults,
-        ledger,
-        resume,
-        names,
-        |mk, s, label| {
-            let engine = Engine {
-                executor: label,
-                ..*engine
-            };
-            exec_sharded(tp, params, init, cfg, mk, Some(s), &engine)
-        },
-    )
-}
-
-/// The one-shard face of [`run_durable_sharded`].
-#[allow(clippy::too_many_arguments)]
-fn run_durable_pipelined(
-    tp: &TiledProgram,
-    params: &[i64],
-    init: &dyn Fn(ArrayId, &[i64]) -> f64,
-    cfg: &PipelineConfig,
-    dur: &DurabilityConfig,
-    medium: &mut dyn DurableMedium,
-    faults: &dyn Fn(usize) -> Option<FaultConfig>,
-    resume: bool,
-) -> io::Result<DurableOutcome<PipelinedRun>> {
-    let cfg = &ParallelConfig {
-        pipeline: cfg.clone(),
-        shards: 1,
-    };
-    let out = run_durable_sharded(
-        tp, params, init, cfg, dur, medium, faults, &PIPELINED, resume,
-    )?;
-    Ok(DurableOutcome {
-        run: PipelinedRun::from_one_shard(out.run),
-        report: out.report,
-        fault_handles: out.fault_handles,
-        checksum_handles: out.checksum_handles,
-    })
-}
-
-/// Runs a tiled program durably from scratch: truncates the journal,
-/// seeds the arrays, then executes the synchronous tile
-/// walk with journaled write-back and periodic checkpoints.
-/// `faults(a)` optionally fault-wraps array `a`'s data store (under
-/// the checksum layer) — crash modes return a typed non-transient
-/// error; [`resume_functional`] picks the run back up.
+/// [`run_durable`] of the synchronous walk from [`Start::Fresh`].
 ///
 /// # Errors
-/// Propagates store/journal I/O errors, including injected crashes
-/// (check with [`ooc_runtime::is_crashed`]).
+/// As [`run_durable`].
 ///
 /// # Panics
-/// Panics on internal inconsistencies (compiler bugs), like
-/// [`run_functional_on`](crate::exec::run_functional_on).
+/// As [`run_durable`].
 pub fn run_functional_durable(
     tp: &TiledProgram,
     params: &[i64],
@@ -691,131 +716,7 @@ pub fn run_functional_durable(
     medium: &mut dyn DurableMedium,
     faults: &dyn Fn(usize) -> Option<FaultConfig>,
 ) -> io::Result<DurableOutcome> {
-    let ledger = cfg.ledger.as_ref();
-    run_durable(medium, dur, faults, ledger, false, &SYNC, |mk, s, label| {
-        walk_sync(tp, params, init, cfg, label, mk, Some(s))
-    })
-}
-
-/// Resumes a crashed durable run: scans the journal for the last
-/// consistent boundary, rolls back every intent at or past its
-/// watermark (restoring pre-images, which also heals torn checksums),
-/// and restarts the tile walk from the boundary. With no boundary
-/// (crash before seeding completed) the run restarts from scratch. The
-/// recovered result is bit-equal to an uninterrupted run.
-///
-/// # Errors
-/// Propagates store/journal I/O errors, including injected crashes on
-/// a re-crashed resume; an intent the run's arrays cannot hold (array
-/// index, region or pre-image length) is `InvalidData`.
-///
-/// # Panics
-/// Panics on internal inconsistencies (compiler bugs).
-pub fn resume_functional(
-    tp: &TiledProgram,
-    params: &[i64],
-    init: &dyn Fn(ArrayId, &[i64]) -> f64,
-    cfg: &FunctionalConfig,
-    dur: &DurabilityConfig,
-    medium: &mut dyn DurableMedium,
-    faults: &dyn Fn(usize) -> Option<FaultConfig>,
-) -> io::Result<DurableOutcome> {
-    let ledger = cfg.ledger.as_ref();
-    run_durable(medium, dur, faults, ledger, true, &SYNC, |mk, s, label| {
-        walk_sync(tp, params, init, cfg, label, mk, Some(s))
-    })
-}
-
-/// [`run_functional_durable`]'s pipelined sibling: the asynchronous
-/// tile pipeline with journaled write-back (the write-behind sink runs
-/// each tile through intent → write → commit before the tile settles),
-/// checkpoints at tile-row / iteration /
-/// nest boundaries, and crash recovery via [`resume_pipelined`].
-///
-/// # Errors
-/// Propagates store/journal I/O errors, including injected crashes.
-///
-/// # Panics
-/// Panics on internal inconsistencies (compiler bugs).
-pub fn exec_pipelined_durable(
-    tp: &TiledProgram,
-    params: &[i64],
-    init: &dyn Fn(ArrayId, &[i64]) -> f64,
-    cfg: &PipelineConfig,
-    dur: &DurabilityConfig,
-    medium: &mut dyn DurableMedium,
-    faults: &dyn Fn(usize) -> Option<FaultConfig>,
-) -> io::Result<DurableOutcome<PipelinedRun>> {
-    run_durable_pipelined(tp, params, init, cfg, dur, medium, faults, false)
-}
-
-/// Resumes a crashed durable *pipelined* run from its last consistent
-/// checkpoint boundary, exactly like [`resume_functional`].
-///
-/// # Errors
-/// Propagates store/journal I/O errors, including injected crashes on
-/// a re-crashed resume.
-///
-/// # Panics
-/// Panics on internal inconsistencies (compiler bugs).
-pub fn resume_pipelined(
-    tp: &TiledProgram,
-    params: &[i64],
-    init: &dyn Fn(ArrayId, &[i64]) -> f64,
-    cfg: &PipelineConfig,
-    dur: &DurabilityConfig,
-    medium: &mut dyn DurableMedium,
-    faults: &dyn Fn(usize) -> Option<FaultConfig>,
-) -> io::Result<DurableOutcome<PipelinedRun>> {
-    run_durable_pipelined(tp, params, init, cfg, dur, medium, faults, true)
-}
-
-/// [`exec_pipelined_durable`]'s parallel sibling: every shard worker's
-/// write path journals into the shared session's one log; multi-shard
-/// nests checkpoint at
-/// iteration barriers after all queues flush, serial-fallback nests at
-/// tile-row boundaries. Crash recovery via [`resume_parallel`].
-///
-/// # Errors
-/// Propagates store/journal I/O errors, including injected crashes —
-/// from any shard.
-///
-/// # Panics
-/// Panics on internal inconsistencies (compiler bugs).
-pub fn exec_parallel_durable(
-    tp: &TiledProgram,
-    params: &[i64],
-    init: &dyn Fn(ArrayId, &[i64]) -> f64,
-    cfg: &ParallelConfig,
-    dur: &DurabilityConfig,
-    medium: &mut dyn DurableMedium,
-    faults: &dyn Fn(usize) -> Option<FaultConfig>,
-) -> io::Result<DurableOutcome<ParallelRun>> {
-    run_durable_sharded(tp, params, init, cfg, dur, medium, faults, &PARALLEL, false)
-}
-
-/// Resumes a crashed durable *parallel* run from its last consistent
-/// checkpoint boundary. Boundaries are serial-schedule watermarks
-/// (iteration barriers, or tile rows of serial-fallback nests), so the
-/// resumed run — at any worker count — replays at most one checkpoint
-/// interval per array and lands bit-equal to an uninterrupted run.
-///
-/// # Errors
-/// Propagates store/journal I/O errors, including injected crashes on
-/// a re-crashed resume.
-///
-/// # Panics
-/// Panics on internal inconsistencies (compiler bugs).
-pub fn resume_parallel(
-    tp: &TiledProgram,
-    params: &[i64],
-    init: &dyn Fn(ArrayId, &[i64]) -> f64,
-    cfg: &ParallelConfig,
-    dur: &DurabilityConfig,
-    medium: &mut dyn DurableMedium,
-    faults: &dyn Fn(usize) -> Option<FaultConfig>,
-) -> io::Result<DurableOutcome<ParallelRun>> {
-    run_durable_sharded(tp, params, init, cfg, dur, medium, faults, &PARALLEL, true)
+    run_durable(tp, params, init, cfg, dur, medium, faults, Start::Fresh)
 }
 
 /// A [`DurableMedium`] whose per-array **data** stores are striped
@@ -1071,7 +972,8 @@ pub fn run_parallel_surviving_node_loss(
 ) -> io::Result<NodeLossOutcome> {
     let _span = ooc_trace::span("recovery", "survive-node-loss");
     let mut loss = NodeLossReport::default();
-    let mut attempt = exec_parallel_durable(tp, params, init, cfg, dur, medium, &|_| None);
+    let no_faults: &dyn Fn(usize) -> Option<FaultConfig> = &|_| None;
+    let mut attempt = run_durable(tp, params, init, cfg, dur, medium, no_faults, Start::Fresh);
     // One discovery per node is the most a single-fault-per-group
     // schedule can produce; more means we are wedged, not degraded.
     for _ in 0..=medium.pool().nodes() {
@@ -1126,7 +1028,7 @@ pub fn run_parallel_surviving_node_loss(
                         .detail("call", call.to_string()),
                     );
                 }
-                attempt = resume_parallel(tp, params, init, cfg, dur, medium, &|_| None);
+                attempt = run_durable(tp, params, init, cfg, dur, medium, no_faults, Start::Resume);
             }
         }
     }
@@ -1147,27 +1049,44 @@ mod tests {
         run_functional(tp, params, &seed)
     }
 
-    fn pcfg() -> ParallelConfig {
+    fn resume(
+        tp: &TiledProgram,
+        params: &[i64],
+        dur: &DurabilityConfig,
+        medium: &mut dyn DurableMedium,
+    ) -> io::Result<DurableOutcome> {
+        run_durable(
+            tp,
+            params,
+            &seed,
+            &fcfg(),
+            dur,
+            medium,
+            &|_| None,
+            Start::Resume,
+        )
+    }
+
+    fn pcfg(shards: usize) -> ParallelConfig {
         ParallelConfig {
-            pipeline: PipelineConfig {
+            pipeline: crate::pipeline::PipelineConfig {
                 functional: fcfg(),
-                ..PipelineConfig::default()
+                ..Default::default()
             },
-            shards: 2,
+            shards,
         }
     }
 
-    /// The durable matrix's executor axis: the six durable entry
-    /// points as three executors × {fresh, resume}.
+    /// The durable matrix's walk axis: the sync walk, and the step
+    /// engine at one and at two shards.
     #[derive(Debug, Clone, Copy)]
     enum Exec {
         Sync,
-        Pipelined,
-        Parallel2,
+        Steps(usize),
     }
 
     /// What the matrix observes of one durable run, whatever the
-    /// executor's own result type.
+    /// walk's own result type.
     struct Cell {
         data: Vec<Vec<f64>>,
         report: RecoveryReport,
@@ -1179,17 +1098,17 @@ mod tests {
     const PARAMS: [i64; 1] = [10];
 
     impl Exec {
-        const ALL: [Exec; 3] = [Exec::Sync, Exec::Pipelined, Exec::Parallel2];
+        const ALL: [Exec; 3] = [Exec::Sync, Exec::Steps(1), Exec::Steps(2)];
 
         fn run(
             self,
-            resume: bool,
+            start: Start,
             medium: &mut MemMedium,
             faults: &dyn Fn(usize) -> Option<FaultConfig>,
         ) -> io::Result<Cell> {
-            fn cell<R>(out: DurableOutcome<R>, view: impl FnOnce(R) -> FunctionalRun) -> Cell {
+            fn cell<R>(out: DurableOutcome<R>, data: impl FnOnce(R) -> Vec<Vec<f64>>) -> Cell {
                 Cell {
-                    data: view(out.run).data,
+                    data: data(out.run),
                     report: out.report,
                     calls: out
                         .fault_handles
@@ -1199,32 +1118,15 @@ mod tests {
                         .collect(),
                 }
             }
-            let (tp, dur, par) = (tiled(), DurabilityConfig::default(), pcfg());
-            let (f, p) = (&par.pipeline.functional, &par.pipeline);
-            match (self, resume) {
-                (Exec::Sync, false) => {
-                    run_functional_durable(&tp, &PARAMS, &seed, f, &dur, medium, faults)
-                        .map(|o| cell(o, |r| r))
+            let (tp, dur) = (tiled(), DurabilityConfig::default());
+            match self {
+                Exec::Sync => {
+                    run_durable(&tp, &PARAMS, &seed, &fcfg(), &dur, medium, faults, start)
+                        .map(|o| cell(o, |r| r.data))
                 }
-                (Exec::Sync, true) => {
-                    resume_functional(&tp, &PARAMS, &seed, f, &dur, medium, faults)
-                        .map(|o| cell(o, |r| r))
-                }
-                (Exec::Pipelined, false) => {
-                    exec_pipelined_durable(&tp, &PARAMS, &seed, p, &dur, medium, faults)
-                        .map(|o| cell(o, |r| r.run))
-                }
-                (Exec::Pipelined, true) => {
-                    resume_pipelined(&tp, &PARAMS, &seed, p, &dur, medium, faults)
-                        .map(|o| cell(o, |r| r.run))
-                }
-                (Exec::Parallel2, false) => {
-                    exec_parallel_durable(&tp, &PARAMS, &seed, &par, &dur, medium, faults)
-                        .map(|o| cell(o, |r| r.run))
-                }
-                (Exec::Parallel2, true) => {
-                    resume_parallel(&tp, &PARAMS, &seed, &par, &dur, medium, faults)
-                        .map(|o| cell(o, |r| r.run))
+                Exec::Steps(n) => {
+                    run_durable(&tp, &PARAMS, &seed, &pcfg(n), &dur, medium, faults, start)
+                        .map(|o| cell(o, |r| r.run.data))
                 }
             }
         }
@@ -1251,7 +1153,7 @@ mod tests {
         journal.append(b"I 9999 0 dea").expect("torn journal tail");
     }
 
-    /// One table over {sync, pipelined, parallel×2} × {fresh, resume
+    /// One table over {sync, steps×1, steps×2} × {fresh, resume
     /// on an empty medium, crash at k then resume, resume of a
     /// completed run, torn log tails then a second crash}. Thread
     /// interleaving makes the exact crash site of the step-engine rows
@@ -1265,7 +1167,9 @@ mod tests {
             // interval in journal intents.
             let mut base = MemMedium::new();
             let fresh = exec
-                .run(false, &mut base, &|_| Some(FaultConfig::transient(7, 0)))
+                .run(Start::Fresh, &mut base, &|_| {
+                    Some(FaultConfig::transient(7, 0))
+                })
                 .expect("fresh");
             assert_complete(exec, "fresh", &fresh, &base);
             assert!(!fresh.report.resumed, "{exec:?}");
@@ -1286,7 +1190,9 @@ mod tests {
 
             // Resume on an empty medium ≡ fresh.
             let mut medium = MemMedium::new();
-            let out = exec.run(true, &mut medium, &no_faults).expect("empty");
+            let out = exec
+                .run(Start::Resume, &mut medium, &no_faults)
+                .expect("empty");
             assert_complete(exec, "resume-empty", &out, &medium);
             assert!(!out.report.resumed, "{exec:?}: fresh rerun, not a resume");
             assert_eq!(
@@ -1301,13 +1207,15 @@ mod tests {
                     let row = format!("crash array {target} at {at}");
                     let mut medium = MemMedium::new();
                     let err = exec
-                        .run(false, &mut medium, &|a| {
+                        .run(Start::Fresh, &mut medium, &|a| {
                             (a == target).then(|| FaultConfig::crash_at(at))
                         })
                         .err()
                         .unwrap_or_else(|| panic!("{exec:?} {row}: crash must abort the run"));
                     assert!(is_crashed(&err), "{exec:?} {row}: unexpected error: {err}");
-                    let out = exec.run(true, &mut medium, &no_faults).expect("resume");
+                    let out = exec
+                        .run(Start::Resume, &mut medium, &no_faults)
+                        .expect("resume");
                     assert_complete(exec, &row, &out, &medium);
                     assert!(out.report.resumed, "{exec:?} {row}");
                     assert_bounded(&row, &out.report);
@@ -1315,7 +1223,9 @@ mod tests {
             }
 
             // Resume of a completed run skips everything.
-            let out = exec.run(true, &mut base, &no_faults).expect("completed");
+            let out = exec
+                .run(Start::Resume, &mut base, &no_faults)
+                .expect("completed");
             assert_complete(exec, "resume-completed", &out, &base);
             assert!(out.report.resumed, "{exec:?}");
             assert_eq!(out.report.executed_steps, 0, "{exec:?} {:?}", out.report);
@@ -1330,11 +1240,17 @@ mod tests {
             // rollback and breaking bit-equality.
             let mut medium = MemMedium::new();
             let first = |a| (a == 0).then(|| FaultConfig::crash_at(fresh.calls[0] / 3));
-            let err = exec.run(false, &mut medium, &first).err().expect("crash 1");
+            let err = exec
+                .run(Start::Fresh, &mut medium, &first)
+                .err()
+                .expect("crash 1");
             assert!(is_crashed(&err), "{exec:?}: unexpected error: {err}");
             tear_log_tail(&mut medium);
             let second = |a| (a == 0).then(|| FaultConfig::crash_at(12));
-            let err = exec.run(true, &mut medium, &second).err().expect("crash 2");
+            let err = exec
+                .run(Start::Resume, &mut medium, &second)
+                .err()
+                .expect("crash 2");
             assert!(is_crashed(&err), "{exec:?}: unexpected error: {err}");
             // The crashed resume's records all survive: nothing merged
             // into the (now truncated) torn tail.
@@ -1343,7 +1259,9 @@ mod tests {
                 !jscan.torn_tail,
                 "{exec:?}: journal poisoned by merged tail"
             );
-            let out = exec.run(true, &mut medium, &no_faults).expect("resume 2");
+            let out = exec
+                .run(Start::Resume, &mut medium, &no_faults)
+                .expect("resume 2");
             assert_complete(exec, "double crash", &out, &medium);
             assert!(out.report.resumed, "{exec:?}");
             assert_bounded("double crash", &out.report);
@@ -1351,32 +1269,60 @@ mod tests {
     }
 
     /// A crashed durable run must leave the ledger labelled with the
-    /// executor that actually ran, not the inner step engine's name.
+    /// walk and session that actually ran.
     #[test]
     fn crashed_durable_runs_keep_their_executor_label() {
         let (tp, dur) = (tiled(), DurabilityConfig::default());
         let rec = LedgerRecorder::new();
-        let mut par = pcfg();
-        par.pipeline.functional = fcfg().with_ledger(rec.clone());
+        let sync = fcfg().with_ledger(rec.clone());
+        let mut steps = pcfg(1);
+        steps.pipeline.functional = sync.clone();
         let crash = |a| (a == 0).then(|| FaultConfig::crash_at(25));
-
-        let mut medium = MemMedium::new();
-        let p = &par.pipeline;
-        let err = exec_pipelined_durable(&tp, &PARAMS, &seed, p, &dur, &mut medium, &crash)
-            .expect_err("crash injected");
-        assert!(is_crashed(&err), "unexpected error: {err}");
-        assert_eq!(rec.take().executor, "durable-pipelined");
         let crash_again = |a| (a == 0).then(|| FaultConfig::crash_at(5));
-        let err = resume_pipelined(&tp, &PARAMS, &seed, p, &dur, &mut medium, &crash_again)
-            .expect_err("second crash injected");
-        assert!(is_crashed(&err), "unexpected error: {err}");
-        assert_eq!(rec.take().executor, "durable-pipelined-resume");
 
         let mut medium = MemMedium::new();
-        let err = exec_parallel_durable(&tp, &PARAMS, &seed, &par, &dur, &mut medium, &crash)
-            .expect_err("crash injected");
+        let err = run_durable(
+            &tp,
+            &PARAMS,
+            &seed,
+            &steps,
+            &dur,
+            &mut medium,
+            &crash,
+            Start::Fresh,
+        )
+        .expect_err("crash injected");
         assert!(is_crashed(&err), "unexpected error: {err}");
         assert_eq!(rec.take().executor, "durable-parallel");
+        let resume = Start::Resume;
+        let err = run_durable(
+            &tp,
+            &PARAMS,
+            &seed,
+            &steps,
+            &dur,
+            &mut medium,
+            &crash_again,
+            resume,
+        )
+        .expect_err("second crash injected");
+        assert!(is_crashed(&err), "unexpected error: {err}");
+        assert_eq!(rec.take().executor, "durable-parallel-resume");
+
+        let mut medium = MemMedium::new();
+        let err = run_durable(
+            &tp,
+            &PARAMS,
+            &seed,
+            &sync,
+            &dur,
+            &mut medium,
+            &crash,
+            Start::Fresh,
+        )
+        .expect_err("crash injected");
+        assert!(is_crashed(&err), "unexpected error: {err}");
+        assert_eq!(rec.take().executor, "durable");
     }
 
     #[test]
@@ -1402,8 +1348,7 @@ mod tests {
 
         // Before recovery, the torn region fails checksum verification
         // when read back; after rollback the resumed run is bit-equal.
-        let out = resume_functional(&tp, &params, &seed, &fcfg(), &dur, &mut medium, &|_| None)
-            .expect("resume");
+        let out = resume(&tp, &params, &dur, &mut medium).expect("resume");
         assert_eq!(out.run.data, expected);
         assert!(out.report.resumed);
     }
@@ -1430,8 +1375,7 @@ mod tests {
             .boundary()
             .expect("boundary before resume")
             .watermark;
-        let out = resume_functional(&tp, &params, &seed, &fcfg(), &dur, &mut medium, &|_| None)
-            .expect("resume from files");
+        let out = resume(&tp, &params, &dur, &mut medium).expect("resume from files");
         assert_eq!(out.run.data, reference(&tp, &params));
         assert!(out.report.torn_tail, "resume saw the torn tail");
         // The resumed run's appends did not merge with the torn tail:
@@ -1481,7 +1425,7 @@ mod tests {
         let next = parse_journal(&medium.journal_bytes()).next_seq;
         let mut log = medium.journal().expect("log");
         log.append(line(next).as_bytes()).expect("append");
-        resume_functional(&tp, &PARAMS, &seed, &fcfg(), &dur, &mut medium, &|_| None)
+        resume(&tp, &PARAMS, &dur, &mut medium)
     }
 
     #[test]
@@ -1559,7 +1503,9 @@ mod tests {
         for exec in Exec::ALL {
             let mut base = MemMedium::new();
             let fresh = exec
-                .run(false, &mut base, &|_| Some(FaultConfig::transient(7, 0)))
+                .run(Start::Fresh, &mut base, &|_| {
+                    Some(FaultConfig::transient(7, 0))
+                })
                 .expect("fresh");
             assert_commits_precede_checkpoints(
                 exec,
@@ -1572,7 +1518,7 @@ mod tests {
             let mut medium = MemMedium::new();
             let at = fresh.calls[0] / 2;
             let err = exec
-                .run(false, &mut medium, &|a| {
+                .run(Start::Fresh, &mut medium, &|a| {
                     (a == 0).then(|| FaultConfig::crash_at(at))
                 })
                 .err()
@@ -1585,7 +1531,9 @@ mod tests {
                 .iter()
                 .map(|w| w.seq)
                 .collect();
-            let out = exec.run(true, &mut medium, &|_| None).expect("resume");
+            let out = exec
+                .run(Start::Resume, &mut medium, &|_| None)
+                .expect("resume");
             assert_eq!(
                 out.report.rolled_back_tiles as usize,
                 rolled_back.len(),
@@ -1639,7 +1587,7 @@ mod tests {
             &tp,
             &params,
             &seed,
-            &pcfg(),
+            &pcfg(2),
             &DurabilityConfig::default(),
             &mut medium,
         )
@@ -1668,7 +1616,7 @@ mod tests {
             let faults = NodeFaultConfig::new().permanent_fail_at(node, 3);
             let mut medium = StripedMedium::with_faults(small_stripes(4), faults);
             let out =
-                run_parallel_surviving_node_loss(&tp, &params, &seed, &pcfg(), &dur, &mut medium)
+                run_parallel_surviving_node_loss(&tp, &params, &seed, &pcfg(2), &dur, &mut medium)
                     .expect("survive node loss");
             assert_eq!(out.outcome.run.run.data, expected, "node {node}");
             assert_eq!(out.loss.nodes_lost, vec![node]);
@@ -1694,7 +1642,7 @@ mod tests {
         // Fault-free striped twin: per-node arrival counts to place a
         // mid-run kill, and the journal to bound replay.
         let mut twin = StripedMedium::new(small_stripes(4));
-        run_parallel_surviving_node_loss(&tp, &params, &seed, &pcfg(), &dur, &mut twin)
+        run_parallel_surviving_node_loss(&tp, &params, &seed, &pcfg(2), &dur, &mut twin)
             .expect("twin");
         let arrivals: Vec<u64> = twin
             .node_stats()
@@ -1708,8 +1656,9 @@ mod tests {
         assert!(at > 0, "twin never touched node {node}");
         let faults = NodeFaultConfig::new().permanent_fail_at(node, at);
         let mut medium = StripedMedium::with_faults(small_stripes(4), faults);
-        let out = run_parallel_surviving_node_loss(&tp, &params, &seed, &pcfg(), &dur, &mut medium)
-            .expect("survive mid-run node loss");
+        let out =
+            run_parallel_surviving_node_loss(&tp, &params, &seed, &pcfg(2), &dur, &mut medium)
+                .expect("survive mid-run node loss");
         assert_eq!(out.outcome.run.run.data, expected);
         // Whichever call met the dead node first — a shard's (typed
         // error, one resume) or a prefetch worker's (error dropped, the
@@ -1735,7 +1684,7 @@ mod tests {
             &tp,
             &params,
             &seed,
-            &pcfg(),
+            &pcfg(2),
             &DurabilityConfig::default(),
             &mut medium,
         )
@@ -1756,7 +1705,7 @@ mod tests {
             &tp,
             &params,
             &seed,
-            &pcfg(),
+            &pcfg(2),
             &DurabilityConfig::default(),
             &mut medium,
         )

@@ -5,7 +5,7 @@
 
 use ooc_core::exec::FunctionalRun;
 use ooc_core::optimizer::{optimize, OptimizeOptions};
-use ooc_core::recovery::{resume_functional, run_functional_durable, DurabilityConfig, MemMedium};
+use ooc_core::recovery::{run_durable, run_functional_durable, DurabilityConfig, MemMedium, Start};
 use ooc_core::tiling::{TiledProgram, TilingStrategy};
 use ooc_core::{
     exec_parallel, exec_pipelined, run_functional_on, FunctionalConfig, ParallelConfig,
@@ -118,7 +118,7 @@ fn pipelined_ledger_conserves_across_depths() {
             let run = exec_pipelined(&tp, &[12], &seed, &cfg, |_, _, len| Ok(MemStore::new(len)))
                 .expect("pipelined run");
             let ledger = rec.take();
-            assert_eq!(ledger.executor, "pipelined");
+            assert_eq!(ledger.executor, "parallel");
             assert_conserves(&ledger, &run.run);
             if depth > 0 {
                 // Prefetch events must account exactly for the
@@ -268,8 +268,17 @@ fn crash_then_resume_ledger_conserves_with_replay_writes() {
     // appearing as replay writes.
     let rec = LedgerRecorder::new();
     let cfg = FunctionalConfig::with_fraction(16).with_ledger(rec.clone());
-    let out =
-        resume_functional(&tp, &[10], &seed, &cfg, &dur, &mut medium, &|_| None).expect("resume");
+    let out = run_durable(
+        &tp,
+        &[10],
+        &seed,
+        &cfg,
+        &dur,
+        &mut medium,
+        &|_| None,
+        Start::Resume,
+    )
+    .expect("resume");
     let ledger = rec.take();
     assert_eq!(ledger.executor, "durable-resume");
     assert_conserves(&ledger, &out.run);

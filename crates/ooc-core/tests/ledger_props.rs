@@ -6,7 +6,7 @@
 
 use ooc_core::exec::FunctionalRun;
 use ooc_core::optimizer::{optimize, OptimizeOptions};
-use ooc_core::recovery::{resume_functional, run_functional_durable, DurabilityConfig, MemMedium};
+use ooc_core::recovery::{run_durable, run_functional_durable, DurabilityConfig, MemMedium, Start};
 use ooc_core::tiling::{TiledProgram, TilingStrategy};
 use ooc_core::{
     exec_parallel, exec_pipelined, run_functional_on, FunctionalConfig, ParallelConfig,
@@ -192,8 +192,9 @@ proptest! {
                 prop_assert!(is_crashed(&e), "unexpected error: {e}");
                 let rec = LedgerRecorder::new();
                 let cfg = FunctionalConfig::with_fraction(16).with_ledger(rec.clone());
-                let out = resume_functional(
+                let out = run_durable(
                     &tp, &[n], &seed, &cfg, &dur, &mut medium, &|_| None,
+                    Start::Resume,
                 ).expect("resume");
                 let ledger = rec.take();
                 check(&ledger, &out.run);

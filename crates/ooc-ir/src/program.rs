@@ -10,8 +10,7 @@
 //! [`crate::imperfect`] and lowered to this form by
 //! [`mod@crate::normalize`].
 
-use ooc_linalg::{Affine, Matrix, Polyhedron};
-use std::fmt;
+use ooc_linalg::{Matrix, Polyhedron};
 
 /// Identifies an array within a [`Program`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -427,45 +426,6 @@ impl Program {
     #[must_use]
     pub fn total_elements(&self, params: &[i64]) -> i64 {
         self.arrays.iter().map(|a| a.len(params)).sum()
-    }
-}
-
-/// Helper: an affine bound expression for pretty-printing loop bounds.
-#[derive(Debug, Clone)]
-pub enum BoundExpr {
-    /// Single affine form.
-    Single(Affine),
-    /// `max` of several forms (lower bounds).
-    Max(Vec<Affine>),
-    /// `min` of several forms (upper bounds).
-    Min(Vec<Affine>),
-}
-
-impl fmt::Display for BoundExpr {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            BoundExpr::Single(a) => write!(f, "{a}"),
-            BoundExpr::Max(v) => {
-                write!(f, "max(")?;
-                for (i, a) in v.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, ", ")?;
-                    }
-                    write!(f, "{a}")?;
-                }
-                write!(f, ")")
-            }
-            BoundExpr::Min(v) => {
-                write!(f, "min(")?;
-                for (i, a) in v.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, ", ")?;
-                    }
-                    write!(f, "{a}")?;
-                }
-                write!(f, ")")
-            }
-        }
     }
 }
 

@@ -5,7 +5,7 @@
 //! elements alike.
 
 use ooc_core::exec::FunctionalRun;
-use ooc_core::recovery::{resume_functional, run_functional_durable, DurabilityConfig, MemMedium};
+use ooc_core::recovery::{run_durable, run_functional_durable, DurabilityConfig, MemMedium, Start};
 use ooc_core::{
     exec_parallel, exec_pipelined, run_functional_on, FunctionalConfig, ParallelConfig,
     PipelineConfig,
@@ -183,7 +183,7 @@ fn crash_resume_conserves_for_every_kernel() {
 
             let rec = LedgerRecorder::new();
             rec.set_run(k.name, v.label());
-            let out = resume_functional(
+            let out = run_durable(
                 &cv.tiled,
                 &k.small_params,
                 &seed,
@@ -191,6 +191,7 @@ fn crash_resume_conserves_for_every_kernel() {
                 &dur,
                 &mut medium,
                 &|_| None,
+                Start::Resume,
             )
             .expect("resume");
             let ledger = rec.take();

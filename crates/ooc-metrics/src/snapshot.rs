@@ -250,13 +250,13 @@ pub fn validate_snapshot_json(v: &Json) -> Result<(), String> {
                 }
                 check_u64(m.get("count"), "count", &ctx)?;
                 check_u64(m.get("sum"), "sum", &ctx)?;
-                let bucket_total: u64 = arr
+                let bucket_total = arr
                     .iter()
-                    .map(|b| match b {
-                        Json::U64(n) => *n,
-                        _ => 0,
+                    .try_fold(0u64, |acc, b| match b {
+                        Json::U64(n) => acc.checked_add(*n),
+                        _ => Some(acc),
                     })
-                    .sum();
+                    .ok_or_else(|| format!("{ctx}: bucket counts overflow u64"))?;
                 if let Some(Json::U64(count)) = m.get("count") {
                     if bucket_total != *count {
                         return Err(format!(

@@ -40,7 +40,7 @@ use crate::layout::Region;
 use std::collections::{BTreeMap, BTreeSet};
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Byte-level backing of a journal: append-only writes plus a full
 /// scan. Implementations decide persistence (memory for tests, a file
@@ -282,8 +282,14 @@ fn boundary_of(r: &JournalRecord) -> Option<Boundary> {
     }
 }
 
-/// The writer side of the journal.
-pub struct Journal {
+/// The writer side of the journal: a shared handle, so every write
+/// path (main thread, shard workers, write-behind writers) and the
+/// checkpoints append to one log under one sequence. Clones share the
+/// writer.
+#[derive(Clone)]
+pub struct Journal(Arc<Mutex<Writer>>);
+
+struct Writer {
     log: Box<dyn LogStore>,
     next_seq: u64,
     intents: u64,
@@ -291,27 +297,21 @@ pub struct Journal {
 }
 
 impl Journal {
-    /// A journal appending to `log`, numbering intents from 0.
+    /// A journal appending to `log`, numbering intents from `next_seq`:
+    /// 0 for an empty log, a prior scan's [`JournalScan::next_seq`] to
+    /// resume one.
     #[must_use]
-    pub fn new(log: Box<dyn LogStore>) -> Self {
-        Journal {
-            log,
-            next_seq: 0,
-            intents: 0,
-            commits: 0,
-        }
-    }
-
-    /// Resumes appending to an existing log, numbering intents from
-    /// `next_seq` (a prior scan's [`JournalScan::next_seq`]).
-    #[must_use]
-    pub fn resume(log: Box<dyn LogStore>, next_seq: u64) -> Self {
-        Journal {
+    pub fn new(log: Box<dyn LogStore>, next_seq: u64) -> Self {
+        Journal(Arc::new(Mutex::new(Writer {
             log,
             next_seq,
             intents: 0,
             commits: 0,
-        }
+        })))
+    }
+
+    fn writer(&self) -> MutexGuard<'_, Writer> {
+        self.0.lock().expect("journal lock")
     }
 
     /// Appends a write intent for `region` of `array`, returning its
@@ -320,15 +320,19 @@ impl Journal {
     ///
     /// # Errors
     /// Propagates log I/O errors.
+    ///
+    /// # Panics
+    /// Panics if the journal mutex was poisoned.
     pub fn intent(
-        &mut self,
+        &self,
         array: u32,
         region: &Region,
         new_data: &[f64],
         pre: &[f64],
     ) -> io::Result<u64> {
-        let seq = self.next_seq;
-        self.next_seq += 1;
+        let mut w = self.writer();
+        let seq = w.next_seq;
+        w.next_seq += 1;
         let mut line = format!(
             "I {seq} {array} {:016x} {} {} {}",
             crc64_f64s(new_data),
@@ -348,8 +352,8 @@ impl Journal {
             }
         }
         line.push('\n');
-        self.log.append(line.as_bytes())?;
-        self.intents += 1;
+        w.log.append(line.as_bytes())?;
+        w.intents += 1;
         Ok(seq)
     }
 
@@ -357,9 +361,13 @@ impl Journal {
     ///
     /// # Errors
     /// Propagates log I/O errors.
-    pub fn commit(&mut self, seq: u64) -> io::Result<()> {
-        self.log.append(format!("C {seq}\n").as_bytes())?;
-        self.commits += 1;
+    ///
+    /// # Panics
+    /// Panics if the journal mutex was poisoned.
+    pub fn commit(&self, seq: u64) -> io::Result<()> {
+        let mut w = self.writer();
+        w.log.append(format!("C {seq}\n").as_bytes())?;
+        w.commits += 1;
         Ok(())
     }
 
@@ -368,8 +376,13 @@ impl Journal {
     ///
     /// # Errors
     /// Propagates log I/O errors.
-    pub fn seeded(&mut self) -> io::Result<()> {
-        self.log.append(format!("S {}\n", self.next_seq).as_bytes())
+    ///
+    /// # Panics
+    /// Panics if the journal mutex was poisoned.
+    pub fn seeded(&self) -> io::Result<()> {
+        let mut w = self.writer();
+        let line = format!("S {}\n", w.next_seq);
+        w.log.append(line.as_bytes())
     }
 
     /// Appends a `K` record (`step` steps of `nest` durable), returning
@@ -378,110 +391,36 @@ impl Journal {
     ///
     /// # Errors
     /// Propagates log I/O errors.
-    pub fn checkpoint(&mut self, nest: usize, step: u64) -> io::Result<u64> {
-        let wm = self.next_seq;
-        self.log
-            .append(format!("K {nest} {step} {wm}\n").as_bytes())?;
-        Ok(wm)
-    }
-
-    /// Intents appended by this writer (not counting a resumed past).
-    #[must_use]
-    fn intents_written(&self) -> u64 {
-        self.intents
-    }
-
-    /// Commits appended by this writer.
-    #[must_use]
-    fn commits_written(&self) -> u64 {
-        self.commits
-    }
-}
-
-impl std::fmt::Debug for Journal {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Journal")
-            .field("next_seq", &self.next_seq)
-            .field("intents", &self.intents)
-            .field("commits", &self.commits)
-            .finish_non_exhaustive()
-    }
-}
-
-/// A thread-safe shared handle onto one [`Journal`] — every write path
-/// (main thread, shard workers, write-behind writers) and the
-/// checkpoints append through this.
-#[derive(Debug, Clone)]
-pub struct SharedJournal(Arc<Mutex<Journal>>);
-
-impl SharedJournal {
-    /// Wraps `journal` for shared use.
-    #[must_use]
-    pub fn new(journal: Journal) -> Self {
-        SharedJournal(Arc::new(Mutex::new(journal)))
-    }
-
-    /// See [`Journal::intent`].
-    ///
-    /// # Errors
-    /// Propagates log I/O errors.
-    ///
-    /// # Panics
-    /// Panics if the journal mutex was poisoned.
-    pub fn intent(
-        &self,
-        array: u32,
-        region: &Region,
-        new_data: &[f64],
-        pre: &[f64],
-    ) -> io::Result<u64> {
-        self.0
-            .lock()
-            .expect("journal lock")
-            .intent(array, region, new_data, pre)
-    }
-
-    /// See [`Journal::commit`].
-    ///
-    /// # Errors
-    /// Propagates log I/O errors.
-    ///
-    /// # Panics
-    /// Panics if the journal mutex was poisoned.
-    pub fn commit(&self, seq: u64) -> io::Result<()> {
-        self.0.lock().expect("journal lock").commit(seq)
-    }
-
-    /// See [`Journal::seeded`].
-    ///
-    /// # Errors
-    /// Propagates log I/O errors.
-    ///
-    /// # Panics
-    /// Panics if the journal mutex was poisoned.
-    pub fn seeded(&self) -> io::Result<()> {
-        self.0.lock().expect("journal lock").seeded()
-    }
-
-    /// See [`Journal::checkpoint`].
-    ///
-    /// # Errors
-    /// Propagates log I/O errors.
     ///
     /// # Panics
     /// Panics if the journal mutex was poisoned.
     pub fn checkpoint(&self, nest: usize, step: u64) -> io::Result<u64> {
-        self.0.lock().expect("journal lock").checkpoint(nest, step)
+        let mut w = self.writer();
+        let wm = w.next_seq;
+        w.log.append(format!("K {nest} {step} {wm}\n").as_bytes())?;
+        Ok(wm)
     }
 
-    /// `(intents, commits)` appended through this journal writer.
+    /// `(intents, commits)` appended through this writer (not counting
+    /// a resumed log's past).
     ///
     /// # Panics
     /// Panics if the journal mutex was poisoned.
     #[must_use]
     pub fn written(&self) -> (u64, u64) {
-        let j = self.0.lock().expect("journal lock");
-        (j.intents_written(), j.commits_written())
+        let w = self.writer();
+        (w.intents, w.commits)
+    }
+}
+
+impl std::fmt::Debug for Journal {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let w = self.writer();
+        f.debug_struct("Journal")
+            .field("next_seq", &w.next_seq)
+            .field("intents", &w.intents)
+            .field("commits", &w.commits)
+            .finish_non_exhaustive()
     }
 }
 
@@ -568,8 +507,8 @@ pub struct JournalScan {
     pub records: Vec<JournalRecord>,
     /// Whether a torn tail (partial final record) was dropped.
     pub torn_tail: bool,
-    /// One past the highest intent sequence seen — what
-    /// [`Journal::resume`] should continue from.
+    /// One past the highest intent sequence seen — what a resumed
+    /// [`Journal::new`] continues from.
     pub next_seq: u64,
     /// Byte length of the parsed-valid prefix. When `torn_tail` is
     /// set, recovery must [`LogStore::truncate_to`] this length before
@@ -722,7 +661,7 @@ mod tests {
     #[test]
     fn roundtrip_including_weird_floats() {
         let log = MemLog::new();
-        let mut j = Journal::new(Box::new(log.clone()));
+        let j = Journal::new(Box::new(log.clone()), 0);
         let pre = vec![f64::NAN, -0.0, f64::INFINITY, 1.5e-300];
         let s0 = j
             .intent(3, &region(5, 8), &[1.0, 2.0, 3.0, 4.0], &pre)
@@ -757,7 +696,7 @@ mod tests {
     #[test]
     fn torn_tail_is_dropped_not_fatal() {
         let log = MemLog::new();
-        let mut j = Journal::new(Box::new(log.clone()));
+        let j = Journal::new(Box::new(log.clone()), 0);
         let s = j
             .intent(0, &region(1, 4), &[1.0; 4], &[0.0; 4])
             .expect("intent");
@@ -811,7 +750,7 @@ mod tests {
     #[test]
     fn truncating_torn_tail_keeps_later_appends_parseable() {
         let log = MemLog::new();
-        let mut j = Journal::new(Box::new(log.clone()));
+        let j = Journal::new(Box::new(log.clone()), 0);
         let s = j
             .intent(0, &region(1, 4), &[1.0; 4], &[0.0; 4])
             .expect("intent");
@@ -826,7 +765,7 @@ mod tests {
         // torn tail and the merged line would poison the log. After
         // truncate_to(valid_len) the journal stays fully parseable.
         log.clone().truncate_to(scan.valid_len).expect("truncate");
-        let mut resumed = Journal::resume(Box::new(log.clone()), scan.next_seq);
+        let resumed = Journal::new(Box::new(log.clone()), scan.next_seq);
         let s2 = resumed
             .intent(0, &region(5, 8), &[2.0; 4], &[1.0; 4])
             .expect("intent after recovery");
@@ -840,7 +779,7 @@ mod tests {
     #[test]
     fn valid_len_covers_exactly_the_parsed_records() {
         let log = MemLog::new();
-        let mut j = Journal::new(Box::new(log.clone()));
+        let j = Journal::new(Box::new(log.clone()), 0);
         let s = j
             .intent(2, &region(0, 3), &[1.0; 4], &[0.5; 4])
             .expect("intent");
@@ -869,7 +808,7 @@ mod tests {
     #[test]
     fn checkpoint_records_share_the_log_and_its_torn_tail_rule() {
         let log = MemLog::new();
-        let mut j = Journal::new(Box::new(log.clone()));
+        let j = Journal::new(Box::new(log.clone()), 0);
         j.seeded().expect("seeded");
         let s = j
             .intent(0, &region(1, 2), &[1.0; 2], &[0.0; 2])
@@ -939,9 +878,9 @@ mod tests {
     }
 
     #[test]
-    fn shared_journal_is_thread_safe() {
+    fn journal_clones_share_one_writer_across_threads() {
         let log = MemLog::new();
-        let j = SharedJournal::new(Journal::new(Box::new(log.clone())));
+        let j = Journal::new(Box::new(log.clone()), 0);
         std::thread::scope(|scope| {
             for t in 0..4u32 {
                 let j = j.clone();

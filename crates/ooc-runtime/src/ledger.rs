@@ -221,8 +221,9 @@ pub struct ProvenanceLedger {
     pub kernel: String,
     /// Program version label (`col`, `c-opt`, …; empty when unset).
     pub version: String,
-    /// Executor that produced the events (`sync`, `pipelined`,
-    /// `parallel`, `durable`, `durable-resume`).
+    /// Executor that produced the events (`sync`, `parallel`,
+    /// `durable`, `durable-parallel`; a resumed durable run appends
+    /// `-resume`).
     pub executor: String,
     /// Array names in declaration order.
     pub arrays: Vec<String>,

@@ -27,7 +27,7 @@
 //!   corrupt or torn data surfaces as a typed, non-transient error.
 //! * [`journal`] — the write intent [`Journal`]: the one append-only
 //!   durable log (intents with pre-images, commits, checkpoint
-//!   records), torn-tail-tolerant scan with the resume [`Boundary`],
+//!   records) behind one shared writer handle, torn-tail-tolerant scan with the resume [`Boundary`],
 //!   and idempotent [`rollback`].
 //! * [`ledger`] — the I/O provenance ledger: every transfer
 //!   classified by cause (compulsory, capacity miss, wasted prefetch,
@@ -47,8 +47,8 @@
 //!     takes its lane, nowhere else.
 //!   * `repair` — the degraded mode of a store built with a parity
 //!     lane: parity read-modify-write, dead-node reconstruction,
-//!     hedged reads, [`StripedStore::scrub`] and the
-//!     [`OnlineScrubber`], [`StripedStore::resilver`].
+//!     hedged reads, [`StripedStore::scrub`] and
+//!     [`StripedStore::resilver`].
 //! * [`parity`] — [`ParityLayout`]: the rotating-parity geometry and
 //!   bitwise-XOR combine the degraded mode is built on.
 //! * [`testing`] — store factories and temp-dir plumbing for
@@ -87,7 +87,7 @@ pub use fault::{
 pub use interleave::InterleavedGroup;
 pub use journal::{
     parse_journal, rollback, Boundary, FileLog, Journal, JournalRecord, JournalScan, LogStore,
-    MemLog, SharedJournal, WriteIntent,
+    MemLog, WriteIntent,
 };
 pub use layout::{FileLayout, Region, Run, RunSummary};
 pub use ledger::{
@@ -101,7 +101,7 @@ pub use pool::{
 pub use profile::{
     heatmap, sequential_stats, AccessLog, AccessRecord, ProfilingStore, SeekCdf, SeqStats,
 };
-pub use repair::{OnlineScrubber, ResilverReport, ScrubReport};
+pub use repair::{ResilverReport, ScrubReport};
 pub use shared::SharedStore;
 pub use store::{FileStore, MemStore, Store, ELEM_BYTES};
 pub use striped::{part_len, DegradedMode, StripedStore};

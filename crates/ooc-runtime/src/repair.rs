@@ -17,11 +17,10 @@
 //!   ([`HedgeConfig`](crate::HedgeConfig)): after a quantile-based
 //!   wait the request is retired against the parity-derived peer set,
 //!   masking gray stragglers;
-//! * an [`OnlineScrubber`] walks parity groups in the background,
-//!   verifying parity against data (CRC-corrupt chunks surface as
-//!   typed errors from the checksum layer) and rewriting whichever
-//!   side is stale; [`StripedStore::resilver`] rebuilds a replacement
-//!   node from peers.
+//! * [`StripedStore::scrub`] walks the parity groups, verifying parity
+//!   against data (CRC-corrupt chunks surface as typed errors from the
+//!   checksum layer) and rewriting whichever side is stale;
+//!   [`StripedStore::resilver`] rebuilds a replacement node from peers.
 //!
 //! Everything here is built from two primitives. Every part-store
 //! call is the store's one **lane call** (`read_part` / `write_part`
@@ -39,13 +38,9 @@ use crate::fault::{is_node_down, is_node_slow};
 use crate::ledger::IoCause;
 use crate::parity::{xor_into, ParityLayout};
 use crate::pool::{CallClass, NodeHealth};
-use crate::shared::SharedStore;
 use crate::store::Store;
 use crate::striped::{checked_part, chunk, part_len, DegradedMode, Part, Segment, StripedStore};
 use std::io;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::time::Duration;
 
 /// What one scrub pass (or group) found and fixed.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -529,73 +524,16 @@ impl<S: Store> StripedStore<S> {
     }
 }
 
-/// A background scrubber thread walking a shared striped store's
-/// parity groups (lock taken per group, so foreground I/O interleaves
-/// freely), optionally repairing what it finds.
-#[derive(Debug)]
-pub struct OnlineScrubber {
-    stop: Arc<AtomicBool>,
-    handle: std::thread::JoinHandle<io::Result<ScrubReport>>,
-}
-
-impl OnlineScrubber {
-    /// Starts scrubbing `store` in a background thread: `passes` full
-    /// walks over all parity groups (0 = until stopped), pausing
-    /// `pace` between groups, repairing when `repair` is set.
-    #[must_use]
-    pub fn start<S: Store + Send + 'static>(
-        store: SharedStore<StripedStore<S>>,
-        repair: bool,
-        pace: Duration,
-        passes: u64,
-    ) -> Self {
-        let stop = Arc::new(AtomicBool::new(false));
-        let flag = Arc::clone(&stop);
-        let handle = std::thread::spawn(move || {
-            let Some(groups) = store.with_inner(|s| s.parity_groups()) else {
-                return Err(no_parity_error());
-            };
-            let mut total = ScrubReport::default();
-            let mut pass = 0u64;
-            'walk: while !flag.load(Ordering::Relaxed) && (passes == 0 || pass < passes) {
-                for j in 0..groups {
-                    if flag.load(Ordering::Relaxed) {
-                        break 'walk;
-                    }
-                    let rep = store.with_inner(|s| s.scrub_group(j, repair))?;
-                    total.absorb(&rep);
-                    if !pace.is_zero() {
-                        std::thread::sleep(pace);
-                    }
-                }
-                pass += 1;
-            }
-            Ok(total)
-        });
-        OnlineScrubber { stop, handle }
-    }
-
-    /// Signals the walker to stop and joins it, returning the
-    /// accumulated report.
-    ///
-    /// # Errors
-    /// A scrub error from the thread, or a generic error if it
-    /// panicked.
-    pub fn stop(self) -> io::Result<ScrubReport> {
-        self.stop.store(true, Ordering::Relaxed);
-        self.handle
-            .join()
-            .map_err(|_| io::Error::other("scrubber thread panicked"))?
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::fault::NodeFaultConfig;
     use crate::pool::{HedgeConfig, IoNodePool, StripeConfig};
+    use crate::shared::SharedStore;
     use crate::store::MemStore;
     use crate::striped::tests::{pool, striped_parity};
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Arc;
 
     /// XOR of every data chunk of every group equals the parity chunk.
     fn assert_parity_consistent(s: &StripedStore<MemStore>) {
@@ -869,34 +807,6 @@ mod tests {
         let degraded = s.scrub(true).expect("degraded scrub");
         assert!(degraded.skipped > 0);
         assert_eq!(degraded.unrecoverable, 0);
-    }
-
-    #[test]
-    fn online_scrubber_walks_in_the_background() {
-        let p = pool(3, 4);
-        let mut s = striped_parity(&p, 48);
-        let data: Vec<f64> = (0..48).map(|i| f64::from(i) - 7.5).collect();
-        s.write_run(0, &data).expect("write");
-        let shared = SharedStore::new(s);
-        let scrubber = OnlineScrubber::start(shared.clone(), true, Duration::ZERO, 2);
-        // Foreground I/O interleaves with the walker: at least 20
-        // reads, and on until the walker has booked its first group
-        // (it may be scheduled late) or has plainly failed to.
-        let scrubbed = || p.total_repair().get(IoCause::ScrubRead).read_calls > 0;
-        let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        let mut reads = 0;
-        while reads < 20 || (!scrubbed() && std::time::Instant::now() < deadline) {
-            reads += 1;
-            let mut buf = vec![0.0; 48];
-            shared
-                .with_inner(|s| s.read_run(0, &mut buf))
-                .expect("read");
-            assert!(bits_equal(&buf, &data));
-        }
-        let rep = scrubber.stop().expect("scrubber result");
-        assert!(rep.groups > 0, "walker visited groups");
-        assert_eq!(rep.unrecoverable, 0);
-        assert!(scrubbed());
     }
 
     /// The group-XOR primitive against brute force: every element of

@@ -61,7 +61,7 @@ fn reference_after(ops: &[(u64, i64, u8)], n: usize) -> Vec<f64> {
 /// length once that op's records were fully appended.
 fn run_ops(store: &mut MemStore, ops: &[(u64, i64, u8)]) -> (MemLog, Vec<usize>) {
     let log = MemLog::new();
-    let mut journal = Journal::new(Box::new(log.clone()));
+    let journal = Journal::new(Box::new(log.clone()), 0);
     let mut marks = Vec::with_capacity(ops.len());
     for (i, &(block, salt, commit)) in ops.iter().enumerate() {
         let region = block_region(block);
@@ -193,7 +193,7 @@ proptest! {
 
         let mut resumed_log: Box<dyn ooc_runtime::LogStore> = Box::new(log.clone());
         resumed_log.truncate_to(scan.valid_len).expect("truncate");
-        let mut journal = Journal::resume(resumed_log, scan.next_seq);
+        let journal = Journal::new(resumed_log, scan.next_seq);
         let region = block_region(0);
         let vals = op_values(0, 1);
         let seq = journal.intent(0, &region, &vals, &vals).expect("intent");

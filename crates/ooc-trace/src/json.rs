@@ -154,11 +154,12 @@ impl Json {
     /// Parses a complete JSON document (trailing garbage is an error).
     ///
     /// # Errors
-    /// Returns a message with the byte offset of the first problem.
+    /// Returns a message with the byte offset of the first problem,
+    /// including containers nested more than 128 deep.
     pub fn parse(text: &str) -> Result<Json, String> {
         let bytes = text.as_bytes();
         let mut pos = 0usize;
-        let v = parse_value(bytes, &mut pos)?;
+        let v = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(format!("trailing characters at byte {pos}"));
@@ -166,6 +167,11 @@ impl Json {
         Ok(v)
     }
 }
+
+/// Containers nested deeper than this are a parse error: the parser
+/// recurses once per level, and its input may be any file named on a
+/// command line.
+const MAX_DEPTH: usize = 128;
 
 fn open_line(out: &mut String, depth: Option<usize>) {
     if let Some(d) = depth {
@@ -212,8 +218,12 @@ fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// Parses the value at `pos`, `depth` containers deep.
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(b, pos);
+    if depth == MAX_DEPTH && matches!(b.get(*pos), Some(b'{' | b'[')) {
+        return Err(format!("nested deeper than {MAX_DEPTH} at byte {}", *pos));
+    }
     match b.get(*pos) {
         None => Err("unexpected end of input".to_string()),
         Some(b'{') => {
@@ -229,7 +239,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
                 let key = parse_string(b, pos)?;
                 skip_ws(b, pos);
                 expect(b, pos, b':')?;
-                let v = parse_value(b, pos)?;
+                let v = parse_value(b, pos, depth + 1)?;
                 fields.push((key, v));
                 skip_ws(b, pos);
                 match b.get(*pos) {
@@ -251,7 +261,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(b, pos)?);
+                items.push(parse_value(b, pos, depth + 1)?);
                 skip_ws(b, pos);
                 match b.get(*pos) {
                     Some(b',') => *pos += 1,

@@ -4,9 +4,9 @@
 //! run.
 
 use ooc_opt::core::{
-    exec_parallel_durable, max_intents_per_interval, resume_functional, resume_parallel,
-    run_functional, run_functional_durable, run_functional_on, DirMedium, DurabilityConfig,
-    DurableMedium, FunctionalConfig, MemMedium, ParallelConfig, PipelineConfig,
+    max_intents_per_interval, run_durable, run_functional, run_functional_on, DirMedium,
+    DurabilityConfig, DurableMedium, FunctionalConfig, MemMedium, ParallelConfig, PipelineConfig,
+    Start, Walk,
 };
 use ooc_opt::ir::ArrayId;
 use ooc_opt::kernels::{all_kernels, compile, kernel_by_name, Version};
@@ -166,33 +166,43 @@ fn without_retries_faults_are_fatal() {
 /// How many evenly-spaced crash points the matrix drills per kernel.
 const CRASH_POINTS: u64 = 3;
 
-/// The crash matrix body for one storage backend: every kernel's
-/// c-opt version, killed at `CRASH_POINTS` evenly-spaced store-call
-/// indices of its busiest array (alternating clean crashes and torn
-/// writes), then recovered — the recovered contents must be bit-equal
-/// to an uninterrupted run, and the rollback must stay within one
-/// checkpoint interval of journal intents per array.
-fn crash_matrix_on(make_medium: &mut dyn FnMut(&str, u64) -> Box<dyn DurableMedium>) {
-    let fcfg = FunctionalConfig::with_fraction(16);
+/// The crash matrix body for one walk and storage backend: every
+/// kernel's c-opt version, killed at `CRASH_POINTS` evenly-spaced
+/// store-call indices of its busiest array (alternating clean crashes
+/// and torn writes), then recovered with the same `cfg` — the recovered
+/// contents must be bit-equal to an uninterrupted run, and the rollback
+/// must stay within one checkpoint interval of journal intents per
+/// array, the bound read off the uninterrupted run's own journal.
+fn crash_matrix_on<C: Walk>(
+    cfg: &C,
+    data: fn(&C::Run) -> &Vec<Vec<f64>>,
+    make_medium: &mut dyn FnMut(&str, u64) -> Box<dyn DurableMedium>,
+) {
     let dur = DurabilityConfig::default();
     for k in all_kernels() {
         let cv = compile(&k, Version::COpt);
+        let run = |medium: &mut dyn DurableMedium,
+                   faults: &dyn Fn(usize) -> Option<FaultConfig>,
+                   start| {
+            run_durable(
+                &cv.tiled,
+                &k.small_params,
+                &seed,
+                cfg,
+                &dur,
+                medium,
+                faults,
+                start,
+            )
+        };
 
         // Uninterrupted baseline on a memory medium: the reference
         // contents, each array's store-call count (the crash-index
         // domain), and the per-interval intent bound — all independent
         // of the backend, since the schedule is fixed at compile time.
         let mut base = MemMedium::new();
-        let baseline = run_functional_durable(
-            &cv.tiled,
-            &k.small_params,
-            &seed,
-            &fcfg,
-            &dur,
-            &mut base,
-            &|_| Some(FaultConfig::transient(17, 0)),
-        )
-        .expect("baseline durable run");
+        let rate0 = |_| Some(FaultConfig::transient(17, 0));
+        let baseline = run(&mut base, &rate0, Start::Fresh).expect("baseline durable run");
         let calls: Vec<u64> = baseline
             .fault_handles
             .iter()
@@ -205,39 +215,26 @@ fn crash_matrix_on(make_medium: &mut dyn FnMut(&str, u64) -> Box<dyn DurableMedi
             let at = calls[target] * i / (CRASH_POINTS + 1);
             let torn = i % 2 == 0;
             let mut medium = make_medium(k.name, i);
-            let err = run_functional_durable(
-                &cv.tiled,
-                &k.small_params,
-                &seed,
-                &fcfg,
-                &dur,
-                medium.as_mut(),
-                &|a| {
-                    (a == target).then(|| {
-                        if torn {
-                            FaultConfig::torn_write(at, 500)
-                        } else {
-                            FaultConfig::crash_at(at)
-                        }
-                    })
-                },
-            )
-            .expect_err("injected crash must abort the run");
+            let crash = |a| {
+                (a == target).then(|| {
+                    if torn {
+                        FaultConfig::torn_write(at, 500)
+                    } else {
+                        FaultConfig::crash_at(at)
+                    }
+                })
+            };
+            let err = run(medium.as_mut(), &crash, Start::Fresh)
+                .err()
+                .expect("injected crash must abort the run");
             assert!(is_crashed(&err), "{}: unexpected error: {err}", k.name);
 
-            let out = resume_functional(
-                &cv.tiled,
-                &k.small_params,
-                &seed,
-                &fcfg,
-                &dur,
-                medium.as_mut(),
-                &|_| None,
-            )
-            .unwrap_or_else(|e| panic!("{}: resume after crash at {at}: {e}", k.name));
+            let out = run(medium.as_mut(), &|_| None, Start::Resume)
+                .unwrap_or_else(|e| panic!("{}: resume after crash at {at}: {e}", k.name));
             assert!(out.report.resumed, "{}: recovery must resume", k.name);
             assert_eq!(
-                out.run.data, baseline.run.data,
+                data(&out.run),
+                data(&baseline.run),
                 "{}: recovered run diverges from the uninterrupted one \
                  (crash at {at}, torn {torn})",
                 k.name
@@ -255,109 +252,41 @@ fn crash_matrix_on(make_medium: &mut dyn FnMut(&str, u64) -> Box<dyn DurableMedi
     }
 }
 
-#[test]
-fn crash_matrix_recovers_every_kernel_in_memory() {
-    crash_matrix_on(&mut |_, _| Box::new(MemMedium::new()));
+fn sync_cfg() -> FunctionalConfig {
+    FunctionalConfig::with_fraction(16)
 }
 
-/// The crash matrix for the *parallel* durable executor: every kernel
-/// crashed mid-run at several store-call indices (clean and torn) with
-/// three shard workers, then resumed — still with three workers. The
-/// recovered contents must be bit-equal to an uninterrupted parallel
-/// run, and the rollback must stay within the one-checkpoint-interval
-/// intent bound derived from the parallel baseline's own journal
-/// (multi-shard nests checkpoint at iteration barriers, so their
-/// intervals are wider than the serial executor's tile rows).
+#[test]
+fn crash_matrix_recovers_every_kernel_in_memory() {
+    crash_matrix_on(&sync_cfg(), |r| &r.data, &mut |_, _| {
+        Box::new(MemMedium::new())
+    });
+}
+
+/// The crash matrix for the durable step engine with three shard
+/// workers, crashed and resumed at three workers (multi-shard nests
+/// checkpoint at iteration barriers, so their intervals are wider than
+/// the sync walk's tile rows).
 #[test]
 fn parallel_crash_matrix_recovers_every_kernel() {
     let cfg = ParallelConfig {
         pipeline: PipelineConfig {
-            functional: FunctionalConfig::with_fraction(16),
+            functional: sync_cfg(),
             ..PipelineConfig::default()
         },
         shards: 3,
     };
-    let dur = DurabilityConfig::default();
-    for k in all_kernels() {
-        let cv = compile(&k, Version::COpt);
-
-        let mut base = MemMedium::new();
-        let baseline = exec_parallel_durable(
-            &cv.tiled,
-            &k.small_params,
-            &seed,
-            &cfg,
-            &dur,
-            &mut base,
-            &|_| Some(FaultConfig::transient(17, 0)),
-        )
-        .expect("baseline parallel durable run");
-        let calls: Vec<u64> = baseline
-            .fault_handles
-            .iter()
-            .map(|h| h.as_ref().expect("wrapped").calls())
-            .collect();
-        let target = (0..calls.len()).max_by_key(|&a| calls[a]).expect("arrays");
-        let bound = max_intents_per_interval(&parse_journal(&base.journal_bytes()));
-
-        for i in 1..=CRASH_POINTS {
-            let at = calls[target] * i / (CRASH_POINTS + 1);
-            let torn = i % 2 == 0;
-            let mut medium = MemMedium::new();
-            let err = exec_parallel_durable(
-                &cv.tiled,
-                &k.small_params,
-                &seed,
-                &cfg,
-                &dur,
-                &mut medium,
-                &|a| {
-                    (a == target).then(|| {
-                        if torn {
-                            FaultConfig::torn_write(at, 500)
-                        } else {
-                            FaultConfig::crash_at(at)
-                        }
-                    })
-                },
-            )
-            .expect_err("injected crash must abort the parallel run");
-            assert!(is_crashed(&err), "{}: unexpected error: {err}", k.name);
-
-            let out = resume_parallel(
-                &cv.tiled,
-                &k.small_params,
-                &seed,
-                &cfg,
-                &dur,
-                &mut medium,
-                &|_| None,
-            )
-            .unwrap_or_else(|e| panic!("{}: parallel resume after crash at {at}: {e}", k.name));
-            assert!(out.report.resumed, "{}: recovery must resume", k.name);
-            assert_eq!(
-                out.run.run.data, baseline.run.run.data,
-                "{}: recovered parallel run diverges from the uninterrupted \
-                 one (crash at {at}, torn {torn})",
-                k.name
-            );
-            for (a, n) in &out.report.rolled_back_by_array {
-                assert!(
-                    *n <= bound.get(a).copied().unwrap_or(0),
-                    "{}: rolled back {n} tiles of array {a}, over the \
-                     one-checkpoint-interval bound {:?}",
-                    k.name,
-                    bound.get(a)
-                );
-            }
-        }
-    }
+    crash_matrix_on(
+        &cfg,
+        |r| &r.run.data,
+        &mut |_, _| Box::new(MemMedium::new()),
+    );
 }
 
 #[test]
 fn crash_matrix_recovers_every_kernel_on_files() {
     let mut dirs: Vec<TempDir> = Vec::new();
-    crash_matrix_on(&mut |kernel, i| {
+    crash_matrix_on(&sync_cfg(), |r| &r.data, &mut |kernel, i| {
         let dir = TempDir::new(&format!("crash-{kernel}-{i}")).expect("tmp dir");
         let medium = Box::new(DirMedium::new(dir.path()));
         dirs.push(dir); // keep the directory alive for the resume

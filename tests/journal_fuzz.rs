@@ -9,14 +9,14 @@
 //!
 //! * `parse_journal` does not panic, and its `valid_len` is a line
 //!   boundary no larger than the input;
-//! * `resume_functional` over the run's own stores does not panic: it
-//!   returns the recovered run or a typed error;
+//! * a `Start::Resume` of `run_durable` over the run's own stores does
+//!   not panic: it returns the recovered run or a typed error;
 //! * a mutation the parser drops with the torn tail (at or past the
 //!   base log's `valid_len`) resumes bit-equal to `run_functional`.
 
 use ooc_opt::core::{
-    resume_functional, run_functional, run_functional_durable, DurabilityConfig, DurableMedium,
-    FunctionalConfig,
+    run_durable, run_functional, run_functional_durable, DurabilityConfig, DurableMedium,
+    FunctionalConfig, Start,
 };
 use ooc_opt::ir::ArrayId;
 use ooc_opt::kernels::{compile, kernel_by_name, Version};
@@ -129,11 +129,20 @@ impl Case {
         let dur = DurabilityConfig::default();
         let run = AssertUnwindSafe(|| {
             let (tp, params) = (&self.tiled, &self.params);
-            resume_functional(tp, params, &seed, &self.cfg, &dur, &mut medium, &|_| None)
+            run_durable(
+                tp,
+                params,
+                &seed,
+                &self.cfg,
+                &dur,
+                &mut medium,
+                &|_| None,
+                Start::Resume,
+            )
         });
         match catch_unwind(run) {
             Ok(out) => out.map(|o| o.run.data),
-            Err(_) => panic!("{what}: resume_functional panicked"),
+            Err(_) => panic!("{what}: the resume panicked"),
         }
     }
 }

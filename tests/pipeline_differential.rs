@@ -15,7 +15,7 @@
 //! failures through the same retry policy as the main thread.
 
 use ooc_opt::core::{
-    exec_pipelined, run_functional_on, FunctionalConfig, PipelineConfig, PipelinedRun,
+    exec_pipelined, run_functional_on, FunctionalConfig, ParallelRun, PipelineConfig,
 };
 use ooc_opt::ir::ArrayId;
 use ooc_opt::kernels::{all_kernels, compile, kernel_by_name, CompiledVersion, Version};
@@ -44,7 +44,7 @@ fn run_pipelined(
     params: &[i64],
     backend: Backend,
     dir: &TempDir,
-) -> PipelinedRun {
+) -> ParallelRun {
     exec_pipelined(
         &cv.tiled,
         params,
@@ -55,7 +55,7 @@ fn run_pipelined(
     .expect("pipelined run")
 }
 
-fn analytic_totals(run: &PipelinedRun) -> IoStats {
+fn analytic_totals(run: &ParallelRun) -> IoStats {
     run.run.total_stats()
 }
 
