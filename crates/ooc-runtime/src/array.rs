@@ -213,6 +213,12 @@ impl Tile {
         &mut self.data
     }
 
+    /// The raw data, without a copy.
+    #[must_use]
+    pub fn into_data(self) -> Vec<f64> {
+        self.data
+    }
+
     fn pos(&self, idx: &[i64]) -> usize {
         assert!(self.region.contains(idx), "index {idx:?} outside tile");
         let mut off: i64 = 0;
@@ -399,89 +405,107 @@ impl<S: Store> OocArray<S> {
 
     /// Reads a tile, counting calls: one store call per maximal file
     /// run, in ascending file order. A run that is also contiguous in
-    /// the tile lands directly in the tile's data; any other is read
-    /// into the scratch buffer and scattered segment by segment.
+    /// the tile lands directly in the tile's data. The others are read
+    /// into the scratch buffer in file order, a group of consecutive
+    /// runs at a time, and each group is scattered into the tile in one
+    /// pass that moves adjacent tile columns a cache line at a time.
     ///
     /// # Errors
-    /// Propagates store errors.
+    /// Propagates store errors; a region whose rank is not the
+    /// array's is [`io::ErrorKind::InvalidInput`], before any store
+    /// call.
     pub fn read_tile(&mut self, region: &Region) -> io::Result<Tile> {
+        self.check_rank(region)?;
         let region = region.clamped(&self.dims);
         let mut tile = Tile::zeroed(region);
         let segs = self.segments(&tile.region);
-        let mut calls = 0u64;
         let retry = self.config.retry;
         let store = &self.store;
-        for run in segs.chunk_by(file_adjacent) {
-            let (start, len) = run_extent(run);
-            if let Some(at) = tile_range(run) {
-                let buf = &mut tile.data[at];
-                retry.run(&mut self.stats.retries, || store.read_run(start, buf))?;
-            } else {
-                if self.scratch.len() < len {
-                    self.scratch.resize(len, 0.0);
+        for group in groups(&segs) {
+            match group {
+                Group::Direct(start, at) => {
+                    let buf = &mut tile.data[at];
+                    retry.run(&mut self.stats.retries, || store.read_run(start, buf))?;
                 }
-                let buf = &mut self.scratch[..len];
-                retry.run(&mut self.stats.retries, || store.read_run(start, buf))?;
-                let mut rest = &*buf;
-                for seg in run {
-                    let (src, tail) = rest.split_at(seg.len as usize);
-                    let dst = tile.data[seg.tile_start..].iter_mut();
-                    for (d, &v) in dst.step_by(seg.tile_stride).zip(src) {
-                        *d = v;
+                Group::Staged(group, len) => {
+                    if self.scratch.len() < len {
+                        self.scratch.resize(len, 0.0);
                     }
-                    rest = tail;
+                    let mut rest = &mut self.scratch[..len];
+                    for run in group.chunk_by(file_adjacent) {
+                        let (start, len) = run_extent(run);
+                        let (buf, tail) = rest.split_at_mut(len);
+                        retry.run(&mut self.stats.retries, || store.read_run(start, buf))?;
+                        rest = tail;
+                    }
+                    scatter(group, &self.scratch[..len], &mut tile.data);
                 }
             }
-            calls += (len as u64).div_ceil(self.config.max_call_elems);
         }
         self.trim_scratch();
         self.stats.reads += 1;
-        self.stats.read_calls += calls;
+        self.stats.read_calls += run_calls_of(&segs, self.config.max_call_elems);
         self.stats.read_elems += tile.region.len() as u64;
         Ok(tile)
     }
 
     /// Writes a tile back, counting calls: the part of the tile inside
     /// the array, one store call per maximal file run as in
-    /// [`read_tile`](Self::read_tile), gathering through the scratch
-    /// buffer where the run is not contiguous in the tile.
+    /// [`read_tile`](Self::read_tile); each group of runs that are not
+    /// contiguous in the tile is gathered into the scratch buffer in
+    /// one pass before its runs are written.
     ///
     /// # Errors
-    /// Propagates store errors.
+    /// Propagates store errors; a tile whose rank is not the array's
+    /// is [`io::ErrorKind::InvalidInput`], before any store call.
     pub fn write_tile(&mut self, tile: &Tile) -> io::Result<()> {
+        self.check_rank(&tile.region)?;
         let segs = self.segments(&tile.region);
-        let mut calls = 0u64;
-        let mut elems = 0u64;
         let retry = self.config.retry;
         let store = &mut self.store;
-        for run in segs.chunk_by(file_adjacent) {
-            let (start, len) = run_extent(run);
-            let buf = if let Some(at) = tile_range(run) {
-                &tile.data[at]
-            } else {
-                if self.scratch.len() < len {
-                    self.scratch.resize(len, 0.0);
+        for group in groups(&segs) {
+            match group {
+                Group::Direct(start, at) => {
+                    let buf = &tile.data[at];
+                    retry.run(&mut self.stats.retries, || store.write_run(start, buf))?;
                 }
-                let mut rest = &mut self.scratch[..len];
-                for seg in run {
-                    let (dst, tail) = rest.split_at_mut(seg.len as usize);
-                    let src = tile.data[seg.tile_start..].iter();
-                    for (d, &v) in dst.iter_mut().zip(src.step_by(seg.tile_stride)) {
-                        *d = v;
+                Group::Staged(group, len) => {
+                    if self.scratch.len() < len {
+                        self.scratch.resize(len, 0.0);
                     }
-                    rest = tail;
+                    gather(group, &tile.data, &mut self.scratch[..len]);
+                    let mut rest = &self.scratch[..len];
+                    for run in group.chunk_by(file_adjacent) {
+                        let (start, len) = run_extent(run);
+                        let (buf, tail) = rest.split_at(len);
+                        retry.run(&mut self.stats.retries, || store.write_run(start, buf))?;
+                        rest = tail;
+                    }
                 }
-                &self.scratch[..len]
-            };
-            retry.run(&mut self.stats.retries, || store.write_run(start, buf))?;
-            calls += (len as u64).div_ceil(self.config.max_call_elems);
-            elems += len as u64;
+            }
         }
         self.trim_scratch();
         self.stats.writes += 1;
-        self.stats.write_calls += calls;
-        self.stats.write_elems += elems;
+        self.stats.write_calls += run_calls_of(&segs, self.config.max_call_elems);
+        self.stats.write_elems += segs.iter().map(|seg| seg.len).sum::<u64>();
         Ok(())
+    }
+
+    /// Refuses a region of another rank than the array's, which the
+    /// layout arithmetic would index out of bounds.
+    fn check_rank(&self, region: &Region) -> io::Result<()> {
+        if region.rank() == self.dims.len() {
+            return Ok(());
+        }
+        Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!(
+                "rank-{} region {region:?} on rank-{} array {}",
+                region.rank(),
+                self.dims.len(),
+                self.name
+            ),
+        ))
     }
 
     /// Reads one element (costing a full call) — convenience for tests.
@@ -550,6 +574,14 @@ fn file_adjacent(a: &Segment, b: &Segment) -> bool {
     a.file_start + a.len == b.file_start
 }
 
+/// The calls `IoStats` counts for moving `segs`: each run's length
+/// split by the call cap.
+fn run_calls_of(segs: &[Segment], max_call_elems: u64) -> u64 {
+    segs.chunk_by(file_adjacent)
+        .map(|run| (run_extent(run).1 as u64).div_ceil(max_call_elems))
+        .sum()
+}
+
 /// File start and length of a run of file-adjacent segments.
 fn run_extent(run: &[Segment]) -> (u64, usize) {
     let (first, last) = (run[0], run[run.len() - 1]);
@@ -568,6 +600,121 @@ fn tile_range(run: &[Segment]) -> Option<std::ops::Range<usize>> {
         end += seg.len as usize;
     }
     Some(run[0].tile_start..end)
+}
+
+/// Segments in a panel, and tile elements per panel row: one 64-byte
+/// cache line of `f64`.
+const PANEL: usize = 8;
+
+/// One step of a tile transfer, in file order.
+#[derive(Debug)]
+enum Group<'a> {
+    /// A run contiguous in the tile: its file start and tile range,
+    /// moved in place.
+    Direct(u64, std::ops::Range<usize>),
+    /// Consecutive runs that are not contiguous in the tile, staged
+    /// through the scratch in file order, and their total length. Runs
+    /// join until the group holds at least [`PANEL`] segments, so that
+    /// a panel can span runs: a `col` tile is one single-segment run
+    /// per column.
+    Staged(&'a [Segment], usize),
+}
+
+/// The transfer groups of a tile's segments, in file order.
+fn groups(segs: &[Segment]) -> impl Iterator<Item = Group<'_>> {
+    let mut runs = segs.chunk_by(file_adjacent).peekable();
+    let mut pos = 0;
+    std::iter::from_fn(move || {
+        let run = runs.next()?;
+        let first = pos;
+        pos += run.len();
+        if let Some(at) = tile_range(run) {
+            return Some(Group::Direct(run[0].file_start, at));
+        }
+        let mut len = run_extent(run).1;
+        while pos - first < PANEL {
+            let Some(run) = runs.next_if(|run| tile_range(run).is_none()) else {
+                break;
+            };
+            pos += run.len();
+            len += run_extent(run).1;
+        }
+        Some(Group::Staged(&segs[first..pos], len))
+    })
+}
+
+/// Whether `segs` open with a panel: [`PANEL`] segments of one length
+/// and one tile stride of at least [`PANEL`], whose tile starts step by
+/// one — adjacent tile columns, so that each tile row of the panel is
+/// one cache line.
+fn panel_at(segs: &[Segment]) -> bool {
+    let Some(panel) = segs.get(..PANEL) else {
+        return false;
+    };
+    let first = panel[0];
+    first.tile_stride >= PANEL
+        && panel.iter().zip(first.tile_start..).all(|(seg, at)| {
+            seg.len == first.len && seg.tile_stride == first.tile_stride && seg.tile_start == at
+        })
+}
+
+/// Moves the file-order elements `src` of `segs` to their tile
+/// positions in `dst`: a panel a tile row at a time, any other segment
+/// along its stride.
+fn scatter(segs: &[Segment], src: &[f64], dst: &mut [f64]) {
+    let (mut i, mut src) = (0, src);
+    while i < segs.len() {
+        let seg = segs[i];
+        let len = seg.len as usize;
+        if panel_at(&segs[i..]) {
+            let (panel, rest) = src.split_at(PANEL * len);
+            let cols: [&[f64]; PANEL] = std::array::from_fn(|k| &panel[k * len..][..len]);
+            let rows = dst[seg.tile_start..].chunks_mut(seg.tile_stride);
+            for (r, row) in rows.take(len).enumerate() {
+                for (d, col) in row[..PANEL].iter_mut().zip(&cols) {
+                    *d = col[r];
+                }
+            }
+            (i, src) = (i + PANEL, rest);
+        } else {
+            let (from, rest) = src.split_at(len);
+            let to = dst[seg.tile_start..].iter_mut().step_by(seg.tile_stride);
+            for (d, &v) in to.zip(from) {
+                *d = v;
+            }
+            (i, src) = (i + 1, rest);
+        }
+    }
+}
+
+/// The inverse of [`scatter`]: collects the tile elements `src` of
+/// `segs` into file order in `dst`.
+fn gather(segs: &[Segment], src: &[f64], dst: &mut [f64]) {
+    let (mut i, mut dst) = (0, dst);
+    while i < segs.len() {
+        let seg = segs[i];
+        let len = seg.len as usize;
+        if panel_at(&segs[i..]) {
+            let (panel, rest) = std::mem::take(&mut dst).split_at_mut(PANEL * len);
+            let mut cols = panel.chunks_exact_mut(len);
+            let mut cols: [&mut [f64]; PANEL] =
+                std::array::from_fn(|_| cols.next().expect("PANEL columns"));
+            let rows = src[seg.tile_start..].chunks(seg.tile_stride);
+            for (r, row) in rows.take(len).enumerate() {
+                for (col, &v) in cols.iter_mut().zip(&row[..PANEL]) {
+                    col[r] = v;
+                }
+            }
+            (i, dst) = (i + PANEL, rest);
+        } else {
+            let (to, rest) = std::mem::take(&mut dst).split_at_mut(len);
+            let from = src[seg.tile_start..].iter().step_by(seg.tile_stride);
+            for (d, &v) in to.iter_mut().zip(from) {
+                *d = v;
+            }
+            (i, dst) = (i + 1, rest);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -704,6 +851,30 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn regions_of_another_rank_are_refused_before_any_call() {
+        let mut a = OocArray::new(
+            "A",
+            &[4, 4],
+            FileLayout::row_major(2),
+            crate::profile::ProfilingStore::new(MemStore::new(16)),
+            RuntimeConfig::default(),
+        );
+        for region in [
+            Region::new(vec![1, 1, 1], vec![2, 2, 2]),
+            Region::new(vec![1], vec![4]),
+        ] {
+            let err = a.read_tile(&region).expect_err("read");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{region:?}");
+            let err = a
+                .write_tile(&Tile::zeroed(region.clone()))
+                .expect_err("write");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{region:?}");
+        }
+        assert_eq!(a.access_log().expect("profiled"), Vec::new());
+        assert_eq!(a.stats(), IoStats::default());
     }
 
     #[test]

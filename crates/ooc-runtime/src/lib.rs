@@ -55,6 +55,7 @@
 //!   differential tests.
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 pub mod array;
 pub mod budget;

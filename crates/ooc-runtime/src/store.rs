@@ -198,6 +198,7 @@ impl FileStore {
 /// little-endian host is the file format. The workspace's only
 /// `unsafe`.
 #[cfg(target_endian = "little")]
+#[allow(unsafe_code)]
 mod le_bytes {
     pub(super) fn view(values: &[f64]) -> &[u8] {
         // SAFETY: the pointer and the byte length (`size_of_val`) are

@@ -26,17 +26,19 @@ fn dims_strategy() -> impl Strategy<Value = [i64; 2]> {
     (2i64..9, 2i64..9).prop_map(|(a, b)| [a, b])
 }
 
+/// Every dimension order of rank 3.
+const PERMS: [[usize; 3]; 6] = [
+    [0, 1, 2],
+    [0, 2, 1],
+    [1, 0, 2],
+    [1, 2, 0],
+    [2, 0, 1],
+    [2, 1, 0],
+];
+
 /// A layout with the extents of an array it can lay out: every 2-D
 /// layout of `layout_strategy`, and every dimension order of rank 3.
 fn array_strategy() -> impl Strategy<Value = (FileLayout, Vec<i64>)> {
-    const PERMS: [[usize; 3]; 6] = [
-        [0, 1, 2],
-        [0, 2, 1],
-        [1, 0, 2],
-        [1, 2, 0],
-        [2, 0, 1],
-        [2, 1, 0],
-    ];
     prop_oneof![
         (layout_strategy(), dims_strategy()).prop_map(|(l, d)| (l, d.to_vec())),
         (0usize..6, 1i64..5, 1i64..5, 1i64..5)
@@ -61,6 +63,30 @@ fn tile_region(dims: Vec<i64>) -> impl Strategy<Value = Region> {
 fn array_and_tile() -> impl Strategy<Value = (FileLayout, Vec<i64>, Region)> {
     array_strategy().prop_flat_map(|(layout, dims)| {
         tile_region(dims.clone()).prop_map(move |r| (layout.clone(), dims.clone(), r))
+    })
+}
+
+/// Arrays and tiles on which the staging panels (eight adjacent tile
+/// columns, each one file segment) form, or just fail to: column-major
+/// arrays and every rank-3 dimension order, extents up to 40, tiles 7,
+/// 8, 9, 15, 16 or 17 wide in their last dimension. A tile may
+/// overhang the array, and one shorter than a column makes each of its
+/// columns a file run of its own, so panels must span runs.
+fn panel_tile() -> impl Strategy<Value = (FileLayout, Vec<i64>, Region)> {
+    const WIDTHS: [i64; 6] = [7, 8, 9, 15, 16, 17];
+    let arrays = prop_oneof![
+        (2i64..=40, 2i64..=40).prop_map(|(a, b)| (FileLayout::col_major(2), vec![a, b])),
+        (0usize..6, 1i64..=4, 2i64..=40, 2i64..=40)
+            .prop_map(|(p, a, b, c)| (FileLayout::DimOrder(PERMS[p].to_vec()), vec![a, b, c])),
+    ];
+    arrays.prop_flat_map(|(layout, dims)| {
+        let bounds: Vec<_> = dims.iter().map(|&n| (-1..=n, 1..=n + 2)).collect();
+        (bounds, 0..WIDTHS.len()).prop_map(move |(b, w)| {
+            let (lo, mut extents): (Vec<i64>, Vec<i64>) = b.into_iter().unzip();
+            *extents.last_mut().expect("rank") = WIDTHS[w];
+            let hi = lo.iter().zip(&extents).map(|(l, e)| l + e - 1).collect();
+            (layout.clone(), dims.clone(), Region::new(lo, hi))
+        })
     })
 }
 
@@ -120,26 +146,17 @@ fn crc64_bitwise(bytes: &[u8]) -> u64 {
 }
 
 proptest! {
-    /// The closed-form runs are exactly the maximal runs of the
-    /// enumerate-sort-coalesce oracle, for every layout, rank-3
-    /// dimension orders, and full, clamped and empty regions.
-    #[test]
-    fn region_runs_match_the_elementwise_oracle(case in array_and_tile()) {
-        let (layout, dims, region) = case;
-        prop_assert_eq!(
-            layout.region_runs(&dims, &region),
-            oracle_runs(&layout, &dims, &region),
-            "{:?} {:?} {:?}", layout, dims, region
-        );
-    }
+    #![proptest_config(ProptestConfig::with_cases(128))]
 
     /// A tile read and a tile write move exactly the elements the
     /// `offset_of` oracle names, in one store call per oracle run in
     /// ascending file order, and account them with the per-run
-    /// `div_ceil` arithmetic — on memory and on a real file.
+    /// `div_ceil` arithmetic — on memory and on a real file. Half the
+    /// cases are small arrays under every layout, half the wide tiles
+    /// of `panel_tile`.
     #[test]
     fn tile_transfers_match_the_elementwise_oracle(
-        case in array_and_tile(),
+        case in prop_oneof![array_and_tile(), panel_tile()],
         cap in 1u64..6,
     ) {
         let (layout, dims, region) = case;
@@ -192,6 +209,21 @@ proptest! {
             arr.store().read_run(0, &mut after).expect("dump");
             prop_assert_eq!(&after, &model, "{} contents after write", backend.label());
         }
+    }
+}
+
+proptest! {
+    /// The closed-form runs are exactly the maximal runs of the
+    /// enumerate-sort-coalesce oracle, for every layout, rank-3
+    /// dimension orders, and full, clamped and empty regions.
+    #[test]
+    fn region_runs_match_the_elementwise_oracle(case in array_and_tile()) {
+        let (layout, dims, region) = case;
+        prop_assert_eq!(
+            layout.region_runs(&dims, &region),
+            oracle_runs(&layout, &dims, &region),
+            "{:?} {:?} {:?}", layout, dims, region
+        );
     }
 
     /// The braided CRC equals the bit-at-a-time definition on lengths
