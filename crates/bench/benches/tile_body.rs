@@ -3,9 +3,12 @@
 //! from seeded `MemStore` arrays before the clock starts, so a pass
 //! times nothing but `TileKernel::run` over the whole tile schedule.
 //!
-//! Prints the median pass; `benchmark/`'s `exec.body_ns_per_iter` is
-//! the same cost measured by subtraction inside a real run, where it
-//! also carries the per-nest planning and lowering.
+//! Prints the median pass for every kernel, col and c-opt, with the
+//! share of iterations whose innermost run is evaluated in strips
+//! rather than one iteration at a time (`TileKernel::strips`);
+//! `benchmark/`'s `exec.body_ns_per_iter` is the same cost measured by
+//! subtraction inside a real run, where it also carries the per-nest
+//! planning and lowering.
 use ooc_core::{extract_schedule, FunctionalConfig, TileKernel};
 use ooc_kernels::{compile, kernel_by_name, Version};
 use ooc_runtime::{MemStore, OocArray, Tile};
@@ -43,7 +46,7 @@ fn bench(name: &str, n: i64, version: Version) {
 
     let schedule = extract_schedule(&tp, &params, &FunctionalConfig::default());
     let mut nests: Vec<(TileKernel, Vec<Staged>)> = Vec::new();
-    let mut iters = 0u64;
+    let (mut iters, mut strip_iters) = (0u64, 0u64);
     for ns in &schedule.nests {
         let body = TileKernel::lower(&tp.nests[ns.nest].nest, &params).expect("kernels lower");
         let mut steps = Vec::with_capacity(ns.steps.len());
@@ -55,12 +58,16 @@ fn bench(name: &str, n: i64, version: Version) {
                 let dense = body.slot_index(array, slot).expect("scheduled slot");
                 tiles[dense] = Some(arrays[array].read_tile(&id.region).expect("staging"));
             }
-            iters += step
+            let box_iters = step
                 .box_lo
                 .iter()
                 .zip(&step.box_hi)
                 .map(|(lo, hi)| u64::try_from(hi - lo + 1).unwrap_or(0))
                 .product::<u64>();
+            iters += box_iters;
+            if body.strips() {
+                strip_iters += box_iters;
+            }
             steps.push(Staged {
                 lo: step.box_lo.clone(),
                 hi: step.box_hi.clone(),
@@ -86,16 +93,29 @@ fn bench(name: &str, n: i64, version: Version) {
     seconds.sort_by(f64::total_cmp);
     let median = seconds[PASSES / 2];
     println!(
-        "tile_body/{name}/{:<6} N={n:<4} {:>8.2} ns/iter  ({iters} iters, {} steps, median of {PASSES} passes of {:.3} ms)",
+        "tile_body/{name:<6}/{:<6} N={n:<4} {:>8.2} ns/iter {:>5.1} % in strips  ({iters} iters, {} steps, median of {PASSES} passes of {:.3} ms)",
         version.label(),
         median * 1e9 / iters.max(1) as f64,
+        100.0 * strip_iters as f64 / iters.max(1) as f64,
         nests.iter().map(|(_, s)| s.len()).sum::<usize>(),
         median * 1e3,
     );
 }
 
 fn main() {
-    for (name, n) in [("mxm", 40), ("trans", 512), ("adi", 64)] {
+    let sizes = [
+        ("mat", 40),
+        ("mxm", 40),
+        ("adi", 64),
+        ("vpenta", 256),
+        ("btrix", 12),
+        ("emit", 64),
+        ("syr2k", 40),
+        ("htribk", 256),
+        ("gfunp", 128),
+        ("trans", 512),
+    ];
+    for (name, n) in sizes {
         for version in [Version::Col, Version::COpt] {
             bench(name, n, version);
         }

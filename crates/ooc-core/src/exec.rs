@@ -479,15 +479,23 @@ pub fn run_functional_on<S: Store>(
 /// is nothing to run (see [`plan_nest`]).
 ///
 /// # Errors
-/// `InvalidInput` when the nest cannot be planned or its body cannot
-/// be lowered (see [`TileKernel::lower`]).
+/// `InvalidInput` when the nest has statements but no loop level (the
+/// walks have no tile box to run them in), cannot be planned, or its
+/// body cannot be lowered (see [`TileKernel::lower`]).
 pub(crate) fn plan_walk<'e>(
     env: &'e PlanEnv<'e>,
     tnest: &TiledNest,
 ) -> io::Result<Option<(NestPlan<'e>, TileKernel)>> {
-    let plan = plan_nest(env, &tnest.nest, tnest.strategy, &tnest.tiled_levels, None)?;
+    let nest = &tnest.nest;
+    if nest.depth == 0 && !nest.body.is_empty() {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!("nest `{}` has statements but no loop level", nest.name),
+        ));
+    }
+    let plan = plan_nest(env, nest, tnest.strategy, &tnest.tiled_levels, None)?;
     let Some(plan) = plan else { return Ok(None) };
-    let kernel = TileKernel::lower_on(&tnest.nest, env.params, &plan.staging)?;
+    let kernel = TileKernel::lower_on(nest, env.params, &plan.staging, plan.strips)?;
     Ok(Some((plan, kernel)))
 }
 
@@ -969,9 +977,9 @@ mod tests {
     }
 
     #[test]
-    fn a_nest_without_loop_levels_has_nothing_to_run() {
-        // `plan_walk` used to index the first level's range before any
-        // depth check could run.
+    fn a_nest_without_loop_levels_is_an_error_on_every_walk() {
+        // The IR oracle executes `A(1) = 7` once; the walks have no
+        // tile box to run it in, so they must fail rather than skip it.
         let mut p = ooc_ir::Program::new(&["N"]);
         let a = p.declare_array("A", 1, 0);
         let stmt = Statement::assign(
@@ -995,10 +1003,21 @@ mod tests {
             program: p,
         };
         let env = PlanEnv::new(&tp.program, &tp.layouts, &[4], 1, 1 << 20).expect("sized");
-        assert!(plan_walk(&env, &tp.nests[0])
-            .expect("nothing to lower")
-            .is_none());
-        let data = run_functional(&tp, &[4], &seed);
-        assert_eq!(data[0], (1..=4).map(|i| seed(a, &[i])).collect::<Vec<_>>());
+        let kind = |r: io::Result<()>| r.expect_err("a statement with no loop").kind();
+        assert_eq!(
+            kind(plan_walk(&env, &tp.nests[0]).map(|_| ())),
+            io::ErrorKind::InvalidInput
+        );
+        let mem = |_: usize, _: &str, len: u64| Ok(MemStore::new(len));
+        let sync = run_functional_on(&tp, &[4], &seed, &FunctionalConfig::default(), mem);
+        assert_eq!(kind(sync.map(|_| ())), io::ErrorKind::InvalidInput);
+        let piped = crate::pipeline::exec_pipelined(
+            &tp,
+            &[4],
+            &seed,
+            &crate::pipeline::PipelineConfig::default(),
+            mem,
+        );
+        assert_eq!(kind(piped.map(|_| ())), io::ErrorKind::InvalidInput);
     }
 }

@@ -22,6 +22,17 @@
 //! from the tiles' row-major strides — and runs the loops clamped to
 //! the tile box, bumping addresses instead of recomputing subscripts.
 //!
+//! Where the nest's dependences allow it (see `strips_legal`), an
+//! innermost run is evaluated in **strips** of up to `STRIP` (64)
+//! iterations: each op of the tape processes the whole strip before
+//! the next op runs — `Load` gathers with the reference's innermost
+//! address step, `Store` scatters, a guard narrows its statement to
+//! the part of the strip it covers. Every element still sees the same
+//! operations on the same operands in the same order, so the results
+//! stay bit-equal; only the interleaving across iterations changes,
+//! which is what the legality rule licenses. Nests that carry a
+//! dependence on the innermost level run it one iteration at a time.
+//!
 //! A flat address that leaves its tile would silently alias into a
 //! neighbouring row, so every innermost run checks the subscripts of
 //! both its endpoints against the tile's region, per dimension
@@ -32,11 +43,34 @@
 //! `ooc_ir::exec` shares none of this: it is the oracle.
 
 use crate::plan::Staging;
-use ooc_ir::{ArrayRef, Expr, Guard, GuardAt, LoopNest};
+use ooc_ir::{ArrayRef, DepElem, Dependence, Expr, Guard, GuardAt, LoopNest};
 use ooc_linalg::{Affine, Rational};
 use ooc_runtime::Tile;
 use std::io;
 use std::ops::Range;
+
+/// Iterations of an innermost run one strip evaluates together.
+const STRIP: usize = 64;
+
+/// Whether a nest with dependences `deps` may run its innermost level
+/// in strips: every dependence is either loop-independent at the
+/// innermost level or carried by an outer level whose distance cannot
+/// be zero. Then no two iterations of one innermost run touch an
+/// element one of them writes, so a strip reads nothing another of its
+/// iterations writes. `NonNeg` and `Star` admit zero.
+pub(crate) fn strips_legal(deps: &[Dependence], depth: usize) -> bool {
+    let Some(inner) = depth.checked_sub(1) else {
+        return false;
+    };
+    deps.iter().all(|d| {
+        d.vector[inner] == DepElem::Exact(0)
+            || d.vector[..inner].iter().any(|e| match *e {
+                DepElem::Exact(k) => k != 0,
+                DepElem::Plus | DepElem::Minus => true,
+                DepElem::NonNeg | DepElem::Star => false,
+            })
+    })
+}
 
 fn invalid(msg: String) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidInput, msg)
@@ -180,6 +214,8 @@ pub struct TileKernel {
     tape: Vec<Op>,
     /// Deepest the stack gets on any statement's tape.
     stack: usize,
+    /// Whether innermost runs are evaluated in strips.
+    strips: bool,
 }
 
 impl TileKernel {
@@ -191,12 +227,18 @@ impl TileKernel {
     /// not match the nest or that no slot stages, a guard on a level
     /// the nest does not have, or a bound that leaves `i64`.
     pub fn lower(nest: &LoopNest, params: &[i64]) -> io::Result<Self> {
-        Self::lower_on(nest, params, &Staging::for_nest(nest))
+        let strips = strips_legal(&ooc_ir::nest_dependences(nest), nest.depth);
+        Self::lower_on(nest, params, &Staging::for_nest(nest), strips)
     }
 
     /// [`TileKernel::lower`] against the slot table a plan already
-    /// built for `nest`.
-    pub(crate) fn lower_on(nest: &LoopNest, params: &[i64], staging: &Staging) -> io::Result<Self> {
+    /// built for `nest`, with [`strips_legal`] of its dependences.
+    pub(crate) fn lower_on(
+        nest: &LoopNest,
+        params: &[i64],
+        staging: &Staging,
+        strips: bool,
+    ) -> io::Result<Self> {
         let mut k = TileKernel {
             depth: nest.depth,
             slot_keys: (0..staging.slots())
@@ -209,6 +251,7 @@ impl TileKernel {
             stmts: Vec::with_capacity(nest.body.len()),
             tape: Vec::new(),
             stack: 0,
+            strips,
         };
         for (level, b) in nest.bounds.loop_bounds().iter().enumerate() {
             let lower = |forms: &[Affine]| -> io::Result<Vec<Form>> {
@@ -312,6 +355,13 @@ impl TileKernel {
         Ok(left.max(right + 1))
     }
 
+    /// Whether innermost runs are evaluated in strips rather than one
+    /// iteration at a time (see the module docs).
+    #[must_use]
+    pub fn strips(&self) -> bool {
+        self.strips
+    }
+
     /// Number of tile slots [`run`](Self::run) expects.
     #[must_use]
     pub fn slots(&self) -> usize {
@@ -399,7 +449,8 @@ impl TileKernel {
             whole: vec![(0, 0); self.depth],
             addr,
             active: vec![(0, 0); self.stmts.len()],
-            stack: vec![0.0; self.stack],
+            stack: vec![0.0; if self.strips { 0 } else { self.stack }],
+            lanes: vec![[0.0; STRIP]; if self.strips { self.stack } else { 0 }],
         }
         .level(0);
         Ok(())
@@ -430,7 +481,10 @@ struct Bound<'k, 't> {
     /// Per statement, the iterations of the current innermost run it
     /// executes at.
     active: Vec<(i64, i64)>,
+    /// The operand stack of the per-iteration loop.
     stack: Vec<f64>,
+    /// The operand stack of the strip loop: one strip per entry.
+    lanes: Vec<[f64; STRIP]>,
 }
 
 impl Bound<'_, '_> {
@@ -491,6 +545,11 @@ impl Bound<'_, '_> {
                 }
             }
         }
+        if k.strips {
+            self.strips(lo, hi);
+            return;
+        }
+        // One iteration at a time, the whole tape per iteration.
         let n = k.refs.len();
         let cur = &mut self.addr[k.depth * n..];
         let steps = &self.steps[inner * n..];
@@ -544,6 +603,65 @@ impl Bound<'_, '_> {
         }
     }
 
+    /// Runs `lo..=hi` in strips of up to [`STRIP`] iterations, each op
+    /// of the tape over the whole strip (or, under a guard, the part
+    /// of it the statement executes at) before the next.
+    fn strips(&mut self, lo: i64, hi: i64) {
+        let k = self.k;
+        let n = k.refs.len();
+        let cur = &mut self.addr[k.depth * n..];
+        let steps = &self.steps[(k.depth - 1) * n..];
+        let (bufs, lanes, active) = (&mut self.bufs, &mut self.lanes, &self.active);
+        let mut first = lo;
+        loop {
+            let last = hi.min(first.saturating_add(STRIP as i64 - 1));
+            let len = (last - first + 1) as usize;
+            // The strip positions the current statement executes at.
+            let mut part = (0, len);
+            let (mut pc, mut sp) = (0, 0);
+            while let Some(&op) = k.tape.get(pc) {
+                pc += 1;
+                match op {
+                    Op::Guard(stmt, skip) => {
+                        let (from, to) = active[stmt];
+                        let (from, to) = (from.max(first), to.min(last));
+                        if from > to {
+                            pc = skip;
+                        } else {
+                            part = ((from - first) as usize, (to - first + 1) as usize);
+                        }
+                    }
+                    Op::Const(c) => {
+                        lanes[sp][part.0..part.1].fill(c);
+                        sp += 1;
+                    }
+                    Op::Load(slot, r) => {
+                        let at = cur[r] + steps[r] * part.0 as i64;
+                        gather(bufs[slot], at, steps[r], &mut lanes[sp][part.0..part.1]);
+                        sp += 1;
+                    }
+                    Op::Add => sp = binary(lanes, sp, part, |x, y| *x += y),
+                    Op::Sub => sp = binary(lanes, sp, part, |x, y| *x -= y),
+                    Op::Mul => sp = binary(lanes, sp, part, |x, y| *x *= y),
+                    Op::Div => sp = binary(lanes, sp, part, |x, y| *x /= y),
+                    Op::Store(slot, r) => {
+                        sp -= 1;
+                        let at = cur[r] + steps[r] * part.0 as i64;
+                        scatter(&lanes[sp][part.0..part.1], bufs[slot], at, steps[r]);
+                        part = (0, len);
+                    }
+                }
+            }
+            if last == hi {
+                return;
+            }
+            for (a, s) in cur.iter_mut().zip(steps) {
+                *a += s * len as i64;
+            }
+            first = last + 1;
+        }
+    }
+
     /// Asserts that reference `r` stays inside its tile at both ends
     /// `from` and `to` of an innermost run.
     fn check_endpoints(&self, r: usize, from: i64, to: i64) {
@@ -565,6 +683,48 @@ impl Bound<'_, '_> {
                 );
             }
         }
+    }
+}
+
+/// Pops the top strip into the one below it, element by element over
+/// `part`; returns the new stack depth.
+fn binary(
+    lanes: &mut [[f64; STRIP]],
+    sp: usize,
+    (from, to): (usize, usize),
+    f: impl Fn(&mut f64, f64),
+) -> usize {
+    let (below, top) = lanes.split_at_mut(sp - 1);
+    let (x, y) = (&mut below[sp - 2][from..to], &top[0][from..to]);
+    for (x, &y) in x.iter_mut().zip(y) {
+        f(x, y);
+    }
+    sp - 1
+}
+
+/// Loads `out[e] = buf[at + e·step]`. A negative address wraps past
+/// any tile length and fails the slice's bounds check, as in the
+/// per-iteration loop; so does one in [`scatter`].
+fn gather(buf: &[f64], at: i64, step: i64, out: &mut [f64]) {
+    match step {
+        0 => out.fill(buf[at as usize]),
+        1 => out.copy_from_slice(&buf[at as usize..][..out.len()]),
+        _ => {
+            for (e, x) in out.iter_mut().enumerate() {
+                *x = buf[(at + step * e as i64) as usize];
+            }
+        }
+    }
+}
+
+/// Stores `buf[at + e·step] = vals[e]`, in order of `e`.
+fn scatter(vals: &[f64], buf: &mut [f64], at: i64, step: i64) {
+    if step == 1 {
+        buf[at as usize..][..vals.len()].copy_from_slice(vals);
+        return;
+    }
+    for (e, &x) in vals.iter().enumerate() {
+        buf[(at + step * e as i64) as usize] = x;
     }
 }
 

@@ -19,8 +19,9 @@
 //! Where they disagree the walk stages tiles the search never
 //! budgeted; `tests/plan_budget.rs` pins the nests where that happens.
 
+use crate::kernel;
 use crate::tiling::{self, AffineRow, IoWeights, TilingStrategy};
-use ooc_ir::{ArrayId, ArrayRef, DepElem, LoopNest, Program};
+use ooc_ir::{ArrayId, ArrayRef, DepElem, Dependence, LoopNest, Program};
 use ooc_linalg::{Affine, Matrix};
 use ooc_runtime::{FileLayout, MemoryBudget, Region};
 use pfs_sim::MachineConfig;
@@ -189,9 +190,8 @@ fn level_ranges(nest: &LoopNest, params: &[i64]) -> Option<Vec<(i64, i64)>> {
 /// chunk nests across processors on it (falling back to the outermost
 /// level when there is none).
 #[must_use]
-fn ownership_level(nest: &LoopNest) -> Option<usize> {
-    let deps = ooc_ir::nest_dependences(nest);
-    (0..nest.depth).find(|&l| deps.iter().all(|d| d.vector[l] == DepElem::Exact(0)))
+fn ownership_level(deps: &[Dependence], depth: usize) -> Option<usize> {
+    (0..depth).find(|&l| deps.iter().all(|d| d.vector[l] == DepElem::Exact(0)))
 }
 
 /// Splits `lo..=hi` into `procs` near-equal chunks.
@@ -550,6 +550,9 @@ pub struct NestPlan<'e> {
     pub cost: f64,
     /// The staging slot table.
     pub staging: Staging,
+    /// Whether the nest's tile body may run innermost runs in strips
+    /// (see [`TileKernel`](crate::TileKernel)).
+    pub(crate) strips: bool,
 }
 
 /// Plans `nest`: `strategy` shapes the tile spans within the budget
@@ -574,7 +577,8 @@ pub fn plan_nest<'e>(
     };
     let staging = Staging::for_nest(nest);
     staging.check_regions(&ranges)?;
-    let own_level = ownership_level(nest);
+    let deps = ooc_ir::nest_dependences(nest);
+    let own_level = ownership_level(&deps, nest.depth);
     let mut search_ranges = ranges.clone();
     if let Some(procs) = restrict {
         let l = own_level.unwrap_or(0);
@@ -593,6 +597,7 @@ pub fn plan_nest<'e>(
         spans,
         cost,
         staging,
+        strips: kernel::strips_legal(&deps, nest.depth),
     }))
 }
 
@@ -1095,7 +1100,9 @@ mod tests {
     #[test]
     fn ownership_level_is_zero_for_independent_nests() {
         for tn in &tiled().nests {
-            assert_eq!(ownership_level(&tn.nest), Some(0), "{}", tn.nest.name);
+            let deps = ooc_ir::nest_dependences(&tn.nest);
+            let own = ownership_level(&deps, tn.nest.depth);
+            assert_eq!(own, Some(0), "{}", tn.nest.name);
         }
     }
 

@@ -10,16 +10,23 @@
 //! `run_functional_on` (the synchronous walk) and `exec_pipelined`
 //! (the step engine) and must equal `ooc_ir::execute_program` bit for
 //! bit.
+//!
+//! Hand-built nests pin the strip rule: which nests may evaluate an
+//! innermost run in strips (`TileKernel::strips`) and that both loops,
+//! strips of every length included, stay bit-equal.
 
 mod common;
 
 use common::{random_nest, Pool};
 use ooc_opt::core::{
     exec_pipelined, extract_schedule, plan_nest, run_functional, run_functional_on,
-    FunctionalConfig, OptimizedProgram, PipelineConfig, PlanEnv, TiledProgram, TilingStrategy,
+    FunctionalConfig, OptimizedProgram, PipelineConfig, PlanEnv, TileKernel, TiledProgram,
+    TilingStrategy,
 };
-use ooc_opt::ir::{execute_program, ArrayId, ArrayRef, Expr, LoopNest, Memory, Program, Statement};
-use ooc_opt::linalg::{Affine, Matrix};
+use ooc_opt::ir::{
+    execute_program, ArrayId, ArrayRef, Expr, Guard, GuardAt, LoopNest, Memory, Program, Statement,
+};
+use ooc_opt::linalg::{Affine, Matrix, Polyhedron};
 use ooc_opt::runtime::{FileLayout, MemStore};
 use proptest::prelude::*;
 
@@ -188,5 +195,207 @@ fn triangular_nests_run_whole_on_both_walks() {
             assert_eq!(sync, want, "lower={lower} {strategy:?} sync walk");
             assert_eq!(piped, want, "lower={lower} {strategy:?} step engine");
         }
+    }
+}
+
+/// A depth-2 nest over `lo[v] <= x_v <= N - short[v]`.
+fn nest_over(name: &str, lo: [i64; 2], short: [i64; 2], body: Vec<Statement>) -> LoopNest {
+    let mut bounds = Polyhedron::universe(2, 1);
+    let n = Affine::param(2, 1, 0);
+    for v in 0..2 {
+        let x = Affine::var(2, 1, v);
+        bounds.add_ge0(x.sub(&Affine::constant(2, 1, lo[v])));
+        bounds.add_ge0(n.sub(&x).sub(&Affine::constant(2, 1, short[v])));
+    }
+    LoopNest {
+        name: name.into(),
+        depth: 2,
+        bounds,
+        body,
+        iterations: 1,
+    }
+}
+
+/// `X(i + di, j + dj)`.
+fn at(x: ArrayId, di: i64, dj: i64) -> ArrayRef {
+    ArrayRef::new(x, &[vec![1, 0], vec![0, 1]], vec![di, dj])
+}
+
+fn load(r: ArrayRef) -> Box<Expr> {
+    Box::new(Expr::Ref(r))
+}
+
+fn plus_one(r: ArrayRef) -> Expr {
+    Expr::Add(load(r), Box::new(Expr::Const(1.0)))
+}
+
+/// A program of `N x N` arrays `A`, `B`, `C` (ids 0, 1, 2) and one
+/// nest built from them.
+fn program(nest: impl FnOnce([ArrayId; 3]) -> LoopNest) -> Program {
+    let mut p = Program::new(&["N"]);
+    let ids = ["A", "B", "C"].map(|name| p.declare_array(name, 2, 0));
+    p.add_nest(nest(ids));
+    p
+}
+
+/// Whether the walks run `prog`'s nest in strips, after checking that
+/// both walks equal the oracle under two strategies: `OutOfCore`
+/// leaves the innermost level whole, `Traditional` tiles it, so runs
+/// end inside strips too.
+fn strips_and_bit_equal(prog: &Program, n: i64) -> bool {
+    let params = [n];
+    let want = reference(prog, &params);
+    let mut strips = Vec::new();
+    for strategy in [TilingStrategy::OutOfCore, TilingStrategy::Traditional] {
+        let layouts = prog
+            .arrays
+            .iter()
+            .map(|a| FileLayout::row_major(a.dims.len()));
+        let tp = tiled(prog, layouts.collect(), strategy);
+        let [sync, piped] = both_walks(&tp, &params, 4);
+        let name = &prog.nests[0].name;
+        assert_eq!(sync, want, "{name} {strategy:?} sync walk");
+        assert_eq!(piped, want, "{name} {strategy:?} step engine");
+        let kernel = TileKernel::lower(&tp.nests[0].nest, &params).expect("lowers");
+        strips.push(kernel.strips());
+    }
+    assert_eq!(
+        strips[0], strips[1],
+        "the rule reads the nest, not its tiling"
+    );
+    strips[0]
+}
+
+/// A flow dependence carried by the innermost level: a strip would
+/// read `A(i,j-1)` before the iteration that writes it.
+#[test]
+fn an_innermost_recurrence_runs_per_iteration() {
+    let prog = program(|[a, _, _]| {
+        let stmt = Statement::assign(at(a, 0, 0), plus_one(at(a, 0, -1)));
+        nest_over("inner-flow", [1, 2], [0, 0], vec![stmt])
+    });
+    assert!(!strips_and_bit_equal(&prog, 70));
+}
+
+/// `A(j) = A(j-1) + 1` inside `i, j`: the dependence's outer element
+/// is unknown, so it may be zero and the innermost level carries it.
+/// Three passes of `i`, fewer than a strip is long: more would let
+/// even a wrong strip order converge to the right values.
+#[test]
+fn a_recurrence_with_an_unknown_outer_distance_runs_per_iteration() {
+    let prog = {
+        let mut p = Program::new(&["N"]);
+        let a = p.declare_array("A", 1, 0);
+        let row = |dj| ArrayRef::new(a, &[vec![0, 1]], vec![dj]);
+        let stmt = Statement::assign(row(0), plus_one(row(-1)));
+        let mut nest = nest_over("outer-unknown", [1, 2], [0, 0], vec![stmt]);
+        let i = Affine::var(2, 1, 0);
+        nest.bounds.add_ge0(Affine::constant(2, 1, 3).sub(&i));
+        p.add_nest(nest);
+        p
+    };
+    assert!(!strips_and_bit_equal(&prog, 70));
+}
+
+/// An anti-dependence carried by the innermost level across two
+/// statements: a strip would write `A(i,j+1)` before the iteration
+/// that reads it.
+#[test]
+fn an_innermost_anti_dependence_runs_per_iteration() {
+    let prog = program(|[a, b, c]| {
+        let write = Statement::assign(at(a, 0, 0), plus_one(at(c, 0, 0)));
+        let read = Statement::assign(at(b, 0, 0), plus_one(at(a, 0, 1)));
+        nest_over("inner-anti", [1, 1], [0, 1], vec![write, read])
+    });
+    assert!(!strips_and_bit_equal(&prog, 70));
+}
+
+/// A loop-independent read-modify-write strips.
+#[test]
+fn a_read_modify_write_in_place_strips() {
+    let prog = program(|[a, _, _]| {
+        let rhs = Expr::Mul(Box::new(Expr::Const(2.0)), load(at(a, 0, 0)));
+        let stmt = Statement::assign(at(a, 0, 0), rhs);
+        nest_over("in-place", [1, 1], [0, 0], vec![stmt])
+    });
+    assert!(strips_and_bit_equal(&prog, 70));
+}
+
+/// A dependence carried by the outer level, at distance `(1, -1)`,
+/// never joins two iterations of one innermost run.
+#[test]
+fn an_outer_carried_recurrence_strips() {
+    let prog = program(|[a, _, _]| {
+        let stmt = Statement::assign(at(a, 0, 0), plus_one(at(a, -1, 1)));
+        nest_over("outer-flow", [2, 1], [0, 1], vec![stmt])
+    });
+    assert!(strips_and_bit_equal(&prog, 70));
+}
+
+/// Guards narrow a strip: at `N = 100` the upper-bound guard selects
+/// position 35 of the run's second strip. The lower-bound guard sits
+/// on a triangular level, so its iteration moves with `i`, and a
+/// guard on the outer level selects whole runs.
+#[test]
+fn guards_narrow_a_strip_to_their_iteration() {
+    let prog = program(|[a, b, c]| {
+        let guarded = |lhs, var, end: GuardAt| {
+            let mut s = Statement::assign(lhs, plus_one(at(a, 0, 0)));
+            s.guards.push(Guard { var, at: end });
+            s
+        };
+        let body = vec![
+            Statement::assign(at(a, 0, 0), plus_one(at(a, 0, 0))),
+            guarded(at(b, 0, 0), 1, GuardAt::UpperBound),
+            guarded(at(c, 0, 0), 1, GuardAt::LowerBound),
+            guarded(at(b, 0, 0), 0, GuardAt::LowerBound),
+        ];
+        let mut nest = nest_over("guarded", [1, 1], [0, 0], body);
+        let (i, j) = (Affine::var(2, 1, 0), Affine::var(2, 1, 1));
+        nest.bounds.add_ge0(j.sub(&i));
+        nest
+    });
+    assert!(strips_and_bit_equal(&prog, 100));
+}
+
+/// Innermost runs of one strip less, exactly one, one more, and
+/// two strips and a bit; a run of one iteration.
+#[test]
+fn runs_of_every_length_around_a_strip_stay_bit_equal() {
+    for n in [1, 63, 64, 65, 130] {
+        let prog = program(|[a, b, _]| {
+            let rhs = Expr::Sub(load(at(b, 0, 0)), Box::new(Expr::Const(0.25)));
+            let rhs = Expr::Div(Box::new(rhs), load(at(a, 0, 0)));
+            let stmt = Statement::assign(at(a, 0, 0), rhs);
+            nest_over("lengths", [1, 1], [0, 0], vec![stmt])
+        });
+        // Under `OutOfCore` every innermost run is the whole level.
+        let tp = tiled(
+            &prog,
+            vec![FileLayout::row_major(2); 3],
+            TilingStrategy::OutOfCore,
+        );
+        let cfg = FunctionalConfig::with_fraction(4);
+        let params = [n];
+        let env = PlanEnv::new(
+            &tp.program,
+            &tp.layouts,
+            &params,
+            4,
+            cfg.runtime.max_call_elems,
+        )
+        .expect("small arrays");
+        let tnest = &tp.nests[0];
+        let plan = plan_nest(&env, &tnest.nest, tnest.strategy, &tnest.tiled_levels, None)
+            .expect("small regions")
+            .expect("the nest is not empty");
+        for (lo, hi) in plan.boxes() {
+            assert_eq!(
+                (lo[1], hi[1]),
+                (1, n),
+                "N={n}: a box cuts the innermost run"
+            );
+        }
+        assert!(strips_and_bit_equal(&prog, n), "N={n}");
     }
 }
