@@ -80,8 +80,6 @@ pub struct DegradedCell {
     pub resumes: u64,
     /// Repair-plane traffic by cause, summed over nodes.
     pub repair: RepairIo,
-    /// Per-node traffic/health/repair at the end of the run.
-    pub node_stats: Vec<NodeStats>,
     /// Verify-only scrub of the finished (still-degraded) medium.
     pub scrub: ScrubReport,
     /// Journal intents rolled back by the resume.
@@ -222,7 +220,6 @@ pub fn run_degraded_demo(kernel: &str, kill_node: Option<usize>) -> DegradedDemo
             killed: node,
             resumes: out.loss.resumes,
             repair: out.loss.repair,
-            node_stats: out.loss.node_stats,
             scrub,
             rolled_back_tiles: out.outcome.report.rolled_back_tiles,
             ledger,
@@ -355,8 +352,6 @@ pub fn degraded_register(registry: &Registry, demo: &DegradedDemo) {
         c("scrub_clean_total", cell.scrub.clean);
         c("scrub_skipped_total", cell.scrub.skipped);
         c("scrub_unrecoverable_total", cell.scrub.unrecoverable);
-        let timeouts: u64 = cell.node_stats.iter().map(|s| s.timing.timeouts).sum();
-        c("hedge_timeouts_total", timeouts);
         // Priced healthy-vs-degraded bandwidth: gauges (model output,
         // stable, but bench-compare treats gauges as warn-only).
         registry.gauge_set("priced_degraded_slowdown", &labels, cell.priced.slowdown());

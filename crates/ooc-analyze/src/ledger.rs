@@ -409,9 +409,6 @@ fn explain_one(
         IoCause::DegradedReconstruct => {
             s.push_str(" (degraded-mode traffic: lost chunks rebuilt by XOR from surviving peers)");
         }
-        IoCause::HedgedRead => {
-            s.push_str(" (straggler hedges: reads retired against the parity-derived peer set)");
-        }
         IoCause::ScrubRead => {
             s.push_str(" (background scrubber verifying parity groups against their data)");
         }

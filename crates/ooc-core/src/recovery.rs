@@ -29,7 +29,6 @@ use crate::exec::{walk_sync, FunctionalConfig, FunctionalRun};
 use crate::parallel::{exec_sharded, ParallelConfig, ParallelRun};
 use crate::tiling::TiledProgram;
 use ooc_ir::ArrayId;
-use ooc_metrics::Registry;
 use ooc_runtime::{
     is_corrupt, node_down, parse_journal, rollback, Boundary, ChecksumHandle, ChecksummedStore,
     DegradedMode, FaultConfig, FaultHandle, FaultStore, FileLog, FileStore, IoCause, IoNodePool,
@@ -244,19 +243,6 @@ pub struct RecoveryReport {
 }
 
 impl RecoveryReport {
-    /// Registers the recovery counters with `kernel` / `version`
-    /// labels, following the repo's metrics naming scheme.
-    pub fn register_into(&self, registry: &Registry, kernel: &str, version: &str) {
-        let labels = &[("kernel", kernel), ("version", version)][..];
-        let c = |name: &str, v: u64| registry.counter_add(name, labels, v);
-        c("journal_intents_total", self.journal_intents);
-        c("journal_commits_total", self.journal_commits);
-        c("checkpoints_total", self.checkpoints);
-        c("recovery_replayed_tiles_total", self.rolled_back_tiles);
-        c("recovery_skipped_steps_total", self.skipped_steps);
-        c("corrupt_reads_total", self.corrupt_reads);
-    }
-
     /// A compact multi-line text report for `inspect --recovery`.
     #[must_use]
     pub fn render(&self) -> String {
@@ -759,7 +745,7 @@ impl StripedMedium {
     }
 
     /// A medium with an injected node-fault schedule (permanent
-    /// deaths keyed to per-node arrival counters, gray slowness).
+    /// deaths keyed to per-node arrival counters).
     ///
     /// # Panics
     /// Panics on zero nodes or a zero stripe unit.
@@ -775,8 +761,8 @@ impl StripedMedium {
     }
 
     /// Attaches a provenance-ledger recorder: each array's
-    /// repair-plane traffic (parity writes, reconstructions, hedges,
-    /// scrubs) is booked to its repair channel.
+    /// repair-plane traffic (parity writes, reconstructions, scrubs)
+    /// is booked to its repair channel.
     #[must_use]
     pub fn with_ledger(mut self, recorder: LedgerRecorder) -> Self {
         self.ledger = Some(recorder);
@@ -885,34 +871,6 @@ pub struct NodeLossReport {
     pub node_stats: Vec<ooc_runtime::NodeStats>,
     /// Total repair-plane traffic across nodes, by cause.
     pub repair: RepairIo,
-}
-
-impl NodeLossReport {
-    /// Registers the degraded-mode counters with `kernel` / `version`
-    /// labels, following the repo's metrics naming scheme.
-    pub fn register_into(&self, registry: &Registry, kernel: &str, version: &str) {
-        let labels = &[("kernel", kernel), ("version", version)][..];
-        let c = |name: &str, v: u64| registry.counter_add(name, labels, v);
-        c("nodes_lost_total", self.nodes_lost.len() as u64);
-        c("node_loss_resumes_total", self.resumes);
-        c("repair_calls_total", self.repair.total_calls());
-        c("repair_elems_total", self.repair.total_elems());
-        for cause in IoCause::REPAIR {
-            let ctr = self.repair.get(cause);
-            c(
-                &format!("repair_{}_calls_total", cause.label()),
-                ctr.total_calls(),
-            );
-        }
-        let timeouts: u64 = self.node_stats.iter().map(|s| s.timing.timeouts).sum();
-        let rejections: u64 = self
-            .node_stats
-            .iter()
-            .map(|s| s.timing.down_rejections)
-            .sum();
-        c("hedge_timeouts_total", timeouts);
-        c("node_down_rejections_total", rejections);
-    }
 }
 
 /// Result of a node-loss survival run: the parallel outcome plus the
@@ -1693,35 +1651,7 @@ mod tests {
         assert_eq!(out.loss.nodes_lost, vec![2]);
         assert_eq!(out.loss.discovery_calls.len(), 1);
         assert_eq!(out.loss.resumes, 0);
-    }
-
-    #[test]
-    fn node_loss_report_registers_repair_metrics() {
-        let tp = tiled();
-        let params = [8i64];
-        let faults = NodeFaultConfig::new().permanent_fail_at(2, 1);
-        let mut medium = StripedMedium::with_faults(small_stripes(4), faults);
-        let out = run_parallel_surviving_node_loss(
-            &tp,
-            &params,
-            &seed,
-            &pcfg(2),
-            &DurabilityConfig::default(),
-            &mut medium,
-        )
-        .expect("survive");
-        let r = Registry::new();
-        out.loss.register_into(&r, "mxm", "c-opt");
-        let labels = &[("kernel", "mxm"), ("version", "c-opt")][..];
-        assert_eq!(
-            r.get("nodes_lost_total", labels),
-            Some(ooc_metrics::Value::Counter(1))
-        );
-        let repair = match r.get("repair_calls_total", labels) {
-            Some(ooc_metrics::Value::Counter(v)) => v,
-            other => panic!("repair_calls_total missing: {other:?}"),
-        };
-        assert!(repair > 0);
+        assert!(out.loss.repair.total_calls() > 0, "{:?}", out.loss.repair);
     }
 
     #[test]
@@ -1739,17 +1669,6 @@ mod tests {
             torn_tail: true,
             ..RecoveryReport::default()
         };
-        let r = Registry::new();
-        report.register_into(&r, "mxm", "c-opt");
-        let labels = &[("kernel", "mxm"), ("version", "c-opt")][..];
-        assert_eq!(
-            r.get("recovery_replayed_tiles_total", labels),
-            Some(ooc_metrics::Value::Counter(3))
-        );
-        assert_eq!(
-            r.get("journal_commits_total", labels),
-            Some(ooc_metrics::Value::Counter(20))
-        );
         let text = report.render();
         for needle in [
             "resume: nest 1 step 4",

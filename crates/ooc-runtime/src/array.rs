@@ -68,10 +68,10 @@ impl RetryPolicy {
     /// Whether `e` is worth retrying.
     #[must_use]
     pub fn is_transient(e: &io::Error) -> bool {
-        // Node faults are structural, not transient: a dead node stays
-        // dead, and a lane-deadline miss must reach the hedging /
-        // degraded-read machinery instead of being blindly re-queued.
-        if crate::fault::is_node_down(e) || crate::fault::is_node_slow(e) {
+        // A dead node is structural, not transient: it stays dead, and
+        // its error must reach the degraded-read machinery instead of
+        // being blindly re-queued.
+        if crate::fault::is_node_down(e) {
             return false;
         }
         matches!(

@@ -164,10 +164,9 @@ pub fn is_crashed(e: &io::Error) -> bool {
 }
 
 /// Per-node fault injection for an
-/// [`IoNodePool`](crate::IoNodePool): *permanent* node death
-/// and *gray* slowdown, the two failure modes [`CrashMode`] cannot
-/// express (a crash kills the process; these kill or degrade one
-/// storage node while the run keeps going).
+/// [`IoNodePool`](crate::IoNodePool): *permanent* node death, the
+/// failure mode [`CrashMode`] cannot express (a crash kills the
+/// process; this kills one storage node while the run keeps going).
 ///
 /// Like the transient schedule, injection is deterministic and
 /// replayable: each lane numbers its own arrivals, and node `n` dies
@@ -182,9 +181,6 @@ pub struct NodeFaultConfig {
     /// dead (every call from that index on fails with
     /// [`NodeDownError`]).
     pub down_at: BTreeMap<usize, u64>,
-    /// Node → extra nanoseconds of injected service time per call — a
-    /// gray straggler that still answers, just slowly.
-    pub slow_ns: BTreeMap<usize, u64>,
 }
 
 impl NodeFaultConfig {
@@ -200,20 +196,6 @@ impl NodeFaultConfig {
     pub fn permanent_fail_at(mut self, node: usize, call: u64) -> Self {
         self.down_at.insert(node, call);
         self
-    }
-
-    /// This config with node `node` serving every call `delay_ns`
-    /// nanoseconds late.
-    #[must_use]
-    pub fn slow_node(mut self, node: usize, delay_ns: u64) -> Self {
-        self.slow_ns.insert(node, delay_ns);
-        self
-    }
-
-    /// `true` when no faults are configured.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.down_at.is_empty() && self.slow_ns.is_empty()
     }
 }
 
@@ -240,30 +222,6 @@ impl std::fmt::Display for NodeDownError {
 
 impl std::error::Error for NodeDownError {}
 
-/// The payload of a lane-deadline [`io::Error`]: node `node` did not
-/// grant service within the caller's deadline — a straggler signal,
-/// not a death sentence. Distinct from both transient faults and
-/// [`NodeDownError`].
-#[derive(Debug)]
-pub struct NodeSlowError {
-    /// The slow I/O node.
-    pub node: usize,
-    /// Nanoseconds the caller waited before giving up.
-    pub waited_ns: u64,
-}
-
-impl std::fmt::Display for NodeSlowError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "I/O node {} missed its service deadline after {} ns",
-            self.node, self.waited_ns
-        )
-    }
-}
-
-impl std::error::Error for NodeSlowError {}
-
 /// Whether `e` is a dead-node error (see [`NodeDownError`]).
 #[must_use]
 pub fn is_node_down(e: &io::Error) -> bool {
@@ -276,23 +234,10 @@ pub fn node_down(e: &io::Error) -> Option<&NodeDownError> {
     e.get_ref().and_then(|inner| inner.downcast_ref())
 }
 
-/// Whether `e` is a lane-deadline timeout (see [`NodeSlowError`]).
-#[must_use]
-pub fn is_node_slow(e: &io::Error) -> bool {
-    e.get_ref().is_some_and(|inner| inner.is::<NodeSlowError>())
-}
-
 /// A dead-node [`io::Error`] for node `node` at per-node call `call`.
 #[must_use]
 pub fn node_down_error(node: usize, call: u64) -> io::Error {
     io::Error::other(NodeDownError { node, call })
-}
-
-/// A lane-deadline [`io::Error`] for node `node` after waiting
-/// `waited_ns` nanoseconds.
-#[must_use]
-pub fn node_slow_error(node: usize, waited_ns: u64) -> io::Error {
-    io::Error::new(io::ErrorKind::TimedOut, NodeSlowError { node, waited_ns })
 }
 
 #[derive(Debug)]
@@ -711,34 +656,20 @@ mod tests {
     fn node_fault_errors_are_typed_and_not_transient() {
         let down = io::Error::other(NodeDownError { node: 2, call: 17 });
         assert!(is_node_down(&down));
-        assert!(!is_node_slow(&down));
         assert!(!is_crashed(&down));
         assert!(!crate::array::RetryPolicy::is_transient(&down));
         assert_eq!(node_down(&down).expect("payload").node, 2);
         assert_eq!(node_down(&down).expect("payload").call, 17);
-
-        let slow = io::Error::new(
-            io::ErrorKind::TimedOut,
-            NodeSlowError {
-                node: 1,
-                waited_ns: 5_000,
-            },
-        );
-        assert!(is_node_slow(&slow));
-        assert!(!is_node_down(&slow));
-        assert!(!crate::array::RetryPolicy::is_transient(&slow));
-        assert!(slow.to_string().contains("node 1"));
     }
 
     #[test]
     fn node_fault_config_builders_compose() {
         let cfg = NodeFaultConfig::new()
             .permanent_fail_at(3, 40)
-            .slow_node(1, 2_000);
+            .permanent_fail_at(1, 0);
         assert_eq!(cfg.down_at.get(&3), Some(&40));
-        assert_eq!(cfg.slow_ns.get(&1), Some(&2_000));
-        assert!(!cfg.is_empty());
-        assert!(NodeFaultConfig::new().is_empty());
+        assert_eq!(cfg.down_at.get(&1), Some(&0));
+        assert!(NodeFaultConfig::new().down_at.is_empty());
     }
 
     #[test]

@@ -62,9 +62,6 @@ pub enum IoCause {
     /// Peer-and-parity traffic reconstructing a lost or corrupt chunk
     /// (degraded reads, resilvering a replacement node). Repair plane.
     DegradedReconstruct,
-    /// Peer-and-parity traffic serving a hedged read after a straggler
-    /// deadline expired. Repair plane.
-    HedgedRead,
     /// Scrubber verification reads walking stripes and parity chunks.
     /// Repair plane.
     ScrubRead,
@@ -75,7 +72,7 @@ pub enum IoCause {
 
 impl IoCause {
     /// Every cause, in display order.
-    pub const ALL: [IoCause; 13] = [
+    pub const ALL: [IoCause; 12] = [
         IoCause::Compulsory,
         IoCause::CapacityMiss,
         IoCause::PrefetchUseful,
@@ -86,7 +83,6 @@ impl IoCause {
         IoCause::ReplayWrite,
         IoCause::ParityWrite,
         IoCause::DegradedReconstruct,
-        IoCause::HedgedRead,
         IoCause::ScrubRead,
         IoCause::ChecksumOverhead,
     ];
@@ -95,10 +91,9 @@ impl IoCause {
     /// reconstruction traffic. Like [`IoCause::ChecksumOverhead`],
     /// these ride outside the conserved data partition — degraded runs
     /// keep the same data-cause buckets as healthy runs.
-    pub const REPAIR: [IoCause; 4] = [
+    pub const REPAIR: [IoCause; 3] = [
         IoCause::ParityWrite,
         IoCause::DegradedReconstruct,
-        IoCause::HedgedRead,
         IoCause::ScrubRead,
     ];
 
@@ -113,7 +108,6 @@ impl IoCause {
                 | IoCause::PrefetchWasted
                 | IoCause::ReplayRead
                 | IoCause::DegradedReconstruct
-                | IoCause::HedgedRead
                 | IoCause::ScrubRead
         )
     }
@@ -139,7 +133,6 @@ impl IoCause {
             IoCause::ReplayWrite => "replay_write",
             IoCause::ParityWrite => "parity_write",
             IoCause::DegradedReconstruct => "degraded_reconstruct",
-            IoCause::HedgedRead => "hedged_read",
             IoCause::ScrubRead => "scrub_read",
             IoCause::ChecksumOverhead => "checksum_overhead",
         }
@@ -629,7 +622,6 @@ mod tests {
         assert_eq!(ledger.cause_elems(IoCause::ParityWrite), 8);
         assert_eq!(ledger.cause_elems(IoCause::DegradedReconstruct), 12);
         assert_eq!(ledger.cause_elems(IoCause::ScrubRead), 16);
-        assert_eq!(ledger.cause_elems(IoCause::HedgedRead), 0);
         let totals = ledger.totals();
         assert_eq!(totals[&(0, IoCause::ParityWrite)].elems, 8);
         assert_eq!(totals[&(1, IoCause::ScrubRead)].calls, 1);

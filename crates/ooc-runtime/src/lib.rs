@@ -41,14 +41,13 @@
 //!   multi-I/O-node contention in three modules, this one and two
 //!   private ones re-exported here:
 //!   * `pool` — [`IoNodePool`]: the bounded FIFO lane per node
-//!     (tickets, deadlines, [`NodeHealth`]) and what it counts
+//!     (tickets, [`NodeHealth`]) and what it counts
 //!     ([`NodeStats`]: deterministic per-node traffic, timing
 //!     histograms, [`RepairIo`]). A striped call is counted where it
 //!     takes its lane, nowhere else.
 //!   * `repair` — the degraded mode of a store built with a parity
 //!     lane: parity read-modify-write, dead-node reconstruction,
-//!     hedged reads, [`StripedStore::scrub`] and
-//!     [`StripedStore::resilver`].
+//!     [`StripedStore::scrub`] and [`StripedStore::resilver`].
 //! * [`parity`] — [`ParityLayout`]: the rotating-parity geometry and
 //!   bitwise-XOR combine the degraded mode is built on.
 //! * [`testing`] — store factories and temp-dir plumbing for
@@ -81,9 +80,8 @@ pub use array::{
 pub use budget::{BudgetExceeded, MemoryBudget};
 pub use checksum::{crc64, crc64_f64s, is_corrupt, ChecksumHandle, ChecksummedStore, CorruptError};
 pub use fault::{
-    fault_plan, is_crashed, is_node_down, is_node_slow, node_down, node_down_error,
-    node_slow_error, CrashMode, CrashedError, FaultConfig, FaultHandle, FaultStore, NodeDownError,
-    NodeFaultConfig, NodeSlowError,
+    fault_plan, is_crashed, is_node_down, node_down, node_down_error, CrashMode, CrashedError,
+    FaultConfig, FaultHandle, FaultStore, NodeDownError, NodeFaultConfig,
 };
 pub use interleave::InterleavedGroup;
 pub use journal::{
@@ -96,8 +94,7 @@ pub use ledger::{
 };
 pub use parity::{xor_into, ParityLayout};
 pub use pool::{
-    CallClass, HedgeConfig, IoNodePool, NodeHealth, NodeStats, NodeTiming, RepairCounter, RepairIo,
-    ServiceModel, StripeConfig,
+    CallClass, IoNodePool, NodeHealth, NodeStats, NodeTiming, RepairCounter, RepairIo, StripeConfig,
 };
 pub use profile::{
     heatmap, sequential_stats, AccessLog, AccessRecord, ProfilingStore, SeekCdf, SeqStats,

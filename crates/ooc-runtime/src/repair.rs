@@ -13,10 +13,6 @@
 //! * reads of a dead node's stripes ([`NodeHealth::Down`]) reconstruct
 //!   the lost range by XOR from its K−1 peers, and writes to them land
 //!   entirely in parity;
-//! * reads can be **hedged**
-//!   ([`HedgeConfig`](crate::HedgeConfig)): after a quantile-based
-//!   wait the request is retired against the parity-derived peer set,
-//!   masking gray stragglers;
 //! * [`StripedStore::scrub`] walks the parity groups, verifying parity
 //!   against data (CRC-corrupt chunks surface as typed errors from the
 //!   checksum layer) and rewriting whichever side is stale;
@@ -34,7 +30,7 @@
 //! reconstruction, parity rewrite and parity resilvering.
 
 use crate::checksum::is_corrupt;
-use crate::fault::{is_node_down, is_node_slow};
+use crate::fault::is_node_down;
 use crate::ledger::IoCause;
 use crate::parity::{xor_into, ParityLayout};
 use crate::pool::{CallClass, NodeHealth};
@@ -190,25 +186,15 @@ impl<S: Store> StripedStore<S> {
     /// # Errors
     /// A double-fault error when the parity node (or a needed peer)
     /// is also down; any peer read error otherwise.
-    fn reconstruct_range(
-        &self,
-        g: u64,
-        within: u64,
-        dst: &mut [f64],
-        cause: IoCause,
-    ) -> io::Result<u64> {
+    fn reconstruct_range(&self, g: u64, within: u64, dst: &mut [f64]) -> io::Result<u64> {
         let lay = self.layout()?;
         let j = lay.group_of(g);
         let pnode = lay.parity_node(j);
         if self.pool.health(pnode) == NodeHealth::Down {
             return Err(double_fault_error(j, pnode));
         }
-        let name = if cause == IoCause::HedgedRead {
-            "hedge-read"
-        } else {
-            "degraded-reconstruct"
-        };
-        let _span = span(name, Some(lay.data_node(g)), Some(j));
+        let _span = span("degraded-reconstruct", Some(lay.data_node(g)), Some(j));
+        let cause = IoCause::DegradedReconstruct;
         let mut parity = vec![0.0; dst.len()];
         let poff = lay.parity_part_offset(j) + within;
         let class = CallClass::repair_read(cause);
@@ -220,40 +206,21 @@ impl<S: Store> StripedStore<S> {
     }
 
     /// Serves one read segment of a store with a parity lane,
-    /// degrading through parity when the owning node is dead, slow
-    /// past its hedge deadline, or (in [`DegradedMode::Auto`]) freshly
-    /// discovered dead/corrupt.
+    /// degrading through parity when the owning node is dead, or (in
+    /// [`DegradedMode::Auto`]) freshly discovered dead/corrupt.
     pub(crate) fn read_segment_parity(&self, seg: Segment, dst: &mut [f64]) -> io::Result<()> {
         if self.pool.health(seg.node) == NodeHealth::Down {
             return self
-                .reconstruct_range(seg.stripe, seg.within, dst, IoCause::DegradedReconstruct)
+                .reconstruct_range(seg.stripe, seg.within, dst)
                 .map(drop);
         }
-        let deadline = self
-            .pool
-            .hedge_deadline_ns(seg.node)
-            .or(self.pool.config().queue_deadline_ns);
-        let direct = self.read_part_by(
-            Part::Data,
-            seg.node,
-            seg.part_off,
-            CallClass::Read,
-            deadline,
-            dst,
-        );
-        let cause = match direct {
-            Ok(()) => return Ok(()),
-            // Hedge: retire the read against the peer set. Valid
-            // even though the node is alive — parity stays
-            // consistent for slow-but-healthy lanes.
-            Err(e) if is_node_slow(&e) => IoCause::HedgedRead,
+        match self.read_part(Part::Data, seg.node, seg.part_off, CallClass::Read, dst) {
             Err(e) if self.mode == DegradedMode::Auto && (is_node_down(&e) || is_corrupt(&e)) => {
-                IoCause::DegradedReconstruct
+                self.reconstruct_range(seg.stripe, seg.within, dst)
+                    .map(drop)
             }
-            Err(e) => return Err(e),
-        };
-        self.reconstruct_range(seg.stripe, seg.within, dst, cause)
-            .map(drop)
+            direct => direct,
+        }
     }
 
     /// Recomputes and writes the parity range covering `seg`, taking
@@ -297,12 +264,7 @@ impl<S: Store> StripedStore<S> {
                 // Torn/corrupt pre-image: parity still agrees with the
                 // clean old data, so reconstruct it from peers, then
                 // proceed with the normal delta.
-                self.reconstruct_range(
-                    seg.stripe,
-                    seg.within,
-                    &mut old,
-                    IoCause::DegradedReconstruct,
-                )?;
+                self.reconstruct_range(seg.stripe, seg.within, &mut old)?;
             }
             Err(e) if is_node_down(&e) => {
                 if self.mode == DegradedMode::Auto {
@@ -502,8 +464,7 @@ impl<S: Store> StripedStore<S> {
                 continue;
             }
             let mut buf = vec![0.0; chunk(lay.stripe_len(g))];
-            rep.source_elems_read +=
-                self.reconstruct_range(g, 0, &mut buf, IoCause::DegradedReconstruct)?;
+            rep.source_elems_read += self.reconstruct_range(g, 0, &mut buf)?;
             new_data.write_run(lay.data_part_offset(g), &buf)?;
             rep.data_stripes += 1;
             rep.elems_written += buf.len() as u64;
@@ -528,12 +489,9 @@ impl<S: Store> StripedStore<S> {
 mod tests {
     use super::*;
     use crate::fault::NodeFaultConfig;
-    use crate::pool::{HedgeConfig, IoNodePool, StripeConfig};
-    use crate::shared::SharedStore;
+    use crate::pool::{IoNodePool, StripeConfig};
     use crate::store::MemStore;
     use crate::striped::tests::{pool, striped_parity};
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::Arc;
 
     /// XOR of every data chunk of every group equals the parity chunk.
     fn assert_parity_consistent(s: &StripedStore<MemStore>) {
@@ -670,56 +628,6 @@ mod tests {
             p.snapshot()[2].io.read_calls > before,
             "lane back in service"
         );
-    }
-
-    #[test]
-    fn hedged_read_reconstructs_past_a_straggler() {
-        let p = IoNodePool::with_faults(
-            StripeConfig {
-                nodes: 3,
-                stripe_elems: 4,
-                hedge: Some(HedgeConfig {
-                    min_ns: 1_000_000, // 1 ms floor, empty history
-                    ..HedgeConfig::default()
-                }),
-                ..StripeConfig::default()
-            },
-            NodeFaultConfig::new().slow_node(0, 60_000_000),
-        );
-        let mut s = striped_parity(&p, 24);
-        let data: Vec<f64> = (0..24).map(|i| f64::from(i) * 0.5).collect();
-        // Seed without tripping hedges: write path never hedges, and
-        // node 0's injected slowness only delays it.
-        s.write_run(0, &data).expect("write");
-        let entered = Arc::new(AtomicBool::new(false));
-        let shared = SharedStore::new(s);
-        std::thread::scope(|scope| {
-            let bg = p.clone();
-            let flag = Arc::clone(&entered);
-            scope.spawn(move || {
-                bg.execute_deadline(0, CallClass::Read, 1, None, || {
-                    flag.store(true, Ordering::SeqCst);
-                    Ok(())
-                })
-                .expect("straggling call");
-            });
-            while !entered.load(Ordering::SeqCst) {
-                std::thread::yield_now();
-            }
-            // Node 0 is busy for ~60 ms; the hedge fires after ~1 ms
-            // and retires stripe 0 against nodes 1 + parity.
-            let mut buf = vec![0.0; 4];
-            shared
-                .with_inner(|s| s.read_run(0, &mut buf))
-                .expect("hedged read");
-            assert!(bits_equal(&buf, &data[..4]), "hedged read bit-equal");
-        });
-        let repair = p.total_repair();
-        assert!(
-            repair.get(IoCause::HedgedRead).read_calls > 0,
-            "hedge accounted"
-        );
-        assert_eq!(p.snapshot()[0].timing.timeouts, 1);
     }
 
     #[test]

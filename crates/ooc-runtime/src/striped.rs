@@ -7,9 +7,10 @@
 //! [`StripedStore`] actually routes every element run through the
 //! node that owns its stripe. Three modules, one seam each:
 //!
-//! * `pool` — the lanes: FIFO tickets, deadlines, node health, and
-//!   the per-node statistics ([`NodeStats`](crate::NodeStats)). A
-//!   striped call is counted where it takes its lane, nowhere else.
+//! * `pool` — the lanes: FIFO tickets, bounded admission, node
+//!   health, and the per-node statistics
+//!   ([`NodeStats`](crate::NodeStats)). A striped call is counted
+//!   where it takes its lane, nowhere else.
 //! * this module — the stripe geometry ([`part_len`], the segment
 //!   split), how a store is put together ([`StripedStore::build`],
 //!   and [`build_with_parity`](StripedStore::build_with_parity) with
@@ -19,8 +20,8 @@
 //!   Table 3 needs.
 //! * `repair` — everything a parity lane *does*, reached from here
 //!   only when a store was built with one: parity maintenance on
-//!   writes, reads that survive a dead or straggling node, background
-//!   verification, and rebuilding a replaced node.
+//!   writes, reads that survive a dead node, background verification,
+//!   and rebuilding a replaced node.
 
 use crate::ledger::LedgerRecorder;
 use crate::parity::ParityLayout;
@@ -258,9 +259,10 @@ impl<S: Store> StripedStore<S> {
         }
     }
 
-    /// Reads `buf.len()` elements at `off` of `node`'s `part` store on
-    /// the node's lane, under the pool-wide queue-wait deadline. See
-    /// [`read_part_by`](Self::read_part_by).
+    /// The read half of the store's lane call: every part-store read
+    /// of a striped store is this one [`IoNodePool::call`], which
+    /// counts it under `class` (and books a repair-plane call to the
+    /// attached ledger) — no caller keeps a tally of its own.
     pub(crate) fn read_part(
         &self,
         part: Part,
@@ -269,36 +271,18 @@ impl<S: Store> StripedStore<S> {
         class: CallClass,
         buf: &mut [f64],
     ) -> io::Result<()> {
-        let deadline_ns = self.pool.config().queue_deadline_ns;
-        self.read_part_by(part, node, off, class, deadline_ns, buf)
-    }
-
-    /// The read half of the store's lane call: every part-store read
-    /// of a striped store is this one [`IoNodePool::call`], which
-    /// counts it under `class` (and books a repair-plane call to the
-    /// attached ledger) — no caller keeps a tally of its own.
-    pub(crate) fn read_part_by(
-        &self,
-        part: Part,
-        node: usize,
-        off: u64,
-        class: CallClass,
-        deadline_ns: Option<u64>,
-        buf: &mut [f64],
-    ) -> io::Result<()> {
         let store = match part {
             Part::Data => &self.parts[node],
             Part::Parity => &self.parity.as_ref().expect("parity lane").parts[node],
         };
         let elems = buf.len() as u64;
         let sink = self.ledger.as_ref();
-        self.pool.call(node, class, elems, deadline_ns, sink, || {
-            store.read_run(off, buf)
-        })
+        self.pool
+            .call(node, class, elems, sink, || store.read_run(off, buf))
     }
 
     /// The write half of the store's lane call; see
-    /// [`read_part_by`](Self::read_part_by).
+    /// [`read_part`](Self::read_part).
     pub(crate) fn write_part(
         &mut self,
         part: Part,
@@ -312,11 +296,9 @@ impl<S: Store> StripedStore<S> {
             Part::Parity => &mut self.parity.as_mut().expect("parity lane").parts[node],
         };
         let elems = buf.len() as u64;
-        let deadline_ns = self.pool.config().queue_deadline_ns;
         let sink = self.ledger.as_ref();
-        self.pool.call(node, class, elems, deadline_ns, sink, || {
-            store.write_run(off, buf)
-        })
+        self.pool
+            .call(node, class, elems, sink, || store.write_run(off, buf))
     }
 }
 

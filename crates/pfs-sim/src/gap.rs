@@ -7,9 +7,8 @@
 //! compares the two, per kernel × version × node count:
 //!
 //! * **busy gap** — measured busy makespan over priced makespan. Near
-//!   1.0 means the service model (`call_ns`/`elem_ns` or the disk
-//!   params) prices node occupancy faithfully; far from 1.0 means the
-//!   model's per-call cost is mis-calibrated.
+//!   1.0 means the disk params price node occupancy faithfully; far
+//!   from 1.0 means the model's per-call cost is mis-calibrated.
 //! * **wait share** — total experienced queue wait over total busy
 //!   time. The analytic price serializes each node's load but charges
 //!   no queueing to callers; this is the contention the model leaves
