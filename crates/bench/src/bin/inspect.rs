@@ -257,12 +257,10 @@ fn main() {
             } else {
                 let cell = ooc_bench::run_analyze_cell(&k, v, scale, shards.max(2), 8);
                 println!(
-                    "       forensics (workers={}, nodes={}, {:.1} ms measured, \
-                     {} events dropped by flight recorder):",
+                    "       forensics (workers={}, nodes={}, {:.1} ms measured):",
                     cell.workers,
                     cell.nodes,
                     cell.seconds * 1e3,
-                    cell.report.timeline.dropped
                 );
                 print!("{}", cell.report.render(72));
                 ooc_bench::analyze_register(metrics.registry(), std::slice::from_ref(&cell));

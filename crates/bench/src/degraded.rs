@@ -20,7 +20,6 @@
 //! healthy-vs-degraded bandwidth pricing from `pfs-sim`'s
 //! [`price_degraded`] fan-out model.
 
-use ooc_analyze::{diff_ledgers, LedgerDiff};
 use ooc_core::{
     max_intents_per_interval, run_parallel_surviving_node_loss, DurabilityConfig, FunctionalConfig,
     NodeLossOutcome, ParallelConfig, PipelineConfig, StripedMedium,
@@ -288,16 +287,6 @@ fn assert_ledger_conserves(
     }
 }
 
-/// The healthy-vs-degraded provenance diff for one kernel: where the
-/// extra bytes of losing `kill_node` (default 0) went, cause by
-/// cause — parity upkeep, reconstruction, scrubbing.
-#[must_use]
-pub fn run_degraded_ledger_diff(kernel: &str, kill_node: usize, disk: &DiskParams) -> LedgerDiff {
-    let demo = run_degraded_demo(kernel, Some(kill_node));
-    let cell = demo.cells.first().expect("one kill cell");
-    diff_ledgers(&demo.healthy_ledger, &cell.ledger, disk)
-}
-
 /// Registers the sweep's counters per `{kernel, version, killed}`.
 /// Repair, scrub, and resume counters from the first-arrival kills
 /// are deterministic (exact-gated by `bench-compare` against
@@ -371,6 +360,7 @@ pub fn degraded_register(registry: &Registry, demo: &DegradedDemo) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ooc_analyze::diff_ledgers;
     use ooc_metrics::Snapshot;
 
     #[test]
@@ -421,7 +411,10 @@ mod tests {
     #[test]
     fn healthy_vs_degraded_diff_names_the_repair_causes() {
         let _no_sessions = ooc_trace::exclude_sessions();
-        let diff = run_degraded_ledger_diff("trans", 1, &DiskParams::default());
+        // Where the extra bytes of losing node 1 went, cause by cause.
+        let demo = run_degraded_demo("trans", Some(1));
+        let cell = demo.cells.first().expect("one kill cell");
+        let diff = diff_ledgers(&demo.healthy_ledger, &cell.ledger, &DiskParams::default());
         let text = diff.render();
         assert!(
             text.contains("degraded_reconstruct"),

@@ -37,8 +37,8 @@ pub use analyze::{
     ANALYZE_WORKER_COUNTS,
 };
 pub use degraded::{
-    degraded_register, run_degraded_demo, run_degraded_ledger_diff, DegradedCell, DegradedDemo,
-    DEGRADED_KERNELS, DEGRADED_NODES, DEGRADED_STRIPE_ELEMS,
+    degraded_register, run_degraded_demo, DegradedCell, DegradedDemo, DEGRADED_KERNELS,
+    DEGRADED_NODES, DEGRADED_STRIPE_ELEMS,
 };
 pub use experiments::{run_table2, run_table3, table2_row, Table2Cell, Table2Row, Table3Entry};
 pub use ledger::{ledger_register, run_ledger_cell, run_ledger_diff, LEDGER_DIFF_PAIR};

@@ -5,7 +5,8 @@
 //! asserted numbers are exact — a change here means the optimizer,
 //! the scheduler, or the ledger classification itself changed.
 
-use ooc_bench::{run_degraded_ledger_diff, run_ledger_cell, run_ledger_diff, LEDGER_DIFF_PAIR};
+use ooc_analyze::diff_ledgers;
+use ooc_bench::{run_degraded_demo, run_ledger_cell, run_ledger_diff, LEDGER_DIFF_PAIR};
 use ooc_kernels::kernel_by_name;
 use ooc_runtime::IoCause;
 use pfs_sim::DiskParams;
@@ -82,7 +83,9 @@ fn trans_degraded_diff_explains_the_repair_traffic() {
     // causes, quantitatively. First-arrival kills discover, quarantine
     // and resume on a serial schedule, so the repair-side numbers are
     // exact (the same ones gated against BENCH_degraded_seed.json).
-    let diff = run_degraded_ledger_diff("trans", 0, &DiskParams::default());
+    let demo = run_degraded_demo("trans", Some(0));
+    let cell = demo.cells.first().expect("one kill cell");
+    let diff = diff_ledgers(&demo.healthy_ledger, &cell.ledger, &DiskParams::default());
     assert!(
         diff.b_seconds > diff.a_seconds,
         "losing a node must price dearer: {} vs {}",

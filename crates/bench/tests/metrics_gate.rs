@@ -151,6 +151,6 @@ fn perturbed_recovery_counter_hard_fails_the_gate() {
 #[test]
 fn baseline_roundtrips_through_json() {
     let snap = committed_baseline();
-    let reparsed = Snapshot::parse(&snap.to_json_string()).expect("roundtrip");
+    let reparsed = Snapshot::parse(&snap.to_json().pretty()).expect("roundtrip");
     assert_eq!(snap.samples, reparsed.samples);
 }

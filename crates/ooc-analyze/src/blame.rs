@@ -33,8 +33,8 @@ pub enum Blame {
     /// Pre-image rollback on crash recovery (`recovery-replay`).
     Replay,
     /// Degraded-mode repair machinery: parity writes, XOR
-    /// reconstruction, scrubbing, resilvering (`parity-write`,
-    /// `degraded-reconstruct`, `scrub`, `resilver`).
+    /// reconstruction, scrubbing (`parity-write`,
+    /// `degraded-reconstruct`, `scrub`).
     Repair,
     /// Barrier skew: a shard lane outside its work window, or the
     /// main lane inside `join-wait`.
@@ -70,7 +70,7 @@ impl Blame {
             "queue-wait" => Some(Blame::QueueWait),
             "checkpoint" => Some(Blame::Checkpoint),
             "recovery-replay" => Some(Blame::Replay),
-            "parity-write" | "degraded-reconstruct" | "scrub" | "resilver" => Some(Blame::Repair),
+            "parity-write" | "degraded-reconstruct" | "scrub" => Some(Blame::Repair),
             "join-wait" => Some(Blame::Barrier),
             _ => None,
         }

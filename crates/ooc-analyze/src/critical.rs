@@ -223,7 +223,6 @@ mod tests {
             wall_us: wall,
             lanes,
             flows: vec![],
-            dropped: 0,
         }
     }
 

@@ -109,7 +109,6 @@ mod tests {
                 blame,
             }],
             flows: vec![],
-            dropped: 0,
         }
     }
 
@@ -131,7 +130,6 @@ mod tests {
             wall_us: 0,
             lanes: vec![],
             flows: vec![],
-            dropped: 0,
         };
         assert!(render(&t, 80).contains("empty run"));
     }

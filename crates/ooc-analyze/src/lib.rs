@@ -130,20 +130,12 @@ impl AnalysisReport {
         let mut out = String::new();
         let _ = writeln!(
             out,
-            "== scaling forensics: {} ({} us wall, {} lanes, {} shard lanes, {} flows{})",
+            "== scaling forensics: {} ({} us wall, {} lanes, {} shard lanes, {} flows)",
             self.timeline.top_span,
             self.timeline.wall_us,
             self.timeline.lanes.len(),
             self.timeline.shard_lanes(),
             self.timeline.flows.len(),
-            if self.timeline.dropped > 0 {
-                format!(
-                    ", {} events dropped by flight recorder",
-                    self.timeline.dropped
-                )
-            } else {
-                String::new()
-            }
         );
         if let Some(eff) = self.shard_efficiency() {
             let _ = writeln!(out, "shard efficiency: {:.1}%", eff * 100.0);
@@ -191,13 +183,6 @@ impl AnalysisReport {
             } else {
                 self.critical.total_us as f64 / self.timeline.wall_us as f64
             },
-        );
-        // Flight-recorder overflow is a data-quality signal: nonzero
-        // means the waterfall under-attributes the dropped spans.
-        registry.counter_add(
-            "analyze_dropped_events_total",
-            labels,
-            self.timeline.dropped,
         );
     }
 }

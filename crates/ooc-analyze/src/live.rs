@@ -9,8 +9,7 @@
 //!   request, so scrapes see the counters a running parallel job is
 //!   incrementing *right now* (see [`registry_provider`]).
 //! * `GET /analyze` — the latest rendered forensics report, refreshed
-//!   by the job at iteration boundaries from a flight-recorder
-//!   snapshot.
+//!   by the job at iteration boundaries from a session snapshot.
 //!
 //! The server speaks just enough HTTP/1.0 for `curl` and Prometheus:
 //! it reads the request line, ignores headers, answers with

@@ -72,8 +72,6 @@ pub struct Timeline {
     pub lanes: Vec<LaneTimeline>,
     /// Matched causal links (prefetch deliveries), by id.
     pub flows: Vec<FlowLink>,
-    /// Events the flight recorder evicted before analysis.
-    pub dropped: u64,
 }
 
 fn idle_cat_of(label: &str) -> Blame {
@@ -101,7 +99,7 @@ fn current_cat(stack: &[(String, Option<Blame>)]) -> Option<(Blame, &str)> {
 impl Timeline {
     /// Reconstructs the run timeline from a finished (or snapshot)
     /// trace. Never fails: an empty trace yields an empty timeline,
-    /// and ring-buffer truncation (orphan `End`s) degrades to
+    /// and a truncated trace (orphan `End`s) degrades to
     /// uncovered time instead of erroring.
     #[must_use]
     pub fn from_trace(data: &TraceData) -> Timeline {
@@ -191,7 +189,7 @@ impl Timeline {
                     EventKind::End => {
                         let ts = rel(e.ts_us);
                         close_to(&mut cursor, ts, &stack, &mut segs);
-                        // Orphan End (ring truncation): no-op pop.
+                        // Orphan End (truncated trace): no-op pop.
                         stack.pop();
                     }
                     EventKind::FlowStart(id) => {
@@ -254,7 +252,6 @@ impl Timeline {
             wall_us,
             lanes,
             flows,
-            dropped: data.dropped,
         }
     }
 
@@ -358,25 +355,6 @@ mod tests {
         let agg = t.aggregate();
         assert!(agg.is_conserving());
         assert_eq!(agg.wall_us, 3 * t.wall_us);
-    }
-
-    #[test]
-    fn truncated_trace_still_conserves() {
-        let session = Session::start_flight_recorder(6);
-        {
-            let _top = ooc_trace::span("parallel", "exec-parallel");
-            for _ in 0..10 {
-                let _s = ooc_trace::span("pipeline", "sync-read");
-                spin_us(20);
-            }
-        }
-        let data = session.finish();
-        assert!(data.dropped > 0);
-        let t = Timeline::from_trace(&data);
-        assert_eq!(t.dropped, data.dropped);
-        for lane in &t.lanes {
-            assert!(lane.blame.is_conserving(), "lane {}", lane.label);
-        }
     }
 
     #[test]

@@ -98,11 +98,9 @@ fn synthesize(raw: &[(u64, u8, u8, u64)], drop_prefix: usize) -> TraceData {
             });
         }
     }
-    let dropped = drop_prefix.min(events.len());
     TraceData {
-        events: events.split_off(dropped),
+        events: events.split_off(drop_prefix.min(events.len())),
         explains: Vec::new(),
-        dropped: dropped as u64,
     }
 }
 
@@ -166,8 +164,8 @@ proptest! {
         check_invariants(&data);
     }
 
-    /// Ring-buffer truncation (dropped prefix, orphan Ends) still
-    /// conserves: truncation degrades attribution, never the law.
+    /// Truncation (a missing prefix, orphan Ends) still conserves:
+    /// truncation degrades attribution, never the law.
     #[test]
     fn truncated_timelines_still_conserve(
         raw in proptest::collection::vec((0u64..5, 0u8..8, 0u8..12, 0u64..40), 4..120),

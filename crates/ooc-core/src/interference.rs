@@ -37,12 +37,6 @@ impl InterferenceGraph {
         }
     }
 
-    /// `true` if nest `n` references array `a`.
-    #[must_use]
-    pub fn references(&self, n: NestId, a: ArrayId) -> bool {
-        self.edges[n.0].contains(&a)
-    }
-
     /// Connected components, each with nests in program order.
     ///
     /// Union-find over `nests + arrays`; arrays never referenced by any
@@ -125,9 +119,9 @@ mod tests {
         let n3 = nest_over(&mut p, "n3", &[x, y]);
 
         let g = InterferenceGraph::build(&p);
-        assert!(g.references(n0, u));
-        assert!(g.references(n0, v));
-        assert!(!g.references(n0, w));
+        assert!(g.edges[n0.0].contains(&u));
+        assert!(g.edges[n0.0].contains(&v));
+        assert!(!g.edges[n0.0].contains(&w));
 
         let comps = g.connected_components();
         assert_eq!(comps.len(), 2);

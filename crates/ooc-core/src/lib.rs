@@ -100,7 +100,7 @@ pub use interference::{Component, InterferenceGraph};
 pub use kernel::TileKernel;
 pub use locality::{
     dim_order_for, innermost_candidates, layouts_for_2d, locality_under, loop_constraint_rows,
-    movement, movement_i64, Locality,
+    movement_i64, Locality,
 };
 pub use optimizer::{
     best_transform_for, modeled_program_cost, optimize, optimize_data_only, optimize_loop_only,

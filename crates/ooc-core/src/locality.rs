@@ -44,17 +44,11 @@ impl Locality {
 }
 
 /// The movement vector `u = L · q` of a reference for an innermost
-/// column `q` (integer).
-#[must_use]
-pub fn movement(l: &Matrix, q_last: &[i64]) -> Vec<Rational> {
-    l.mul_vec_i64(q_last)
-}
-
-/// Movement as integers; `None` when some component is fractional
+/// column `q`, as integers; `None` when some component is fractional
 /// (never the case for integer `L`, `q`).
 #[must_use]
 pub fn movement_i64(l: &Matrix, q_last: &[i64]) -> Option<Vec<i64>> {
-    movement(l, q_last)
+    l.mul_vec_i64(q_last)
         .iter()
         .map(|r| r.as_integer().and_then(|v| i64::try_from(v).ok()))
         .collect()

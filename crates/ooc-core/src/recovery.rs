@@ -769,7 +769,7 @@ impl StripedMedium {
         self
     }
 
-    /// The shared lane pool (quarantine / revive / health / stats).
+    /// The shared lane pool (quarantine / health / stats).
     #[must_use]
     pub fn pool(&self) -> &IoNodePool {
         &self.pool
@@ -908,10 +908,9 @@ fn undiscovered_down(medium: &StripedMedium, loss: &NodeLossReport) -> Vec<(usiz
 /// fault-free run and the replayed work is bounded by one checkpoint
 /// interval, the same invariant as crash recovery.
 ///
-/// The loop tolerates one loss per node (single-fault per parity
-/// group is the reconstruction limit; losses discovered after an
-/// earlier node was resilvered and revived still resolve), erroring
-/// out if discovery errors exceed the node count.
+/// The loop tolerates one discovery per node (single-fault per parity
+/// group is the reconstruction limit, and a quarantined node stays
+/// down), erroring out if discovery errors exceed the node count.
 ///
 /// # Errors
 /// Propagates store/journal I/O errors other than single-node death —

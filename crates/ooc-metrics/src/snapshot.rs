@@ -105,12 +105,6 @@ impl Snapshot {
         ])
     }
 
-    /// Renders the pretty-printed JSON document.
-    #[must_use]
-    pub fn to_json_string(&self) -> String {
-        self.to_json().pretty()
-    }
-
     /// Reconstructs a snapshot from a parsed JSON document, validating
     /// the schema along the way.
     ///
@@ -287,7 +281,7 @@ mod tests {
     #[test]
     fn json_round_trip() {
         let snap = sample_snapshot();
-        let text = snap.to_json_string();
+        let text = snap.to_json().pretty();
         let back = Snapshot::parse(&text).expect("round trip");
         assert_eq!(back, snap);
     }
@@ -305,7 +299,7 @@ mod tests {
     #[test]
     fn validator_accepts_emitted_and_rejects_mutations() {
         let snap = sample_snapshot();
-        let good = snap.to_json_string();
+        let good = snap.to_json().pretty();
         assert!(validate_snapshot_json(&Json::parse(&good).expect("parses")).is_ok());
 
         for (bad, why) in [
@@ -324,7 +318,7 @@ mod tests {
         let r = Registry::new();
         r.observe("h", &[], 9); // bucket 3
         let snap = Snapshot::capture("t", &r);
-        let text = snap.to_json_string();
+        let text = snap.to_json().pretty();
         assert!(text.contains("\"buckets\""));
         // Only 4 buckets written (trailing zeros trimmed).
         let parsed = Snapshot::parse(&text).expect("parses");

@@ -294,15 +294,6 @@ impl FaultHandle {
     pub fn calls(&self) -> u64 {
         self.0.lock().expect("fault lock").next_call
     }
-
-    /// Whether the crash point has fired.
-    ///
-    /// # Panics
-    /// Panics if the fault mutex was poisoned.
-    #[must_use]
-    pub fn crashed(&self) -> bool {
-        self.0.lock().expect("fault lock").crashed
-    }
 }
 
 impl<S: Store> FaultStore<S> {
@@ -603,7 +594,6 @@ mod tests {
             let e = s.read_run(0, &mut buf).expect_err("dead store");
             assert!(is_crashed(&e));
         }
-        assert!(s.handle().crashed());
         assert_eq!(s.handle().calls(), 9);
         // The dying (non-torn) write left no trace.
         let fresh = FaultStore::new(MemStore::new(8), FaultConfig::transient(0, 0));

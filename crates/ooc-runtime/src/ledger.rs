@@ -60,7 +60,8 @@ pub enum IoCause {
     /// lane. Repair plane, outside the conserved data partition.
     ParityWrite,
     /// Peer-and-parity traffic reconstructing a lost or corrupt chunk
-    /// (degraded reads, resilvering a replacement node). Repair plane.
+    /// (degraded reads, a scrub rebuilding a corrupt data chunk).
+    /// Repair plane.
     DegradedReconstruct,
     /// Scrubber verification reads walking stripes and parity chunks.
     /// Repair plane.

@@ -46,8 +46,8 @@
 //!     histograms, [`RepairIo`]). A striped call is counted where it
 //!     takes its lane, nowhere else.
 //!   * `repair` — the degraded mode of a store built with a parity
-//!     lane: parity read-modify-write, dead-node reconstruction,
-//!     [`StripedStore::scrub`] and [`StripedStore::resilver`].
+//!     lane: parity read-modify-write, dead-node reconstruction and
+//!     [`StripedStore::scrub`].
 //! * [`parity`] — [`ParityLayout`]: the rotating-parity geometry and
 //!   bitwise-XOR combine the degraded mode is built on.
 //! * [`testing`] — store factories and temp-dir plumbing for
@@ -96,11 +96,9 @@ pub use parity::{xor_into, ParityLayout};
 pub use pool::{
     CallClass, IoNodePool, NodeHealth, NodeStats, NodeTiming, RepairCounter, RepairIo, StripeConfig,
 };
-pub use profile::{
-    heatmap, sequential_stats, AccessLog, AccessRecord, ProfilingStore, SeekCdf, SeqStats,
-};
-pub use repair::{ResilverReport, ScrubReport};
+pub use profile::{heatmap, sequential_stats, AccessRecord, ProfilingStore, SeekCdf, SeqStats};
+pub use repair::ScrubReport;
 pub use shared::SharedStore;
 pub use store::{FileStore, MemStore, Store, ELEM_BYTES};
 pub use striped::{part_len, DegradedMode, StripedStore};
-pub use trace::{MeasuredIo, TraceHandle, TracingStore, RUN_HIST_BUCKETS};
+pub use trace::{MeasuredIo, TracingStore, RUN_HIST_BUCKETS};

@@ -252,9 +252,6 @@ struct LaneState {
     /// Per-node arrival counter — the `call` index node faults key on.
     arrivals: u64,
     health: NodeHealth,
-    /// Set after [`IoNodePool::revive`]: disables the injected
-    /// `down_at` schedule for this (replaced) node.
-    revived: bool,
     stats: NodeStats,
 }
 
@@ -343,20 +340,11 @@ impl IoNodePool {
     }
 
     /// Declares `node` dead: every subsequent call is rejected with a
-    /// typed [`NodeDownError`](crate::NodeDownError) until
-    /// [`revive`](Self::revive). Callers already holding a ticket are
-    /// still served, so quarantine never wedges waiting tickets.
+    /// typed [`NodeDownError`](crate::NodeDownError) for the pool's
+    /// lifetime. Callers already holding a ticket are still served, so
+    /// quarantine never wedges waiting tickets.
     pub fn quarantine(&self, node: usize) {
         self.inner.lanes[node].lock().health = NodeHealth::Down;
-    }
-
-    /// Marks `node` healthy again after its stores were resilvered
-    /// onto a replacement. Also disables the injected `down_at`
-    /// schedule for this node — the replacement is a new device.
-    pub fn revive(&self, node: usize) {
-        let mut st = self.inner.lanes[node].lock();
-        st.health = NodeHealth::Up;
-        st.revived = true;
     }
 
     /// Runs one store call on `node`'s lane — the only place a
@@ -388,13 +376,12 @@ impl IoNodePool {
             let mut st = lane.lock();
             let call = st.arrivals;
             st.arrivals += 1;
-            let injected_down = !st.revived
-                && self
-                    .inner
-                    .faults
-                    .down_at
-                    .get(&node)
-                    .is_some_and(|&at| call >= at);
+            let injected_down = self
+                .inner
+                .faults
+                .down_at
+                .get(&node)
+                .is_some_and(|&at| call >= at);
             if st.health == NodeHealth::Down || injected_down {
                 st.health = NodeHealth::Down;
                 st.stats.timing.down_rejections += 1;
@@ -580,10 +567,8 @@ mod tests {
         // The other node is unaffected.
         p.call(0, CallClass::Read, 1, None, || Ok(()))
             .expect("peer alive");
-        // Revive disables the injected schedule (replacement device).
-        p.revive(1);
-        p.call(1, CallClass::Read, 1, None, || Ok(()))
-            .expect("revived");
+        // A dead node stays down for the pool's lifetime.
+        assert_eq!(p.health(1), NodeHealth::Down);
     }
 
     #[test]

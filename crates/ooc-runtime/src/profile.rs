@@ -22,7 +22,7 @@
 use crate::store::Store;
 use crate::trace::MeasuredIo;
 use std::io;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// One successful store call, in trace order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -43,63 +43,13 @@ impl AccessRecord {
     }
 }
 
-/// A cheap shared handle onto an access log; clones observe the same
-/// record list, so a caller can keep one while the [`ProfilingStore`]
-/// is moved into an array.
-#[derive(Debug, Clone, Default)]
-pub struct AccessLog(Arc<Mutex<Vec<AccessRecord>>>);
-
-impl AccessLog {
-    /// A fresh, empty log.
-    #[must_use]
-    pub fn new() -> Self {
-        AccessLog::default()
-    }
-
-    fn push(&self, rec: AccessRecord) {
-        self.0
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .push(rec);
-    }
-
-    /// A copy of every record so far, in call order.
-    #[must_use]
-    pub fn records(&self) -> Vec<AccessRecord> {
-        self.0
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clone()
-    }
-
-    /// Number of recorded calls.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.0.lock().unwrap_or_else(PoisonError::into_inner).len()
-    }
-
-    /// `true` when nothing was recorded.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Discards every record.
-    pub fn clear(&self) {
-        self.0
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clear();
-    }
-}
-
-/// A [`Store`] wrapper recording every *successful* call into an
-/// [`AccessLog`] (failed calls move no data; the aggregate
-/// [`MeasuredIo`] counts them separately).
+/// A [`Store`] wrapper recording every *successful* call in order,
+/// read back through [`Store::access_log`] (failed calls move no data;
+/// the aggregate [`MeasuredIo`] counts them separately).
 #[derive(Debug)]
 pub struct ProfilingStore<S> {
     inner: S,
-    log: AccessLog,
+    log: Mutex<Vec<AccessRecord>>,
 }
 
 impl<S: Store> ProfilingStore<S> {
@@ -108,14 +58,8 @@ impl<S: Store> ProfilingStore<S> {
     pub fn new(inner: S) -> Self {
         ProfilingStore {
             inner,
-            log: AccessLog::new(),
+            log: Mutex::default(),
         }
-    }
-
-    /// A shared handle onto this store's log.
-    #[must_use]
-    pub fn log(&self) -> AccessLog {
-        self.log.clone()
     }
 
     /// The wrapped store.
@@ -124,10 +68,14 @@ impl<S: Store> ProfilingStore<S> {
         &self.inner
     }
 
-    /// Unwraps, discarding the log handle.
+    /// Unwraps, discarding the log.
     #[must_use]
     pub fn into_inner(self) -> S {
         self.inner
+    }
+
+    fn records(&self) -> MutexGuard<'_, Vec<AccessRecord>> {
+        self.log.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -138,7 +86,7 @@ impl<S: Store> Store for ProfilingStore<S> {
 
     fn read_run(&self, offset: u64, buf: &mut [f64]) -> io::Result<()> {
         self.inner.read_run(offset, buf)?;
-        self.log.push(AccessRecord {
+        self.records().push(AccessRecord {
             offset,
             len: buf.len() as u64,
             write: false,
@@ -148,7 +96,7 @@ impl<S: Store> Store for ProfilingStore<S> {
 
     fn write_run(&mut self, offset: u64, buf: &[f64]) -> io::Result<()> {
         self.inner.write_run(offset, buf)?;
-        self.log.push(AccessRecord {
+        self.records().push(AccessRecord {
             offset,
             len: buf.len() as u64,
             write: true,
@@ -157,7 +105,7 @@ impl<S: Store> Store for ProfilingStore<S> {
     }
 
     fn reset_metrics(&mut self) {
-        self.log.clear();
+        self.records().clear();
         self.inner.reset_metrics();
     }
 
@@ -166,7 +114,7 @@ impl<S: Store> Store for ProfilingStore<S> {
     }
 
     fn access_log(&self) -> Option<Vec<AccessRecord>> {
-        Some(self.log.records())
+        Some(self.records().clone())
     }
 }
 
@@ -353,12 +301,11 @@ mod tests {
     #[test]
     fn profiling_store_records_call_trace_in_order() {
         let mut s = ProfilingStore::new(MemStore::new(64));
-        let log = s.log();
         s.write_run(0, &[1.0; 8]).expect("w");
         let mut buf = [0.0; 4];
         s.read_run(32, &mut buf).expect("r");
         assert_eq!(
-            log.records(),
+            s.access_log().expect("profiled"),
             vec![
                 AccessRecord {
                     offset: 0,
@@ -372,19 +319,18 @@ mod tests {
                 },
             ]
         );
-        assert_eq!(s.access_log().expect("profiled").len(), 2);
     }
 
     #[test]
     fn failed_calls_not_logged_and_reset_clears() {
         let mut s = ProfilingStore::new(MemStore::new(4));
-        let log = s.log();
+        let log = |s: &ProfilingStore<MemStore>| s.access_log().expect("profiled");
         assert!(s.write_run(3, &[0.0; 4]).is_err());
-        assert!(log.is_empty());
+        assert!(log(&s).is_empty());
         s.write_run(0, &[0.0; 2]).expect("w");
-        assert_eq!(log.len(), 1);
+        assert_eq!(log(&s).len(), 1);
         s.reset_metrics();
-        assert!(log.is_empty());
+        assert!(log(&s).is_empty());
     }
 
     #[test]

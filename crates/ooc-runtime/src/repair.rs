@@ -15,8 +15,7 @@
 //!   entirely in parity;
 //! * [`StripedStore::scrub`] walks the parity groups, verifying parity
 //!   against data (CRC-corrupt chunks surface as typed errors from the
-//!   checksum layer) and rewriting whichever side is stale;
-//!   [`StripedStore::resilver`] rebuilds a replacement node from peers.
+//!   checksum layer) and rewriting whichever side is stale.
 //!
 //! Everything here is built from two primitives. Every part-store
 //! call is the store's one **lane call** (`read_part` / `write_part`
@@ -27,7 +26,7 @@
 //! keeps a tally and the data-plane conservation invariants are
 //! untouched by redundancy. And "XOR every other stripe of the group
 //! over this range" is the one **group XOR** (`group_xor`) behind
-//! reconstruction, parity rewrite and parity resilvering.
+//! reconstruction and parity rewrite.
 
 use crate::checksum::is_corrupt;
 use crate::fault::is_node_down;
@@ -35,7 +34,7 @@ use crate::ledger::IoCause;
 use crate::parity::{xor_into, ParityLayout};
 use crate::pool::{CallClass, NodeHealth};
 use crate::store::Store;
-use crate::striped::{checked_part, chunk, part_len, DegradedMode, Part, Segment, StripedStore};
+use crate::striped::{chunk, DegradedMode, Part, Segment, StripedStore};
 use std::io;
 
 /// What one scrub pass (or group) found and fixed.
@@ -77,19 +76,6 @@ impl ScrubReport {
         self.read_elems += other.read_elems;
         self.written_elems += other.written_elems;
     }
-}
-
-/// What a [`StripedStore::resilver`] rebuilt onto the replacement.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ResilverReport {
-    /// Data stripes reconstructed from peers.
-    pub data_stripes: u64,
-    /// Parity chunks recomputed from group data.
-    pub parity_chunks: u64,
-    /// Elements written to the replacement part stores.
-    pub elems_written: u64,
-    /// Elements read from surviving peers to source the rebuild.
-    pub source_elems_read: u64,
 }
 
 /// What scrubbing found where a chunk should be.
@@ -150,7 +136,7 @@ impl<S: Store> StripedStore<S> {
     fn group_xor(
         &self,
         j: u64,
-        skip: Option<u64>,
+        skip: u64,
         within: u64,
         len: usize,
         cause: IoCause,
@@ -162,7 +148,7 @@ impl<S: Store> StripedStore<S> {
         let mut read = 0u64;
         for g in lay.stripes_of_group(j) {
             let glen = lay.stripe_len(g);
-            if Some(g) == skip || within >= glen {
+            if g == skip || within >= glen {
                 continue;
             }
             let node = lay.data_node(g);
@@ -199,7 +185,7 @@ impl<S: Store> StripedStore<S> {
         let poff = lay.parity_part_offset(j) + within;
         let class = CallClass::repair_read(cause);
         self.read_part(Part::Parity, pnode, poff, class, &mut parity)?;
-        let (peers, read) = self.group_xor(j, Some(g), within, dst.len(), cause)?;
+        let (peers, read) = self.group_xor(j, g, within, dst.len(), cause)?;
         dst.copy_from_slice(&peers);
         xor_into(dst, &parity);
         Ok(read + dst.len() as u64)
@@ -239,7 +225,7 @@ impl<S: Store> StripedStore<S> {
         }
         let _span = span("parity-write", Some(pnode), Some(j));
         let cause = IoCause::ParityWrite;
-        let (mut pchunk, _) = self.group_xor(j, Some(seg.stripe), seg.within, src.len(), cause)?;
+        let (mut pchunk, _) = self.group_xor(j, seg.stripe, seg.within, src.len(), cause)?;
         xor_into(&mut pchunk, src);
         let poff = lay.parity_part_offset(j) + seg.within;
         let class = CallClass::repair_write(cause);
@@ -288,7 +274,7 @@ impl<S: Store> StripedStore<S> {
         let pnode = lay.parity_node(j);
         if self.pool.health(pnode) == NodeHealth::Down {
             // Single-fault model: data is authoritative, parity for
-            // this group is lost until the node is resilvered.
+            // this group is lost with the node.
             return Ok(());
         }
         let poff = lay.parity_part_offset(j) + seg.within;
@@ -367,7 +353,7 @@ impl<S: Store> StripedStore<S> {
         }
         if rep.skipped > 0 {
             // Degraded group: redundancy already spent covering the
-            // dead node; nothing to verify against until resilvered.
+            // dead node; nothing to verify against.
             return Ok(rep);
         }
         if rep.corrupt_chunks > 1 {
@@ -427,61 +413,6 @@ impl<S: Store> StripedStore<S> {
             total.absorb(&self.scrub_group(j, repair)?);
         }
         Ok(total)
-    }
-
-    /// Rebuilds dead node `node`'s data and parity parts onto fresh
-    /// replacement stores (`make_data(part_len)` /
-    /// `make_parity(parity_part_len)`), reconstructing every data
-    /// stripe from its peers and recomputing every parity chunk from
-    /// its group. Replacement writes bypass the (dead) lane: they take
-    /// no lane, so they are in no lane's counters and not in the
-    /// ledger — [`ResilverReport::elems_written`] reports them.
-    ///
-    /// Does **not** revive the node in the pool: other arrays sharing
-    /// the pool may still need resilvering. Call
-    /// [`IoNodePool::revive`](crate::IoNodePool::revive) once every
-    /// array is rebuilt.
-    ///
-    /// # Errors
-    /// Missing parity lane, wrong-length replacement parts, or peer
-    /// read failures (double faults).
-    pub fn resilver(
-        &mut self,
-        node: usize,
-        make_data: impl FnOnce(u64) -> io::Result<S>,
-        make_parity: impl FnOnce(u64) -> io::Result<S>,
-    ) -> io::Result<ResilverReport> {
-        let lay = self.layout()?;
-        let _span = span("resilver", Some(node), None);
-        let dlen = part_len(self.len, lay.stripe_elems, lay.nodes, node);
-        let mut new_data = checked_part("replacement data", node, dlen, make_data(dlen)?)?;
-        let plen = lay.parity_part_len(node);
-        let mut new_parity = checked_part("replacement parity", node, plen, make_parity(plen)?)?;
-        let stripe = chunk(lay.stripe_elems);
-        let mut rep = ResilverReport::default();
-        for g in 0..lay.data_stripes() {
-            if lay.data_node(g) != node {
-                continue;
-            }
-            let mut buf = vec![0.0; chunk(lay.stripe_len(g))];
-            rep.source_elems_read += self.reconstruct_range(g, 0, &mut buf)?;
-            new_data.write_run(lay.data_part_offset(g), &buf)?;
-            rep.data_stripes += 1;
-            rep.elems_written += buf.len() as u64;
-        }
-        for j in 0..lay.groups() {
-            if lay.parity_node(j) != node {
-                continue;
-            }
-            let (acc, read) = self.group_xor(j, None, 0, stripe, IoCause::DegradedReconstruct)?;
-            new_parity.write_run(lay.parity_part_offset(j), &acc)?;
-            rep.parity_chunks += 1;
-            rep.elems_written += acc.len() as u64;
-            rep.source_elems_read += read;
-        }
-        self.parts[node] = new_data;
-        self.parity.as_mut().expect("parity lane").parts[node] = new_parity;
-        Ok(rep)
     }
 }
 
@@ -546,11 +477,12 @@ mod tests {
 
     #[test]
     fn degraded_read_reconstructs_bit_equal_for_every_dead_node() {
-        let p = pool(4, 8);
-        let mut s = striped_parity(&p, 100);
         let data: Vec<f64> = (0..100).map(|i| f64::from(i) * 1.5 - 20.0).collect();
-        s.write_run(0, &data).expect("healthy write");
         for dead in 0..4 {
+            // A dead node stays down, so each one gets a fresh pool.
+            let p = pool(4, 8);
+            let mut s = striped_parity(&p, 100);
+            s.write_run(0, &data).expect("healthy write");
             let before = p.snapshot()[dead].io.clone();
             p.quarantine(dead);
             assert_eq!(p.health(dead), NodeHealth::Down);
@@ -566,7 +498,6 @@ mod tests {
                     .read_calls
                     > 0
             );
-            p.revive(dead);
         }
     }
 
@@ -596,41 +527,6 @@ mod tests {
     }
 
     #[test]
-    fn resilver_rebuilds_a_replacement_node() {
-        let p = pool(4, 8);
-        let mut s = striped_parity(&p, 100);
-        let data: Vec<f64> = (0..100).map(|i| f64::from(i).sqrt()).collect();
-        s.write_run(0, &data).expect("healthy write");
-        p.quarantine(2);
-        let patch: Vec<f64> = (0..20).map(|i| f64::from(i) + 0.125).collect();
-        s.write_run(10, &patch).expect("degraded write");
-        let mut want = data.clone();
-        want[10..30].copy_from_slice(&patch);
-
-        let rep = s
-            .resilver(2, |l| Ok(MemStore::new(l)), |l| Ok(MemStore::new(l)))
-            .expect("resilver");
-        assert!(rep.data_stripes > 0);
-        assert!(rep.parity_chunks > 0);
-        assert!(rep.elems_written > 0);
-        p.revive(2);
-        assert_eq!(p.health(2), NodeHealth::Up);
-
-        let mut buf = vec![0.0; 100];
-        s.read_run(0, &mut buf).expect("post-resilver read");
-        assert!(bits_equal(&buf, &want), "resilvered store bit-equal");
-        assert_parity_consistent(&s);
-        // The revived lane serves data-plane reads again.
-        let before = p.snapshot()[2].io.read_calls;
-        let mut probe = vec![0.0; 100];
-        s.read_run(0, &mut probe).expect("probe");
-        assert!(
-            p.snapshot()[2].io.read_calls > before,
-            "lane back in service"
-        );
-    }
-
-    #[test]
     fn manual_mode_surfaces_discovery_then_reconstructs_known_dead() {
         let p = IoNodePool::with_faults(
             StripeConfig {
@@ -642,7 +538,6 @@ mod tests {
         );
         let mut s = striped_parity(&p, 100);
         s.set_degraded_mode(DegradedMode::Manual);
-        assert_eq!(s.degraded_mode(), DegradedMode::Manual);
         let data: Vec<f64> = (0..100).map(|i| f64::from(i) + 0.75).collect();
         s.write_run(0, &data).expect("healthy write");
         // Kill node 1 *after* seeding (schedule said never, we say now).
@@ -684,7 +579,7 @@ mod tests {
         let data: Vec<f64> = (0..36).map(|i| f64::from(i) * 3.25).collect();
         s.write_run(0, &data).expect("write");
         let clean = s.scrub(false).expect("clean scrub");
-        assert_eq!(clean.groups, s.parity_groups().expect("groups"));
+        assert_eq!(clean.groups, s.parity_layout().expect("layout").groups());
         assert_eq!(clean.clean, clean.groups);
         assert_eq!(clean.parity_mismatch, 0);
         assert_eq!(clean.repaired, 0);
@@ -734,12 +629,12 @@ mod tests {
         // A cause nothing else in this test emits, so deltas are exact.
         let cause = IoCause::ScrubRead;
         for j in 0..lay.groups() {
-            for skip in std::iter::once(None).chain(lay.stripes_of_group(j).map(Some)) {
+            for skip in lay.stripes_of_group(j) {
                 for within in 0..stripe {
                     for n in 1..=chunk(stripe - within) {
                         let mut want = vec![0u64; n];
                         let (mut calls, mut elems) = (0u64, 0u64);
-                        for g in lay.stripes_of_group(j).filter(|&g| Some(g) != skip) {
+                        for g in lay.stripes_of_group(j).filter(|&g| g != skip) {
                             let first = g * stripe + within;
                             let live = (first..first + n as u64).filter(|&o| o < len);
                             for (w, o) in want.iter_mut().zip(live.clone()) {
@@ -752,7 +647,7 @@ mod tests {
                         let (acc, read) = s.group_xor(j, skip, within, n, cause).expect("xor");
                         let after = p.total_repair().get(cause);
                         let got: Vec<u64> = acc.iter().map(|x| x.to_bits()).collect();
-                        let case = format!("group {j} skip {skip:?} within {within} len {n}");
+                        let case = format!("group {j} skip {skip} within {within} len {n}");
                         assert_eq!(got, want, "{case}");
                         assert_eq!(read, elems, "{case}");
                         assert_eq!(after.read_calls - before.read_calls, calls, "{case}");

@@ -105,7 +105,7 @@ pub(crate) fn chunk(elems: u64) -> usize {
 
 /// `part` if it holds the `want` elements the geometry assigns to
 /// `node`'s `what` part.
-pub(crate) fn checked_part<S: Store>(what: &str, node: usize, want: u64, part: S) -> io::Result<S> {
+fn checked_part<S: Store>(what: &str, node: usize, want: u64, part: S) -> io::Result<S> {
     if part.len() == want {
         return Ok(part);
     }
@@ -195,22 +195,10 @@ impl<S: Store> StripedStore<S> {
         self
     }
 
-    /// Number of parity groups, when a parity lane exists.
-    #[must_use]
-    pub fn parity_groups(&self) -> Option<u64> {
-        self.parity.as_ref().map(|p| p.layout.groups())
-    }
-
     /// The parity geometry, when a parity lane exists.
     #[must_use]
     pub fn parity_layout(&self) -> Option<ParityLayout> {
         self.parity.as_ref().map(|p| p.layout)
-    }
-
-    /// How fault discovery is handled (see [`DegradedMode`]).
-    #[must_use]
-    pub fn degraded_mode(&self) -> DegradedMode {
-        self.mode
     }
 
     /// Sets the fault-discovery policy.

@@ -3,10 +3,9 @@
 //! equivalent in-memory or on-disk stores, so differential tests can
 //! run the same program against both and compare measured I/O. The
 //! stores are `Send`, so the sync, pipelined and parallel executors
-//! all take the same [`Backend::open`] / [`Backend::open_traced`].
+//! all take the same [`Backend::open`].
 
 use crate::store::{FileStore, MemStore, Store};
-use crate::trace::{TraceHandle, TracingStore};
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -82,28 +81,12 @@ impl Backend {
             )?)),
         }
     }
-
-    /// Like [`Backend::open`], wrapped in a [`TracingStore`]; the
-    /// returned handle observes the store after it moves into an array
-    /// or across threads.
-    ///
-    /// # Errors
-    /// Propagates filesystem errors.
-    pub fn open_traced(
-        self,
-        dir: &Path,
-        name: &str,
-        len: u64,
-    ) -> io::Result<(TracingStore<Box<dyn Store + Send>>, TraceHandle)> {
-        let store = TracingStore::new(self.open(dir, name, len)?);
-        let trace = store.trace();
-        Ok((store, trace))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::TracingStore;
 
     #[test]
     fn tempdir_is_unique_and_cleaned() {
@@ -122,13 +105,13 @@ mod tests {
     fn backends_are_equivalent_and_traceable() {
         let dir = TempDir::new("ooc-backend").expect("mk");
         for backend in Backend::ALL {
-            let (mut store, trace) = backend.open_traced(dir.path(), "arr", 16).expect("open");
+            let mut store = TracingStore::new(backend.open(dir.path(), "arr", 16).expect("open"));
             assert_eq!(store.len(), 16);
             store.write_run(3, &[1.5, 2.5]).expect("write");
             let mut buf = [0.0; 2];
             store.read_run(3, &mut buf).expect("read");
             assert_eq!(buf, [1.5, 2.5], "{} backend roundtrip", backend.label());
-            let m = trace.snapshot();
+            let m = store.metrics().expect("traced");
             assert_eq!(m.write_calls, 1);
             assert_eq!(m.read_calls, 1);
         }

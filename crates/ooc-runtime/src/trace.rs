@@ -12,7 +12,7 @@
 
 use crate::store::Store;
 use std::io;
-use std::sync::{Arc, Mutex};
+use std::sync::{Mutex, MutexGuard};
 
 /// Run-length histogram buckets; bucket `i` counts calls moving
 /// `2^i ..= 2^(i+1)-1` elements, the last bucket absorbs the overflow.
@@ -151,54 +151,12 @@ struct TraceState {
     last_end: Option<u64>,
 }
 
-/// A cheap shared handle onto a trace; clones observe the same
-/// counters, so a caller can keep one while the [`TracingStore`] is
-/// moved into an array.
-#[derive(Debug, Clone, Default)]
-pub struct TraceHandle(Arc<Mutex<TraceState>>);
-
-impl TraceHandle {
-    /// A fresh, zeroed trace.
-    #[must_use]
-    pub fn new() -> Self {
-        TraceHandle::default()
-    }
-
-    /// A copy of the counters at this instant.
-    ///
-    /// # Panics
-    /// Panics if the trace mutex was poisoned.
-    #[must_use]
-    pub fn snapshot(&self) -> MeasuredIo {
-        self.0.lock().expect("trace lock").io.clone()
-    }
-
-    /// Zeroes the counters (seek tracking restarts too).
-    ///
-    /// # Panics
-    /// Panics if the trace mutex was poisoned.
-    fn reset(&self) {
-        let mut s = self.0.lock().expect("trace lock");
-        *s = TraceState::default();
-    }
-
-    fn record(&self, offset: u64, len: u64, is_write: bool) {
-        let mut s = self.0.lock().expect("trace lock");
-        let TraceState { io, last_end } = &mut *s;
-        io.record(offset, len, is_write, last_end);
-    }
-
-    fn record_failure(&self) {
-        self.0.lock().expect("trace lock").io.failed_calls += 1;
-        ooc_trace::instant("runtime", "io-fault", Vec::new());
-    }
-}
-
-/// A [`Store`] wrapper recording every call into a [`TraceHandle`].
+/// A [`Store`] wrapper recording every call into [`MeasuredIo`]
+/// counters, read back through [`Store::metrics`].
 #[derive(Debug)]
 pub struct TracingStore<S> {
     inner: S,
-    trace: TraceHandle,
+    trace: Mutex<TraceState>,
 }
 
 impl<S: Store> TracingStore<S> {
@@ -207,14 +165,8 @@ impl<S: Store> TracingStore<S> {
     pub fn new(inner: S) -> Self {
         TracingStore {
             inner,
-            trace: TraceHandle::new(),
+            trace: Mutex::default(),
         }
-    }
-
-    /// A shared handle onto this store's trace.
-    #[must_use]
-    pub fn trace(&self) -> TraceHandle {
-        self.trace.clone()
     }
 
     /// The wrapped store.
@@ -228,6 +180,21 @@ impl<S: Store> TracingStore<S> {
     pub fn into_inner(self) -> S {
         self.inner
     }
+
+    fn state(&self) -> MutexGuard<'_, TraceState> {
+        self.trace.lock().expect("trace lock")
+    }
+
+    fn record(&self, offset: u64, len: u64, is_write: bool) {
+        let mut s = self.state();
+        let TraceState { io, last_end } = &mut *s;
+        io.record(offset, len, is_write, last_end);
+    }
+
+    fn record_failure(&self) {
+        self.state().io.failed_calls += 1;
+        ooc_trace::instant("runtime", "io-fault", Vec::new());
+    }
 }
 
 impl<S: Store> Store for TracingStore<S> {
@@ -238,11 +205,11 @@ impl<S: Store> Store for TracingStore<S> {
     fn read_run(&self, offset: u64, buf: &mut [f64]) -> io::Result<()> {
         match self.inner.read_run(offset, buf) {
             Ok(()) => {
-                self.trace.record(offset, buf.len() as u64, false);
+                self.record(offset, buf.len() as u64, false);
                 Ok(())
             }
             Err(e) => {
-                self.trace.record_failure();
+                self.record_failure();
                 Err(e)
             }
         }
@@ -251,23 +218,23 @@ impl<S: Store> Store for TracingStore<S> {
     fn write_run(&mut self, offset: u64, buf: &[f64]) -> io::Result<()> {
         match self.inner.write_run(offset, buf) {
             Ok(()) => {
-                self.trace.record(offset, buf.len() as u64, true);
+                self.record(offset, buf.len() as u64, true);
                 Ok(())
             }
             Err(e) => {
-                self.trace.record_failure();
+                self.record_failure();
                 Err(e)
             }
         }
     }
 
     fn reset_metrics(&mut self) {
-        self.trace.reset();
+        *self.state() = TraceState::default();
         self.inner.reset_metrics();
     }
 
     fn metrics(&self) -> Option<MeasuredIo> {
-        Some(self.trace.snapshot())
+        Some(self.state().io.clone())
     }
 
     fn access_log(&self) -> Option<Vec<crate::profile::AccessRecord>> {
@@ -283,13 +250,12 @@ mod tests {
     #[test]
     fn records_calls_volume_and_seeks() {
         let mut s = TracingStore::new(MemStore::new(64));
-        let h = s.trace();
         s.write_run(0, &[1.0; 8]).expect("w");
         s.write_run(8, &[2.0; 8]).expect("w"); // sequential: no seek
         s.write_run(32, &[3.0; 4]).expect("w"); // seek of 16
         let mut buf = [0.0; 8];
         s.read_run(0, &mut buf).expect("r"); // seek back of 36
-        let m = h.snapshot();
+        let m = s.metrics().expect("traced");
         assert_eq!(m.write_calls, 3);
         assert_eq!(m.read_calls, 1);
         assert_eq!(m.write_elems, 20);
@@ -310,10 +276,9 @@ mod tests {
         assert_eq!(MeasuredIo::bucket_of(u64::MAX), RUN_HIST_BUCKETS - 1);
 
         let mut s = TracingStore::new(MemStore::new(64));
-        let h = s.trace();
         s.write_run(0, &[0.0; 8]).expect("w");
         s.write_run(8, &[0.0; 7]).expect("w");
-        let m = h.snapshot();
+        let m = s.metrics().expect("traced");
         assert_eq!(m.run_hist[3], 1);
         assert_eq!(m.run_hist[2], 1);
     }
@@ -321,10 +286,9 @@ mod tests {
     #[test]
     fn run_histogram_converts_to_registry_histogram() {
         let mut s = TracingStore::new(MemStore::new(64));
-        let h = s.trace();
         s.write_run(0, &[0.0; 8]).expect("w");
         s.write_run(8, &[0.0; 7]).expect("w");
-        let m = h.snapshot();
+        let m = s.metrics().expect("traced");
         let hist = m.run_histogram();
         assert_eq!(hist.count, 2);
         assert_eq!(hist.sum, 15);
@@ -335,9 +299,8 @@ mod tests {
     #[test]
     fn failures_counted_separately() {
         let mut s = TracingStore::new(MemStore::new(4));
-        let h = s.trace();
         assert!(s.write_run(3, &[0.0; 4]).is_err());
-        let m = h.snapshot();
+        let m = s.metrics().expect("traced");
         assert_eq!(m.failed_calls, 1);
         assert_eq!(m.total_calls(), 0);
         assert_eq!(m.total_elems(), 0);
@@ -346,11 +309,9 @@ mod tests {
     #[test]
     fn reset_through_store_trait() {
         let mut s = TracingStore::new(MemStore::new(8));
-        let h = s.trace();
         s.write_run(0, &[1.0; 8]).expect("w");
-        assert_eq!(h.snapshot().write_calls, 1);
+        assert_eq!(s.metrics().expect("traced").write_calls, 1);
         s.reset_metrics();
-        assert_eq!(h.snapshot(), MeasuredIo::default());
         assert_eq!(s.metrics().expect("traced"), MeasuredIo::default());
     }
 

@@ -9,10 +9,8 @@
 //! compiling rather than failing at runtime.
 
 use ooc_runtime::fault::FaultHandle;
-use ooc_runtime::profile::{AccessLog, ProfilingStore};
-use ooc_runtime::{
-    FaultStore, FileStore, MemStore, OocArray, SharedStore, Store, TraceHandle, TracingStore,
-};
+use ooc_runtime::profile::ProfilingStore;
+use ooc_runtime::{FaultStore, FileStore, MemStore, OocArray, SharedStore, Store, TracingStore};
 
 fn assert_send<T: Send>() {}
 fn assert_send_sync<T: Send + Sync>() {}
@@ -45,9 +43,7 @@ fn shared_handles_are_send_and_sync() {
     assert_send_sync::<SharedStore<MemStore>>();
     assert_send_sync::<SharedStore<Box<dyn Store + Send>>>();
     assert_send_sync::<SharedStore<FaultStore<TracingStore<FileStore>>>>();
-    assert_send_sync::<TraceHandle>();
     assert_send_sync::<FaultHandle>();
-    assert_send_sync::<AccessLog>();
 }
 
 #[test]

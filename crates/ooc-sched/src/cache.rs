@@ -11,9 +11,10 @@
 //! tie-break is deterministic, so a cached run is replayable
 //! bit-for-bit regardless of backend or thread timing.
 //!
-//! Pinned entries (`pin`/`unpin`) are never evicted: the pipeline
-//! pins a tile from the moment a prefetch decision depends on it
-//! being resident until the consuming step has taken it. [`TileCache`]
+//! Pinned entries are never evicted: the pipeline pins a tile from
+//! the moment a prefetch decision depends on it being resident until
+//! the consuming step has taken it, and `take` (or `clear`) is what
+//! releases the pin. [`TileCache`]
 //! hands tiles *out* by value ([`TileCache::take`]) and accepts them
 //! back ([`TileCache::insert`]), which keeps ownership with the
 //! executing step while it mutates the tile.
@@ -58,7 +59,7 @@ impl CacheStats {
 struct Entry {
     tile: Tile,
     dirty: bool,
-    pin_count: u32,
+    pinned: bool,
     /// Absolute step of the next scheduled use; `None` = no known
     /// future use (first to go).
     next_use: Option<u64>,
@@ -154,7 +155,7 @@ impl TileCache {
     }
 
     /// Removes and returns the tile for `(key, region)`, counting a
-    /// hit or miss. Pin counts do not survive a take — the taker owns
+    /// hit or miss. A pin does not survive a take — the taker owns
     /// the tile outright and re-pins on re-insert if needed.
     pub fn take(&mut self, key: SlotKey, region: &Region) -> Option<Tile> {
         match self.entries.remove(&(key, region.clone())) {
@@ -222,7 +223,7 @@ impl TileCache {
             Entry {
                 tile,
                 dirty,
-                pin_count: 0,
+                pinned: false,
                 next_use,
                 last_use: self.tick,
             },
@@ -231,39 +232,16 @@ impl TileCache {
         out
     }
 
-    /// Pins `(key, region)` against eviction; counts nest. Returns
-    /// `false` when the entry is not resident.
+    /// Pins `(key, region)` against eviction until a `take` or
+    /// `clear` removes it. Returns `false` when the entry is not
+    /// resident.
     pub fn pin(&mut self, key: SlotKey, region: &Region) -> bool {
         match self.entries.get_mut(&(key, region.clone())) {
             Some(e) => {
-                e.pin_count += 1;
+                e.pinned = true;
                 true
             }
             None => false,
-        }
-    }
-
-    /// Releases one pin. Returns `false` when the entry is not
-    /// resident or not pinned.
-    pub fn unpin(&mut self, key: SlotKey, region: &Region) -> bool {
-        match self.entries.get_mut(&(key, region.clone())) {
-            Some(e) if e.pin_count > 0 => {
-                e.pin_count -= 1;
-                true
-            }
-            _ => false,
-        }
-    }
-
-    /// Updates the next-use annotation of a resident entry (when a
-    /// later step's issue refreshes the schedule position) and touches
-    /// its LRU tick.
-    pub fn touch(&mut self, key: SlotKey, region: &Region, next_use: Option<u64>) {
-        self.tick += 1;
-        let tick = self.tick;
-        if let Some(e) = self.entries.get_mut(&(key, region.clone())) {
-            e.next_use = next_use;
-            e.last_use = tick;
         }
     }
 
@@ -292,7 +270,7 @@ impl TileCache {
     fn pick_victim(&self) -> Option<(SlotKey, Region)> {
         self.entries
             .iter()
-            .filter(|(_, e)| e.pin_count == 0)
+            .filter(|(_, e)| !e.pinned)
             .max_by(|(ka, a), (kb, b)| {
                 // Later next use = better victim; None = infinity.
                 let by_use = match (a.next_use, b.next_use) {
@@ -374,8 +352,9 @@ mod tests {
         assert_eq!(out.evicted[0].key, key(1));
         assert!(!out.evicted[0].dirty);
         assert!(c.contains(key(0), &Region::new(vec![1], vec![4])));
-        // Unpin: now evictable.
-        assert!(c.unpin(key(0), &Region::new(vec![1], vec![4])));
+        // A take releases the pin: re-inserted, the tile is evictable.
+        let t = c.take(key(0), &Region::new(vec![1], vec![4])).expect("hit");
+        c.insert(key(0), t, true, Some(9_999));
         let out = c.insert(key(3), tile(1, 4), false, Some(3));
         assert_eq!(out.evicted[0].key, key(0));
         assert!(out.evicted[0].dirty, "dirty flag rides along");
@@ -399,12 +378,12 @@ mod tests {
     #[test]
     fn lru_breaks_next_use_ties() {
         let mut c = TileCache::new(8);
+        // Equal next use: key(0), inserted first, is least recent and
+        // goes, although key order alone would pick key(1).
         c.insert(key(0), tile(1, 4), false, Some(7));
         c.insert(key(1), tile(1, 4), false, Some(7));
-        // Touch key(0): key(1) becomes least recent at equal next use.
-        c.touch(key(0), &Region::new(vec![1], vec![4]), Some(7));
         let out = c.insert(key(2), tile(1, 4), false, Some(1));
-        assert_eq!(out.evicted[0].key, key(1));
+        assert_eq!(out.evicted[0].key, key(0));
     }
 
     #[test]

@@ -18,8 +18,8 @@
 //!   fallback so the cut is always safe.
 //! * [`cache`] — a bounded [`TileCache`] whose eviction is
 //!   Belady-informed by those distances (farthest next use goes
-//!   first), with an LRU fallback and pin/unpin for tiles a step is
-//!   actively using.
+//!   first), with an LRU fallback and a pin, released by `take`, for
+//!   tiles a step is about to use.
 //! * [`prefetch`] — a [`PrefetchPool`] of worker threads staging
 //!   upcoming read tiles over any [`Store`](ooc_runtime::Store)
 //!   (behind [`SharedStore`](ooc_runtime::SharedStore)) while the

@@ -21,22 +21,9 @@ enum Op {
         dirty: bool,
     },
     /// Take `(array, lo, elems)` out (hit or miss).
-    Take {
-        array: u32,
-        lo: i64,
-        elems: i64,
-    },
-    /// Pin / unpin `(array, lo, elems)`.
-    Pin {
-        array: u32,
-        lo: i64,
-        elems: i64,
-    },
-    Unpin {
-        array: u32,
-        lo: i64,
-        elems: i64,
-    },
+    Take { array: u32, lo: i64, elems: i64 },
+    /// Pin `(array, lo, elems)` until it is taken.
+    Pin { array: u32, lo: i64, elems: i64 },
 }
 
 fn decode(raw: (u8, u32, i64, i64, u64, bool)) -> Op {
@@ -44,7 +31,7 @@ fn decode(raw: (u8, u32, i64, i64, u64, bool)) -> Op {
     let array = array % 4;
     let lo = (lo_raw % 5) * 16 + 1;
     let elems = elems_raw % 12 + 1;
-    match kind % 4 {
+    match kind % 3 {
         0 => Op::Insert {
             array,
             lo,
@@ -53,8 +40,7 @@ fn decode(raw: (u8, u32, i64, i64, u64, bool)) -> Op {
             dirty,
         },
         1 => Op::Take { array, lo, elems },
-        2 => Op::Pin { array, lo, elems },
-        _ => Op::Unpin { array, lo, elems },
+        _ => Op::Pin { array, lo, elems },
     }
 }
 
@@ -82,8 +68,8 @@ proptest! {
         let mut cache = TileCache::new(capacity);
         // Shadow model: what is resident, what is pinned, each entry's
         // next_use.
-        // Keyed by (slot, (lo, elems)); values are (next_use, pins).
-        type Shadow = BTreeMap<(SlotKey, (i64, i64)), (Option<u64>, u32)>;
+        // Keyed by (slot, (lo, elems)); values are (next_use, pinned).
+        type Shadow = BTreeMap<(SlotKey, (i64, i64)), (Option<u64>, bool)>;
         let mut resident: Shadow = BTreeMap::new();
 
         for (i, &raw) in raw_ops.iter().enumerate() {
@@ -105,13 +91,13 @@ proptest! {
                     for ev in &out.evicted {
                         let elen = ev.tile.region().len();
                         let eid = (ev.key, (ev.tile.region().lo[0], elen));
-                        let (enext, pins) =
+                        let (enext, pinned) =
                             resident.remove(&eid).expect("evicted entry was resident");
-                        prop_assert_eq!(pins, 0, "op {}: evicted a pinned entry", i);
+                        prop_assert!(!pinned, "op {}: evicted a pinned entry", i);
                         // Belady check: no surviving unpinned entry has a
                         // strictly farther next use than the victim.
-                        for ((_, _), &(onext, opins)) in &resident {
-                            if opins > 0 {
+                        for ((_, _), &(onext, opinned)) in &resident {
+                            if opinned {
                                 continue;
                             }
                             let farther = match (onext, enext) {
@@ -127,7 +113,7 @@ proptest! {
                         }
                     }
                     if out.rejected.is_none() {
-                        resident.insert(id, (next_use, 0));
+                        resident.insert(id, (next_use, false));
                     }
                 }
                 Op::Take { array, lo, elems } => {
@@ -141,16 +127,7 @@ proptest! {
                     let ok = cache.pin(key(array), &region(lo, elems));
                     prop_assert_eq!(ok, resident.contains_key(&id), "op {}", i);
                     if let Some(e) = resident.get_mut(&id) {
-                        e.1 += 1;
-                    }
-                }
-                Op::Unpin { array, lo, elems } => {
-                    let id = (key(array), (lo, elems));
-                    let ok = cache.unpin(key(array), &region(lo, elems));
-                    let model_ok = resident.get(&id).is_some_and(|e| e.1 > 0);
-                    prop_assert_eq!(ok, model_ok, "op {}", i);
-                    if let Some(e) = resident.get_mut(&id) {
-                        e.1 = e.1.saturating_sub(1);
+                        e.1 = true;
                     }
                 }
             }

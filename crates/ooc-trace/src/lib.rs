@@ -45,7 +45,6 @@ pub mod json;
 pub mod tree;
 
 use std::cell::Cell;
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
 use std::time::Instant;
@@ -253,10 +252,6 @@ pub struct TraceData {
     pub events: Vec<Event>,
     /// All decision-explain records in emission order.
     pub explains: Vec<Explain>,
-    /// Events evicted by the flight-recorder ring buffer (0 for
-    /// unbounded sessions). When nonzero, `events` holds only the
-    /// trailing window and may start mid-span.
-    pub dropped: u64,
 }
 
 impl TraceData {
@@ -280,22 +275,10 @@ impl TraceData {
     }
 }
 
-/// Live collection state: a (possibly bounded) ring of events plus
-/// the explain log and eviction count.
-#[derive(Debug, Default)]
-struct Collected {
-    events: VecDeque<Event>,
-    explains: Vec<Explain>,
-    dropped: u64,
-}
-
 #[derive(Debug)]
 struct SessionInner {
     epoch: Instant,
-    /// `Some(n)` caps the event ring at `n` entries (flight recorder);
-    /// `None` collects unboundedly.
-    capacity: Option<usize>,
-    data: Mutex<Collected>,
+    data: Mutex<TraceData>,
 }
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
@@ -372,14 +355,12 @@ fn emit(
         kind,
         args,
     };
-    let mut data = inner.data.lock().unwrap_or_else(PoisonError::into_inner);
-    if let Some(cap) = inner.capacity {
-        while data.events.len() >= cap.max(1) {
-            data.events.pop_front();
-            data.dropped += 1;
-        }
-    }
-    data.events.push_back(event);
+    inner
+        .data
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+        .events
+        .push(event);
 }
 
 /// The process-wide trace collector. Starting a session enables every
@@ -392,28 +373,14 @@ pub struct Session {
 }
 
 impl Session {
-    /// Installs a fresh unbounded session. Blocks until any other
-    /// live session is dropped (sessions are process-exclusive).
+    /// Installs a fresh session. Blocks until any other live session
+    /// is dropped (sessions are process-exclusive).
     #[must_use]
     pub fn start() -> Session {
-        Session::install(None)
-    }
-
-    /// Installs a fresh *flight-recorder* session whose event ring
-    /// keeps at most `capacity` trailing events; older events are
-    /// evicted and counted in [`TraceData::dropped`]. Long runs keep
-    /// a bounded trailing window instead of unbounded event vectors.
-    #[must_use]
-    pub fn start_flight_recorder(capacity: usize) -> Session {
-        Session::install(Some(capacity.max(1)))
-    }
-
-    fn install(capacity: Option<usize>) -> Session {
         let exclusive = INSTALL_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
         let inner = Arc::new(SessionInner {
             epoch: Instant::now(),
-            capacity,
-            data: Mutex::new(Collected::default()),
+            data: Mutex::new(TraceData::default()),
         });
         *CURRENT.write().unwrap_or_else(PoisonError::into_inner) = Some(inner.clone());
         ENABLED.store(true, Ordering::Relaxed);
@@ -430,16 +397,11 @@ impl Session {
     /// Panics if an emitter panicked while holding the data lock.
     #[must_use]
     pub fn snapshot(&self) -> TraceData {
-        let data = self
-            .inner
+        self.inner
             .data
             .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        TraceData {
-            events: data.events.iter().cloned().collect(),
-            explains: data.explains.clone(),
-            dropped: data.dropped,
-        }
+            .unwrap_or_else(PoisonError::into_inner)
+            .clone()
     }
 
     /// Stops the session and returns everything it collected.
@@ -679,20 +641,6 @@ mod tests {
             ]
         );
         assert_eq!(Lane::shard(3).to_string(), "shard:3");
-    }
-
-    #[test]
-    fn flight_recorder_keeps_trailing_window() {
-        let session = Session::start_flight_recorder(8);
-        for i in 0..20u64 {
-            instant("t", &format!("e{i}"), vec![("i", ArgValue::U64(i))]);
-        }
-        let data = session.finish();
-        assert_eq!(data.events.len(), 8);
-        assert_eq!(data.dropped, 12);
-        // The *last* 8 events survive.
-        assert_eq!(data.events[0].name, "e12");
-        assert_eq!(data.events[7].name, "e19");
     }
 
     #[test]

@@ -20,7 +20,7 @@ use ooc_opt::kernels::{
     all_kernels, compile, differential_pairs, kernel_by_name, CompiledVersion, Version,
 };
 use ooc_opt::runtime::testing::{Backend, TempDir};
-use ooc_opt::runtime::MeasuredIo;
+use ooc_opt::runtime::{MeasuredIo, TracingStore};
 use std::collections::BTreeMap;
 
 fn seed(a: ArrayId, idx: &[i64]) -> f64 {
@@ -45,7 +45,7 @@ fn run_traced(
         params,
         &seed,
         &FunctionalConfig::with_fraction(16),
-        |_, name, len| backend.open_traced(dir.path(), name, len).map(|(s, _)| s),
+        |_, name, len| backend.open(dir.path(), name, len).map(TracingStore::new),
     )
     .expect("functional run")
 }

@@ -29,7 +29,7 @@ use ooc_opt::kernels::{all_kernels, compile, kernel_by_name, CompiledVersion, Ve
 use ooc_opt::runtime::testing::{Backend, TempDir};
 use ooc_opt::runtime::{
     FaultConfig, FaultHandle, FaultStore, IoNodePool, MemStore, NodeStats, StripeConfig,
-    StripedStore,
+    StripedStore, TracingStore,
 };
 
 fn seed(a: ArrayId, idx: &[i64]) -> f64 {
@@ -67,7 +67,7 @@ fn run_parallel(
         params,
         &seed,
         &parallel_cfg(shards),
-        |_, name, len| backend.open_traced(dir.path(), name, len).map(|(s, _)| s),
+        |_, name, len| backend.open(dir.path(), name, len).map(TracingStore::new),
     )
     .expect("parallel run")
 }

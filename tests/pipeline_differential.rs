@@ -20,7 +20,7 @@ use ooc_opt::core::{
 use ooc_opt::ir::ArrayId;
 use ooc_opt::kernels::{all_kernels, compile, kernel_by_name, CompiledVersion, Version};
 use ooc_opt::runtime::testing::{Backend, TempDir};
-use ooc_opt::runtime::{FaultConfig, FaultHandle, FaultStore, IoStats, MemStore};
+use ooc_opt::runtime::{FaultConfig, FaultHandle, FaultStore, IoStats, MemStore, TracingStore};
 
 fn seed(a: ArrayId, idx: &[i64]) -> f64 {
     let mut h = (a.0 as i64 + 1) * 2654435761;
@@ -50,7 +50,7 @@ fn run_pipelined(
         params,
         &seed,
         &pipeline_config(),
-        |_, name, len| backend.open_traced(dir.path(), name, len).map(|(s, _)| s),
+        |_, name, len| backend.open(dir.path(), name, len).map(TracingStore::new),
     )
     .expect("pipelined run")
 }

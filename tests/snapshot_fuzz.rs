@@ -41,7 +41,7 @@ fn real_snapshot() -> String {
     for v in [1, 2, 3, 900, 1 << 20] {
         r.observe("run_len", &[("array", "A")], v);
     }
-    Snapshot::capture("table2", &r).to_json_string()
+    Snapshot::capture("table2", &r).to_json().pretty()
 }
 
 /// Parses `text` as a snapshot; a panic fails the test.
@@ -76,7 +76,7 @@ fn truncated_and_mutated_snapshots_are_errors_not_panics() {
         let mutant = String::from_utf8(bytes).expect("ASCII stays UTF-8");
         match parse(&mutant, &what) {
             Ok(m) => {
-                let again = parse(&m.to_json_string(), &what).expect("re-serialized");
+                let again = parse(&m.to_json().pretty(), &what).expect("re-serialized");
                 assert_eq!(again, m, "{what}");
             }
             Err(_) => rejected += 1,

@@ -8,8 +8,7 @@
 //!
 //! * a parity-striped store is bit-equal to a flat `MemStore` under
 //!   random runs, healthy and with every single node dead (reads
-//!   reconstruct, writes land in parity), and again after the node is
-//!   resilvered and revived;
+//!   reconstruct, writes land in parity);
 //! * parity is consistent after every healthy write (a verify-only
 //!   scrub finds every group clean);
 //! * the per-node data-plane totals are conserved across K, and repair
@@ -127,16 +126,6 @@ fn parity_store_is_bit_equal_to_a_flat_store_for_every_single_dead_node() {
             assert_same_image(&striped, &flat, "degraded image");
             let repair = pool.total_repair();
             assert!(repair.get(IoCause::DegradedReconstruct).read_calls > 0);
-            // Replacement node: rebuilt, revived, whole again.
-            striped
-                .resilver(dead, |l| Ok(MemStore::new(l)), |l| Ok(MemStore::new(l)))
-                .expect("resilver");
-            pool.revive(dead);
-            assert_eq!(pool.health(dead), NodeHealth::Up);
-            let rep = striped.scrub(false).expect("post-resilver scrub");
-            assert_eq!(rep.clean, rep.groups, "K={nodes} dead={dead}: resilvered");
-            drive(&mut striped, &mut flat, &mut runs, 4, 4);
-            assert_same_image(&striped, &flat, "resilvered image");
         }
     }
 }
