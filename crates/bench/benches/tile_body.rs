@@ -4,11 +4,14 @@
 //! times nothing but `TileKernel::run` over the whole tile schedule.
 //!
 //! Prints the median pass for every kernel, col and c-opt, with the
-//! share of iterations whose innermost run is evaluated in strips
-//! rather than one iteration at a time (`TileKernel::strips`);
-//! `benchmark/`'s `exec.body_ns_per_iter` is the same cost measured by
-//! subtraction inside a real run, where it also carries the per-nest
-//! planning and lowering.
+//! share of iterations by how their nest's innermost runs are
+//! evaluated: in strips, in strips with a fold (`TileKernel::strips`,
+//! `TileKernel::folds`), or one iteration at a time — then each nest
+//! left per-iteration with the dependence that keeps it there
+//! (`kernel::strip_blockers`). `benchmark/`'s `exec.body_ns_per_iter`
+//! is the same cost measured by subtraction inside a real run, where
+//! it also carries the per-nest planning and lowering.
+use ooc_core::kernel::strip_blockers;
 use ooc_core::{extract_schedule, FunctionalConfig, TileKernel};
 use ooc_kernels::{compile, kernel_by_name, Version};
 use ooc_runtime::{MemStore, OocArray, Tile};
@@ -46,9 +49,26 @@ fn bench(name: &str, n: i64, version: Version) {
 
     let schedule = extract_schedule(&tp, &params, &FunctionalConfig::default());
     let mut nests: Vec<(TileKernel, Vec<Staged>)> = Vec::new();
-    let (mut iters, mut strip_iters) = (0u64, 0u64);
+    // Iterations in strips, in strips with a fold, and per-iteration.
+    let mut modes = [0u64; 3];
+    let mut kept = Vec::new();
     for ns in &schedule.nests {
-        let body = TileKernel::lower(&tp.nests[ns.nest].nest, &params).expect("kernels lower");
+        let nest = &tp.nests[ns.nest].nest;
+        let body = TileKernel::lower(nest, &params).expect("kernels lower");
+        let mode = match (body.strips(), body.folds()) {
+            (true, false) => 0,
+            (true, true) => 1,
+            (false, _) => 2,
+        };
+        if mode == 2 {
+            let deps = ooc_ir::array_dependences(nest);
+            let blocker = strip_blockers(nest, &deps).next();
+            if let Some((array, dep)) = blocker {
+                let v: Vec<String> = dep.vector.iter().map(ToString::to_string).collect();
+                let array = &tp.program.arrays[array.0].name;
+                kept.push(format!("{} by {array} ({})", nest.name, v.join(",")));
+            }
+        }
         let mut steps = Vec::with_capacity(ns.steps.len());
         for step in &ns.steps {
             let mut tiles: Vec<Option<Tile>> = vec![None; body.slots()];
@@ -64,10 +84,7 @@ fn bench(name: &str, n: i64, version: Version) {
                 .zip(&step.box_hi)
                 .map(|(lo, hi)| u64::try_from(hi - lo + 1).unwrap_or(0))
                 .product::<u64>();
-            iters += box_iters;
-            if body.strips() {
-                strip_iters += box_iters;
-            }
+            modes[mode] += box_iters;
             steps.push(Staged {
                 lo: step.box_lo.clone(),
                 hi: step.box_hi.clone(),
@@ -92,14 +109,21 @@ fn bench(name: &str, n: i64, version: Version) {
     black_box(&nests);
     seconds.sort_by(f64::total_cmp);
     let median = seconds[PASSES / 2];
+    let iters: u64 = modes.iter().sum();
+    let share = |m: u64| 100.0 * m as f64 / iters.max(1) as f64;
     println!(
-        "tile_body/{name:<6}/{:<6} N={n:<4} {:>8.2} ns/iter {:>5.1} % in strips  ({iters} iters, {} steps, median of {PASSES} passes of {:.3} ms)",
+        "tile_body/{name:<6}/{:<6} N={n:<4} {:>8.2} ns/iter {:>5.1} % strips {:>5.1} % folds {:>5.1} % per-iter  ({iters} iters, {} steps, median of {PASSES} passes of {:.3} ms)",
         version.label(),
         median * 1e9 / iters.max(1) as f64,
-        100.0 * strip_iters as f64 / iters.max(1) as f64,
+        share(modes[0]),
+        share(modes[1]),
+        share(modes[2]),
         nests.iter().map(|(_, s)| s.len()).sum::<usize>(),
         median * 1e3,
     );
+    if !kept.is_empty() {
+        println!("    per-iteration: {}", kept.join("; "));
+    }
 }
 
 fn main() {

@@ -13,6 +13,10 @@
 //!   `f64` stack, emitted in the expression tree's post-order so every
 //!   operation sees the same operands in the same order as the
 //!   recursive evaluation of `ooc_ir::exec` — results are bit-equal;
+//! * each accumulation `W = W op x` (see `fold_of`) as a **fold**: the
+//!   tape of `x` alone, closed by one of `Op::FoldAdd/Sub/Mul/Div`,
+//!   which applies `W = W op x` to the element `W` addresses — `W` is
+//!   never loaded onto the stack;
 //! * guards, as "level `g.var` sits at its whole-loop lower/upper
 //!   bound", read off the unclamped bounds each level computes on
 //!   entry.
@@ -22,16 +26,22 @@
 //! from the tiles' row-major strides — and runs the loops clamped to
 //! the tile box, bumping addresses instead of recomputing subscripts.
 //!
-//! Where the nest's dependences allow it (see `strips_legal`), an
-//! innermost run is evaluated in **strips** of up to `STRIP` (64)
-//! iterations: each op of the tape processes the whole strip before
-//! the next op runs — `Load` gathers with the reference's innermost
-//! address step, `Store` scatters, a guard narrows its statement to
-//! the part of the strip it covers. Every element still sees the same
-//! operations on the same operands in the same order, so the results
-//! stay bit-equal; only the interleaving across iterations changes,
-//! which is what the legality rule licenses. Nests that carry a
-//! dependence on the innermost level run it one iteration at a time.
+//! Where the nest's dependences allow it (see `strip_blockers`), an
+//! innermost run of two or more iterations is evaluated in **strips**
+//! of up to `STRIP` (64) iterations: each op of the tape processes the
+//! whole strip before the next op runs — `Load` gathers with the
+//! reference's innermost address step, `Store` scatters, a fold folds
+//! the strip's values of `x` into `W` one after the other, a guard
+//! narrows its statement to the part of the strip it covers. Every
+//! element still sees the same operations on the same operands in the
+//! same order — a fold keeps one accumulator and the iteration order,
+//! with no reassociation — so the results stay bit-equal; only the
+//! interleaving across iterations changes, which is what the legality
+//! rule licenses. The dependences a fold's own accumulator carries on
+//! the innermost level do not count against it: no other reference
+//! names its array, and the fold applies them serially. Nests that
+//! carry any other dependence on the innermost level, and runs of one
+//! iteration, run one iteration at a time.
 //!
 //! A flat address that leaves its tile would silently alias into a
 //! neighbouring row, so every innermost run checks the subscripts of
@@ -43,7 +53,7 @@
 //! `ooc_ir::exec` shares none of this: it is the oracle.
 
 use crate::plan::Staging;
-use ooc_ir::{ArrayRef, DepElem, Dependence, Expr, Guard, GuardAt, LoopNest};
+use ooc_ir::{ArrayId, ArrayRef, DepElem, Dependence, Expr, Guard, GuardAt, LoopNest, Statement};
 use ooc_linalg::{Affine, Rational};
 use ooc_runtime::Tile;
 use std::io;
@@ -52,24 +62,75 @@ use std::ops::Range;
 /// Iterations of an innermost run one strip evaluates together.
 const STRIP: usize = 64;
 
-/// Whether a nest with dependences `deps` may run its innermost level
-/// in strips: every dependence is either loop-independent at the
-/// innermost level or carried by an outer level whose distance cannot
-/// be zero. Then no two iterations of one innermost run touch an
-/// element one of them writes, so a strip reads nothing another of its
-/// iterations writes. `NonNeg` and `Star` admit zero.
-pub(crate) fn strips_legal(deps: &[Dependence], depth: usize) -> bool {
-    let Some(inner) = depth.checked_sub(1) else {
+/// Whether a dependence of distance `v` leaves the innermost runs free
+/// to strip: it is loop-independent at the innermost level or carried
+/// by an outer level whose distance cannot be zero. Then no two
+/// iterations of one innermost run touch an element one of them
+/// writes, so a strip reads nothing another of its iterations writes.
+/// `NonNeg` and `Star` admit zero.
+fn strip_safe(v: &[DepElem]) -> bool {
+    let Some((inner, outer)) = v.split_last() else {
         return false;
     };
-    deps.iter().all(|d| {
-        d.vector[inner] == DepElem::Exact(0)
-            || d.vector[..inner].iter().any(|e| match *e {
-                DepElem::Exact(k) => k != 0,
-                DepElem::Plus | DepElem::Minus => true,
-                DepElem::NonNeg | DepElem::Star => false,
-            })
-    })
+    *inner == DepElem::Exact(0)
+        || outer.iter().any(|e| match *e {
+            DepElem::Exact(k) => k != 0,
+            DepElem::Plus | DepElem::Minus => true,
+            DepElem::NonNeg | DepElem::Star => false,
+        })
+}
+
+/// The dependences of `deps` — `nest`'s [`ooc_ir::array_dependences`]
+/// — that keep its innermost runs from being evaluated in strips:
+/// those not on a fold's array (see [`fold_of`]) that fail the rule of
+/// [`strip_safe`]. A fold's own array is exempt because the fold
+/// applies its accumulations one after the other, in iteration order.
+/// The nest strips when there are none.
+pub fn strip_blockers<'d>(
+    nest: &LoopNest,
+    deps: &'d [(ArrayId, Dependence)],
+) -> impl Iterator<Item = &'d (ArrayId, Dependence)> {
+    let folds: Vec<ArrayId> = nest
+        .body
+        .iter()
+        .filter(|st| fold_of(nest, st).is_some())
+        .map(|st| st.lhs.array)
+        .collect();
+    deps.iter()
+        .filter(move |(a, d)| !folds.contains(a) && !strip_safe(&d.vector))
+}
+
+/// Whether `nest`, with dependences `deps` (its
+/// [`ooc_ir::array_dependences`]), may run its innermost level in
+/// strips.
+pub(crate) fn strips_legal(nest: &LoopNest, deps: &[(ArrayId, Dependence)]) -> bool {
+    nest.depth > 0 && strip_blockers(nest, deps).next().is_none()
+}
+
+/// `Some((x, close))` when statement `st` of `nest` is a **fold** `W =
+/// W op x`, `close` building the op that closes it: the accumulator `W`
+/// is the left operand and the same reference as the written one, the
+/// innermost level leaves `W`'s subscripts alone (a whole innermost run
+/// updates one element), and no other reference of the nest names `W`'s
+/// array — not `x`, not another statement, not a second access class.
+fn fold_of<'s>(nest: &LoopNest, st: &'s Statement) -> Option<(&'s Expr, FoldOp)> {
+    let (acc, x, close): (_, _, FoldOp) = match &st.rhs {
+        Expr::Add(a, b) => (a, b, Op::FoldAdd),
+        Expr::Sub(a, b) => (a, b, Op::FoldSub),
+        Expr::Mul(a, b) => (a, b, Op::FoldMul),
+        Expr::Div(a, b) => (a, b, Op::FoldDiv),
+        Expr::Const(_) | Expr::Ref(_) => return None,
+    };
+    let w = &st.lhs;
+    let inner = nest.depth.checked_sub(1)?;
+    let named = || {
+        let refs = nest.body.iter().flat_map(Statement::refs);
+        refs.filter(|r| r.array == w.array).count()
+    };
+    let fold = matches!(&**acc, Expr::Ref(r) if r == w)
+        && (0..w.rank()).all(|d| w.access[(d, inner)] == Rational::ZERO)
+        && named() == 2;
+    fold.then_some((&**x, close))
 }
 
 fn invalid(msg: String) -> io::Error {
@@ -191,7 +252,19 @@ enum Op {
     /// Closes a statement: pop into the element reference `.1`
     /// addresses in slot `.0`.
     Store(usize, usize),
+    /// Close a fold: `W = W op x` for each popped `x`, in iteration
+    /// order, `W` the element reference `.1` addresses in slot `.0`.
+    /// One op per operation keeps the tape's layout that of the other
+    /// ops: a third field naming the operation made the tag a byte
+    /// beside it and slowed the dispatch of every tape.
+    FoldAdd(usize, usize),
+    FoldSub(usize, usize),
+    FoldMul(usize, usize),
+    FoldDiv(usize, usize),
 }
+
+/// Builds the op that closes a fold, from its slot and reference.
+type FoldOp = fn(usize, usize) -> Op;
 
 /// One statement: its references (the written one first) and its
 /// guards.
@@ -216,6 +289,8 @@ pub struct TileKernel {
     stack: usize,
     /// Whether innermost runs are evaluated in strips.
     strips: bool,
+    /// Whether some statement lowered to a fold.
+    folds: bool,
 }
 
 impl TileKernel {
@@ -227,7 +302,7 @@ impl TileKernel {
     /// not match the nest or that no slot stages, a guard on a level
     /// the nest does not have, or a bound that leaves `i64`.
     pub fn lower(nest: &LoopNest, params: &[i64]) -> io::Result<Self> {
-        let strips = strips_legal(&ooc_ir::nest_dependences(nest), nest.depth);
+        let strips = strips_legal(nest, &ooc_ir::array_dependences(nest));
         Self::lower_on(nest, params, &Staging::for_nest(nest), strips)
     }
 
@@ -252,6 +327,7 @@ impl TileKernel {
             tape: Vec::new(),
             stack: 0,
             strips,
+            folds: false,
         };
         for (level, b) in nest.bounds.loop_bounds().iter().enumerate() {
             let lower = |forms: &[Affine]| -> io::Result<Vec<Form>> {
@@ -277,9 +353,15 @@ impl TileKernel {
                 k.tape.push(Op::Guard(k.stmts.len(), 0));
             }
             let (slot, lhs) = k.add_ref(&st.lhs, staging)?;
-            let stack = k.emit(&st.rhs, staging)?;
+            // A fold evaluates only `x`; its accumulator is never loaded.
+            let (rhs, close) = match fold_of(nest, st) {
+                Some((x, close)) => (x, close(slot, lhs)),
+                None => (&st.rhs, Op::Store(slot, lhs)),
+            };
+            k.folds |= !matches!(close, Op::Store(..));
+            let stack = k.emit(rhs, staging)?;
             k.stack = k.stack.max(stack);
-            k.tape.push(Op::Store(slot, lhs));
+            k.tape.push(close);
             let end = k.tape.len();
             if let Op::Guard(_, skip) = &mut k.tape[first_op] {
                 *skip = end;
@@ -360,6 +442,13 @@ impl TileKernel {
     #[must_use]
     pub fn strips(&self) -> bool {
         self.strips
+    }
+
+    /// Whether some statement lowered to a fold `W = W op x` (see the
+    /// module docs).
+    #[must_use]
+    pub fn folds(&self) -> bool {
+        self.folds
     }
 
     /// Number of tile slots [`run`](Self::run) expects.
@@ -481,7 +570,8 @@ struct Bound<'k, 't> {
     /// Per statement, the iterations of the current innermost run it
     /// executes at.
     active: Vec<(i64, i64)>,
-    /// The operand stack of the per-iteration loop.
+    /// The operand stack of the per-iteration loop, unless the kernel
+    /// strips: then its one-iteration runs borrow the strip loop's.
     stack: Vec<f64>,
     /// The operand stack of the strip loop: one strip per entry.
     lanes: Vec<[f64; STRIP]>,
@@ -545,7 +635,8 @@ impl Bound<'_, '_> {
                 }
             }
         }
-        if k.strips {
+        // A strip of one iteration is slower than the per-iteration loop.
+        if k.strips && hi > lo {
             self.strips(lo, hi);
             return;
         }
@@ -553,7 +644,12 @@ impl Bound<'_, '_> {
         let n = k.refs.len();
         let cur = &mut self.addr[k.depth * n..];
         let steps = &self.steps[inner * n..];
-        let (bufs, stack, active) = (&mut self.bufs, &mut self.stack, &self.active);
+        let stack = if k.strips {
+            self.lanes.as_flattened_mut()
+        } else {
+            &mut self.stack[..]
+        };
+        let (bufs, active) = (&mut self.bufs, &self.active);
         for v in lo..=hi {
             let (mut pc, mut sp) = (0, 0);
             while let Some(&op) = k.tape.get(pc) {
@@ -594,6 +690,22 @@ impl Bound<'_, '_> {
                     Op::Store(slot, r) => {
                         sp -= 1;
                         bufs[slot][cur[r] as usize] = stack[sp];
+                    }
+                    Op::FoldAdd(slot, r) => {
+                        sp -= 1;
+                        bufs[slot][cur[r] as usize] += stack[sp];
+                    }
+                    Op::FoldSub(slot, r) => {
+                        sp -= 1;
+                        bufs[slot][cur[r] as usize] -= stack[sp];
+                    }
+                    Op::FoldMul(slot, r) => {
+                        sp -= 1;
+                        bufs[slot][cur[r] as usize] *= stack[sp];
+                    }
+                    Op::FoldDiv(slot, r) => {
+                        sp -= 1;
+                        bufs[slot][cur[r] as usize] /= stack[sp];
                     }
                 }
             }
@@ -650,6 +762,32 @@ impl Bound<'_, '_> {
                         scatter(&lanes[sp][part.0..part.1], bufs[slot], at, steps[r]);
                         part = (0, len);
                     }
+                    // The innermost level leaves a fold's element alone,
+                    // so its address is the run's.
+                    Op::FoldAdd(slot, r) => {
+                        sp -= 1;
+                        let xs = &lanes[sp][part.0..part.1];
+                        fold(&mut bufs[slot][cur[r] as usize], xs, |w, x| w + x);
+                        part = (0, len);
+                    }
+                    Op::FoldSub(slot, r) => {
+                        sp -= 1;
+                        let xs = &lanes[sp][part.0..part.1];
+                        fold(&mut bufs[slot][cur[r] as usize], xs, |w, x| w - x);
+                        part = (0, len);
+                    }
+                    Op::FoldMul(slot, r) => {
+                        sp -= 1;
+                        let xs = &lanes[sp][part.0..part.1];
+                        fold(&mut bufs[slot][cur[r] as usize], xs, |w, x| w * x);
+                        part = (0, len);
+                    }
+                    Op::FoldDiv(slot, r) => {
+                        sp -= 1;
+                        let xs = &lanes[sp][part.0..part.1];
+                        fold(&mut bufs[slot][cur[r] as usize], xs, |w, x| w / x);
+                        part = (0, len);
+                    }
                 }
             }
             if last == hi {
@@ -700,6 +838,12 @@ fn binary(
         f(x, y);
     }
     sp - 1
+}
+
+/// `w = op(w, xs[e])` for each `e` in order: one accumulator, no
+/// reassociation, so each `w` sees what the per-iteration loop gives it.
+fn fold(w: &mut f64, xs: &[f64], op: impl Fn(f64, f64) -> f64) {
+    *w = xs.iter().fold(*w, |w, &x| op(w, x));
 }
 
 /// Loads `out[e] = buf[at + e·step]`. A negative address wraps past

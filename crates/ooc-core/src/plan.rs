@@ -577,8 +577,8 @@ pub fn plan_nest<'e>(
     };
     let staging = Staging::for_nest(nest);
     staging.check_regions(&ranges)?;
-    let deps = ooc_ir::nest_dependences(nest);
-    let own_level = ownership_level(&deps, nest.depth);
+    let by_array = ooc_ir::array_dependences(nest);
+    let own_level = ownership_level(&ooc_ir::merge_arrays(&by_array), nest.depth);
     let mut search_ranges = ranges.clone();
     if let Some(procs) = restrict {
         let l = own_level.unwrap_or(0);
@@ -597,7 +597,7 @@ pub fn plan_nest<'e>(
         spans,
         cost,
         staging,
-        strips: kernel::strips_legal(&deps, nest.depth),
+        strips: kernel::strips_legal(nest, &by_array),
     }))
 }
 

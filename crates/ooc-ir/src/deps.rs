@@ -14,7 +14,7 @@
 //! Legality of a transformation `T` against a direction vector is
 //! decided with exact interval arithmetic on each transformed level.
 
-use crate::program::LoopNest;
+use crate::program::{ArrayId, LoopNest};
 use ooc_linalg::{Matrix, Rational};
 use std::fmt;
 
@@ -88,11 +88,20 @@ pub enum DepKind {
 /// including a reference with itself for writes.
 #[must_use]
 pub fn nest_dependences(nest: &LoopNest) -> Vec<Dependence> {
-    let mut out: Vec<Dependence> = Vec::new();
+    merge_arrays(&array_dependences(nest))
+}
+
+/// The dependences of [`nest_dependences`], each with the array it is
+/// on, from the same pass: one entry per distinct `(array,
+/// dependence)`, so a caller can set the dependences on some arrays
+/// apart and still get the whole list from [`merge_arrays`].
+#[must_use]
+pub fn array_dependences(nest: &LoopNest) -> Vec<(ArrayId, Dependence)> {
+    let mut out: Vec<(ArrayId, Dependence)> = Vec::new();
     let stmts = &nest.body;
-    let mut push = |dep: Dependence| {
-        if !out.contains(&dep) {
-            out.push(dep);
+    let mut push = |array: ArrayId, dep: Dependence| {
+        if !out.iter().any(|(a, d)| *a == array && *d == dep) {
+            out.push((array, dep));
         }
     };
     // Every (write, write) and (write, read) pair over the same array.
@@ -111,7 +120,7 @@ pub fn nest_dependences(nest: &LoopNest) -> Vec<Dependence> {
                     nest.depth,
                     DepKind::Output,
                 ) {
-                    push(dep);
+                    push(w.array, dep);
                 }
             }
             for r in s2.reads() {
@@ -126,9 +135,22 @@ pub fn nest_dependences(nest: &LoopNest) -> Vec<Dependence> {
                     nest.depth,
                     DepKind::Flow,
                 ) {
-                    push(dep);
+                    push(w.array, dep);
                 }
             }
+        }
+    }
+    out
+}
+
+/// The distinct dependences of `deps` in first-seen order, arrays
+/// dropped: [`nest_dependences`] of the nest `deps` came from.
+#[must_use]
+pub fn merge_arrays(deps: &[(ArrayId, Dependence)]) -> Vec<Dependence> {
+    let mut out: Vec<Dependence> = Vec::with_capacity(deps.len());
+    for (_, dep) in deps {
+        if !out.contains(dep) {
+            out.push(dep.clone());
         }
     }
     out
@@ -360,7 +382,7 @@ fn row_interval(t: &Matrix, row: usize, vector: &[DepElem]) -> (Option<i64>, Opt
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::program::{ArrayId, ArrayRef, Expr, LoopNest, Statement};
+    use crate::program::{ArrayRef, Expr, LoopNest, Statement};
 
     fn nest_with(stmts: Vec<Statement>, depth: usize) -> LoopNest {
         LoopNest::rectangular("t", depth, 1, 0, stmts)

@@ -31,7 +31,10 @@ pub mod pretty;
 pub mod program;
 
 pub use builder::{NestBuilder, ProgramBuilder, B};
-pub use deps::{nest_dependences, transformation_preserves, DepElem, DepKind, Dependence};
+pub use deps::{
+    array_dependences, merge_arrays, nest_dependences, transformation_preserves, DepElem, DepKind,
+    Dependence,
+};
 pub use exec::{execute_program, Memory};
 pub use imperfect::{
     LoopNode, Node, Subscript, SurfaceExpr, SurfaceProgram, SurfaceRef, SurfaceStmt,

@@ -29,7 +29,9 @@ impl Pool<'_> {
 ///
 /// * statement 1 writes `W0` from `R0`, a halo neighbour of the same
 ///   `R0` class, `R1`, and — on a coin — `W0` itself through a second
-///   access class, which puts `W0` in hull mode;
+///   access class, which puts `W0` in hull mode; on another coin it is
+///   an accumulation `W0 = W0 op x` whose `W0` the innermost level does
+///   not move, a fold unless something else names `W0`;
 /// * statement 2 (on a coin) writes `W1` from the element statement 1
 ///   has just written in the same iteration;
 /// * statement 3 (on a coin) resets `W1` under one or two guards, on
@@ -71,7 +73,13 @@ pub fn random_nest(pool: &mut Pool<'_>, max_extent: i64) -> (Program, Vec<FileLa
 
     // Raw references, offsets relative to their class; fixed up below.
     let r0_class = rows(pool, r0);
-    let w0_class = rows(pool, w0);
+    let mut w0_class = rows(pool, w0);
+    let accumulate = pool.coin();
+    if accumulate {
+        for row in &mut w0_class {
+            row[depth - 1] = 0;
+        }
+    }
     let mut refs = vec![
         ArrayRef::new(w0, &w0_class, zero(w0)),       // 0: stmt 1 lhs
         ArrayRef::new(r0, &r0_class, zero(r0)),       // 1
@@ -120,6 +128,9 @@ pub fn random_nest(pool: &mut Pool<'_>, max_extent: i64) -> (Program, Vec<FileLa
     if pool.coin() {
         // Right-nested on purpose: the tape must keep operand order.
         rhs = binary(pool, read(4), Box::new(rhs));
+    }
+    if accumulate {
+        rhs = binary(pool, read(0), Box::new(rhs));
     }
     let mut body = vec![Statement::assign(refs[0].clone(), rhs)];
     if pool.coin() {

@@ -12,8 +12,9 @@
 //! bit.
 //!
 //! Hand-built nests pin the strip rule: which nests may evaluate an
-//! innermost run in strips (`TileKernel::strips`) and that both loops,
-//! strips of every length included, stay bit-equal.
+//! innermost run in strips (`TileKernel::strips`), which statements
+//! lower to folds (`TileKernel::folds`), and that both loops, strips of
+//! every length included, stay bit-equal.
 
 mod common;
 
@@ -243,9 +244,16 @@ fn program(nest: impl FnOnce([ArrayId; 3]) -> LoopNest) -> Program {
 /// leaves the innermost level whole, `Traditional` tiles it, so runs
 /// end inside strips too.
 fn strips_and_bit_equal(prog: &Program, n: i64) -> bool {
+    let (strips, _) = mode_if_bit_equal(prog, n);
+    strips
+}
+
+/// [`strips_and_bit_equal`], and whether some statement of the nest
+/// lowers to a fold.
+fn mode_if_bit_equal(prog: &Program, n: i64) -> (bool, bool) {
     let params = [n];
     let want = reference(prog, &params);
-    let mut strips = Vec::new();
+    let mut modes = Vec::new();
     for strategy in [TilingStrategy::OutOfCore, TilingStrategy::Traditional] {
         let layouts = prog
             .arrays
@@ -257,13 +265,13 @@ fn strips_and_bit_equal(prog: &Program, n: i64) -> bool {
         assert_eq!(sync, want, "{name} {strategy:?} sync walk");
         assert_eq!(piped, want, "{name} {strategy:?} step engine");
         let kernel = TileKernel::lower(&tp.nests[0].nest, &params).expect("lowers");
-        strips.push(kernel.strips());
+        modes.push((kernel.strips(), kernel.folds()));
     }
     assert_eq!(
-        strips[0], strips[1],
+        modes[0], modes[1],
         "the rule reads the nest, not its tiling"
     );
-    strips[0]
+    modes[0]
 }
 
 /// A flow dependence carried by the innermost level: a strip would
@@ -398,4 +406,102 @@ fn runs_of_every_length_around_a_strip_stay_bit_equal() {
         }
         assert!(strips_and_bit_equal(&prog, n), "N={n}");
     }
+}
+
+/// A program of `N x N` arrays `A`, `B` and `N`-vectors `C`, `V` (ids
+/// 0 to 3) and one nest over `i, j` built from them.
+fn reduction(lo_j: i64, body: impl FnOnce([ArrayId; 4]) -> Vec<Statement>) -> Program {
+    let mut p = Program::new(&["N"]);
+    let ids =
+        [("A", 2), ("B", 2), ("C", 1), ("V", 1)].map(|(name, rank)| p.declare_array(name, rank, 0));
+    p.add_nest(nest_over("reduction", [1, lo_j], [0, 0], body(ids)));
+    p
+}
+
+/// `C(i)`.
+fn c_of_i(c: ArrayId) -> ArrayRef {
+    ArrayRef::new(c, &[vec![1, 0]], vec![0])
+}
+
+/// `A(i,j) / V(j)`: an inexact term, so a fold that reassociated its
+/// terms would change bits.
+fn term(a: ArrayId, v: ArrayId) -> Box<Expr> {
+    let v_of_j = ArrayRef::new(v, &[vec![0, 1]], vec![0]);
+    Box::new(Expr::Div(load(at(a, 0, 0)), load(v_of_j)))
+}
+
+/// `C(i) = C(i) op A(i,j)/V(j)` with `j` innermost: a fold, and the
+/// nest strips, for each operation whose operand order matters and
+/// for `+`.
+#[test]
+fn an_accumulation_folds_in_strips() {
+    type Op = fn(Box<Expr>, Box<Expr>) -> Expr;
+    let ops: [(&str, Op); 3] = [("+", Expr::Add), ("-", Expr::Sub), ("/", Expr::Div)];
+    for (name, op) in ops {
+        let prog = reduction(1, |[a, _, c, v]| {
+            vec![Statement::assign(
+                c_of_i(c),
+                op(load(c_of_i(c)), term(a, v)),
+            )]
+        });
+        assert_eq!(mode_if_bit_equal(&prog, 70), (true, true), "C = C {name} x");
+    }
+}
+
+/// `C(i) = A(i,j)/V(j) - C(i)`: the accumulator on the right is no
+/// fold, and the innermost level carries `C`.
+#[test]
+fn an_accumulator_on_the_right_does_not_fold() {
+    let prog = reduction(1, |[a, _, c, v]| {
+        vec![Statement::assign(
+            c_of_i(c),
+            Expr::Sub(term(a, v), load(c_of_i(c))),
+        )]
+    });
+    assert_eq!(mode_if_bit_equal(&prog, 70), (false, false));
+}
+
+/// A second statement reads the running `C(i)`: no fold, since a strip
+/// would hand it the sum after the whole strip.
+#[test]
+fn a_second_reader_of_the_accumulator_disqualifies_the_fold() {
+    let prog = reduction(1, |[a, b, c, v]| {
+        let fold = Statement::assign(c_of_i(c), Expr::Add(load(c_of_i(c)), term(a, v)));
+        let half = Expr::Mul(load(c_of_i(c)), Box::new(Expr::Const(0.5)));
+        vec![fold, Statement::assign(at(b, 0, 0), half)]
+    });
+    assert_eq!(mode_if_bit_equal(&prog, 70), (false, false));
+}
+
+/// `C(i) = C(i) + B(i,j-1); B(i,j) = A(i,j)/V(j)`: still a fold, but
+/// its term reads what the previous iteration wrote, so the nest runs
+/// per-iteration — a strip would fold the old `B` in.
+#[test]
+fn a_fold_reading_a_carried_write_runs_per_iteration() {
+    let prog = reduction(2, |[a, b, c, v]| {
+        let fold = Statement::assign(c_of_i(c), Expr::Add(load(c_of_i(c)), load(at(b, 0, -1))));
+        vec![fold, Statement::assign(at(b, 0, 0), *term(a, v))]
+    });
+    assert_eq!(mode_if_bit_equal(&prog, 70), (false, true));
+}
+
+/// Guards on the innermost level narrow a fold to the one iteration at
+/// either end of the run: at `N = 100` the upper one is position 35 of
+/// the run's second strip.
+#[test]
+fn an_innermost_guard_narrows_a_fold_to_one_iteration() {
+    let prog = reduction(1, |[a, b, c, v]| {
+        let mut fold = Statement::assign(c_of_i(c), Expr::Add(load(c_of_i(c)), term(a, v)));
+        fold.guards.push(Guard {
+            var: 1,
+            at: GuardAt::UpperBound,
+        });
+        let mut first = Statement::assign(at(b, 0, 0), Expr::Mul(load(at(b, 0, 0)), term(a, v)));
+        first.guards.push(Guard {
+            var: 1,
+            at: GuardAt::LowerBound,
+        });
+        vec![fold, first]
+    });
+    assert_eq!(mode_if_bit_equal(&prog, 100), (true, true));
 }
