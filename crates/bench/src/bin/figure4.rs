@@ -19,18 +19,9 @@ use ooc_core::pipeline::{extract_schedule, schedule_footprint};
 use ooc_core::{
     build_workload, exec_pipelined, run_functional_on, ExecConfig, FunctionalConfig, PipelineConfig,
 };
-use ooc_ir::ArrayId;
-use ooc_kernels::{compile, kernel_by_name, Version};
+use ooc_kernels::{compile, kernel_by_name, seed, Version};
 use ooc_runtime::MemStore;
 use pfs_sim::overlap_report;
-
-fn seed(a: ArrayId, idx: &[i64]) -> f64 {
-    let mut h = (a.0 as i64 + 1) * 2654435761;
-    for &x in idx {
-        h = h.wrapping_mul(31).wrapping_add(x * 17);
-    }
-    ((h % 1009) as f64) / 64.0 + 1.0
-}
 
 const DEPTHS: [usize; 5] = [0, 1, 2, 4, 8];
 const CAPACITY_MULTS: [u64; 3] = [1, 2, 4];

@@ -18,17 +18,8 @@ use ooc_core::{
     run_durable, DurabilityConfig, FunctionalConfig, MemMedium, ParallelConfig, PipelineConfig,
     Start,
 };
-use ooc_ir::ArrayId;
-use ooc_kernels::{compile, kernel_by_name, Version};
+use ooc_kernels::{compile, kernel_by_name, seed, Version};
 use ooc_runtime::{is_crashed, FaultConfig};
-
-fn seed(a: ArrayId, idx: &[i64]) -> f64 {
-    let mut h = (a.0 as i64 + 1) * 2654435761;
-    for &x in idx {
-        h = h.wrapping_mul(31).wrapping_add(x * 17);
-    }
-    ((h % 1009) as f64) / 64.0 + 1.0
-}
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();

@@ -46,21 +46,12 @@ use ooc_core::{
     exec_parallel, run_functional_on, simulate, ExecConfig, FunctionalConfig, IoComparison,
     ParallelConfig, PipelineConfig,
 };
-use ooc_ir::ArrayId;
-use ooc_kernels::{compile, kernel_by_name, Version};
+use ooc_kernels::{compile, kernel_by_name, seed, Version};
 use ooc_runtime::{
     heatmap, sequential_stats, AccessRecord, MemStore, ProfilingStore, SeekCdf, TracingStore,
     ELEM_BYTES,
 };
 use pfs_sim::{price_sequence, render_timeline, DiskParams};
-
-fn seed(a: ArrayId, idx: &[i64]) -> f64 {
-    let mut h = (a.0 as i64 + 1) * 2654435761;
-    for &x in idx {
-        h = h.wrapping_mul(31).wrapping_add(x * 17);
-    }
-    ((h % 1009) as f64) / 64.0 + 1.0
-}
 
 /// Renders one array's access-pattern profile (the `--profile` view).
 fn print_profile(name: &str, accesses: &[AccessRecord], file_elems: u64, disk: &DiskParams) {

@@ -2,7 +2,6 @@
 
 use ooc_core::{simulate, ExecConfig};
 use ooc_kernels::{all_kernels, compile, Kernel, Version};
-use rayon::prelude::*;
 
 /// One version's measurement within a kernel row.
 #[derive(Debug, Clone)]
@@ -58,7 +57,7 @@ pub fn scaled_params(kernel: &Kernel, scale: i64) -> Vec<i64> {
 pub fn table2_row(kernel: &Kernel, procs: usize, scale: i64) -> Table2Row {
     let params = scaled_params(kernel, scale);
     let cells: Vec<Table2Cell> = Version::ALL
-        .par_iter()
+        .iter()
         .map(|&v| {
             let cv = compile(kernel, v);
             let mut cfg = ExecConfig::new(params.clone(), procs);
@@ -83,7 +82,7 @@ pub fn table2_row(kernel: &Kernel, procs: usize, scale: i64) -> Table2Row {
 #[must_use]
 pub fn run_table2(procs: usize, scale: i64) -> Vec<Table2Row> {
     all_kernels()
-        .par_iter()
+        .iter()
         .map(|k| table2_row(k, procs, scale))
         .collect()
 }
@@ -112,7 +111,7 @@ pub fn run_table3(scale: i64, proc_counts: &[usize]) -> Vec<Table3Entry> {
     let work: Vec<(usize, Version)> = (0..kernels.len())
         .flat_map(|k| Version::ALL.iter().map(move |&v| (k, v)))
         .collect();
-    work.par_iter()
+    work.iter()
         .flat_map(|&(ki, v)| {
             let k = &kernels[ki];
             let params = scaled_params(k, scale);

@@ -14,8 +14,7 @@
 use ooc_analyze::{diff_ledgers, LedgerDiff};
 use ooc_core::exec::FunctionalRun;
 use ooc_core::{run_functional_on, FunctionalConfig};
-use ooc_ir::ArrayId;
-use ooc_kernels::{compile, Kernel, Version};
+use ooc_kernels::{compile, seed, Kernel, Version};
 use ooc_metrics::Registry;
 use ooc_runtime::{LedgerRecorder, MemStore, ProvenanceLedger};
 use pfs_sim::DiskParams;
@@ -28,14 +27,6 @@ const LEDGER_FRACTION: u64 = 16;
 /// The version pair the diff mode explains by default: the paper's
 /// unoptimized baseline against its combined-optimization version.
 pub const LEDGER_DIFF_PAIR: (Version, Version) = (Version::Col, Version::COpt);
-
-fn seed(a: ArrayId, idx: &[i64]) -> f64 {
-    let mut h = (a.0 as i64 + 1) * 2654435761;
-    for &x in idx {
-        h = h.wrapping_mul(31).wrapping_add(x * 17);
-    }
-    ((h % 1009) as f64) / 64.0 + 1.0
-}
 
 /// Runs one `(kernel, version)` ledger cell on the synchronous
 /// executor and checks cause-bucket conservation against the run's

@@ -30,7 +30,6 @@ use ooc_kernels::{all_kernels, compile, Kernel, Version};
 use ooc_metrics::Registry;
 use ooc_runtime::{IoNodePool, MemStore, NodeStats, StripeConfig, StripedStore};
 use pfs_sim::{price_node_loads, ContentionReport, DiskParams, NodeLoad};
-use rayon::prelude::*;
 use std::io;
 use std::time::Instant;
 
@@ -85,8 +84,8 @@ pub fn measured_params(kernel: &Kernel, scale: i64) -> Vec<i64> {
 }
 
 /// The deterministic seed every measured run initializes arrays with
-/// (shared with the differential test suites' style: array- and
-/// index-dependent, integer-derived so it is exactly representable).
+/// (in the style of `ooc_kernels::seed`: array- and index-dependent,
+/// integer-derived so it is exactly representable).
 #[must_use]
 pub fn measured_seed(a: ArrayId, idx: &[i64]) -> f64 {
     let mut h = (a.0 as u64 + 1).wrapping_mul(2_654_435_761);
@@ -148,7 +147,7 @@ pub fn run_measured_table3(scale: i64, workers: usize) -> Vec<MeasuredEntry> {
         .flat_map(|k| Version::ALL.iter().map(move |&v| (k, v)))
         .collect();
     let mut entries: Vec<MeasuredEntry> = work
-        .par_iter()
+        .iter()
         .flat_map(|&(ki, v)| {
             let k = &kernels[ki];
             let params = measured_params(k, scale);

@@ -16,22 +16,13 @@ use ooc_core::{
     max_intents_per_interval, run_durable, run_functional_durable, DurabilityConfig, DurableMedium,
     DurableOutcome, DurableStore, FunctionalConfig, MemMedium, RecoveryReport, Start,
 };
-use ooc_ir::ArrayId;
-use ooc_kernels::{compile, kernel_by_name, Kernel, Version};
+use ooc_kernels::{compile, kernel_by_name, seed, Kernel, Version};
 use ooc_metrics::Registry;
 use ooc_runtime::{is_crashed, parse_journal, ChecksummedStore, CrashedError, FaultConfig};
 use std::collections::BTreeMap;
 
 /// Checkpoint intervals (tile rows per checkpoint) the sweep covers.
 const INTERVALS: [u64; 3] = [1, 2, 4];
-
-fn seed(a: ArrayId, idx: &[i64]) -> f64 {
-    let mut h = (a.0 as i64 + 1) * 2654435761;
-    for &x in idx {
-        h = h.wrapping_mul(31).wrapping_add(x * 17);
-    }
-    ((h % 1009) as f64) / 64.0 + 1.0
-}
 
 fn fcfg() -> FunctionalConfig {
     FunctionalConfig::with_fraction(16)

@@ -579,10 +579,10 @@ pub(crate) fn write_tile_through<S: Store>(
 }
 
 /// The synchronous reference walk: one tile per staging slot, staged
-/// and written back on the calling thread. Every differential suite
-/// uses it as the oracle, and its one-tile-per-slot residency defines
-/// the analytic call counts the counter baselines pin — which is why
-/// it stays a separate implementation from the step engine
+/// and written back on the calling thread. The step engine is compared
+/// against it, and its one-tile-per-slot residency defines the
+/// analytic call counts the counter baselines pin — which is why it
+/// stays a separate implementation from the step engine
 /// ([`NestRun::step`](crate::pipeline)).
 ///
 /// With a durable `session` the same walk journals every write-back,

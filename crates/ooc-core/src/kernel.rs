@@ -82,8 +82,8 @@ fn strip_safe(v: &[DepElem]) -> bool {
 
 /// The dependences of `deps` — `nest`'s [`ooc_ir::array_dependences`]
 /// — that keep its innermost runs from being evaluated in strips:
-/// those not on a fold's array (see [`fold_of`]) that fail the rule of
-/// [`strip_safe`]. A fold's own array is exempt because the fold
+/// those not on a fold's array (see `fold_of`) that fail the rule of
+/// `strip_safe`. A fold's own array is exempt because the fold
 /// applies its accumulations one after the other, in iteration order.
 /// The nest strips when there are none.
 pub fn strip_blockers<'d>(

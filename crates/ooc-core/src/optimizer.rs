@@ -37,13 +37,15 @@ pub struct OptimizeOptions {
     /// paper uses profile data; a representative size works equally
     /// well for ranking).
     pub cost_params: Vec<i64>,
-    /// Maximum completions tried per innermost-column candidate.
-    pub completion_limit: usize,
-    /// Representative processor count for the cost model: the modeled
-    /// nest is partitioned over this many processors (outermost
-    /// parallel level), mirroring how the code will execute.
-    pub model_procs: i64,
 }
+
+/// Maximum completions tried per innermost-column candidate.
+const COMPLETION_LIMIT: usize = 24;
+
+/// Representative processor count for the cost model: the modeled
+/// nest is partitioned over this many processors (outermost parallel
+/// level), mirroring how the code will execute.
+const MODEL_PROCS: usize = 16;
 
 impl Default for OptimizeOptions {
     fn default() -> Self {
@@ -53,8 +55,6 @@ impl Default for OptimizeOptions {
             // regime (callers compiling real kernels pass their actual
             // extents, cf. ooc-kernels::compile).
             cost_params: vec![1024],
-            completion_limit: 24,
-            model_procs: 16,
         }
     }
 }
@@ -358,7 +358,7 @@ fn choose_transform(
         if *is_ek {
             continue;
         }
-        for q in completion_candidates(q_last, opts.completion_limit) {
+        for q in completion_candidates(q_last, COMPLETION_LIMIT) {
             let Some(t) = q.inverse() else { continue };
             if transformation_preserves(&t, &deps) {
                 if ooc_trace::enabled() {
@@ -446,7 +446,7 @@ fn modeled_nest_cost(
         .map(|i| opts.cost_params.get(i).copied().unwrap_or(64))
         .collect();
     // The default machine under the paper's memory rule.
-    let cfg = ExecConfig::new(params, usize::try_from(opts.model_procs).unwrap_or(1));
+    let cfg = ExecConfig::new(params, MODEL_PROCS);
     let levels: Vec<usize> = (0..nest.depth).collect();
     let cost = cfg.plan_env(prog, layouts).and_then(|env| {
         let plan = plan_nest(

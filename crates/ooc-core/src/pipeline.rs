@@ -33,7 +33,7 @@
 //! dump — may read anything the nest wrote). Compute itself is the
 //! synchronous walk's [`TileKernel`] over the same tile boxes in the
 //! same order, so the pipelined result is bit-equal by construction;
-//! the differential suite checks it on every kernel.
+//! the differential matrix checks it on every kernel.
 //!
 //! Scheduling decisions (issue window, eviction, stall handling) are
 //! driven purely by step counts and deterministic tie-breaks — never

@@ -31,8 +31,8 @@ use crate::tiling::TiledProgram;
 use ooc_ir::ArrayId;
 use ooc_runtime::{
     is_corrupt, node_down, parse_journal, rollback, Boundary, ChecksumHandle, ChecksummedStore,
-    DegradedMode, FaultConfig, FaultHandle, FaultStore, FileLog, FileStore, IoCause, IoNodePool,
-    Journal, JournalScan, LedgerEvent, LedgerRecorder, LogStore, MemLog, MemStore, NodeFaultConfig,
+    FaultConfig, FaultHandle, FaultStore, FileLog, FileStore, IoCause, IoNodePool, Journal,
+    JournalScan, LedgerEvent, LedgerRecorder, LogStore, MemLog, MemStore, NodeFaultConfig,
     NodeHealth, OocArray, Region, RepairIo, ScrubReport, SharedStore, Store, StripeConfig,
     StripedStore, Tile, WriteIntent,
 };
@@ -713,14 +713,12 @@ pub fn run_functional_durable(
 /// [`quarantine`](IoNodePool::quarantine) hits all arrays at once,
 /// exactly like losing a physical I/O node.
 ///
-/// Data stores start in [`DegradedMode::Manual`]: the first access
-/// that *discovers* a dead node surfaces a typed
+/// The first access that *discovers* a dead node surfaces a typed
 /// [`NodeDownError`](ooc_runtime::NodeDownError) instead of silently
 /// reconstructing, which is the signal
 /// [`run_parallel_surviving_node_loss`] turns into quarantine +
 /// journal-bounded resume. Once a node is quarantined, reads
-/// reconstruct from parity and writes land in the parity lane in
-/// either mode.
+/// reconstruct from parity and writes land in the parity lane.
 ///
 /// CRC sidecars and the journal live **off** the striped pool, in an
 /// embedded [`MemMedium`]: they are metadata an I/O-node failure must
@@ -728,7 +726,6 @@ pub fn run_functional_durable(
 /// compute node's local disk.
 pub struct StripedMedium {
     pool: IoNodePool,
-    mode: DegradedMode,
     data: BTreeMap<usize, SharedStore<StripedStore<MemStore>>>,
     meta: MemMedium,
     ledger: Option<LedgerRecorder>,
@@ -753,7 +750,6 @@ impl StripedMedium {
     pub fn with_faults(cfg: StripeConfig, faults: NodeFaultConfig) -> Self {
         StripedMedium {
             pool: IoNodePool::with_faults(cfg, faults),
-            mode: DegradedMode::Manual,
             data: BTreeMap::new(),
             meta: MemMedium::new(),
             ledger: None,
@@ -813,7 +809,6 @@ impl std::fmt::Debug for StripedMedium {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("StripedMedium")
             .field("nodes", &self.pool.nodes())
-            .field("mode", &self.mode)
             .field("arrays", &self.data.len())
             .finish_non_exhaustive()
     }
@@ -830,7 +825,6 @@ impl DurableMedium for StripedMedium {
             |_node, part| Ok(MemStore::new(part)),
             |_node, part| Ok(MemStore::new(part)),
         )?;
-        store.set_degraded_mode(self.mode);
         if let Some(rec) = &self.ledger {
             store = store.with_ledger(rec.clone(), u32::try_from(a).expect("array index"));
         }
@@ -898,8 +892,7 @@ fn undiscovered_down(medium: &StripedMedium, loss: &NodeLossReport) -> Vec<(usiz
 /// Runs a durable parallel execution over a striped-parity medium and
 /// rides through permanent I/O-node loss: when a shard's access
 /// *discovers* a dead node (typed
-/// [`NodeDownError`](ooc_runtime::NodeDownError) in
-/// [`DegradedMode::Manual`]), the node is quarantined in the shared
+/// [`NodeDownError`](ooc_runtime::NodeDownError)), the node is quarantined in the shared
 /// pool and the run resumes from its last checkpoint boundary —
 /// rolling back journal intents past the watermark and re-executing
 /// only the steps whose writes were not yet durable, now reading the

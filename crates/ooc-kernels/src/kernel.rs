@@ -10,7 +10,7 @@
 //! cannot optimize it, and why). See `DESIGN.md` for the
 //! per-kernel rationale.
 
-use ooc_ir::Program;
+use ooc_ir::{ArrayId, Program};
 
 /// One benchmark kernel.
 #[derive(Debug, Clone)]
@@ -61,6 +61,19 @@ pub fn all_kernels() -> Vec<Kernel> {
 #[must_use]
 pub fn kernel_by_name(name: &str) -> Option<Kernel> {
     all_kernels().into_iter().find(|k| k.name == name)
+}
+
+/// The initial value of element `idx` (1-based subscripts) of array
+/// `a` that functional runs of the kernels start from: deterministic,
+/// position-sensitive and not symmetric, so a transposition or layout
+/// bug cannot cancel out.
+#[must_use]
+pub fn seed(a: ArrayId, idx: &[i64]) -> f64 {
+    let mut h = (a.0 as i64 + 1) * 2654435761;
+    for &x in idx {
+        h = h.wrapping_mul(31).wrapping_add(x * 17);
+    }
+    ((h % 1009) as f64) / 64.0 + 1.0
 }
 
 #[cfg(test)]

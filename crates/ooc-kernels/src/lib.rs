@@ -14,5 +14,5 @@ pub mod kernel;
 pub mod kernels;
 pub mod versions;
 
-pub use kernel::{all_kernels, kernel_by_name, Kernel};
-pub use versions::{compile, differential_pairs, CompiledVersion, Version};
+pub use kernel::{all_kernels, kernel_by_name, seed, Kernel};
+pub use versions::{compile, CompiledVersion, Version};

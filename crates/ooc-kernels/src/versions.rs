@@ -55,12 +55,6 @@ impl Version {
         Version::HOpt,
     ];
 
-    /// The naive fixed-layout baselines.
-    const BASELINES: [Version; 2] = [Version::Col, Version::Row];
-
-    /// The compiler-optimized versions.
-    const OPTIMIZED: [Version; 4] = [Version::LOpt, Version::DOpt, Version::COpt, Version::HOpt];
-
     /// Table column label.
     #[must_use]
     pub fn label(&self) -> &'static str {
@@ -73,19 +67,6 @@ impl Version {
             Version::HOpt => "h-opt",
         }
     }
-}
-
-/// Every (naive baseline, optimized) version pair, for differential
-/// testing: each optimized version against each fixed-layout baseline.
-#[must_use]
-pub fn differential_pairs() -> Vec<(Version, Version)> {
-    let mut out = Vec::new();
-    for baseline in Version::BASELINES {
-        for optimized in Version::OPTIMIZED {
-            out.push((baseline, optimized));
-        }
-    }
-    out
 }
 
 /// A compiled kernel version ready for execution.
@@ -147,7 +128,6 @@ pub fn compile(kernel: &Kernel, version: Version) -> CompiledVersion {
     // (transformations, layout acceptance) target the real deployment.
     let opts = OptimizeOptions {
         cost_params: kernel.paper_params.clone(),
-        ..OptimizeOptions::default()
     };
     let prog = &kernel.program;
     let (opt, strategy) = match version {

@@ -11,7 +11,6 @@
 use crate::layout::{FileLayout, Region, RunSummary, Segment};
 use crate::store::{MemStore, Store, ELEM_BYTES};
 use std::io;
-use std::time::Duration;
 
 /// Runtime parameters for I/O call accounting.
 #[derive(Debug, Clone, Copy)]
@@ -32,26 +31,20 @@ impl Default for RuntimeConfig {
     }
 }
 
-/// Retry-with-backoff policy for transient store errors
+/// Retry policy for transient store errors
 /// ([`io::ErrorKind::Interrupted`], `WouldBlock`, `TimedOut`): a
-/// failed run is re-issued up to `max_attempts` total tries, sleeping
-/// `base_backoff * 2^(attempt-1)` between tries. Non-transient errors
-/// (out-of-range, corrupt files) propagate immediately.
+/// failed run is re-issued at once, up to `max_attempts` total tries.
+/// Non-transient errors (out-of-range, corrupt files) propagate
+/// immediately.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Total attempts per run, including the first (≥ 1).
     pub max_attempts: u32,
-    /// First backoff; doubles per retry. `Duration::ZERO` (the
-    /// default) never sleeps — right for tests and in-memory stores.
-    pub base_backoff: Duration,
 }
 
 impl Default for RetryPolicy {
     fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 4,
-            base_backoff: Duration::ZERO,
-        }
+        RetryPolicy { max_attempts: 4 }
     }
 }
 
@@ -59,10 +52,7 @@ impl RetryPolicy {
     /// A policy that never retries.
     #[must_use]
     pub fn none() -> Self {
-        RetryPolicy {
-            max_attempts: 1,
-            base_backoff: Duration::ZERO,
-        }
+        RetryPolicy { max_attempts: 1 }
     }
 
     /// Whether `e` is worth retrying.
@@ -100,9 +90,6 @@ impl RetryPolicy {
                                 ("error", e.kind().to_string().into()),
                             ],
                         );
-                    }
-                    if !self.base_backoff.is_zero() {
-                        std::thread::sleep(self.base_backoff * 2u32.saturating_pow(attempt));
                     }
                     attempt += 1;
                     *retries += 1;

@@ -100,5 +100,5 @@ pub use profile::{heatmap, sequential_stats, AccessRecord, ProfilingStore, SeekC
 pub use repair::ScrubReport;
 pub use shared::SharedStore;
 pub use store::{FileStore, MemStore, Store, ELEM_BYTES};
-pub use striped::{part_len, DegradedMode, StripedStore};
+pub use striped::{part_len, StripedStore};
 pub use trace::{MeasuredIo, TracingStore, RUN_HIST_BUCKETS};

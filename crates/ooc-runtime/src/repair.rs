@@ -12,7 +12,9 @@
 //!   update;
 //! * reads of a dead node's stripes ([`NodeHealth::Down`]) reconstruct
 //!   the lost range by XOR from its K−1 peers, and writes to them land
-//!   entirely in parity;
+//!   entirely in parity; a call that *discovers* a dead node or a
+//!   corrupt chunk surfaces the typed error instead, so the caller
+//!   can quarantine the node and re-run the affected work;
 //! * [`StripedStore::scrub`] walks the parity groups, verifying parity
 //!   against data (CRC-corrupt chunks surface as typed errors from the
 //!   checksum layer) and rewriting whichever side is stale.
@@ -34,7 +36,7 @@ use crate::ledger::IoCause;
 use crate::parity::{xor_into, ParityLayout};
 use crate::pool::{CallClass, NodeHealth};
 use crate::store::Store;
-use crate::striped::{chunk, DegradedMode, Part, Segment, StripedStore};
+use crate::striped::{chunk, Part, Segment, StripedStore};
 use std::io;
 
 /// What one scrub pass (or group) found and fixed.
@@ -192,21 +194,18 @@ impl<S: Store> StripedStore<S> {
     }
 
     /// Serves one read segment of a store with a parity lane,
-    /// degrading through parity when the owning node is dead, or (in
-    /// [`DegradedMode::Auto`]) freshly discovered dead/corrupt.
+    /// degrading through parity when the owning node is known dead. A
+    /// read that *discovers* a dead node or corrupt data surfaces the
+    /// typed error, so an orchestrator can quarantine the node and
+    /// re-run the affected work; once the node is marked down, later
+    /// reads reconstruct.
     pub(crate) fn read_segment_parity(&self, seg: Segment, dst: &mut [f64]) -> io::Result<()> {
         if self.pool.health(seg.node) == NodeHealth::Down {
             return self
                 .reconstruct_range(seg.stripe, seg.within, dst)
                 .map(drop);
         }
-        match self.read_part(Part::Data, seg.node, seg.part_off, CallClass::Read, dst) {
-            Err(e) if self.mode == DegradedMode::Auto && (is_node_down(&e) || is_corrupt(&e)) => {
-                self.reconstruct_range(seg.stripe, seg.within, dst)
-                    .map(drop)
-            }
-            direct => direct,
-        }
+        self.read_part(Part::Data, seg.node, seg.part_off, CallClass::Read, dst)
     }
 
     /// Recomputes and writes the parity range covering `seg`, taking
@@ -242,33 +241,13 @@ impl<S: Store> StripedStore<S> {
         }
         let lay = self.layout()?;
         let rmw_read = CallClass::repair_read(IoCause::ParityWrite);
-        // Old data, for the parity delta.
+        // Old data, for the parity delta. A pre-image read that
+        // discovers a dead node or corrupt data surfaces the error.
         let mut old = vec![0.0; src.len()];
-        match self.read_part(Part::Data, seg.node, seg.part_off, rmw_read, &mut old) {
-            Ok(()) => {}
-            Err(e) if is_corrupt(&e) && self.mode == DegradedMode::Auto => {
-                // Torn/corrupt pre-image: parity still agrees with the
-                // clean old data, so reconstruct it from peers, then
-                // proceed with the normal delta.
-                self.reconstruct_range(seg.stripe, seg.within, &mut old)?;
-            }
-            Err(e) if is_node_down(&e) => {
-                if self.mode == DegradedMode::Auto {
-                    return self.rewrite_parity_from_group(seg, src);
-                }
-                return Err(e);
-            }
-            Err(e) => return Err(e),
-        }
+        self.read_part(Part::Data, seg.node, seg.part_off, rmw_read, &mut old)?;
         // New data, before parity: a failure here leaves parity
         // consistent with the old chunk.
-        let write_new = self.write_part(Part::Data, seg.node, seg.part_off, CallClass::Write, src);
-        if let Err(e) = write_new {
-            if is_node_down(&e) && self.mode == DegradedMode::Auto {
-                return self.rewrite_parity_from_group(seg, src);
-            }
-            return Err(e);
-        }
+        self.write_part(Part::Data, seg.node, seg.part_off, CallClass::Write, src)?;
         // Parity RMW.
         let j = lay.group_of(seg.stripe);
         let pnode = lay.parity_node(j);
@@ -537,12 +516,11 @@ mod tests {
             NodeFaultConfig::new().permanent_fail_at(1, u64::MAX),
         );
         let mut s = striped_parity(&p, 100);
-        s.set_degraded_mode(DegradedMode::Manual);
         let data: Vec<f64> = (0..100).map(|i| f64::from(i) + 0.75).collect();
         s.write_run(0, &data).expect("healthy write");
         // Kill node 1 *after* seeding (schedule said never, we say now).
         p.quarantine(1);
-        // Known-dead reconstruction works even in Manual mode...
+        // Known-dead reconstruction works...
         let mut buf = vec![0.0; 100];
         s.read_run(0, &mut buf).expect("known-dead read");
         assert!(bits_equal(&buf, &data));
@@ -561,7 +539,6 @@ mod tests {
             NodeFaultConfig::new().permanent_fail_at(1, seed_arrivals),
         );
         let mut s2 = striped_parity(&p2, 100);
-        s2.set_degraded_mode(DegradedMode::Manual);
         s2.write_run(0, &data).expect("seed within fault budget");
         let e = s2.read_run(0, &mut buf).expect_err("discovery surfaces");
         assert!(is_node_down(&e), "typed NodeDown, got {e}");

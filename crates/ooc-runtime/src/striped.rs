@@ -13,8 +13,8 @@
 //!   where it takes its lane, nowhere else.
 //! * this module — the stripe geometry ([`part_len`], the segment
 //!   split), how a store is put together ([`StripedStore::build`],
-//!   and [`build_with_parity`](StripedStore::build_with_parity) with
-//!   its knobs), and the fault-free read/write path: split the run at
+//!   and [`build_with_parity`](StripedStore::build_with_parity)), and
+//!   the fault-free read/write path: split the run at
 //!   stripe boundaries, serve each piece from its node's part store
 //!   under that node's lane. This is all a reader of the measured
 //!   Table 3 needs.
@@ -51,23 +51,6 @@ pub(crate) enum Part {
     Parity,
 }
 
-/// How a parity-equipped store reacts when it *discovers* a fault
-/// (a call failing with a dead-node or corrupt-data error). Known
-/// dead nodes ([`NodeHealth::Down`](crate::NodeHealth)) are always
-/// read via reconstruction in both modes.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum DegradedMode {
-    /// Reconstruct transparently: the caller never sees single-node
-    /// faults.
-    #[default]
-    Auto,
-    /// Surface the typed error on first discovery so an orchestrator
-    /// can quarantine the node and re-run affected shards (the
-    /// durable-recovery path); once the node is marked down,
-    /// subsequent reads reconstruct.
-    Manual,
-}
-
 /// The parity lane riding alongside a striped store's data parts.
 #[derive(Debug)]
 pub(crate) struct ParityState<S> {
@@ -93,7 +76,6 @@ pub struct StripedStore<S> {
     pub(crate) parts: Vec<S>,
     pub(crate) len: u64,
     pub(crate) parity: Option<ParityState<S>>,
-    pub(crate) mode: DegradedMode,
     pub(crate) ledger: Option<RepairSink>,
 }
 
@@ -149,7 +131,6 @@ impl<S: Store> StripedStore<S> {
             parts,
             len,
             parity: None,
-            mode: DegradedMode::default(),
             ledger: None,
         })
     }
@@ -199,11 +180,6 @@ impl<S: Store> StripedStore<S> {
     #[must_use]
     pub fn parity_layout(&self) -> Option<ParityLayout> {
         self.parity.as_ref().map(|p| p.layout)
-    }
-
-    /// Sets the fault-discovery policy.
-    pub fn set_degraded_mode(&mut self, mode: DegradedMode) {
-        self.mode = mode;
     }
 
     /// The shared lane pool this store routes through.

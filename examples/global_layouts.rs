@@ -22,7 +22,6 @@ fn main() {
         let k = kernel_by_name(name).expect("kernel");
         let opts = OptimizeOptions {
             cost_params: k.paper_params.clone(),
-            ..Default::default()
         };
         let gopts = GlobalOptions {
             opts: opts.clone(),

@@ -14,14 +14,21 @@
 #
 #   scripts/loc.sh crates/ooc-runtime/src/{pool,striped,repair}.rs
 #   scripts/loc.sh                      # every .rs file under crates/*/src
+#   scripts/loc.sh --tests              # the integration tests: every .rs
+#                                       # file under tests/, and
+#                                       # crates/*/tests/*.rs
 set -eu
 
 # Paths are the caller's, relative to the caller's directory; only the
-# default set is taken from the checkout this script lives in.
+# two default sets are taken from the checkout this script lives in.
 if [ "$#" -eq 0 ]; then
   cd "$(dirname "$0")/.."
   # shellcheck disable=SC2046  # paths in this repo hold no spaces
   set -- $(find crates/*/src -name '*.rs' | sort)
+elif [ "$#" -eq 1 ] && [ "$1" = "--tests" ]; then
+  cd "$(dirname "$0")/.."
+  # shellcheck disable=SC2046  # paths in this repo hold no spaces
+  set -- $( (find tests -name '*.rs'; ls crates/*/tests/*.rs) | sort)
 fi
 
 declarers="$(for f in "$@"; do

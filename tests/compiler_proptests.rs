@@ -115,7 +115,7 @@ proptest! {
     /// semantics on arbitrary affine programs.
     #[test]
     fn optimize_preserves_semantics(prog in program_strategy()) {
-        let opts = OptimizeOptions { cost_params: vec![16], ..Default::default() };
+        let opts = OptimizeOptions { cost_params: vec![16] };
         let opt = optimize(&prog, &opts);
         for strategy in [
             TilingStrategy::OutOfCore,
@@ -132,7 +132,7 @@ proptest! {
     /// The single-technique passes preserve semantics too.
     #[test]
     fn single_technique_passes_preserve_semantics(prog in program_strategy()) {
-        let opts = OptimizeOptions { cost_params: vec![16], ..Default::default() };
+        let opts = OptimizeOptions { cost_params: vec![16] };
         for opt in [
             optimize_loop_only(&prog, &opts, None),
             optimize_data_only(&prog, &opts),
@@ -147,7 +147,7 @@ proptest! {
     /// the nest's dependences.
     #[test]
     fn applied_transformations_are_legal(prog in program_strategy()) {
-        let opts = OptimizeOptions { cost_params: vec![16], ..Default::default() };
+        let opts = OptimizeOptions { cost_params: vec![16] };
         let opt = optimize(&prog, &opts);
         for (i, q) in opt.transforms.iter().enumerate() {
             prop_assert!(q.is_unimodular(), "nest {i}: Q not unimodular");

@@ -6,19 +6,8 @@
 use ooc_opt::core::{
     max_divergence_from_reference, run_functional, run_functional_on, FunctionalConfig,
 };
-use ooc_opt::ir::ArrayId;
-use ooc_opt::kernels::{all_kernels, compile, Version};
+use ooc_opt::kernels::{all_kernels, compile, seed, Version};
 use ooc_opt::runtime::MemStore;
-
-fn seed(a: ArrayId, idx: &[i64]) -> f64 {
-    // Deterministic, position-sensitive, non-symmetric values so that
-    // transposition/layout bugs cannot cancel out.
-    let mut h = (a.0 as i64 + 1) * 2654435761;
-    for &x in idx {
-        h = h.wrapping_mul(31).wrapping_add(x * 17);
-    }
-    ((h % 1009) as f64) / 64.0 + 1.0
-}
 
 #[test]
 fn every_kernel_every_version_is_bit_exact() {
