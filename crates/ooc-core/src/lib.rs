@@ -108,7 +108,7 @@ pub use optimizer::{
 };
 pub use parallel::{exec_parallel, ParallelConfig, ParallelRun, PartitionSummary};
 pub use pipeline::{exec_pipelined, extract_schedule, PipelineConfig};
-pub use plan::{plan_nest, NestPlan, PlanEnv};
+pub use plan::{plan_nest, plan_nest_memo, NestPlan, PlanEnv, PlanMemo};
 pub use recovery::{
     max_intents_per_interval, run_durable, run_functional_durable,
     run_parallel_surviving_node_loss, DirMedium, DurabilityConfig, DurableMedium, DurableOutcome,

@@ -24,7 +24,7 @@ use crate::locality::{
     dim_order_for, innermost_candidates, layouts_for_2d, locality_under, loop_constraint_rows,
     movement_i64,
 };
-use crate::plan::plan_nest;
+use crate::plan::{plan_nest_memo, PlanMemo};
 use crate::tiling::TilingStrategy;
 use ooc_ir::{nest_dependences, transformation_preserves, LoopNest, Program};
 use ooc_linalg::{completion_candidates, Matrix};
@@ -135,6 +135,7 @@ fn run(prog: &Program, opts: &OptimizeOptions, mode: Mode) -> OptimizedProgram {
     };
     let mut fixed: Vec<Option<FileLayout>> = vec![None; prog.arrays.len()];
     let weights = array_weights(prog, &opts.cost_params);
+    let mut pricer = Pricer::new(prog, opts);
 
     let graph = {
         let _s = ooc_trace::span("compiler", "interference-graph");
@@ -193,12 +194,12 @@ fn run(prog: &Program, opts: &OptimizeOptions, mode: Mode) -> OptimizedProgram {
                 &format!("nest:{}", nest.name),
                 vec![("rank", (rank as u64).into())],
             );
-            let q = if rank == 0 || mode == Mode::DataOnly {
+            let (q, priced) = if rank == 0 || mode == Mode::DataOnly {
                 // Costliest nest (or d-opt everywhere): data
                 // transformations only.
-                Matrix::identity(nest.depth)
+                (Matrix::identity(nest.depth), None)
             } else {
-                choose_transform(prog, &nest, &fixed, &weights, opts, &mut out.log)
+                choose_transform(&mut pricer, &nest, &fixed, &weights, &mut out.log)
             };
             let transformed = if is_identity(&q) {
                 nest
@@ -218,7 +219,14 @@ fn run(prog: &Program, opts: &OptimizeOptions, mode: Mode) -> OptimizedProgram {
                 );
                 nest.transformed(&q)
             };
-            fix_layouts_checked(prog, &transformed, &mut fixed, opts, rank, &mut out.log);
+            fix_layouts_checked(
+                &mut pricer,
+                &transformed,
+                &mut fixed,
+                rank,
+                priced,
+                &mut out.log,
+            );
             out.transforms[nid.0] = q;
             out.program.nests[nid.0] = transformed;
         }
@@ -249,8 +257,9 @@ fn run_loop_only(
     };
     let fixed: Vec<Option<FileLayout>> = layouts.into_iter().map(Some).collect();
     let weights = array_weights(prog, &opts.cost_params);
+    let mut pricer = Pricer::new(prog, opts);
     for (i, nest) in prog.nests.iter().enumerate() {
-        let q = choose_transform(prog, nest, &fixed, &weights, opts, &mut out.log);
+        let (q, _) = choose_transform(&mut pricer, nest, &fixed, &weights, &mut out.log);
         if !is_identity(&q) {
             out.log.push(format!(
                 "{}: applied loop transformation Q = {q:?}",
@@ -287,17 +296,18 @@ fn array_weights(prog: &Program, cost_params: &[i64]) -> Vec<f64> {
 /// choice minimizes the compiler's modeled I/O time of the transformed
 /// and tiled nest (the identity is always a candidate, so a
 /// transformation is applied only when the model says it wins).
+/// Returns the transformation with, when the model priced it, its
+/// modeled cost under the layouts relation (1) hypothesizes for it.
 fn choose_transform(
-    prog: &Program,
+    pricer: &mut Pricer,
     nest: &LoopNest,
     fixed: &[Option<FileLayout>],
     weights: &[f64],
-    opts: &OptimizeOptions,
     log: &mut Vec<String>,
-) -> Matrix {
+) -> (Matrix, Option<f64>) {
     let depth = nest.depth;
     if depth == 0 {
-        return Matrix::identity(0);
+        return (Matrix::identity(0), None);
     }
     let _span = ooc_trace::span("compiler", &format!("choose-transform:{}", nest.name));
     let deps = nest_dependences(nest);
@@ -406,7 +416,8 @@ fn choose_transform(
         // this candidate, then cost the nest.
         let mut trial = fixed.to_vec();
         fix_layouts(&candidate_nest, &mut trial, &mut Vec::new());
-        let cost = modeled_nest_cost(prog, &candidate_nest, &concrete_layouts(prog, &trial), opts);
+        let layouts = concrete_layouts(pricer.prog, &trial);
+        let cost = pricer.cost(&candidate_nest, &layouts);
         let better = match &best {
             None => true,
             // Strict improvement required, so identity (evaluated last)
@@ -419,46 +430,62 @@ fn choose_transform(
         }
     }
     match best {
-        Some((_, q)) => q,
+        Some((cost, q)) => (q, Some(cost)),
         None => {
             log.push(format!(
                 "{}: no legal transformation found, keeping original order",
                 nest.name
             ));
-            Matrix::identity(depth)
+            (Matrix::identity(depth), None)
         }
     }
 }
 
-/// Modeled I/O time of one nest after tiling under the given concrete
-/// layouts, used to compare candidate loop transformations and layout
-/// assignments: the cost of the nest's plan on the default machine,
-/// partitioned the way the executor will run it (the ownership level
-/// block-divided over the representative processor count). A nest that
-/// is empty or cannot be planned at the cost parameters costs nothing.
-fn modeled_nest_cost(
-    prog: &Program,
-    nest: &LoopNest,
-    layouts: &[FileLayout],
-    opts: &OptimizeOptions,
-) -> f64 {
-    let params: Vec<i64> = (0..prog.params.len())
-        .map(|i| opts.cost_params.get(i).copied().unwrap_or(64))
-        .collect();
-    // The default machine under the paper's memory rule.
-    let cfg = ExecConfig::new(params, MODEL_PROCS);
-    let levels: Vec<usize> = (0..nest.depth).collect();
-    let cost = cfg.plan_env(prog, layouts).and_then(|env| {
-        let plan = plan_nest(
-            &env,
-            nest,
-            TilingStrategy::Optimized,
-            &levels,
-            Some(cfg.procs),
-        )?;
-        Ok(plan.map_or(0.0, |p| p.cost))
-    });
-    cost.unwrap_or(0.0)
+/// The cost model of one optimizer pass over the nests of `prog`:
+/// every nest it prices plans through one [`PlanMemo`], which the pass
+/// drops when it returns.
+struct Pricer<'a> {
+    prog: &'a Program,
+    /// The default machine under the paper's memory rule, at the cost
+    /// parameters.
+    cfg: ExecConfig,
+    memo: PlanMemo,
+}
+
+impl<'a> Pricer<'a> {
+    fn new(prog: &'a Program, opts: &OptimizeOptions) -> Self {
+        let params: Vec<i64> = (0..prog.params.len())
+            .map(|i| opts.cost_params.get(i).copied().unwrap_or(64))
+            .collect();
+        Pricer {
+            prog,
+            cfg: ExecConfig::new(params, MODEL_PROCS),
+            memo: PlanMemo::default(),
+        }
+    }
+
+    /// Modeled I/O time of one nest after tiling under the given
+    /// concrete layouts, used to compare candidate loop transformations
+    /// and layout assignments: the cost of the nest's plan on the
+    /// default machine, partitioned the way the executor will run it
+    /// (the ownership level block-divided over the representative
+    /// processor count). A nest that is empty or cannot be planned at
+    /// the cost parameters costs nothing.
+    fn cost(&mut self, nest: &LoopNest, layouts: &[FileLayout]) -> f64 {
+        let levels: Vec<usize> = (0..nest.depth).collect();
+        let cost = self.cfg.plan_env(self.prog, layouts).and_then(|env| {
+            let plan = plan_nest_memo(
+                &env,
+                nest,
+                TilingStrategy::Optimized,
+                &levels,
+                Some(self.cfg.procs),
+                &mut self.memo,
+            )?;
+            Ok(plan.map_or(0.0, |p| p.cost))
+        });
+        cost.unwrap_or(0.0)
+    }
 }
 
 /// Scores an innermost-column candidate: fixed-layout references score
@@ -496,20 +523,28 @@ fn score_innermost(
 /// [`fix_layouts`] with a cost check: a candidate layout is kept only
 /// when the modeled I/O time of this nest does not get worse — the
 /// published data-transformation frameworks the paper compares against
-/// would not change a layout their own model says loses.
+/// would not change a layout their own model says loses. `priced` is
+/// the cost [`choose_transform`] gave `nest` under the layouts relation
+/// (1) hypothesizes, if it priced it: the cost of the trial here.
 fn fix_layouts_checked(
-    prog: &Program,
+    pricer: &mut Pricer,
     nest: &LoopNest,
     fixed: &mut [Option<FileLayout>],
-    opts: &OptimizeOptions,
     rank: usize,
+    priced: Option<f64>,
     log: &mut Vec<String>,
 ) {
-    let before = modeled_nest_cost(prog, nest, &concrete_layouts(prog, fixed), opts);
+    let prog = pricer.prog;
+    let before = pricer.cost(nest, &concrete_layouts(prog, fixed));
     let mut trial = fixed.to_vec();
     let mut trial_log = Vec::new();
     let newly = fix_layouts(nest, &mut trial, &mut trial_log);
-    let after = modeled_nest_cost(prog, nest, &concrete_layouts(prog, &trial), opts);
+    // Fixing nothing leaves the layouts `before` priced.
+    let after = match priced {
+        Some(cost) => cost,
+        None if newly.is_empty() => before,
+        None => pricer.cost(nest, &concrete_layouts(prog, &trial)),
+    };
     // Reject only gross losses: relation (1) encodes locality knowledge
     // the tile-shape cost model cannot fully see (within-call stride,
     // cache behaviour), so marginal modeled regressions still apply.
@@ -560,10 +595,11 @@ fn fix_layouts_checked(
 #[must_use]
 pub fn modeled_program_cost(prog: &Program, opt: &OptimizedProgram, opts: &OptimizeOptions) -> f64 {
     let _ = prog;
+    let mut pricer = Pricer::new(&opt.program, opts);
     opt.program
         .nests
         .iter()
-        .map(|nest| modeled_nest_cost(&opt.program, nest, &opt.layouts, opts))
+        .map(|nest| pricer.cost(nest, &opt.layouts))
         .sum()
 }
 
@@ -580,14 +616,14 @@ pub fn best_transform_for(
     let fixed: Vec<Option<FileLayout>> = layouts.iter().cloned().map(Some).collect();
     let weights = array_weights(prog, &opts.cost_params);
     let mut log = Vec::new();
-    let q = choose_transform(prog, nest, &fixed, &weights, opts, &mut log);
+    let mut pricer = Pricer::new(prog, opts);
+    let (q, _) = choose_transform(&mut pricer, nest, &fixed, &weights, &mut log);
     let candidate = if is_identity(&q) {
         nest.clone()
     } else {
         nest.transformed(&q)
     };
-    let cost = modeled_nest_cost(prog, &candidate, layouts, opts);
-    (q, cost)
+    (q, pricer.cost(&candidate, layouts))
 }
 
 /// Fixed layouts where decided, the program default (column-major)
@@ -826,7 +862,7 @@ mod tests {
             ooc_linalg::Affine::var(2, 1, 1),
         );
         tri.bounds.add_ge0(i.sub(&j));
-        let cost = |nest: &LoopNest| modeled_nest_cost(&p, nest, &layouts, &opts);
+        let cost = |nest: &LoopNest| Pricer::new(&p, &opts).cost(nest, &layouts);
         assert!(cost(&rect) > 0.0);
         assert_eq!(cost(&tri), cost(&rect));
     }

@@ -25,7 +25,9 @@ use ooc_ir::{ArrayId, ArrayRef, DepElem, Dependence, LoopNest, Program};
 use ooc_linalg::{Affine, Matrix};
 use ooc_runtime::{FileLayout, MemoryBudget, Region};
 use pfs_sim::MachineConfig;
+use std::collections::HashMap;
 use std::io;
+use std::rc::Rc;
 
 /// The paper's memory rule: memory = total out-of-core data / 128.
 pub const PAPER_MEMORY_FRACTION: u64 = 128;
@@ -436,11 +438,7 @@ impl Staging {
         hull: &mut Region,
     ) -> u64 {
         self.region_into(slot, lo, hi, hull);
-        let dims = env.dims(self.slots[slot].array.0);
-        dims.iter()
-            .enumerate()
-            .map(|(d, &dim)| hull.extent(d).min(dim).max(1).unsigned_abs())
-            .product()
+        clamped_elems(env.dims(self.slots[slot].array.0), hull)
     }
 
     /// Modeled I/O time of a full nest execution for candidate
@@ -451,14 +449,14 @@ impl Staging {
     /// region each time. Written slots pay twice (read + write-back).
     #[must_use]
     pub fn io_cost(&self, env: &PlanEnv, ranges: &[(i64, i64)], spans: &[i64]) -> f64 {
-        let trips: Vec<f64> = ranges
-            .iter()
-            .zip(spans)
-            .map(|(&range, &s)| trips(range, s))
-            .collect();
+        let mut steps = Steps::new(ranges.len());
+        steps.set(ranges.iter().zip(spans).map(|(&range, &s)| trips(range, s)));
         let (lo, hi) = first_box(ranges, spans);
-        self.priced(env, &trips, |slot| {
-            self.tile_transfer(env, slot, &lo, &hi, &mut self.scratch(slot))
+        self.priced(&steps, |slot| {
+            weighed(
+                env,
+                self.tile_transfer(env, slot, &lo, &hi, &mut self.scratch(slot)),
+            )
         })
     }
 
@@ -481,28 +479,14 @@ impl Staging {
         (calls, elements)
     }
 
-    /// The cost model proper: with `trips[l]` tile steps along level
-    /// `l` and `transfer(slot)` the `(calls, elements)` of staging the
-    /// slot once, the modeled I/O time, summed in slot order.
-    fn priced(
-        &self,
-        env: &PlanEnv,
-        trips: &[f64],
-        mut transfer: impl FnMut(usize) -> (u64, u64),
-    ) -> f64 {
+    /// The cost model proper: with `steps` the tile steps per level
+    /// and `once(slot)` the [`weighed`] time of staging the slot once,
+    /// the modeled I/O time, summed in slot order.
+    fn priced(&self, steps: &Steps, mut once: impl FnMut(usize) -> f64) -> f64 {
         let mut total = 0f64;
         for (i, slot) in self.slots.iter().enumerate() {
-            let (calls, elements) = transfer(i);
-            // Deepest tile level this slot's region varies with: its
-            // tile stays cached while only deeper levels advance.
-            let deepest = (0..trips.len())
-                .rev()
-                .find(|&l| trips[l] > 1.0 && slot.varies[l]);
-            let restages: f64 = deepest.map_or(1.0, |d| trips[..=d].iter().product());
             let accesses = if slot.written { 2.0 } else { 1.0 };
-            total += restages
-                * accesses
-                * (calls as f64 * env.weights.per_call + elements as f64 * env.weights.per_elem);
+            total += steps.restages(&slot.varies) * accesses * once(i);
         }
         total
     }
@@ -572,6 +556,30 @@ pub fn plan_nest<'e>(
     walk_levels: &[usize],
     restrict: Option<usize>,
 ) -> io::Result<Option<NestPlan<'e>>> {
+    plan_nest_memo(
+        env,
+        nest,
+        strategy,
+        walk_levels,
+        restrict,
+        &mut PlanMemo::default(),
+    )
+}
+
+/// [`plan_nest`] with the span search's slot tables taken from `memo`
+/// where it holds them and added to it otherwise — the same plan, bit
+/// for bit (see [`PlanMemo`]).
+///
+/// # Errors
+/// As [`plan_nest`].
+pub fn plan_nest_memo<'e>(
+    env: &'e PlanEnv<'e>,
+    nest: &LoopNest,
+    strategy: TilingStrategy,
+    walk_levels: &[usize],
+    restrict: Option<usize>,
+    memo: &mut PlanMemo,
+) -> io::Result<Option<NestPlan<'e>>> {
     let Some(ranges) = level_ranges(nest, env.params).filter(|r| !r.is_empty()) else {
         return Ok(None);
     };
@@ -587,7 +595,7 @@ pub fn plan_nest<'e>(
             .max_by_key(|(lo, hi)| hi - lo);
         search_ranges[l] = largest.unwrap_or(ranges[l]);
     }
-    let (spans, cost) = plan_spans(env, &staging, &search_ranges, strategy);
+    let (spans, cost) = plan_spans(env, &staging, &search_ranges, strategy, memo);
     Ok(Some(NestPlan {
         env,
         ranges,
@@ -695,6 +703,7 @@ fn plan_spans(
     staging: &Staging,
     ranges: &[(i64, i64)],
     strategy: TilingStrategy,
+    memo: &mut PlanMemo,
 ) -> (Vec<i64>, f64) {
     match strategy {
         TilingStrategy::Traditional | TilingStrategy::Slab => {
@@ -702,9 +711,9 @@ fn plan_spans(
             let cost = staging.io_cost(env, ranges, &spans);
             (spans, cost)
         }
-        TilingStrategy::Optimized => search_spans(env, staging, ranges).free,
+        TilingStrategy::Optimized => search_spans(env, staging, ranges, memo).free,
         TilingStrategy::OutOfCore => {
-            let Searched { free, pinned } = search_spans(env, staging, ranges);
+            let Searched { free, pinned } = search_spans(env, staging, ranges, memo);
             if pinned.1 <= free.1 {
                 pinned
             } else {
@@ -767,13 +776,122 @@ fn trips((lo, hi): (i64, i64), s: i64) -> f64 {
     ((extent - 1) / s.max(1) + 1) as f64
 }
 
-/// What one tile of one slot costs: its footprint term and the calls
-/// and elements of staging it once.
-#[derive(Clone, Copy)]
+/// The modeled time of moving `(calls, elements)` once.
+fn weighed(env: &PlanEnv, (calls, elements): (u64, u64)) -> f64 {
+    calls as f64 * env.weights.per_call + elements as f64 * env.weights.per_elem
+}
+
+/// Elements of `region` once each extent is clamped to the array's
+/// `dims` (a region can spill past the declared bounds at the
+/// interval-arithmetic level).
+fn clamped_elems(dims: &[i64], region: &Region) -> u64 {
+    dims.iter()
+        .enumerate()
+        .map(|(d, &dim)| region.extent(d).min(dim).max(1).unsigned_abs())
+        .product()
+}
+
+/// The tile steps per level of one set of spans, and their running
+/// products.
+struct Steps {
+    trips: Vec<f64>,
+    /// `prefix[l]`: the product of `trips[..=l]`, multiplied in level
+    /// order from 1 — the bits `trips[..=l].iter().product()` has.
+    prefix: Vec<f64>,
+}
+
+impl Steps {
+    fn new(depth: usize) -> Self {
+        Steps {
+            trips: vec![0.0; depth],
+            prefix: vec![0.0; depth],
+        }
+    }
+
+    /// Takes one trip count per level.
+    fn set(&mut self, trips: impl IntoIterator<Item = f64>) {
+        let mut product = 1f64;
+        for ((t, p), trip) in self.trips.iter_mut().zip(&mut self.prefix).zip(trips) {
+            product *= trip;
+            (*t, *p) = (trip, product);
+        }
+    }
+
+    /// How often a slot varying with the levels `varies` is staged:
+    /// the steps of every level down to the deepest one it varies with
+    /// that has more than one step — its tile stays cached while only
+    /// deeper levels advance.
+    fn restages(&self, varies: &[bool]) -> f64 {
+        let deepest = (0..self.trips.len())
+            .rev()
+            .find(|&l| self.trips[l] > 1.0 && varies[l]);
+        deepest.map_or(1.0, |d| self.prefix[d])
+    }
+}
+
+/// What one tile of one slot costs: its footprint term and the
+/// [`weighed`] time of staging it once.
+#[derive(Debug, Clone, Copy)]
 struct TileCost {
     elems: u64,
-    calls: u64,
-    moved: u64,
+    priced: f64,
+}
+
+/// Everything the entries of one slot's table read. Equal keys make
+/// equal tables, whatever nest or layout assignment the slot came
+/// from.
+#[derive(Debug, PartialEq, Eq, Hash)]
+struct TableKey {
+    /// The slot's compiled subscripts and its array's rank.
+    rows: Vec<AffineRow>,
+    rank: usize,
+    varies: Vec<bool>,
+    /// The search range of every level the slot varies with: it fixes
+    /// the level's candidate spans and its box origin.
+    ranges: Vec<(i64, i64)>,
+    /// The array's dimensions and file layout.
+    dims: Vec<i64>,
+    layout: FileLayout,
+    max_call_elems: u64,
+    /// The cost weights, as bits.
+    weights: (u64, u64),
+}
+
+impl TableKey {
+    fn of(env: &PlanEnv, slot: &Slot, ranges: &[(i64, i64)]) -> Self {
+        let array = slot.array.0;
+        TableKey {
+            rows: slot.rows.clone(),
+            rank: slot.rank,
+            varies: slot.varies.clone(),
+            ranges: ranges
+                .iter()
+                .zip(&slot.varies)
+                .filter_map(|(&range, &varies)| varies.then_some(range))
+                .collect(),
+            dims: env.dims(array).to_vec(),
+            layout: env.layouts[array].clone(),
+            max_call_elems: env.max_call_elems,
+            weights: (
+                env.weights.per_call.to_bits(),
+                env.weights.per_elem.to_bits(),
+            ),
+        }
+    }
+}
+
+/// The slot tables span searches have built, kept for later searches:
+/// a search whose slot has the key (`TableKey`) of one tabulated before
+/// takes that table instead of building its own. Each optimizer call
+/// owns one memo and drops it when it returns — its cost gate prices
+/// one nest under many layout assignments and loop orders, which leave
+/// most slots' keys as they were; [`plan_nest`] plans through a memo
+/// of its own. A table is looked up by its whole key, never by a hash
+/// alone, and holds exactly the entries a fresh build computes, so a
+/// plan through a memo is bit-identical to a fresh one.
+#[derive(Debug, Default)]
+pub struct PlanMemo {
+    tables: HashMap<TableKey, Rc<[TileCost]>>,
 }
 
 /// The span search's scorer. A slot's tile depends only on the spans
@@ -790,11 +908,13 @@ struct SpanTables {
     /// Per slot: the index stride of every level (0 where the slot
     /// does not vary) and one entry per combination of candidates of
     /// the levels it varies with.
-    slots: Vec<(Vec<usize>, Vec<TileCost>)>,
+    slots: Vec<(Vec<usize>, Rc<[TileCost]>)>,
 }
 
 impl SpanTables {
-    fn build(env: &PlanEnv, staging: &Staging, ranges: &[(i64, i64)]) -> Self {
+    /// The tables of `staging` over `ranges`, each slot's taken from
+    /// `memo` when it holds one and added to it otherwise.
+    fn build(env: &PlanEnv, staging: &Staging, ranges: &[(i64, i64)], memo: &mut PlanMemo) -> Self {
         let cands: Vec<Vec<i64>> = ranges
             .iter()
             .map(|&(lo, hi)| {
@@ -808,38 +928,21 @@ impl SpanTables {
             .zip(&cands)
             .map(|(&range, cands)| cands.iter().map(|&s| trips(range, s)).collect())
             .collect();
-        let lo: Vec<i64> = ranges.iter().map(|&(lo, _)| lo).collect();
-        let origin = vec![1i64; ranges.len()];
         let slots = (0..staging.slots())
             .map(|slot| {
                 let varies = &staging.slots[slot].varies;
-                let choices: Vec<Vec<usize>> = (0..ranges.len())
-                    .map(|l| (0..if varies[l] { cands[l].len() } else { 1 }).collect())
-                    .collect();
                 let mut strides = vec![0usize; ranges.len()];
                 let mut stride = 1;
                 for l in (0..ranges.len()).rev().filter(|&l| varies[l]) {
                     strides[l] = stride;
                     stride *= cands[l].len();
                 }
-                // One scratch set per slot: an entry's spans, the upper
-                // corner of its first box, and the hull they stage.
-                let (mut spans, mut hi, mut hull) =
-                    (origin.clone(), lo.clone(), staging.scratch(slot));
-                let mut entries = Vec::with_capacity(stride);
-                for_each_product(&choices, &mut Vec::new(), &mut |choice| {
-                    for (l, &i) in choice.iter().enumerate() {
-                        spans[l] = cands[l][i];
-                        hi[l] = lo[l] + spans[l] - 1;
-                    }
-                    let (calls, moved) = staging.tile_transfer(env, slot, &lo, &hi, &mut hull);
-                    entries.push(TileCost {
-                        elems: staging.tile_elems(env, slot, &origin, &spans, &mut hull),
-                        calls,
-                        moved,
-                    });
-                });
-                (strides, entries)
+                let key = TableKey::of(env, &staging.slots[slot], ranges);
+                let entries = memo
+                    .tables
+                    .entry(key)
+                    .or_insert_with(|| Self::entries(env, staging, slot, ranges, &cands));
+                (strides, Rc::clone(entries))
             })
             .collect();
         SpanTables {
@@ -847,6 +950,47 @@ impl SpanTables {
             trips,
             slots,
         }
+    }
+
+    /// Slot `slot`'s entries, one per combination of `cands` of the
+    /// levels it varies with, the last such level fastest.
+    fn entries(
+        env: &PlanEnv,
+        staging: &Staging,
+        slot: usize,
+        ranges: &[(i64, i64)],
+        cands: &[Vec<i64>],
+    ) -> Rc<[TileCost]> {
+        let s = &staging.slots[slot];
+        let choices: Vec<Vec<usize>> = (0..ranges.len())
+            .map(|l| (0..if s.varies[l] { cands[l].len() } else { 1 }).collect())
+            .collect();
+        // One class of integer subscripts stages a region whose extents
+        // do not depend on where the box sits, so its footprint term is
+        // read off the hull of the first box; any other slot's is
+        // evaluated at the origin box, as `Staging::footprint` does.
+        let shifts = s.class.is_some() && s.rows.iter().all(AffineRow::is_integer);
+        let dims = env.dims(s.array.0);
+        let lo: Vec<i64> = ranges.iter().map(|&(lo, _)| lo).collect();
+        let origin = vec![1i64; ranges.len()];
+        // One scratch set: an entry's spans, the upper corner of its
+        // first box, and the hull they stage.
+        let (mut spans, mut hi, mut hull) = (origin.clone(), lo.clone(), staging.scratch(slot));
+        let mut entries = Vec::with_capacity(choices.iter().map(Vec::len).product());
+        for_each_product(&choices, &mut Vec::new(), &mut |choice| {
+            for (l, &i) in choice.iter().enumerate() {
+                spans[l] = cands[l][i];
+                hi[l] = lo[l] + spans[l] - 1;
+            }
+            let priced = weighed(env, staging.tile_transfer(env, slot, &lo, &hi, &mut hull));
+            let elems = if shifts {
+                clamped_elems(dims, &hull)
+            } else {
+                staging.tile_elems(env, slot, &origin, &spans, &mut hull)
+            };
+            entries.push(TileCost { elems, priced });
+        });
+        entries.into()
     }
 
     /// Slot `slot`'s tile under the candidates `choice` picks per level.
@@ -864,22 +1008,11 @@ impl SpanTables {
     }
 
     /// [`Staging::io_cost`] of the spans `choice` picks — the same
-    /// expression over the same operands, hence the same bits. `trips`
-    /// is the caller's buffer, one entry per level.
-    fn io_cost(
-        &self,
-        env: &PlanEnv,
-        staging: &Staging,
-        choice: &[usize],
-        trips: &mut [f64],
-    ) -> f64 {
-        for ((t, &i), level) in trips.iter_mut().zip(choice).zip(&self.trips) {
-            *t = level[i];
-        }
-        staging.priced(env, trips, |slot| {
-            let tile = self.tile(slot, choice);
-            (tile.calls, tile.moved)
-        })
+    /// expression over the same operands, hence the same bits. `steps`
+    /// is the caller's buffer.
+    fn io_cost(&self, staging: &Staging, choice: &[usize], steps: &mut Steps) -> f64 {
+        steps.set(choice.iter().zip(&self.trips).map(|(&i, level)| level[i]));
+        staging.priced(steps, |slot| self.tile(slot, choice).priced)
     }
 
     /// The spans `choice` picks, with their cost.
@@ -905,8 +1038,13 @@ struct Searched {
 /// wins; when nothing fits (budget below even 1-wide tiles) the minimal
 /// spans make progress. The trials that keep the innermost level whole
 /// are a subsequence of all trials, so one pass finds both optima.
-fn search_spans(env: &PlanEnv, staging: &Staging, ranges: &[(i64, i64)]) -> Searched {
-    let tables = SpanTables::build(env, staging, ranges);
+fn search_spans(
+    env: &PlanEnv,
+    staging: &Staging,
+    ranges: &[(i64, i64)],
+    memo: &mut PlanMemo,
+) -> Searched {
+    let tables = SpanTables::build(env, staging, ranges, memo);
     let choices: Vec<Vec<usize>> = tables
         .cands
         .iter()
@@ -916,12 +1054,12 @@ fn search_spans(env: &PlanEnv, staging: &Staging, ranges: &[(i64, i64)]) -> Sear
     let whole = tables.cands[inner].len() - 1;
     let mut free: Option<(Vec<usize>, f64)> = None;
     let mut pinned: Option<(Vec<usize>, f64)> = None;
-    let mut trips = vec![0f64; ranges.len()];
+    let mut steps = Steps::new(ranges.len());
     for_each_product(&choices, &mut Vec::new(), &mut |choice| {
         if tables.footprint(choice) > env.budget.capacity() {
             return;
         }
-        let cost = tables.io_cost(env, staging, choice, &mut trips);
+        let cost = tables.io_cost(staging, choice, &mut steps);
         let keep_if_cheaper = |best: &mut Option<(Vec<usize>, f64)>| {
             if cost < best.as_ref().map_or(f64::INFINITY, |b| b.1) {
                 *best = Some((choice.to_vec(), cost));
@@ -935,7 +1073,7 @@ fn search_spans(env: &PlanEnv, staging: &Staging, ranges: &[(i64, i64)]) -> Sear
     let mut minimal = |inner_choice: usize| {
         let mut choice = vec![0; ranges.len()];
         choice[inner] = inner_choice;
-        let cost = tables.io_cost(env, staging, &choice, &mut trips);
+        let cost = tables.io_cost(staging, &choice, &mut steps);
         (choice, cost)
     };
     Searched {
@@ -1255,7 +1393,7 @@ mod tests {
         let env = PlanEnv::new(&p, &layouts, &[4096], 128, 1 << 19).expect("sized");
         let staging = Staging::for_nest(&nest);
         let ranges = level_ranges(&nest, env.params).expect("not empty");
-        let tables = SpanTables::build(&env, &staging, &ranges);
+        let tables = SpanTables::build(&env, &staging, &ranges, &mut PlanMemo::default());
         assert_eq!(
             tables.cands.iter().map(Vec::len).collect::<Vec<_>>(),
             [13; 3]
@@ -1268,10 +1406,81 @@ mod tests {
         assert_eq!(tables.footprint(&choice), staging.footprint(&env, &spans));
         assert_eq!(
             tables
-                .io_cost(&env, &staging, &choice, &mut [0.0; 3])
+                .io_cost(&staging, &choice, &mut Steps::new(3))
                 .to_bits(),
             staging.io_cost(&env, &ranges, &spans).to_bits()
         );
+    }
+
+    /// Every entry of a table — its footprint term read off the staged
+    /// hull for one-class integer slots, evaluated at the origin box
+    /// for the others — gives every trial the definitions' footprint
+    /// and cost bits, also when the tables come from a memo other
+    /// layouts filled.
+    #[test]
+    fn every_trial_scores_what_the_definitions_give() {
+        // A(i,j) = A(i-1,j) + B(j,i) + B(i,j) + C(i/2 + j/2, j): a
+        // halo class, two read classes, exact rows; then with B(j,i)
+        // written too, a hull slot.
+        let mut p = Program::new(&["N"]);
+        let (a, b) = (p.declare_array("A", 2, 0), p.declare_array("B", 2, 0));
+        let c = p.declare_array("C", 2, 0);
+        let (half, one) = (ooc_linalg::Rational::new(1, 2), ooc_linalg::Rational::ONE);
+        let halved = ArrayRef {
+            array: c,
+            access: Matrix::from_rationals(2, 2, vec![half, half, ooc_linalg::Rational::ZERO, one]),
+            offset: vec![0, 0],
+        };
+        let sum = |l, r| Expr::Add(Box::new(l), Box::new(r));
+        let rhs = sum(
+            sum(
+                Expr::Ref(identity(a, vec![-1, 0])),
+                Expr::Ref(transposed(b)),
+            ),
+            sum(Expr::Ref(identity(b, vec![0, 0])), Expr::Ref(halved)),
+        );
+        let mut nest = LoopNest::rectangular(
+            "n",
+            2,
+            1,
+            0,
+            vec![Statement::assign(identity(a, vec![0, 0]), rhs)],
+        );
+        let mut nests = vec![nest.clone()];
+        nest.body
+            .push(Statement::assign(transposed(b), Expr::Const(0.0)));
+        nests.push(nest);
+        let mut memo = PlanMemo::default();
+        for layout in [
+            FileLayout::row_major(2),
+            FileLayout::col_major(2),
+            FileLayout::Hyperplane2D(1, -1),
+        ] {
+            let layouts = vec![layout; 3];
+            let env = env_with(&p, &layouts, &[24], 64);
+            for nest in &nests {
+                let staging = Staging::for_nest(nest);
+                for ranges in [[(1, 24), (1, 24)], [(8, 13), (1, 24)]] {
+                    let tables = SpanTables::build(&env, &staging, &ranges, &mut memo);
+                    let choices: Vec<Vec<usize>> = tables
+                        .cands
+                        .iter()
+                        .map(|c| (0..c.len()).collect())
+                        .collect();
+                    for_each_product(&choices, &mut Vec::new(), &mut |choice| {
+                        let spans: Vec<i64> = choice
+                            .iter()
+                            .zip(&tables.cands)
+                            .map(|(&i, c)| c[i])
+                            .collect();
+                        assert_eq!(tables.footprint(choice), staging.footprint(&env, &spans));
+                        let cost = tables.io_cost(&staging, choice, &mut Steps::new(2));
+                        let want = staging.io_cost(&env, &ranges, &spans);
+                        assert_eq!(cost.to_bits(), want.to_bits(), "{spans:?} {ranges:?}");
+                    });
+                }
+            }
+        }
     }
 
     #[test]

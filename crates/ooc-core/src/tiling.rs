@@ -164,7 +164,7 @@ fn level_tiling_legal(deps: &[ooc_ir::Dependence], l: usize) -> bool {
 /// One subscript of a reference, `offset + Σ c·i_level` over its
 /// nonzero coefficients: an access-matrix row compiled once, so that
 /// bounding it over a box neither rescans nor indexes the matrix.
-#[derive(Debug)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub(crate) enum AffineRow {
     /// Every coefficient an integer that fits `i64` (every kernel's
     /// rows): `i128` arithmetic, in which a product of two `i64`s
@@ -197,6 +197,11 @@ impl AffineRow {
             Some(terms) => AffineRow::Integer { offset, terms },
             None => AffineRow::Exact { offset, terms },
         }
+    }
+
+    /// Whether the row takes the `i128` path.
+    pub(crate) fn is_integer(&self) -> bool {
+        matches!(self, AffineRow::Integer { .. })
     }
 
     /// Whether the subscript moves with loop level `l`.

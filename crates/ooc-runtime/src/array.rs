@@ -472,10 +472,15 @@ impl<S: Store> OocArray<S> {
             }
         }
         self.trim_scratch();
-        self.stats.writes += 1;
-        self.stats.write_calls += run_calls_of(&segs, self.config.max_call_elems);
-        self.stats.write_elems += segs.iter().map(|seg| seg.len).sum::<u64>();
+        self.count_write(&segs);
         Ok(())
+    }
+
+    /// Counts one write of the segments `segs` in the stats.
+    fn count_write(&mut self, segs: &[Segment]) {
+        self.stats.writes += 1;
+        self.stats.write_calls += run_calls_of(segs, self.config.max_call_elems);
+        self.stats.write_elems += segs.iter().map(|seg| seg.len).sum::<u64>();
     }
 
     /// Refuses a region of another rank than the array's, which the
@@ -505,25 +510,61 @@ impl<S: Store> OocArray<S> {
     }
 
     /// Direct whole-array initialization through the layout (costed as
-    /// one sequential write sweep).
+    /// one sequential write sweep): `f` is evaluated in file order, and
+    /// each file run is written in one call — the calls
+    /// [`OocArray::write_tile`] of the whole array issues.
     ///
     /// # Errors
     /// Propagates store errors.
     pub fn initialize(&mut self, f: impl Fn(&[i64]) -> f64) -> io::Result<()> {
-        let mut tile = Tile::zeroed(Region::full(&self.dims));
-        // Fill in canonical order: the last dimension fastest.
-        let mut idx = vec![1i64; self.dims.len()];
-        for slot in tile.data_mut() {
-            *slot = f(&idx);
-            for d in (0..idx.len()).rev() {
-                if idx[d] < self.dims[d] {
-                    idx[d] += 1;
-                    break;
-                }
-                idx[d] = 1;
+        let full = Region::full(&self.dims);
+        let segs = self.segments(&full);
+        // The file's contents in file order. A segment is a line of the
+        // index space: its elements follow its first index by a
+        // constant step, read off its first two tile positions.
+        let len = segs.iter().map(|seg| seg.len as usize).sum();
+        let mut data = vec![0f64; len];
+        let (mut idx, mut next) = (vec![0i64; self.dims.len()], vec![0i64; self.dims.len()]);
+        let mut step: Vec<(usize, i64)> = Vec::new();
+        let mut at = 0;
+        for seg in &segs {
+            index_at(&self.dims, seg.tile_start, &mut idx);
+            step.clear();
+            if seg.len > 1 {
+                index_at(&self.dims, seg.tile_start + seg.tile_stride, &mut next);
+                let moves = next.iter().zip(&idx).map(|(&n, &i)| n - i).enumerate();
+                step.extend(moves.filter(|&(_, s)| s != 0));
             }
+            let to = at + seg.len as usize;
+            for slot in &mut data[at..to] {
+                *slot = f(&idx);
+                for &(d, s) in &step {
+                    idx[d] += s;
+                }
+            }
+            at = to;
         }
-        self.write_tile(&tile)
+        let retry = self.config.retry;
+        let store = &mut self.store;
+        let mut rest = data.as_slice();
+        for run in segs.chunk_by(file_adjacent) {
+            let (start, len) = run_extent(run);
+            let (buf, tail) = rest.split_at(len);
+            retry.run(&mut self.stats.retries, || store.write_run(start, buf))?;
+            rest = tail;
+        }
+        self.count_write(&segs);
+        Ok(())
+    }
+}
+
+/// Writes the index of canonical position `pos` of the array `dims`
+/// (the last dimension fastest) into `idx`.
+fn index_at(dims: &[i64], pos: usize, idx: &mut [i64]) {
+    let mut pos = pos as i64;
+    for (i, &dim) in idx.iter_mut().zip(dims).rev() {
+        *i = pos % dim + 1;
+        pos /= dim;
     }
 }
 
@@ -739,6 +780,71 @@ mod tests {
             a.write_tile(&tile).expect("write");
             assert_eq!(a.read_element(&[2, 3]).expect("read"), -1.0, "{layout:?}");
             assert_eq!(a.read_element(&[2, 2]).expect("read"), 22.0, "{layout:?}");
+        }
+    }
+
+    /// A store that keeps every write, its offset and its bits.
+    struct Recorder {
+        len: u64,
+        writes: Vec<(u64, Vec<u64>)>,
+    }
+
+    impl Store for Recorder {
+        fn len(&self) -> u64 {
+            self.len
+        }
+
+        fn read_run(&self, _: u64, buf: &mut [f64]) -> io::Result<()> {
+            buf.fill(0.0);
+            Ok(())
+        }
+
+        fn write_run(&mut self, offset: u64, buf: &[f64]) -> io::Result<()> {
+            let bits = buf.iter().map(|v| v.to_bits()).collect();
+            self.writes.push((offset, bits));
+            Ok(())
+        }
+    }
+
+    /// Seeding in file order issues the calls, the bytes and the stats
+    /// of writing one whole-array tile filled in canonical order.
+    #[test]
+    fn initialize_writes_what_a_whole_array_tile_writes() {
+        let value = |idx: &[i64]| idx.iter().fold(0.5, |v, &i| v * 31.0 + i as f64);
+        for (dims, layout) in [
+            (vec![5, 7], FileLayout::row_major(2)),
+            (vec![5, 7], FileLayout::col_major(2)),
+            (vec![3, 4, 5], FileLayout::DimOrder(vec![2, 0, 1])),
+            (vec![5, 7], FileLayout::Hyperplane2D(1, 1)),
+            (vec![5, 7], FileLayout::Hyperplane2D(1, -1)),
+            (vec![5, 7], FileLayout::Blocked2D { br: 2, bc: 3 }),
+        ] {
+            let array = || {
+                let len = dims.iter().product::<i64>().unsigned_abs();
+                let store = Recorder {
+                    len,
+                    writes: Vec::new(),
+                };
+                OocArray::new("A", &dims, layout.clone(), store, small_config())
+            };
+            let mut seeded = array();
+            seeded.initialize(value).expect("init");
+            let mut tile = Tile::zeroed(Region::full(&dims));
+            let mut idx = vec![1i64; dims.len()];
+            for slot in tile.data_mut() {
+                *slot = value(&idx);
+                for d in (0..idx.len()).rev() {
+                    if idx[d] < dims[d] {
+                        idx[d] += 1;
+                        break;
+                    }
+                    idx[d] = 1;
+                }
+            }
+            let mut written = array();
+            written.write_tile(&tile).expect("write");
+            assert_eq!(seeded.store.writes, written.store.writes, "{layout:?}");
+            assert_eq!(seeded.stats(), written.stats(), "{layout:?}");
         }
     }
 

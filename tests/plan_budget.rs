@@ -23,7 +23,7 @@
 //! Fixing either changes spans and therefore every counter baseline;
 //! until a PR does that on purpose, this test pins the exact list of
 //! offenders with their overshoot factor, so it can neither grow
-//! silently nor be forgotten (ROADMAP item 2).
+//! silently nor be forgotten (ROADMAP item 1).
 
 use ooc_opt::core::{plan_nest, PlanEnv};
 use ooc_opt::kernels::{all_kernels, compile, Version};

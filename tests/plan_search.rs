@@ -8,12 +8,16 @@
 //! random nests (skewed accesses, halos, hull slots, triangular
 //! bounds, levels nothing varies with), under every layout kind, from budgets nothing fits to
 //! budgets everything fits, for all four strategies.
+//!
+//! The optimizer plans through a `PlanMemo` that keeps the slot tables
+//! of earlier plans; a plan through a memo other plans have filled must
+//! be the fresh plan, spans and cost bits alike.
 
 mod common;
 
 use common::{random_nest, Pool};
 use ooc_opt::core::plan::Staging;
-use ooc_opt::core::{plan_nest, PlanEnv, TilingStrategy};
+use ooc_opt::core::{plan_nest, plan_nest_memo, PlanEnv, PlanMemo, TilingStrategy};
 use ooc_opt::linalg::{Matrix, Rational};
 use ooc_opt::runtime::FileLayout;
 use proptest::prelude::*;
@@ -189,6 +193,58 @@ proptest! {
                 "{:?} budget {} layouts {:?}: {} vs {}\n{:#?}",
                 strategy, env.budget().capacity(), layouts, plan.cost, cost, nest
             );
+        }
+    }
+
+    /// One memo serves three random nests, each planned four times
+    /// under random layouts, budgets, call sizes and processor
+    /// restrictions. Half the plans are of the nest with its ownership
+    /// level cut to the extent a two-way restricted search sees: the
+    /// same slots over the same extents at another origin.
+    #[test]
+    fn plans_through_a_filled_memo_are_fresh_plans(
+        pool in proptest::collection::vec(0u32..1_000_000, 512),
+    ) {
+        let pool = &mut Pool(pool.iter());
+        let mut memo = PlanMemo::default();
+        for _ in 0..3 {
+            let (prog, layouts) = random_nest(pool, 12);
+            let nest = &prog.nests[0];
+            let levels: Vec<usize> = (0..nest.depth).collect();
+            let env = PlanEnv::new(&prog, &layouts, &[], 8, 1 << 19).expect("small arrays");
+            let whole = plan_nest(&env, nest, TilingStrategy::Optimized, &levels, None)
+                .expect("small regions")
+                .expect("the nest is not empty");
+            let own = whole.own_level.unwrap_or(0);
+            let hi = whole.ranges[own].1;
+            let mut cut = nest.clone();
+            cut.bounds.add_var_range(own, 1, hi - hi / 2);
+            for _ in 0..4 {
+                let layouts: Vec<FileLayout> =
+                    prog.arrays.iter().map(|a| random_layout(pool, a.dims.len())).collect();
+                let fraction = [2, 8, 64, u64::MAX][pool.below(4) as usize];
+                let max_call_elems = [4, 1 << 19][pool.below(2) as usize];
+                let env = PlanEnv::new(&prog, &layouts, &[], fraction, max_call_elems)
+                    .expect("small arrays");
+                let restrict = [None, Some(2), Some(3), Some(16)][pool.below(4) as usize];
+                let planned = if pool.coin() { nest } else { &cut };
+                for strategy in [TilingStrategy::OutOfCore, TilingStrategy::Optimized] {
+                    let fresh = plan_nest(&env, planned, strategy, &levels, restrict)
+                        .expect("small regions");
+                    let memoized =
+                        plan_nest_memo(&env, planned, strategy, &levels, restrict, &mut memo)
+                            .expect("small regions");
+                    let answer = |plan: Option<&ooc_opt::core::NestPlan>| {
+                        plan.map(|p| (p.spans.clone(), p.cost.to_bits()))
+                    };
+                    prop_assert_eq!(
+                        answer(memoized.as_ref()),
+                        answer(fresh.as_ref()),
+                        "{:?} {:?} budget {} layouts {:?}\n{:#?}",
+                        strategy, restrict, env.budget().capacity(), layouts, planned
+                    );
+                }
+            }
         }
     }
 }
