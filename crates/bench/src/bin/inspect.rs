@@ -333,10 +333,10 @@ fn main() {
             let rec = cell.repair.get(ooc_runtime::IoCause::DegradedReconstruct);
             let par = cell.repair.get(ooc_runtime::IoCause::ParityWrite);
             println!(
-                "       kill node {} @ first arrival: {} resume(s), \
+                "       kill node {} @ first arrival: {} restart(s), \
                  reconstructed {} elems in {} calls, parity RMW {} elems",
                 cell.killed,
-                cell.resumes,
+                cell.restarts(),
                 rec.total_elems(),
                 rec.total_calls(),
                 par.total_elems(),

@@ -73,7 +73,7 @@ fn degraded_main(kill: &str, metrics: MetricsScope) {
         "{:8} {:>6} {:>8} {:>12} {:>12} {:>12} {:>10} {:>10}",
         "program",
         "killed",
-        "resumes",
+        "restarts",
         "reconstruct",
         "parity wr",
         "scrub skip",
@@ -88,7 +88,7 @@ fn degraded_main(kill: &str, metrics: MetricsScope) {
                 "{:8} {:>6} {:>8} {:>12} {:>12} {:>12} {:>9.2}x {:>9.1}%",
                 demo.kernel,
                 cell.killed,
-                cell.resumes,
+                cell.restarts(),
                 cell.repair.get(IoCause::DegradedReconstruct).total_calls(),
                 cell.repair.get(IoCause::ParityWrite).total_calls(),
                 cell.scrub.skipped,

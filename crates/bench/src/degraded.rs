@@ -21,14 +21,15 @@
 //! [`price_degraded`] fan-out model.
 
 use ooc_core::{
-    max_intents_per_interval, run_parallel_surviving_node_loss, DurabilityConfig, FunctionalConfig,
-    NodeLossOutcome, ParallelConfig, PipelineConfig, StripedMedium,
+    max_intents_per_interval, run_durable, DurabilityConfig, DurableOutcome, FunctionalConfig,
+    ParallelConfig, ParallelRun, PipelineConfig, RecoveryReport, Start, StripedMedium,
+    TiledProgram,
 };
 use ooc_kernels::{compile, kernel_by_name, Kernel, Version};
 use ooc_metrics::Registry;
 use ooc_runtime::{
-    parse_journal, IoCause, LedgerRecorder, NodeFaultConfig, NodeHealth, NodeStats,
-    ProvenanceLedger, RepairIo, ScrubReport, StripeConfig,
+    parse_journal, IoCause, LedgerRecorder, NodeFaultConfig, NodeStats, ProvenanceLedger, RepairIo,
+    ScrubReport, StripeConfig,
 };
 use pfs_sim::{price_degraded, DegradedReport, DiskParams, NodeLoad};
 
@@ -55,40 +56,73 @@ fn stripes() -> StripeConfig {
     }
 }
 
-fn pcfg(ledger: Option<LedgerRecorder>) -> ParallelConfig {
-    let functional = match ledger {
-        Some(rec) => FunctionalConfig::with_fraction(16).with_ledger(rec),
-        None => FunctionalConfig::with_fraction(16),
-    };
-    ParallelConfig {
+/// One durable run of `k`'s `tiled` program on the step engine at two
+/// shards, over a fresh striped medium with the node deaths `faults`;
+/// `run_durable` retries each newly lost node. `ledger`, when given,
+/// books both the walk and the medium's repair traffic.
+fn survive(
+    k: &Kernel,
+    tiled: &TiledProgram,
+    faults: NodeFaultConfig,
+    ledger: Option<&LedgerRecorder>,
+) -> (DurableOutcome<ParallelRun>, StripedMedium) {
+    let mut medium = StripedMedium::with_faults(stripes(), faults);
+    let mut functional = FunctionalConfig::with_fraction(16);
+    if let Some(rec) = ledger {
+        medium = medium.with_ledger(rec.clone());
+        functional = functional.with_ledger(rec.clone());
+    }
+    let cfg = ParallelConfig {
         pipeline: PipelineConfig {
             functional,
             ..PipelineConfig::default()
         },
         shards: 2,
-    }
+    };
+    let (dur, params) = (DurabilityConfig::default(), &k.small_params);
+    let run = run_durable(
+        tiled,
+        params,
+        &measured_seed,
+        &cfg,
+        &dur,
+        &mut medium,
+        &|_| None,
+        Start::Fresh,
+    );
+    (run.expect("degraded survival run"), medium)
 }
 
 /// One deterministic kill cell: node `killed` dead from its first
-/// arrival, run survived through quarantine + resume.
+/// arrival, run survived through quarantine and a retry.
 #[derive(Debug)]
 pub struct DegradedCell {
     /// The node killed.
     pub killed: usize,
-    /// Resumes the survival loop took (1 for a first-arrival kill).
-    pub resumes: u64,
+    /// The final session's report: its retries (a first-arrival kill
+    /// surfaces during seeding, before the first boundary, so a retry
+    /// restarts rather than resumes) and the intents it rolled back.
+    pub report: RecoveryReport,
     /// Repair-plane traffic by cause, summed over nodes.
     pub repair: RepairIo,
     /// Verify-only scrub of the finished (still-degraded) medium.
     pub scrub: ScrubReport,
-    /// Journal intents rolled back by the resume.
-    pub rolled_back_tiles: u64,
     /// The degraded run's provenance ledger (repair causes populate
     /// the repair channel; data-plane conservation still holds).
     pub ledger: ProvenanceLedger,
     /// Healthy-vs-degraded bandwidth pricing for this node's loss,
     /// from the healthy twin's per-node loads.
     pub priced: DegradedReport,
+}
+
+impl DegradedCell {
+    /// Retries whose session found no boundary and started over. The
+    /// single-fault model allows one successful retry, so this is
+    /// that retry unless its session resumed.
+    #[must_use]
+    pub fn restarts(&self) -> u64 {
+        self.report.retries - u64::from(self.report.resumed)
+    }
 }
 
 /// The full sweep on one kernel.
@@ -124,24 +158,16 @@ fn node_loads(stats: &[NodeStats]) -> Vec<NodeLoad> {
         .collect()
 }
 
-fn run_survival(
+/// [`survive`] with a ledger stamped `version_stamp`, returned taken.
+fn survive_recorded(
     k: &Kernel,
-    tiled: &ooc_core::TiledProgram,
+    tiled: &TiledProgram,
     faults: NodeFaultConfig,
     version_stamp: &str,
-) -> (NodeLossOutcome, StripedMedium, ProvenanceLedger) {
+) -> (DurableOutcome<ParallelRun>, StripedMedium, ProvenanceLedger) {
     let rec = LedgerRecorder::new();
     rec.set_run(k.name, version_stamp);
-    let mut medium = StripedMedium::with_faults(stripes(), faults).with_ledger(rec.clone());
-    let out = run_parallel_surviving_node_loss(
-        tiled,
-        &k.small_params,
-        &measured_seed,
-        &pcfg(Some(rec.clone())),
-        &DurabilityConfig::default(),
-        &mut medium,
-    )
-    .expect("degraded survival run");
+    let (out, medium) = survive(k, tiled, faults, Some(&rec));
     (out, medium, rec.take())
 }
 
@@ -164,14 +190,13 @@ pub fn run_degraded_demo(kernel: &str, kill_node: Option<usize>) -> DegradedDemo
     // Fault-free twin: expected bits, healthy loads, arrival counts,
     // and the journal that bounds replay.
     let (healthy, healthy_medium, healthy_ledger) =
-        run_survival(&k, &cv.tiled, NodeFaultConfig::new(), "c-opt-healthy");
-    assert!(healthy.loss.nodes_lost.is_empty());
-    let expected = healthy.outcome.run.run.data.clone();
-    assert_ledger_conserves(&k, &healthy_ledger, &healthy.outcome);
-    let healthy_loads = node_loads(&healthy.loss.node_stats);
-    let arrivals: Vec<u64> = healthy
-        .loss
-        .node_stats
+        survive_recorded(&k, &cv.tiled, NodeFaultConfig::new(), "c-opt-healthy");
+    assert!(healthy_medium.nodes_lost().is_empty());
+    let expected = healthy.run.run.data.clone();
+    assert_ledger_conserves(&k, &healthy_ledger, &healthy);
+    let healthy_stats = healthy_medium.node_stats();
+    let healthy_loads = node_loads(&healthy_stats);
+    let arrivals: Vec<u64> = healthy_stats
         .iter()
         .map(|n| n.io.total_calls() + n.repair.total_calls())
         .collect();
@@ -190,25 +215,26 @@ pub fn run_degraded_demo(kernel: &str, kill_node: Option<usize>) -> DegradedDemo
     let mut cells = Vec::new();
     for &node in &targets {
         let faults = NodeFaultConfig::new().permanent_fail_at(node, 0);
-        let (out, medium, ledger) = run_survival(&k, &cv.tiled, faults, "c-opt-degraded");
+        let (out, medium, ledger) = survive_recorded(&k, &cv.tiled, faults, "c-opt-degraded");
         assert_eq!(
-            out.outcome.run.run.data, expected,
+            out.run.run.data, expected,
             "{}: degraded run diverged with node {node} dead",
             k.name
         );
-        // Reported whether a shard's access discovered the death
-        // (typed error, one resume) or the node's first arrival was a
+        // Lost whether a shard's access discovered the death (typed
+        // error, one retry) or the node's first arrival was a
         // parity-plane call, which the single-fault model tolerates in
-        // place: health flips to Down, every later data access
-        // degrades silently and redundancy absorbs the loss with no
-        // resume at all.
-        assert_eq!(out.loss.nodes_lost, vec![node]);
-        assert_eq!(medium.pool().health(node), NodeHealth::Down);
-        assert_ledger_conserves(&k, &ledger, &out.outcome);
-        for (a, n) in &out.outcome.report.rolled_back_by_array {
+        // place: the node goes down, every later data access degrades
+        // silently and redundancy absorbs the loss with no retry at
+        // all.
+        assert_eq!(medium.nodes_lost(), [(node, 0)]);
+        assert_ledger_conserves(&k, &ledger, &out);
+        for (a, n) in &out.report.rolled_back_by_array {
             let max = bound.get(a).copied().unwrap_or(0);
             assert!(*n <= max, "array {a}: rolled back {n} > bound {max}");
         }
+        // The run's repair traffic, before the scrub adds its reads.
+        let repair = medium.total_repair();
         let scrub = medium.scrub(false).expect("verify-only scrub");
         assert_eq!(
             scrub.unrecoverable, 0,
@@ -217,10 +243,9 @@ pub fn run_degraded_demo(kernel: &str, kill_node: Option<usize>) -> DegradedDemo
         );
         cells.push(DegradedCell {
             killed: node,
-            resumes: out.loss.resumes,
-            repair: out.loss.repair,
+            report: out.report,
+            repair,
             scrub,
-            rolled_back_tiles: out.outcome.report.rolled_back_tiles,
             ledger,
             priced: price_degraded(&healthy_loads, node, &disk),
         });
@@ -239,23 +264,13 @@ pub fn run_degraded_demo(kernel: &str, kill_node: Option<usize>) -> DegradedDemo
             continue;
         }
         let faults = NodeFaultConfig::new().permanent_fail_at(busiest, at);
-        let rec = LedgerRecorder::new();
-        let mut medium = StripedMedium::with_faults(stripes(), faults).with_ledger(rec);
-        let out = run_parallel_surviving_node_loss(
-            &cv.tiled,
-            &k.small_params,
-            &measured_seed,
-            &pcfg(None),
-            &DurabilityConfig::default(),
-            &mut medium,
-        )
-        .expect("sampled-kill survival run");
+        let (out, _) = survive(&k, &cv.tiled, faults, None);
         assert_eq!(
-            out.outcome.run.run.data, expected,
+            out.run.run.data, expected,
             "{}: node {busiest} killed at call {at}: survived run diverged",
             k.name
         );
-        for (a, n) in &out.outcome.report.rolled_back_by_array {
+        for (a, n) in &out.report.rolled_back_by_array {
             let max = bound.get(a).copied().unwrap_or(0);
             assert!(
                 *n <= max,
@@ -268,8 +283,8 @@ pub fn run_degraded_demo(kernel: &str, kill_node: Option<usize>) -> DegradedDemo
     DegradedDemo {
         kernel: k.name.to_string(),
         version: "c-opt".to_string(),
-        healthy_stats: healthy.loss.node_stats,
-        healthy_repair: healthy.loss.repair,
+        healthy_stats,
+        healthy_repair: healthy_medium.total_repair(),
         healthy_ledger,
         cells,
         sampled_kills,
@@ -279,7 +294,7 @@ pub fn run_degraded_demo(kernel: &str, kill_node: Option<usize>) -> DegradedDemo
 fn assert_ledger_conserves(
     k: &Kernel,
     ledger: &ProvenanceLedger,
-    out: &ooc_core::DurableOutcome<ooc_core::ParallelRun>,
+    out: &DurableOutcome<ParallelRun>,
 ) {
     let stats: Vec<_> = out.run.run.profiles.iter().map(|p| p.stats).collect();
     if let Err(e) = ledger.check_conservation(&stats) {
@@ -288,7 +303,7 @@ fn assert_ledger_conserves(
 }
 
 /// Registers the sweep's counters per `{kernel, version, killed}`.
-/// Repair, scrub, and resume counters from the first-arrival kills
+/// Repair, scrub, and restart counters from the first-arrival kills
 /// are deterministic (exact-gated by `bench-compare` against
 /// `BENCH_degraded_seed.json`); priced slowdowns register as gauges
 /// (warn-only).
@@ -335,8 +350,11 @@ pub fn degraded_register(registry: &Registry, demo: &DegradedDemo) {
         }
         c("repair_calls_total", cell.repair.total_calls());
         c("repair_elems_total", cell.repair.total_elems());
-        c("node_loss_resumes_total", cell.resumes);
-        c("recovery_replayed_tiles_total", cell.rolled_back_tiles);
+        c("node_loss_restarts_total", cell.restarts());
+        c(
+            "recovery_replayed_tiles_total",
+            cell.report.rolled_back_tiles,
+        );
         c("scrub_groups_total", cell.scrub.groups);
         c("scrub_clean_total", cell.scrub.clean);
         c("scrub_skipped_total", cell.scrub.skipped);
@@ -370,11 +388,13 @@ mod tests {
         assert_eq!(demo.cells.len(), DEGRADED_NODES);
         assert_eq!(demo.sampled_kills.len(), 2, "{:?}", demo.sampled_kills);
         for cell in &demo.cells {
+            // At most one retry, and a first-arrival kill surfaces
+            // during seeding, so its session finds no boundary.
             assert!(
-                cell.resumes <= 1,
-                "node {}: {} resumes",
+                cell.report.retries <= 1 && !cell.report.resumed,
+                "node {}: {:?}",
                 cell.killed,
-                cell.resumes
+                cell.report
             );
             assert!(
                 cell.repair.get(IoCause::DegradedReconstruct).read_calls > 0,
@@ -386,9 +406,9 @@ mod tests {
             assert!(cell.scrub.skipped > 0, "node {}", cell.killed);
             assert_eq!(cell.scrub.clean + cell.scrub.skipped, cell.scrub.groups);
         }
-        // Data-plane-first kills need a journal-bounded resume;
+        // Data-plane-first kills need exactly one retry;
         // parity-plane-first kills are absorbed with none.
-        assert!(demo.cells.iter().map(|c| c.resumes).sum::<u64>() >= 1);
+        assert!(demo.cells.iter().map(|c| c.report.retries).sum::<u64>() >= 1);
         // The healthy twin pays parity upkeep but nothing else.
         assert!(demo.healthy_repair.get(IoCause::ParityWrite).write_calls > 0);
         assert_eq!(

@@ -110,9 +110,8 @@ pub use parallel::{exec_parallel, ParallelConfig, ParallelRun, PartitionSummary}
 pub use pipeline::{exec_pipelined, extract_schedule, PipelineConfig};
 pub use plan::{plan_nest, plan_nest_memo, NestPlan, PlanEnv, PlanMemo};
 pub use recovery::{
-    max_intents_per_interval, run_durable, run_functional_durable,
-    run_parallel_surviving_node_loss, DirMedium, DurabilityConfig, DurableMedium, DurableOutcome,
-    DurableStore, MemMedium, NodeLossOutcome, NodeLossReport, RecoveryReport, Start, StripedMedium,
+    max_intents_per_interval, run_durable, run_functional_durable, DirMedium, DurabilityConfig,
+    DurableMedium, DurableOutcome, DurableStore, MemMedium, RecoveryReport, Start, StripedMedium,
     Walk,
 };
 pub use report::{optimization_report, IoComparison, NestReport, OptimizationReport, RefReport};

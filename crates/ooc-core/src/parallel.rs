@@ -69,10 +69,11 @@
 //! Run over a [`StripedMedium`](crate::recovery::StripedMedium) —
 //! every array striped with a rotating parity lane across one shared
 //! I/O-node pool — the same protocol also survives **permanent loss
-//! of any single I/O node**:
-//! [`run_parallel_surviving_node_loss`](crate::recovery::run_parallel_surviving_node_loss)
-//! turns the typed dead-node discovery error into quarantine plus a
-//! journal-bounded resume, after which the dead node's stripes are
+//! of any single I/O node**: the medium's
+//! [`recoverable`](crate::recovery::DurableMedium::recoverable) hook
+//! turns the typed dead-node discovery error into quarantine, and
+//! [`run_durable`](crate::recovery::run_durable) into a journal-bounded
+//! retry, after which the dead node's stripes are
 //! read by XOR reconstruction from its peers and its writes land in
 //! the parity lane. The survived run is bit-equal to a fault-free
 //! one, and all reconstruction/parity traffic is accounted on the

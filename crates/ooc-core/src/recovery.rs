@@ -24,6 +24,10 @@
 //! invariant the test suite asserts: a crashed-then-recovered run is
 //! **bit-equal** to an uninterrupted run, and the re-executed work is
 //! bounded by one checkpoint interval.
+//!
+//! A failure the medium can absorb ([`DurableMedium::recoverable`]: a
+//! lost I/O node of a [`StripedMedium`]) is retried inside
+//! [`run_durable`] under the same protocol, from [`Start::Resume`].
 
 use crate::exec::{walk_sync, FunctionalConfig, FunctionalRun};
 use crate::parallel::{exec_sharded, ParallelConfig, ParallelRun};
@@ -33,8 +37,8 @@ use ooc_runtime::{
     is_corrupt, node_down, parse_journal, rollback, Boundary, ChecksumHandle, ChecksummedStore,
     FaultConfig, FaultHandle, FaultStore, FileLog, FileStore, IoCause, IoNodePool, Journal,
     JournalScan, LedgerEvent, LedgerRecorder, LogStore, MemLog, MemStore, NodeFaultConfig,
-    NodeHealth, OocArray, Region, RepairIo, ScrubReport, SharedStore, Store, StripeConfig,
-    StripedStore, Tile, WriteIntent,
+    OocArray, Region, RepairIo, ScrubReport, SharedStore, Store, StripeConfig, StripedStore, Tile,
+    WriteIntent,
 };
 use std::collections::BTreeMap;
 use std::io;
@@ -86,6 +90,13 @@ pub trait DurableMedium {
     /// # Errors
     /// Propagates log construction errors.
     fn journal(&mut self) -> io::Result<Box<dyn LogStore>>;
+
+    /// Whether a run that failed with `err` can succeed if retried
+    /// from the journal — the medium having absorbed the failure. By
+    /// default nothing is recoverable and the error reaches the caller.
+    fn recoverable(&mut self, _err: &io::Error) -> bool {
+        false
+    }
 }
 
 /// An in-memory [`DurableMedium`] for tests: stores and logs are
@@ -240,6 +251,10 @@ pub struct RecoveryReport {
     pub corrupt_reads: u64,
     /// Whether recovery dropped a torn log tail.
     pub torn_tail: bool,
+    /// Retries after a failure the medium recovered from. Whether the
+    /// last one resumed or started over is [`resumed`](Self::resumed):
+    /// each retry's session decides it by whether it found a boundary.
+    pub retries: u64,
 }
 
 impl RecoveryReport {
@@ -394,6 +409,15 @@ impl DurableSession {
                 ..RecoveryReport::default()
             },
         })
+    }
+
+    /// The session of a retry after this one's run failed recoverably:
+    /// a [`Start::Resume`] that counts itself on top of the retries
+    /// before it.
+    fn retry(self, medium: &mut dyn DurableMedium) -> io::Result<Self> {
+        let mut next = Self::open(medium, self.cfg, Start::Resume)?;
+        next.report.retries = self.report.retries + 1;
+        Ok(next)
     }
 
     /// Whether this run restarts from a crashed predecessor's
@@ -614,11 +638,16 @@ impl Walk for ParallelConfig {
 /// before seeding completed) it starts over. The recovered result is
 /// bit-equal to an uninterrupted run, at any shard count.
 ///
+/// A failure the medium calls [`recoverable`](DurableMedium::recoverable)
+/// is retried as [`Start::Resume`]; each retry's own session decides
+/// whether it resumes or starts over ([`RecoveryReport::retries`],
+/// [`RecoveryReport::resumed`]).
+///
 /// # Errors
-/// Propagates store/journal I/O errors, including injected crashes
-/// (check with [`ooc_runtime::is_crashed`]) from any shard; an intent
-/// the run's arrays cannot hold (array index, region or pre-image
-/// length) is `InvalidData`.
+/// Propagates store/journal I/O errors the medium cannot recover from,
+/// including injected crashes (check with [`ooc_runtime::is_crashed`])
+/// from any shard; an intent the run's arrays cannot hold (array index,
+/// region or pre-image length) is `InvalidData`.
 ///
 /// # Panics
 /// Panics on internal inconsistencies (compiler bugs), like
@@ -635,6 +664,27 @@ pub fn run_durable<C: Walk>(
     start: Start,
 ) -> io::Result<DurableOutcome<C::Run>> {
     let mut session = DurableSession::open(medium, *dur, start)?;
+    loop {
+        match walk_session(tp, params, init, cfg, dur, medium, faults, &mut session) {
+            Err(e) if medium.recoverable(&e) => session = session.retry(medium)?,
+            result => return result,
+        }
+    }
+}
+
+/// One attempt of [`run_durable`] under `session`: builds the store
+/// stack and drives the walk.
+#[allow(clippy::too_many_arguments)]
+fn walk_session<C: Walk>(
+    tp: &TiledProgram,
+    params: &[i64],
+    init: &dyn Fn(ArrayId, &[i64]) -> f64,
+    cfg: &C,
+    dur: &DurabilityConfig,
+    medium: &mut dyn DurableMedium,
+    faults: &dyn Fn(usize) -> Option<FaultConfig>,
+    session: &mut DurableSession,
+) -> io::Result<DurableOutcome<C::Run>> {
     let executor = if session.resumed() {
         format!("{}-resume", C::DURABLE)
     } else {
@@ -659,8 +709,8 @@ pub fn run_durable<C: Walk>(
         checksum_handles.push(store.handle());
         Ok(store)
     };
-    let run = cfg.walk(tp, params, init, &mut make_store, &mut session, &executor)?;
-    let mut report = session.report;
+    let run = cfg.walk(tp, params, init, &mut make_store, session, &executor)?;
+    let mut report = std::mem::take(&mut session.report);
     (report.journal_intents, report.journal_commits) = session.journal.written();
     report.corrupt_reads = checksum_handles
         .iter()
@@ -715,10 +765,11 @@ pub fn run_functional_durable(
 ///
 /// The first access that *discovers* a dead node surfaces a typed
 /// [`NodeDownError`](ooc_runtime::NodeDownError) instead of silently
-/// reconstructing, which is the signal
-/// [`run_parallel_surviving_node_loss`] turns into quarantine +
-/// journal-bounded resume. Once a node is quarantined, reads
-/// reconstruct from parity and writes land in the parity lane.
+/// reconstructing; the medium's
+/// [`recoverable`](DurableMedium::recoverable) answer turns it into
+/// quarantine, and [`run_durable`] into a journal-bounded retry. Once a
+/// node is quarantined, reads reconstruct from parity and writes land
+/// in the parity lane.
 ///
 /// CRC sidecars and the journal live **off** the striped pool, in an
 /// embedded [`MemMedium`]: they are metadata an I/O-node failure must
@@ -729,6 +780,9 @@ pub struct StripedMedium {
     data: BTreeMap<usize, SharedStore<StripedStore<MemStore>>>,
     meta: MemMedium,
     ledger: Option<LedgerRecorder>,
+    /// Nodes a [`recoverable`](DurableMedium::recoverable) answer has
+    /// named, in answer order.
+    named: Vec<usize>,
 }
 
 impl StripedMedium {
@@ -753,6 +807,7 @@ impl StripedMedium {
             data: BTreeMap::new(),
             meta: MemMedium::new(),
             ledger: None,
+            named: Vec::new(),
         }
     }
 
@@ -769,6 +824,14 @@ impl StripedMedium {
     #[must_use]
     pub fn pool(&self) -> &IoNodePool {
         &self.pool
+    }
+
+    /// Every node lost so far, in node order, with the arrival index at
+    /// which it went down — whether a run discovered the loss or
+    /// absorbed it without an error.
+    #[must_use]
+    pub fn nodes_lost(&self) -> Vec<(usize, u64)> {
+        self.pool.lost()
     }
 
     /// Per-node traffic and health snapshot.
@@ -840,151 +903,42 @@ impl DurableMedium for StripedMedium {
     fn journal(&mut self) -> io::Result<Box<dyn LogStore>> {
         self.meta.journal()
     }
-}
 
-/// What [`run_parallel_surviving_node_loss`] observed about node
-/// failure and repair, alongside the run's [`RecoveryReport`].
-#[derive(Debug, Clone, Default)]
-pub struct NodeLossReport {
-    /// Nodes lost, in discovery order: those quarantined after a typed
-    /// discovery error, then any the pool holds
-    /// [`Down`](NodeHealth::Down) at the end although no error reached
-    /// the driver — the dying call was a prefetch worker's (whose
-    /// errors the pipeline drops by design) or a parity-plane call
-    /// (tolerated in place), and every later access degraded silently.
-    /// Empty when the run finished fault-free.
-    pub nodes_lost: Vec<usize>,
-    /// Per-node arrival index each loss was discovered at (the node's
-    /// served-call count where the typed error was not seen).
-    pub discovery_calls: Vec<u64>,
-    /// Number of journal-bounded resumes taken: one per loss that
-    /// surfaced as an error, none for a loss absorbed in place.
-    pub resumes: u64,
-    /// Per-node traffic, timing, health, and repair counters at the
-    /// end of the run.
-    pub node_stats: Vec<ooc_runtime::NodeStats>,
-    /// Total repair-plane traffic across nodes, by cause.
-    pub repair: RepairIo,
-}
-
-/// Result of a node-loss survival run: the parallel outcome plus the
-/// failure/repair observations.
-#[derive(Debug)]
-pub struct NodeLossOutcome {
-    /// The completed (possibly resumed) durable parallel run.
-    pub outcome: DurableOutcome<ParallelRun>,
-    /// Node losses, resumes, and repair traffic.
-    pub loss: NodeLossReport,
-}
-
-/// The nodes the pool holds [`Down`](NodeHealth::Down) that `loss` has
-/// not recorded yet, each with its served-call count (the arrival
-/// index of the rejected call rode an error nobody kept).
-fn undiscovered_down(medium: &StripedMedium, loss: &NodeLossReport) -> Vec<(usize, u64)> {
-    let pool = medium.pool();
-    let stats = medium.node_stats();
-    (0..pool.nodes())
-        .filter(|n| pool.health(*n) == NodeHealth::Down && !loss.nodes_lost.contains(n))
-        .map(|n| (n, stats[n].io.total_calls() + stats[n].repair.total_calls()))
-        .collect()
-}
-
-/// Runs a durable parallel execution over a striped-parity medium and
-/// rides through permanent I/O-node loss: when a shard's access
-/// *discovers* a dead node (typed
-/// [`NodeDownError`](ooc_runtime::NodeDownError)), the node is quarantined in the shared
-/// pool and the run resumes from its last checkpoint boundary —
-/// rolling back journal intents past the watermark and re-executing
-/// only the steps whose writes were not yet durable, now reading the
-/// dead node's stripes by parity reconstruction and landing its
-/// writes in the parity lane. The result is **bit-equal** to a
-/// fault-free run and the replayed work is bounded by one checkpoint
-/// interval, the same invariant as crash recovery.
-///
-/// The loop tolerates one discovery per node (single-fault per parity
-/// group is the reconstruction limit, and a quarantined node stays
-/// down), erroring out if discovery errors exceed the node count.
-///
-/// # Errors
-/// Propagates store/journal I/O errors other than single-node death —
-/// including double faults (a second dead node in the same parity
-/// group surfaces as an unrecoverable reconstruction error).
-///
-/// # Panics
-/// Panics on internal inconsistencies (compiler bugs).
-pub fn run_parallel_surviving_node_loss(
-    tp: &TiledProgram,
-    params: &[i64],
-    init: &dyn Fn(ArrayId, &[i64]) -> f64,
-    cfg: &ParallelConfig,
-    dur: &DurabilityConfig,
-    medium: &mut StripedMedium,
-) -> io::Result<NodeLossOutcome> {
-    let _span = ooc_trace::span("recovery", "survive-node-loss");
-    let mut loss = NodeLossReport::default();
-    let no_faults: &dyn Fn(usize) -> Option<FaultConfig> = &|_| None;
-    let mut attempt = run_durable(tp, params, init, cfg, dur, medium, no_faults, Start::Fresh);
-    // One discovery per node is the most a single-fault-per-group
-    // schedule can produce; more means we are wedged, not degraded.
-    for _ in 0..=medium.pool().nodes() {
-        match attempt {
-            Ok(outcome) => {
-                // A node can die without any error reaching us: the
-                // pool marks it Down at the rejected arrival, and when
-                // that arrival was a prefetch read (dropped by the
-                // pipeline) or a parity-plane call (tolerated in
-                // place) every later access reconstructs or lands in
-                // parity. Nothing to resume — but a loss to report.
-                for (node, call) in undiscovered_down(medium, &loss) {
-                    loss.nodes_lost.push(node);
-                    loss.discovery_calls.push(call);
-                }
-                loss.node_stats = medium.node_stats();
-                loss.repair = medium.total_repair();
-                return Ok(NodeLossOutcome { outcome, loss });
-            }
-            Err(e) => {
-                let discovered = match node_down(&e) {
-                    Some(dead) => Some((dead.node, dead.call)),
-                    // A node dying mid-write leaves its CRC chunk torn
-                    // (some stripes rewritten, sidecar stale), and a
-                    // surviving shard can trip over that chunk before
-                    // the dying shard's typed error wins the race out
-                    // of the executor. The pool already marked the
-                    // culprit Down at the rejected arrival — treat the
-                    // corrupt read as the discovery; the resume's
-                    // journal rollback restores the torn chunk. The
-                    // recorded call is the node's served-call count at
-                    // discovery (the true arrival index rode the lost
-                    // error).
-                    None if is_corrupt(&e) => undiscovered_down(medium, &loss).first().copied(),
-                    None => None,
-                };
-                let Some((node, call)) = discovered else {
-                    return Err(e);
-                };
-                medium.pool().quarantine(node);
-                loss.nodes_lost.push(node);
-                loss.discovery_calls.push(call);
-                loss.resumes += 1;
-                if ooc_trace::enabled() {
-                    ooc_trace::explain(
-                        ooc_trace::Explain::new(
-                            "recovery",
-                            "node-loss",
-                            format!("I/O node {node} lost at call {call}: quarantine + resume"),
-                        )
-                        .detail("node", node.to_string())
-                        .detail("call", call.to_string()),
-                    );
-                }
-                attempt = run_durable(tp, params, init, cfg, dur, medium, no_faults, Start::Resume);
-            }
+    /// A newly lost I/O node is recoverable: a typed dead-node error,
+    /// or a corrupt read while the pool holds a node down that no
+    /// earlier answer named. A node dying mid-write leaves its CRC chunk
+    /// torn (some stripes rewritten, sidecar stale), and a surviving
+    /// shard can trip over that chunk before the dying shard's typed
+    /// error wins the race out of the executor; the retry's journal
+    /// rollback restores the chunk. The node is quarantined (the lane
+    /// has already marked it down), so the retry reconstructs its
+    /// stripes. Each yes names one more node, so retries end within
+    /// the node count; a second loss in a parity group ends the run
+    /// with the store's double-fault error.
+    fn recoverable(&mut self, err: &io::Error) -> bool {
+        let unnamed = |n: &usize| !self.named.contains(n);
+        let lost = match node_down(err) {
+            Some(dead) => Some(dead.node).filter(unnamed),
+            None if is_corrupt(err) => self.pool.lost().into_iter().map(|(n, _)| n).find(unnamed),
+            None => None,
+        };
+        let Some(node) = lost else {
+            return false;
+        };
+        self.pool.quarantine(node);
+        self.named.push(node);
+        if ooc_trace::enabled() {
+            ooc_trace::explain(
+                ooc_trace::Explain::new(
+                    "recovery",
+                    "node-loss",
+                    format!("I/O node {node} lost: quarantine + retry"),
+                )
+                .detail("node", node.to_string()),
+            );
         }
+        true
     }
-    Err(io::Error::other(
-        "node-loss recovery did not converge: more discovery errors than nodes",
-    ))
 }
 
 #[cfg(test)]
@@ -1528,26 +1482,37 @@ mod tests {
         }
     }
 
-    #[test]
-    fn striped_medium_fault_free_run_is_bit_equal_with_parity_upkeep() {
-        let tp = tiled();
-        let params = [10i64];
-        let mut medium = StripedMedium::new(small_stripes(4));
-        let out = run_parallel_surviving_node_loss(
-            &tp,
-            &params,
+    /// A fresh durable run of the step engine at two shards over a
+    /// striped medium, node losses retried inside `run_durable`.
+    fn run_striped(
+        params: &[i64],
+        medium: &mut dyn DurableMedium,
+    ) -> io::Result<DurableOutcome<ParallelRun>> {
+        let dur = DurabilityConfig::default();
+        run_durable(
+            &tiled(),
+            params,
             &seed,
             &pcfg(2),
-            &DurabilityConfig::default(),
-            &mut medium,
+            &dur,
+            medium,
+            &|_| None,
+            Start::Fresh,
         )
-        .expect("fault-free striped run");
-        assert_eq!(out.outcome.run.run.data, reference(&tp, &params));
-        assert!(out.loss.nodes_lost.is_empty());
-        assert_eq!(out.loss.resumes, 0);
+    }
+
+    #[test]
+    fn striped_medium_fault_free_run_is_bit_equal_with_parity_upkeep() {
+        let params = [10i64];
+        let mut medium = StripedMedium::new(small_stripes(4));
+        let out = run_striped(&params, &mut medium).expect("fault-free striped run");
+        assert_eq!(out.run.run.data, reference(&tiled(), &params));
+        assert!(medium.nodes_lost().is_empty());
+        assert_eq!(out.report.retries, 0);
         // Every write paid its parity read-modify-write.
-        let parity = out.loss.repair.get(IoCause::ParityWrite);
-        assert!(parity.write_calls > 0, "{:?}", out.loss.repair);
+        let repair = medium.total_repair();
+        let parity = repair.get(IoCause::ParityWrite);
+        assert!(parity.write_calls > 0, "{repair:?}");
         // A full scrub of the finished medium finds nothing to fix.
         let scrub = medium.scrub(false).expect("scrub");
         assert!(scrub.groups > 0);
@@ -1556,44 +1521,43 @@ mod tests {
 
     #[test]
     fn killing_each_node_in_turn_still_lands_bit_equal() {
-        let tp = tiled();
         let params = [10i64];
-        let expected = reference(&tp, &params);
-        let dur = DurabilityConfig::default();
+        let expected = reference(&tiled(), &params);
         for node in 0..4usize {
-            // Fires early (during seeding or the first tiles), so the
-            // run discovers the death mid-flight.
+            // Fires during seeding, so the run discovers the death
+            // before its first checkpoint boundary and the one retry
+            // starts over.
             let faults = NodeFaultConfig::new().permanent_fail_at(node, 3);
             let mut medium = StripedMedium::with_faults(small_stripes(4), faults);
-            let out =
-                run_parallel_surviving_node_loss(&tp, &params, &seed, &pcfg(2), &dur, &mut medium)
-                    .expect("survive node loss");
-            assert_eq!(out.outcome.run.run.data, expected, "node {node}");
-            assert_eq!(out.loss.nodes_lost, vec![node]);
-            assert_eq!(out.loss.resumes, 1);
+            let out = run_striped(&params, &mut medium).expect("survive node loss");
+            assert_eq!(out.run.run.data, expected, "node {node}");
+            assert_eq!(medium.nodes_lost(), [(node, 3)]);
+            assert_eq!(out.report.retries, 1, "node {node}: {:?}", out.report);
+            assert!(
+                !out.report.resumed,
+                "node {node}: no boundary to resume from"
+            );
             assert_eq!(
                 medium.pool().health(node),
                 ooc_runtime::NodeHealth::Down,
                 "node {node} stays quarantined"
             );
             // The dead node's stripes were served by reconstruction.
-            let rec = out.loss.repair.get(IoCause::DegradedReconstruct);
-            assert!(rec.read_calls > 0, "node {node}: {:?}", out.loss.repair);
+            let repair = medium.total_repair();
+            let rec = repair.get(IoCause::DegradedReconstruct);
+            assert!(rec.read_calls > 0, "node {node}: {repair:?}");
         }
     }
 
     #[test]
     fn mid_run_node_loss_replay_is_bounded_by_a_checkpoint_interval() {
-        let tp = tiled();
         let params = [10i64];
-        let expected = reference(&tp, &params);
-        let dur = DurabilityConfig::default();
+        let expected = reference(&tiled(), &params);
 
         // Fault-free striped twin: per-node arrival counts to place a
         // mid-run kill, and the journal to bound replay.
         let mut twin = StripedMedium::new(small_stripes(4));
-        run_parallel_surviving_node_loss(&tp, &params, &seed, &pcfg(2), &dur, &mut twin)
-            .expect("twin");
+        run_striped(&params, &mut twin).expect("twin");
         let arrivals: Vec<u64> = twin
             .node_stats()
             .iter()
@@ -1606,16 +1570,16 @@ mod tests {
         assert!(at > 0, "twin never touched node {node}");
         let faults = NodeFaultConfig::new().permanent_fail_at(node, at);
         let mut medium = StripedMedium::with_faults(small_stripes(4), faults);
-        let out =
-            run_parallel_surviving_node_loss(&tp, &params, &seed, &pcfg(2), &dur, &mut medium)
-                .expect("survive mid-run node loss");
-        assert_eq!(out.outcome.run.run.data, expected);
+        let out = run_striped(&params, &mut medium).expect("survive mid-run node loss");
+        assert_eq!(out.run.run.data, expected);
         // Whichever call met the dead node first — a shard's (typed
-        // error, one resume) or a prefetch worker's (error dropped, the
-        // rest of the run degrades in place) — the loss is reported.
-        assert_eq!(out.loss.nodes_lost, vec![node]);
-        assert!(out.loss.resumes <= 1, "{} resumes", out.loss.resumes);
-        for (a, n) in &out.outcome.report.rolled_back_by_array {
+        // error, one retry) or a prefetch worker's (error dropped, the
+        // rest of the run degrades in place) — the pool records the
+        // loss.
+        let lost: Vec<usize> = medium.nodes_lost().iter().map(|&(n, _)| n).collect();
+        assert_eq!(lost, [node]);
+        assert!(out.report.retries <= 1, "{:?}", out.report);
+        for (a, n) in &out.report.rolled_back_by_array {
             let max = bound.get(a).copied().unwrap_or(0);
             assert!(*n <= max, "array {a}: rolled back {n} > bound {max}");
         }
@@ -1623,27 +1587,65 @@ mod tests {
 
     #[test]
     fn a_loss_absorbed_without_an_error_is_still_reported() {
-        let tp = tiled();
         let params = [8i64];
-        let expected = reference(&tp, &params);
         // Dead before the first call: no access ever *discovers* the
         // node, every one of them degrades in place.
         let mut medium = StripedMedium::new(small_stripes(4));
         medium.pool().quarantine(2);
-        let out = run_parallel_surviving_node_loss(
-            &tp,
-            &params,
-            &seed,
-            &pcfg(2),
-            &DurabilityConfig::default(),
-            &mut medium,
-        )
-        .expect("degraded run");
-        assert_eq!(out.outcome.run.run.data, expected);
-        assert_eq!(out.loss.nodes_lost, vec![2]);
-        assert_eq!(out.loss.discovery_calls.len(), 1);
-        assert_eq!(out.loss.resumes, 0);
-        assert!(out.loss.repair.total_calls() > 0, "{:?}", out.loss.repair);
+        let out = run_striped(&params, &mut medium).expect("degraded run");
+        assert_eq!(out.run.run.data, reference(&tiled(), &params));
+        assert_eq!(medium.nodes_lost(), [(2, 0)]);
+        assert_eq!(out.report.retries, 0);
+        assert!(medium.total_repair().total_calls() > 0);
+    }
+
+    /// Counts the medium's `recoverable` answers.
+    struct Answers<'a> {
+        medium: &'a mut StripedMedium,
+        yes: u64,
+        asked: u64,
+    }
+
+    impl DurableMedium for Answers<'_> {
+        fn data(&mut self, a: usize, name: &str, len: u64) -> io::Result<Box<dyn Store + Send>> {
+            self.medium.data(a, name, len)
+        }
+
+        fn sidecar(&mut self, a: usize, name: &str, len: u64) -> io::Result<Box<dyn Store + Send>> {
+            self.medium.sidecar(a, name, len)
+        }
+
+        fn journal(&mut self) -> io::Result<Box<dyn LogStore>> {
+            self.medium.journal()
+        }
+
+        fn recoverable(&mut self, err: &io::Error) -> bool {
+            self.asked += 1;
+            let yes = self.medium.recoverable(err);
+            self.yes += u64::from(yes);
+            yes
+        }
+    }
+
+    #[test]
+    fn a_second_lost_node_ends_the_run_with_the_double_fault() {
+        let faults = NodeFaultConfig::new()
+            .permanent_fail_at(0, 2)
+            .permanent_fail_at(2, 4);
+        let mut medium = StripedMedium::with_faults(small_stripes(4), faults);
+        let mut answers = Answers {
+            medium: &mut medium,
+            yes: 0,
+            asked: 0,
+        };
+        let err = run_striped(&[10], &mut answers).expect_err("two lost nodes in every group");
+        assert!(err.to_string().contains("double fault"), "{err}");
+        // One retry per newly lost node, and the double fault is the
+        // one answer that stopped the loop.
+        assert!(answers.yes <= 4, "{} retries", answers.yes);
+        assert_eq!(answers.asked, answers.yes + 1);
+        let lost: Vec<usize> = medium.nodes_lost().iter().map(|&(n, _)| n).collect();
+        assert_eq!(lost, [0, 2]);
     }
 
     #[test]

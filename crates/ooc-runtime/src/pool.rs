@@ -114,10 +114,9 @@ impl CallClass {
 }
 
 /// One I/O node's health as seen by its lane.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NodeHealth {
     /// Serving normally.
-    #[default]
     Up,
     /// Dead: every call is rejected with a typed
     /// [`NodeDownError`](crate::NodeDownError).
@@ -251,7 +250,9 @@ struct LaneState {
     serving: u64,
     /// Per-node arrival counter — the `call` index node faults key on.
     arrivals: u64,
-    health: NodeHealth,
+    /// The arrival index at which the node went down: its first
+    /// rejected call, or its arrival count when it was quarantined.
+    down_at: Option<u64>,
     stats: NodeStats,
 }
 
@@ -336,15 +337,32 @@ impl IoNodePool {
     /// `node`'s current health.
     #[must_use]
     pub fn health(&self, node: usize) -> NodeHealth {
-        self.inner.lanes[node].lock().health
+        match self.inner.lanes[node].lock().down_at {
+            Some(_) => NodeHealth::Down,
+            None => NodeHealth::Up,
+        }
+    }
+
+    /// Every node that is down, in node order, each with the arrival
+    /// index at which it went down — whether a rejected call
+    /// discovered the death or nothing ever did.
+    #[must_use]
+    pub fn lost(&self) -> Vec<(usize, u64)> {
+        let lanes = self.inner.lanes.iter().enumerate();
+        lanes
+            .filter_map(|(n, lane)| lane.lock().down_at.map(|at| (n, at)))
+            .collect()
     }
 
     /// Declares `node` dead: every subsequent call is rejected with a
     /// typed [`NodeDownError`](crate::NodeDownError) for the pool's
     /// lifetime. Callers already holding a ticket are still served, so
-    /// quarantine never wedges waiting tickets.
+    /// quarantine never wedges waiting tickets. Idempotent: a node
+    /// already down keeps the arrival index it went down at.
     pub fn quarantine(&self, node: usize) {
-        self.inner.lanes[node].lock().health = NodeHealth::Down;
+        let mut st = self.inner.lanes[node].lock();
+        let at = st.arrivals;
+        st.down_at.get_or_insert(at);
     }
 
     /// Runs one store call on `node`'s lane — the only place a
@@ -382,8 +400,8 @@ impl IoNodePool {
                 .down_at
                 .get(&node)
                 .is_some_and(|&at| call >= at);
-            if st.health == NodeHealth::Down || injected_down {
-                st.health = NodeHealth::Down;
+            if st.down_at.is_some() || injected_down {
+                st.down_at.get_or_insert(call);
                 st.stats.timing.down_rejections += 1;
                 return Err(node_down_error(node, call));
             }
@@ -564,6 +582,9 @@ mod tests {
             .expect_err("still dead");
         assert!(is_node_down(&e2));
         assert_eq!(p.snapshot()[1].timing.down_rejections, 2);
+        // The pool records the arrival the death fired at, not the
+        // later rejections.
+        assert_eq!(p.lost(), [(1, 2)]);
         // The other node is unaffected.
         p.call(0, CallClass::Read, 1, None, || Ok(()))
             .expect("peer alive");
@@ -606,6 +627,10 @@ mod tests {
             std::thread::sleep(Duration::from_millis(1));
         }
         p.quarantine(0);
+        // Quarantined at its third arrival, which stays its record
+        // however often it is quarantined again.
+        p.quarantine(0);
+        assert_eq!(p.lost(), [(0, 2)]);
         release_tx.send(()).expect("release A");
         let mut done: Vec<(char, bool)> = (0..2)
             .map(|_| done_rx.recv_timeout(bound).expect("a ticket wedged"))

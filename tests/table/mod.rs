@@ -37,19 +37,17 @@
 use ooc_bench::{DEGRADED_KERNELS, DEGRADED_NODES, DEGRADED_STRIPE_ELEMS};
 use ooc_opt::core::plan::PAPER_MEMORY_FRACTION;
 use ooc_opt::core::{
-    exec_parallel, max_intents_per_interval, run_durable, run_functional_on,
-    run_parallel_surviving_node_loss, DirMedium, DurabilityConfig, DurableMedium, FunctionalConfig,
-    FunctionalRun, IoComparison, MemMedium, ParallelConfig, ParallelRun, PipelineConfig,
-    RecoveryReport, Start, StripedMedium,
+    exec_parallel, max_intents_per_interval, run_durable, run_functional_on, DirMedium,
+    DurabilityConfig, DurableMedium, FunctionalConfig, FunctionalRun, IoComparison, MemMedium,
+    ParallelConfig, ParallelRun, PipelineConfig, RecoveryReport, Start, StripedMedium,
 };
 use ooc_opt::ir::{execute_program, ArrayId, Memory};
 use ooc_opt::kernels::{all_kernels, compile, seed, CompiledVersion, Kernel, Version};
 use ooc_opt::runtime::testing::{self, TempDir};
 use ooc_opt::runtime::{
     fault_plan, is_crashed, parse_journal, FaultConfig, FaultHandle, FaultStore, IoCause,
-    IoNodePool, IoStats, LedgerRecorder, MeasuredIo, MemStore, NodeFaultConfig, NodeHealth,
-    NodeStats, ProvenanceLedger, RetryPolicy, RuntimeConfig, Store, StripeConfig, StripedStore,
-    TracingStore,
+    IoNodePool, IoStats, LedgerRecorder, MeasuredIo, MemStore, NodeFaultConfig, NodeStats,
+    ProvenanceLedger, RetryPolicy, RuntimeConfig, Store, StripeConfig, StripedStore, TracingStore,
 };
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -144,6 +142,7 @@ const COL_COPT: &[Version] = &[Version::Col, Version::COpt];
 const EVERY: Kernels = Kernels::All;
 const MXM: Kernels = Kernels::Named(&["mxm"]);
 const TRANS: Kernels = Kernels::Named(&["trans"]);
+const DEGRADED: Kernels = Kernels::Named(&DEGRADED_KERNELS);
 const SYNC: Policy = Policy::Sync(FRACTION);
 const PAPER: Policy = Policy::Sync(PAPER_MEMORY_FRACTION);
 const DURABLE: Policy = Policy::Durable(None);
@@ -249,8 +248,8 @@ static MATRIX: &[Row] = &[
     // parity-striped medium.
     row("matrix::durable_engine", EVERY, COPT, Policy::Durable(Some(3)), Backend::Mem),
     row("matrix::durable_engine", EVERY, COPT, Policy::Durable(Some(3)), Backend::Mem).with(Plan::Crash(3)),
-    row("matrix::node_loss", Kernels::Named(&DEGRADED_KERNELS), &[Version::COpt, Version::Col], Policy::Durable(Some(2)), Backend::Parity)
-        .with(Plan::NodeLoss),
+    row("matrix::node_loss", DEGRADED, COL_COPT, Policy::Durable(Some(2)), Backend::Parity).with(Plan::NodeLoss),
+    row("matrix::node_loss", DEGRADED, COL_COPT, DURABLE, Backend::Parity).with(Plan::NodeLoss),
 ];
 
 /// One `#[test]` per family of the suite that invokes it, named by the
@@ -957,15 +956,9 @@ fn crash_and_resume(
 }
 
 /// The healthy run on the parity-striped medium, then each node lost
-/// at its first arrival and the busiest node lost mid-run, each
-/// survived by `run_parallel_surviving_node_loss`.
+/// at its first arrival and the busiest node lost mid-run, each a
+/// fresh `run_durable` of the row's walk that retries the lost node.
 fn survive_node_loss(row: &Row, k: &Kernel, v: Version, cv: &CompiledVersion) -> Vec<Outcome> {
-    let Policy::Durable(Some(shards)) = row.policy else {
-        panic!(
-            "{}: node loss drives the durable step engine",
-            row.label(k, v)
-        );
-    };
     let survive = |faults: NodeFaultConfig, what: &str| {
         let rec = recorder(k, v);
         let stripes = StripeConfig {
@@ -973,45 +966,63 @@ fn survive_node_loss(row: &Row, k: &Kernel, v: Version, cv: &CompiledVersion) ->
             ..StripeConfig::with_nodes(DEGRADED_NODES)
         };
         let mut medium = StripedMedium::with_faults(stripes, faults).with_ledger(rec.clone());
-        let out = run_parallel_surviving_node_loss(
-            &cv.tiled,
-            &k.small_params,
-            &seed,
-            &engine_config(shards, Cache::Default, Some(&rec)),
-            &DurabilityConfig::default(),
+        let (walked, report, _) = durable(
+            row.policy,
+            (k, cv),
+            Some(&rec),
             &mut medium,
+            &|_| None,
+            Start::Fresh,
         )
         .unwrap_or_else(|e| panic!("{what}: survival run failed: {e}"));
-        (out, medium, rec.take())
+        // A fresh run resumes only through a retry whose session found
+        // a boundary, and the ledger carries the final session's label.
+        // One lost node takes at most one retry, so the final session
+        // is the retry's.
+        let ledger = rec.take();
+        assert!(report.retries <= 1, "{what}: {report:?}");
+        assert!(
+            report.retries >= u64::from(report.resumed),
+            "{what}: resumed without a retry"
+        );
+        assert_eq!(
+            ledger.executor,
+            executor(row.policy, report.resumed),
+            "{what}: ledger label vs final session"
+        );
+        (walked, report, medium, ledger)
     };
     // Data-plane conservation holds for the healthy run and
     // first-arrival kills only: a mid-run loss aborts a partly run
     // schedule whose traffic stays in the ledger (it records everything
     // that moved), while the analytic totals describe the final
     // schedule only.
-    let outcome = |out: ooc_opt::core::NodeLossOutcome, ledger, what: String, at: u64, bound| {
-        let resumed = out.outcome.report.resumed;
-        let walked = Walked::Engine(Box::new(out.outcome.run));
+    let outcome = |(walked, report, medium, ledger): (Walked, RecoveryReport, StripedMedium, _),
+                   what: String,
+                   at: u64,
+                   bound| {
+        let resumed = report.resumed;
         Outcome {
             conserves: (at == 0).then(|| executor(row.policy, resumed)),
-            report: Some(out.outcome.report),
-            nodes: out.loss.node_stats,
+            report: Some(report),
+            nodes: medium.node_stats(),
             bound,
             ..Outcome::new(what, walked, ledger)
         }
     };
 
     let what = row.label(k, v);
-    let (healthy, medium, ledger) = survive(NodeFaultConfig::new(), &what);
+    let healthy = survive(NodeFaultConfig::new(), &what);
+    let (_, report, medium, _) = &healthy;
     assert!(
-        healthy.loss.nodes_lost.is_empty(),
+        medium.nodes_lost().is_empty(),
         "{what}: healthy run lost a node"
     );
-    assert_eq!(healthy.loss.resumes, 0, "{what}: healthy run resumed");
+    assert!(!report.resumed, "{what}: healthy run resumed");
+    assert_eq!(report.retries, 0, "{what}: healthy run retried");
     let bound = max_intents_per_interval(&parse_journal(&medium.journal_bytes()));
-    let arrivals: Vec<u64> = healthy
-        .loss
-        .node_stats
+    let arrivals: Vec<u64> = medium
+        .node_stats()
         .iter()
         .map(|n| n.io.total_calls() + n.repair.total_calls())
         .collect();
@@ -1022,26 +1033,25 @@ fn survive_node_loss(row: &Row, k: &Kernel, v: Version, cv: &CompiledVersion) ->
     if arrivals[busiest] > 1 {
         kills.push((busiest, arrivals[busiest] / 2));
     }
-    let mut runs = vec![outcome(healthy, ledger, what.clone(), 0, bound.clone())];
+    let mut runs = vec![outcome(healthy, what.clone(), 0, bound.clone())];
     for (node, at) in kills {
         let what = format!("{what} node {node} lost at call {at}");
         let faults = NodeFaultConfig::new().permanent_fail_at(node, at);
-        let (out, medium, ledger) = survive(faults, &what);
-        if out.loss.nodes_lost.is_empty() {
-            // A parity-plane-first kill: the single-fault model absorbs
-            // the loss in place with no resume, but the node is dead.
-            assert_eq!(
-                medium.pool().health(node),
-                NodeHealth::Down,
-                "{what}: node neither discovered nor dead"
-            );
-        } else {
-            assert_eq!(out.loss.nodes_lost, vec![node], "{what}");
-            assert!(
-                out.loss.repair.get(IoCause::DegradedReconstruct).read_calls > 0,
-                "{what}: node lost but nothing reconstructed"
-            );
-        }
+        let run = survive(faults, &what);
+        let (_, _, medium, _) = &run;
+        // Discovered (a typed error, one retry) or absorbed in place (a
+        // parity-plane call met the death first): the pool holds the
+        // node down and its stripes are reconstructed either way.
+        let lost: Vec<usize> = medium.nodes_lost().iter().map(|&(n, _)| n).collect();
+        assert_eq!(lost, [node], "{what}");
+        assert!(
+            medium
+                .total_repair()
+                .get(IoCause::DegradedReconstruct)
+                .read_calls
+                > 0,
+            "{what}: node lost but nothing reconstructed"
+        );
         // The finished, still degraded medium scrubs without
         // unrecoverable groups: single-fault redundancy held.
         let scrub = medium.scrub(false).expect("verify-only scrub");
@@ -1051,7 +1061,7 @@ fn survive_node_loss(row: &Row, k: &Kernel, v: Version, cv: &CompiledVersion) ->
             scrub.groups,
             "{what}: scrub accounting"
         );
-        runs.push(outcome(out, ledger, what, at, bound.clone()));
+        runs.push(outcome(run, what, at, bound.clone()));
     }
     runs
 }
