@@ -1,5 +1,6 @@
-//! Compile-time cost of the paper's optimizer on the ten kernels, at
-//! each kernel's paper parameters — the cost model's sizes
+//! Compile-time cost of the paper's optimizer on the ten kernels — the
+//! combined (`c-opt`), loop-only (`l-opt`) and data-only (`d-opt`)
+//! passes — at each kernel's paper parameters, the cost model's sizes
 //! `ooc_kernels::compile` optimizes at.
 use criterion::{criterion_group, criterion_main, Criterion};
 use ooc_core::{optimize, optimize_data_only, optimize_loop_only, OptimizeOptions};
@@ -19,19 +20,13 @@ fn bench_optimize(c: &mut Criterion) {
         c.bench_function(&format!("optimizer/c_opt/{}", k.name), |b| {
             b.iter(|| optimize(black_box(&k.program), &opts))
         });
+        c.bench_function(&format!("optimizer/l_opt/{}", k.name), |b| {
+            b.iter(|| optimize_loop_only(black_box(&k.program), &opts, None))
+        });
+        c.bench_function(&format!("optimizer/d_opt/{}", k.name), |b| {
+            b.iter(|| optimize_data_only(black_box(&k.program), &opts))
+        });
     }
-    // The single-technique passes on one representative kernel.
-    let gfunp = all_kernels()
-        .into_iter()
-        .find(|k| k.name == "gfunp")
-        .expect("gfunp");
-    let opts = paper_options(&gfunp);
-    c.bench_function("optimizer/l_opt/gfunp", |b| {
-        b.iter(|| optimize_loop_only(black_box(&gfunp.program), &opts, None))
-    });
-    c.bench_function("optimizer/d_opt/gfunp", |b| {
-        b.iter(|| optimize_data_only(black_box(&gfunp.program), &opts))
-    });
 }
 
 criterion_group!(benches, bench_optimize);

@@ -194,16 +194,14 @@ fn run(prog: &Program, opts: &OptimizeOptions, mode: Mode) -> OptimizedProgram {
                 &format!("nest:{}", nest.name),
                 vec![("rank", (rank as u64).into())],
             );
-            let (q, priced) = if rank == 0 || mode == Mode::DataOnly {
+            let Chosen { q, nest, priced } = if rank == 0 || mode == Mode::DataOnly {
                 // Costliest nest (or d-opt everywhere): data
                 // transformations only.
-                (Matrix::identity(nest.depth), None)
+                Chosen::identity(nest)
             } else {
                 choose_transform(&mut pricer, &nest, &fixed, &weights, &mut out.log)
             };
-            let transformed = if is_identity(&q) {
-                nest
-            } else {
+            if !is_identity(&q) {
                 out.log.push(format!(
                     "{}: applied loop transformation Q = {q:?}",
                     nest.name
@@ -217,18 +215,10 @@ fn run(prog: &Program, opts: &OptimizeOptions, mode: Mode) -> OptimizedProgram {
                     .detail("rank", rank.to_string())
                     .detail("rule", "kernel relation (2) + Bik-Wijshoff completion"),
                 );
-                nest.transformed(&q)
-            };
-            fix_layouts_checked(
-                &mut pricer,
-                &transformed,
-                &mut fixed,
-                rank,
-                priced,
-                &mut out.log,
-            );
+            }
+            fix_layouts_checked(&mut pricer, &nest, &mut fixed, rank, priced, &mut out.log);
             out.transforms[nid.0] = q;
-            out.program.nests[nid.0] = transformed;
+            out.program.nests[nid.0] = nest;
         }
     }
 
@@ -259,15 +249,15 @@ fn run_loop_only(
     let weights = array_weights(prog, &opts.cost_params);
     let mut pricer = Pricer::new(prog, opts);
     for (i, nest) in prog.nests.iter().enumerate() {
-        let (q, _) = choose_transform(&mut pricer, nest, &fixed, &weights, &mut out.log);
-        if !is_identity(&q) {
+        let chosen = choose_transform(&mut pricer, nest, &fixed, &weights, &mut out.log);
+        if !is_identity(&chosen.q) {
             out.log.push(format!(
-                "{}: applied loop transformation Q = {q:?}",
-                nest.name
+                "{}: applied loop transformation Q = {:?}",
+                nest.name, chosen.q
             ));
-            out.program.nests[i] = nest.transformed(&q);
+            out.program.nests[i] = chosen.nest;
         }
-        out.transforms[i] = q;
+        out.transforms[i] = chosen.q;
     }
     out
 }
@@ -296,18 +286,16 @@ fn array_weights(prog: &Program, cost_params: &[i64]) -> Vec<f64> {
 /// choice minimizes the compiler's modeled I/O time of the transformed
 /// and tiled nest (the identity is always a candidate, so a
 /// transformation is applied only when the model says it wins).
-/// Returns the transformation with, when the model priced it, its
-/// modeled cost under the layouts relation (1) hypothesizes for it.
 fn choose_transform(
     pricer: &mut Pricer,
     nest: &LoopNest,
     fixed: &[Option<FileLayout>],
     weights: &[f64],
     log: &mut Vec<String>,
-) -> (Matrix, Option<f64>) {
+) -> Chosen {
     let depth = nest.depth;
     if depth == 0 {
-        return (Matrix::identity(0), None);
+        return Chosen::identity(nest.clone());
     }
     let _span = ooc_trace::span("compiler", &format!("choose-transform:{}", nest.name));
     let deps = nest_dependences(nest);
@@ -405,7 +393,7 @@ fn choose_transform(
     // Evaluate each legal transformation under the full modeled I/O
     // cost of the transformed, tiled nest; take the cheapest (identity
     // wins ties).
-    let mut best: Option<(f64, Matrix)> = None;
+    let mut best: Option<(f64, Matrix, LoopNest)> = None;
     for q in legal {
         let candidate_nest = if is_identity(&q) {
             nest.clone()
@@ -422,21 +410,47 @@ fn choose_transform(
             None => true,
             // Strict improvement required, so identity (evaluated last)
             // is kept on ties.
-            Some((c, _)) => cost < *c - 1e-12,
+            Some((c, ..)) => cost < *c - 1e-12,
         };
         let is_id = is_identity(&q);
-        if better || (is_id && best.as_ref().is_some_and(|(c, _)| cost <= *c + 1e-12)) {
-            best = Some((cost, q));
+        if better || (is_id && best.as_ref().is_some_and(|(c, ..)| cost <= *c + 1e-12)) {
+            best = Some((cost, q, candidate_nest));
         }
     }
     match best {
-        Some((cost, q)) => (q, Some(cost)),
+        Some((cost, q, nest)) => Chosen {
+            q,
+            nest,
+            priced: Some(cost),
+        },
         None => {
             log.push(format!(
                 "{}: no legal transformation found, keeping original order",
                 nest.name
             ));
-            (Matrix::identity(depth), None)
+            Chosen::identity(nest.clone())
+        }
+    }
+}
+
+/// A nest's loop transformation as [`choose_transform`] chose it.
+struct Chosen {
+    /// The inverse transformation `Q`.
+    q: Matrix,
+    /// The nest under `q`, as priced.
+    nest: LoopNest,
+    /// Its modeled cost under the layouts relation (1) hypothesizes
+    /// for it, when the model priced it.
+    priced: Option<f64>,
+}
+
+impl Chosen {
+    /// `nest` untransformed and unpriced.
+    fn identity(nest: LoopNest) -> Self {
+        Chosen {
+            q: Matrix::identity(nest.depth),
+            nest,
+            priced: None,
         }
     }
 }
@@ -617,13 +631,9 @@ pub fn best_transform_for(
     let weights = array_weights(prog, &opts.cost_params);
     let mut log = Vec::new();
     let mut pricer = Pricer::new(prog, opts);
-    let (q, _) = choose_transform(&mut pricer, nest, &fixed, &weights, &mut log);
-    let candidate = if is_identity(&q) {
-        nest.clone()
-    } else {
-        nest.transformed(&q)
-    };
-    (q, pricer.cost(&candidate, layouts))
+    let chosen = choose_transform(&mut pricer, nest, &fixed, &weights, &mut log);
+    let cost = pricer.cost(&chosen.nest, layouts);
+    (chosen.q, cost)
 }
 
 /// Fixed layouts where decided, the program default (column-major)

@@ -208,7 +208,7 @@ pub(crate) fn chunks((lo, hi): (i64, i64), procs: usize) -> Vec<(i64, i64)> {
 }
 
 /// One staged tile slot of a nest.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct Slot {
     array: ArrayId,
     /// Slot number within the array (the schedule's `SlotKey::slot`).
@@ -244,7 +244,7 @@ fn slot_for(slots: &[Slot], r: &ArrayRef) -> Option<usize> {
 /// touched through several classes falls back to a single hull slot
 /// so every read sees the freshest values. A slot's position is its
 /// dense index — the index both walks keep their staged tiles under.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Staging {
     slots: Vec<Slot>,
     /// Slots some right-hand side reads / some statement writes, in
@@ -471,8 +471,13 @@ impl Staging {
         hi: &[i64],
         hull: &mut Region,
     ) -> (u64, u64) {
-        let array = self.slots[slot].array.0;
         self.region_into(slot, lo, hi, hull);
+        self.transfer(env, slot, hull)
+    }
+
+    /// `(calls, elements)` of staging slot `slot`'s region `hull` once.
+    fn transfer(&self, env: &PlanEnv, slot: usize, hull: &Region) -> (u64, u64) {
+        let array = self.slots[slot].array.0;
         let (runs, elements) =
             env.layouts[array].region_run_counts(env.dims(array), &hull.lo, &hull.hi);
         let calls = ooc_runtime::run_calls(runs, elements, env.max_call_elems);
@@ -536,7 +541,7 @@ pub struct NestPlan<'e> {
     pub staging: Staging,
     /// Whether the nest's tile body may run innermost runs in strips
     /// (see [`TileKernel`](crate::TileKernel)).
-    pub(crate) strips: bool,
+    pub strips: bool,
 }
 
 /// Plans `nest`: `strategy` shapes the tile spans within the budget
@@ -556,19 +561,14 @@ pub fn plan_nest<'e>(
     walk_levels: &[usize],
     restrict: Option<usize>,
 ) -> io::Result<Option<NestPlan<'e>>> {
-    plan_nest_memo(
-        env,
-        nest,
-        strategy,
-        walk_levels,
-        restrict,
-        &mut PlanMemo::default(),
-    )
+    let parts = NestParts::of(nest, env.params)?;
+    let memo = &mut PlanMemo::default();
+    Ok(parts.map(|parts| parts.plan(env, strategy, walk_levels, restrict, memo)))
 }
 
-/// [`plan_nest`] with the span search's slot tables taken from `memo`
-/// where it holds them and added to it otherwise — the same plan, bit
-/// for bit (see [`PlanMemo`]).
+/// [`plan_nest`] with the nest's layout-independent parts and the span
+/// search's slot tables taken from `memo` where it holds them and added
+/// to it otherwise — the same plan, bit for bit (see [`PlanMemo`]).
 ///
 /// # Errors
 /// As [`plan_nest`].
@@ -580,33 +580,87 @@ pub fn plan_nest_memo<'e>(
     restrict: Option<usize>,
     memo: &mut PlanMemo,
 ) -> io::Result<Option<NestPlan<'e>>> {
-    let Some(ranges) = level_ranges(nest, env.params).filter(|r| !r.is_empty()) else {
-        return Ok(None);
+    let known = memo
+        .nests
+        .iter()
+        .find(|(n, params, _)| params.as_slice() == env.params && n == nest);
+    let parts = match known {
+        Some((_, _, parts)) => parts.clone(),
+        None => {
+            let parts = NestParts::of(nest, env.params)?;
+            memo.nests
+                .push((nest.clone(), env.params.to_vec(), parts.clone()));
+            parts
+        }
     };
-    let staging = Staging::for_nest(nest);
-    staging.check_regions(&ranges)?;
-    let by_array = ooc_ir::array_dependences(nest);
-    let own_level = ownership_level(&ooc_ir::merge_arrays(&by_array), nest.depth);
-    let mut search_ranges = ranges.clone();
-    if let Some(procs) = restrict {
-        let l = own_level.unwrap_or(0);
-        let largest = chunks(ranges[l], procs)
-            .into_iter()
-            .max_by_key(|(lo, hi)| hi - lo);
-        search_ranges[l] = largest.unwrap_or(ranges[l]);
+    Ok(parts.map(|parts| parts.plan(env, strategy, walk_levels, restrict, memo)))
+}
+
+/// What a plan of a nest takes from the nest and the parameter values
+/// alone — whatever the layouts, the budget or the processor
+/// restriction.
+#[derive(Debug, Clone)]
+struct NestParts {
+    ranges: Vec<(i64, i64)>,
+    staging: Staging,
+    own_level: Option<usize>,
+    strips: bool,
+}
+
+impl NestParts {
+    /// The parts of `nest` at `params`; `None` when the nest's bounds
+    /// are empty there or it has no loop level.
+    fn of(nest: &LoopNest, params: &[i64]) -> io::Result<Option<Self>> {
+        let Some(ranges) = level_ranges(nest, params).filter(|r| !r.is_empty()) else {
+            return Ok(None);
+        };
+        let staging = Staging::for_nest(nest);
+        staging.check_regions(&ranges)?;
+        let by_array = ooc_ir::array_dependences(nest);
+        Ok(Some(NestParts {
+            own_level: ownership_level(&ooc_ir::merge_arrays(&by_array), nest.depth),
+            strips: kernel::strips_legal(nest, &by_array),
+            ranges,
+            staging,
+        }))
     }
-    let (spans, cost) = plan_spans(env, &staging, &search_ranges, strategy, memo);
-    Ok(Some(NestPlan {
-        env,
-        ranges,
-        own_level,
-        search_levels: strategy.tiled_levels(nest.depth),
-        walk_levels: walk_levels.to_vec(),
-        spans,
-        cost,
-        staging,
-        strips: kernel::strips_legal(nest, &by_array),
-    }))
+
+    /// The plan these parts make under `env`'s layouts and budget.
+    fn plan<'e>(
+        self,
+        env: &'e PlanEnv<'e>,
+        strategy: TilingStrategy,
+        walk_levels: &[usize],
+        restrict: Option<usize>,
+        memo: &mut PlanMemo,
+    ) -> NestPlan<'e> {
+        let NestParts {
+            ranges,
+            staging,
+            own_level,
+            strips,
+        } = self;
+        let mut search_ranges = ranges.clone();
+        if let Some(procs) = restrict {
+            let l = own_level.unwrap_or(0);
+            let largest = chunks(ranges[l], procs)
+                .into_iter()
+                .max_by_key(|(lo, hi)| hi - lo);
+            search_ranges[l] = largest.unwrap_or(ranges[l]);
+        }
+        let (spans, cost) = plan_spans(env, &staging, &search_ranges, strategy, memo);
+        NestPlan {
+            env,
+            search_levels: strategy.tiled_levels(ranges.len()),
+            ranges,
+            own_level,
+            walk_levels: walk_levels.to_vec(),
+            spans,
+            cost,
+            staging,
+            strips,
+        }
+    }
 }
 
 impl NestPlan<'_> {
@@ -880,25 +934,34 @@ impl TableKey {
     }
 }
 
-/// The slot tables span searches have built, kept for later searches:
-/// a search whose slot has the key (`TableKey`) of one tabulated before
-/// takes that table instead of building its own. Each optimizer call
+/// What earlier plans derived, kept for later ones. Each optimizer call
 /// owns one memo and drops it when it returns — its cost gate prices
-/// one nest under many layout assignments and loop orders, which leave
-/// most slots' keys as they were; [`plan_nest`] plans through a memo
-/// of its own. A table is looked up by its whole key, never by a hash
-/// alone, and holds exactly the entries a fresh build computes, so a
+/// one nest under many layout assignments and loop orders; [`plan_nest`]
+/// keeps nothing past its one plan. Two kinds of entry:
+///
+/// * a nest's layout-independent parts (ranges, slot table, ownership
+///   level, strip legality), keyed on the whole nest and the parameter
+///   values;
+/// * the slot tables span searches have built: a search whose slot has
+///   the key (`TableKey`) of one tabulated before takes that table
+///   instead of building its own.
+///
+/// Both are looked up by their whole key, compared for equality, never
+/// by a hash alone, and hold exactly what a fresh plan computes, so a
 /// plan through a memo is bit-identical to a fresh one.
 #[derive(Debug, Default)]
 pub struct PlanMemo {
     tables: HashMap<TableKey, Rc<[TileCost]>>,
+    /// Per nest and parameter values planned: its parts, `None` when
+    /// there is nothing to run.
+    nests: Vec<(LoopNest, Vec<i64>, Option<NestParts>)>,
 }
 
 /// The span search's scorer. A slot's tile depends only on the spans
 /// of the levels its references vary with, so every per-slot answer a
 /// search can ask for is tabulated once — by the per-slot functions
 /// [`Staging::footprint`] and [`Staging::io_cost`] are sums over — and
-/// a trial is one lookup per slot.
+/// [`SpanTables::walk`] scores a trial from lookups.
 struct SpanTables {
     /// Candidate spans per level: the powers of two below the level's
     /// extent, then the extent.
@@ -965,60 +1028,245 @@ impl SpanTables {
         let choices: Vec<Vec<usize>> = (0..ranges.len())
             .map(|l| (0..if s.varies[l] { cands[l].len() } else { 1 }).collect())
             .collect();
-        // One class of integer subscripts stages a region whose extents
-        // do not depend on where the box sits, so its footprint term is
-        // read off the hull of the first box; any other slot's is
-        // evaluated at the origin box, as `Staging::footprint` does.
-        let shifts = s.class.is_some() && s.rows.iter().all(AffineRow::is_integer);
         let dims = env.dims(s.array.0);
         let lo: Vec<i64> = ranges.iter().map(|&(lo, _)| lo).collect();
         let origin = vec![1i64; ranges.len()];
+        // One class of integer subscripts stages a region whose extents
+        // do not depend on where the box sits, so its footprint term is
+        // read off the hull of the first box, which is a sum of
+        // per-level terms; any other slot's is evaluated at the origin
+        // box, as `Staging::footprint` does.
+        let class = ClassHull::of(s, &lo, cands);
         // One scratch set: an entry's spans, the upper corner of its
         // first box, and the hull they stage.
         let (mut spans, mut hi, mut hull) = (origin.clone(), lo.clone(), staging.scratch(slot));
         let mut entries = Vec::with_capacity(choices.iter().map(Vec::len).product());
         for_each_product(&choices, &mut Vec::new(), &mut |choice| {
-            for (l, &i) in choice.iter().enumerate() {
-                spans[l] = cands[l][i];
-                hi[l] = lo[l] + spans[l] - 1;
-            }
-            let priced = weighed(env, staging.tile_transfer(env, slot, &lo, &hi, &mut hull));
-            let elems = if shifts {
-                clamped_elems(dims, &hull)
+            let entry = if let Some(class) = &class {
+                class.hull_into(choice, &mut hull);
+                TileCost {
+                    elems: clamped_elems(dims, &hull),
+                    priced: weighed(env, staging.transfer(env, slot, &hull)),
+                }
             } else {
-                staging.tile_elems(env, slot, &origin, &spans, &mut hull)
+                for (l, &i) in choice.iter().enumerate() {
+                    spans[l] = cands[l][i];
+                    hi[l] = lo[l] + spans[l] - 1;
+                }
+                let priced = weighed(env, staging.tile_transfer(env, slot, &lo, &hi, &mut hull));
+                TileCost {
+                    elems: staging.tile_elems(env, slot, &origin, &spans, &mut hull),
+                    priced,
+                }
             };
-            entries.push(TileCost { elems, priced });
+            entries.push(entry);
         });
         entries.into()
     }
 
-    /// Slot `slot`'s tile under the candidates `choice` picks per level.
-    fn tile(&self, slot: usize, choice: &[usize]) -> TileCost {
-        let (strides, entries) = &self.slots[slot];
-        let at: usize = choice.iter().zip(strides).map(|(&i, &s)| i * s).sum();
-        entries[at]
-    }
-
-    /// [`Staging::footprint`] of the spans `choice` picks.
-    fn footprint(&self, choice: &[usize]) -> u64 {
-        (0..self.slots.len())
-            .map(|slot| self.tile(slot, choice).elems)
-            .sum()
-    }
-
-    /// [`Staging::io_cost`] of the spans `choice` picks — the same
-    /// expression over the same operands, hence the same bits. `steps`
-    /// is the caller's buffer.
-    fn io_cost(&self, staging: &Staging, choice: &[usize], steps: &mut Steps) -> f64 {
-        steps.set(choice.iter().zip(&self.trips).map(|(&i, level)| level[i]));
-        staging.priced(steps, |slot| self.tile(slot, choice).priced)
+    /// Calls `f(choice, footprint, cost)` for every trial — one
+    /// candidate index per level, the last level fastest — whose
+    /// [`Staging::footprint`] fits `capacity`, with its
+    /// [`Staging::io_cost`].
+    ///
+    /// The walk goes level by level: choosing a candidate of an outer
+    /// level fixes, per slot, the offset the levels so far contribute
+    /// to its table index and how often the slot is restaged when
+    /// none of the deeper levels it varies with has more than one
+    /// step; the running product of the trips is [`Steps`]'s prefix.
+    /// An innermost trial is then one lookup and one multiply–add per
+    /// slot that varies with the innermost level, and one add per
+    /// other slot. The terms are the definitions' — the same operands,
+    /// multiplied in the same order and summed in slot order — so every
+    /// cost has the definitions' bits.
+    fn walk(&self, staging: &Staging, capacity: u64, f: &mut impl FnMut(&[usize], u64, f64)) {
+        let depth = self.cands.len();
+        let slots = self.slots.len();
+        let mut walk = Walk {
+            tables: self,
+            staging,
+            capacity,
+            choice: vec![0; depth],
+            at: vec![0; depth * slots],
+            restages: vec![1.0; depth * slots],
+            prefix: vec![1.0; depth],
+            terms: vec![0.0; slots],
+        };
+        walk.level(0, f);
     }
 
     /// The spans `choice` picks, with their cost.
     fn plan(&self, (choice, cost): (Vec<usize>, f64)) -> (Vec<i64>, f64) {
         let spans = choice.iter().zip(&self.cands).map(|(&i, c)| c[i]);
         (spans.collect(), cost)
+    }
+}
+
+/// The first-box hulls of a slot of one access class whose subscripts
+/// are integer rows, from per-level terms. Its references share their
+/// coefficients and differ in their offsets only, so in dimension `d`
+/// the hull of the box `lo..=hi` is the least (greatest) offset plus,
+/// per level `l`, the lesser (greater) of `c·lo[l]` and `c·hi[l]` —
+/// what [`tiling::hull_into`] sums per reference, in the same order,
+/// and a term of that level's span alone.
+struct ClassHull {
+    rank: usize,
+    /// Per dimension: the least and the greatest offset.
+    offsets: Vec<(i128, i128)>,
+    /// Per level: per candidate span, `rank` (lesser, greater) terms.
+    terms: Vec<Vec<(i128, i128)>>,
+}
+
+impl ClassHull {
+    /// The terms of `slot` for the boxes from `lo` under the candidate
+    /// spans `cands`; `None` unless the slot is one class of integer
+    /// rows.
+    fn of(slot: &Slot, lo: &[i64], cands: &[Vec<i64>]) -> Option<Self> {
+        let rank = slot.rank;
+        let rows: Vec<(i64, &[(usize, i64)])> = slot
+            .rows
+            .iter()
+            .map(AffineRow::integer)
+            .collect::<Option<_>>()
+            .filter(|_| slot.class.is_some())?;
+        let offsets = (0..rank)
+            .map(|d| {
+                let offsets = rows[d..].iter().step_by(rank).map(|&(o, _)| i128::from(o));
+                offsets.fold((i128::MAX, i128::MIN), |(min, max), o| {
+                    (min.min(o), max.max(o))
+                })
+            })
+            .collect();
+        // The coefficients: those of the first reference.
+        let coeff = |d: usize, l: usize| {
+            let terms = rows[d].1;
+            terms.iter().find(|&&(j, _)| j == l).map_or(0, |&(_, c)| c)
+        };
+        let terms = cands
+            .iter()
+            .enumerate()
+            .map(|(l, cands)| {
+                let mut terms = Vec::with_capacity(cands.len() * rank);
+                for &span in cands {
+                    for d in 0..rank {
+                        let c = i128::from(coeff(d, l));
+                        let (a, b) = (c * i128::from(lo[l]), c * i128::from(lo[l] + span - 1));
+                        terms.push((a.min(b), a.max(b)));
+                    }
+                }
+                terms
+            })
+            .collect();
+        Some(ClassHull {
+            rank,
+            offsets,
+            terms,
+        })
+    }
+
+    /// Writes the hull of the first box under the candidates `choice`
+    /// picks into `hull`.
+    fn hull_into(&self, choice: &[usize], hull: &mut Region) {
+        for (d, &(mut min, mut max)) in self.offsets.iter().enumerate() {
+            for (terms, &i) in self.terms.iter().zip(choice) {
+                let (a, b) = terms[i * self.rank + d];
+                min += a;
+                max += b;
+            }
+            let fits = "plan_nest checked that every box's region fits i64";
+            hull.lo[d] = i64::try_from(min).expect(fits);
+            hull.hi[d] = i64::try_from(max).expect(fits);
+        }
+    }
+}
+
+/// The state of one [`SpanTables::walk`]. Per level `l` (row `l` of
+/// `at` and `restages`, one column per slot): what the candidates
+/// chosen for the levels above `l` fix.
+struct Walk<'t> {
+    tables: &'t SpanTables,
+    staging: &'t Staging,
+    capacity: u64,
+    /// The candidate index chosen per level so far.
+    choice: Vec<usize>,
+    /// A slot's table offset from the levels above.
+    at: Vec<usize>,
+    /// [`Steps::restages`] of a slot over the levels above: the prefix
+    /// product at the deepest of them it varies with that has more
+    /// than one step, 1 when there is none.
+    restages: Vec<f64>,
+    /// `prefix[l]`: the product of the trips of the levels above `l`,
+    /// multiplied in level order from 1.
+    prefix: Vec<f64>,
+    /// The innermost level's scratch: per slot, its cost term.
+    terms: Vec<f64>,
+}
+
+impl Walk<'_> {
+    fn level(&mut self, l: usize, f: &mut impl FnMut(&[usize], u64, f64)) {
+        let n = self.tables.slots.len();
+        if l + 1 == self.choice.len() {
+            return self.innermost(l, f);
+        }
+        for (c, &trip) in self.tables.trips[l].iter().enumerate() {
+            self.choice[l] = c;
+            let product = self.prefix[l] * trip;
+            self.prefix[l + 1] = product;
+            for (s, (strides, _)) in self.tables.slots.iter().enumerate() {
+                let (above, here) = (l * n + s, (l + 1) * n + s);
+                self.at[here] = self.at[above] + c * strides[l];
+                // A slot varies with a level exactly where its stride
+                // is nonzero.
+                self.restages[here] = if trip > 1.0 && strides[l] != 0 {
+                    product
+                } else {
+                    self.restages[above]
+                };
+            }
+            self.level(l + 1, f);
+        }
+    }
+
+    fn innermost(&mut self, l: usize, f: &mut impl FnMut(&[usize], u64, f64)) {
+        let n = self.tables.slots.len();
+        let (at, restages) = (&self.at[l * n..], &self.restages[l * n..]);
+        let accesses = |s: usize| {
+            if self.staging.slots[s].written {
+                2.0
+            } else {
+                1.0
+            }
+        };
+        // The slots the innermost level does not move: their tiles and
+        // terms hold for the whole level.
+        let mut fixed = 0u64;
+        for s in 0..n {
+            let (strides, entries) = &self.tables.slots[s];
+            if strides[l] == 0 {
+                let tile = entries[at[s]];
+                fixed += tile.elems;
+                self.terms[s] = restages[s] * accesses(s) * tile.priced;
+            }
+        }
+        for (c, &trip) in self.tables.trips[l].iter().enumerate() {
+            let product = self.prefix[l] * trip;
+            let mut footprint = fixed;
+            for (s, (strides, entries)) in self.tables.slots.iter().enumerate() {
+                if strides[l] != 0 {
+                    let tile = entries[at[s] + c * strides[l]];
+                    footprint += tile.elems;
+                    let restaged = if trip > 1.0 { product } else { restages[s] };
+                    self.terms[s] = restaged * accesses(s) * tile.priced;
+                }
+            }
+            if footprint > self.capacity {
+                continue;
+            }
+            // From +0.0, as `Staging::priced` sums (`Sum` starts at -0.0).
+            let cost = self.terms.iter().fold(0f64, |total, &term| total + term);
+            self.choice[l] = c;
+            f(&self.choice, footprint, cost);
+        }
     }
 }
 
@@ -1034,10 +1282,14 @@ struct Searched {
 /// [`Staging::io_cost`] subject to the memory budget: every version
 /// gets its true optimum under the cost model, so version differences
 /// are structural — layouts and loop order — rather than artifacts of a
-/// heuristic search. The first strict improvement in enumeration order
-/// wins; when nothing fits (budget below even 1-wide tiles) the minimal
-/// spans make progress. The trials that keep the innermost level whole
-/// are a subsequence of all trials, so one pass finds both optima.
+/// heuristic search. The trials are scored by [`SpanTables::walk`],
+/// level by level from the slot tables (taken from `memo` where it
+/// holds them), with the definitions' bits. The first strict
+/// improvement in enumeration order wins; when nothing fits (budget
+/// below even 1-wide tiles) the minimal spans make progress, priced by
+/// [`Staging::io_cost`] itself. The trials that keep the innermost
+/// level whole are a subsequence of all trials, so one pass finds both
+/// optima.
 fn search_spans(
     env: &PlanEnv,
     staging: &Staging,
@@ -1045,21 +1297,11 @@ fn search_spans(
     memo: &mut PlanMemo,
 ) -> Searched {
     let tables = SpanTables::build(env, staging, ranges, memo);
-    let choices: Vec<Vec<usize>> = tables
-        .cands
-        .iter()
-        .map(|c| (0..c.len()).collect())
-        .collect();
     let inner = ranges.len() - 1;
     let whole = tables.cands[inner].len() - 1;
     let mut free: Option<(Vec<usize>, f64)> = None;
     let mut pinned: Option<(Vec<usize>, f64)> = None;
-    let mut steps = Steps::new(ranges.len());
-    for_each_product(&choices, &mut Vec::new(), &mut |choice| {
-        if tables.footprint(choice) > env.budget.capacity() {
-            return;
-        }
-        let cost = tables.io_cost(staging, choice, &mut steps);
+    tables.walk(staging, env.budget.capacity(), &mut |choice, _, cost| {
         let keep_if_cheaper = |best: &mut Option<(Vec<usize>, f64)>| {
             if cost < best.as_ref().map_or(f64::INFINITY, |b| b.1) {
                 *best = Some((choice.to_vec(), cost));
@@ -1070,15 +1312,15 @@ fn search_spans(
             keep_if_cheaper(&mut pinned);
         }
     });
-    let mut minimal = |inner_choice: usize| {
-        let mut choice = vec![0; ranges.len()];
-        choice[inner] = inner_choice;
-        let cost = tables.io_cost(staging, &choice, &mut steps);
-        (choice, cost)
+    let minimal = |inner_choice: usize| {
+        let mut spans: Vec<i64> = tables.cands.iter().map(|c| c[0]).collect();
+        spans[inner] = tables.cands[inner][inner_choice];
+        let cost = staging.io_cost(env, ranges, &spans);
+        (spans, cost)
     };
     Searched {
-        free: tables.plan(free.unwrap_or_else(|| minimal(0))),
-        pinned: tables.plan(pinned.unwrap_or_else(|| minimal(whole))),
+        free: free.map_or_else(|| minimal(0), |best| tables.plan(best)),
+        pinned: pinned.map_or_else(|| minimal(whole), |best| tables.plan(best)),
     }
 }
 
@@ -1400,15 +1642,20 @@ mod tests {
         );
         let entries: usize = tables.slots.iter().map(|(_, entries)| entries.len()).sum();
         assert_eq!(entries, 3 * 13 * 13, "three 2-D slots in a depth-3 nest");
-        // And an entry is the definitions' answer for its spans.
-        let choice = [3, 12, 5];
+        // And a trial is the definitions' answer for its spans.
         let spans = [8, 4096, 32];
-        assert_eq!(tables.footprint(&choice), staging.footprint(&env, &spans));
+        let mut scored = None;
+        tables.walk(&staging, u64::MAX, &mut |choice, footprint, cost| {
+            if choice == [3, 12, 5] {
+                scored = Some((footprint, cost.to_bits()));
+            }
+        });
         assert_eq!(
-            tables
-                .io_cost(&staging, &choice, &mut Steps::new(3))
-                .to_bits(),
-            staging.io_cost(&env, &ranges, &spans).to_bits()
+            scored,
+            Some((
+                staging.footprint(&env, &spans),
+                staging.io_cost(&env, &ranges, &spans).to_bits()
+            ))
         );
     }
 
@@ -1467,17 +1714,25 @@ mod tests {
                         .iter()
                         .map(|c| (0..c.len()).collect())
                         .collect();
+                    let mut trials = Vec::new();
                     for_each_product(&choices, &mut Vec::new(), &mut |choice| {
+                        trials.push(choice.to_vec());
+                    });
+                    // Every trial fits an unbounded budget: the walk
+                    // visits all of them, in enumeration order.
+                    let mut trials = trials.into_iter();
+                    tables.walk(&staging, u64::MAX, &mut |choice, footprint, cost| {
+                        assert_eq!(Some(choice.to_vec()), trials.next());
                         let spans: Vec<i64> = choice
                             .iter()
                             .zip(&tables.cands)
                             .map(|(&i, c)| c[i])
                             .collect();
-                        assert_eq!(tables.footprint(choice), staging.footprint(&env, &spans));
-                        let cost = tables.io_cost(&staging, choice, &mut Steps::new(2));
+                        assert_eq!(footprint, staging.footprint(&env, &spans));
                         let want = staging.io_cost(&env, &ranges, &spans);
                         assert_eq!(cost.to_bits(), want.to_bits(), "{spans:?} {ranges:?}");
                     });
+                    assert_eq!(trials.next(), None);
                 }
             }
         }

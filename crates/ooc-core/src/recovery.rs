@@ -34,11 +34,11 @@ use crate::parallel::{exec_sharded, ParallelConfig, ParallelRun};
 use crate::tiling::TiledProgram;
 use ooc_ir::ArrayId;
 use ooc_runtime::{
-    is_corrupt, node_down, parse_journal, rollback, Boundary, ChecksumHandle, ChecksummedStore,
-    FaultConfig, FaultHandle, FaultStore, FileLog, FileStore, IoCause, IoNodePool, Journal,
-    JournalScan, LedgerEvent, LedgerRecorder, LogStore, MemLog, MemStore, NodeFaultConfig,
-    OocArray, Region, RepairIo, ScrubReport, SharedStore, Store, StripeConfig, StripedStore, Tile,
-    WriteIntent,
+    is_corrupt, is_double_fault, node_down, parse_journal, rollback, Boundary, ChecksumHandle,
+    ChecksummedStore, FaultConfig, FaultHandle, FaultStore, FileLog, FileStore, IoCause,
+    IoNodePool, Journal, JournalScan, LedgerEvent, LedgerRecorder, LogStore, MemLog, MemStore,
+    NodeFaultConfig, OocArray, Region, RepairIo, ScrubReport, SharedStore, Store, StripeConfig,
+    StripedStore, Tile, WriteIntent,
 };
 use std::collections::BTreeMap;
 use std::io;
@@ -916,6 +916,17 @@ impl DurableMedium for StripedMedium {
     /// the node count; a second loss in a parity group ends the run
     /// with the store's double-fault error.
     fn recoverable(&mut self, err: &io::Error) -> bool {
+        if is_double_fault(err) {
+            // The group's redundancy is spent: no retry can rebuild it.
+            if ooc_trace::enabled() {
+                ooc_trace::explain(ooc_trace::Explain::new(
+                    "recovery",
+                    "double-fault",
+                    format!("{err}: run ends"),
+                ));
+            }
+            return false;
+        }
         let unnamed = |n: &usize| !self.named.contains(n);
         let lost = match node_down(err) {
             Some(dead) => Some(dead.node).filter(unnamed),
@@ -946,7 +957,7 @@ mod tests {
     use super::*;
     use crate::exec::run_functional;
     use crate::fixtures::{fcfg, seed, tiled};
-    use ooc_runtime::{is_crashed, testing::TempDir, CrashMode, JournalRecord};
+    use ooc_runtime::{is_crashed, testing::TempDir, CrashMode, DoubleFaultError, JournalRecord};
     use std::collections::BTreeSet;
 
     fn reference(tp: &TiledProgram, params: &[i64]) -> Vec<Vec<f64>> {
@@ -1639,7 +1650,12 @@ mod tests {
             asked: 0,
         };
         let err = run_striped(&[10], &mut answers).expect_err("two lost nodes in every group");
-        assert!(err.to_string().contains("double fault"), "{err}");
+        // The group needs the other lost node.
+        let fault = err
+            .get_ref()
+            .and_then(|e| e.downcast_ref::<DoubleFaultError>());
+        assert!(is_double_fault(&err), "{err}");
+        assert!(fault.is_some_and(|f| [0, 2].contains(&f.node)), "{err}");
         // One retry per newly lost node, and the double fault is the
         // one answer that stopped the loop.
         assert!(answers.yes <= 4, "{} retries", answers.yes);

@@ -199,9 +199,13 @@ impl AffineRow {
         }
     }
 
-    /// Whether the row takes the `i128` path.
-    pub(crate) fn is_integer(&self) -> bool {
-        matches!(self, AffineRow::Integer { .. })
+    /// The offset and the `(level, coefficient)` terms of an integer
+    /// row.
+    pub(crate) fn integer(&self) -> Option<(i64, &[(usize, i64)])> {
+        match self {
+            AffineRow::Integer { offset, terms } => Some((*offset, terms)),
+            AffineRow::Exact { .. } => None,
+        }
     }
 
     /// Whether the subscript moves with loop level `l`.

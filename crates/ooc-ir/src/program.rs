@@ -267,7 +267,7 @@ impl Statement {
 }
 
 /// A perfectly nested affine loop nest.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LoopNest {
     /// Human-readable name (used in reports).
     pub name: String,

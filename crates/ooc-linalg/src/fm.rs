@@ -208,7 +208,7 @@ pub struct Constraint {
 
 /// A conjunction of affine constraints over `nvars` variables and
 /// `nparams` parameters — an iteration-space polyhedron.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Polyhedron {
     nvars: usize,
     nparams: usize,

@@ -97,7 +97,7 @@ pub use pool::{
     CallClass, IoNodePool, NodeHealth, NodeStats, NodeTiming, RepairCounter, RepairIo, StripeConfig,
 };
 pub use profile::{heatmap, sequential_stats, AccessRecord, ProfilingStore, SeekCdf, SeqStats};
-pub use repair::ScrubReport;
+pub use repair::{is_double_fault, DoubleFaultError, ScrubReport};
 pub use shared::SharedStore;
 pub use store::{FileStore, MemStore, Store, ELEM_BYTES};
 pub use striped::{part_len, StripedStore};

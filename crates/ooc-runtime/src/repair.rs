@@ -112,10 +112,38 @@ fn span(name: &str, node: Option<usize>, group: Option<u64>) -> Option<ooc_trace
     })
 }
 
+/// The payload of a double-fault [`io::Error`]: parity group `group`
+/// needs node `node` to serve a lost node's data, and `node` is down
+/// too — the single-fault redundancy is spent, so no retry can help.
+#[derive(Debug)]
+pub struct DoubleFaultError {
+    /// The parity group that cannot be reconstructed.
+    pub group: u64,
+    /// The second node the group needs, also down.
+    pub node: usize,
+}
+
+impl std::fmt::Display for DoubleFaultError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "double fault: group {} needs node {}, which is also down",
+            self.group, self.node
+        )
+    }
+}
+
+impl std::error::Error for DoubleFaultError {}
+
+/// Whether `e` is a double-fault error (see [`DoubleFaultError`]).
+#[must_use]
+pub fn is_double_fault(e: &io::Error) -> bool {
+    e.get_ref()
+        .is_some_and(|inner| inner.is::<DoubleFaultError>())
+}
+
 fn double_fault_error(group: u64, node: usize) -> io::Error {
-    io::Error::other(format!(
-        "double fault: group {group} needs node {node}, which is also down"
-    ))
+    io::Error::other(DoubleFaultError { group, node })
 }
 
 impl<S: Store> StripedStore<S> {

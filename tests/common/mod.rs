@@ -37,13 +37,18 @@ impl Pool<'_> {
 /// * statement 3 (on a coin) resets `W1` under one or two guards, on
 ///   any level.
 ///
-/// Level extents are drawn from `3..=max_extent`, access entries from
-/// −2..=2; each (array, access class) is then shifted so its
-/// subscripts start at 1 over the bounding box, and the arrays are
-/// sized to what the references reach. The layouts are a coin per
+/// The depth is drawn from `1..=max_depth`, level extents from
+/// `3..=max_extent`, access entries from −2..=2; each (array, access
+/// class) is then shifted so its subscripts start at 1 over the
+/// bounding box, and the arrays are sized to what the references
+/// reach. The layouts are a coin per
 /// array between row- and column-major.
-pub fn random_nest(pool: &mut Pool<'_>, max_extent: i64) -> (Program, Vec<FileLayout>) {
-    let depth = pool.range(1, 3) as usize;
+pub fn random_nest(
+    pool: &mut Pool<'_>,
+    max_extent: i64,
+    max_depth: i64,
+) -> (Program, Vec<FileLayout>) {
+    let depth = pool.range(1, max_depth) as usize;
     let extents: Vec<i64> = (0..depth).map(|_| pool.range(3, max_extent)).collect();
     let mut bounds = Polyhedron::universe(depth, 0);
     for (l, &n) in extents.iter().enumerate() {

@@ -113,7 +113,7 @@ proptest! {
         pool in proptest::collection::vec(0u32..1_000_000, 96),
         fraction in 2u64..24,
     ) {
-        let (prog, layouts) = random_nest(&mut Pool(pool.iter()), 7);
+        let (prog, layouts) = random_nest(&mut Pool(pool.iter()), 7, 3);
         let want = reference(&prog, &[]);
         for strategy in [
             TilingStrategy::OutOfCore,
@@ -135,7 +135,7 @@ proptest! {
         pool in proptest::collection::vec(0u32..1_000_000, 96),
         fraction in 2u64..24,
     ) {
-        let (prog, layouts) = random_nest(&mut Pool(pool.iter()), 7);
+        let (prog, layouts) = random_nest(&mut Pool(pool.iter()), 7, 3);
         for strategy in [TilingStrategy::OutOfCore, TilingStrategy::Traditional] {
             let tp = tiled(&prog, layouts.clone(), strategy);
             let cfg = FunctionalConfig::with_fraction(fraction);
