@@ -20,7 +20,7 @@
 //! keep the nest's own bounds, so a box that overhangs a skewed or
 //! triangular nest runs only the points that belong to it.
 
-use crate::kernel::TileKernel;
+use crate::kernel::{KernelScratch, TileKernel};
 use crate::plan::{chunks, plan_nest, NestPlan, PlanEnv, PAPER_MEMORY_FRACTION};
 use crate::recovery::DurableSession;
 use crate::tiling::{TiledNest, TiledProgram};
@@ -578,6 +578,27 @@ pub(crate) fn write_tile_through<S: Store>(
     journal.commit(seq)
 }
 
+/// One staging slot of the synchronous walk, for a whole nest: the
+/// region the current tile box stages, and the slot's tile, whose
+/// region and data buffers every re-stage refills in place.
+struct WalkSlot {
+    want: Region,
+    tile: Tile,
+    /// Whether `tile` holds a staged copy (of `want` or of an earlier
+    /// box's region).
+    resident: bool,
+}
+
+impl WalkSlot {
+    fn new() -> Self {
+        WalkSlot {
+            want: Region::new(Vec::new(), Vec::new()),
+            tile: Tile::zeroed(Region::new(Vec::new(), Vec::new())),
+            resident: false,
+        }
+    }
+}
+
 /// The synchronous reference walk: one tile per staging slot, staged
 /// and written back on the calling thread. The step engine is compared
 /// against it, and its one-tile-per-slot residency defines the
@@ -634,6 +655,8 @@ pub(crate) fn walk_sync<S: Store>(
     // global step counter stamps each event's schedule position.
     let mut tracker = TouchTracker::new();
     let mut step: u64 = 0;
+    // Every nest's tile body binds into this one scratch.
+    let mut bodies = KernelScratch::default();
 
     for (ni, tnest) in tp.nests.iter().enumerate() {
         // Resume: nests the boundary already covers are durable.
@@ -648,7 +671,8 @@ pub(crate) fn walk_sync<S: Store>(
             continue;
         };
         let staging = &plan.staging;
-        let boxes = plan.boxes();
+        let mut boxes = plan.box_walk(0, plan.ranges[0]);
+        let mut slots: Vec<WalkSlot> = (0..staging.slots()).map(|_| WalkSlot::new()).collect();
         let start_g = session.as_ref().map_or(0, |s| s.start_step(ni));
         let nest_base = step;
         let mut rows_done: u64 = 0;
@@ -656,7 +680,7 @@ pub(crate) fn walk_sync<S: Store>(
         // Writes one tile back (journaled under a session) and books
         // it; `note_evicted` marks the end of any staged copy's
         // residency, read or written, so a later re-read classifies as
-        // a capacity miss.
+        // a capacity miss. Only ledger events read the tracker.
         let displace = |arrays: &mut [OocArray<S>],
                         tracker: &mut TouchTracker,
                         slot: usize,
@@ -674,7 +698,9 @@ pub(crate) fn walk_sync<S: Store>(
                 record_write_back(ledger, tracker, arr, array, tile.region(), journaled, at);
                 write_tile_through(arr, journal.as_ref(), array, tile)?;
             }
-            tracker.note_evicted(array, tile.region(), step, None);
+            if ledger.is_some() {
+                tracker.note_evicted(array, tile.region(), step, None);
+            }
             Ok(())
         };
 
@@ -683,13 +709,13 @@ pub(crate) fn walk_sync<S: Store>(
         // disabled path stays a single atomic load per tile step).
         let _nest_span = ooc_trace::span("runtime", &format!("nest:{}", nest.name));
         for _ in 0..nest.iterations {
-            // Cached tiles, one per staging slot (hoisting, mirroring
-            // the simulation): a tile stays resident while consecutive
-            // tile steps touch the same region; written tiles flush
-            // when evicted, at checkpoints and at iteration end.
-            let mut tiles: Vec<Option<Tile>> = vec![None; staging.slots()];
+            // One tile per staging slot (hoisting, mirroring the
+            // simulation): a tile stays resident while consecutive tile
+            // steps touch the same region; written tiles flush when
+            // displaced, at checkpoints and at iteration end.
+            boxes.rewind();
             let mut last_row_lo: Option<i64> = None;
-            for (lo, hi) in &boxes {
+            while let Some((lo, hi)) = boxes.next() {
                 let g = step - nest_base;
                 // Row accounting first — identical for skipped and
                 // executed steps.
@@ -697,9 +723,9 @@ pub(crate) fn walk_sync<S: Store>(
                     if last_row_lo.is_some() {
                         rows_done += 1;
                         if g > start_g && interval > 0 && rows_done % interval == 0 {
-                            for (slot, tile) in tiles.iter_mut().enumerate() {
-                                if let Some(tile) = tile.take() {
-                                    displace(&mut arrays, &mut tracker, slot, &tile, step)?;
+                            for (slot, s) in slots.iter_mut().enumerate() {
+                                if std::mem::take(&mut s.resident) {
+                                    displace(&mut arrays, &mut tracker, slot, &s.tile, step)?;
                                 }
                             }
                             if let Some(s) = session.as_deref_mut() {
@@ -727,28 +753,31 @@ pub(crate) fn walk_sync<S: Store>(
                         ],
                     )
                 });
-                for (slot, region) in plan.staged(lo, hi) {
-                    let a = staging.key(slot).0;
-                    if tiles[slot].as_ref().is_some_and(|t| t.region() == &region) {
+                for (slot, s) in slots.iter_mut().enumerate() {
+                    plan.staged_into(slot, lo, hi, &mut s.want);
+                    if s.resident && s.tile.region() == &s.want {
                         continue;
                     }
-                    if let Some(old) = tiles[slot].take() {
-                        displace(&mut arrays, &mut tracker, slot, &old, step)?;
+                    if std::mem::take(&mut s.resident) {
+                        displace(&mut arrays, &mut tracker, slot, &s.tile, step)?;
                     }
+                    let a = staging.key(slot).0;
                     let _s = traced.then(|| {
                         ooc_trace::span_with(
                             "runtime",
                             &format!("read-tile:{}", arrays[a.0].name()),
-                            vec![("region", format!("{region:?}").into())],
+                            vec![("region", format!("{:?}", s.want).into())],
                         )
                     });
-                    tiles[slot] = Some(arrays[a.0].read_tile(&region)?);
+                    arrays[a.0].read_into(&s.want, &mut s.tile)?;
+                    s.resident = true;
                     let at = (ni as u32, step);
-                    record_read(ledger, &mut tracker, &arrays[a.0], a.0 as u32, &region, at);
+                    record_read(ledger, &mut tracker, &arrays[a.0], a.0 as u32, &s.want, at);
                 }
                 // Element loops: every polyhedron point inside the box.
                 let _compute_span = traced.then(|| ooc_trace::span("runtime", "compute"));
-                kernel.run(&mut tiles, lo, hi)?;
+                let tiles = slots.iter_mut().map(|s| s.resident.then_some(&mut s.tile));
+                kernel.run_in(&mut bodies, tiles, lo, hi)?;
                 if let Some(s) = session.as_deref_mut() {
                     s.report.executed_steps += 1;
                 }
@@ -756,9 +785,9 @@ pub(crate) fn walk_sync<S: Store>(
             }
             // Iteration barrier: every staged tile is written back or
             // dropped, then (if anything ran) checkpointed.
-            for (slot, tile) in tiles.into_iter().enumerate() {
-                if let Some(tile) = tile {
-                    displace(&mut arrays, &mut tracker, slot, &tile, step)?;
+            for (slot, s) in slots.iter_mut().enumerate() {
+                if std::mem::take(&mut s.resident) {
+                    displace(&mut arrays, &mut tracker, slot, &s.tile, step)?;
                 }
             }
             if let Some(s) = session.as_deref_mut() {

@@ -21,10 +21,13 @@
 //!   bound", read off the unclamped bounds each level computes on
 //!   entry.
 //!
-//! [`TileKernel::run`] binds the kernel to one step's staged tiles —
+//! [`TileKernel::run_in`] binds the kernel to one step's staged tiles —
 //! per reference a base address and one address step per loop level,
 //! from the tiles' row-major strides — and runs the loops clamped to
 //! the tile box, bumping addresses instead of recomputing subscripts.
+//! The binding and the loop state live in a [`KernelScratch`] the
+//! caller keeps from one step to the next, so a step allocates nothing
+//! once it has grown; [`TileKernel::run`] binds into a fresh one.
 //!
 //! Where the nest's dependences allow it (see `strip_blockers`), an
 //! innermost run of two or more iterations is evaluated in **strips**
@@ -469,10 +472,28 @@ impl TileKernel {
             .ok_or_else(|| invalid(format!("the nest stages no slot {slot} of array {array}")))
     }
 
+    /// [`TileKernel::run_in`] with a scratch of its own.
+    ///
+    /// # Errors
+    /// As [`TileKernel::run_in`].
+    ///
+    /// # Panics
+    /// As [`TileKernel::run_in`].
+    pub fn run(
+        &self,
+        tiles: &mut [Option<Tile>],
+        box_lo: &[i64],
+        box_hi: &[i64],
+    ) -> io::Result<()> {
+        let tiles = tiles.iter_mut().map(Option::as_mut);
+        self.run_in(&mut KernelScratch::default(), tiles, box_lo, box_hi)
+    }
+
     /// Runs every iteration of the nest inside the tile box
-    /// `box_lo..=box_hi` on `tiles`, one staged tile per slot in dense
-    /// slot order: levels outermost to innermost, statements in body
-    /// order within each iteration.
+    /// `box_lo..=box_hi` on `tiles`, one staged tile (or `None`) per
+    /// slot in dense slot order: levels outermost to innermost,
+    /// statements in body order within each iteration. The binding is
+    /// made in `scratch`, reset here — any kernel's scratch will do.
     ///
     /// # Errors
     /// `InvalidInput` when a referenced slot holds no tile or a tile of
@@ -481,9 +502,10 @@ impl TileKernel {
     /// # Panics
     /// Panics when a reference leaves its staged tile — a compiler
     /// bug that must surface in tests (see the module docs).
-    pub fn run(
+    pub fn run_in<'t>(
         &self,
-        tiles: &mut [Option<Tile>],
+        scratch: &mut KernelScratch,
+        tiles: impl IntoIterator<Item = Option<&'t mut Tile>>,
         box_lo: &[i64],
         box_hi: &[i64],
     ) -> io::Result<()> {
@@ -497,62 +519,44 @@ impl TileKernel {
                 self.depth
             )));
         }
-        let n = self.refs.len();
-        let mut addr = vec![0i64; (self.depth + 1) * n];
-        let mut steps = vec![0i64; self.depth * n];
-        let mut sub_bounds = Vec::with_capacity(self.subs);
-        for (r, rp) in self.refs.iter().enumerate() {
-            let region = match tiles.get(rp.slot) {
-                Some(Some(tile)) if tile.region().rank() == rp.rank => tile.region(),
-                _ => {
-                    return Err(invalid(format!(
-                        "slot {} holds no rank-{} tile",
-                        rp.slot, rp.rank
-                    )))
-                }
-            };
-            // Row-major over the tile's region, last dimension fastest.
-            let mut stride = 1i64;
-            for d in (0..rp.rank).rev() {
-                addr[r] = mul_add(addr[r], stride, rp.offset[d] - region.lo[d])?;
-                for l in 0..self.depth {
-                    let at = l * n + r;
-                    steps[at] = mul_add(steps[at], stride, rp.rows[d * self.depth + l])?;
-                }
-                stride = mul_add(0, stride, region.extent(d))?;
-            }
-            sub_bounds.extend(region.lo.iter().copied().zip(region.hi.iter().copied()));
-        }
-        let bufs = tiles
-            .iter_mut()
-            .map(|t| t.as_mut().map(Tile::data_mut).unwrap_or_default())
-            .collect();
-        Bound {
+        let mut bound = Bound {
             k: self,
-            bufs,
+            bufs: recycle(std::mem::take(&mut scratch.bufs)),
             box_lo,
             box_hi,
-            steps,
-            sub_bounds,
-            iter: vec![0; self.depth],
-            whole: vec![(0, 0); self.depth],
-            addr,
-            active: vec![(0, 0); self.stmts.len()],
-            stack: vec![0.0; if self.strips { 0 } else { self.stack }],
-            lanes: vec![[0.0; STRIP]; if self.strips { self.stack } else { 0 }],
-        }
-        .level(0);
+            s: std::mem::take(&mut scratch.loops),
+        };
+        bound.s.reset(self);
+        bound.bind(tiles)?;
+        bound.level(0);
+        scratch.loops = bound.s;
+        scratch.bufs = recycle(bound.bufs);
         Ok(())
     }
 }
 
-/// A kernel bound to one step's tiles, plus the loop state.
-struct Bound<'k, 't> {
-    k: &'k TileKernel,
-    /// Each slot's tile data.
-    bufs: Vec<&'t mut [f64]>,
-    box_lo: &'t [i64],
-    box_hi: &'t [i64],
+/// What [`TileKernel::run_in`] binds a kernel into, kept by the caller
+/// between steps so that a step allocates nothing once the buffers have
+/// grown to the largest kernel it served.
+#[derive(Default)]
+pub struct KernelScratch {
+    loops: Loops,
+    /// Always empty between runs: the allocation of a run's slot
+    /// buffer list.
+    bufs: Vec<&'static mut [f64]>,
+}
+
+/// Empties `v` and returns its allocation for borrows of another
+/// lifetime: an in-place `collect` keeps the buffer of a vector whose
+/// elements have the same layout.
+fn recycle<'a>(mut v: Vec<&mut [f64]>) -> Vec<&'a mut [f64]> {
+    v.clear();
+    v.into_iter().map(|_| unreachable!("emptied")).collect()
+}
+
+/// A bound kernel's addresses and loop state.
+#[derive(Default)]
+struct Loops {
     /// `steps[l·n + r]`: what one iteration of level `l` adds to the
     /// address of reference `r`.
     steps: Vec<i64>,
@@ -577,20 +581,95 @@ struct Bound<'k, 't> {
     lanes: Vec<[f64; STRIP]>,
 }
 
-impl Bound<'_, '_> {
+impl Loops {
+    /// Sizes every buffer for kernel `k` and zeroes it, as a fresh
+    /// binding starts.
+    fn reset(&mut self, k: &TileKernel) {
+        let n = k.refs.len();
+        let (stack, lanes) = if k.strips { (0, k.stack) } else { (k.stack, 0) };
+        reset(&mut self.steps, k.depth * n, 0);
+        reset(&mut self.sub_bounds, k.subs, (0, 0));
+        reset(&mut self.iter, k.depth, 0);
+        reset(&mut self.whole, k.depth, (0, 0));
+        reset(&mut self.addr, (k.depth + 1) * n, 0);
+        reset(&mut self.active, k.stmts.len(), (0, 0));
+        reset(&mut self.stack, stack, 0.0);
+        reset(&mut self.lanes, lanes, [0.0; STRIP]);
+    }
+}
+
+/// Makes `v` `len` copies of `x`, in its own buffer.
+fn reset<T: Copy>(v: &mut Vec<T>, len: usize, x: T) {
+    v.clear();
+    v.resize(len, x);
+}
+
+/// A kernel bound to one step's tiles, plus the loop state.
+struct Bound<'k, 'b, 't> {
+    k: &'k TileKernel,
+    /// Each slot's tile data.
+    bufs: Vec<&'t mut [f64]>,
+    box_lo: &'b [i64],
+    box_hi: &'b [i64],
+    s: Loops,
+}
+
+impl<'t> Bound<'_, '_, 't> {
+    /// Binds every reference to its slot's tile, slot by slot: a base
+    /// address and per-level address steps, row-major over the tile's
+    /// region with the last dimension fastest, and the region's bounds.
+    fn bind(&mut self, tiles: impl IntoIterator<Item = Option<&'t mut Tile>>) -> io::Result<()> {
+        let k = self.k;
+        let (n, depth) = (k.refs.len(), k.depth);
+        let unstaged =
+            |rp: &RefPlan| invalid(format!("slot {} holds no rank-{} tile", rp.slot, rp.rank));
+        for (slot, tile) in tiles.into_iter().enumerate() {
+            let mut refs = k.refs.iter().enumerate().filter(|(_, rp)| rp.slot == slot);
+            let Some(tile) = tile else {
+                if let Some((_, rp)) = refs.next() {
+                    return Err(unstaged(rp));
+                }
+                self.bufs.push(&mut []);
+                continue;
+            };
+            let (region, data) = tile.region_and_data_mut();
+            for (r, rp) in refs {
+                if region.rank() != rp.rank {
+                    return Err(unstaged(rp));
+                }
+                let s = &mut self.s;
+                let mut stride = 1i64;
+                for d in (0..rp.rank).rev() {
+                    s.addr[r] = mul_add(s.addr[r], stride, rp.offset[d] - region.lo[d])?;
+                    for l in 0..depth {
+                        let at = l * n + r;
+                        s.steps[at] = mul_add(s.steps[at], stride, rp.rows[d * depth + l])?;
+                    }
+                    stride = mul_add(0, stride, region.extent(d))?;
+                    s.sub_bounds[rp.first_sub + d] = (region.lo[d], region.hi[d]);
+                }
+            }
+            self.bufs.push(data);
+        }
+        match k.refs.iter().find(|rp| rp.slot >= self.bufs.len()) {
+            Some(rp) => Err(unstaged(rp)),
+            None => Ok(()),
+        }
+    }
+
     fn level(&mut self, l: usize) {
         let k = self.k;
-        let Some(whole) = k.levels[l].eval(&self.iter[..l]) else {
+        let Some(whole) = k.levels[l].eval(&self.s.iter[..l]) else {
             return;
         };
-        self.whole[l] = whole;
+        self.s.whole[l] = whole;
         let (lo, hi) = (whole.0.max(self.box_lo[l]), whole.1.min(self.box_hi[l]));
         if lo > hi {
             return;
         }
         let n = k.refs.len();
-        let (outer, inner) = self.addr.split_at_mut((l + 1) * n);
-        let steps = &self.steps[l * n..(l + 1) * n];
+        let (outer, inner) = self.s.addr.split_at_mut((l + 1) * n);
+        let steps = &self.s.steps[l * n..(l + 1) * n];
         for ((a, base), s) in inner.iter_mut().zip(&outer[l * n..]).zip(steps) {
             *a = base + s * lo;
         }
@@ -599,10 +678,10 @@ impl Bound<'_, '_> {
             return;
         }
         for v in lo..=hi {
-            self.iter[l] = v;
+            self.s.iter[l] = v;
             self.level(l + 1);
-            let row = &mut self.addr[(l + 1) * n..(l + 2) * n];
-            for (a, s) in row.iter_mut().zip(&self.steps[l * n..]) {
+            let row = &mut self.s.addr[(l + 1) * n..(l + 2) * n];
+            for (a, s) in row.iter_mut().zip(&self.s.steps[l * n..]) {
                 *a += s;
             }
         }
@@ -619,16 +698,16 @@ impl Bound<'_, '_> {
             let (mut from, mut to) = (lo, hi);
             for g in &st.guards {
                 let at = match g.at {
-                    GuardAt::LowerBound => self.whole[g.var].0,
-                    GuardAt::UpperBound => self.whole[g.var].1,
+                    GuardAt::LowerBound => self.s.whole[g.var].0,
+                    GuardAt::UpperBound => self.s.whole[g.var].1,
                 };
                 if g.var == inner {
                     (from, to) = (from.max(at), to.min(at));
-                } else if self.iter[g.var] != at {
+                } else if self.s.iter[g.var] != at {
                     (from, to) = (1, 0);
                 }
             }
-            self.active[s] = (from, to);
+            self.s.active[s] = (from, to);
             if from <= to {
                 for r in st.refs.clone() {
                     self.check_endpoints(r, from, to);
@@ -642,14 +721,14 @@ impl Bound<'_, '_> {
         }
         // One iteration at a time, the whole tape per iteration.
         let n = k.refs.len();
-        let cur = &mut self.addr[k.depth * n..];
-        let steps = &self.steps[inner * n..];
+        let cur = &mut self.s.addr[k.depth * n..];
+        let steps = &self.s.steps[inner * n..];
         let stack = if k.strips {
-            self.lanes.as_flattened_mut()
+            self.s.lanes.as_flattened_mut()
         } else {
-            &mut self.stack[..]
+            &mut self.s.stack[..]
         };
-        let (bufs, active) = (&mut self.bufs, &self.active);
+        let (bufs, active) = (&mut self.bufs, &self.s.active);
         for v in lo..=hi {
             let (mut pc, mut sp) = (0, 0);
             while let Some(&op) = k.tape.get(pc) {
@@ -721,9 +800,9 @@ impl Bound<'_, '_> {
     fn strips(&mut self, lo: i64, hi: i64) {
         let k = self.k;
         let n = k.refs.len();
-        let cur = &mut self.addr[k.depth * n..];
-        let steps = &self.steps[(k.depth - 1) * n..];
-        let (bufs, lanes, active) = (&mut self.bufs, &mut self.lanes, &self.active);
+        let cur = &mut self.s.addr[k.depth * n..];
+        let steps = &self.s.steps[(k.depth - 1) * n..];
+        let (bufs, lanes, active) = (&mut self.bufs, &mut self.s.lanes, &self.s.active);
         let mut first = lo;
         loop {
             let last = hi.min(first.saturating_add(STRIP as i64 - 1));
@@ -809,9 +888,9 @@ impl Bound<'_, '_> {
             let (row, inner) = rp.rows[d * depth..(d + 1) * depth].split_at(depth - 1);
             let outer = row
                 .iter()
-                .zip(&self.iter)
+                .zip(&self.s.iter)
                 .fold(rp.offset[d], |acc, (c, i)| acc + c * i);
-            let (lo, hi) = self.sub_bounds[rp.first_sub + d];
+            let (lo, hi) = self.s.sub_bounds[rp.first_sub + d];
             for v in [from, to] {
                 let sub = outer + inner[0] * v;
                 assert!(

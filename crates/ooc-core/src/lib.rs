@@ -97,7 +97,7 @@ pub use exec::{
 };
 pub use global::{optimize_global, GlobalOptions, GlobalResult};
 pub use interference::{Component, InterferenceGraph};
-pub use kernel::TileKernel;
+pub use kernel::{KernelScratch, TileKernel};
 pub use locality::{
     dim_order_for, innermost_candidates, layouts_for_2d, locality_under, loop_constraint_rows,
     movement_i64, Locality,

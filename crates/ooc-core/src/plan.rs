@@ -691,8 +691,20 @@ impl NestPlan<'_> {
     /// `lo..=hi`, clamped to its array.
     #[must_use]
     pub fn staged_slot(&self, slot: usize, lo: &[i64], hi: &[i64]) -> Region {
-        let dims = self.env.dims(self.staging.key(slot).0 .0);
-        self.staging.region(slot, lo, hi).clamped(dims)
+        let mut region = Region::new(Vec::new(), Vec::new());
+        self.staged_into(slot, lo, hi, &mut region);
+        region
+    }
+
+    /// [`NestPlan::staged_slot`] into `region`, whatever it held: the
+    /// hull written into its buffers and clamped there, so nothing is
+    /// allocated once they hold the slot's rank.
+    pub(crate) fn staged_into(&self, slot: usize, lo: &[i64], hi: &[i64], region: &mut Region) {
+        let rank = self.staging.slots[slot].rank;
+        region.lo.resize(rank, 0);
+        region.hi.resize(rank, 0);
+        self.staging.region_into(slot, lo, hi, region);
+        region.clamp_to(self.env.dims(self.staging.key(slot).0 .0));
     }
 
     /// The (dense slot, region) pairs a tile box stages, in slot
@@ -712,22 +724,34 @@ impl NestPlan<'_> {
         chunk: (i64, i64),
         f: &mut impl FnMut(&[i64], &[i64]),
     ) {
-        let tile_lists: Vec<Vec<(i64, i64)>> = (0..self.ranges.len())
+        let mut boxes = self.box_walk(level, chunk);
+        while let Some((lo, hi)) = boxes.next() {
+            f(lo, hi);
+        }
+    }
+
+    /// The tile boxes with `level` restricted to `chunk`, in execution
+    /// order, as an odometer (see [`BoxWalk`]).
+    pub(crate) fn box_walk(&self, level: usize, chunk: (i64, i64)) -> BoxWalk {
+        let levels: Vec<(i64, i64, i64)> = (0..self.ranges.len())
             .map(|l| {
-                let (rlo, rhi) = if l == level { chunk } else { self.ranges[l] };
+                let (from, to) = if l == level { chunk } else { self.ranges[l] };
                 let span = if self.walk_levels.contains(&l) {
                     self.spans[l].max(1)
                 } else {
-                    (rhi - rlo + 1).max(1)
+                    (to - from + 1).max(1)
                 };
-                let starts = (rlo..=rhi).step_by(usize::try_from(span).unwrap_or(usize::MAX));
-                starts.map(|t| (t, (t + span - 1).min(rhi))).collect()
+                (from, to, span)
             })
             .collect();
-        for_each_product(&tile_lists, &mut Vec::new(), &mut |tiles| {
-            let (lo, hi): (Vec<i64>, Vec<i64>) = tiles.iter().copied().unzip();
-            f(&lo, &hi);
-        });
+        let mut walk = BoxWalk {
+            lo: vec![0; levels.len()],
+            hi: vec![0; levels.len()],
+            levels,
+            at: Cursor::Before,
+        };
+        walk.rewind();
+        walk
     }
 
     /// Every tile box of the nest, in execution order.
@@ -738,6 +762,67 @@ impl NestPlan<'_> {
             boxes.push((lo.to_vec(), hi.to_vec()));
         });
         boxes
+    }
+}
+
+/// The tile boxes of a nest, one at a time, each written over the
+/// last in the walk's own `lo`/`hi` — the last level fastest, every
+/// level stepping by its span from the first index of its range, the
+/// last box of a level cut at the range's end. Nothing is allocated
+/// after [`NestPlan::box_walk`] builds it.
+#[derive(Debug)]
+pub(crate) struct BoxWalk {
+    /// Per level: first index, last index, span.
+    levels: Vec<(i64, i64, i64)>,
+    lo: Vec<i64>,
+    hi: Vec<i64>,
+    at: Cursor,
+}
+
+/// Where a [`BoxWalk`] stands.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Cursor {
+    Before,
+    Inside,
+    Done,
+}
+
+impl BoxWalk {
+    /// Back before the first box.
+    pub(crate) fn rewind(&mut self) {
+        for (l, &(from, to, span)) in self.levels.iter().enumerate() {
+            self.lo[l] = from;
+            self.hi[l] = (from + span - 1).min(to);
+        }
+        let empty = self.levels.iter().any(|&(from, to, _)| from > to);
+        self.at = if empty { Cursor::Done } else { Cursor::Before };
+    }
+
+    /// The next box as `(lo, hi)`; `None` after the last.
+    pub(crate) fn next(&mut self) -> Option<(&[i64], &[i64])> {
+        match self.at {
+            Cursor::Done => return None,
+            Cursor::Before => self.at = Cursor::Inside,
+            Cursor::Inside => {
+                let mut l = self.levels.len();
+                loop {
+                    let Some(below) = l.checked_sub(1) else {
+                        self.at = Cursor::Done;
+                        return None;
+                    };
+                    l = below;
+                    let (from, to, span) = self.levels[l];
+                    let next = self.lo[l].checked_add(span).filter(|&t| t <= to);
+                    let t = next.unwrap_or(from);
+                    self.lo[l] = t;
+                    self.hi[l] = (t + span - 1).min(to);
+                    if next.is_some() {
+                        break;
+                    }
+                }
+            }
+        }
+        Some((&self.lo, &self.hi))
     }
 }
 

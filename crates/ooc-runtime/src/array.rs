@@ -200,6 +200,11 @@ impl Tile {
         &mut self.data
     }
 
+    /// The covered region and the mutable data, borrowed together.
+    pub fn region_and_data_mut(&mut self) -> (&Region, &mut [f64]) {
+        (&self.region, &mut self.data)
+    }
+
     /// The raw data, without a copy.
     #[must_use]
     pub fn into_data(self) -> Vec<f64> {
@@ -239,15 +244,19 @@ pub struct OocArray<S: Store> {
     stats: IoStats,
     /// Staging buffer for runs that are not contiguous in the tile.
     scratch: Vec<f64>,
+    /// The segments of the current transfer, and the layout walk's
+    /// index: kept between transfers like `scratch`.
+    segs: Vec<Segment>,
+    idx: Vec<i64>,
 }
 
-/// Largest scratch buffer (in elements) an array keeps between tile
-/// transfers. A larger one — a whole-array sweep through a layout that
-/// is not the tile's — is freed when the transfer ends, or it would
-/// sit in peak RSS for the whole run; freeing the small ones too costs
-/// more than it saves, because every large block freed raises glibc's
-/// mmap threshold and keeps later freed tiles on the heap (measured in
-/// EXPERIMENTS.md).
+/// Largest scratch buffer (in elements, or in segments) an array keeps
+/// between tile transfers. A larger one — a whole-array sweep through a
+/// layout that is not the tile's — is freed when the transfer ends, or
+/// it would sit in peak RSS for the whole run; freeing the small ones
+/// too costs more than it saves, because every large block freed raises
+/// glibc's mmap threshold and keeps later freed tiles on the heap
+/// (measured in EXPERIMENTS.md).
 const SCRATCH_KEEP_ELEMS: usize = 128 * 1024;
 
 impl OocArray<MemStore> {
@@ -292,6 +301,8 @@ impl<S: Store> OocArray<S> {
             config,
             stats: IoStats::default(),
             scratch: Vec::new(),
+            segs: Vec::new(),
+            idx: Vec::new(),
         }
     }
 
@@ -375,18 +386,22 @@ impl<S: Store> OocArray<S> {
             .sum()
     }
 
-    /// The segments of `tile ∩ array`, ascending in the file.
-    fn segments(&self, tile: &Region) -> Vec<Segment> {
-        let mut segs = Vec::new();
+    /// Fills `self.segs` with the segments of `tile ∩ array`, ascending
+    /// in the file.
+    fn segments(&mut self, tile: &Region) {
+        let segs = &mut self.segs;
+        segs.clear();
         self.layout
-            .for_each_segment(&self.dims, tile, |s| segs.push(s));
-        segs
+            .for_each_segment(&self.dims, tile, &mut self.idx, |s| segs.push(s));
     }
 
-    /// Frees an oversized scratch buffer (see [`SCRATCH_KEEP_ELEMS`]).
+    /// Frees oversized scratch buffers (see [`SCRATCH_KEEP_ELEMS`]).
     fn trim_scratch(&mut self) {
         if self.scratch.capacity() > SCRATCH_KEEP_ELEMS {
             self.scratch = Vec::new();
+        }
+        if self.segs.capacity() > SCRATCH_KEEP_ELEMS {
+            self.segs = Vec::new();
         }
     }
 
@@ -403,12 +418,39 @@ impl<S: Store> OocArray<S> {
     /// call.
     pub fn read_tile(&mut self, region: &Region) -> io::Result<Tile> {
         self.check_rank(region)?;
-        let region = region.clamped(&self.dims);
-        let mut tile = Tile::zeroed(region);
-        let segs = self.segments(&tile.region);
+        let mut tile = Tile::zeroed(region.clamped(&self.dims));
+        self.fill(&mut tile)?;
+        Ok(tile)
+    }
+
+    /// [`read_tile`](Self::read_tile) into `tile`, whatever it held
+    /// before: its region becomes `region` clamped to the array and
+    /// its data the region's elements, in the buffers `tile` already
+    /// has — no allocation once they are large enough. Data, region and
+    /// [`IoStats`] are those of a fresh `read_tile`.
+    ///
+    /// # Errors
+    /// As [`read_tile`](Self::read_tile). A refused rank leaves `tile`
+    /// as it was; after a store error its data is unspecified.
+    pub fn read_into(&mut self, region: &Region, tile: &mut Tile) -> io::Result<()> {
+        self.check_rank(region)?;
+        tile.region.lo.clone_from(&region.lo);
+        tile.region.hi.clone_from(&region.hi);
+        tile.region.clamp_to(&self.dims);
+        let len = usize::try_from(tile.region.len()).expect("tile too large");
+        // Every element is read below: old values need no zeroing.
+        tile.data.truncate(len);
+        tile.data.resize(len, 0.0);
+        self.fill(tile)
+    }
+
+    /// Reads the elements of `tile`'s region, which lies inside the
+    /// array, into its data, which has the region's length.
+    fn fill(&mut self, tile: &mut Tile) -> io::Result<()> {
+        self.segments(&tile.region);
         let retry = self.config.retry;
         let store = &self.store;
-        for group in groups(&segs) {
+        for group in groups(&self.segs) {
             match group {
                 Group::Direct(start, at) => {
                     let buf = &mut tile.data[at];
@@ -429,11 +471,11 @@ impl<S: Store> OocArray<S> {
                 }
             }
         }
-        self.trim_scratch();
         self.stats.reads += 1;
-        self.stats.read_calls += run_calls_of(&segs, self.config.max_call_elems);
-        self.stats.read_elems += tile.region.len() as u64;
-        Ok(tile)
+        self.stats.read_calls += run_calls_of(&self.segs, self.config.max_call_elems);
+        self.stats.read_elems += tile.data.len() as u64;
+        self.trim_scratch();
+        Ok(())
     }
 
     /// Writes a tile back, counting calls: the part of the tile inside
@@ -447,10 +489,10 @@ impl<S: Store> OocArray<S> {
     /// is [`io::ErrorKind::InvalidInput`], before any store call.
     pub fn write_tile(&mut self, tile: &Tile) -> io::Result<()> {
         self.check_rank(&tile.region)?;
-        let segs = self.segments(&tile.region);
+        self.segments(&tile.region);
         let retry = self.config.retry;
         let store = &mut self.store;
-        for group in groups(&segs) {
+        for group in groups(&self.segs) {
             match group {
                 Group::Direct(start, at) => {
                     let buf = &tile.data[at];
@@ -471,13 +513,14 @@ impl<S: Store> OocArray<S> {
                 }
             }
         }
+        self.count_write();
         self.trim_scratch();
-        self.count_write(&segs);
         Ok(())
     }
 
-    /// Counts one write of the segments `segs` in the stats.
-    fn count_write(&mut self, segs: &[Segment]) {
+    /// Counts one write of the segments in `self.segs` in the stats.
+    fn count_write(&mut self) {
+        let segs = &self.segs;
         self.stats.writes += 1;
         self.stats.write_calls += run_calls_of(segs, self.config.max_call_elems);
         self.stats.write_elems += segs.iter().map(|seg| seg.len).sum::<u64>();
@@ -517,8 +560,8 @@ impl<S: Store> OocArray<S> {
     /// # Errors
     /// Propagates store errors.
     pub fn initialize(&mut self, f: impl Fn(&[i64]) -> f64) -> io::Result<()> {
-        let full = Region::full(&self.dims);
-        let segs = self.segments(&full);
+        self.segments(&Region::full(&self.dims));
+        let segs = &self.segs;
         // The file's contents in file order. A segment is a line of the
         // index space: its elements follow its first index by a
         // constant step, read off its first two tile positions.
@@ -527,7 +570,7 @@ impl<S: Store> OocArray<S> {
         let (mut idx, mut next) = (vec![0i64; self.dims.len()], vec![0i64; self.dims.len()]);
         let mut step: Vec<(usize, i64)> = Vec::new();
         let mut at = 0;
-        for seg in &segs {
+        for seg in segs {
             index_at(&self.dims, seg.tile_start, &mut idx);
             step.clear();
             if seg.len > 1 {
@@ -553,7 +596,8 @@ impl<S: Store> OocArray<S> {
             retry.run(&mut self.stats.retries, || store.write_run(start, buf))?;
             rest = tail;
         }
-        self.count_write(&segs);
+        self.count_write();
+        self.trim_scratch();
         Ok(())
     }
 }
@@ -968,6 +1012,80 @@ mod tests {
         }
         assert_eq!(a.access_log().expect("profiled"), Vec::new());
         assert_eq!(a.stats(), IoStats::default());
+    }
+
+    /// One tile refilled across regions that grow, shrink, overhang
+    /// the array and have the wrong rank ends up, after each, equal to
+    /// a fresh `read_tile` — data, region, `IoStats` and store calls —
+    /// for every layout. A refused rank leaves the tile as it was and
+    /// calls no store.
+    #[test]
+    fn a_refilled_tile_equals_a_fresh_read() {
+        let flat = [
+            Region::new(vec![2, 3], vec![3, 4]),
+            Region::new(vec![1, 1], vec![4, 6]),
+            Region::new(vec![3, 2], vec![3, 5]),
+            Region::new(vec![4, 5], vec![8, 9]),
+            Region::new(vec![1], vec![2]),
+            Region::new(vec![0, -2], vec![9, 9]),
+            Region::new(vec![2, 7], vec![2, 7]),
+        ];
+        let deep = [
+            Region::new(vec![2, 2, 2], vec![2, 3, 3]),
+            Region::new(vec![1, 1, 1], vec![3, 4, 5]),
+            Region::new(vec![2, 1, 4], vec![3, 2, 4]),
+            Region::new(vec![1, 1, 1, 1], vec![2, 2, 2, 2]),
+            Region::new(vec![3, 3, 0], vec![6, 6, 2]),
+            Region::new(vec![1, 4, 5], vec![1, 4, 5]),
+        ];
+        let cases = [
+            (vec![5, 7], FileLayout::row_major(2), &flat[..]),
+            (vec![5, 7], FileLayout::col_major(2), &flat[..]),
+            (
+                vec![3, 4, 5],
+                FileLayout::DimOrder(vec![2, 0, 1]),
+                &deep[..],
+            ),
+            (vec![5, 7], FileLayout::Hyperplane2D(1, 1), &flat[..]),
+            (vec![5, 7], FileLayout::Hyperplane2D(1, -1), &flat[..]),
+            (
+                vec![5, 7],
+                FileLayout::Blocked2D { br: 2, bc: 3 },
+                &flat[..],
+            ),
+        ];
+        for (dims, layout, regions) in cases {
+            let array = || {
+                let len = dims.iter().product::<i64>().unsigned_abs();
+                let store = crate::profile::ProfilingStore::new(MemStore::new(len));
+                let mut a = OocArray::new("A", &dims, layout.clone(), store, small_config());
+                a.initialize(|idx| idx.iter().fold(0.5, |v, &i| v * 31.0 + i as f64))
+                    .expect("init");
+                a.reset_all_metrics();
+                a
+            };
+            let (mut fresh, mut refilled) = (array(), array());
+            let mut tile = Tile::zeroed(Region::new(vec![1; dims.len()], vec![0; dims.len()]));
+            for region in regions {
+                let at = format!("{layout:?} {region:?}");
+                match fresh.read_tile(region) {
+                    Ok(want) => {
+                        refilled.read_into(region, &mut tile).expect("refill");
+                        assert_eq!(tile, want, "{at}");
+                    }
+                    Err(e) => {
+                        assert_eq!(e.kind(), io::ErrorKind::InvalidInput, "{at}");
+                        let (before, calls) = (tile.clone(), refilled.access_log());
+                        let err = refilled.read_into(region, &mut tile).expect_err("rank");
+                        assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{at}");
+                        assert_eq!(tile, before, "{at}");
+                        assert_eq!(refilled.access_log(), calls, "{at}");
+                    }
+                }
+                assert_eq!(refilled.stats(), fresh.stats(), "{at}");
+                assert_eq!(refilled.access_log(), fresh.access_log(), "{at}");
+            }
+        }
     }
 
     #[test]

@@ -106,9 +106,18 @@ impl Region {
     /// Intersection with array bounds `1..=dims[d]`.
     #[must_use]
     pub fn clamped(&self, dims: &[i64]) -> Region {
-        Region {
-            lo: self.lo.iter().map(|&l| l.max(1)).collect(),
-            hi: self.hi.iter().zip(dims).map(|(&h, &n)| h.min(n)).collect(),
+        let mut region = self.clone();
+        region.clamp_to(dims);
+        region
+    }
+
+    /// [`Region::clamped`] in place, without allocating.
+    pub fn clamp_to(&mut self, dims: &[i64]) {
+        for l in &mut self.lo {
+            *l = (*l).max(1);
+        }
+        for (h, &n) in self.hi.iter_mut().zip(dims) {
+            *h = (*h).min(n);
         }
     }
 }
@@ -260,28 +269,36 @@ impl FileLayout {
 
     /// Calls `f` with the segments of `tile ∩ array` in ascending file
     /// order; tile positions are relative to `tile` itself, which may
-    /// overhang the array. Work and allocation are per segment, never
-    /// per element:
+    /// overhang the array. Work is per segment, never per element, and
+    /// nothing is allocated once `idx` (the walk's index, any contents)
+    /// holds a rank's worth:
     ///
     /// * `DimOrder`: one segment per index of the non-innermost layout
-    ///   dimensions, from precomputed file and tile strides;
+    ///   dimensions, the file and tile offsets by Horner's rule;
     /// * `Blocked2D`: one per row of each block ∩ tile;
     /// * `Hyperplane2D`: one per intersected hyperplane — a hyperplane
     ///   ∩ rectangle is a contiguous sub-range of the hyperplane and
     ///   steps by a fixed `(Δa₁, Δa₂)`.
-    pub(crate) fn for_each_segment(&self, dims: &[i64], tile: &Region, mut f: impl FnMut(Segment)) {
-        let r = tile.clamped(dims);
-        if r.is_empty() {
+    pub(crate) fn for_each_segment(
+        &self,
+        dims: &[i64],
+        tile: &Region,
+        idx: &mut Vec<i64>,
+        mut f: impl FnMut(Segment),
+    ) {
+        let rank = dims.len();
+        // `tile ∩ array`, dimension by dimension.
+        let first = |d: usize| tile.lo[d].max(1);
+        let last = |d: usize| tile.hi[d].min(dims[d]);
+        if (0..rank).any(|d| first(d) > last(d)) {
             return;
         }
-        let rank = dims.len();
-        // Canonical row-major strides of the tile's own extents.
-        let mut ts = vec![1i64; rank];
-        for d in (1..rank).rev() {
-            ts[d - 1] = ts[d] * tile.extent(d);
-        }
-        let tile_pos =
-            |idx: &[i64]| -> i64 { (0..rank).map(|d| (idx[d] - tile.lo[d]) * ts[d]).sum() };
+        // Canonical row-major stride and position in the tile's own
+        // extents.
+        let stride = |d: usize| (d + 1..rank).map(|e| tile.extent(e)).product::<i64>();
+        let tile_pos = |idx: &[i64]| -> i64 {
+            (0..rank).fold(0, |pos, d| pos * tile.extent(d) + (idx[d] - tile.lo[d]))
+        };
         let mut emit = |file_start: i64, len: i64, tile_start: i64, tile_stride: i64| {
             let cast = |v: i64| usize::try_from(v).expect("segment inside the tile");
             f(Segment {
@@ -299,14 +316,12 @@ impl FileLayout {
                 let Some((&inner, outer)) = perm.split_last() else {
                     return emit(0, 1, 0, 1);
                 };
-                let mut fs = vec![1i64; rank];
-                for k in (1..rank).rev() {
-                    fs[perm[k - 1]] = fs[perm[k]] * dims[perm[k]];
-                }
-                let mut idx = r.lo.clone();
+                let (len, inner_stride) = (last(inner) - first(inner) + 1, stride(inner));
+                idx.clear();
+                idx.extend((0..rank).map(first));
                 loop {
-                    let file_start = (0..rank).map(|d| (idx[d] - 1) * fs[d]).sum();
-                    emit(file_start, r.extent(inner), tile_pos(&idx), ts[inner]);
+                    let file_start = perm.iter().fold(0, |off, &d| off * dims[d] + idx[d] - 1);
+                    emit(file_start, len, tile_pos(idx), inner_stride);
                     // Odometer over the outer layout dimensions, the
                     // innermost of them fastest.
                     let mut k = outer.len();
@@ -317,10 +332,10 @@ impl FileLayout {
                         k -= 1;
                         let d = outer[k];
                         idx[d] += 1;
-                        if idx[d] <= r.hi[d] {
+                        if idx[d] <= last(d) {
                             break;
                         }
-                        idx[d] = r.lo[d];
+                        idx[d] = first(d);
                     }
                 }
             }
@@ -328,7 +343,7 @@ impl FileLayout {
                 let h = Hyperplanes::new(*g1, *g2, dims[0], dims[1]);
                 let (d1, d2) = h.step();
                 let (c_min, _) = h.c_range(1, dims[0], 1, dims[1]);
-                let (c_lo, c_hi) = h.c_range(r.lo[0], r.hi[0], r.lo[1], r.hi[1]);
+                let (c_lo, c_hi) = h.c_range(first(0), last(0), first(1), last(1));
                 let mut before = 0i64; // elements on hyperplanes < c
                 for c in c_min..=c_hi {
                     let Some(full) = h.span(c, 1, dims[0], 1, dims[1]) else {
@@ -337,7 +352,7 @@ impl FileLayout {
                     let inside = if c < c_lo {
                         None
                     } else {
-                        h.span(c, r.lo[0], r.hi[0], r.lo[1], r.hi[1])
+                        h.span(c, first(0), last(0), first(1), last(1))
                     };
                     if let Some(s) = inside {
                         let file_start = before + h.steps_between(&full, &s);
@@ -345,7 +360,7 @@ impl FileLayout {
                             file_start,
                             s.count,
                             tile_pos(&[s.a1, s.a2]),
-                            d1 * ts[0] + d2,
+                            d1 * stride(0) + d2,
                         );
                     }
                     before += full.count;
@@ -353,14 +368,18 @@ impl FileLayout {
             }
             FileLayout::Blocked2D { br, bc } => {
                 let (br, bc) = (*br, *bc);
-                for bi in (r.lo[0] - 1) / br..=(r.hi[0] - 1) / br {
+                for bi in (first(0) - 1) / br..=(last(0) - 1) / br {
                     let block_h = ((bi + 1) * br).min(dims[0]) - bi * br;
-                    let (row_lo, row_hi) =
-                        ((bi * br + 1).max(r.lo[0]), (bi * br + block_h).min(r.hi[0]));
-                    for bj in (r.lo[1] - 1) / bc..=(r.hi[1] - 1) / bc {
+                    let (row_lo, row_hi) = (
+                        (bi * br + 1).max(first(0)),
+                        (bi * br + block_h).min(last(0)),
+                    );
+                    for bj in (first(1) - 1) / bc..=(last(1) - 1) / bc {
                         let block_w = ((bj + 1) * bc).min(dims[1]) - bj * bc;
-                        let (col_lo, col_hi) =
-                            ((bj * bc + 1).max(r.lo[1]), (bj * bc + block_w).min(r.hi[1]));
+                        let (col_lo, col_hi) = (
+                            (bj * bc + 1).max(first(1)),
+                            (bj * bc + block_w).min(last(1)),
+                        );
                         // Full block rows above, then the (full-width)
                         // blocks to the left in this block row.
                         let block_start = bi * br * dims[1] + block_h * bj * bc;
@@ -385,7 +404,7 @@ impl FileLayout {
     #[must_use]
     pub fn region_runs(&self, dims: &[i64], region: &Region) -> Vec<Run> {
         let mut runs: Vec<Run> = Vec::new();
-        self.for_each_segment(dims, region, |s| match runs.last_mut() {
+        self.for_each_segment(dims, region, &mut Vec::new(), |s| match runs.last_mut() {
             Some(run) if run.start + run.len == s.file_start => run.len += s.len,
             _ => runs.push(Run {
                 start: s.file_start,
@@ -482,7 +501,7 @@ impl FileLayout {
                 elements,
                 ..RunSummary::default()
             };
-            self.for_each_segment(dims, &region, |s| {
+            self.for_each_segment(dims, &region, &mut Vec::new(), |s| {
                 if summary.runs == 0 {
                     summary.min_start = s.file_start;
                 }
@@ -798,7 +817,7 @@ mod tests {
             for tile in &tiles {
                 let mut seen = vec![false; usize::try_from(tile.len()).unwrap()];
                 let mut file_end = 0u64;
-                layout.for_each_segment(&dims, tile, |s| {
+                layout.for_each_segment(&dims, tile, &mut Vec::new(), |s| {
                     assert!(
                         s.file_start >= file_end,
                         "{layout:?} {tile:?} not ascending"

@@ -21,14 +21,14 @@ mod common;
 use common::{random_nest, Pool};
 use ooc_opt::core::{
     exec_pipelined, extract_schedule, plan_nest, run_functional, run_functional_on,
-    FunctionalConfig, OptimizedProgram, PipelineConfig, PlanEnv, TileKernel, TiledProgram,
-    TilingStrategy,
+    FunctionalConfig, KernelScratch, OptimizedProgram, PipelineConfig, PlanEnv, TileKernel,
+    TiledProgram, TilingStrategy,
 };
 use ooc_opt::ir::{
     execute_program, ArrayId, ArrayRef, Expr, Guard, GuardAt, LoopNest, Memory, Program, Statement,
 };
 use ooc_opt::linalg::{Affine, Matrix, Polyhedron};
-use ooc_opt::runtime::{FileLayout, MemStore};
+use ooc_opt::runtime::{FileLayout, MemStore, OocArray, Tile};
 use proptest::prelude::*;
 
 fn seed(a: ArrayId, idx: &[i64]) -> f64 {
@@ -504,4 +504,102 @@ fn an_innermost_guard_narrows_a_fold_to_one_iteration() {
         vec![fold, first]
     });
     assert_eq!(mode_if_bit_equal(&prog, 100), (true, true));
+}
+
+/// Bits of every staged tile, `None` for an empty slot.
+fn tile_bits(tiles: &[Option<Tile>]) -> Vec<Option<Vec<u64>>> {
+    tiles
+        .iter()
+        .map(|t| t.as_ref().map(|t| bits(t.data())))
+        .collect()
+}
+
+/// One [`KernelScratch`] serves every box of 96 random nests of depth
+/// 1 to 3, one nest after another — the walk's boxes with their cut
+/// last boxes, a box over the whole ranges and one overhanging them by
+/// a level, whose regions are clamped to the arrays — and leaves every
+/// tile bit for bit as a binding made fresh for that box does. The
+/// nests cover strips, folds and per-iteration bodies.
+#[test]
+fn a_reused_binding_equals_a_fresh_one() {
+    let mut scratch = KernelScratch::default();
+    let (mut modes, mut depths, mut boxes) = ([0u32; 3], [0u32; 3], 0u32);
+    let mut state = 0x9e37_79b9_7f4a_7c15u64;
+    for case in 0..96u64 {
+        // A xorshift stream, so the nests are the same on every run.
+        let pool: Vec<u32> = (0..96)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                (state >> 32) as u32
+            })
+            .collect();
+        let (prog, layouts) = random_nest(&mut Pool(pool.iter()), 7, 3);
+        let strategy = [TilingStrategy::OutOfCore, TilingStrategy::Traditional][case as usize % 2];
+        let fraction = 2 + case % 22;
+        let tp = tiled(&prog, layouts, strategy);
+        let max_call = FunctionalConfig::with_fraction(fraction)
+            .runtime
+            .max_call_elems;
+        let env =
+            PlanEnv::new(&tp.program, &tp.layouts, &[], fraction, max_call).expect("small arrays");
+        let tnest = &tp.nests[0];
+        let plan = plan_nest(&env, &tnest.nest, tnest.strategy, &tnest.tiled_levels, None)
+            .expect("small regions")
+            .expect("the nest is not empty");
+        let kernel = TileKernel::lower(&tnest.nest, &[]).expect("lowers");
+        modes[match (kernel.strips(), kernel.folds()) {
+            (true, false) => 0,
+            (true, true) => 1,
+            (false, _) => 2,
+        }] += 1;
+        depths[tnest.nest.depth - 1] += 1;
+        let mut arrays: Vec<_> = tp
+            .program
+            .arrays
+            .iter()
+            .enumerate()
+            .map(|(a, decl)| {
+                let dims: Vec<i64> = decl.dims.iter().map(|d| d.resolve(&[])).collect();
+                let mut arr = OocArray::in_memory(&decl.name, &dims, tp.layouts[a].clone());
+                arr.initialize(|idx| seed(ArrayId(a), idx))
+                    .expect("seeding");
+                arr
+            })
+            .collect();
+        let mut all = plan.boxes();
+        let (from, to): (Vec<i64>, Vec<i64>) = plan.ranges.iter().copied().unzip();
+        let wider = |v: &[i64], by: i64| v.iter().map(|x| x + by).collect::<Vec<_>>();
+        all.push((from.clone(), to.clone()));
+        all.push((wider(&from, -1), wider(&to, 1)));
+        for (lo, hi) in &all {
+            let mut tiles: Vec<Option<Tile>> = (0..kernel.slots())
+                .map(|slot| {
+                    let array = plan.staging.key(slot).0 .0;
+                    let region = plan.staged_slot(slot, lo, hi);
+                    Some(arrays[array].read_tile(&region).expect("staging"))
+                })
+                .collect();
+            let mut fresh = tiles.clone();
+            kernel.run(&mut fresh, lo, hi).expect("fresh binding");
+            let reused = tiles.iter_mut().map(Option::as_mut);
+            kernel
+                .run_in(&mut scratch, reused, lo, hi)
+                .expect("reused binding");
+            assert_eq!(
+                tile_bits(&tiles),
+                tile_bits(&fresh),
+                "case {case} box {lo:?}..={hi:?}:\n{:#?}",
+                tnest.nest
+            );
+            boxes += 1;
+        }
+    }
+    assert!(
+        modes.iter().all(|&m| m > 0),
+        "strips, folds, per-iteration: {modes:?}"
+    );
+    assert!(depths.iter().all(|&d| d > 0), "depths 1, 2, 3: {depths:?}");
+    assert!(boxes > 96 * 3, "{boxes} boxes");
 }
