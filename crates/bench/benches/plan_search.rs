@@ -1,40 +1,46 @@
-//! Planning cost: `plan_nest` over every nest of a kernel at paper
-//! size under column-major layouts, for the two strategies that search
-//! tile shapes. `mat` is one depth-3 nest over three arrays, `adi`
-//! three depth-3 nests over six, `btrix` two depth-4 nests over 29.
+//! Planning cost as the optimizer pays it: `plan_nest` over every nest
+//! of each of the ten kernels, transformed and laid out as `c-opt`
+//! compiles them, planned the way the optimizer's cost gate plans a
+//! candidate — on the default machine at the kernel's paper
+//! parameters under the paper's memory rule, the span search over
+//! every level (`Optimized`) on the largest of 16 processor chunks.
+//! `mat` is one depth-3 nest over three arrays, `adi` three depth-3
+//! nests over six, `btrix` two depth-4 nests over 29.
 use criterion::{criterion_group, criterion_main, Criterion};
-use ooc_core::{plan_nest, PlanEnv, TilingStrategy};
-use ooc_kernels::{compile, kernel_by_name, Version};
-use ooc_runtime::RuntimeConfig;
+use ooc_core::{plan_nest, ExecConfig, PlanEnv, TilingStrategy};
+use ooc_kernels::{all_kernels, compile, Version};
 use std::hint::black_box;
 
+/// The representative processor count the optimizer prices nests on.
+const MODEL_PROCS: usize = 16;
+
 fn bench_plan_search(c: &mut Criterion) {
-    let max_call = RuntimeConfig::default().max_call_elems;
-    for name in ["mat", "adi", "btrix"] {
-        let kernel = kernel_by_name(name).expect("a Table 1 kernel");
-        let tp = compile(&kernel, Version::Col).tiled;
-        let env = PlanEnv::new(
+    for kernel in all_kernels() {
+        let tp = compile(&kernel, Version::COpt).tiled;
+        let cfg = ExecConfig::new(kernel.paper_params.clone(), MODEL_PROCS);
+        let env = PlanEnv::for_machine(
             &tp.program,
             &tp.layouts,
-            &kernel.paper_params,
-            128,
-            max_call,
+            &cfg.params,
+            cfg.memory_fraction,
+            &cfg.machine,
         )
         .expect("paper sizes fit u64");
-        for (label, strategy) in [
-            ("optimized", TilingStrategy::Optimized),
-            ("out_of_core", TilingStrategy::OutOfCore),
-        ] {
-            c.bench_function(&format!("plan_search/{label}/{name}"), |b| {
-                b.iter(|| {
-                    for tnest in &tp.nests {
-                        let levels = strategy.tiled_levels(tnest.nest.depth);
-                        let plan = plan_nest(black_box(&env), &tnest.nest, strategy, &levels, None);
-                        black_box(plan.expect("paper regions fit i64"));
-                    }
-                })
-            });
-        }
+        c.bench_function(&format!("plan_search/c_opt/{}", kernel.name), |b| {
+            b.iter(|| {
+                for tnest in &tp.nests {
+                    let levels: Vec<usize> = (0..tnest.nest.depth).collect();
+                    let plan = plan_nest(
+                        black_box(&env),
+                        &tnest.nest,
+                        TilingStrategy::Optimized,
+                        &levels,
+                        Some(cfg.procs),
+                    );
+                    black_box(plan.expect("paper regions fit i64"));
+                }
+            })
+        });
     }
 }
 

@@ -483,8 +483,11 @@ impl<'a> Pricer<'a> {
     /// and layout assignments: the cost of the nest's plan on the
     /// default machine, partitioned the way the executor will run it
     /// (the ownership level block-divided over the representative
-    /// processor count). A nest that is empty or cannot be planned at
-    /// the cost parameters costs nothing.
+    /// processor count). A nest that is empty at the cost parameters
+    /// costs nothing; one that cannot be planned there (its arrays or
+    /// regions leave the integers planning works in) costs infinitely
+    /// much, so no candidate wins by being unplannable. No consumer
+    /// subtracts two costs, so the infinity never becomes a NaN.
     fn cost(&mut self, nest: &LoopNest, layouts: &[FileLayout]) -> f64 {
         let levels: Vec<usize> = (0..nest.depth).collect();
         let cost = self.cfg.plan_env(self.prog, layouts).and_then(|env| {
@@ -498,7 +501,7 @@ impl<'a> Pricer<'a> {
             )?;
             Ok(plan.map_or(0.0, |p| p.cost))
         });
-        cost.unwrap_or(0.0)
+        cost.unwrap_or(f64::INFINITY)
     }
 }
 
@@ -875,5 +878,39 @@ mod tests {
         let cost = |nest: &LoopNest| Pricer::new(&p, &opts).cost(nest, &layouts);
         assert!(cost(&rect) > 0.0);
         assert_eq!(cost(&tri), cost(&rect));
+    }
+
+    /// A candidate the planner cannot plan at the cost parameters is
+    /// priced infinitely, not as free, and an empty one at nothing;
+    /// the program total and the global search's per-nest price stay
+    /// infinite, not NaN.
+    #[test]
+    fn an_unplannable_candidate_costs_infinity() {
+        // X(4·i, j) over i up to 2^62: the regions leave i64.
+        let mut p = Program::new(&["N"]);
+        let x = p.declare_array("X", 2, 0);
+        let far = ArrayRef::new(x, &[vec![4, 0], vec![0, 1]], vec![0, 0]);
+        let zero = Statement::assign(far, Expr::Const(0.0));
+        let mut nest = LoopNest::rectangular("far", 2, 1, 0, vec![zero]);
+        nest.bounds = ooc_linalg::Polyhedron::universe(2, 1);
+        nest.bounds.add_var_range(0, 1, i64::MAX / 2);
+        nest.bounds.add_var_range(1, 1, 4);
+        p.add_nest(nest.clone());
+        let opts = OptimizeOptions::default();
+        let layouts = default_layouts(&p);
+        let mut pricer = Pricer::new(&p, &opts);
+        assert_eq!(pricer.cost(&nest, &layouts), f64::INFINITY);
+        let mut empty = nest.clone();
+        empty.bounds.add_var_range(1, 5, 4);
+        assert_eq!(pricer.cost(&empty, &layouts), 0.0);
+        let (q, cost) = best_transform_for(&p, &nest, &layouts, &opts);
+        assert_eq!((q, cost), (Matrix::identity(2), f64::INFINITY));
+        let opt = OptimizedProgram {
+            program: p.clone(),
+            layouts,
+            transforms: vec![Matrix::identity(2)],
+            log: Vec::new(),
+        };
+        assert_eq!(modeled_program_cost(&p, &opt, &opts), f64::INFINITY);
     }
 }

@@ -156,14 +156,28 @@ impl<'a> PlanEnv<'a> {
 }
 
 /// Per-level inclusive ranges of a nest at given parameters: a
-/// bounding box of the iteration polyhedron. Each bound form is
+/// bounding box of the iteration polyhedron — read off the constraints
+/// of a rectangular nest ([`Polyhedron::box_ranges`]), projected by
+/// Fourier–Motzkin for any other ([`projected_ranges`]). `None` when
+/// some level is empty or unbounded there, or a bound leaves `i64`.
+///
+/// [`Polyhedron::box_ranges`]: ooc_linalg::Polyhedron::box_ranges
+#[must_use]
+fn level_ranges(nest: &LoopNest, params: &[i64]) -> Option<Vec<(i64, i64)>> {
+    if nest.bounds.is_rectangular() {
+        nest.bounds.box_ranges(params)
+    } else {
+        projected_ranges(nest, params)
+    }
+}
+
+/// [`level_ranges`] through Fourier–Motzkin. Each bound form is
 /// evaluated over the *interval* of the outer levels' ranges — a
 /// lower form at its minimum, an upper form at its maximum — so the
 /// box contains every point of a non-rectangular nest; where no form
 /// mentions an outer level (every rectangular nest) this is the exact
 /// range.
-#[must_use]
-fn level_ranges(nest: &LoopNest, params: &[i64]) -> Option<Vec<(i64, i64)>> {
+fn projected_ranges(nest: &LoopNest, params: &[i64]) -> Option<Vec<(i64, i64)>> {
     let mut out: Vec<(i64, i64)> = Vec::with_capacity(nest.depth);
     for b in &nest.bounds.loop_bounds() {
         // The extreme of `form` over the box of the outer ranges.
@@ -930,6 +944,44 @@ fn clamped_elems(dims: &[i64], region: &Region) -> u64 {
         .product()
 }
 
+/// A table entry's footprint term and `(calls, elements)` for the
+/// region `region` of an array of `dims` stored in the dimension order
+/// `perm`: [`clamped_elems`], and what [`FileLayout::region_run_counts`]
+/// and [`ooc_runtime::run_calls`] count, in one pass over the
+/// dimensions and without their divisions. Clamped to the array, the
+/// region is one run per combination of the dimensions outside its
+/// merged run — the innermost dimensions it covers whole and the first
+/// it does not — so its runs are the product of those dimensions'
+/// extents; every run has the same length, which leaves the average run
+/// exact and no remainder, and the call split is one division (none for
+/// a run no longer than a call). A region covering the whole array
+/// merges into one run, the definitions' shortcut.
+fn dim_order_entry(
+    perm: &[usize],
+    dims: &[i64],
+    region: &Region,
+    max_call_elems: u64,
+) -> (u64, (u64, u64)) {
+    let (mut elems, mut run, mut runs, mut merging) = (1u64, 1u64, 1u64, true);
+    for (pos, &d) in perm.iter().enumerate().rev() {
+        let (lo, hi, dim) = (region.lo[d], region.hi[d], dims[d]);
+        elems *= (hi - lo + 1).max(0).min(dim).max(1).unsigned_abs();
+        let extent = (hi.min(dim) - lo.max(1) + 1).max(0);
+        if merging {
+            run *= extent.unsigned_abs();
+            merging = extent == dim && pos != 0;
+        } else {
+            runs *= extent.unsigned_abs();
+        }
+    }
+    let calls_per_run = if run <= max_call_elems {
+        u64::from(run > 0)
+    } else {
+        run.div_ceil(max_call_elems)
+    };
+    (elems, (runs * calls_per_run, runs * run))
+}
+
 /// The tile steps per level of one set of spans, and their running
 /// products.
 struct Steps {
@@ -1110,28 +1162,43 @@ impl SpanTables {
         cands: &[Vec<i64>],
     ) -> Rc<[TileCost]> {
         let s = &staging.slots[slot];
-        let choices: Vec<Vec<usize>> = (0..ranges.len())
-            .map(|l| (0..if s.varies[l] { cands[l].len() } else { 1 }).collect())
+        let depth = ranges.len();
+        let lens: Vec<usize> = (0..depth)
+            .map(|l| if s.varies[l] { cands[l].len() } else { 1 })
             .collect();
         let dims = env.dims(s.array.0);
         let lo: Vec<i64> = ranges.iter().map(|&(lo, _)| lo).collect();
-        let origin = vec![1i64; ranges.len()];
+        let origin = vec![1i64; depth];
         // One class of integer subscripts stages a region whose extents
         // do not depend on where the box sits, so its footprint term is
-        // read off the hull of the first box, which is a sum of
-        // per-level terms; any other slot's is evaluated at the origin
-        // box, as `Staging::footprint` does.
-        let class = ClassHull::of(s, &lo, cands);
-        // One scratch set: an entry's spans, the upper corner of its
-        // first box, and the hull they stage.
+        // read off the hull of the first box, which moves by one
+        // level's terms when that level's candidate changes; any other
+        // slot's is evaluated at the origin box, as `Staging::footprint`
+        // does.
+        let mut class = ClassHull::of(s, &lo, cands);
+        // One scratch set: the candidate per level, an entry's spans,
+        // the upper corner of its first box, and the hull they stage.
+        let mut choice = vec![0usize; depth];
         let (mut spans, mut hi, mut hull) = (origin.clone(), lo.clone(), staging.scratch(slot));
-        let mut entries = Vec::with_capacity(choices.iter().map(Vec::len).product());
-        for_each_product(&choices, &mut Vec::new(), &mut |choice| {
+        let mut entries = Vec::with_capacity(lens.iter().product());
+        let perm = match &env.layouts[s.array.0] {
+            FileLayout::DimOrder(perm) => Some(perm.as_slice()),
+            _ => None,
+        };
+        loop {
             let entry = if let Some(class) = &class {
-                class.hull_into(choice, &mut hull);
+                // A dimension-order layout counts its runs directly; the
+                // others by the definitions.
+                let (elems, moved) = match perm {
+                    Some(perm) => dim_order_entry(perm, dims, &class.hull, env.max_call_elems),
+                    None => (
+                        clamped_elems(dims, &class.hull),
+                        staging.transfer(env, slot, &class.hull),
+                    ),
+                };
                 TileCost {
-                    elems: clamped_elems(dims, &hull),
-                    priced: weighed(env, staging.transfer(env, slot, &hull)),
+                    elems,
+                    priced: weighed(env, moved),
                 }
             } else {
                 for (l, &i) in choice.iter().enumerate() {
@@ -1145,7 +1212,19 @@ impl SpanTables {
                 }
             };
             entries.push(entry);
-        });
+            // The next combination: the deepest level that can advance
+            // does, and every deeper one goes back to its first.
+            let Some(l) = (0..depth).rev().find(|&l| choice[l] + 1 < lens[l]) else {
+                break;
+            };
+            for (m, at) in choice.iter_mut().enumerate().skip(l) {
+                let to = if m == l { *at + 1 } else { 0 };
+                if let Some(class) = &mut class {
+                    class.shift(m, *at, to);
+                }
+                *at = to;
+            }
+        }
         entries.into()
     }
 
@@ -1187,80 +1266,98 @@ impl SpanTables {
     }
 }
 
-/// The first-box hulls of a slot of one access class whose subscripts
-/// are integer rows, from per-level terms. Its references share their
-/// coefficients and differ in their offsets only, so in dimension `d`
-/// the hull of the box `lo..=hi` is the least (greatest) offset plus,
-/// per level `l`, the lesser (greater) of `c·lo[l]` and `c·hi[l]` —
-/// what [`tiling::hull_into`] sums per reference, in the same order,
-/// and a term of that level's span alone.
+/// The first-box hull of a slot of one access class whose subscripts
+/// are integer rows, kept from per-level terms as the candidates
+/// change. Its references share their coefficients and differ in their
+/// offsets only, so in dimension `d` the hull of the box `lo..=hi` is
+/// the least (greatest) offset plus, per level `l`, the lesser
+/// (greater) of `c·lo[l]` and `c·hi[l]` — what [`tiling::hull_into`]
+/// sums per reference — and a term of that level's span alone: a
+/// change of one level's candidate changes the hull by that level's
+/// terms only.
 struct ClassHull {
     rank: usize,
-    /// Per dimension: the least and the greatest offset.
-    offsets: Vec<(i128, i128)>,
-    /// Per level: per candidate span, `rank` (lesser, greater) terms.
-    terms: Vec<Vec<(i128, i128)>>,
+    /// Per level, from `starts[l]`: per candidate span, `rank`
+    /// (lesser, greater) terms.
+    terms: Vec<(i64, i64)>,
+    starts: Vec<usize>,
+    /// The hull of the first box under the current candidates.
+    hull: Region,
 }
 
 impl ClassHull {
-    /// The terms of `slot` for the boxes from `lo` under the candidate
-    /// spans `cands`; `None` unless the slot is one class of integer
-    /// rows.
+    /// The hull of `slot` for the boxes from `lo` at the first of the
+    /// candidate spans `cands` of every level; `None` unless the slot
+    /// is one class of integer rows whose offsets and terms keep every
+    /// partial sum inside `i64`, which makes [`ClassHull::shift`]
+    /// exact.
     fn of(slot: &Slot, lo: &[i64], cands: &[Vec<i64>]) -> Option<Self> {
+        slot.class.as_ref()?;
         let rank = slot.rank;
-        let rows: Vec<(i64, &[(usize, i64)])> = slot
-            .rows
-            .iter()
-            .map(AffineRow::integer)
-            .collect::<Option<_>>()
-            .filter(|_| slot.class.is_some())?;
-        let offsets = (0..rank)
-            .map(|d| {
-                let offsets = rows[d..].iter().step_by(rank).map(|&(o, _)| i128::from(o));
-                offsets.fold((i128::MAX, i128::MIN), |(min, max), o| {
-                    (min.min(o), max.max(o))
-                })
-            })
-            .collect();
-        // The coefficients: those of the first reference.
-        let coeff = |d: usize, l: usize| {
-            let terms = rows[d].1;
-            terms.iter().find(|&&(j, _)| j == l).map_or(0, |&(_, c)| c)
-        };
-        let terms = cands
-            .iter()
-            .enumerate()
-            .map(|(l, cands)| {
-                let mut terms = Vec::with_capacity(cands.len() * rank);
-                for &span in cands {
-                    for d in 0..rank {
-                        let c = i128::from(coeff(d, l));
-                        let (a, b) = (c * i128::from(lo[l]), c * i128::from(lo[l] + span - 1));
-                        terms.push((a.min(b), a.max(b)));
-                    }
+        // The least and greatest offsets, and the coefficients of the
+        // first reference.
+        let mut hull = Region::new(vec![i64::MAX; rank], vec![i64::MIN; rank]);
+        let mut coeffs = Vec::with_capacity(rank);
+        for (i, row) in slot.rows.iter().enumerate() {
+            let (offset, terms) = row.integer()?;
+            if i < rank {
+                coeffs.push(terms);
+            }
+            let d = i % rank;
+            hull.lo[d] = hull.lo[d].min(offset);
+            hull.hi[d] = hull.hi[d].max(offset);
+        }
+        // The one overflow check: a partial sum is an offset plus at
+        // most one term per level, so per dimension the offsets'
+        // magnitude plus each level's greatest term magnitude bounds
+        // them all.
+        let mut bound: Vec<i64> = (0..rank)
+            .map(|d| Some(hull.lo[d].checked_abs()?.max(hull.hi[d].checked_abs()?)))
+            .collect::<Option<_>>()?;
+        let mut terms = Vec::with_capacity(cands.iter().map(Vec::len).sum::<usize>() * rank);
+        let mut starts = Vec::with_capacity(cands.len());
+        for (l, cands) in cands.iter().enumerate() {
+            let start = terms.len();
+            starts.push(start);
+            for &span in cands {
+                for row in &coeffs {
+                    let c = row.iter().find(|&&(j, _)| j == l).map_or(0, |&(_, c)| c);
+                    let (a, b) = (c.checked_mul(lo[l])?, c.checked_mul(lo[l] + span - 1)?);
+                    terms.push((a.min(b), a.max(b)));
                 }
-                terms
-            })
-            .collect();
+            }
+            for (d, bound) in bound.iter_mut().enumerate() {
+                let mut greatest = 0i64;
+                for &(a, b) in terms[start + d..].iter().step_by(rank) {
+                    greatest = greatest.max(a.checked_abs()?).max(b.checked_abs()?);
+                }
+                *bound = bound.checked_add(greatest)?;
+            }
+            for d in 0..rank {
+                let (a, b) = terms[start + d];
+                hull.lo[d] += a;
+                hull.hi[d] += b;
+            }
+        }
         Some(ClassHull {
             rank,
-            offsets,
             terms,
+            starts,
+            hull,
         })
     }
 
-    /// Writes the hull of the first box under the candidates `choice`
-    /// picks into `hull`.
-    fn hull_into(&self, choice: &[usize], hull: &mut Region) {
-        for (d, &(mut min, mut max)) in self.offsets.iter().enumerate() {
-            for (terms, &i) in self.terms.iter().zip(choice) {
-                let (a, b) = terms[i * self.rank + d];
-                min += a;
-                max += b;
-            }
-            let fits = "plan_nest checked that every box's region fits i64";
-            hull.lo[d] = i64::try_from(min).expect(fits);
-            hull.hi[d] = i64::try_from(max).expect(fits);
+    /// Moves level `l` from its candidate `from` to `to`: the hull
+    /// loses the level's old terms and gains its new ones.
+    fn shift(&mut self, l: usize, from: usize, to: usize) {
+        let (was, now) = (
+            self.starts[l] + from * self.rank,
+            self.starts[l] + to * self.rank,
+        );
+        for d in 0..self.rank {
+            let (was, now) = (self.terms[was + d], self.terms[now + d]);
+            self.hull.lo[d] = self.hull.lo[d] - was.0 + now.0;
+            self.hull.hi[d] = self.hull.hi[d] - was.1 + now.1;
         }
     }
 }
@@ -1409,25 +1506,26 @@ fn search_spans(
     }
 }
 
-/// Calls `f` with every combination of one entry per list, the last
-/// list varying fastest (`current` holds the entries chosen so far).
-fn for_each_product<T: Copy>(lists: &[Vec<T>], current: &mut Vec<T>, f: &mut impl FnMut(&[T])) {
-    let Some(list) = lists.get(current.len()) else {
-        f(current);
-        return;
-    };
-    for &entry in list {
-        current.push(entry);
-        for_each_product(lists, current, f);
-        current.pop();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::fixtures::tiled;
     use ooc_ir::{Expr, Statement};
+    use ooc_linalg::Rational;
+
+    /// Calls `f` with every combination of one entry per list, the last
+    /// list varying fastest (`current` holds the entries chosen so far).
+    fn for_each_product<T: Copy>(lists: &[Vec<T>], current: &mut Vec<T>, f: &mut impl FnMut(&[T])) {
+        let Some(list) = lists.get(current.len()) else {
+            f(current);
+            return;
+        };
+        for &entry in list {
+            current.push(entry);
+            for_each_product(lists, current, f);
+            current.pop();
+        }
+    }
 
     fn identity(a: ArrayId, offset: Vec<i64>) -> ArrayRef {
         ArrayRef::new(a, &[vec![1, 0], vec![0, 1]], offset)
@@ -1555,11 +1653,90 @@ mod tests {
         let mut nest = LoopNest::rectangular("tri", 2, 1, 0, Vec::new());
         let (i, j) = (Affine::var(2, 1, 0), Affine::var(2, 1, 1));
         nest.bounds.add_ge0(i.sub(&j));
+        assert!(!nest.bounds.is_rectangular(), "projected");
         assert_eq!(level_ranges(&nest, &[9]), Some(vec![(1, 9), (1, 9)]));
+        // The square skewed by i = i' - j': i' runs 2..=2N, and j' over
+        // the box of i' runs 1..=N.
+        let square = LoopNest::rectangular("skew", 2, 1, 0, Vec::new());
+        let skewed = square.transformed(&Matrix::from_i64(2, 2, &[1, -1, 0, 1]));
+        assert!(!skewed.bounds.is_rectangular(), "projected");
+        assert_eq!(level_ranges(&skewed, &[5]), Some(vec![(2, 10), (1, 5)]));
         // Rectangular nests keep their exact ranges.
         let rect = LoopNest::rectangular("rect", 3, 1, 0, Vec::new());
+        assert!(rect.bounds.is_rectangular(), "read off");
         assert_eq!(level_ranges(&rect, &[5]), Some(vec![(1, 5); 3]));
         assert_eq!(level_ranges(&rect, &[0]), None);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(512))]
+
+        /// Random nests of depth 1 to 4 over two parameters `N`, `M`:
+        /// per level one to three lower and upper bounds `a·x ≥ c + b·N
+        /// + b'·M` and `a·x ≤ …` with `a` up to 3 (as in `2i ≤ N`), and
+        /// constants that leave some levels empty; some constraints on
+        /// the parameters alone; in half of the nests, constraints over
+        /// two levels. A rectangular nest's ranges read off its
+        /// constraints, and the iteration count taken from them, are
+        /// the Fourier–Motzkin ones; any other nest is projected.
+        #[test]
+        fn direct_level_ranges_are_the_projected_ones(
+            pool in proptest::collection::vec(0i64..=12, 256),
+            params in proptest::collection::vec(0i64..=12, 2),
+        ) {
+            let mut pool = pool.into_iter();
+            let mut next = move |below: i64| pool.next().expect("enough draws") % below;
+            let depth = next(4) as usize + 1;
+            let skewed = depth > 1 && next(2) == 0;
+            let mut bounds = ooc_linalg::Polyhedron::universe(depth, 2);
+            // c + b·N + b'·M: with `low` a small c and b, b' in -1..=0
+            // (a lower bound's rest), otherwise a larger c and b, b' in
+            // 0..=1 (an upper bound's).
+            let offset = |next: &mut dyn FnMut(i64) -> i64, low: bool| {
+                let c = if low { next(7) - 4 } else { next(13) - 2 };
+                let mut e = Affine::constant(depth, 2, c);
+                for p in 0..2 {
+                    e.param_coeffs[p] = Rational::from(next(2) - i64::from(low));
+                }
+                e
+            };
+            for l in 0..depth {
+                for sign in [1, -1] {
+                    for _ in 0..=next(3) {
+                        // a·x - rest ≥ 0 is a lower bound, rest - a·x an
+                        // upper one.
+                        let mut e = offset(&mut next, sign > 0).scale(Rational::from(-sign));
+                        e.var_coeffs[l] = Rational::from(sign * (next(3) + 1));
+                        bounds.add_ge0(e);
+                    }
+                }
+                if next(4) == 0 {
+                    bounds.add_ge0(offset(&mut next, false));
+                }
+            }
+            for _ in 0..usize::from(skewed) * 2 {
+                let (l, m) = (next(depth as i64) as usize, next(depth as i64) as usize);
+                if l != m {
+                    let mut e = offset(&mut next, true);
+                    e.var_coeffs[l] = Rational::from(next(2) + 1);
+                    e.var_coeffs[m] = Rational::from(-(next(2) + 1));
+                    bounds.add_ge0(e);
+                }
+            }
+            let mut nest = LoopNest::rectangular("n", depth, 2, 0, Vec::new());
+            nest.bounds = bounds;
+            let projected = projected_ranges(&nest, &params);
+            proptest::prop_assert_eq!(level_ranges(&nest, &params), projected.clone());
+            if nest.bounds.is_rectangular() {
+                proptest::prop_assert_eq!(nest.bounds.box_ranges(&params), projected.clone());
+                let count = projected.map_or(0.0, |ranges| {
+                    ranges.iter().fold(1f64, |total, &(lo, hi)| total * (hi - lo + 1) as f64)
+                });
+                proptest::prop_assert_eq!(nest.iteration_count(&params).to_bits(), count.to_bits());
+            } else {
+                proptest::prop_assert!(skewed);
+            }
+        }
     }
 
     #[test]

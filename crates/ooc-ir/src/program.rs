@@ -346,6 +346,16 @@ impl LoopNest {
     /// rectangular nests).
     #[must_use]
     pub fn iteration_count(&self, params: &[i64]) -> f64 {
+        if self.bounds.is_rectangular() {
+            // No level's range depends on an outer level.
+            let Some(ranges) = self.bounds.box_ranges(params) else {
+                return 0.0;
+            };
+            let total = ranges
+                .iter()
+                .fold(1f64, |total, &(lo, hi)| total * (hi - lo + 1) as f64);
+            return total * f64::from(self.iterations);
+        }
         let bounds = self.bounds.loop_bounds();
         let mut total = 1f64;
         let mut outer: Vec<i64> = Vec::new();

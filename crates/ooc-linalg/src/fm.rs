@@ -434,6 +434,67 @@ impl Polyhedron {
         out
     }
 
+    /// Whether every constraint mentions at most one variable: the
+    /// polyhedron is a box whose sides may move with the parameters.
+    #[must_use]
+    pub fn is_rectangular(&self) -> bool {
+        self.constraints.iter().all(|c| {
+            let vars = c.expr.var_coeffs.iter().filter(|a| !a.is_zero());
+            vars.count() <= 1
+        })
+    }
+
+    /// The inclusive range of every variable of a rectangular
+    /// polyhedron (see [`Polyhedron::is_rectangular`]) at `params`:
+    /// the greatest ceiling of its lower bounds and the least floor of
+    /// its upper bounds, read off its one-variable constraints without
+    /// eliminating anything. These are the bounds
+    /// [`Polyhedron::loop_bounds`] gives such a polyhedron — there,
+    /// eliminating a variable only adds constraints on the parameters,
+    /// which bound no variable — scaled and evaluated in the same
+    /// order, so every range that fits `i64` is the one
+    /// [`LoopBounds::eval`] finds.
+    /// `None` when some variable is empty or unbounded there, or a
+    /// bound leaves `i64`. Constraints over several variables are not
+    /// read.
+    #[must_use]
+    pub fn box_ranges(&self, params: &[i64]) -> Option<Vec<(i64, i64)>> {
+        let mut bounds: Vec<(Option<i128>, Option<i128>)> = vec![(None, None); self.nvars];
+        for c in &self.constraints {
+            let e = &c.expr;
+            let mut vars = e
+                .var_coeffs
+                .iter()
+                .enumerate()
+                .filter(|(_, a)| !a.is_zero());
+            let (Some((v, &a)), None) = (vars.next(), vars.next()) else {
+                continue;
+            };
+            // a·x + rest ≥ 0 bounds x by −rest/a: from below when a > 0.
+            let s = -a.recip();
+            let mut bound = e.constant * s;
+            for (&p, &value) in e.param_coeffs.iter().zip(params) {
+                bound += p * s * Rational::from(value);
+            }
+            let (lo, hi) = &mut bounds[v];
+            if a.signum() > 0 {
+                *lo = Some(lo.map_or(bound.ceil(), |lo| lo.max(bound.ceil())));
+            } else {
+                *hi = Some(hi.map_or(bound.floor(), |hi| hi.min(bound.floor())));
+            }
+        }
+        bounds
+            .into_iter()
+            .map(|(lo, hi)| {
+                let (lo, hi) = (lo?, hi?);
+                if lo > hi {
+                    return None;
+                }
+                Some((i64::try_from(lo).ok()?, i64::try_from(hi).ok()?))
+            })
+            .collect()
+    }
+
     /// Enumerates every integer point of a (bounded) polyhedron in
     /// lexicographic order of `x₀…x_{k-1}`. Intended for tests and
     /// small functional executions.
