@@ -3,12 +3,15 @@
 //! 128, `benchmark/`'s 512, a journaled tile of 65 536), and
 //! `ChecksummedStore<MemStore, MemStore>` reads and writes of long and
 //! short runs at both chunk sizes, where everything that is not
-//! checksum arithmetic is a `memcpy`.
+//! checksum arithmetic is a `memcpy`, and
+//! `ChecksummedStore<FileStore, FileStore>` ones at chunk 512, where
+//! the calls the layer issues below itself are system calls.
 //!
 //! Prints the median pass as GB/s of payload. `benchmark/`'s
 //! `ladder.file_crc.copt_s − ladder.file.copt_s` is the same cost
-//! measured by subtraction over real files.
-use ooc_runtime::{crc64_f64s, ChecksummedStore, MemStore, Store};
+//! measured by subtraction over a whole tile schedule.
+use ooc_runtime::testing::TempDir;
+use ooc_runtime::{crc64_f64s, ChecksummedStore, FileStore, MemStore, Store};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -52,17 +55,18 @@ fn bench_kernel(elems: usize) {
     });
 }
 
-fn bench_store(chunk: u64, run: usize) {
-    let len = 1u64 << 18;
-    let sidecar = ChecksummedStore::<MemStore, MemStore>::sidecar_len(len, chunk);
-    let mut store = ChecksummedStore::attach(MemStore::new(len), MemStore::new(sidecar), chunk)
-        .expect("geometry");
-    store.write_run(0, &values(1 << 18)).expect("seed");
+/// Elements of every benchmarked store.
+const LEN: u64 = 1 << 18;
+
+/// Reads, then writes, `run`-element requests walking `store`, aligned
+/// to the run length; `kind` names the backend in the labels.
+fn bench_store<S: Store, C: Store>(kind: &str, data: S, sidecar: C, chunk: u64, run: usize) {
+    let mut store = ChecksummedStore::attach(data, sidecar, chunk).expect("geometry");
+    store.write_run(0, &values(LEN as usize)).expect("seed");
     let mut buf = values(run);
-    // Successive requests walk the store, aligned to the run length.
-    let offsets = || (0..PASS_ELEMS / run).map(|k| ((k * run) as u64) % len);
+    let offsets = || (0..PASS_ELEMS / run).map(|k| ((k * run) as u64) % LEN);
     report(
-        &format!("checksum/store_read/chunk{chunk}/run{run}"),
+        &format!("checksum/{kind}_read/chunk{chunk}/run{run}"),
         || {
             for offset in offsets() {
                 store
@@ -72,7 +76,7 @@ fn bench_store(chunk: u64, run: usize) {
         },
     );
     report(
-        &format!("checksum/store_write/chunk{chunk}/run{run}"),
+        &format!("checksum/{kind}_write/chunk{chunk}/run{run}"),
         || {
             for offset in offsets() {
                 store
@@ -87,9 +91,19 @@ fn main() {
     for elems in [128, 512, 65_536] {
         bench_kernel(elems);
     }
+    let sidecar_len = ChecksummedStore::<MemStore, MemStore>::sidecar_len;
     for chunk in [128, 512] {
         for run in [65_536, 256] {
-            bench_store(chunk, run);
+            let sidecar = MemStore::new(sidecar_len(LEN, chunk));
+            bench_store("store", MemStore::new(LEN), sidecar, chunk, run);
         }
+    }
+    let dir = TempDir::new("checksum-bench").expect("temp dir");
+    let chunk = 512;
+    for run in [65_536, 256] {
+        let data = FileStore::create(&dir.path().join("data"), LEN).expect("data file");
+        let sidecar = FileStore::create(&dir.path().join("crc"), sidecar_len(LEN, chunk))
+            .expect("sidecar file");
+        bench_store("file", data, sidecar, chunk, run);
     }
 }

@@ -98,7 +98,7 @@ fn trans_degraded_diff_explains_the_repair_traffic() {
     // input array B.
     assert!(
         diff.explanations.iter().any(|e| e
-            .contains("adds 55,936 degraded_reconstruct bytes on array B")
+            .contains("adds 55,328 degraded_reconstruct bytes on array B")
             && e.contains("rebuilt by XOR from surviving peers")),
         "quantitative reconstruction explanation drifted:\n{text}"
     );

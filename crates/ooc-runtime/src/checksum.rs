@@ -22,6 +22,7 @@
 use crate::store::Store;
 use crate::trace::MeasuredIo;
 use std::io;
+use std::ops::RangeInclusive;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -248,6 +249,7 @@ struct ChecksumCounters {
     verified_chunks: AtomicU64,
     corrupt_reads: AtomicU64,
     chunk_updates: AtomicU64,
+    sidecar_calls: AtomicU64,
 }
 
 /// A cheap shared handle onto a [`ChecksummedStore`]'s verification
@@ -274,17 +276,19 @@ impl ChecksumHandle {
         self.0.chunk_updates.load(Ordering::Relaxed)
     }
 
-    /// Sidecar traffic implied by the counters, as `(calls, elems)`:
-    /// every chunk verification (clean or corrupt) reads one checksum
-    /// element, every chunk update writes one back. This is the
-    /// provenance ledger's `ChecksumOverhead` channel — integrity
+    /// Sidecar traffic as `(calls, elems)`: `calls` counts the sidecar
+    /// reads and writes the store issued, one per request however many
+    /// chunks it covers; `elems` is one checksum element per chunk
+    /// verification (clean or corrupt) and per chunk update. This is
+    /// the provenance ledger's `ChecksumOverhead` channel — integrity
     /// traffic that never appears in the data store's own metrics
     /// (see [`ChecksummedStore::metrics`], which forwards the data
     /// store only).
     #[must_use]
     pub fn sidecar_io(&self) -> (u64, u64) {
-        let n = self.verified_chunks() + self.corrupt_reads() + self.chunk_updates();
-        (n, n)
+        let calls = self.0.sidecar_calls.load(Ordering::Relaxed);
+        let elems = self.verified_chunks() + self.corrupt_reads() + self.chunk_updates();
+        (calls, elems)
     }
 }
 
@@ -294,14 +298,24 @@ impl ChecksumHandle {
 ///
 /// The calls it issues below itself are a contract, because a
 /// [`FaultStore`](crate::fault::FaultStore) under this layer numbers
-/// them and crash points are indices into that numbering: a read
-/// issues, per covered chunk in ascending order, one data read of the
-/// whole chunk and then one sidecar read of its checksum; a write
-/// issues the data write, then one data read per covered chunk, then
-/// one sidecar write of all their checksums; the first failing call
-/// ends the request. After a failed read the buffer's contents are
-/// unspecified: whole chunks are verified in place, so the failing
-/// chunk's data may already be in it.
+/// them and crash points are indices into that numbering. A request
+/// issues two calls to its data store and sidecar, however many
+/// chunks it covers:
+/// - a read issues one data read over the whole chunks it covers,
+///   then one sidecar read of their checksums, and verifies the
+///   chunks in ascending order;
+/// - a write issues the data write, then one data read of each
+///   partially covered chunk at its ends (at most two), then one
+///   sidecar write of all the covered chunks' checksums.
+///
+/// The first failing call ends the request. A write's checksums are
+/// of the data it was asked to store: fully covered chunks are hashed
+/// from the caller's buffer, and the caller's elements overlay a
+/// read-back edge chunk before it is hashed, so a write the data
+/// store acknowledged but lost fails the next read that covers it.
+/// After a failed read the buffer's contents are unspecified: a
+/// chunk-aligned read lands in the caller's buffer before it is
+/// verified.
 #[derive(Debug)]
 pub struct ChecksummedStore<S, C> {
     data: S,
@@ -392,7 +406,7 @@ impl<S: Store, C: Store> ChecksummedStore<S, C> {
 
     /// The chunks covering the in-range, non-empty request
     /// `offset..offset + len`.
-    fn chunks_of(&self, offset: u64, len: usize) -> std::ops::RangeInclusive<u64> {
+    fn chunks_of(&self, offset: u64, len: usize) -> RangeInclusive<u64> {
         offset / self.chunk()..=(offset + len as u64 - 1) / self.chunk()
     }
 
@@ -404,17 +418,9 @@ impl<S: Store, C: Store> ChecksummedStore<S, C> {
         (start, len)
     }
 
-    /// Reads every chunk of `chunks` back from the data store and
-    /// returns their checksums in sidecar form.
-    fn chunk_crcs(&self, chunks: impl Iterator<Item = u64>) -> io::Result<Vec<f64>> {
-        let mut scratch = vec![0.0f64; self.chunk_elems];
-        chunks
-            .map(|i| {
-                let (start, len) = self.chunk_span(i);
-                self.data.read_run(start, &mut scratch[..len])?;
-                Ok(f64::from_bits(crc64_f64s(&scratch[..len])))
-            })
-            .collect()
+    /// Counts one sidecar call about to be issued.
+    fn sidecar_call(&self) {
+        self.counters.sidecar_calls.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Recomputes every chunk checksum from the data store.
@@ -422,14 +428,23 @@ impl<S: Store, C: Store> ChecksummedStore<S, C> {
     /// # Errors
     /// Propagates data / sidecar I/O errors.
     pub fn rebuild(&mut self) -> io::Result<()> {
-        let crcs = self.chunk_crcs(0..self.chunks())?;
+        let mut scratch = vec![0.0f64; self.chunk_elems];
+        let crcs = (0..self.chunks())
+            .map(|i| {
+                let (start, len) = self.chunk_span(i);
+                self.data.read_run(start, &mut scratch[..len])?;
+                Ok(f64::from_bits(crc64_f64s(&scratch[..len])))
+            })
+            .collect::<io::Result<Vec<f64>>>()?;
         if !crcs.is_empty() {
+            self.sidecar_call();
             self.sidecar.write_run(0, &crcs)?;
         }
         Ok(())
     }
 
-    /// Verifies every chunk, returning the number checked.
+    /// Verifies every chunk, one at a time, returning the number
+    /// checked.
     ///
     /// # Errors
     /// The first corrupt chunk (see [`is_corrupt`]); data / sidecar
@@ -439,34 +454,49 @@ impl<S: Store, C: Store> ChecksummedStore<S, C> {
         let mut scratch = vec![0.0f64; self.chunk_elems];
         for i in 0..chunks {
             let (_, len) = self.chunk_span(i);
-            self.verify_chunk(i, &mut scratch[..len])?;
+            self.read_verified(i, &mut scratch[..len])?;
         }
         Ok(chunks)
     }
 
-    /// Reads chunk `i` into `dest`, which is exactly as long as the
-    /// chunk, and checks it against the sidecar.
-    fn verify_chunk(&self, i: u64, dest: &mut [f64]) -> io::Result<()> {
-        let (start, len) = self.chunk_span(i);
-        debug_assert_eq!(dest.len(), len, "destination of chunk {i}");
-        self.data.read_run(start, dest)?;
-        let mut recorded = [0.0f64];
-        self.sidecar.read_run(i, &mut recorded)?;
-        let expected = recorded[0].to_bits();
-        let actual = crc64_f64s(dest);
-        if actual != expected {
-            self.counters.corrupt_reads.fetch_add(1, Ordering::Relaxed);
-            return Err(corrupt_error(CorruptError {
-                chunk: i,
-                offset: start,
-                len: len as u64,
-                expected,
-                actual,
-            }));
+    /// Reads the chunks from `first` on into `span`, which ends where a
+    /// chunk ends, with one data read, then their checksums with one
+    /// sidecar read, and verifies them in ascending order.
+    fn read_verified(&self, first: u64, span: &mut [f64]) -> io::Result<()> {
+        self.data.read_run(first * self.chunk(), span)?;
+        let n = span.len().div_ceil(self.chunk_elems);
+        // Most requests cover a chunk or two: their checksums need no
+        // heap.
+        let (mut few, mut many) = ([0.0f64; 4], Vec::new());
+        let recorded = if n <= few.len() {
+            &mut few[..n]
+        } else {
+            many.resize(n, 0.0f64);
+            &mut many[..]
+        };
+        self.sidecar_call();
+        self.sidecar.read_run(first, recorded)?;
+        let mut verified = 0;
+        for ((i, data), crc) in (first..).zip(span.chunks(self.chunk_elems)).zip(&*recorded) {
+            let (expected, actual) = (crc.to_bits(), crc64_f64s(data));
+            if actual != expected {
+                self.counters
+                    .verified_chunks
+                    .fetch_add(verified, Ordering::Relaxed);
+                self.counters.corrupt_reads.fetch_add(1, Ordering::Relaxed);
+                return Err(corrupt_error(CorruptError {
+                    chunk: i,
+                    offset: i * self.chunk(),
+                    len: data.len() as u64,
+                    expected,
+                    actual,
+                }));
+            }
+            verified += 1;
         }
         self.counters
             .verified_chunks
-            .fetch_add(1, Ordering::Relaxed);
+            .fetch_add(verified, Ordering::Relaxed);
         Ok(())
     }
 
@@ -488,29 +518,22 @@ impl<S: Store, C: Store> Store for ChecksummedStore<S, C> {
             // semantics match the wrapped store exactly.
             return self.data.read_run(offset, buf);
         }
-        // Elements of the current chunk that precede the request:
-        // below `chunk_elems`, and non-zero for the first chunk only.
-        let mut skip = (offset % self.chunk()) as usize;
-        let mut rest = buf;
-        let mut scratch = Vec::new();
-        for i in self.chunks_of(offset, rest.len()) {
-            let (_, len) = self.chunk_span(i);
-            let n = (len - skip).min(rest.len());
-            let (dest, tail) = std::mem::take(&mut rest).split_at_mut(n);
-            if n == len {
-                // The whole chunk is wanted: read and verify it where
-                // the caller wants it.
-                self.verify_chunk(i, dest)?;
-            } else {
-                // A partial edge chunk (at most two per request):
-                // verify all of it aside, hand over the overlap.
-                scratch.resize(len, 0.0f64);
-                self.verify_chunk(i, &mut scratch)?;
-                dest.copy_from_slice(&scratch[skip..skip + n]);
-            }
-            rest = tail;
-            skip = 0;
+        let chunks = self.chunks_of(offset, buf.len());
+        let start = chunks.start() * self.chunk();
+        let (last, last_len) = self.chunk_span(*chunks.end());
+        // At most the request plus a chunk at either end.
+        let len = (last - start) as usize + last_len;
+        if (start, len) == (offset, buf.len()) {
+            // Whole chunks are wanted: read and verify them where the
+            // caller wants them.
+            return self.read_verified(*chunks.start(), buf);
         }
+        // A partial chunk at either end: verify the whole span aside,
+        // hand over the request.
+        let mut span = vec![0.0f64; len];
+        self.read_verified(*chunks.start(), &mut span)?;
+        let skip = (offset - start) as usize;
+        buf.copy_from_slice(&span[skip..skip + buf.len()]);
         Ok(())
     }
 
@@ -523,7 +546,30 @@ impl<S: Store, C: Store> Store for ChecksummedStore<S, C> {
         self.data.write_run(offset, buf)?;
         let chunks = self.chunks_of(offset, buf.len());
         let first = *chunks.start();
-        let crcs = self.chunk_crcs(chunks)?;
+        let end = offset + buf.len() as u64;
+        let mut scratch = Vec::new();
+        let crcs = chunks
+            .map(|i| {
+                let (start, len) = self.chunk_span(i);
+                // The caller's elements of chunk `i`, from `lo` on.
+                let lo = start.max(offset);
+                let hi = end.min(start + len as u64);
+                let ours = &buf[(lo - offset) as usize..(hi - offset) as usize];
+                if ours.len() == len {
+                    return Ok(f64::from_bits(crc64_f64s(ours)));
+                }
+                // A partial edge chunk (at most two per request): the
+                // rest of it comes back from the store, and the
+                // caller's elements overlay what came back, so the
+                // checksum is of what the caller asked to store.
+                scratch.resize(len, 0.0f64);
+                self.data.read_run(start, &mut scratch)?;
+                let at = (lo - start) as usize;
+                scratch[at..at + ours.len()].copy_from_slice(ours);
+                Ok(f64::from_bits(crc64_f64s(&scratch)))
+            })
+            .collect::<io::Result<Vec<f64>>>()?;
+        self.sidecar_call();
         self.sidecar.write_run(first, &crcs)?;
         self.counters
             .chunk_updates
@@ -540,6 +586,7 @@ impl<S: Store, C: Store> Store for ChecksummedStore<S, C> {
         self.counters.verified_chunks.store(0, Ordering::Relaxed);
         self.counters.corrupt_reads.store(0, Ordering::Relaxed);
         self.counters.chunk_updates.store(0, Ordering::Relaxed);
+        self.counters.sidecar_calls.store(0, Ordering::Relaxed);
     }
 
     fn metrics(&self) -> Option<MeasuredIo> {
@@ -728,5 +775,41 @@ mod tests {
         let mut buf = [0.0; 4];
         let err = cs.read_run(6, &mut buf).expect_err("out of range");
         assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+    }
+
+    /// A data store that acknowledges every write without applying it.
+    struct LosesWrites(MemStore);
+
+    impl Store for LosesWrites {
+        fn len(&self) -> u64 {
+            self.0.len()
+        }
+
+        fn read_run(&self, offset: u64, buf: &mut [f64]) -> io::Result<()> {
+            self.0.read_run(offset, buf)
+        }
+
+        fn write_run(&mut self, _offset: u64, _buf: &[f64]) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_lost_write_fails_the_next_read_that_covers_it() {
+        // Chunks of 8 over 20 elements: a whole-chunk write, a write
+        // with both ends partial, and one inside a single chunk.
+        for (offset, n) in [(8u64, 8usize), (5, 6), (2, 3)] {
+            let mut data = MemStore::new(20);
+            data.write_run(0, &[1.0; 20]).expect("seed");
+            let mut cs =
+                ChecksummedStore::attach(LosesWrites(data), MemStore::new(3), 8).expect("attach");
+            cs.rebuild().expect("rebuild");
+            cs.write_run(offset, &vec![2.0; n]).expect("acknowledged");
+            let mut buf = vec![0.0; n];
+            let err = cs
+                .read_run(offset, &mut buf)
+                .expect_err("the stale data must not verify");
+            assert!(is_corrupt(&err), "write({offset},{n}): {err}");
+        }
     }
 }

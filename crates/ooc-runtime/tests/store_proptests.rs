@@ -1,10 +1,12 @@
 //! Property tests of the [`Store`] implementations: arbitrary
 //! interleaved `read_run`/`write_run` sequences must behave
 //! identically on [`MemStore`] and [`FileStore`], and out-of-range
-//! accesses must fail on both without partial writes.
+//! accesses must fail on both without partial writes. A
+//! [`ChecksummedStore`] must hold what a plain [`MemStore`] holds and
+//! catch a flipped element on exactly the reads whose chunks hold it.
 
 use ooc_runtime::testing::TempDir;
-use ooc_runtime::{FileStore, MemStore, Store};
+use ooc_runtime::{is_corrupt, ChecksummedStore, FileStore, MemStore, Store};
 use proptest::prelude::*;
 
 /// Reads a store's full contents.
@@ -102,5 +104,71 @@ proptest! {
         }
         prop_assert_eq!(&contents(&mem, n), &golden);
         prop_assert_eq!(&contents(&file, n), &golden);
+    }
+
+    /// The checksum layer over any geometry and request sequence: the
+    /// same per-op outcome and contents as a plain `MemStore`, then one
+    /// flipped data element fails every read covering its chunk (and
+    /// counts once per read) and no other read.
+    #[test]
+    fn checksummed_store_agrees_with_mem_and_catches_a_flip(
+        n in 1u64..40,
+        chunk in 1u64..12,
+        ops in proptest::collection::vec(
+            (0u8..2, 0u64..44, 0usize..20, -512i64..512),
+            1..24,
+        ),
+        flip in 0u64..40,
+    ) {
+        let sidecar_len = ChecksummedStore::<MemStore, MemStore>::sidecar_len(n, chunk);
+        let sidecar = MemStore::new(sidecar_len);
+        let mut cs = ChecksummedStore::attach(MemStore::new(n), sidecar, chunk).expect("attach");
+        cs.rebuild().expect("rebuild");
+        let mut mem = MemStore::new(n);
+        for (i, &(kind, offset, len, salt)) in ops.iter().enumerate() {
+            if kind == 0 {
+                let buf: Vec<f64> = (0..len).map(|k| (salt + k as i64) as f64 * 0.5).collect();
+                let r_cs = cs.write_run(offset, &buf);
+                let r_mem = mem.write_run(offset, &buf);
+                prop_assert_eq!(r_cs.is_ok(), r_mem.is_ok(), "op {}: write ok-ness differs", i);
+            } else {
+                let (mut b_cs, mut b_mem) = (vec![7.25; len], vec![7.25; len]);
+                let r_cs = cs.read_run(offset, &mut b_cs);
+                let r_mem = mem.read_run(offset, &mut b_mem);
+                prop_assert_eq!(r_cs.is_ok(), r_mem.is_ok(), "op {}: read ok-ness differs", i);
+                if r_mem.is_ok() {
+                    prop_assert_eq!(&b_cs, &b_mem, "op {}: read results differ", i);
+                }
+            }
+        }
+        prop_assert_eq!(&contents(&cs, n), &contents(&mem, n), "final contents differ");
+        prop_assert_eq!(cs.verify().expect("clean store"), n.div_ceil(chunk.min(n)));
+
+        let flip = flip % n;
+        let (mut data, sidecar) = cs.into_inner();
+        let mut old = [0.0];
+        data.read_run(flip, &mut old).expect("in range");
+        data.write_run(flip, &[f64::from_bits(old[0].to_bits() ^ 1)]).expect("in range");
+        let cs = ChecksummedStore::attach(data, sidecar, chunk).expect("re-attach");
+        let mut failed = 0;
+        for offset in 0..n {
+            for len in 1..=(n - offset) {
+                let mut buf = vec![0.0; usize::try_from(len).expect("small")];
+                let r = cs.read_run(offset, &mut buf);
+                let chunks = offset / chunk..=(offset + len - 1) / chunk;
+                let covers = chunks.contains(&(flip / chunk));
+                prop_assert_eq!(
+                    r.is_err(),
+                    covers,
+                    "read({}, {}) with element {} flipped",
+                    offset, len, flip
+                );
+                if let Err(e) = r {
+                    prop_assert!(is_corrupt(&e), "read({}, {}): {}", offset, len, e);
+                    failed += 1;
+                }
+            }
+        }
+        prop_assert_eq!(cs.handle().corrupt_reads(), failed);
     }
 }

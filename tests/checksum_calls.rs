@@ -7,10 +7,11 @@
 //! `crash_at(n)` tests are indices into exactly these sequences: a
 //! change that reorders, merges or drops one call renumbers every
 //! crash point. `tests/checksum_calls.txt` was generated on the commit
-//! before the layer started verifying whole chunks in the caller's
-//! buffer and is compared unchanged; a change that means to move the
-//! sequence replaces the file with `render()`'s output and moves the
-//! recovery baselines with it.
+//! that made a request two calls below the layer (one data read over
+//! the covered chunks and one sidecar read; a write, its edge-chunk
+//! read-backs and one sidecar write) and is compared unchanged; a
+//! change that means to move the sequence replaces the file with
+//! `render()`'s output and moves the recovery baselines with it.
 
 use ooc_opt::runtime::{is_corrupt, ChecksummedStore, MemStore, Store};
 use std::fmt::Write as _;
@@ -275,30 +276,34 @@ fn call_sequences_match_the_recorded_contract() {
     }
 }
 
-/// The shape the issue states in words, checked directly so the
-/// contract does not rest on the recorded file alone.
+/// The contract in words, checked directly so it does not rest on
+/// the recorded file alone.
 #[test]
-fn reads_pair_a_chunk_read_with_its_checksum_and_writes_batch_the_sidecar() {
+fn a_request_verifies_its_chunks_with_one_data_call_and_one_sidecar_call() {
+    let expect = |out: &str, tail: &str| assert!(out.ends_with(tail), "{out}");
+    // A read straddling all three chunks of the 11/4 store reads their
+    // span once and their checksums once.
     let mut out = String::new();
     scenario(&mut out, 11, 4, Op::Read, 3, 6, Fail::None);
-    assert!(
-        out.ends_with(
-            ": data.r(0,4) sidecar.r(0,1) data.r(4,4) sidecar.r(1,1) data.r(8,3) sidecar.r(2,1)\n"
-        ),
-        "{out}"
-    );
+    expect(&out, "sidecar_io=(1, 3): data.r(0,11) sidecar.r(0,3)\n");
+    // A chunk-aligned read asks for exactly the request.
+    let mut out = String::new();
+    scenario(&mut out, 11, 4, Op::Read, 4, 7, Fail::None);
+    expect(&out, ": data.r(4,7) sidecar.r(1,2)\n");
+    // A write reads back only its partial edge chunks ...
     let mut out = String::new();
     scenario(&mut out, 11, 4, Op::Write, 3, 6, Fail::None);
-    assert!(
-        out.ends_with(": data.w(3,6) data.r(0,4) data.r(4,4) data.r(8,3) sidecar.w(0,3)\n"),
-        "{out}"
+    expect(
+        &out,
+        "sidecar_io=(1, 3): data.w(3,6) data.r(0,4) data.r(8,3) sidecar.w(0,3)\n",
     );
-    // A data error at chunk k = first + 2 leaves two chunks verified.
+    // ... and an aligned one none.
     let mut out = String::new();
-    scenario(&mut out, 11, 4, Op::Read, 0, 11, Fail::Data(2));
-    assert!(
-        out.contains("verified=2 corrupt=0 updates=0")
-            && out.ends_with("sidecar.r(1,1) data.r(8,3)\n"),
-        "{out}"
-    );
+    scenario(&mut out, 11, 4, Op::Write, 0, 8, Fail::None);
+    expect(&out, ": data.w(0,8) sidecar.w(0,2)\n");
+    // Chunks verify in ascending order: a corrupt chunk 1 leaves chunk
+    // 0 verified and chunk 2 unchecked.
+    let mut out = String::new();
+    corrupt_scenario(&mut out, 0, 11, 5);
+    assert!(out.contains("verified=1 corrupt=1 updates=0"), "{out}");
 }
