@@ -816,7 +816,7 @@ pub(crate) fn walk_sync<S: Store>(
     let mut data = Vec::with_capacity(arrays.len());
     for arr in &mut arrays {
         let region = Region::full(arr.dims());
-        data.push(arr.read_tile(&region)?.into_data());
+        data.push(arr.read_canonical(&region)?.into_data());
     }
     let run = FunctionalRun { data, profiles };
     // Correlate the analytic run accounting with store-level

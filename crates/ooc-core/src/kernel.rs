@@ -23,8 +23,9 @@
 //!
 //! [`TileKernel::run_in`] binds the kernel to one step's staged tiles —
 //! per reference a base address and one address step per loop level,
-//! from the tiles' row-major strides — and runs the loops clamped to
-//! the tile box, bumping addresses instead of recomputing subscripts.
+//! from each tile's strides in the order its data is laid out in — and
+//! runs the loops clamped to the tile box, bumping addresses instead of
+//! recomputing subscripts.
 //! The binding and the loop state live in a [`KernelScratch`] the
 //! caller keeps from one step to the next, so a step allocates nothing
 //! once it has grown; [`TileKernel::run`] binds into a fresh one.
@@ -616,8 +617,9 @@ struct Bound<'k, 'b, 't> {
 
 impl<'t> Bound<'_, '_, 't> {
     /// Binds every reference to its slot's tile, slot by slot: a base
-    /// address and per-level address steps, row-major over the tile's
-    /// region with the last dimension fastest, and the region's bounds.
+    /// address and per-level address steps over the tile's region in
+    /// the tile's order, its last dimension fastest, and the region's
+    /// bounds.
     fn bind(&mut self, tiles: impl IntoIterator<Item = Option<&'t mut Tile>>) -> io::Result<()> {
         let k = self.k;
         let (n, depth) = (k.refs.len(), k.depth);
@@ -632,14 +634,14 @@ impl<'t> Bound<'_, '_, 't> {
                 self.bufs.push(&mut []);
                 continue;
             };
-            let (region, data) = tile.region_and_data_mut();
+            let (region, order, data) = tile.parts_mut();
             for (r, rp) in refs {
                 if region.rank() != rp.rank {
                     return Err(unstaged(rp));
                 }
                 let s = &mut self.s;
                 let mut stride = 1i64;
-                for d in (0..rp.rank).rev() {
+                for &d in order.iter().rev() {
                     s.addr[r] = mul_add(s.addr[r], stride, rp.offset[d] - region.lo[d])?;
                     for l in 0..depth {
                         let at = l * n + r;

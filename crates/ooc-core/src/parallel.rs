@@ -417,7 +417,7 @@ pub(crate) fn exec_sharded<S: Store + Send + 'static>(
     let mut data = Vec::with_capacity(main_arrays.len());
     for arr in main_arrays.iter_mut() {
         let region = ooc_runtime::Region::full(arr.dims());
-        data.push(arr.read_tile(&region)?.into_data());
+        data.push(arr.read_canonical(&region)?.into_data());
     }
 
     Ok(ParallelRun {

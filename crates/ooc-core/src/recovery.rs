@@ -38,7 +38,7 @@ use ooc_runtime::{
     ChecksummedStore, FaultConfig, FaultHandle, FaultStore, FileLog, FileStore, IoCause,
     IoNodePool, Journal, JournalScan, LedgerEvent, LedgerRecorder, LogStore, MemLog, MemStore,
     NodeFaultConfig, OocArray, Region, RepairIo, ScrubReport, SharedStore, Store, StripeConfig,
-    StripedStore, Tile, WriteIntent,
+    StripedStore, WriteIntent,
 };
 use std::collections::BTreeMap;
 use std::io;
@@ -449,7 +449,9 @@ impl DurableSession {
         let refs: Vec<&WriteIntent> = intents.iter().collect();
         let n = rollback(&refs, &mut |a, region, pre| {
             let arr = undo_target(arrays, a, region, pre.len())?;
-            let mut t = Tile::zeroed(region.clone());
+            // A pre-image is tile data, in the order the array stages
+            // its tiles in.
+            let mut t = arr.zeroed_tile(region.clone());
             t.data_mut().copy_from_slice(pre);
             if let Some(rec) = ledger {
                 rec.record(LedgerEvent {

@@ -165,20 +165,32 @@ pub struct IoCost {
     pub span_bytes: u64,
 }
 
-/// An in-memory rectangular tile of an array.
+/// An in-memory rectangular tile of an array, its data laid out in an
+/// order of the region's dimensions: the order of the array's file when
+/// that is a dimension order, so a file run lands in the tile as it is,
+/// and row-major otherwise and for [`Tile::zeroed`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct Tile {
     region: Region,
+    /// The region's dimensions, slowest-varying first: `[0, 1, …]` is
+    /// row-major.
+    order: Vec<usize>,
     data: Vec<f64>,
 }
 
 impl Tile {
-    /// Zero-filled tile covering `region`.
+    /// Zero-filled row-major tile covering `region`.
     #[must_use]
     pub fn zeroed(region: Region) -> Self {
+        let order = (0..region.rank()).collect();
+        Tile::zeroed_in(region, order)
+    }
+
+    fn zeroed_in(region: Region, order: Vec<usize>) -> Self {
         let len = usize::try_from(region.len()).expect("tile too large");
         Tile {
             region,
+            order,
             data: vec![0.0; len],
         }
     }
@@ -189,23 +201,26 @@ impl Tile {
         &self.region
     }
 
-    /// Raw data in canonical region-row-major order.
+    /// Raw data, over the region in the tile's order (see
+    /// [`Tile::parts_mut`]).
     #[must_use]
     pub fn data(&self) -> &[f64] {
         &self.data
     }
 
-    /// Mutable raw data in canonical region-row-major order.
+    /// Mutable raw data, over the region in the tile's order.
     pub fn data_mut(&mut self) -> &mut [f64] {
         &mut self.data
     }
 
-    /// The covered region and the mutable data, borrowed together.
-    pub fn region_and_data_mut(&mut self) -> (&Region, &mut [f64]) {
-        (&self.region, &mut self.data)
+    /// The covered region, the order of the data (the region's
+    /// dimensions, slowest-varying first) and the mutable data,
+    /// borrowed together.
+    pub fn parts_mut(&mut self) -> (&Region, &[usize], &mut [f64]) {
+        (&self.region, &self.order, &mut self.data)
     }
 
-    /// The raw data, without a copy.
+    /// The raw data in the tile's order, without a copy.
     #[must_use]
     pub fn into_data(self) -> Vec<f64> {
         self.data
@@ -214,8 +229,8 @@ impl Tile {
     fn pos(&self, idx: &[i64]) -> usize {
         assert!(self.region.contains(idx), "index {idx:?} outside tile");
         let mut off: i64 = 0;
-        for (d, &x) in idx.iter().enumerate() {
-            off = off * self.region.extent(d) + (x - self.region.lo[d]);
+        for &d in &self.order {
+            off = off * self.region.extent(d) + (idx[d] - self.region.lo[d]);
         }
         usize::try_from(off).expect("tile offset")
     }
@@ -386,13 +401,21 @@ impl<S: Store> OocArray<S> {
             .sum()
     }
 
+    /// A zero-filled tile over `region` in the order this array stages
+    /// tiles in — what [`read_tile`](Self::read_tile) of `region` would
+    /// return, without reading it.
+    #[must_use]
+    pub fn zeroed_tile(&self, region: Region) -> Tile {
+        Tile::zeroed_in(region, self.layout.tile_order().to_vec())
+    }
+
     /// Fills `self.segs` with the segments of `tile ∩ array`, ascending
-    /// in the file.
-    fn segments(&mut self, tile: &Region) {
+    /// in the file, at their positions in a tile laid out in `order`.
+    fn segments(&mut self, tile: &Region, order: &[usize]) {
         let segs = &mut self.segs;
         segs.clear();
         self.layout
-            .for_each_segment(&self.dims, tile, &mut self.idx, |s| segs.push(s));
+            .for_each_segment(&self.dims, tile, order, &mut self.idx, |s| segs.push(s));
     }
 
     /// Frees oversized scratch buffers (see [`SCRATCH_KEEP_ELEMS`]).
@@ -406,11 +429,14 @@ impl<S: Store> OocArray<S> {
     }
 
     /// Reads a tile, counting calls: one store call per maximal file
-    /// run, in ascending file order. A run that is also contiguous in
-    /// the tile lands directly in the tile's data. The others are read
-    /// into the scratch buffer in file order, a group of consecutive
-    /// runs at a time, and each group is scattered into the tile in one
-    /// pass that moves adjacent tile columns a cache line at a time.
+    /// run, in ascending file order. The tile is laid out in the
+    /// array's order ([`zeroed_tile`](Self::zeroed_tile)), so under a
+    /// dimension-order layout every run lands directly in the tile's
+    /// data. Under the others, a run that is not contiguous in the tile
+    /// is read into the scratch buffer in file order, a group of
+    /// consecutive runs at a time, and each group is scattered into the
+    /// tile in one pass that moves adjacent tile columns a cache line at
+    /// a time.
     ///
     /// # Errors
     /// Propagates store errors; a region whose rank is not the
@@ -418,16 +444,31 @@ impl<S: Store> OocArray<S> {
     /// call.
     pub fn read_tile(&mut self, region: &Region) -> io::Result<Tile> {
         self.check_rank(region)?;
+        let mut tile = self.zeroed_tile(region.clamped(&self.dims));
+        self.fill(&mut tile)?;
+        Ok(tile)
+    }
+
+    /// [`read_tile`](Self::read_tile) into a row-major tile: the same
+    /// store calls and [`IoStats`], with the data in canonical order —
+    /// what a whole-array dump hands out. Under a layout that is not
+    /// row-major the runs go through the scratch buffer.
+    ///
+    /// # Errors
+    /// As [`read_tile`](Self::read_tile).
+    pub fn read_canonical(&mut self, region: &Region) -> io::Result<Tile> {
+        self.check_rank(region)?;
         let mut tile = Tile::zeroed(region.clamped(&self.dims));
         self.fill(&mut tile)?;
         Ok(tile)
     }
 
     /// [`read_tile`](Self::read_tile) into `tile`, whatever it held
-    /// before: its region becomes `region` clamped to the array and
-    /// its data the region's elements, in the buffers `tile` already
-    /// has — no allocation once they are large enough. Data, region and
-    /// [`IoStats`] are those of a fresh `read_tile`.
+    /// before: its region becomes `region` clamped to the array, its
+    /// order the array's and its data the region's elements, in the
+    /// buffers `tile` already has — no allocation once they are large
+    /// enough. Data, region, order and [`IoStats`] are those of a fresh
+    /// `read_tile`.
     ///
     /// # Errors
     /// As [`read_tile`](Self::read_tile). A refused rank leaves `tile`
@@ -437,6 +478,8 @@ impl<S: Store> OocArray<S> {
         tile.region.lo.clone_from(&region.lo);
         tile.region.hi.clone_from(&region.hi);
         tile.region.clamp_to(&self.dims);
+        tile.order.clear();
+        tile.order.extend_from_slice(self.layout.tile_order());
         let len = usize::try_from(tile.region.len()).expect("tile too large");
         // Every element is read below: old values need no zeroing.
         tile.data.truncate(len);
@@ -445,9 +488,10 @@ impl<S: Store> OocArray<S> {
     }
 
     /// Reads the elements of `tile`'s region, which lies inside the
-    /// array, into its data, which has the region's length.
+    /// array, into its data, which has the region's length, in the
+    /// tile's order.
     fn fill(&mut self, tile: &mut Tile) -> io::Result<()> {
-        self.segments(&tile.region);
+        self.segments(&tile.region, &tile.order);
         let retry = self.config.retry;
         let store = &self.store;
         for group in groups(&self.segs) {
@@ -480,16 +524,17 @@ impl<S: Store> OocArray<S> {
 
     /// Writes a tile back, counting calls: the part of the tile inside
     /// the array, one store call per maximal file run as in
-    /// [`read_tile`](Self::read_tile); each group of runs that are not
-    /// contiguous in the tile is gathered into the scratch buffer in
-    /// one pass before its runs are written.
+    /// [`read_tile`](Self::read_tile), whatever the tile's order; each
+    /// group of runs that are not contiguous in the tile — none, for a
+    /// tile in the array's order that lies inside it — is gathered into
+    /// the scratch buffer in one pass before its runs are written.
     ///
     /// # Errors
     /// Propagates store errors; a tile whose rank is not the array's
     /// is [`io::ErrorKind::InvalidInput`], before any store call.
     pub fn write_tile(&mut self, tile: &Tile) -> io::Result<()> {
         self.check_rank(&tile.region)?;
-        self.segments(&tile.region);
+        self.segments(&tile.region, &tile.order);
         let retry = self.config.retry;
         let store = &mut self.store;
         for group in groups(&self.segs) {
@@ -560,7 +605,8 @@ impl<S: Store> OocArray<S> {
     /// # Errors
     /// Propagates store errors.
     pub fn initialize(&mut self, f: impl Fn(&[i64]) -> f64) -> io::Result<()> {
-        self.segments(&Region::full(&self.dims));
+        let order = self.layout.tile_order().to_vec();
+        self.segments(&Region::full(&self.dims), &order);
         let segs = &self.segs;
         // The file's contents in file order. A segment is a line of the
         // index space: its elements follow its first index by a
@@ -571,10 +617,15 @@ impl<S: Store> OocArray<S> {
         let mut step: Vec<(usize, i64)> = Vec::new();
         let mut at = 0;
         for seg in segs {
-            index_at(&self.dims, seg.tile_start, &mut idx);
+            index_at(&self.dims, &order, seg.tile_start, &mut idx);
             step.clear();
             if seg.len > 1 {
-                index_at(&self.dims, seg.tile_start + seg.tile_stride, &mut next);
+                index_at(
+                    &self.dims,
+                    &order,
+                    seg.tile_start + seg.tile_stride,
+                    &mut next,
+                );
                 let moves = next.iter().zip(&idx).map(|(&n, &i)| n - i).enumerate();
                 step.extend(moves.filter(|&(_, s)| s != 0));
             }
@@ -602,13 +653,13 @@ impl<S: Store> OocArray<S> {
     }
 }
 
-/// Writes the index of canonical position `pos` of the array `dims`
-/// (the last dimension fastest) into `idx`.
-fn index_at(dims: &[i64], pos: usize, idx: &mut [i64]) {
+/// Writes the index of position `pos` of the array `dims`, laid out in
+/// `order` (the last dimension of `order` fastest), into `idx`.
+fn index_at(dims: &[i64], order: &[usize], pos: usize, idx: &mut [i64]) {
     let mut pos = pos as i64;
-    for (i, &dim) in idx.iter_mut().zip(dims).rev() {
-        *i = pos % dim + 1;
-        pos /= dim;
+    for &d in order.iter().rev() {
+        idx[d] = pos % dims[d] + 1;
+        pos /= dims[d];
     }
 }
 
@@ -824,6 +875,39 @@ mod tests {
             a.write_tile(&tile).expect("write");
             assert_eq!(a.read_element(&[2, 3]).expect("read"), -1.0, "{layout:?}");
             assert_eq!(a.read_element(&[2, 2]).expect("read"), 22.0, "{layout:?}");
+        }
+    }
+
+    /// A tile staged in one array's order writes into an array of any
+    /// layout: a column-major tile into an anti-diagonal file, whose
+    /// lines it walks backwards, included.
+    #[test]
+    fn a_tile_of_one_layout_writes_into_any_other() {
+        let layouts = [
+            FileLayout::row_major(2),
+            FileLayout::col_major(2),
+            FileLayout::Hyperplane2D(1, 1),
+            FileLayout::Hyperplane2D(1, -1),
+            FileLayout::Blocked2D { br: 2, bc: 3 },
+        ];
+        let (dims, region) = ([5, 6], Region::new(vec![2, 2], vec![5, 5]));
+        let value = |idx: &[i64]| (idx[0] * 10 + idx[1]) as f64;
+        for from in &layouts {
+            let mut src = OocArray::in_memory("S", &dims, from.clone());
+            src.initialize(value).expect("init");
+            let tile = src.read_tile(&region).expect("read");
+            for to in &layouts {
+                let mut dst = OocArray::in_memory("D", &dims, to.clone());
+                dst.write_tile(&tile).expect("write");
+                let all = dst.read_canonical(&Region::full(&dims)).expect("read");
+                for a1 in 1..=5 {
+                    for a2 in 1..=6 {
+                        let inside = region.contains(&[a1, a2]);
+                        let want = if inside { value(&[a1, a2]) } else { 0.0 };
+                        assert_eq!(all.get(&[a1, a2]), want, "{from:?} -> {to:?}");
+                    }
+                }
+            }
         }
     }
 

@@ -250,6 +250,7 @@ struct ChecksumCounters {
     corrupt_reads: AtomicU64,
     chunk_updates: AtomicU64,
     sidecar_calls: AtomicU64,
+    sidecar_elems: AtomicU64,
 }
 
 /// A cheap shared handle onto a [`ChecksummedStore`]'s verification
@@ -278,17 +279,17 @@ impl ChecksumHandle {
 
     /// Sidecar traffic as `(calls, elems)`: `calls` counts the sidecar
     /// reads and writes the store issued, one per request however many
-    /// chunks it covers; `elems` is one checksum element per chunk
-    /// verification (clean or corrupt) and per chunk update. This is
-    /// the provenance ledger's `ChecksumOverhead` channel — integrity
-    /// traffic that never appears in the data store's own metrics
-    /// (see [`ChecksummedStore::metrics`], which forwards the data
-    /// store only).
+    /// chunks it covers; `elems` the checksums those calls moved, read
+    /// or written, booked when a call succeeds — a read that fails
+    /// verification still moved every checksum it read. This is the
+    /// provenance ledger's `ChecksumOverhead` channel — integrity
+    /// traffic that never appears in the data store's own metrics (see
+    /// [`ChecksummedStore::metrics`], which forwards the data store
+    /// only).
     #[must_use]
     pub fn sidecar_io(&self) -> (u64, u64) {
         let calls = self.0.sidecar_calls.load(Ordering::Relaxed);
-        let elems = self.verified_chunks() + self.corrupt_reads() + self.chunk_updates();
-        (calls, elems)
+        (calls, self.0.sidecar_elems.load(Ordering::Relaxed))
     }
 }
 
@@ -418,9 +419,17 @@ impl<S: Store, C: Store> ChecksummedStore<S, C> {
         (start, len)
     }
 
-    /// Counts one sidecar call about to be issued.
-    fn sidecar_call(&self) {
+    /// Counts one issued sidecar call, and the `elems` checksums it
+    /// moved when it succeeded; passes its result on.
+    fn sidecar_call(&self, done: io::Result<()>, elems: usize) -> io::Result<()> {
         self.counters.sidecar_calls.fetch_add(1, Ordering::Relaxed);
+        if done.is_ok() {
+            let elems = elems as u64;
+            self.counters
+                .sidecar_elems
+                .fetch_add(elems, Ordering::Relaxed);
+        }
+        done
     }
 
     /// Recomputes every chunk checksum from the data store.
@@ -437,8 +446,8 @@ impl<S: Store, C: Store> ChecksummedStore<S, C> {
             })
             .collect::<io::Result<Vec<f64>>>()?;
         if !crcs.is_empty() {
-            self.sidecar_call();
-            self.sidecar.write_run(0, &crcs)?;
+            let done = self.sidecar.write_run(0, &crcs);
+            self.sidecar_call(done, crcs.len())?;
         }
         Ok(())
     }
@@ -474,8 +483,8 @@ impl<S: Store, C: Store> ChecksummedStore<S, C> {
             many.resize(n, 0.0f64);
             &mut many[..]
         };
-        self.sidecar_call();
-        self.sidecar.read_run(first, recorded)?;
+        let done = self.sidecar.read_run(first, recorded);
+        self.sidecar_call(done, n)?;
         let mut verified = 0;
         for ((i, data), crc) in (first..).zip(span.chunks(self.chunk_elems)).zip(&*recorded) {
             let (expected, actual) = (crc.to_bits(), crc64_f64s(data));
@@ -569,8 +578,8 @@ impl<S: Store, C: Store> Store for ChecksummedStore<S, C> {
                 Ok(f64::from_bits(crc64_f64s(&scratch)))
             })
             .collect::<io::Result<Vec<f64>>>()?;
-        self.sidecar_call();
-        self.sidecar.write_run(first, &crcs)?;
+        let done = self.sidecar.write_run(first, &crcs);
+        self.sidecar_call(done, crcs.len())?;
         self.counters
             .chunk_updates
             .fetch_add(crcs.len() as u64, Ordering::Relaxed);
@@ -587,6 +596,7 @@ impl<S: Store, C: Store> Store for ChecksummedStore<S, C> {
         self.counters.corrupt_reads.store(0, Ordering::Relaxed);
         self.counters.chunk_updates.store(0, Ordering::Relaxed);
         self.counters.sidecar_calls.store(0, Ordering::Relaxed);
+        self.counters.sidecar_elems.store(0, Ordering::Relaxed);
     }
 
     fn metrics(&self) -> Option<MeasuredIo> {
@@ -706,6 +716,21 @@ mod tests {
         assert_eq!(cs.verify().expect("verify"), 1);
         // Same chunking as any chunk length that covers the store.
         assert_eq!(cs.handle().chunk_updates(), 1);
+    }
+
+    /// Sidecar elements are the checksums the sidecar calls moved: a
+    /// rebuild writes one per chunk, and a read that fails verification
+    /// on its first chunk has still read the checksums of all three.
+    #[test]
+    fn sidecar_elements_are_the_checksums_the_calls_moved() {
+        let (cs, mut raw) = checksummed(11, 4);
+        assert_eq!(cs.handle().sidecar_io(), (1, 3));
+        raw.write_run(1, &[9.0]).expect("poke");
+        let mut buf = [0.0; 11];
+        let err = cs.read_run(0, &mut buf).expect_err("chunk 0 changed");
+        assert!(is_corrupt(&err), "{err}");
+        assert_eq!(cs.handle().verified_chunks(), 0);
+        assert_eq!(cs.handle().sidecar_io(), (2, 6));
     }
 
     #[test]

@@ -132,9 +132,10 @@ pub struct Run {
 }
 
 /// A piece of a tile that is contiguous in the file and a constant
-/// stride apart in the tile's canonical row-major data: file element
-/// `file_start + k` is tile element `tile_start + k * tile_stride` for
-/// `k < len`. File-adjacent segments coalesce into [`Run`]s.
+/// stride apart in the tile's data, laid out in the tile's own order:
+/// file element `file_start + k` is tile element
+/// `tile_start + k * tile_stride` for `k < len`. File-adjacent
+/// segments coalesce into [`Run`]s.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Segment {
     pub file_start: u64,
@@ -211,6 +212,18 @@ impl FileLayout {
         }
     }
 
+    /// The order a tile of an array under this layout keeps its data
+    /// in, slowest dimension first: a dimension-order layout's own
+    /// `perm`, so that every file run is contiguous in the tile, and
+    /// row-major for the (2-D) hyperplane and blocked layouts.
+    #[must_use]
+    pub(crate) fn tile_order(&self) -> &[usize] {
+        match self {
+            FileLayout::DimOrder(perm) => perm,
+            FileLayout::Hyperplane2D(..) | FileLayout::Blocked2D { .. } => &[0, 1],
+        }
+    }
+
     /// The hyperplane vector describing this layout, when one exists.
     #[must_use]
     pub fn hyperplane(&self) -> Option<[i64; 2]> {
@@ -269,12 +282,14 @@ impl FileLayout {
 
     /// Calls `f` with the segments of `tile ∩ array` in ascending file
     /// order; tile positions are relative to `tile` itself, which may
-    /// overhang the array. Work is per segment, never per element, and
-    /// nothing is allocated once `idx` (the walk's index, any contents)
-    /// holds a rank's worth:
+    /// overhang the array, and to its data laid out in `order`
+    /// (dimensions slowest first). Work is per segment, never per
+    /// element, and nothing is allocated once `idx` (the walk's index,
+    /// any contents) holds a rank's worth:
     ///
     /// * `DimOrder`: one segment per index of the non-innermost layout
-    ///   dimensions, the file and tile offsets by Horner's rule;
+    ///   dimensions, the file and tile offsets by Horner's rule — in
+    ///   the layout's own order every segment has tile stride 1;
     /// * `Blocked2D`: one per row of each block ∩ tile;
     /// * `Hyperplane2D`: one per intersected hyperplane — a hyperplane
     ///   ∩ rectangle is a contiguous sub-range of the hyperplane and
@@ -283,6 +298,7 @@ impl FileLayout {
         &self,
         dims: &[i64],
         tile: &Region,
+        order: &[usize],
         idx: &mut Vec<i64>,
         mut f: impl FnMut(Segment),
     ) {
@@ -293,20 +309,36 @@ impl FileLayout {
         if (0..rank).any(|d| first(d) > last(d)) {
             return;
         }
-        // Canonical row-major stride and position in the tile's own
-        // extents.
-        let stride = |d: usize| (d + 1..rank).map(|e| tile.extent(e)).product::<i64>();
+        // Stride and position in the tile's own extents, in `order`.
+        let stride = |d: usize| -> i64 {
+            let after = order.iter().rev().take_while(|&&e| e != d);
+            after.map(|&e| tile.extent(e)).product()
+        };
         let tile_pos = |idx: &[i64]| -> i64 {
-            (0..rank).fold(0, |pos, d| pos * tile.extent(d) + (idx[d] - tile.lo[d]))
+            order
+                .iter()
+                .fold(0, |pos, &d| pos * tile.extent(d) + (idx[d] - tile.lo[d]))
         };
         let mut emit = |file_start: i64, len: i64, tile_start: i64, tile_stride: i64| {
             let cast = |v: i64| usize::try_from(v).expect("segment inside the tile");
+            if len > 1 && tile_stride < 0 {
+                // Along a hyperplane a₂ may fall as a₁ rises, which a
+                // column-first tile order turns into a backward step:
+                // such a line moves element by element.
+                for k in 0..len {
+                    f(Segment {
+                        file_start: (file_start + k) as u64,
+                        len: 1,
+                        tile_start: cast(tile_start + k * tile_stride),
+                        tile_stride: 1,
+                    });
+                }
+                return;
+            }
             f(Segment {
                 file_start: file_start as u64,
                 len: len as u64,
                 tile_start: cast(tile_start),
-                // Positive whenever it matters: along a hyperplane a₁
-                // ascends, and a₂ moves by less than a tile row.
                 tile_stride: if len > 1 { cast(tile_stride) } else { 1 },
             });
         };
@@ -360,7 +392,7 @@ impl FileLayout {
                             file_start,
                             s.count,
                             tile_pos(&[s.a1, s.a2]),
-                            d1 * stride(0) + d2,
+                            d1 * stride(0) + d2 * stride(1),
                         );
                     }
                     before += full.count;
@@ -389,7 +421,7 @@ impl FileLayout {
                                 block_start + in_block,
                                 col_hi - col_lo + 1,
                                 tile_pos(&[row, col_lo]),
-                                1,
+                                stride(1),
                             );
                         }
                     }
@@ -404,12 +436,15 @@ impl FileLayout {
     #[must_use]
     pub fn region_runs(&self, dims: &[i64], region: &Region) -> Vec<Run> {
         let mut runs: Vec<Run> = Vec::new();
-        self.for_each_segment(dims, region, &mut Vec::new(), |s| match runs.last_mut() {
-            Some(run) if run.start + run.len == s.file_start => run.len += s.len,
-            _ => runs.push(Run {
-                start: s.file_start,
-                len: s.len,
-            }),
+        let order = self.tile_order();
+        self.for_each_segment(dims, region, order, &mut Vec::new(), |s| {
+            match runs.last_mut() {
+                Some(run) if run.start + run.len == s.file_start => run.len += s.len,
+                _ => runs.push(Run {
+                    start: s.file_start,
+                    len: s.len,
+                }),
+            }
         });
         runs
     }
@@ -501,7 +536,7 @@ impl FileLayout {
                 elements,
                 ..RunSummary::default()
             };
-            self.for_each_segment(dims, &region, &mut Vec::new(), |s| {
+            self.for_each_segment(dims, &region, &[0, 1], &mut Vec::new(), |s| {
                 if summary.runs == 0 {
                     summary.min_start = s.file_start;
                 }
@@ -791,8 +826,9 @@ mod tests {
     #[test]
     fn segments_map_tile_positions_to_file_offsets() {
         // Every element of tile ∩ array appears in exactly one segment,
-        // at its own tile position and its own file offset, and the
-        // segments ascend in the file — also for tiles that overhang.
+        // at its own tile position in either tile order and its own
+        // file offset, and the segments ascend in the file — also for
+        // tiles that overhang.
         let dims = [6i64, 7];
         let layouts = [
             FileLayout::row_major(2),
@@ -813,28 +849,28 @@ mod tests {
             Region::new(vec![3, 3], vec![3, 3]),
             Region::new(vec![4, 1], vec![3, 7]),
         ];
-        for layout in &layouts {
+        for (layout, order) in layouts.iter().flat_map(|l| [(l, [0, 1]), (l, [1, 0])]) {
             for tile in &tiles {
                 let mut seen = vec![false; usize::try_from(tile.len()).unwrap()];
                 let mut file_end = 0u64;
-                layout.for_each_segment(&dims, tile, &mut Vec::new(), |s| {
+                layout.for_each_segment(&dims, tile, &order, &mut Vec::new(), |s| {
                     assert!(
                         s.file_start >= file_end,
                         "{layout:?} {tile:?} not ascending"
                     );
                     file_end = s.file_start + s.len;
                     for k in 0..s.len {
-                        let pos = s.tile_start + k as usize * s.tile_stride;
-                        let width = tile.extent(1);
-                        let idx = [
-                            tile.lo[0] + pos as i64 / width,
-                            tile.lo[1] + pos as i64 % width,
-                        ];
+                        let pos = (s.tile_start + k as usize * s.tile_stride) as i64;
+                        let fast = tile.extent(order[1]);
+                        let mut idx = [0; 2];
+                        idx[order[0]] = tile.lo[order[0]] + pos / fast;
+                        idx[order[1]] = tile.lo[order[1]] + pos % fast;
                         assert_eq!(
                             layout.offset_of(&dims, &idx),
                             s.file_start + k,
                             "{layout:?} {tile:?} at {idx:?}"
                         );
+                        let pos = pos as usize;
                         assert!(!seen[pos], "{layout:?} {tile:?} repeats {idx:?}");
                         seen[pos] = true;
                     }

@@ -90,6 +90,33 @@ fn panel_tile() -> impl Strategy<Value = (FileLayout, Vec<i64>, Region)> {
     })
 }
 
+/// Permutation `k` of `0..rank`, for `k < rank!`: each `k` a different
+/// one (its factorial-base digits pick from what is left).
+fn nth_perm(rank: usize, mut k: usize) -> Vec<usize> {
+    let mut left: Vec<usize> = (0..rank).collect();
+    let mut perm = Vec::with_capacity(rank);
+    for n in (1..=rank).rev() {
+        let fact: usize = (1..n).product();
+        perm.push(left.remove(k / fact));
+        k %= fact;
+    }
+    perm
+}
+
+/// A dimension-order array of rank 1 to 3 under any of its rank's
+/// orders, extents 1 to 5, and a tile region as `tile_region` makes.
+fn dim_order_tile() -> impl Strategy<Value = (FileLayout, Vec<i64>, Region)> {
+    (1usize..=3)
+        .prop_flat_map(|rank| {
+            let perms: usize = (1..=rank).product();
+            (0..perms, vec![1i64..6; rank]).prop_map(move |(k, dims)| (nth_perm(rank, k), dims))
+        })
+        .prop_flat_map(|(perm, dims)| {
+            tile_region(dims.clone())
+                .prop_map(move |r| (FileLayout::DimOrder(perm.clone()), dims.clone(), r))
+        })
+}
+
 /// Every index of `region ∩ array`.
 fn indices(dims: &[i64], region: &Region) -> Vec<Vec<i64>> {
     let r = region.clamped(dims);
@@ -209,6 +236,65 @@ proptest! {
             arr.store().read_run(0, &mut after).expect("dump");
             prop_assert_eq!(&after, &model, "{} contents after write", backend.label());
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// A tile staged in its file's dimension order holds every element
+    /// where `get` looks for it, and the canonical read holds the same
+    /// elements in row-major order. A file-order write of a tile over
+    /// the unclamped region — whose overhang splits the runs in the
+    /// tile — lands what a canonical read then returns. Each file-order
+    /// transfer issues the store calls and counts the `IoStats` of its
+    /// canonical twin, call for call.
+    #[test]
+    fn file_order_tiles_stage_what_canonical_tiles_stage(case in dim_order_tile()) {
+        let (layout, dims, region) = case;
+        let len = dims.iter().product::<i64>() as u64;
+        let model: Vec<f64> = (0..len).map(|off| off as f64 + 0.5).collect();
+        let array = || {
+            let mut store = MemStore::new(len);
+            store.write_run(0, &model).expect("seed");
+            let config = RuntimeConfig { max_call_elems: 3, ..RuntimeConfig::default() };
+            OocArray::new("T", &dims, layout.clone(), ProfilingStore::new(store), config)
+        };
+        let (mut ordered, mut canonical) = (array(), array());
+        let inside = indices(&dims, &region);
+        let at = |idx: &Vec<i64>| layout.offset_of(&dims, idx) as usize;
+
+        let tile = ordered.read_tile(&region).expect("read");
+        for idx in &inside {
+            prop_assert_eq!(tile.get(idx), model[at(idx)], "{:?} read {:?}", layout, idx);
+        }
+        let rows = canonical.read_canonical(&region).expect("read");
+        let want: Vec<f64> = inside.iter().map(|idx| model[at(idx)]).collect();
+        prop_assert_eq!(rows.data(), &want[..]);
+        prop_assert_eq!(ordered.stats(), canonical.stats());
+        prop_assert_eq!(ordered.access_log(), canonical.access_log());
+
+        let mut tile = ordered.zeroed_tile(region.clone());
+        for (k, v) in tile.data_mut().iter_mut().enumerate() {
+            *v = -(k as f64) - 1.0;
+        }
+        let mut rows = Tile::zeroed(region.clone());
+        for idx in &inside {
+            rows.set(idx, tile.get(idx));
+        }
+        ordered.write_tile(&tile).expect("write");
+        canonical.write_tile(&rows).expect("write");
+        prop_assert_eq!(ordered.stats(), canonical.stats());
+        prop_assert_eq!(ordered.access_log(), canonical.access_log());
+
+        let back = ordered.read_canonical(&region).expect("read back");
+        let want: Vec<f64> = inside.iter().map(|idx| tile.get(idx)).collect();
+        prop_assert_eq!(back.data(), &want[..], "{:?} {:?}", layout, region);
+        let mut stored = vec![0.0; model.len()];
+        ordered.store().read_run(0, &mut stored).expect("dump");
+        let mut expect = stored.clone();
+        canonical.store().read_run(0, &mut expect).expect("dump");
+        prop_assert_eq!(stored, expect);
     }
 }
 

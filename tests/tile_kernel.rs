@@ -28,7 +28,7 @@ use ooc_opt::ir::{
     execute_program, ArrayId, ArrayRef, Expr, Guard, GuardAt, LoopNest, Memory, Program, Statement,
 };
 use ooc_opt::linalg::{Affine, Matrix, Polyhedron};
-use ooc_opt::runtime::{FileLayout, MemStore, OocArray, Tile};
+use ooc_opt::runtime::{FileLayout, MemStore, OocArray, Region, Tile};
 use proptest::prelude::*;
 
 fn seed(a: ArrayId, idx: &[i64]) -> f64 {
@@ -504,6 +504,99 @@ fn an_innermost_guard_narrows_a_fold_to_one_iteration() {
         vec![fold, first]
     });
     assert_eq!(mode_if_bit_equal(&prog, 100), (true, true));
+}
+
+/// `C(i) = C(i) + A(i,j)/V(j)` and `B(j,i) = A(i,j) + 1` over `i, j`:
+/// an accumulation that folds, beside a transpose.
+fn fold_and_transpose() -> Program {
+    reduction(1, |[a, b, c, v]| {
+        let fold = Statement::assign(c_of_i(c), Expr::Add(load(c_of_i(c)), term(a, v)));
+        let b_ji = ArrayRef::new(b, &[vec![0, 1], vec![1, 0]], vec![0, 0]);
+        vec![fold, Statement::assign(b_ji, plus_one(at(a, 0, 0)))]
+    })
+}
+
+/// The kernel addresses each tile along the tile's own order. The nest
+/// of [`fold_and_transpose`], staged box by box in row-major tiles and
+/// in the column-major tiles a column-major file stages, leaves every
+/// array bit for bit the same and equal to the oracle; so do both walks
+/// under either layout, whose tile shapes differ.
+#[test]
+fn row_and_column_major_tiles_give_the_same_bits() {
+    let prog = fold_and_transpose();
+    let params = [37i64];
+    let want = reference(&prog, &params);
+    let layouts = |col: bool| -> Vec<FileLayout> {
+        let ranks = prog.arrays.iter().map(|a| a.dims.len());
+        let layout = if col {
+            FileLayout::col_major
+        } else {
+            FileLayout::row_major
+        };
+        ranks.map(layout).collect()
+    };
+    for col in [false, true] {
+        let tp = tiled(&prog, layouts(col), TilingStrategy::OutOfCore);
+        let [sync, piped] = both_walks(&tp, &params, 8);
+        assert_eq!(sync, want, "col={col} sync walk");
+        assert_eq!(piped, want, "col={col} step engine");
+    }
+
+    // One plan, the row-major one, stages the same regions from both.
+    let tp = tiled(&prog, layouts(false), TilingStrategy::Traditional);
+    let fraction = 8;
+    let max_call = FunctionalConfig::with_fraction(fraction)
+        .runtime
+        .max_call_elems;
+    let env = PlanEnv::new(&tp.program, &tp.layouts, &params, fraction, max_call).expect("env");
+    let tnest = &tp.nests[0];
+    let plan = plan_nest(&env, &tnest.nest, tnest.strategy, &tnest.tiled_levels, None)
+        .expect("small regions")
+        .expect("the nest is not empty");
+    let kernel = TileKernel::lower(&tnest.nest, &params).expect("lowers");
+    assert!(kernel.folds(), "C accumulates in a fold");
+    let dims = |a: usize| -> Vec<i64> {
+        let decl = &tp.program.arrays[a];
+        decl.dims.iter().map(|d| d.resolve(&params)).collect()
+    };
+    let [mut rows, mut cols] = [false, true].map(|col| -> Vec<_> {
+        let layouts = layouts(col);
+        (0..tp.program.arrays.len())
+            .map(|a| {
+                let name = &tp.program.arrays[a].name;
+                let mut arr = OocArray::in_memory(name, &dims(a), layouts[a].clone());
+                arr.initialize(|idx| seed(ArrayId(a), idx))
+                    .expect("seeding");
+                arr
+            })
+            .collect()
+    });
+    let boxes = plan.boxes();
+    assert!(boxes.len() > 4, "{} boxes", boxes.len());
+    for (lo, hi) in &boxes {
+        for arrays in [&mut rows, &mut cols] {
+            let mut tiles: Vec<Option<Tile>> = (0..kernel.slots())
+                .map(|slot| {
+                    let array = plan.staging.key(slot).0 .0;
+                    let region = plan.staged_slot(slot, lo, hi);
+                    Some(arrays[array].read_tile(&region).expect("staging"))
+                })
+                .collect();
+            kernel.run(&mut tiles, lo, hi).expect("staged");
+            for (slot, tile) in tiles.iter().enumerate() {
+                let array = plan.staging.key(slot).0 .0;
+                let tile = tile.as_ref().expect("still staged");
+                arrays[array].write_tile(tile).expect("write-back");
+            }
+        }
+    }
+    for (a, (row, col)) in rows.iter_mut().zip(&mut cols).enumerate() {
+        let full = Region::full(&dims(a));
+        let row = row.read_canonical(&full).expect("dump");
+        let col = col.read_canonical(&full).expect("dump");
+        assert_eq!(bits(col.data()), bits(row.data()), "array {a}");
+        assert_eq!(bits(row.data()), want[a], "array {a}");
+    }
 }
 
 /// Bits of every staged tile, `None` for an empty slot.
